@@ -4,7 +4,9 @@ A carrier is either grid-backed (the unit interval under a connective,
 sampled at grid points) or a finite table. Table carriers are validated
 on construction: identity law always, associativity and closure for
 finite tables. Grid carriers inherit the connective's own axiom report
-instead of re-proving associativity here.
+instead of re-proving associativity here, and carry the connective's
+value-id table over their points when its values are exact, so checks
+that sweep many membership maps evaluate the operation once per pair.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+from . import kernel
 from .connectives import Connective
 from .errors import DomainError, InputFormatError
 from .scalars import parse_rational
@@ -25,6 +28,10 @@ class CarrierMonoid:
     op: Callable
     identity: object
     grid_backed: bool = False
+    # op over elements as a kernel.Kernel; None for table carriers and
+    # float-valued connectives
+    table: Optional[kernel.Kernel] = field(default=None, compare=False,
+                                           repr=False)
 
     def to_json(self) -> dict:
         return {"kind": "carrier", "label": self.label, "size": len(self.elements)}
@@ -36,8 +43,9 @@ class CarrierMonoid:
             raise DomainError(
                 f"{conn.name} declares no identity element; not a monoid carrier")
         label = f"([0,1],{conn.name})@{domain.label()}"
-        return CarrierMonoid(label, tuple(domain.points), conn, conn.identity,
-                             grid_backed=True)
+        points = tuple(domain.points)
+        return CarrierMonoid(label, points, conn, conn.identity, grid_backed=True,
+                             table=kernel.compile_operator(conn, points))
 
     @staticmethod
     def from_table(elements: Sequence, table: Mapping, identity,

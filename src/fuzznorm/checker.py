@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from . import kernel
 from .connectives import Connective, Role
 from .errors import BudgetExceededError, DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
@@ -34,7 +35,18 @@ def _check_eq_binary(conn, pairs, property_id, domain):
     return conclude(property_id, domain, witnesses, undecided, instances=count)
 
 
-def _commutativity(conn, pts, property_id, domain):
+def _commutativity(conn, pts, property_id, domain, kern=None):
+    if kern is not None:
+        table, vals = kern.table, kern.vals
+        witnesses = []
+        for i, x in enumerate(pts):
+            row = table[i]
+            for j in range(i + 1, len(pts)):
+                if row[j] != table[j][i]:
+                    witnesses.append(Witness((x, pts[j]),
+                                             (vals[row[j]], vals[table[j][i]])))
+        return conclude(property_id, domain, witnesses, 0,
+                        instances=len(pts) * (len(pts) - 1) // 2)
     quads = []
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
@@ -42,7 +54,23 @@ def _commutativity(conn, pts, property_id, domain):
     return _check_eq_binary(conn, quads, property_id, domain)
 
 
-def _associativity(conn, pts, property_id, domain):
+def _associativity(conn, pts, property_id, domain, kern=None):
+    if kern is not None:
+        n = len(pts)
+        table, vals = kern.table, kern.vals
+        witnesses = []
+        for i, x in enumerate(pts):
+            row_x = table[i]
+            for j, y in enumerate(pts):
+                lhs_row = kern.row(row_x[j])
+                row_y = table[j]
+                for k in range(n):
+                    yz = row_y[k]
+                    rhs = row_x[yz] if yz < n else kern.col(yz)[i]
+                    if lhs_row[k] != rhs:
+                        witnesses.append(Witness((x, y, pts[k]),
+                                                 (vals[lhs_row[k]], vals[rhs])))
+        return conclude(property_id, domain, witnesses, 0, instances=n ** 3)
     witnesses, undecided = [], 0
     for x in pts:
         for y in pts:
@@ -59,7 +87,24 @@ def _associativity(conn, pts, property_id, domain):
                     instances=len(pts) ** 3)
 
 
-def _monotonicity(conn, pts, property_id, domain):
+def _monotonicity(conn, pts, property_id, domain, kern=None):
+    if kern is not None:
+        n = len(pts)
+        table, vals, rank = kern.table, kern.vals, kern.rank
+        ranked = [[rank[v] for v in row] for row in table]
+        witnesses = []
+        for a, x in enumerate(pts):
+            row_x, ranked_x = table[a], ranked[a]
+            for b, y in enumerate(pts):
+                vy, wy = ranked_x[b], ranked[b][a]
+                for c in range(b + 1, n):
+                    if vy > ranked_x[c]:
+                        witnesses.append(Witness((x, y, pts[c]),
+                                                 (vals[row_x[b]], vals[row_x[c]])))
+                    if wy > ranked[c][a]:
+                        witnesses.append(Witness((y, pts[c], x),
+                                                 (vals[table[b][a]], vals[table[c][a]])))
+        return conclude(property_id, domain, witnesses, 0, instances=1)
     witnesses, undecided = [], 0
     for x in pts:
         for i, y in enumerate(pts):
@@ -79,7 +124,17 @@ def _monotonicity(conn, pts, property_id, domain):
     return conclude(property_id, domain, witnesses, undecided, instances=1)
 
 
-def _identity_axiom(conn, pts, e, property_id, domain):
+def _identity_axiom(conn, pts, e, property_id, domain, kern=None):
+    if kern is not None:
+        k = kern.intern(e)
+        right, left, vals = kern.col(k), kern.row(k), kern.vals
+        witnesses = []
+        for i, x in enumerate(pts):
+            if right[i] != i:
+                witnesses.append(Witness((x, e), (vals[right[i]], x)))
+            if left[i] != i:
+                witnesses.append(Witness((e, x), (vals[left[i]], x)))
+        return conclude(property_id, domain, witnesses, 0, instances=2 * len(pts))
     quads = []
     for x in pts:
         quads.append((x, e, conn(x, e), x))
@@ -87,14 +142,18 @@ def _identity_axiom(conn, pts, e, property_id, domain):
     return _check_eq_binary(conn, quads, property_id, domain)
 
 
-def _uninorm_identity(conn, pts, property_id, domain):
+def _uninorm_identity(conn, pts, property_id, domain, kern=None):
     if conn.identity is not None:
-        rep = _identity_axiom(conn, pts, conn.identity, property_id, domain)
+        rep = _identity_axiom(conn, pts, conn.identity, property_id, domain, kern)
         rep.details["identity"] = format_scalar(conn.identity)
         return rep
     # no declared identity: search the grid for one
-    for e in pts:
-        if all(eq_approx(conn(x, e), x) for x in pts):
+    for j, e in enumerate(pts):
+        if kern is not None:
+            found = all(row[j] == i for i, row in enumerate(kern.table))
+        else:
+            found = all(eq_approx(conn(x, e), x) for x in pts)
+        if found:
             return PropertyReport(property_id, Verdict.HOLDS, domain,
                                   details={"identity": format_scalar(e),
                                            "identity_searched": True})
@@ -103,27 +162,39 @@ def _uninorm_identity(conn, pts, property_id, domain):
                           details={"identity": None, "identity_searched": True})
 
 
-def _nullnorm_absorber(conn, pts, property_id, domain):
+def _nullnorm_absorber(conn, pts, property_id, domain, kern=None):
     k = conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
     witnesses, undecided = [], 0
-    for x in pts:
-        r = eq3(conn(k, x), k)
-        if r is None:
-            undecided += 1
-        elif not r:
-            witnesses.append(Witness((k, x), (conn(k, x), k)))
-        if x <= k:
-            r = eq3(conn(ZERO, x), x)
+    if kern is not None:
+        kid = kern.intern(k)
+        at_k, vals = kern.row(kid), kern.vals
+        at_0, at_1 = kern.row(kern.intern(ZERO)), kern.row(kern.intern(ONE))
+        for i, x in enumerate(pts):
+            if at_k[i] != kid:
+                witnesses.append(Witness((k, x), (vals[at_k[i]], k)))
+            if x <= k and at_0[i] != i:
+                witnesses.append(Witness((ZERO, x), (vals[at_0[i]], x)))
+            if x >= k and at_1[i] != i:
+                witnesses.append(Witness((ONE, x), (vals[at_1[i]], x)))
+    else:
+        for x in pts:
+            r = eq3(conn(k, x), k)
             if r is None:
                 undecided += 1
             elif not r:
-                witnesses.append(Witness((ZERO, x), (conn(ZERO, x), x)))
-        if x >= k:
-            r = eq3(conn(ONE, x), x)
-            if r is None:
-                undecided += 1
-            elif not r:
-                witnesses.append(Witness((ONE, x), (conn(ONE, x), x)))
+                witnesses.append(Witness((k, x), (conn(k, x), k)))
+            if x <= k:
+                r = eq3(conn(ZERO, x), x)
+                if r is None:
+                    undecided += 1
+                elif not r:
+                    witnesses.append(Witness((ZERO, x), (conn(ZERO, x), x)))
+            if x >= k:
+                r = eq3(conn(ONE, x), x)
+                if r is None:
+                    undecided += 1
+                elif not r:
+                    witnesses.append(Witness((ONE, x), (conn(ONE, x), x)))
     rep = conclude(property_id, domain, witnesses, undecided, instances=1)
     rep.details["absorber"] = format_scalar(k)
     return rep
@@ -160,12 +231,33 @@ _AXIOM_PREFIX = {Role.TNORM: "T", Role.TCONORM: "S",
                  Role.UNINORM: "U", Role.NULLNORM: "F"}
 
 
+def _role_axioms(conn, pts, dom, kern):
+    role = conn.role
+    p = _AXIOM_PREFIX[role]
+    children = [
+        _commutativity(conn, pts, f"{p}1:commutativity", dom, kern),
+        _associativity(conn, pts, f"{p}2:associativity", dom, kern),
+        _monotonicity(conn, pts, f"{p}3:monotonicity", dom, kern),
+    ]
+    if role is Role.TNORM:
+        children.append(_identity_axiom(conn, pts, ONE, f"{p}4:boundary", dom, kern))
+    elif role is Role.TCONORM:
+        children.append(_identity_axiom(conn, pts, ZERO, f"{p}4:boundary", dom, kern))
+    elif role is Role.UNINORM:
+        children.append(_uninorm_identity(conn, pts, f"{p}4:identity", dom, kern))
+    else:
+        children.append(_nullnorm_absorber(conn, pts, f"{p}4:absorbing", dom, kern))
+    return children
+
+
 def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
     """Per-axiom verdicts for the operator's declared role.
 
     Associativity runs over every triple of domain points; intermediate
     values may leave the grid, which is fine because evaluation stays
-    exact for rational-valued operators.
+    exact for rational-valued operators. Exact operators run on one
+    value-id table compiled up front; float-valued ones, including one
+    that turns float off the grid, run on the tolerance path.
     """
     pts = domain.points
     dom = domain.to_json()
@@ -173,20 +265,11 @@ def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
     if role is Role.AGGREGATION:
         children = _aggregation_axioms(conn, pts, dom)
     else:
-        p = _AXIOM_PREFIX[role]
-        children = [
-            _commutativity(conn, pts, f"{p}1:commutativity", dom),
-            _associativity(conn, pts, f"{p}2:associativity", dom),
-            _monotonicity(conn, pts, f"{p}3:monotonicity", dom),
-        ]
-        if role is Role.TNORM:
-            children.append(_identity_axiom(conn, pts, ONE, f"{p}4:boundary", dom))
-        elif role is Role.TCONORM:
-            children.append(_identity_axiom(conn, pts, ZERO, f"{p}4:boundary", dom))
-        elif role is Role.UNINORM:
-            children.append(_uninorm_identity(conn, pts, f"{p}4:identity", dom))
-        else:
-            children.append(_nullnorm_absorber(conn, pts, f"{p}4:absorbing", dom))
+        try:
+            children = _role_axioms(conn, pts, dom,
+                                    kernel.compile_operator(conn, pts))
+        except kernel.NotCompilable:
+            children = _role_axioms(conn, pts, dom, None)
     return combine(f"axioms:{role.value}", children, dom,
                    details={"operator": conn.name})
 
@@ -203,8 +286,19 @@ def check_strict_monotonicity(conn: Connective, domain) -> PropertyReport:
     pts = domain.points
     witnesses, undecided = [], 0
     instances = 0
-    for x in pts:
+    kern = kernel.compile_operator(conn, pts)
+    for a, x in enumerate(pts):
         if x == 0:
+            continue
+        if kern is not None:
+            instances += len(pts) * (len(pts) - 1) // 2
+            row, vals, rank = kern.table[a], kern.vals, kern.rank
+            for b, y in enumerate(pts):
+                vy = rank[row[b]]
+                for c in range(b + 1, len(pts)):
+                    if not vy < rank[row[c]]:
+                        witnesses.append(Witness((x, y, pts[c]),
+                                                 (vals[row[b]], vals[row[c]])))
             continue
         for i, y in enumerate(pts):
             vy = conn(x, y)
@@ -230,8 +324,18 @@ def check_cancellation(conn: Connective, domain, conditional: bool = False) -> P
     pts = domain.points
     witnesses, undecided = [], 0
     instances = 0
-    for x in pts:
+    kern = kernel.compile_operator(conn, pts)
+    for a, x in enumerate(pts):
         if not conditional and x == 0:
+            continue
+        if kern is not None:
+            instances += len(pts) * (len(pts) - 1) // 2
+            row, vals = kern.table[a], kern.vals
+            for b, y in enumerate(pts):
+                vy = row[b]
+                for c in range(b + 1, len(pts)):
+                    if row[c] == vy and (not conditional or ZERO < vals[vy]):
+                        witnesses.append(Witness((x, y, pts[c]), (vals[vy], vals[vy])))
             continue
         for i, y in enumerate(pts):
             vy = conn(x, y)

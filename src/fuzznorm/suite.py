@@ -106,9 +106,11 @@ def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
             checked += 1
             if not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds:
                 continue
-            if not check_fuzzy_property(mu, conn, first, dom, cfg.budget).holds:
+            if not check_fuzzy_property(mu, conn, first, dom, cfg.budget,
+                                        gate=False).holds:
                 continue
-            if not check_fuzzy_property(mu, conn, second, dom, cfg.budget).holds:
+            if not check_fuzzy_property(mu, conn, second, dom, cfg.budget,
+                                        gate=False).holds:
                 counter.append(f"{conn.name}|{mu.name}")
     universe = (f"{len(tables)} t-norm tables on the 4-chain x "
                 f"{len(cfg.alphabet) ** 4} membership tables")
@@ -159,7 +161,7 @@ def _row_prop39(cfg):
             if not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds:
                 continue
             if check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, dom,
-                                    cfg.budget).holds:
+                                    cfg.budget, gate=False).holds:
                 counter.append(f"{conn.name}|{mu.name}")
     grid_dom = GridDomain(cfg.grid)
     for conn in (T_M, T_L, T_D):
@@ -169,7 +171,7 @@ def _row_prop39(cfg):
             if not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds:
                 continue
             if check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, grid_dom,
-                                    cfg.budget).holds:
+                                    cfg.budget, gate=False).holds:
                 counter.append(f"{conn.name}|{mu.name}")
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")

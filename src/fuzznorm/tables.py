@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .connectives import Connective, Role
 from .errors import BudgetExceededError, DomainError
@@ -28,6 +28,7 @@ class ChainTable:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
         if not self.name:
             cells = []
             for i in range(len(self.points)):
@@ -36,11 +37,11 @@ class ChainTable:
             object.__setattr__(self, "name", "table[" + ",".join(cells) + "]")
 
     def index(self, x) -> int:
-        # chains are tiny; linear scan keeps Fraction/int mixing simple
-        for i, p in enumerate(self.points):
-            if p == x:
-                return i
-        raise DomainError(f"{format_scalar(x)} is not a chain point")
+        # Fraction, int and float keys that are equal hash alike
+        try:
+            return self._index[x]
+        except (KeyError, TypeError):
+            raise DomainError(f"{format_scalar(x)} is not a chain point") from None
 
     def __call__(self, x, y):
         return self.matrix[self.index(x)][self.index(y)]
@@ -119,10 +120,3 @@ def mixed_grid_points(e: Fraction, n: int, m: int) -> tuple:
     lower = [e * i / n for i in range(n + 1)]
     upper = [e + (ONE - e) * j / m for j in range(1, m + 1)]
     return tuple(lower + upper)
-
-
-def enumerate_value_tables(elements: Sequence, alphabet: Sequence[Fraction]) -> Iterator[dict]:
-    """All maps from ``elements`` into ``alphabet``, in product order."""
-    elems = tuple(elements)
-    for values in itertools.product(tuple(alphabet), repeat=len(elems)):
-        yield dict(zip(elems, values))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from . import kernel
 from .carriers import FiniteGroup
 from .connectives import Connective, Role
 from .errors import BudgetExceededError, DomainError
@@ -380,9 +381,44 @@ def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> Proper
     return rep
 
 
+def _commutativity_ids(v: VagueTNorm, degrees) -> PropertyReport:
+    """check_vague_commutativity on degree ids: the t-norm is evaluated
+    once per distinct pair of degrees and each comparison made once."""
+    carrier, t, vals, intern = v.carrier, v.tnorm, degrees.vals, degrees.intern
+    eq_ids = [[intern(v.equality(m, w)) for w in carrier] for m in carrier]
+    zero = degrees.ids.get(ZERO, -1)
+    meet, below = {}, {}
+    witnesses = []
+    for i, a in enumerate(carrier):
+        for j, b in enumerate(carrier):
+            at_ab, at_ba = degrees.table[i][j], degrees.table[j][i]
+            for k, m in enumerate(carrier):
+                f1 = at_ab[k]
+                if f1 == zero:
+                    continue
+                for l, w in enumerate(carrier):
+                    key = (f1, at_ba[l])
+                    lhs = meet.get(key)
+                    if lhs is None:
+                        lhs = meet[key] = intern(t(vals[f1], vals[at_ba[l]]))
+                    e = eq_ids[k][l]
+                    ok = below.get((lhs, e))
+                    if ok is None:
+                        ok = below[(lhs, e)] = vals[lhs] <= vals[e]
+                    if not ok:
+                        witnesses.append(Witness((a, b, m, w), (vals[lhs], vals[e])))
+    return conclude("vague-commutativity", v.to_json(), witnesses, 0, instances=1)
+
+
 def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
     """T(degree(a,b,m), degree(b,a,w)) never exceeds the equality of m
     and w."""
+    degrees = kernel.compile_degrees(v.base.table, v.carrier)
+    if degrees is not None:
+        try:
+            return _commutativity_ids(v, degrees)
+        except kernel.NotCompilable:  # a float equality or t-norm value
+            pass
     carrier = v.carrier
     t = v.tnorm
     eq = v.equality
@@ -423,18 +459,41 @@ def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree") -> P
     carrier = v.carrier
     witnesses = []
     instances = 0
-    for i, x in enumerate(carrier):
-        for y in carrier[i + 1:]:
-            for z in carrier:
-                for a in carrier:
-                    da = v(x, z, a)
-                    for b in carrier:
-                        if not _degrees_match(da, v(y, z, b), reading):
+    degrees = kernel.compile_degrees(v.base.table, carrier)
+    if degrees is not None:
+        # any-degree matches equal ids; crisp also needs that id to be 1
+        crisp = reading == "crisp"
+        one = degrees.ids.get(ONE, -1)
+        table, vals, pos = degrees.table, degrees.vals, degrees.pos
+        for i, x in enumerate(carrier):
+            for j in range(i + 1, len(carrier)):
+                for k, z in enumerate(carrier):
+                    at_x, at_y = table[i][k], table[j][k]
+                    for p, a in enumerate(carrier):
+                        da = at_x[p]
+                        if crisp and da != one:
                             continue
-                        instances += 1
-                        if not a < b:
-                            witnesses.append(Witness((x, y, z, a, b),
-                                                     (da, v(y, z, b))))
+                        for q, db in enumerate(at_y):
+                            if db != da:
+                                continue
+                            instances += 1
+                            if not pos[p] < pos[q]:
+                                witnesses.append(Witness(
+                                    (x, carrier[j], z, a, carrier[q]),
+                                    (vals[da], vals[db])))
+    else:
+        for i, x in enumerate(carrier):
+            for y in carrier[i + 1:]:
+                for z in carrier:
+                    for a in carrier:
+                        da = v(x, z, a)
+                        for b in carrier:
+                            if not _degrees_match(da, v(y, z, b), reading):
+                                continue
+                            instances += 1
+                            if not a < b:
+                                witnesses.append(Witness((x, y, z, a, b),
+                                                         (da, v(y, z, b))))
     rep = conclude("vague-strict-monotonicity", v.to_json(), witnesses, 0,
                    instances=instances)
     rep.details["reading"] = reading
@@ -447,16 +506,34 @@ def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> Prop
     carrier = v.carrier
     witnesses = []
     instances = 0
-    for a in carrier:
-        for b in carrier:
-            for x in carrier:
-                for c in carrier:
-                    da = v(a, x, c)
-                    if not _degrees_match(da, v(b, x, c), reading):
-                        continue
-                    instances += 1
-                    if a != b:
-                        witnesses.append(Witness((a, b, x, c), (da, v(b, x, c))))
+    degrees = kernel.compile_degrees(v.base.table, carrier)
+    if degrees is not None:
+        crisp = reading == "crisp"
+        one = degrees.ids.get(ONE, -1)
+        table, vals, pos = degrees.table, degrees.vals, degrees.pos
+        for i, a in enumerate(carrier):
+            for j, b in enumerate(carrier):
+                for k, x in enumerate(carrier):
+                    at_a, at_b = table[i][k], table[j][k]
+                    for q, c in enumerate(carrier):
+                        da = at_a[q]
+                        if at_b[q] != da or (crisp and da != one):
+                            continue
+                        instances += 1
+                        if pos[i] != pos[j]:
+                            witnesses.append(Witness((a, b, x, c),
+                                                     (vals[da], vals[da])))
+    else:
+        for a in carrier:
+            for b in carrier:
+                for x in carrier:
+                    for c in carrier:
+                        da = v(a, x, c)
+                        if not _degrees_match(da, v(b, x, c), reading):
+                            continue
+                        instances += 1
+                        if a != b:
+                            witnesses.append(Witness((a, b, x, c), (da, v(b, x, c))))
     rep = conclude("vague-cancellation", v.to_json(), witnesses, 0,
                    instances=instances)
     rep.details["reading"] = reading

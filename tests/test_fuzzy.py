@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fuzznorm.carriers import (CarrierMonoid, FiniteGroup, carrier_from_json,
                                cyclic_group)
 from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D,
-                                  T_L, T_M, T_P, construct_nullnorm,
-                                  construct_uninorm_max, construct_uninorm_min)
+                                  T_L, T_M, T_P, Connective, Role,
+                                  construct_nullnorm, construct_uninorm_max,
+                                  construct_uninorm_min)
 from fuzznorm.errors import DomainError, InputFormatError, TotalityError
 from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                             characterize_special_cases,
@@ -18,6 +19,7 @@ from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                             core_is_submonoid, extract_core, f_submonoid_kind,
                             refute_uninorm_existence, uninorm_family)
 from fuzznorm.reports import FinitePoints, GridDomain, Verdict
+from fuzznorm.scalars import ZERO
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
                               enumerate_table_subsets, indicator_subset,
                               intersect_fuzzy_subsets, parse_subset_spec,
@@ -268,6 +270,16 @@ class TestCharacterizations:
         dom = self.grid3()
         for mu in enumerate_table_subsets(dom.points, ALPHABET):
             assert characterize_special_cases("prop18", mu, A_MIN, dom).holds
+
+    def test_min_aggregation_validated_at_every_pair(self):
+        # min on the even grid points, below min at (1/8, 1/8)
+        def almost_min(*xs):
+            return ZERO if xs == (F(1, 8), F(1, 8)) else min(xs)
+
+        fake = Connective("agg:almost-min", Role.AGGREGATION, almost_min)
+        for case in ("prop17", "prop18"):
+            with pytest.raises(DomainError):
+                characterize_special_cases(case, MU_ONE, fake, GridDomain(8))
 
     def test_disjunctive_case_rejects_wrong_operator(self):
         u_conj = construct_uninorm_min(F(1, 2), T_P, S_P)

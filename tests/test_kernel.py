@@ -1,0 +1,181 @@
+"""Differential tests: the value-id kernel against the plain Fraction path.
+
+Each test runs a check twice, once as shipped and once with the kernel's
+compile entry points patched to return None, which sends every check
+down its reference loop. The two reports must serialize to the same
+bytes, witness order included.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fuzznorm import kernel
+from fuzznorm.carriers import CarrierMonoid
+from fuzznorm.checker import check_axioms, check_cancellation, check_strict_monotonicity
+from fuzznorm.connectives import (BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_P, T_D, T_L,
+                                  T_M, T_P, Connective, Role, construct_nullnorm,
+                                  construct_uninorm_min, dualize)
+from fuzznorm.fuzzy import KIND_T_SUBNORM, check_fuzzy_submonoid
+from fuzznorm.reports import FinitePoints, GridDomain, dumps
+from fuzznorm.subsets import enumerate_table_subsets
+from fuzznorm.suite import SuiteConfig, _refutation_family, _vague_corpus
+from fuzznorm.tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
+from fuzznorm.vague import (READINGS, check_vague_cancellation, check_vague_commutativity,
+                            check_vague_strict_monotone)
+
+F = Fraction
+HALF = F(1, 2)
+GRIDS = range(3, 13)
+
+
+def _no_kernel(monkeypatch):
+    monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
+    monkeypatch.setattr(kernel, "compile_degrees", lambda degrees, carrier: None)
+
+
+def _both_paths(monkeypatch, render, *args):
+    """``render`` over each argument tuple, with and without the kernel."""
+    fast = [render(*a) for a in args]
+    with monkeypatch.context() as m:
+        _no_kernel(m)
+        reference = [render(*a) for a in args]
+    return fast, reference
+
+
+def _operators():
+    """Builtins, both duals, nullnorms on product/probsum and on
+    Lukasiewicz (on and off the grids), and operators whose axioms fail
+    or whose identity and absorber are left for the check to find."""
+    ops = list(BUILTIN_TNORMS + BUILTIN_TCONORMS)
+    ops += [dualize(c) for c in BUILTIN_TNORMS + BUILTIN_TCONORMS]
+    for k in (HALF, F(1, 3)):
+        ops += [construct_nullnorm(S_P, k, T_P), construct_nullnorm(S_L, k, T_L)]
+    umin = construct_uninorm_min(HALF, T_P, S_P)
+    nullnorm = construct_nullnorm(S_L, HALF, T_L)
+    ops += [
+        Connective("uninorm:no-identity", Role.UNINORM, umin.fn),
+        Connective("nullnorm:no-absorber", Role.NULLNORM, nullnorm.fn),
+        Connective("tnorm:projection", Role.TNORM, lambda x, y: x, identity=F(1)),
+        Connective("tnorm:mean", Role.TNORM, lambda x, y: (x + y) / 2, identity=F(1)),
+        Connective("tnorm:square-product", Role.TNORM, lambda x, y: x * x * y,
+                   identity=F(1)),
+    ]
+    return ops
+
+
+def _domains():
+    return ([GridDomain(n) for n in GRIDS]
+            + [FinitePoints(mixed_grid_points(HALF, 2, 2)),
+               FinitePoints(mixed_grid_points(F(1, 3), 3, 2))])
+
+
+def _chain_tables():
+    for size in (4, 5):
+        chain = uniform_chain(size)
+        for table in enumerate_chain_tnorm_tables(chain):
+            yield table.as_connective(), FinitePoints(chain)
+
+
+def _tnorm_checks(conn, domain):
+    return [check_strict_monotonicity(conn, domain),
+            check_cancellation(conn, domain),
+            check_cancellation(conn, domain, conditional=True)]
+
+
+def _all_checks(conn, domain):
+    reports = [check_axioms(conn, domain)]
+    if conn.role is Role.TNORM:
+        reports += _tnorm_checks(conn, domain)
+    return "".join(dumps(r) for r in reports)
+
+
+@pytest.mark.parametrize("domain", _domains(), ids=lambda d: d.label())
+def test_operator_checks_match_reference(monkeypatch, domain):
+    fast, reference = _both_paths(monkeypatch, _all_checks,
+                                  *[(c, domain) for c in _operators()])
+    assert fast == reference
+    assert any('"FAILS"' in r for r in fast)
+
+
+def test_refutation_family_matches_reference(monkeypatch):
+    # every member and every domain, each member on one domain in turn,
+    # keeps the reference side of this test quick
+    domains = _domains()
+    pairs = [(u, domains[i % len(domains)])
+             for i, u in enumerate(_refutation_family())]
+    fast, reference = _both_paths(monkeypatch, _all_checks, *pairs)
+    assert fast == reference
+
+
+def test_chain_tables_match_reference(monkeypatch):
+    fast, reference = _both_paths(monkeypatch, _all_checks, *_chain_tables())
+    assert len(fast) == 6 + 22
+    assert fast == reference
+
+
+def test_carrier_closure_matches_reference(monkeypatch):
+    alphabet = (F(0), HALF, F(1))
+
+    def submonoid_reports(conn, domain):
+        carrier = CarrierMonoid.from_connective(conn, domain)
+        return "".join(dumps(check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM))
+                       for mu in enumerate_table_subsets(domain.points, alphabet))
+
+    # product leaves the 3-chain, where table maps are not total
+    cases = list(_chain_tables())[:6] + [(c, FinitePoints(uniform_chain(3)))
+                                         for c in (T_M, T_L, T_D)]
+    fast, reference = _both_paths(monkeypatch, submonoid_reports, *cases)
+    assert fast == reference
+
+
+@pytest.mark.parametrize("grid", [3, 4, 6])
+def test_vague_checks_match_reference(monkeypatch, grid):
+    def vague_reports(v):
+        reports = [check_vague_commutativity(v)]
+        for reading in READINGS:
+            reports += [check_vague_strict_monotone(v, reading),
+                        check_vague_cancellation(v, reading)]
+        return "".join(dumps(r) for r in reports)
+
+    corpus = _vague_corpus(SuiteConfig(grid=grid))
+    fast, reference = _both_paths(monkeypatch, vague_reports,
+                                  *[(v,) for v in corpus])
+    assert fast == reference
+    assert any('"FAILS"' in r for r in fast)
+
+
+def test_float_operator_takes_the_tolerance_path():
+    floaty = Connective("float-product", Role.TNORM,
+                        lambda x, y: float(x) * float(y), identity=F(1))
+    domain = GridDomain(10)
+    assert kernel.compile_operator(floaty, domain.points) is None
+    rep = check_axioms(floaty, domain)
+    assert "float-tolerance-undecidable" in rep.child("T2:associativity").tags
+
+
+def test_float_off_the_grid_takes_the_tolerance_path(monkeypatch):
+    # exact on the grid, so the table compiles; associativity's outer
+    # call leaves the grid and meets a float there
+    domain = GridDomain(4)
+
+    def fn(x, y):
+        if x.denominator <= 4 and y.denominator <= 4:
+            return x * y
+        return float(x) * float(y)
+
+    conn = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
+    assert kernel.compile_operator(conn, domain.points) is not None
+    fast, reference = _both_paths(monkeypatch, lambda c, d: dumps(check_axioms(c, d)),
+                                  (conn, domain))
+    assert fast == reference
+
+
+def test_ids_follow_values():
+    k = kernel.compile_operator(T_P, GridDomain(2).points)
+    assert k.vals[:3] == [F(0), HALF, F(1)]
+    assert k.table[1][1] == 3 and k.vals[3] == F(1, 4)
+    assert [k.rank[i] for i in range(4)] == [0, 2, 3, 1]
+    assert k.row(3) == [0, 4, 3] and k.vals[4] == F(1, 8)
+    assert k.col(3) == k.row(3)
+    assert kernel.compile_operator(T_M, (F(0), F(0), F(1))) is None
