@@ -11,13 +11,12 @@ that sweep many membership maps evaluate the operation once per pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import kernel
 from .connectives import Connective
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, read_json_object
 from .scalars import parse_rational
 
 
@@ -160,12 +159,4 @@ def carrier_from_json(obj: dict, *, path: Optional[str] = None) -> CarrierMonoid
 
 
 def load_carrier(path: str) -> CarrierMonoid:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", path=path,
-                              line=exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise InputFormatError("top-level value must be an object", path=path)
-    return carrier_from_json(obj, path=path)
+    return carrier_from_json(read_json_object(path), path=path)

@@ -24,16 +24,18 @@ from .checker import (check_archimedean, check_axioms, check_cancellation,
                       classify_uninorm)
 from .connectives import Role, parse_operator
 from .errors import (BudgetExceededError, DomainError, FuzznormError,
-                     InputFormatError, TotalityError, UnknownOperatorError)
+                     InputFormatError, TotalityError, UnknownOperatorError,
+                     read_json_object)
 from .fuzzy import (FuzzyProp, KIND_SUBGROUPOID, KIND_SUBMONOID,
                     KIND_T_SUBCONORM, KIND_T_SUBNORM, a_submonoid_kind,
                     check_fuzzy_subgroup, check_fuzzy_subgroupoid,
                     check_fuzzy_submonoid, f_submonoid_kind, u_submonoid_kind)
 from .reports import GridDomain, SearchBudget, Verdict, dumps, verdict_meet
-from .scalars import ONE, ZERO, parse_rational
+from .scalars import parse_rational
 from .subsets import parse_subset_spec
 from .suite import SuiteConfig, run_suite
-from .vague import (READINGS, VagueTNorm, check_vague_binary_op,
+from .vague import (READINGS, VagueTNorm, _crisp_fn, _linear_fn,
+                    check_vague_binary_op,
                     check_vague_cancellation, check_vague_commutativity,
                     check_vague_monoid, check_vague_strict_monotone,
                     equality_from_json, induce_vague_tnorm,
@@ -74,8 +76,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--out", type=str, default=None,
                         help="write the report here instead of stdout")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers (used by suite rows)")
 
 
 def _env_overrides() -> dict:
@@ -241,31 +241,15 @@ _VAGUE_CHECKS = ("equality", "vague-op", "monoid", "commutativity",
                  "strict-monotonicity", "cancellation")
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(str(exc), path=path) from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", path=path,
-                              line=exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise InputFormatError("top-level value must be an object", path=path)
-    return obj
-
-
 def _resolve_equality(args, conn, pts):
     """Build the equality for a grid: a builtin form or an arity-2 table
     file; returns (object, validation report)."""
-    if args.equality == "crisp":
-        eq = make_fuzzy_equality("crisp", lambda a, b: ONE if a == b else ZERO,
-                                 conn, pts, require_valid=False)
-    elif args.equality == "linear":
-        eq = make_fuzzy_equality("linear", lambda a, b: 1 - abs(a - b),
-                                 conn, pts, require_valid=False)
+    builtin = {"crisp": _crisp_fn, "linear": _linear_fn}.get(args.equality)
+    if builtin is not None:
+        eq = make_fuzzy_equality(args.equality, builtin, conn, pts,
+                                 require_valid=False)
     else:
-        obj = _load_json_file(args.equality)
+        obj = read_json_object(args.equality)
         eq = equality_from_json(obj, conn, path=args.equality,
                                 require_valid=False)
     return eq, validate_fuzzy_equality(eq.fn, conn, eq.carrier)
@@ -297,7 +281,7 @@ def _cmd_vague(args) -> int:
             return _emit_reports(args, {"equality": eq.label,
                                         "tnorm": conn.name}, reports)
         if args.mu_table:
-            base = vague_table_from_json(_load_json_file(args.mu_table), eq,
+            base = vague_table_from_json(read_json_object(args.mu_table), eq,
                                          path=args.mu_table)
             v = VagueTNorm(base, conn)
         else:
@@ -359,25 +343,7 @@ def _parse_lsubset(spec: str, lattice):
         return lat_mod.lsubset_identity(lattice)
     if spec == "one":
         return lat_mod.lsubset_top(lattice)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError:
-        raise DomainError(f"unknown membership spec {spec!r}") from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", path=spec,
-                              line=exc.lineno) from None
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise InputFormatError("membership file needs an entries list",
-                              path=spec, field="entries")
-    mapping = {}
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InputFormatError("entries must be [element, value] pairs",
-                                  path=spec, field="entries")
-        mapping[entry[0]] = entry[1]
-    return lat_mod.lsubset_table(lattice, mapping)
+    return lat_mod.load_lsubset(spec, lattice)
 
 
 _LATTICE_PROPS = ("tnorm-axioms", "subnorm", "fstrict", "fcancel",
@@ -516,6 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every row (the default)")
     p.add_argument("--only", default=None,
                    help="comma-separated row ids to run")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers, one row each")
     _add_shared_flags(p)
     p.set_defaults(fn=_cmd_suite)
     return parser

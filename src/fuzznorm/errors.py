@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader that
+turns an unusable JSON input file into an ``InputFormatError``."""
+
+import json
 
 
 class FuzznormError(Exception):
@@ -56,3 +59,18 @@ class InputFormatError(FuzznormError):
         self.path = path
         self.field = field
         self.line = line
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object stored at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(str(exc), path=path) from None
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid JSON: {exc.msg}", path=path,
+                              line=exc.lineno) from None
+    if not isinstance(obj, dict):
+        raise InputFormatError("top-level value must be an object", path=path)
+    return obj

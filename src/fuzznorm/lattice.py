@@ -11,12 +11,13 @@ counted rather than silently dropped.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
+from . import vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
-                     InputFormatError, TotalityError, UnboundedPosetError)
+                     InputFormatError, TotalityError, UnboundedPosetError,
+                     read_json_object)
 from .reports import PropertyReport, Verdict, Witness, combine, conclude
 
 
@@ -35,6 +36,9 @@ class FiniteLattice:
 
     def lt(self, a, b) -> bool:
         return a != b and (a, b) in self.leq_pairs
+
+    def same(self, a, b) -> bool:
+        return a == b
 
     def comparable(self, a, b) -> bool:
         return (a, b) in self.leq_pairs or (b, a) in self.leq_pairs
@@ -174,15 +178,35 @@ def lattice_from_json(obj: dict, *, path: Optional[str] = None) -> FiniteLattice
 
 
 def load_lattice(path: str) -> FiniteLattice:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", path=path,
-                              line=exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise InputFormatError("top-level value must be an object", path=path)
-    return lattice_from_json(obj, path=path)
+    return lattice_from_json(read_json_object(path), path=path)
+
+
+def lsubset_from_json(obj: dict, lat: FiniteLattice, *,
+                      path: Optional[str] = None) -> LSubset:
+    """Parse {"entries": [[element, value], ...]} with one entry for every
+    element of the lattice."""
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise InputFormatError("membership file needs an entries list",
+                              path=path, field="entries")
+    mapping = {}
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise InputFormatError("entries must be [element, value] pairs",
+                                  path=path, field="entries")
+        for label in entry:  # a tuple scan: unhashable labels are just unknown
+            if label not in lat.elements:
+                raise InputFormatError(f"{label!r} is not a lattice element",
+                                      path=path, field="entries")
+        mapping[entry[0]] = entry[1]
+    missing = [e for e in lat.elements if e not in mapping]
+    if missing:
+        raise TotalityError(f"lattice membership table has no value at {missing[0]}")
+    return lsubset_table(lat, mapping)
+
+
+def load_lsubset(path: str, lat: FiniteLattice) -> LSubset:
+    return lsubset_from_json(read_json_object(path), lat, path=path)
 
 
 # --- lattice conjunction tables ---
@@ -518,31 +542,8 @@ def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
 
 def validate_lattice_fuzzy_equality(fn: Callable, t: LatticeTNorm,
                                     lat: FiniteLattice) -> PropertyReport:
-    elems = lat.elements
-    dom = lat.to_json()
-    refl_w = [Witness((x,), (fn(x, x),)) for x in elems if fn(x, x) != lat.top]
-    sym_w = []
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            if fn(x, y) != fn(y, x):
-                sym_w.append(Witness((x, y), (fn(x, y), fn(y, x))))
-    trans_w = []
-    for x in elems:
-        for y in elems:
-            exy = fn(x, y)
-            for z in elems:
-                lhs = t(exy, fn(y, z))
-                if not lat.leq(lhs, fn(x, z)):
-                    trans_w.append(Witness((x, y, z), (lhs, fn(x, z))))
-    separates = all(x == y or fn(x, y) != lat.top
-                    for x in elems for y in elems)
-    children = [
-        conclude("E1:reflexivity", dom, refl_w, 0, instances=len(elems)),
-        conclude("E2:symmetry", dom, sym_w, 0, instances=1),
-        conclude("E3:transitivity", dom, trans_w, 0, instances=1),
-    ]
-    return combine("lattice-fuzzy-equality", children, dom,
-                   details={"tnorm": t.name, "separates_points": separates})
+    return vague._validate_equality(lat, fn, t, lat.elements,
+                                    "lattice-fuzzy-equality", lat.to_json())
 
 
 def lattice_crisp_equality(lat: FiniteLattice) -> Callable:
@@ -600,162 +601,24 @@ def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
         elems = lat.elements
         eq_table = {(a, b): equality_fn(a, b) for a in elems for b in elems}
         mu = induce_lattice_vague_tnorm(eq_table, t)
-        children.append(_lattice_vague_op_conditions(mu, eq_table, t, lat))
-        children.append(_lattice_vague_monoid(mu, eq_table, t, lat))
-        children.append(_lattice_vague_commutativity(mu, eq_table, t, lat))
+        for core, rid in ((vague._op_conditions, "lattice-vague-op"),
+                          (vague._monoid, "lattice-vague-monoid"),
+                          (vague._commutativity, "lattice-vague-commutativity")):
+            children.append(core(lat, t, mu, equality_fn, elems, rid, dom))
     return combine("lattice-vague-structures", children, dom,
                    details={"tnorm": t.name})
-
-
-def _lattice_vague_op_conditions(mu, eq, t, lat) -> PropertyReport:
-    elems = lat.elements
-    dom = lat.to_json()
-    bot = lat.bottom
-    ext_w = []
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                m = mu[(x, y, z)]
-                if m == bot:
-                    continue
-                for x2 in elems:
-                    f1 = t(m, eq[(x, x2)])
-                    if f1 == bot:
-                        continue
-                    for y2 in elems:
-                        f2 = t(f1, eq[(y, y2)])
-                        if f2 == bot:
-                            continue
-                        for z2 in elems:
-                            lhs = t(f2, eq[(z, z2)])
-                            if not lat.leq(lhs, mu[(x2, y2, z2)]):
-                                ext_w.append(Witness((x, y, z, x2, y2, z2),
-                                                     (lhs, mu[(x2, y2, z2)])))
-    fun_w = []
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                m = mu[(x, y, z)]
-                for z2 in elems:
-                    lhs = t(m, mu[(x, y, z2)])
-                    if not lat.leq(lhs, eq[(z, z2)]):
-                        fun_w.append(Witness((x, y, z, z2), (lhs, eq[(z, z2)])))
-    tot_w = []
-    for x in elems:
-        for y in elems:
-            if not any(mu[(x, y, z)] == lat.top for z in elems):
-                tot_w.append(Witness((x, y), ()))
-    children = [
-        conclude("V1:extensionality", dom, ext_w, 0, instances=1),
-        conclude("V2:functionality", dom, fun_w, 0, instances=1),
-        conclude("V3:totality", dom, tot_w, 0, instances=1),
-    ]
-    return combine("lattice-vague-op", children, dom)
-
-
-def _lattice_vague_monoid(mu, eq, t, lat) -> PropertyReport:
-    elems = lat.elements
-    bot = lat.bottom
-    witnesses = []
-    for y in elems:
-        for z in elems:
-            for d in elems:
-                f1 = mu[(y, z, d)]
-                if f1 == bot:
-                    continue
-                for x in elems:
-                    for m in elems:
-                        f2 = t(f1, mu[(x, d, m)])
-                        if f2 == bot:
-                            continue
-                        for q in elems:
-                            f3 = t(f2, mu[(x, y, q)])
-                            if f3 == bot:
-                                continue
-                            for w in elems:
-                                lhs = t(f3, mu[(q, z, w)])
-                                if not lat.leq(lhs, eq[(m, w)]):
-                                    witnesses.append(
-                                        Witness((x, y, z, d, m, q, w),
-                                                (lhs, eq[(m, w)])))
-    identity = None
-    for e in elems:
-        if all(t(mu[(e, a, a)], mu[(a, e, a)]) == lat.top for a in elems):
-            identity = e
-            break
-    if identity is None:
-        witnesses.append(Witness(("no-identity-element",), ()))
-    rep = conclude("lattice-vague-monoid", lat.to_json(), witnesses, 0, instances=1)
-    rep.details["identity"] = identity
-    return rep
-
-
-def _lattice_vague_commutativity(mu, eq, t, lat) -> PropertyReport:
-    elems = lat.elements
-    witnesses = []
-    for a in elems:
-        for b in elems:
-            for m in elems:
-                f1 = mu[(a, b, m)]
-                if f1 == lat.bottom:
-                    continue
-                for w in elems:
-                    lhs = t(f1, mu[(b, a, w)])
-                    if not lat.leq(lhs, eq[(m, w)]):
-                        witnesses.append(Witness((a, b, m, w), (lhs, eq[(m, w)])))
-    return conclude("lattice-vague-commutativity", lat.to_json(), witnesses, 0,
-                    instances=1)
 
 
 def check_lattice_vague_strict_monotone(mu, lat: FiniteLattice,
                                         reading: str = "any-degree") -> PropertyReport:
     """Lattice-degree analog of the monotonicity law on induced tables."""
-    elems = lat.elements
-    witnesses = []
-    instances = 0
-    for x in elems:
-        for y in elems:
-            if not lat.lt(x, y):
-                continue
-            for z in elems:
-                for a in elems:
-                    da = mu[(x, z, a)]
-                    for b in elems:
-                        db = mu[(y, z, b)]
-                        if reading == "crisp":
-                            if not (da == lat.top and db == lat.top):
-                                continue
-                        elif da != db:
-                            continue
-                        instances += 1
-                        if not lat.lt(a, b):
-                            witnesses.append(Witness((x, y, z, a, b), (da, db)))
-    rep = conclude("lattice-vague-strict-monotonicity", lat.to_json(),
-                   witnesses, 0, instances=instances)
-    rep.details["reading"] = reading
-    return rep
+    vague._check_reading(reading)
+    return vague._strict_monotone(lat, mu, lat.elements, reading,
+                                  "lattice-vague-strict-monotonicity", lat.to_json())
 
 
 def check_lattice_vague_cancellation(mu, lat: FiniteLattice,
                                      reading: str = "any-degree") -> PropertyReport:
-    elems = lat.elements
-    witnesses = []
-    instances = 0
-    for a in elems:
-        for b in elems:
-            for x in elems:
-                for c in elems:
-                    da = mu[(a, x, c)]
-                    db = mu[(b, x, c)]
-                    if reading == "crisp":
-                        if not (da == lat.top and db == lat.top):
-                            continue
-                    elif da != db:
-                        continue
-                    instances += 1
-                    if a != b:
-                        witnesses.append(Witness((a, b, x, c), (da, db)))
-    rep = conclude("lattice-vague-cancellation", lat.to_json(), witnesses, 0,
-                   instances=instances)
-    rep.details["reading"] = reading
-    return rep
+    vague._check_reading(reading)
+    return vague._cancellation(lat, mu, lat.elements, reading,
+                               "lattice-vague-cancellation", lat.to_json())

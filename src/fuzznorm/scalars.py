@@ -11,6 +11,7 @@ as VACUOUS instead of guessing.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -99,6 +100,23 @@ def lt3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
             return False
         return None
     return a < b
+
+
+class UnitInterval:
+    """[0, 1] as a degree order; ``FiniteLattice`` offers the same five
+    members. ``leq`` certifies (``None`` inside the float band), ``same``
+    matches premises within the tolerance, ``lt`` orders carrier points."""
+
+    # int bounds compare equal to ZERO and ONE and keep Fraction.__eq__
+    # on its int fast path in the pruning tests
+    bottom = 0
+    top = 1
+    leq = staticmethod(le3)
+    same = staticmethod(eq_approx)
+    lt = staticmethod(operator.lt)
+
+
+UNIT_INTERVAL = UnitInterval()
 
 
 def format_scalar(v: Scalar) -> str:

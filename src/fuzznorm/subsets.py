@@ -9,13 +9,13 @@ CLI maps to its own exit code).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import InputFormatError, TotalityError, UnknownOperatorError
+from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
+                     read_json_object)
 from .scalars import ONE, ZERO, Scalar, format_scalar, parse_rational, unit
 
 
@@ -166,15 +166,7 @@ def subset_from_json(obj: dict, *, path: Optional[str] = None) -> FuzzySubset:
 
 
 def load_subset(path: str) -> FuzzySubset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", path=path,
-                              line=exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise InputFormatError("top-level value must be an object", path=path)
-    return subset_from_json(obj, path=path)
+    return subset_from_json(read_json_object(path), path=path)
 
 
 def parse_subset_spec(spec: str) -> FuzzySubset:

@@ -1,4 +1,4 @@
-"""Degree-valued equalities and vague operations on the unit interval.
+"""Degree-valued equalities and vague operations.
 
 A T-fuzzy equality assigns each pair a degree of sameness, transitive
 through the chosen conjunction. A vague binary operation assigns each
@@ -7,6 +7,10 @@ canonical instance sets that degree to the equality between the
 operator value and z. All checks here quantify over full Cartesian
 powers of the carrier, so carriers are kept small and the tuple count
 is budget-guarded.
+
+Each condition is implemented once, over a degree order: the unit
+interval (``scalars.UNIT_INTERVAL``) for the checks here, a
+``FiniteLattice`` for the lattice-valued ones in ``fuzznorm.lattice``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from .carriers import FiniteGroup
 from .connectives import Connective, Role
 from .errors import BudgetExceededError, DomainError
 from .reports import (PropertyReport, Verdict, Witness, combine, conclude)
-from .scalars import ONE, ZERO, Scalar, eq3, eq_approx, format_scalar, le3
+from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, eq_approx,
+                      format_scalar, le3)
 
 #: Readings of the equality-of-degrees premise in the monotonicity and
 #: cancellation laws: "any-degree" matches any common degree, "crisp"
@@ -52,14 +57,22 @@ class TFuzzyEquality:
                 "tnorm": self.tnorm.name, "size": len(self.carrier)}
 
 
-def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) -> PropertyReport:
-    """Reflexivity, symmetry, and transitivity through the conjunction,
-    each as a child verdict; point separation is reported as a detail."""
-    carrier = tuple(carrier)
-    dom = {"kind": "carrier", "label": _carrier_label(carrier), "size": len(carrier)}
+def _equal3(leq, a, b):
+    """Certifying degree equality from a three-valued order: None when
+    neither order refutes it but one cannot certify it."""
+    if a == b:
+        return True
+    ab, ba = leq(a, b), leq(b, a)
+    if ab is False or ba is False:
+        return False
+    return True if ab and ba else None
+
+
+def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
+    leq, top = order.leq, order.top
     refl_w, undec_r = [], 0
     for x in carrier:
-        r = eq3(fn(x, x), ONE)
+        r = _equal3(leq, fn(x, x), top)
         if r is None:
             undec_r += 1
         elif not r:
@@ -67,7 +80,7 @@ def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) 
     sym_w, undec_s = [], 0
     for i, x in enumerate(carrier):
         for y in carrier[i + 1:]:
-            r = eq3(fn(x, y), fn(y, x))
+            r = _equal3(leq, fn(x, y), fn(y, x))
             if r is None:
                 undec_s += 1
             elif not r:
@@ -78,20 +91,29 @@ def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) 
             exy = fn(x, y)
             for z in carrier:
                 lhs = tnorm(exy, fn(y, z))
-                r = le3(lhs, fn(x, z))
+                r = leq(lhs, fn(x, z))
                 if r is None:
                     undec_t += 1
                 elif not r:
                     trans_w.append(Witness((x, y, z), (lhs, fn(x, z))))
-    separates = all(x == y or not eq_approx(fn(x, y), ONE)
+    separates = all(x == y or not order.same(fn(x, y), top)
                     for x in carrier for y in carrier)
     children = [
         conclude("E1:reflexivity", dom, refl_w, undec_r, instances=len(carrier)),
         conclude("E2:symmetry", dom, sym_w, undec_s, instances=1),
         conclude("E3:transitivity", dom, trans_w, undec_t, instances=1),
     ]
-    return combine("fuzzy-equality", children, dom,
+    return combine(rid, children, dom,
                    details={"tnorm": tnorm.name, "separates_points": separates})
+
+
+def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) -> PropertyReport:
+    """Reflexivity, symmetry, and transitivity through the conjunction,
+    each as a child verdict; point separation is reported as a detail."""
+    carrier = tuple(carrier)
+    dom = {"kind": "carrier", "label": _carrier_label(carrier), "size": len(carrier)}
+    return _validate_equality(UNIT_INTERVAL, fn, tnorm, carrier,
+                              "fuzzy-equality", dom)
 
 
 def make_fuzzy_equality(label: str, fn: Callable, tnorm: Connective,
@@ -114,8 +136,7 @@ def crisp_equality(carrier: Sequence, tnorm: Connective) -> TFuzzyEquality:
 
 
 def _linear_fn(a, b):
-    d = a - b
-    return 1 - (d if d >= 0 else -d)
+    return 1 - abs(a - b)
 
 
 def linear_equality(carrier: Sequence, tnorm: Connective) -> TFuzzyEquality:
@@ -263,70 +284,107 @@ def _tuple_budget(size: int, power: int, cap: int, what: str) -> None:
             f"budget allows {cap}", size_estimate=total)
 
 
-def check_vague_binary_op(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> PropertyReport:
-    """The three defining conditions: extensionality through the
-    equality, functionality of the result degree, and totality."""
-    carrier = op.carrier
-    n = len(carrier)
-    _tuple_budget(n, 6, max_tuples, "extensionality")
-    t = op.tnorm
-    eq = op.equality
-    dom = op.to_json()
-
+def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
+    """V1-V3 for the degree map ``deg`` keyed by carrier triples, with
+    equality ``eq`` and conjunction ``t`` on the degrees of ``order``."""
+    bottom, top, leq = order.bottom, order.top, order.leq
     ext_w, undec_e = [], 0
     for x in carrier:
         for y in carrier:
             for z in carrier:
-                m = op(x, y, z)
-                if m == 0:
-                    continue  # the conjunction bottoms out at 0
+                m = deg[(x, y, z)]
+                if m == bottom:
+                    continue  # the conjunction bottoms out at the bottom degree
                 for x2 in carrier:
                     f1 = t(m, eq(x, x2))
-                    if f1 == 0:
+                    if f1 == bottom:
                         continue
                     for y2 in carrier:
                         f2 = t(f1, eq(y, y2))
-                        if f2 == 0:
+                        if f2 == bottom:
                             continue
                         for z2 in carrier:
                             lhs = t(f2, eq(z, z2))
-                            r = le3(lhs, op(x2, y2, z2))
+                            rhs = deg[(x2, y2, z2)]
+                            r = leq(lhs, rhs)
                             if r is None:
                                 undec_e += 1
                             elif not r:
-                                ext_w.append(Witness((x, y, z, x2, y2, z2),
-                                                     (lhs, op(x2, y2, z2))))
+                                ext_w.append(Witness((x, y, z, x2, y2, z2), (lhs, rhs)))
     ext = conclude("V1:extensionality", dom, ext_w, undec_e, instances=1)
 
     fun_w, undec_f = [], 0
     for x in carrier:
         for y in carrier:
             for z in carrier:
-                m = op(x, y, z)
-                if m == 0:
+                m = deg[(x, y, z)]
+                if m == bottom:
                     continue
                 for z2 in carrier:
-                    lhs = t(m, op(x, y, z2))
-                    r = le3(lhs, eq(z, z2))
+                    lhs = t(m, deg[(x, y, z2)])
+                    r = leq(lhs, eq(z, z2))
                     if r is None:
                         undec_f += 1
                     elif not r:
                         fun_w.append(Witness((x, y, z, z2), (lhs, eq(z, z2))))
     fun = conclude("V2:functionality", dom, fun_w, undec_f, instances=1)
 
-    tot_w = []
-    for x in carrier:
-        for y in carrier:
-            if not any(eq_approx(op(x, y, z), ONE) for z in carrier):
-                tot_w.append(Witness((x, y), ()))
+    same = order.same
+    tot_w = [Witness((x, y), ()) for x in carrier for y in carrier
+             if not any(same(deg[(x, y, z)], top) for z in carrier)]
     tot = conclude("V3:totality", dom, tot_w, 0, instances=1)
+    return combine(rid, [ext, fun, tot], dom)
 
-    return combine("vague-binary-op", [ext, fun, tot], dom)
+
+def check_vague_binary_op(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> PropertyReport:
+    """The three defining conditions: extensionality through the
+    equality, functionality of the result degree, and totality."""
+    _tuple_budget(len(op.carrier), 6, max_tuples, "extensionality")
+    return _op_conditions(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn,
+                          op.carrier, "vague-binary-op", op.to_json())
+
+
+def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
+    """The associativity inequality over all seven-tuples plus an
+    identity element search."""
+    bottom, top, leq = order.bottom, order.top, order.leq
+    witnesses, undecided = [], 0
+    for y in carrier:
+        for z in carrier:
+            for d in carrier:
+                f1 = deg[(y, z, d)]
+                if f1 == bottom:
+                    continue
+                for x in carrier:
+                    for m in carrier:
+                        f2 = t(f1, deg[(x, d, m)])
+                        if f2 == bottom:
+                            continue
+                        for q in carrier:
+                            f3 = t(f2, deg[(x, y, q)])
+                            if f3 == bottom:
+                                continue
+                            for w in carrier:
+                                lhs = t(f3, deg[(q, z, w)])
+                                r = leq(lhs, eq(m, w))
+                                if r is None:
+                                    undecided += 1
+                                elif not r:
+                                    witnesses.append(
+                                        Witness((x, y, z, d, m, q, w),
+                                                (lhs, eq(m, w))))
+    identity = next((e for e in carrier
+                     if all(order.same(t(deg[(e, a, a)], deg[(a, e, a)]), top)
+                            for a in carrier)), None)
+    if identity is None:
+        witnesses.append(Witness(("no-identity-element",), ()))
+    rep = conclude(rid, dom, witnesses, undecided, instances=1)
+    rep.details["identity"] = None if identity is None else format_scalar(identity)
+    return rep
 
 
 def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> PropertyReport:
-    """Associativity-style inequality over all seven-tuples plus an
-    identity element search.
+    """The seven-tuple associativity inequality and an identity element.
 
     Tables that are not vague binary operations in the first place fail
     here up front, tagged NOT_VAGUE_OP.
@@ -339,46 +397,9 @@ def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> Proper
                               + list(gate.children[1].witnesses)
                               + list(gate.children[2].witnesses),
                               tags=("NOT_VAGUE_OP",))
-    carrier = op.carrier
-    n = len(carrier)
-    _tuple_budget(n, 7, max_tuples, "the vague associativity loop")
-    t = op.tnorm
-    eq = op.equality
-    witnesses, undecided = [], 0
-    for y in carrier:
-        for z in carrier:
-            for d in carrier:
-                f1 = op(y, z, d)
-                if f1 == 0:
-                    continue
-                for x in carrier:
-                    for m in carrier:
-                        f2 = t(f1, op(x, d, m))
-                        if f2 == 0:
-                            continue
-                        for q in carrier:
-                            f3 = t(f2, op(x, y, q))
-                            if f3 == 0:
-                                continue
-                            for w in carrier:
-                                lhs = t(f3, op(q, z, w))
-                                r = le3(lhs, eq(m, w))
-                                if r is None:
-                                    undecided += 1
-                                elif not r:
-                                    witnesses.append(
-                                        Witness((x, y, z, d, m, q, w),
-                                                (lhs, eq(m, w))))
-    identity = None
-    for e in carrier:
-        if all(eq_approx(t(op(e, a, a), op(a, e, a)), ONE) for a in carrier):
-            identity = e
-            break
-    if identity is None:
-        witnesses.append(Witness(("no-identity-element",), ()))
-    rep = conclude("vague-monoid", dom, witnesses, undecided, instances=1)
-    rep.details["identity"] = None if identity is None else format_scalar(identity)
-    return rep
+    _tuple_budget(len(op.carrier), 7, max_tuples, "the vague associativity loop")
+    return _monoid(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn,
+                   op.carrier, "vague-monoid", dom)
 
 
 def _commutativity_ids(v: VagueTNorm, degrees) -> PropertyReport:
@@ -410,6 +431,25 @@ def _commutativity_ids(v: VagueTNorm, degrees) -> PropertyReport:
     return conclude("vague-commutativity", v.to_json(), witnesses, 0, instances=1)
 
 
+def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
+    bottom, leq = order.bottom, order.leq
+    witnesses, undecided = [], 0
+    for a in carrier:
+        for b in carrier:
+            for m in carrier:
+                f1 = deg[(a, b, m)]
+                if f1 == bottom:
+                    continue
+                for w in carrier:
+                    lhs = t(f1, deg[(b, a, w)])
+                    r = leq(lhs, eq(m, w))
+                    if r is None:
+                        undecided += 1
+                    elif not r:
+                        witnesses.append(Witness((a, b, m, w), (lhs, eq(m, w))))
+    return conclude(rid, dom, witnesses, undecided, instances=1)
+
+
 def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
     """T(degree(a,b,m), degree(b,a,w)) never exceeds the equality of m
     and w."""
@@ -419,25 +459,8 @@ def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
             return _commutativity_ids(v, degrees)
         except kernel.NotCompilable:  # a float equality or t-norm value
             pass
-    carrier = v.carrier
-    t = v.tnorm
-    eq = v.equality
-    witnesses, undecided = [], 0
-    for a in carrier:
-        for b in carrier:
-            for m in carrier:
-                f1 = v(a, b, m)
-                if f1 == 0:
-                    continue
-                for w in carrier:
-                    lhs = t(f1, v(b, a, w))
-                    r = le3(lhs, eq(m, w))
-                    if r is None:
-                        undecided += 1
-                    elif not r:
-                        witnesses.append(Witness((a, b, m, w), (lhs, eq(m, w))))
-    return conclude("vague-commutativity", v.to_json(), witnesses, undecided,
-                    instances=1)
+    return _commutativity(UNIT_INTERVAL, v.tnorm, v.base.table, v.equality.fn,
+                          v.carrier, "vague-commutativity", v.to_json())
 
 
 def _check_reading(reading: str) -> None:
@@ -445,10 +468,32 @@ def _check_reading(reading: str) -> None:
         raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
 
 
-def _degrees_match(da, db, reading: str) -> bool:
+def _degrees_match(order, da, db, reading: str) -> bool:
     if reading == "crisp":
-        return eq_approx(da, ONE) and eq_approx(db, ONE)
-    return eq_approx(da, db)
+        return order.same(da, order.top) and order.same(db, order.top)
+    return order.same(da, db)
+
+
+def _strict_monotone(order, deg, carrier, reading, rid, dom) -> PropertyReport:
+    lt = order.lt
+    witnesses = []
+    instances = 0
+    for x in carrier:
+        for y in carrier:
+            if not lt(x, y):
+                continue
+            for z in carrier:
+                for a in carrier:
+                    da = deg[(x, z, a)]
+                    for b in carrier:
+                        db = deg[(y, z, b)]
+                        if not _degrees_match(order, da, db, reading):
+                            continue
+                        instances += 1
+                        if not lt(a, b):
+                            witnesses.append(Witness((x, y, z, a, b), (da, db)))
+    return conclude(rid, dom, witnesses, 0, instances=instances,
+                    details={"reading": reading})
 
 
 def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
@@ -457,87 +502,80 @@ def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree") -> P
     configurable and recorded in the report."""
     _check_reading(reading)
     carrier = v.carrier
+    degrees = kernel.compile_degrees(v.base.table, carrier)
+    if degrees is None:
+        return _strict_monotone(UNIT_INTERVAL, v.base.table, carrier, reading,
+                                "vague-strict-monotonicity", v.to_json())
+    # any-degree matches equal ids; crisp also needs that id to be 1
+    crisp = reading == "crisp"
+    one = degrees.ids.get(ONE, -1)
+    table, vals, pos = degrees.table, degrees.vals, degrees.pos
     witnesses = []
     instances = 0
-    degrees = kernel.compile_degrees(v.base.table, carrier)
-    if degrees is not None:
-        # any-degree matches equal ids; crisp also needs that id to be 1
-        crisp = reading == "crisp"
-        one = degrees.ids.get(ONE, -1)
-        table, vals, pos = degrees.table, degrees.vals, degrees.pos
-        for i, x in enumerate(carrier):
-            for j in range(i + 1, len(carrier)):
-                for k, z in enumerate(carrier):
-                    at_x, at_y = table[i][k], table[j][k]
-                    for p, a in enumerate(carrier):
-                        da = at_x[p]
-                        if crisp and da != one:
+    for i, x in enumerate(carrier):
+        for j, y in enumerate(carrier):
+            if not pos[i] < pos[j]:
+                continue
+            for k, z in enumerate(carrier):
+                at_x, at_y = table[i][k], table[j][k]
+                for p, a in enumerate(carrier):
+                    da = at_x[p]
+                    if crisp and da != one:
+                        continue
+                    for q, db in enumerate(at_y):
+                        if db != da:
                             continue
-                        for q, db in enumerate(at_y):
-                            if db != da:
-                                continue
-                            instances += 1
-                            if not pos[p] < pos[q]:
-                                witnesses.append(Witness(
-                                    (x, carrier[j], z, a, carrier[q]),
-                                    (vals[da], vals[db])))
-    else:
-        for i, x in enumerate(carrier):
-            for y in carrier[i + 1:]:
-                for z in carrier:
-                    for a in carrier:
-                        da = v(x, z, a)
-                        for b in carrier:
-                            if not _degrees_match(da, v(y, z, b), reading):
-                                continue
-                            instances += 1
-                            if not a < b:
-                                witnesses.append(Witness((x, y, z, a, b),
-                                                         (da, v(y, z, b))))
-    rep = conclude("vague-strict-monotonicity", v.to_json(), witnesses, 0,
-                   instances=instances)
-    rep.details["reading"] = reading
-    return rep
+                        instances += 1
+                        if not pos[p] < pos[q]:
+                            witnesses.append(Witness((x, y, z, a, carrier[q]),
+                                                     (vals[da], vals[db])))
+    return conclude("vague-strict-monotonicity", v.to_json(), witnesses, 0,
+                    instances=instances, details={"reading": reading})
+
+
+def _cancellation(order, deg, carrier, reading, rid, dom) -> PropertyReport:
+    witnesses = []
+    instances = 0
+    for a in carrier:
+        for b in carrier:
+            for x in carrier:
+                for c in carrier:
+                    da, db = deg[(a, x, c)], deg[(b, x, c)]
+                    if not _degrees_match(order, da, db, reading):
+                        continue
+                    instances += 1
+                    if a != b:
+                        witnesses.append(Witness((a, b, x, c), (da, db)))
+    return conclude(rid, dom, witnesses, 0, instances=instances,
+                    details={"reading": reading})
 
 
 def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
     """Matching degrees at (a,x,c) and (b,x,c) must force a = b."""
     _check_reading(reading)
     carrier = v.carrier
+    degrees = kernel.compile_degrees(v.base.table, carrier)
+    if degrees is None:
+        return _cancellation(UNIT_INTERVAL, v.base.table, carrier, reading,
+                             "vague-cancellation", v.to_json())
+    crisp = reading == "crisp"
+    one = degrees.ids.get(ONE, -1)
+    table, vals, pos = degrees.table, degrees.vals, degrees.pos
     witnesses = []
     instances = 0
-    degrees = kernel.compile_degrees(v.base.table, carrier)
-    if degrees is not None:
-        crisp = reading == "crisp"
-        one = degrees.ids.get(ONE, -1)
-        table, vals, pos = degrees.table, degrees.vals, degrees.pos
-        for i, a in enumerate(carrier):
-            for j, b in enumerate(carrier):
-                for k, x in enumerate(carrier):
-                    at_a, at_b = table[i][k], table[j][k]
-                    for q, c in enumerate(carrier):
-                        da = at_a[q]
-                        if at_b[q] != da or (crisp and da != one):
-                            continue
-                        instances += 1
-                        if pos[i] != pos[j]:
-                            witnesses.append(Witness((a, b, x, c),
-                                                     (vals[da], vals[da])))
-    else:
-        for a in carrier:
-            for b in carrier:
-                for x in carrier:
-                    for c in carrier:
-                        da = v(a, x, c)
-                        if not _degrees_match(da, v(b, x, c), reading):
-                            continue
-                        instances += 1
-                        if a != b:
-                            witnesses.append(Witness((a, b, x, c), (da, v(b, x, c))))
-    rep = conclude("vague-cancellation", v.to_json(), witnesses, 0,
-                   instances=instances)
-    rep.details["reading"] = reading
-    return rep
+    for i, a in enumerate(carrier):
+        for j, b in enumerate(carrier):
+            for k, x in enumerate(carrier):
+                at_a, at_b = table[i][k], table[j][k]
+                for q, c in enumerate(carrier):
+                    da = at_a[q]
+                    if at_b[q] != da or (crisp and da != one):
+                        continue
+                    instances += 1
+                    if pos[i] != pos[j]:
+                        witnesses.append(Witness((a, b, x, c), (vals[da], vals[da])))
+    return conclude("vague-cancellation", v.to_json(), witnesses, 0,
+                    instances=instances, details={"reading": reading})
 
 
 # --- vague groups over finite carriers ---

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fuzznorm.cli import main
 
 run = main  # exercised in-process; the acceptance suite drives the real binary
@@ -176,6 +178,37 @@ class TestLatticeCommands:
                     "--mu", "one", "--props", "subnorm"]) == 0
         assert run(["lattice", "--lattice", "chain:3", "--tnorm", "index:9",
                     "--mu", "one", "--props", "subnorm"]) == 64
+
+
+    def test_membership_file(self, tmp_path):
+        f = tmp_path / "mu.json"
+        f.write_text(json.dumps({"entries": [["0", "0"], ["m", "m"], ["1", "1"]]}))
+        assert run(["lattice", "--lattice", "chain:3", "--mu", str(f),
+                    "--props", "subnorm"]) == 0
+
+    @pytest.mark.parametrize("payload, code", [
+        ([["0", "0"], ["m", "m"], ["1", "1"]], 64),          # top-level list
+        ({"entries": [["0", "0"], ["m", "m"]]}, 65),         # "1" has no entry
+        ({"entries": [["0", "0"], ["m", "zz"], ["1", "1"]]}, 64),  # not an element
+        ({"entries": [[["0"], "0"], ["m", "m"], ["1", "1"]]}, 64),  # list as key
+    ], ids=["list", "missing-element", "bad-value", "list-key"])
+    def test_malformed_membership_file(self, tmp_path, capsys, payload, code):
+        f = tmp_path / "mu.json"
+        f.write_text(json.dumps(payload))
+        assert run(["lattice", "--lattice", "chain:3", "--mu", str(f),
+                    "--props", "subnorm"]) == code
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--lattice", "{missing}"],
+        ["lattice", "--lattice", "chain:3", "--mu", "{missing}"],
+        ["substructure", "--mu", "{missing}", "--carrier", "tnorm:min",
+         "--kind", "t-subnorm"],
+    ], ids=["lattice", "lattice-mu", "substructure-mu"])
+    def test_missing_input_file(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "none.json")
+        assert run([a.format(missing=missing) for a in argv]) == 64
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSuiteCommand:

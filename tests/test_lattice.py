@@ -7,7 +7,8 @@ from fuzznorm.errors import (BudgetExceededError, DomainError,
                              NotALatticeError, InputFormatError,
                              UnboundedPosetError)
 from fuzznorm.fuzzy import FuzzyProp
-from fuzznorm.lattice import (FiniteLattice, build_lattice, chain_lattice,
+from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
+                              chain_lattice,
                               check_lattice_fuzzy_property,
                               check_lattice_fuzzy_subnorm,
                               check_lattice_tnorm,
@@ -21,6 +22,12 @@ from fuzznorm.lattice import (FiniteLattice, build_lattice, chain_lattice,
                               lsubset_table, lsubset_top, meet_tnorm,
                               restrict_tnorm)
 from fuzznorm.reports import Verdict
+from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
+from fuzznorm.vague import (READINGS, check_vague_binary_op,
+                            check_vague_cancellation, check_vague_commutativity,
+                            check_vague_monoid, check_vague_strict_monotone,
+                            crisp_equality, induce_vague_tnorm,
+                            validate_fuzzy_equality)
 
 
 class TestConstruction:
@@ -262,3 +269,66 @@ class TestLatticeVague:
                                            meet_tnorm(extended), extended,
                                            max_tuples=1000)
         assert c is not None
+
+    def test_unknown_reading_rejected(self):
+        c3 = chain_lattice(3)
+        eq = {(x, y): ("1" if x == y else "0") for x in c3.elements for y in c3.elements}
+        mu = induce_lattice_vague_tnorm(eq, meet_tnorm(c3))
+        for check in (check_lattice_vague_strict_monotone,
+                      check_lattice_vague_cancellation):
+            with pytest.raises(DomainError):
+                check(mu, c3, "bogus")
+
+
+def _vague_leaves(structures, strict_and_cancel):
+    """E1-E3, V1-V3, monoid, commutativity, strict monotonicity and
+    cancellation, in that order."""
+    equality, op, monoid, commutativity = structures
+    return [*equality.children, *op.children, monoid, commutativity,
+            *strict_and_cancel]
+
+
+class TestGridIsAChain:
+    """uniform_chain(4) with a chain t-norm table is chain_lattice(4) with
+    the same table, relabelled; both layers must agree on every report."""
+
+    def test_vague_conditions_agree_across_layers(self):
+        lat = chain_lattice(4)
+        pts = uniform_chain(4)
+        point = dict(zip(lat.elements, pts))
+        label = dict(zip(pts, lat.elements))
+        tables = enumerate_chain_tnorm_tables(pts)
+        lattice_tnorms = []
+        for table in tables:
+            conn = table.as_connective()
+            t = LatticeTNorm(lat, {(a, b): label[table(point[a], point[b])]
+                                   for a in lat.elements for b in lat.elements})
+            lattice_tnorms.append(t)
+            eq = crisp_equality(pts, conn)
+            v = induce_vague_tnorm(eq, conn)
+            crisp = lattice_crisp_equality(lat)
+            mu = induce_lattice_vague_tnorm(
+                {(a, b): crisp(a, b) for a in lat.elements for b in lat.elements}, t)
+            for reading in READINGS:
+                unit = _vague_leaves(
+                    [validate_fuzzy_equality(eq.fn, conn, pts),
+                     check_vague_binary_op(v.base), check_vague_monoid(v.base),
+                     check_vague_commutativity(v)],
+                    [check_vague_strict_monotone(v, reading),
+                     check_vague_cancellation(v, reading)])
+                lattice = _vague_leaves(
+                    check_lattice_vague_structures(crisp, t, lat).children,
+                    [check_lattice_vague_strict_monotone(mu, lat, reading),
+                     check_lattice_vague_cancellation(mu, lat, reading)])
+                assert len(unit) == len(lattice) == 10
+                for u, l in zip(unit, lattice):
+                    assert u.verdict is l.verdict, (table.name, u.property_id)
+                    relabelled = [(tuple(point.get(x, x) for x in w.inputs),
+                                   tuple(point.get(x, x) for x in w.values))
+                                  for w in l.witnesses]
+                    assert [(w.inputs, w.values) for w in u.witnesses] == relabelled
+                identity = lattice[6].details["identity"]
+                assert unit[6].details["identity"] == (
+                    None if identity is None else str(point[identity]))
+        assert ({tuple(sorted(t.table.items())) for t in lattice_tnorms}
+                == {tuple(sorted(t.table.items())) for t in enumerate_lattice_tnorms(lat)})

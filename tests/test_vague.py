@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuzznorm import kernel
 from fuzznorm.carriers import cyclic_group
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import T_D, T_L, T_M, T_P
@@ -168,6 +169,22 @@ class TestMonotonicityAndCancellation:
             assert c.details["reading"] == reading
         with pytest.raises(DomainError):
             check_vague_strict_monotone(v, "loose")
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["ids", "values"])
+    def test_strict_pairs_points_by_order_not_position(self, monkeypatch, reference):
+        if reference:
+            monkeypatch.setattr(kernel, "compile_degrees", lambda degrees, carrier: None)
+        pts = GridDomain(4).points
+        for reading in READINGS:
+            ascending, descending = (
+                check_vague_strict_monotone(
+                    induce_vague_tnorm(crisp_equality(carrier, T_M), T_M), reading)
+                for carrier in (pts, pts[::-1]))
+            assert descending.verdict is ascending.verdict
+            assert descending.details == ascending.details
+            assert ({w.inputs for w in descending.witnesses}
+                    == {w.inputs for w in ascending.witnesses})
+            assert all(x < y for x, y, *_ in (w.inputs for w in descending.witnesses))
 
     def test_degenerate_carrier_cancels(self):
         # the one-point carrier is the only place the law can hold: every
