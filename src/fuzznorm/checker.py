@@ -9,12 +9,11 @@ which case the affected instances are reported VACUOUS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional
 
 from . import kernel
 from .connectives import Connective, Role
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
                       Witness, combine, conclude)
 from .scalars import (FLOAT_TOL, ONE, ZERO, eq3, eq_approx, format_scalar,
@@ -539,60 +538,3 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
     }
     return conclude("uninorm-classification", domain.to_json(), witnesses, 0,
                     instances=max(mixed_pairs, 1), details=details)
-
-
-# --- implication harness over enumerated universes ---
-
-@dataclass(frozen=True)
-class Universe:
-    """A finite enumeration plus named boolean property evaluators."""
-
-    label: str
-    members: tuple  # of (label, element)
-    evaluators: Mapping[str, Callable]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def verify_implication(premise_id: str, conclusion_id: str, universe: Universe,
-                       max_members: int = 200_000) -> PropertyReport:
-    """Search the universe for elements where the premise holds and the
-    conclusion does not; an empty list confirms the implication there."""
-    if universe.size > max_members:
-        raise BudgetExceededError(
-            f"universe {universe.label!r} has {universe.size} members, "
-            f"budget allows {max_members}", size_estimate=universe.size)
-    try:
-        premise = universe.evaluators[premise_id]
-        conclusion = universe.evaluators[conclusion_id]
-    except KeyError as exc:
-        raise DomainError(f"property {exc} is not checkable on {universe.label!r}") from None
-    witnesses = []
-    checked = 0
-    for label, element in universe.members:
-        checked += 1
-        if premise(element) and not conclusion(element):
-            witnesses.append(Witness((label,), ()))
-    return conclude(f"{premise_id}=>{conclusion_id}",
-                    {"kind": "universe", "label": universe.label, "size": universe.size},
-                    witnesses, 0, instances=checked,
-                    details={"checked": checked})
-
-
-def builtin_tnorm_universe(conns: Sequence[Connective], domain,
-                           budget: Optional[SearchBudget] = None) -> Universe:
-    """Universe over named t-norms with the classical properties as
-    evaluators, each computed by the corresponding exhaustive check."""
-    budget = budget or SearchBudget()
-    members = tuple((c.name, c) for c in conns)
-    evaluators = {
-        "strict-monotone": lambda c: check_strict_monotonicity(c, domain).holds,
-        "cancellation": lambda c: check_cancellation(c, domain).holds,
-        "conditional-cancellation": lambda c: check_cancellation(c, domain, conditional=True).holds,
-        "archimedean": lambda c: check_archimedean(c, domain, budget).holds,
-        "limit-property": lambda c: check_limit_property(c, domain, budget).holds,
-    }
-    label = "builtins{" + ",".join(c.short_name for c in conns) + "}@" + domain.label()
-    return Universe(label, members, evaluators)

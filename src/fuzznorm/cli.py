@@ -310,14 +310,21 @@ def _cmd_vague(args) -> int:
 
 # --- lattice ---
 
+def _chain_size(spec: str):
+    """N for a chain:N spec, None for any other spec."""
+    if not spec.startswith("chain:"):
+        return None
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise DomainError(f"bad chain size in {spec!r}") from None
+
+
 def _parse_lattice_spec(spec: str):
     if spec == "diamond":
         return lat_mod.diamond_lattice()
-    if spec.startswith("chain:"):
-        try:
-            size = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad chain size in {spec!r}") from None
+    size = _chain_size(spec)
+    if size is not None:
         return lat_mod.chain_lattice(size)
     return lat_mod.load_lattice(spec)
 
@@ -387,6 +394,9 @@ def _cmd_lattice(args) -> int:
 # --- enumerate ---
 
 def _cmd_enumerate(args) -> int:
+    size = _chain_size(args.lattice)
+    if size is not None:  # refuse a long chain before building it
+        lat_mod.check_enumeration_size(size)
     lattice = _parse_lattice_spec(args.lattice)
     tables = lat_mod.enumerate_lattice_tnorms(lattice, cap=args.cap)
     listing = []

@@ -58,6 +58,20 @@ class FiniteLattice:
                 "size": len(self.elements), "elements": list(self.elements)}
 
 
+# t-norm enumeration refuses lattices and chains with more elements
+MAX_ENUMERATION_SIZE = 6
+
+
+def check_enumeration_size(size: int, kind: str = "lattice") -> None:
+    """Refuse a t-norm enumeration over more than MAX_ENUMERATION_SIZE
+    elements; callers run this before building anything that large."""
+    if size > MAX_ENUMERATION_SIZE:
+        cells = size * (size - 1) // 2  # the non-top cells of a table
+        raise BudgetExceededError(  # no estimate where it is itself huge
+            f"{kind} of size {size} exceeds the enumeration budget",
+            size_estimate=size ** cells if size <= 100 else None)
+
+
 def build_lattice(elements: Sequence, covers: Sequence, name: str = "") -> FiniteLattice:
     """Construct from a cover relation.
 
@@ -199,9 +213,6 @@ def lsubset_from_json(obj: dict, lat: FiniteLattice, *,
                 raise InputFormatError(f"{label!r} is not a lattice element",
                                       path=path, field="entries")
         mapping[entry[0]] = entry[1]
-    missing = [e for e in lat.elements if e not in mapping]
-    if missing:
-        raise TotalityError(f"lattice membership table has no value at {missing[0]}")
     return lsubset_table(lat, mapping)
 
 
@@ -279,13 +290,7 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
     associativity is filtered at the leaves. Deterministic order.
     """
     elems = lat.elements
-    n = len(elems)
-    if n > 6:
-        free_count = sum(1 for i in range(n) for j in range(i, n)
-                         if elems[i] != lat.top and elems[j] != lat.top)
-        raise BudgetExceededError(
-            f"lattice of size {n} exceeds the enumeration budget",
-            size_estimate=n ** free_count)
+    check_enumeration_size(len(elems))
     non_top = [e for e in elems if e != lat.top]
     free = [(non_top[i], non_top[j]) for i in range(len(non_top))
             for j in range(i, len(non_top))]
@@ -396,7 +401,7 @@ def lsubset_table(lat: FiniteLattice, mapping: Mapping, name: str = "") -> LSubs
         except KeyError:
             raise TotalityError(f"lattice membership table has no value at {x}") from None
 
-    label = name or "mu(" + ",".join(str(entries[e]) for e in lat.elements) + ")"
+    label = name or "mu(" + ",".join(str(fn(e)) for e in lat.elements) + ")"
     return LSubset(lat, fn, name=label)
 
 

@@ -27,9 +27,6 @@ class FuzzySubset:
     def __call__(self, x) -> Scalar:
         return self.fn(x)
 
-    def values_on(self, elements: Iterable) -> tuple:
-        return tuple(self.fn(x) for x in elements)
-
 
 def _id_fn(x):
     return x

@@ -1,7 +1,8 @@
 """The proposition sweep: every claim the checkers mechanize, one row each.
 
-Each row enumerates its universe exhaustively and counts
-counterexamples; a clean run reports zero everywhere. Rows are pure
+Each row enumerates its universe exhaustively as a stream of labelled
+cases, and one loop counts them and the counterexamples among them; a
+clean run reports zero everywhere. Rows are pure
 functions of the configuration, so the suite can fan rows out across
 processes and still merge deterministically. Wall-clock time is
 reported in text output only, keeping the JSON byte-stable across runs.
@@ -9,6 +10,7 @@ reported in text output only, keeping the JSON byte-stable across runs.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -84,6 +86,19 @@ class RowResult:
         return obj
 
 
+def _count(row_id: str, universe: str, cases) -> RowResult:
+    """Run a row's lazy stream of (label, holds) cases: every case counts
+    as checked, and the label of every case that does not hold is a
+    counterexample."""
+    checked = 0
+    counter = []
+    for label, holds in cases:
+        checked += 1
+        if not holds:
+            counter.append(label)
+    return RowResult(row_id, universe, checked, counter)
+
+
 def _grid3() -> FinitePoints:
     return FinitePoints(uniform_chain(3))
 
@@ -92,29 +107,37 @@ def _table_sweep(cfg: SuiteConfig, points) -> list:
     return list(enumerate_table_subsets(points, cfg.alphabet))
 
 
+def _chain_conns():
+    """The t-norm tables on the 4-chain as connectives, and their domain."""
+    chain = uniform_chain(4)
+    return ([t.as_connective() for t in enumerate_chain_tnorm_tables(chain)],
+            FinitePoints(chain))
+
+
+def _subnorm_cases(cfg: SuiteConfig, conns, dom, claim):
+    """One case per operator and membership table on the domain: it holds
+    unless the map is a t-subnorm of the operator and claim(mu, conn, dom)
+    fails. claim runs only on t-subnorms."""
+    for conn in conns:
+        carrier = CarrierMonoid.from_connective(conn, dom)
+        for mu in _table_sweep(cfg, dom.points):
+            yield (f"{conn.name}|{mu.name}",
+                   not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
+                   or claim(mu, conn, dom))
+
+
 def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
                            second: FuzzyProp) -> RowResult:
-    chain = uniform_chain(4)
-    dom = FinitePoints(chain)
-    tables = enumerate_chain_tnorm_tables(chain)
-    counter = []
-    checked = 0
-    for tbl in tables:
-        conn = tbl.as_connective()
-        carrier = CarrierMonoid.from_connective(conn, dom)
-        for mu in _table_sweep(cfg, chain):
-            checked += 1
-            if not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds:
-                continue
-            if not check_fuzzy_property(mu, conn, first, dom, cfg.budget,
-                                        gate=False).holds:
-                continue
-            if not check_fuzzy_property(mu, conn, second, dom, cfg.budget,
-                                        gate=False).holds:
-                counter.append(f"{conn.name}|{mu.name}")
-    universe = (f"{len(tables)} t-norm tables on the 4-chain x "
+    conns, dom = _chain_conns()
+
+    def claim(mu, conn, d):
+        return (not check_fuzzy_property(mu, conn, first, d, cfg.budget,
+                                         gate=False).holds
+                or check_fuzzy_property(mu, conn, second, d, cfg.budget,
+                                        gate=False).holds)
+    universe = (f"{len(conns)} t-norm tables on the 4-chain x "
                 f"{len(cfg.alphabet) ** 4} membership tables")
-    return RowResult(row_id, universe, checked, counter)
+    return _count(row_id, universe, _subnorm_cases(cfg, conns, dom, claim))
 
 
 def _row_prop36(cfg):
@@ -134,76 +157,49 @@ def _builtin_mu_forms():
 def _row_prop38(cfg):
     # strictly monotone operator: no strictly decreasing t-subnorm
     dom = GridDomain(cfg.grid)
-    counter = []
-    checked = 0
-    for conn in (T_P,):
-        for mu in _builtin_mu_forms():
-            checked += 1
-            if check_not_strictly_decreasing(mu, conn, dom).fails:
-                counter.append(f"{conn.name}|{mu.name}")
+    cases = ((f"{T_P.name}|{mu.name}",
+              not check_not_strictly_decreasing(mu, T_P, dom).fails)
+             for mu in _builtin_mu_forms())
     universe = f"strictly monotone builtins x builtin membership forms (grid n={cfg.grid})"
-    return RowResult("prop3.8", universe, checked, counter)
+    return _count("prop3.8", universe, cases)
 
 
 def _row_prop39(cfg):
     # non-strict operator: no fuzzy strictly monotone t-subnorm at all
-    chain = uniform_chain(4)
-    dom = FinitePoints(chain)
-    counter = []
-    checked = 0
-    for tbl in enumerate_chain_tnorm_tables(chain):
-        conn = tbl.as_connective()
-        if check_strict_monotonicity(conn, dom).holds:
-            continue
-        carrier = CarrierMonoid.from_connective(conn, dom)
-        for mu in _table_sweep(cfg, chain):
-            checked += 1
-            if not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds:
-                continue
-            if check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, dom,
-                                    cfg.budget, gate=False).holds:
-                counter.append(f"{conn.name}|{mu.name}")
+    conns, dom = _chain_conns()
     grid_dom = GridDomain(cfg.grid)
-    for conn in (T_M, T_L, T_D):
-        for mu in _builtin_mu_forms():
-            checked += 1
-            carrier = CarrierMonoid.from_connective(conn, grid_dom)
-            if not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds:
-                continue
-            if check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, grid_dom,
-                                    cfg.budget, gate=False).holds:
-                counter.append(f"{conn.name}|{mu.name}")
+
+    def not_fstrict(mu, conn, d):
+        return not check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, d,
+                                        cfg.budget, gate=False).holds
+    non_strict = (conn for conn in conns
+                  if not check_strict_monotonicity(conn, dom).holds)
+    tables = _subnorm_cases(cfg, non_strict, dom, not_fstrict)
+    builtins = ((f"{conn.name}|{mu.name}",
+                 not check_fuzzy_submonoid(
+                     mu, CarrierMonoid.from_connective(conn, grid_dom),
+                     KIND_T_SUBNORM).holds
+                 or not_fstrict(mu, conn, grid_dom))
+                for conn in (T_M, T_L, T_D) for mu in _builtin_mu_forms())
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")
-    return RowResult("prop3.9", universe, checked, counter)
+    return _count("prop3.9", universe, itertools.chain(tables, builtins))
 
 
 def _vague_corpus(cfg):
     pts = GridDomain(min(cfg.grid, 6)).points
-    corpus = []
-    for label, make_eq, conn in (
-            ("crisp", crisp_equality, T_M),
-            ("crisp", crisp_equality, T_P),
-            ("crisp", crisp_equality, T_L),
-            ("linear", linear_equality, T_L),
-            ("linear", linear_equality, T_D)):
-        corpus.append(induce_vague_tnorm(make_eq(pts, conn), conn))
-    return corpus
+    return [induce_vague_tnorm(make_eq(pts, conn), conn) for make_eq, conn in (
+        (crisp_equality, T_M), (crisp_equality, T_P), (crisp_equality, T_L),
+        (linear_equality, T_L), (linear_equality, T_D))]
 
 
 def _row_prop12(cfg):
-    counter = []
-    checked = 0
-    for v in _vague_corpus(cfg):
-        for reading in READINGS:
-            checked += 1
-            strict = check_vague_strict_monotone(v, reading)
-            if not strict.holds:
-                continue
-            if check_vague_cancellation(v, reading).fails:
-                counter.append(f"{v.base.label}|{reading}")
+    cases = ((f"{v.base.label}|{reading}",
+              not check_vague_strict_monotone(v, reading).holds
+              or not check_vague_cancellation(v, reading).fails)
+             for v in _vague_corpus(cfg) for reading in READINGS)
     universe = "induced vague operators over the grid corpus, both premise readings"
-    return RowResult("prop12", universe, checked, counter)
+    return _count("prop12", universe, cases)
 
 
 def _small_lattices():
@@ -212,24 +208,15 @@ def _small_lattices():
 
 
 def _lattice_implication_row(cfg, row_id, first, second):
-    counter = []
-    checked = 0
-    table_count = 0
-    for lat in _small_lattices():
-        tnorms = enumerate_lattice_tnorms(lat)
-        table_count += len(tnorms)
-        for t in tnorms:
-            for mu in enumerate_lsubsets(lat):
-                checked += 1
-                if not check_lattice_fuzzy_subnorm(mu, t).holds:
-                    continue
-                if not check_lattice_fuzzy_property(mu, t, first).holds:
-                    continue
-                if not check_lattice_fuzzy_property(mu, t, second).holds:
-                    counter.append(f"{lat.name}|{t.name}|{mu.name}")
-    universe = (f"{table_count} lattice t-norms on chains 2-4 and the diamond "
+    tnorms = [t for lat in _small_lattices() for t in enumerate_lattice_tnorms(lat)]
+    cases = ((f"{t.lattice.name}|{t.name}|{mu.name}",
+              not check_lattice_fuzzy_subnorm(mu, t).holds
+              or not check_lattice_fuzzy_property(mu, t, first).holds
+              or check_lattice_fuzzy_property(mu, t, second).holds)
+             for t in tnorms for mu in enumerate_lsubsets(t.lattice))
+    universe = (f"{len(tnorms)} lattice t-norms on chains 2-4 and the diamond "
                 "x all lattice-valued membership maps")
-    return RowResult(row_id, universe, checked, counter)
+    return _count(row_id, universe, cases)
 
 
 def _row_prop13(cfg):
@@ -244,41 +231,28 @@ def _row_prop14(cfg):
 
 def _row_prop15(cfg):
     lat = chain_lattice(3)
-    counter = []
-    checked = 0
-    eq_count = 0
-    for t in enumerate_lattice_tnorms(lat):
-        equalities = enumerate_lattice_equalities(lat, t)
-        eq_count += len(equalities)
-        for eq_table in equalities:
-            mu = induce_lattice_vague_tnorm(eq_table, t)
-            for reading in READINGS:
-                checked += 1
-                strict = check_lattice_vague_strict_monotone(mu, lat, reading)
-                if not strict.holds:
-                    continue
-                if check_lattice_vague_cancellation(mu, lat, reading).fails:
-                    counter.append(f"{t.name}|{reading}")
-    universe = f"{eq_count} valid lattice equalities x 3-chain t-norms, both readings"
-    return RowResult("prop15", universe, checked, counter)
+    pairs = [(t, eq_table) for t in enumerate_lattice_tnorms(lat)
+             for eq_table in enumerate_lattice_equalities(lat, t)]
+    induced = ((t, induce_lattice_vague_tnorm(eq_table, t))
+               for t, eq_table in pairs)
+    cases = ((f"{t.name}|{reading}",
+              not check_lattice_vague_strict_monotone(mu, lat, reading).holds
+              or not check_lattice_vague_cancellation(mu, lat, reading).fails)
+             for t, mu in induced for reading in READINGS)
+    universe = f"{len(pairs)} valid lattice equalities x 3-chain t-norms, both readings"
+    return _count("prop15", universe, cases)
 
 
 def _core_row(cfg, row_id, kinds, universe_suffix):
     dom = _grid3()
     carrier = CarrierMonoid.from_connective(T_M, dom)
-    counter = []
-    checked = 0
-    for kind_label, kind in kinds:
-        for mu in _table_sweep(cfg, dom.points):
-            checked += 1
-            if not check_fuzzy_submonoid(mu, carrier, kind).holds:
-                continue
-            core = extract_core(mu, carrier)
-            if not core_is_submonoid(core, carrier):
-                counter.append(f"{kind_label}|{mu.name}")
+    cases = ((f"{kind_label}|{mu.name}",
+              not check_fuzzy_submonoid(mu, carrier, kind).holds
+              or core_is_submonoid(extract_core(mu, carrier), carrier))
+             for kind_label, kind in kinds for mu in _table_sweep(cfg, dom.points))
     universe = (f"{len(cfg.alphabet) ** 3} membership tables on the 3-point "
                 f"carrier, {universe_suffix}")
-    return RowResult(row_id, universe, checked, counter)
+    return _count(row_id, universe, cases)
 
 
 def _row_prop16(cfg):
@@ -301,15 +275,11 @@ def _row_prop23(cfg):
 
 def _characterization_row(cfg, row_id, case_id, conn):
     dom = _grid3()
-    counter = []
-    checked = 0
-    for mu in _table_sweep(cfg, dom.points):
-        checked += 1
-        if characterize_special_cases(case_id, mu, conn, dom).fails:
-            counter.append(mu.name)
+    cases = ((mu.name, not characterize_special_cases(case_id, mu, conn, dom).fails)
+             for mu in _table_sweep(cfg, dom.points))
     universe = (f"{len(cfg.alphabet) ** 3} membership tables on the 3-point "
                 f"grid against {conn.name}")
-    return RowResult(row_id, universe, checked, counter)
+    return _count(row_id, universe, cases)
 
 
 def _row_prop17(cfg):
@@ -351,71 +321,53 @@ def _refutation_family():
                           (T_P, T_L), (S_P, S_L))
 
 
-def _row_prop21(cfg):
+def _refutation_row(row_id, mu, carriers, what):
     dom = GridDomain(8)
     family = _refutation_family()
-    counter = []
-    checked = 0
-    for carrier_conn in (T_P, T_L, T_M):
-        checked += 1
-        rep = refute_uninorm_existence(MU_ID, carrier_conn, family, dom)
-        if not rep.holds:
-            counter.append(carrier_conn.name)
-    universe = f"{len(family)} uninorms x identity membership on t-norm carriers (grid n=8)"
-    return RowResult("prop21", universe, checked, counter)
+    cases = ((c.name, refute_uninorm_existence(mu, c, family, dom).holds)
+             for c in carriers)
+    return _count(row_id, f"{len(family)} uninorms x {what} (grid n=8)", cases)
+
+
+def _row_prop21(cfg):
+    return _refutation_row("prop21", MU_ID, (T_P, T_L, T_M),
+                           "identity membership on t-norm carriers")
 
 
 def _row_prop22(cfg):
-    dom = GridDomain(8)
-    family = _refutation_family()
-    counter = []
-    checked = 0
-    for carrier_conn in (S_P, S_L, S_M):
-        checked += 1
-        rep = refute_uninorm_existence(MU_COMPLEMENT, carrier_conn, family, dom)
-        if not rep.holds:
-            counter.append(carrier_conn.name)
-    universe = f"{len(family)} uninorms x complement membership on t-conorm carriers (grid n=8)"
-    return RowResult("prop22", universe, checked, counter)
+    return _refutation_row("prop22", MU_COMPLEMENT, (S_P, S_L, S_M),
+                           "complement membership on t-conorm carriers")
+
+
+def _is_expected_uninorm(member, dom) -> bool:
+    # both checks run for every member
+    ax = check_axioms(member, dom)
+    cls = classify_uninorm(member, dom)
+    want = "conjunctive" if ":umin(" in member.name else "disjunctive"
+    return ax.holds and cls.holds and cls.details.get(want) is True
 
 
 def _row_uninorm_structure(cfg):
     dom = GridDomain(8)
     family = _refutation_family()
-    counter = []
-    checked = 0
-    for member in family:
-        checked += 1
-        ax = check_axioms(member, dom)
-        cls = classify_uninorm(member, dom)
-        want = "conjunctive" if ":umin(" in member.name else "disjunctive"
-        if not (ax.holds and cls.holds and cls.details.get(want) is True):
-            counter.append(member.name)
+    cases = ((m.name, _is_expected_uninorm(m, dom)) for m in family)
     universe = f"{len(family)} constructed uninorms, axioms plus classification (grid n=8)"
-    return RowResult("thm-uninorm-structure", universe, checked, counter)
+    return _count("thm-uninorm-structure", universe, cases)
 
 
 def _row_vague_commutativity(cfg):
-    counter = []
-    checked = 0
-    for v in _vague_corpus(cfg):
-        checked += 1
-        if not check_vague_commutativity(v).holds:
-            counter.append(v.base.label)
+    cases = ((v.base.label, check_vague_commutativity(v).holds)
+             for v in _vague_corpus(cfg))
     universe = "induced vague operators over the grid corpus"
-    return RowResult("prop-vague-commutativity", universe, checked, counter)
+    return _count("prop-vague-commutativity", universe, cases)
 
 
 def _row_vague_group(cfg):
-    counter = []
-    checked = 0
-    for n in (3, 4):
-        checked += 1
-        v = crisp_vague_group(cyclic_group(n))
-        if not check_vague_group_cancellation(v).holds:
-            counter.append(f"Z{n}")
-    universe = "crisp vague groups over Z3 and Z4"
-    return RowResult("prop-vague-group-cancellation", universe, checked, counter)
+    cases = ((f"Z{n}", check_vague_group_cancellation(
+                 crisp_vague_group(cyclic_group(n))).holds)
+             for n in (3, 4))
+    return _count("prop-vague-group-cancellation",
+                  "crisp vague groups over Z3 and Z4", cases)
 
 
 def _row_intersection(cfg):
@@ -423,48 +375,37 @@ def _row_intersection(cfg):
     carrier = CarrierMonoid.from_connective(T_M, dom)
     groupoids = [mu for mu in _table_sweep(cfg, dom.points)
                  if check_fuzzy_subgroupoid(mu, carrier).holds]
-    counter = []
-    checked = 0
-    for i, a in enumerate(groupoids):
-        for b in groupoids[i:]:
-            checked += 1
-            inter = intersect_fuzzy_subsets([a, b])
-            if not check_fuzzy_subgroupoid(inter, carrier).holds:
-                counter.append(f"{a.name}&{b.name}")
+    cases = ((f"{a.name}&{b.name}",
+              check_fuzzy_subgroupoid(intersect_fuzzy_subsets([a, b]),
+                                      carrier).holds)
+             for i, a in enumerate(groupoids) for b in groupoids[i:])
     universe = f"pairwise intersections of {len(groupoids)} fuzzy subgroupoids on the 3-point carrier"
-    return RowResult("prop-intersection", universe, checked, counter)
+    return _count("prop-intersection", universe, cases)
 
 
 def _row_unique_mu_id(cfg):
     dom = GridDomain(cfg.grid)
-    counter = []
-    checked = 0
-    for conn, expect in ((T_M, True), (T_P, False), (T_L, False), (T_D, False)):
-        checked += 1
-        carrier = CarrierMonoid.from_connective(conn, dom)
-        got = check_fuzzy_submonoid(MU_ID, carrier, KIND_T_SUBNORM).holds
-        if got != expect:
-            counter.append(conn.name)
+    cases = ((conn.name, check_fuzzy_submonoid(
+                 MU_ID, CarrierMonoid.from_connective(conn, dom),
+                 KIND_T_SUBNORM).holds == expect)
+             for conn, expect in ((T_M, True), (T_P, False), (T_L, False),
+                                  (T_D, False)))
     universe = f"identity membership against the four builtins (grid n={cfg.grid})"
-    return RowResult("example-unique-mu-id", universe, checked, counter)
+    return _count("example-unique-mu-id", universe, cases)
+
+
+def _l22_row(row_id, op):
+    rep = check_discrete_subalgebra(mixed_grid_points(HALF, 2, 2), op)
+    return _count(row_id, f"closure of the 5 mixed grid points under {op.name}",
+                  [(op.name, rep.holds)])
 
 
 def _row_l22_uninorm(cfg):
-    pts = mixed_grid_points(HALF, 2, 2)
-    u = construct_uninorm_min(HALF, T_L, S_L)
-    rep = check_discrete_subalgebra(pts, u)
-    counter = [] if rep.holds else [u.name]
-    return RowResult("example-L22-uninorm",
-                     f"closure of the 5 mixed grid points under {u.name}", 1, counter)
+    return _l22_row("example-L22-uninorm", construct_uninorm_min(HALF, T_L, S_L))
 
 
 def _row_l22_nullnorm(cfg):
-    pts = mixed_grid_points(HALF, 2, 2)
-    f = construct_nullnorm(S_L, HALF, T_L)
-    rep = check_discrete_subalgebra(pts, f)
-    counter = [] if rep.holds else [f.name]
-    return RowResult("example-L22-nullnorm",
-                     f"closure of the 5 mixed grid points under {f.name}", 1, counter)
+    return _l22_row("example-L22-nullnorm", construct_nullnorm(S_L, HALF, T_L))
 
 
 def _row_archimedean_vs_limit(cfg):
@@ -524,10 +465,6 @@ def _run_row(row_id: str, cfg: SuiteConfig) -> RowResult:
     return result
 
 
-def _run_row_star(args) -> RowResult:
-    return _run_row(*args)
-
-
 @dataclass
 class SuiteResult:
     config: SuiteConfig
@@ -578,8 +515,8 @@ def run_suite(config: Optional[SuiteConfig] = None,
         selected = list(ROWS)
     if jobs > 1 and len(selected) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_row_star,
-                                    [(row_id, config) for row_id in selected]))
+            results = list(pool.map(_run_row, selected,
+                                    itertools.repeat(config)))
     else:
         results = [_run_row(row_id, config) for row_id in selected]
     return SuiteResult(config, results)

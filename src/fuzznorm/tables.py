@@ -8,13 +8,13 @@ chain order) so reports and counts are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .connectives import Connective, Role
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
+from .lattice import chain_lattice, check_enumeration_size, enumerate_lattice_tnorms
 from .reports import FinitePoints
 from .scalars import ONE, ZERO, format_scalar
 
@@ -53,59 +53,22 @@ class ChainTable:
         return FinitePoints(self.points)
 
 
-def _is_monotone(points, matrix) -> bool:
-    n = len(points)
-    for i in range(n):
-        for j in range(n - 1):
-            if matrix[i][j] > matrix[i][j + 1]:
-                return False
-    return True
-
-
-def _is_associative(points, matrix, index) -> bool:
-    n = len(points)
-    for i in range(n):
-        for j in range(n):
-            ij = index[matrix[i][j]]
-            for k in range(n):
-                if matrix[ij][k] != matrix[i][index[matrix[j][k]]]:
-                    return False
-    return True
-
-
 def enumerate_chain_tnorm_tables(points: Sequence[Fraction]) -> list[ChainTable]:
     """All conjunction tables on the chain: commutative, associative,
     monotone, with the top point as identity.
 
-    Brute-force filter over the free cells; the boundary forces the top
-    row/column to the other argument and the bottom row/column to 0.
+    These are the t-norms of the chain lattice with as many elements,
+    relabelled onto the points, in the lattice enumeration's order.
     """
     pts = tuple(points)
     if pts[0] != ZERO or pts[-1] != ONE or list(pts) != sorted(set(pts)):
         raise DomainError("chain must be sorted, distinct, and span 0..1")
-    n = len(pts)
-    if n > 6:
-        raise BudgetExceededError(
-            f"chain of size {n} exceeds the enumeration budget",
-            size_estimate=n ** ((n - 2) * (n - 1) // 2))
-    interior = list(range(1, n - 1))
-    free = [(i, j) for i in interior for j in interior if i <= j]
-    index = {p: i for i, p in enumerate(pts)}
-    candidates = [[pts[k] for k in range(min(i, j) + 1)] for (i, j) in free]
-    out = []
-    for choice in itertools.product(*candidates):
-        matrix = [[None] * n for _ in range(n)]
-        for k in range(n):
-            matrix[0][k] = matrix[k][0] = ZERO
-            matrix[n - 1][k] = matrix[k][n - 1] = pts[k]
-        for (i, j), v in zip(free, choice):
-            matrix[i][j] = matrix[j][i] = v
-        if not _is_monotone(pts, matrix):
-            continue
-        if not _is_associative(pts, matrix, index):
-            continue
-        out.append(ChainTable(pts, tuple(tuple(row) for row in matrix)))
-    return out
+    check_enumeration_size(len(pts), "chain")
+    lat = chain_lattice(len(pts))
+    point = dict(zip(lat.elements, pts))
+    return [ChainTable(pts, tuple(tuple(point[t(x, y)] for y in lat.elements)
+                                  for x in lat.elements))
+            for t in enumerate_lattice_tnorms(lat)]
 
 
 def uniform_chain(size: int) -> tuple:

@@ -605,11 +605,6 @@ def crisp_vague_group(group: FiniteGroup) -> VagueGroup:
     return VagueGroup(group, eq, table)
 
 
-def vague_group_from_table(group: FiniteGroup, equality: TFuzzyEquality,
-                           table: Mapping) -> VagueGroup:
-    return VagueGroup(group, equality, dict(table))
-
-
 def check_vague_group_cancellation(v: VagueGroup) -> PropertyReport:
     """Both one-sided generalized cancellation inequalities.
 

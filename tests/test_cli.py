@@ -173,6 +173,16 @@ class TestLatticeCommands:
         assert obj["count"] == 2
         assert len(obj["tables"]) == 2
 
+    def test_enumerate_refuses_long_chain_before_building(self, monkeypatch,
+                                                          capsys):
+        from fuzznorm import lattice
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+        monkeypatch.setattr(lattice, "build_lattice", refuse)
+        assert run(["enumerate", "--lattice", "chain:400"]) == 2
+        assert capsys.readouterr().err.startswith("skipped:")
+
     def test_tnorm_index_selection(self):
         assert run(["lattice", "--lattice", "chain:3", "--tnorm", "index:1",
                     "--mu", "one", "--props", "subnorm"]) == 0

@@ -1,11 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzznorm import lattice as lattice_module
 from fuzznorm.errors import (BudgetExceededError, DomainError,
                              NotALatticeError, InputFormatError,
-                             UnboundedPosetError)
+                             TotalityError, UnboundedPosetError)
 from fuzznorm.fuzzy import FuzzyProp
 from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               chain_lattice,
@@ -163,6 +165,33 @@ class TestEnumeration:
             enumerate_lattice_tnorms(chain_lattice(7))
         assert err.value.size_estimate > 0
 
+    def test_chain_table_counts(self):
+        assert [len(enumerate_chain_tnorm_tables(uniform_chain(n)))
+                for n in range(2, 7)] == [1, 2, 6, 22, 94]
+
+    def test_four_chain_table_names(self):
+        # suite counterexample labels and scripts/classify_chain_tables.py
+        # print these names, in this order
+        assert [t.name for t in enumerate_chain_tnorm_tables(uniform_chain(4))] == [
+            "table[0,0,0,0,0,0,1/3,0,2/3,1]",
+            "table[0,0,0,0,0,0,1/3,1/3,2/3,1]",
+            "table[0,0,0,0,0,0,1/3,2/3,2/3,1]",
+            "table[0,0,0,0,0,1/3,1/3,2/3,2/3,1]",
+            "table[0,0,0,0,1/3,1/3,1/3,1/3,2/3,1]",
+            "table[0,0,0,0,1/3,1/3,1/3,2/3,2/3,1]",
+        ]
+
+    def test_bad_chain_rejected(self):
+        with pytest.raises(DomainError):
+            enumerate_chain_tnorm_tables((Fraction(0), Fraction(1, 2)))
+
+    def test_long_chain_refused_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+        monkeypatch.setattr(lattice_module, "build_lattice", refuse)
+        with pytest.raises(BudgetExceededError):
+            enumerate_chain_tnorm_tables(uniform_chain(400))
+
 
 class TestLatticeFuzzySubnorm:
     def test_top_subset_passes_any_tnorm(self):
@@ -182,6 +211,10 @@ class TestLatticeFuzzySubnorm:
         rep = check_lattice_fuzzy_subnorm(lsubset_identity(c3), drop)
         assert rep.fails
         assert ("m", "m") in {w.inputs for w in rep.witnesses}
+
+    def test_partial_table_is_not_total(self):
+        with pytest.raises(TotalityError, match="no value at m"):
+            lsubset_table(chain_lattice(3), {"0": "0"})
 
 
 class TestLatticeFuzzyProperties:
