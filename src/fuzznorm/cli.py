@@ -366,6 +366,9 @@ _LATTICE_PROP_MAP = {
 
 
 def _cmd_lattice(args) -> int:
+    size = _chain_size(args.lattice)
+    if size is not None and args.tnorm.startswith("index:"):
+        lat_mod.check_enumeration_size(size)  # refuse before building it
     lattice = _parse_lattice_spec(args.lattice)
     tnorm = _parse_lattice_tnorm(args.tnorm, lattice)
     props = [p.strip() for p in args.props.split(",") if p.strip()]

@@ -149,22 +149,6 @@ def eval_tconorm(family: str, x: Scalar, y: Scalar) -> Scalar:
     return conn(x, y)
 
 
-@dataclass(frozen=True)
-class PowerIterate:
-    """A deferred power x^(n); the zeroth power is the identity and the
-    first is the base itself."""
-
-    base: Fraction
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise DomainError(f"power exponent must be >= 0, got {self.exponent}")
-
-    def evaluate(self, conn: "Connective") -> Scalar:
-        return power_iterate(conn, self.base, self.exponent)
-
-
 def power_iterate(conn: Connective, x: Scalar, n: int) -> Scalar:
     """n-th power of ``x`` under ``conn``, folding on the left.
 

@@ -9,18 +9,21 @@ sweeps and the uninorm non-existence refutations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .carriers import CarrierMonoid, FiniteGroup
+from .checker import _power_trajectory
 from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
-from .scalars import (FLOAT_TOL, ONE, ZERO, eq3, eq_approx, format_scalar,
-                      le_approx, lt3)
+from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, eq_approx,
+                      format_scalar, le_approx)
 from .subsets import FuzzySubset
+from .vague import _equal3
 
 
 class SubstructureTag(Enum):
@@ -96,7 +99,7 @@ def _closure_witnesses(mu, carrier, kind):
     for arity in arities:
         if arity == 2 and carrier.table is not None:
             # mu at each product id, filled in loop order so a map that
-            # is not total fails at the same pair as the plain loop
+            # is not total fails at the same pair as the tuple loop
             table, products = carrier.table.table, carrier.table.vals
             at = [vals[x] for x in elems] + [None] * (len(products) - len(elems))
             for i, x in enumerate(elems):
@@ -109,16 +112,7 @@ def _closure_witnesses(mu, carrier, kind):
                         rhs = at[p] = mu(products[p])
                     if not le_approx(lhs, rhs):
                         witnesses.append(Witness((x, y), (lhs, rhs)))
-        elif arity == 2:
-            for x in elems:
-                vx = vals[x]
-                for y in elems:
-                    lhs = kind.combine((vx, vals[y]))
-                    rhs = mu(carrier.op(x, y))
-                    if not le_approx(lhs, rhs):
-                        witnesses.append(Witness((x, y), (lhs, rhs)))
         else:
-            import itertools
             for combo in itertools.product(elems, repeat=arity):
                 lhs = kind.combine(tuple(vals[c] for c in combo))
                 acc = combo[0]
@@ -183,12 +177,11 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
     The properties are stated for subsets that pass the t-subnorm check
     first; anything else gets a VACUOUS report tagged NOT_A_SUBNORM
     carrying the subnorm violations (``gate=False`` evaluates the bare
-    quantified statement instead). Strict monotonicity runs in the
-    reversed direction with x = 1 excluded, matching the only direction
-    the closure inequality leaves open.
+    quantified statement instead). A constant map has no value strictly
+    below another, so its Archimedean report is VACUOUS-BY-CONSTANCY.
     """
     budget = budget or SearchBudget()
-    base_details = {"mu": mu.name, "operator": conn.name}
+    details = {"mu": mu.name, "operator": conn.name}
     if gate:
         carrier = CarrierMonoid.from_connective(conn, domain)
         subnorm = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)
@@ -196,138 +189,154 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
             return PropertyReport(prop.value, Verdict.VACUOUS, domain.to_json(),
                                   witnesses=list(subnorm.witnesses),
                                   budget=budget.to_json(),
-                                  tags=("NOT_A_SUBNORM",), details=base_details)
+                                  tags=("NOT_A_SUBNORM",), details=details)
     pts = domain.points
-    interior = domain.interior
-    witnesses, undecided = [], 0
-    inconclusive = 0
-    instances = 0
-    details = dict(base_details)
+    if prop is FuzzyProp.FARCH and len({mu(p) for p in pts}) == 1:
+        return PropertyReport(prop.value, Verdict.VACUOUS, domain.to_json(),
+                              budget=budget.to_json(),
+                              tags=("VACUOUS-BY-CONSTANCY",), details=details)
+    # ZERO, not UNIT_INTERVAL's int bottom: mu(ZERO) is a limit witness value
+    return _fuzzy_property(UNIT_INTERVAL, conn, mu, pts, domain.interior, ZERO,
+                           prop, budget, prop.value, domain.to_json(), details)
 
+
+def _fuzzy_property(order, op, mu, pts, interior, bottom, prop, budget, rid,
+                    dom, details) -> PropertyReport:
+    """The five properties over a degree order (``scalars.UNIT_INTERVAL``
+    or a ``FiniteLattice``) that orders points and degrees alike.
+
+    Strict monotonicity quantifies over the pairs y < z of the order and
+    counts the incomparable ones it excludes; it runs in the reversed
+    direction over interior x, the only direction the closure inequality
+    leaves open. Power searches stop at an exact fixpoint. ``budget``
+    caps them; without one (a finite lattice) the cap is one more than
+    the number of points, which every strictly decreasing chain of
+    powers reaches, and the report carries no budget.
+    """
+    lt, leq, same = order.lt, order.leq, order.same
+    witnesses, undecided, inconclusive, incomparable = [], 0, 0, 0
+    details = dict(details)
+
+    def apart(a, b):
+        return leq(a, b) is False and leq(b, a) is False
+
+    def rows(xs):
+        # mu(x o p) for every point p, once per x
+        return ((x, [mu(op(x, p)) for p in pts]) for x in xs)
+
+    n = len(pts)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if prop is FuzzyProp.FSTRICT:
-        for x in interior:
-            for i, y in enumerate(pts):
-                vy = mu(conn(x, y))
-                for z in pts[i + 1:]:
-                    instances += 1
-                    vz = mu(conn(x, z))
-                    r = lt3(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
-                    if r is None:
-                        undecided += 1
-                    elif not r:
-                        witnesses.append(Witness((x, y, z), (vy, vz)))
+        ordered = []
+        for i, j in pairs:
+            if lt(pts[i], pts[j]):
+                ordered.append((i, j))
+            elif lt(pts[j], pts[i]):
+                ordered.append((j, i))
+        for x, row in rows(interior):
+            for i, j in ordered:
+                vy, vz = row[i], row[j]
+                r = lt(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
+                if r is None:
+                    undecided += 1
+                elif not r:
+                    incomparable += apart(vy, vz)
+                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, vz)))
+        instances = len(interior) * len(ordered)
+        details["excluded_incomparable_pairs"] = len(pairs) - len(ordered)
 
     elif prop is FuzzyProp.FCANCEL:
-        for x in pts:
-            if x == 0:
-                continue
-            for i, y in enumerate(pts):
-                vy = mu(conn(x, y))
-                for z in pts[i + 1:]:
-                    instances += 1
-                    if eq_approx(vy, mu(conn(x, z))):
-                        witnesses.append(Witness((x, y, z), (vy, mu(conn(x, z)))))
+        xs = [x for x in pts if x != bottom]
+        for x, row in rows(xs):
+            for i, j in pairs:
+                if same(row[i], row[j]):
+                    witnesses.append(Witness((x, pts[i], pts[j]),
+                                             (row[i], row[j])))
+        instances = len(xs) * len(pairs)
 
     elif prop is FuzzyProp.FCONDCANCEL:
-        mu0 = mu(ZERO)
+        mu0 = mu(bottom)
         strong_violations = 0
-        for x in pts:
-            for i, y in enumerate(pts):
-                vy = mu(conn(x, y))
-                for z in pts[i + 1:]:
-                    instances += 1
-                    vz = mu(conn(x, z))
-                    if not eq_approx(vy, vz):
-                        continue
-                    r = lt3(mu0, vy)
-                    if r is None:
-                        undecided += 1
-                        continue
-                    if not r:
-                        continue
-                    strong_violations += 1  # stronger reading concludes y = z
-                    c = eq3(mu(y), mu(z))
-                    if c is None:
-                        undecided += 1
-                    elif not c:
-                        witnesses.append(Witness((x, y, z), (vy, mu(y), mu(z))))
+        for x, row in rows(pts):
+            for i, j in pairs:
+                vy = row[i]
+                if not same(vy, row[j]):
+                    continue
+                r = lt(mu0, vy)
+                if r is None:
+                    undecided += 1
+                    continue
+                if not r:
+                    continue
+                strong_violations += 1  # stronger reading concludes y = z
+                my, mz = mu(pts[i]), mu(pts[j])
+                c = _equal3(leq, my, mz)
+                if c is None:
+                    undecided += 1
+                elif not c:
+                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, my, mz)))
+        instances = n * len(pairs)
         details["strong_form_violations"] = strong_violations
 
     elif prop is FuzzyProp.FARCH:
-        values = {p: mu(p) for p in pts}
-        if len(set(values.values())) == 1:
-            return PropertyReport(prop.value, Verdict.VACUOUS, domain.to_json(),
-                                  budget=budget.to_json(),
-                                  tags=("VACUOUS-BY-CONSTANCY",),
-                                  details=details)
-        from .checker import _power_trajectory
+        cap = budget.n_max if budget else n + 1
         for x in interior:
-            traj, stationary = _power_trajectory(conn, x, budget.n_max)
+            traj, stationary = _power_trajectory(op, x, cap)
             for y in interior:
-                instances += 1
                 target = mu(y)
-                outcome = None
                 for _, value in traj:
-                    r = lt3(mu(value), target)
-                    if r is None:
-                        outcome = "undecided"
+                    r = lt(mu(value), target)
+                    if r is not False:
                         break
-                    if r:
-                        outcome = "found"
-                        break
-                if outcome == "undecided":
+                if r is None:
                     undecided += 1
-                elif outcome is None:
-                    if stationary is not None:
-                        witnesses.append(
-                            Witness((x, y), (stationary, mu(stationary), target)))
-                    else:
-                        inconclusive += 1
+                elif r:
+                    continue
+                elif stationary is None:
+                    inconclusive += 1
+                else:
+                    incomparable += any(apart(mu(v), target) for _, v in traj)
+                    witnesses.append(
+                        Witness((x, y), (stationary, mu(stationary), target)))
+        instances = len(interior) ** 2
         if inconclusive:
             details["inconclusive_pairs"] = inconclusive
 
     elif prop is FuzzyProp.FLIMIT:
-        mu0 = mu(ZERO)
+        mu0 = mu(bottom)
+        cap = budget.iter_cap if budget else n + 1
         for x in interior:
-            instances += 1
-            cur = x
-            prev = None
-            outcome = None
-            for _ in range(budget.iter_cap):
-                if prev is not None and eq3(cur, prev) is True:
-                    r = eq3(mu(cur), mu0)
-                    if r is None:
-                        outcome = "undecided"
-                    elif r:
-                        outcome = "converged"
-                    else:
-                        witnesses.append(Witness((x,), (cur, mu(cur), mu0)))
-                        outcome = "failed"
-                    break
-                prev = cur
-                cur = conn(cur, x)
-            if outcome is None:
-                # cap reached with the trajectory still moving: accept a
-                # final value within epsilon of the target (a budget
-                # rule, compared plainly), else give up
-                diff = mu(cur) - mu0
+            traj, stationary = _power_trajectory(op, x, cap)
+            if stationary is not None:
+                r = _equal3(leq, mu(stationary), mu0)
+                if r is None:
+                    undecided += 1
+                elif not r:
+                    witnesses.append(
+                        Witness((x,), (stationary, mu(stationary), mu0)))
+                continue
+            if budget:
+                # cap reached with the trajectory still moving: accept the
+                # next power within epsilon of the target (a budget rule,
+                # compared plainly), else give up
+                diff = mu(op(traj[-1][1], x)) - mu0
                 diff = -diff if diff < 0 else diff
                 eps = FLOAT_TOL if isinstance(diff, float) else budget.epsilon
                 if diff < eps:
-                    outcome = "converged"
-                else:
-                    inconclusive += 1
-            if outcome == "undecided":
-                undecided += 1
+                    continue
+            inconclusive += 1
+        instances = len(interior)
         if inconclusive:
             details["inconclusive_points"] = inconclusive
 
     else:  # pragma: no cover - exhaustive enum
         raise DomainError(f"unknown fuzzy property {prop}")
 
-    return conclude(prop.value, domain.to_json(), witnesses, undecided,
-                    inconclusive=inconclusive, instances=instances,
-                    budget=budget.to_json(), details=details)
+    if incomparable:
+        details["incomparable_outcomes"] = incomparable
+    return conclude(rid, dom, witnesses, undecided, inconclusive=inconclusive,
+                    instances=instances,
+                    budget=budget.to_json() if budget else None, details=details)
 
 
 def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,

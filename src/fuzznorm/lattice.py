@@ -18,6 +18,7 @@ from . import vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, TotalityError, UnboundedPosetError,
                      read_json_object)
+from .fuzzy import _fuzzy_property
 from .reports import PropertyReport, Verdict, Witness, combine, conclude
 
 
@@ -428,32 +429,15 @@ def check_lattice_fuzzy_subnorm(mu: LSubset, t: LatticeTNorm) -> PropertyReport:
                     instances=1, details={"mu": mu.name, "tnorm": t.name})
 
 
-def _lattice_powers(t: LatticeTNorm, x) -> tuple:
-    """x, x^2, ... to the fixpoint; finite lattices always reach one."""
-    seq = [x]
-    cur = x
-    for _ in range(len(t.lattice.elements) + 1):
-        nxt = t(cur, x)
-        if nxt == cur:
-            return tuple(seq), cur
-        seq.append(nxt)
-        cur = nxt
-    return tuple(seq), cur  # pragma: no cover - non-monotone tables only
-
-
 def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
                                  gate: bool = True) -> PropertyReport:
-    """Lattice renderings of the five fuzzified properties.
-
-    Order comparisons between membership values use the lattice order;
-    pairs the definition writes as y < z quantify over comparable pairs
-    only, and both the exclusions and incomparable outcomes are counted
-    in the report. Power sequences are decided by exact stationarity.
-    ``gate=False`` skips the t-subnorm precondition and evaluates the
-    bare quantified statement.
+    """Lattice renderings of the five fuzzified properties: the unit
+    layer's checks with the lattice order on points and membership
+    values. Incomparable pairs and outcomes are counted in the report;
+    power sequences are decided by exact stationarity. ``gate=False``
+    skips the t-subnorm precondition and evaluates the bare quantified
+    statement.
     """
-    from .fuzzy import FuzzyProp
-
     lat = t.lattice
     dom = lat.to_json()
     details = {"mu": mu.name, "tnorm": t.name}
@@ -463,84 +447,8 @@ def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
             return PropertyReport(f"lattice-{prop.value}", Verdict.VACUOUS, dom,
                                   witnesses=list(subnorm.witnesses),
                                   tags=("NOT_A_SUBNORM",), details=details)
-    elems = lat.elements
-    witnesses = []
-    instances = 0
-    excluded = 0
-    incomparable_outcomes = 0
-
-    comparable_pairs = []
-    for i, y in enumerate(elems):
-        for z in elems[i + 1:]:
-            if lat.lt(y, z):
-                comparable_pairs.append((y, z))
-            elif lat.lt(z, y):
-                comparable_pairs.append((z, y))
-            else:
-                excluded += 1
-
-    if prop is FuzzyProp.FSTRICT:
-        for x in lat.interior:
-            for y, z in comparable_pairs:
-                instances += 1
-                vy = mu(t(x, y))
-                vz = mu(t(x, z))
-                if not lat.lt(vz, vy):  # need mu(T(x,y)) > mu(T(x,z))
-                    if not lat.comparable(vy, vz):
-                        incomparable_outcomes += 1
-                    witnesses.append(Witness((x, y, z), (vy, vz)))
-        details["excluded_incomparable_pairs"] = excluded
-
-    elif prop is FuzzyProp.FCANCEL:
-        for x in elems:
-            if x == lat.bottom:
-                continue
-            for i, y in enumerate(elems):
-                for z in elems[i + 1:]:
-                    instances += 1
-                    vy = mu(t(x, y))
-                    if vy == mu(t(x, z)):
-                        witnesses.append(Witness((x, y, z), (vy,)))
-
-    elif prop is FuzzyProp.FCONDCANCEL:
-        mu0 = mu(lat.bottom)
-        for x in elems:
-            for i, y in enumerate(elems):
-                for z in elems[i + 1:]:
-                    instances += 1
-                    vy = mu(t(x, y))
-                    if vy != mu(t(x, z)) or not lat.lt(mu0, vy):
-                        continue
-                    if mu(y) != mu(z):
-                        witnesses.append(Witness((x, y, z), (vy, mu(y), mu(z))))
-
-    elif prop is FuzzyProp.FARCH:
-        for x in lat.interior:
-            seq, fix = _lattice_powers(t, x)
-            for y in lat.interior:
-                instances += 1
-                target = mu(y)
-                found = any(lat.lt(mu(v), target) for v in seq + (fix,))
-                if not found:
-                    if any(not lat.comparable(mu(v), target) for v in seq + (fix,)):
-                        incomparable_outcomes += 1
-                    witnesses.append(Witness((x, y), (fix, mu(fix), target)))
-
-    elif prop is FuzzyProp.FLIMIT:
-        mu0 = mu(lat.bottom)
-        for x in lat.interior:
-            instances += 1
-            _, fix = _lattice_powers(t, x)
-            if mu(fix) != mu0:
-                witnesses.append(Witness((x,), (fix, mu(fix), mu0)))
-
-    else:  # pragma: no cover
-        raise DomainError(f"unknown property {prop}")
-
-    if incomparable_outcomes:
-        details["incomparable_outcomes"] = incomparable_outcomes
-    return conclude(f"lattice-{prop.value}", dom, witnesses, 0,
-                    instances=instances, details=details)
+    return _fuzzy_property(lat, t, mu, lat.elements, lat.interior, lat.bottom,
+                           prop, None, f"lattice-{prop.value}", dom, details)
 
 
 # --- lattice-valued equalities and vague structure ---

@@ -11,7 +11,6 @@ as VACUOUS instead of guessing.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -104,8 +103,9 @@ def lt3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
 
 class UnitInterval:
     """[0, 1] as a degree order; ``FiniteLattice`` offers the same five
-    members. ``leq`` certifies (``None`` inside the float band), ``same``
-    matches premises within the tolerance, ``lt`` orders carrier points."""
+    members. ``leq`` and ``lt`` certify (``None`` inside the float band)
+    and order points and degrees alike; ``same`` matches premises within
+    the tolerance."""
 
     # int bounds compare equal to ZERO and ONE and keep Fraction.__eq__
     # on its int fast path in the pruning tests
@@ -113,7 +113,7 @@ class UnitInterval:
     top = 1
     leq = staticmethod(le3)
     same = staticmethod(eq_approx)
-    lt = staticmethod(operator.lt)
+    lt = staticmethod(lt3)
 
 
 UNIT_INTERVAL = UnitInterval()

@@ -114,13 +114,13 @@ def _chain_conns():
             FinitePoints(chain))
 
 
-def _subnorm_cases(cfg: SuiteConfig, conns, dom, claim):
-    """One case per operator and membership table on the domain: it holds
+def _subnorm_cases(conns, dom, mus, claim):
+    """One case per operator and membership map from mus(): it holds
     unless the map is a t-subnorm of the operator and claim(mu, conn, dom)
     fails. claim runs only on t-subnorms."""
     for conn in conns:
         carrier = CarrierMonoid.from_connective(conn, dom)
-        for mu in _table_sweep(cfg, dom.points):
+        for mu in mus():
             yield (f"{conn.name}|{mu.name}",
                    not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
                    or claim(mu, conn, dom))
@@ -137,7 +137,8 @@ def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
                                         gate=False).holds)
     universe = (f"{len(conns)} t-norm tables on the 4-chain x "
                 f"{len(cfg.alphabet) ** 4} membership tables")
-    return _count(row_id, universe, _subnorm_cases(cfg, conns, dom, claim))
+    return _count(row_id, universe, _subnorm_cases(
+        conns, dom, lambda: _table_sweep(cfg, dom.points), claim))
 
 
 def _row_prop36(cfg):
@@ -174,13 +175,10 @@ def _row_prop39(cfg):
                                         cfg.budget, gate=False).holds
     non_strict = (conn for conn in conns
                   if not check_strict_monotonicity(conn, dom).holds)
-    tables = _subnorm_cases(cfg, non_strict, dom, not_fstrict)
-    builtins = ((f"{conn.name}|{mu.name}",
-                 not check_fuzzy_submonoid(
-                     mu, CarrierMonoid.from_connective(conn, grid_dom),
-                     KIND_T_SUBNORM).holds
-                 or not_fstrict(mu, conn, grid_dom))
-                for conn in (T_M, T_L, T_D) for mu in _builtin_mu_forms())
+    tables = _subnorm_cases(non_strict, dom,
+                            lambda: _table_sweep(cfg, dom.points), not_fstrict)
+    builtins = _subnorm_cases((T_M, T_L, T_D), grid_dom, _builtin_mu_forms,
+                              not_fstrict)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")
     return _count("prop3.9", universe, itertools.chain(tables, builtins))
@@ -211,8 +209,8 @@ def _lattice_implication_row(cfg, row_id, first, second):
     tnorms = [t for lat in _small_lattices() for t in enumerate_lattice_tnorms(lat)]
     cases = ((f"{t.lattice.name}|{t.name}|{mu.name}",
               not check_lattice_fuzzy_subnorm(mu, t).holds
-              or not check_lattice_fuzzy_property(mu, t, first).holds
-              or check_lattice_fuzzy_property(mu, t, second).holds)
+              or not check_lattice_fuzzy_property(mu, t, first, gate=False).holds
+              or check_lattice_fuzzy_property(mu, t, second, gate=False).holds)
              for t in tnorms for mu in enumerate_lsubsets(t.lattice))
     universe = (f"{len(tnorms)} lattice t-norms on chains 2-4 and the diamond "
                 "x all lattice-valued membership maps")

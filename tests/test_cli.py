@@ -183,6 +183,16 @@ class TestLatticeCommands:
         assert run(["enumerate", "--lattice", "chain:400"]) == 2
         assert capsys.readouterr().err.startswith("skipped:")
 
+    def test_lattice_refuses_long_chain_before_building(self, monkeypatch,
+                                                        capsys):
+        from fuzznorm import lattice
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+        monkeypatch.setattr(lattice, "build_lattice", refuse)
+        assert run(["lattice", "--lattice", "chain:400", "--tnorm", "index:0"]) == 2
+        assert capsys.readouterr().err.startswith("skipped:")
+
     def test_tnorm_index_selection(self):
         assert run(["lattice", "--lattice", "chain:3", "--tnorm", "index:1",
                     "--mu", "one", "--props", "subnorm"]) == 0

@@ -53,15 +53,6 @@ def test_power_iterate_errors():
         power_iterate(anonymous, F(1, 2), 0)
 
 
-def test_power_iterate_value_object():
-    from fuzznorm.connectives import PowerIterate
-    assert PowerIterate(F(1, 2), 0).evaluate(T_P) == 1
-    assert PowerIterate(F(1, 2), 1).evaluate(T_P) == F(1, 2)
-    assert PowerIterate(F(1, 2), 3).evaluate(T_P) == F(1, 8)
-    with pytest.raises(DomainError):
-        PowerIterate(F(1, 2), -1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(grid_points, grid_points, st.integers(0, 4), st.integers(0, 4))
 def test_power_additivity(x, y, m, n):

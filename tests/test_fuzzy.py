@@ -18,7 +18,7 @@ from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                             check_fuzzy_submonoid, check_not_strictly_decreasing,
                             core_is_submonoid, extract_core, f_submonoid_kind,
                             refute_uninorm_existence, uninorm_family)
-from fuzznorm.reports import FinitePoints, GridDomain, Verdict
+from fuzznorm.reports import FinitePoints, GridDomain, SearchBudget, Verdict
 from fuzznorm.scalars import ZERO
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
                               enumerate_table_subsets, indicator_subset,
@@ -178,6 +178,16 @@ class TestFuzzyProperties:
         rep = check_fuzzy_property(MU_ID, T_L, FuzzyProp.FLIMIT, D10,
                                    gate=False)
         assert rep.holds
+
+    def test_flimit_budget_caps_the_stationarity_test(self):
+        # min is stationary from x^2 on, but a cap of 1 compares no two
+        # powers; the epsilon rule on x^2 = x cannot reach mu(0) = 1
+        rep = check_fuzzy_property(MU_COMPLEMENT, T_M, FuzzyProp.FLIMIT,
+                                   GridDomain(10),
+                                   SearchBudget(n_max=1, iter_cap=1), gate=False)
+        assert rep.verdict is Verdict.VACUOUS
+        assert "budget-exhausted" in rep.tags
+        assert rep.details["inconclusive_points"] == 9
 
     def test_ungated_evaluation_matches_definition(self):
         rep = check_fuzzy_property(MU_ID, T_P, FuzzyProp.FSTRICT, D10,

@@ -8,7 +8,7 @@ from fuzznorm import lattice as lattice_module
 from fuzznorm.errors import (BudgetExceededError, DomainError,
                              NotALatticeError, InputFormatError,
                              TotalityError, UnboundedPosetError)
-from fuzznorm.fuzzy import FuzzyProp
+from fuzznorm.fuzzy import FuzzyProp, check_fuzzy_property
 from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               chain_lattice,
                               check_lattice_fuzzy_property,
@@ -23,7 +23,8 @@ from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               lattice_from_json, lsubset_identity,
                               lsubset_table, lsubset_top, meet_tnorm,
                               restrict_tnorm)
-from fuzznorm.reports import Verdict
+from fuzznorm.reports import FinitePoints, Verdict
+from fuzznorm.subsets import enumerate_table_subsets, table_subset
 from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
 from fuzznorm.vague import (READINGS, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
@@ -321,21 +322,33 @@ def _vague_leaves(structures, strict_and_cancel):
             *strict_and_cancel]
 
 
+def _relabelled(report, point):
+    """(inputs, values) of each witness, lattice labels read as points."""
+    return [(tuple(point.get(x, x) for x in w.inputs),
+             tuple(point.get(x, x) for x in w.values)) for w in report.witnesses]
+
+
 class TestGridIsAChain:
     """uniform_chain(4) with a chain t-norm table is chain_lattice(4) with
     the same table, relabelled; both layers must agree on every report."""
 
+    lat = chain_lattice(4)
+    pts = uniform_chain(4)
+    point = dict(zip(lat.elements, pts))
+    label = dict(zip(pts, lat.elements))
+
+    def _tnorms(self):
+        """(table, its connective, the same table as a LatticeTNorm)."""
+        lat, point, label = self.lat, self.point, self.label
+        for table in enumerate_chain_tnorm_tables(self.pts):
+            yield table, table.as_connective(), LatticeTNorm(
+                lat, {(a, b): label[table(point[a], point[b])]
+                      for a in lat.elements for b in lat.elements})
+
     def test_vague_conditions_agree_across_layers(self):
-        lat = chain_lattice(4)
-        pts = uniform_chain(4)
-        point = dict(zip(lat.elements, pts))
-        label = dict(zip(pts, lat.elements))
-        tables = enumerate_chain_tnorm_tables(pts)
+        lat, pts, point = self.lat, self.pts, self.point
         lattice_tnorms = []
-        for table in tables:
-            conn = table.as_connective()
-            t = LatticeTNorm(lat, {(a, b): label[table(point[a], point[b])]
-                                   for a in lat.elements for b in lat.elements})
+        for table, conn, t in self._tnorms():
             lattice_tnorms.append(t)
             eq = crisp_equality(pts, conn)
             v = induce_vague_tnorm(eq, conn)
@@ -356,12 +369,45 @@ class TestGridIsAChain:
                 assert len(unit) == len(lattice) == 10
                 for u, l in zip(unit, lattice):
                     assert u.verdict is l.verdict, (table.name, u.property_id)
-                    relabelled = [(tuple(point.get(x, x) for x in w.inputs),
-                                   tuple(point.get(x, x) for x in w.values))
-                                  for w in l.witnesses]
-                    assert [(w.inputs, w.values) for w in u.witnesses] == relabelled
+                    assert ([(w.inputs, w.values) for w in u.witnesses]
+                            == _relabelled(l, point))
                 identity = lattice[6].details["identity"]
                 assert unit[6].details["identity"] == (
                     None if identity is None else str(point[identity]))
         assert ({tuple(sorted(t.table.items())) for t in lattice_tnorms}
                 == {tuple(sorted(t.table.items())) for t in enumerate_lattice_tnorms(lat)})
+
+    def test_fuzzy_properties_agree_across_layers(self):
+        lat, pts, point, label = self.lat, self.pts, self.point, self.label
+        dom = FinitePoints(pts)
+        names = ("mu", "operator", "tnorm")
+        for table, conn, t in self._tnorms():
+            for mu in enumerate_table_subsets(pts, pts):
+                lmu = lsubset_table(lat, {label[p]: label[mu(p)] for p in pts})
+                constant = len({mu(p) for p in pts}) == 1
+                for prop in FuzzyProp:
+                    if prop is FuzzyProp.FARCH and constant:
+                        continue
+                    u = check_fuzzy_property(mu, conn, prop, dom, gate=False)
+                    l = check_lattice_fuzzy_property(lmu, t, prop, gate=False)
+                    case = (table.name, mu.name, prop.value)
+                    assert u.verdict is l.verdict, case
+                    assert ([(w.inputs, w.values) for w in u.witnesses]
+                            == _relabelled(l, point)), case
+                    assert ({k: v for k, v in u.details.items() if k not in names}
+                            == {k: v for k, v in l.details.items()
+                                if k not in names}), case
+
+    def test_constant_map_archimedean_differs_by_layer(self):
+        # the unit layer refuses a constant map up front; the lattice layer
+        # evaluates it, and no value lies strictly below another
+        lat, pts, label = self.lat, self.pts, self.label
+        table, conn, t = next(self._tnorms())
+        mu = table_subset(dict.fromkeys(pts, pts[1]))
+        u = check_fuzzy_property(mu, conn, FuzzyProp.FARCH, FinitePoints(pts),
+                                 gate=False)
+        assert u.verdict is Verdict.VACUOUS
+        assert "VACUOUS-BY-CONSTANCY" in u.tags
+        lmu = lsubset_table(lat, dict.fromkeys(lat.elements, label[pts[1]]))
+        assert check_lattice_fuzzy_property(lmu, t, FuzzyProp.FARCH,
+                                            gate=False).fails
