@@ -39,8 +39,7 @@ from .vague import (READINGS, VagueTNorm, _crisp_fn, _linear_fn,
                     check_vague_cancellation, check_vague_commutativity,
                     check_vague_monoid, check_vague_strict_monotone,
                     equality_from_json, induce_vague_tnorm,
-                    make_fuzzy_equality, vague_table_from_json,
-                    validate_fuzzy_equality)
+                    make_fuzzy_equality, vague_table_from_json)
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -243,16 +242,13 @@ _VAGUE_CHECKS = ("equality", "vague-op", "monoid", "commutativity",
 
 def _resolve_equality(args, conn, pts):
     """Build the equality for a grid: a builtin form or an arity-2 table
-    file; returns (object, validation report)."""
+    file, with its validation report as ``report``."""
     builtin = {"crisp": _crisp_fn, "linear": _linear_fn}.get(args.equality)
     if builtin is not None:
-        eq = make_fuzzy_equality(args.equality, builtin, conn, pts,
-                                 require_valid=False)
-    else:
-        obj = read_json_object(args.equality)
-        eq = equality_from_json(obj, conn, path=args.equality,
-                                require_valid=False)
-    return eq, validate_fuzzy_equality(eq.fn, conn, eq.carrier)
+        return make_fuzzy_equality(args.equality, builtin, conn, pts,
+                                   require_valid=False)
+    return equality_from_json(read_json_object(args.equality), conn,
+                              path=args.equality, require_valid=False)
 
 
 def _cmd_vague(args) -> int:
@@ -269,15 +265,15 @@ def _cmd_vague(args) -> int:
     # the 7-tuple associativity loop gets its own, coarser default
     monoid_grid = args.grid if args.grid is not None else 4
     pair_pts = GridDomain(pair_grid).points
-    eq, eq_report = _resolve_equality(args, conn, pair_pts)
+    eq = _resolve_equality(args, conn, pair_pts)
     reports = []
     if "equality" in checks:
-        reports.append(eq_report)
+        reports.append(eq.report)
     needs_op = [c for c in checks if c != "equality"]
     if needs_op:
         if not eq.validated:
             if "equality" not in checks:
-                reports.append(eq_report)
+                reports.append(eq.report)
             return _emit_reports(args, {"equality": eq.label,
                                         "tnorm": conn.name}, reports)
         if args.mu_table:
@@ -294,7 +290,7 @@ def _cmd_vague(args) -> int:
                     reports.append(check_vague_monoid(v.base))
                 else:
                     monoid_pts = GridDomain(monoid_grid).points
-                    vm_eq, _ = _resolve_equality(args, conn, monoid_pts)
+                    vm_eq = _resolve_equality(args, conn, monoid_pts)
                     vm = induce_vague_tnorm(vm_eq, conn)
                     reports.append(check_vague_monoid(vm.base))
             elif check == "commutativity":

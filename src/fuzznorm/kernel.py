@@ -1,4 +1,4 @@
-"""Integer-indexed operator tables for the exhaustive loops.
+"""Integer-indexed operator tables and degree orders for the exhaustive loops.
 
 The cubic checks evaluate the same operator at the same grid pairs over
 and over, and every evaluation costs several ``Fraction`` constructions
@@ -14,19 +14,29 @@ of a finite point tuple and stores each result as a value id:
 - values the operator reaches off the grid (the outer call in
   associativity) get their row or column filled lazily, keyed by id.
 
-Only exact values (``Fraction`` or ``int``) get ids. A float would make
-id equality stricter than the tolerance comparisons of the reference
-path, so compilation returns ``None`` when a point or a compiled value
-is a float, and callers run the tolerance path unchanged. A float met
-later, in a lazily filled row, raises ``NotCompilable`` for the caller
-to do the same. Kernel state lives in the object a caller creates; there
-is no module-level cache.
+A ``DegreeOrder`` compiles the degree order of a vague operator the same
+way: carrier points and degrees share one id space, the conjunction is a
+table on ids filled as the loops reach new pairs, and the vague value
+cores in ``fuzznorm.vague`` run on it as they run on the unit interval.
+
+Only exact values (``Fraction`` or ``int``) get ids, and an id keeps the
+type it was first seen with, so ``vals[id]`` prints as the value it
+stands for. A float would make id equality stricter than the tolerance
+comparisons of the reference path, so compilation returns ``None`` when
+a point or a compiled value is a float (or an int where an equal
+``Fraction`` already has the id), and callers run the tolerance path
+unchanged. Such a value met later, in a lazily filled row or pair,
+raises ``NotCompilable`` for the caller to do the same. Kernel state
+lives in the object a caller creates; there is no module-level cache.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
+
+from .scalars import ONE, ZERO
 
 
 _EXACT = (Fraction, int)
@@ -52,6 +62,8 @@ class Interner:
         i = self.ids.setdefault(v, fresh)
         if i == fresh:
             self.vals.append(v)
+        elif type(self.vals[i]) is not type(v):  # 0 and Fraction(0) print apart
+            raise NotCompilable(f"{v!r} and {self.vals[i]!r} differ in type")
         return i
 
 
@@ -114,24 +126,56 @@ def compile_operator(fn: Callable, points: Sequence) -> Optional[Kernel]:
         return None
 
 
-class DegreeTable(Interner):
-    """Degree ids of a ternary map over a carrier.
+class DegreeOrder(Interner):
+    """A vague operator's degrees as a finite order on ids.
 
-    ``table[i][j][k]`` is the id of the degree at carrier indices
-    (i, j, k) and ``pos[i]`` the order rank of carrier point i.
+    Carrier points and degrees share one id space: carrier point ``i``
+    has id ``i`` (``points`` is ``range(len(carrier))``), and a degree
+    gets the next free id the first time it appears, also one the
+    conjunction only reaches inside a loop. ``deg`` is the degree map
+    keyed by carrier-id triples; ``t`` and ``eq`` are the conjunction and
+    the equality on ids, memoised per pair. ``bottom``, ``top``, ``leq``,
+    ``lt`` and ``same`` are the members every degree order has, so the
+    value cores run on it unchanged: ``leq`` and ``lt`` compare values
+    (memoised), ``same`` is id equality.
     """
 
-    def __init__(self, degrees, carrier: Sequence):
-        super().__init__()
-        self.pos = order_ranks(carrier)
-        self.table = [[[self.intern(degrees[(x, y, z)]) for z in carrier]
-                       for y in carrier] for x in carrier]
+    def __init__(self, degrees, carrier: Sequence, tnorm: Callable, eq: Callable):
+        super().__init__(carrier)
+        if len(self.vals) != len(carrier):
+            raise NotCompilable("repeated point")
+        self.points = range(len(carrier))
+        self.deg = {(i, j, k): self.intern(degrees[(x, y, z)])
+                    for i, x in enumerate(carrier) for j, y in enumerate(carrier)
+                    for k, z in enumerate(carrier)}
+        self.bottom = self.intern(ZERO)
+        self.top = self.intern(ONE)
+        vals, intern = self.vals, self.intern
+        self.t = _memoised(tnorm, vals, intern)
+        self.eq = _memoised(eq, vals, intern)
+        self.leq = _memoised(operator.le, vals, bool)
+        self.lt = _memoised(operator.lt, vals, bool)
+        self.same = operator.eq
 
 
-def compile_degrees(degrees, carrier: Sequence) -> Optional[DegreeTable]:
-    """Degree ids of the mapping ``degrees`` keyed by carrier triples,
-    or None when a carrier point or a degree is not exact."""
+def _memoised(fn: Callable, vals: list, result: Callable) -> Callable:
+    """fn on the values of two ids, computed once per pair of ids."""
+    memo = {}
+
+    def at(a, b):
+        r = memo.get((a, b))
+        if r is None:
+            r = memo[(a, b)] = result(fn(vals[a], vals[b]))
+        return r
+    return at
+
+
+def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
+                    eq: Callable) -> Optional[DegreeOrder]:
+    """The degree order of the mapping ``degrees`` keyed by carrier
+    triples, with conjunction ``tnorm`` and equality ``eq``, or None when
+    a carrier point or a degree is not exact."""
     try:
-        return DegreeTable(degrees, carrier)
+        return DegreeOrder(degrees, carrier, tnorm, eq)
     except NotCompilable:
         return None

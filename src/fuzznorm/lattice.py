@@ -41,9 +41,6 @@ class FiniteLattice:
     def same(self, a, b) -> bool:
         return a == b
 
-    def comparable(self, a, b) -> bool:
-        return (a, b) in self.leq_pairs or (b, a) in self.leq_pairs
-
     def meet(self, a, b):
         return self.meet_table[(a, b)]
 
@@ -157,18 +154,6 @@ def diamond_lattice() -> FiniteLattice:
     return build_lattice(["0", "a", "b", "1"],
                          [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
                          name="M2")
-
-
-def interval_lattice(lat: FiniteLattice, lo, hi) -> FiniteLattice:
-    """The sublattice of elements between lo and hi inclusive."""
-    if not lat.leq(lo, hi):
-        raise DomainError(f"{lo} is not below {hi}")
-    members = [x for x in lat.elements if lat.leq(lo, x) and lat.leq(x, hi)]
-    leq = frozenset((a, b) for a in members for b in members if lat.leq(a, b))
-    meet = {(a, b): lat.meet(a, b) for a in members for b in members}
-    join = {(a, b): lat.join(a, b) for a in members for b in members}
-    return FiniteLattice(tuple(members), leq, meet, join, lo, hi,
-                         name=f"{lat.name}[{lo},{hi}]")
 
 
 def lattice_from_json(obj: dict, *, path: Optional[str] = None) -> FiniteLattice:
@@ -357,20 +342,6 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
 
     walk(0, {})
     return results
-
-
-def restrict_tnorm(t: LatticeTNorm, sub: FiniteLattice) -> LatticeTNorm:
-    """Restriction to an interval sublattice; closure is verified first."""
-    members = set(sub.elements)
-    table = {}
-    for x in sub.elements:
-        for y in sub.elements:
-            v = t(x, y)
-            if v not in members:
-                raise DomainError(
-                    f"restriction is not closed: ({x}, {y}) maps to {v}")
-            table[(x, y)] = v
-    return LatticeTNorm(sub, table, name=f"{t.name}|{sub.name}")
 
 
 # --- lattice-valued membership maps ---

@@ -115,12 +115,12 @@ def _chain_conns():
 
 
 def _subnorm_cases(conns, dom, mus, claim):
-    """One case per operator and membership map from mus(): it holds
-    unless the map is a t-subnorm of the operator and claim(mu, conn, dom)
+    """One case per operator and membership map in mus: it holds unless
+    the map is a t-subnorm of the operator and claim(mu, conn, dom)
     fails. claim runs only on t-subnorms."""
     for conn in conns:
         carrier = CarrierMonoid.from_connective(conn, dom)
-        for mu in mus():
+        for mu in mus:
             yield (f"{conn.name}|{mu.name}",
                    not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
                    or claim(mu, conn, dom))
@@ -138,7 +138,7 @@ def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
     universe = (f"{len(conns)} t-norm tables on the 4-chain x "
                 f"{len(cfg.alphabet) ** 4} membership tables")
     return _count(row_id, universe, _subnorm_cases(
-        conns, dom, lambda: _table_sweep(cfg, dom.points), claim))
+        conns, dom, _table_sweep(cfg, dom.points), claim))
 
 
 def _row_prop36(cfg):
@@ -175,9 +175,9 @@ def _row_prop39(cfg):
                                         cfg.budget, gate=False).holds
     non_strict = (conn for conn in conns
                   if not check_strict_monotonicity(conn, dom).holds)
-    tables = _subnorm_cases(non_strict, dom,
-                            lambda: _table_sweep(cfg, dom.points), not_fstrict)
-    builtins = _subnorm_cases((T_M, T_L, T_D), grid_dom, _builtin_mu_forms,
+    tables = _subnorm_cases(non_strict, dom, _table_sweep(cfg, dom.points),
+                            not_fstrict)
+    builtins = _subnorm_cases((T_M, T_L, T_D), grid_dom, _builtin_mu_forms(),
                               not_fstrict)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")

@@ -8,14 +8,17 @@ operator value and z. All checks here quantify over full Cartesian
 powers of the carrier, so carriers are kept small and the tuple count
 is budget-guarded.
 
-Each condition is implemented once, over a degree order: the unit
-interval (``scalars.UNIT_INTERVAL``) for the checks here, a
-``FiniteLattice`` for the lattice-valued ones in ``fuzznorm.lattice``.
+Each condition is implemented once, over a degree order. The checks
+here run it on the operator's compiled degree order
+(``kernel.DegreeOrder``: points and exact degrees as ids), or on the
+unit interval (``scalars.UNIT_INTERVAL``) when a point or a degree is a
+float; the lattice-valued ones in ``fuzznorm.lattice`` run it on a
+``FiniteLattice``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import kernel
@@ -40,17 +43,25 @@ def _carrier_label(carrier) -> str:
 class TFuzzyEquality:
     """A degree-valued equality, kept callable rather than tabulated so
     induced operators can ask about values the carrier grid does not
-    contain (products under non-grid-closed operators)."""
+    contain (products under non-grid-closed operators). ``report`` is its
+    ``validate_fuzzy_equality`` report."""
 
     label: str
     carrier: tuple
     tnorm: Connective
     fn: Callable
-    validated: bool = False
-    separates_points: bool = False
+    report: PropertyReport = field(compare=False)
 
     def __call__(self, a, b) -> Scalar:
         return self.fn(a, b)
+
+    @property
+    def validated(self) -> bool:
+        return self.report.holds
+
+    @property
+    def separates_points(self) -> bool:
+        return bool(self.report.details.get("separates_points"))
 
     def to_json(self) -> dict:
         return {"kind": "fuzzy-equality", "label": self.label,
@@ -122,9 +133,7 @@ def make_fuzzy_equality(label: str, fn: Callable, tnorm: Connective,
     report = validate_fuzzy_equality(fn, tnorm, carrier)
     if require_valid and not report.holds:
         raise DomainError(f"{label} is not a fuzzy equality for {tnorm.name}")
-    separates = bool(report.details.get("separates_points"))
-    return TFuzzyEquality(label, carrier, tnorm, fn,
-                          validated=report.holds, separates_points=separates)
+    return TFuzzyEquality(label, carrier, tnorm, fn, report)
 
 
 def _crisp_fn(a, b):
@@ -284,6 +293,37 @@ def _tuple_budget(size: int, power: int, cap: int, what: str) -> None:
             f"budget allows {cap}", size_estimate=total)
 
 
+def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
+    """``run(order, t, deg, eq, carrier)`` on the compiled degree order of
+    ``op``, its ids turned back into values; on the unit interval, from
+    the start, when a point or a degree is not exact."""
+    order = kernel.compile_degrees(op.table, op.carrier, op.tnorm, op.equality.fn)
+    if order is not None:
+        try:
+            rep = run(order, order.t, order.deg, order.eq, order.points)
+        except kernel.NotCompilable:  # a float the loops reached
+            pass
+        else:
+            return _values_of(rep, order.vals)
+    return run(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn, op.carrier)
+
+
+def _values_of(rep: PropertyReport, vals: list) -> PropertyReport:
+    """The ids in ``rep``'s witnesses and its identity detail (which
+    ``_monoid`` formats) replaced by their values; a witness named by a
+    string, like ``("no-identity-element",)``, stays."""
+    witnesses = rep.witnesses
+    for i, w in enumerate(witnesses):  # in place: one copy of a long list
+        if not isinstance(w.inputs[0], str):
+            witnesses[i] = Witness(tuple([vals[x] for x in w.inputs]),
+                                   tuple([vals[x] for x in w.values]))
+    if rep.details.get("identity") is not None:
+        rep.details["identity"] = format_scalar(vals[int(rep.details["identity"])])
+    for child in rep.children:
+        _values_of(child, vals)
+    return rep
+
+
 def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     """V1-V3 for the degree map ``deg`` keyed by carrier triples, with
     equality ``eq`` and conjunction ``t`` on the degrees of ``order``."""
@@ -340,8 +380,8 @@ def check_vague_binary_op(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> Pro
     """The three defining conditions: extensionality through the
     equality, functionality of the result degree, and totality."""
     _tuple_budget(len(op.carrier), 6, max_tuples, "extensionality")
-    return _op_conditions(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn,
-                          op.carrier, "vague-binary-op", op.to_json())
+    return _on_degree_order(op, lambda *on: _op_conditions(
+        *on, "vague-binary-op", op.to_json()))
 
 
 def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
@@ -398,37 +438,7 @@ def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> Proper
                               + list(gate.children[2].witnesses),
                               tags=("NOT_VAGUE_OP",))
     _tuple_budget(len(op.carrier), 7, max_tuples, "the vague associativity loop")
-    return _monoid(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn,
-                   op.carrier, "vague-monoid", dom)
-
-
-def _commutativity_ids(v: VagueTNorm, degrees) -> PropertyReport:
-    """check_vague_commutativity on degree ids: the t-norm is evaluated
-    once per distinct pair of degrees and each comparison made once."""
-    carrier, t, vals, intern = v.carrier, v.tnorm, degrees.vals, degrees.intern
-    eq_ids = [[intern(v.equality(m, w)) for w in carrier] for m in carrier]
-    zero = degrees.ids.get(ZERO, -1)
-    meet, below = {}, {}
-    witnesses = []
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            at_ab, at_ba = degrees.table[i][j], degrees.table[j][i]
-            for k, m in enumerate(carrier):
-                f1 = at_ab[k]
-                if f1 == zero:
-                    continue
-                for l, w in enumerate(carrier):
-                    key = (f1, at_ba[l])
-                    lhs = meet.get(key)
-                    if lhs is None:
-                        lhs = meet[key] = intern(t(vals[f1], vals[at_ba[l]]))
-                    e = eq_ids[k][l]
-                    ok = below.get((lhs, e))
-                    if ok is None:
-                        ok = below[(lhs, e)] = vals[lhs] <= vals[e]
-                    if not ok:
-                        witnesses.append(Witness((a, b, m, w), (vals[lhs], vals[e])))
-    return conclude("vague-commutativity", v.to_json(), witnesses, 0, instances=1)
+    return _on_degree_order(op, lambda *on: _monoid(*on, "vague-monoid", dom))
 
 
 def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
@@ -453,14 +463,8 @@ def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
 def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
     """T(degree(a,b,m), degree(b,a,w)) never exceeds the equality of m
     and w."""
-    degrees = kernel.compile_degrees(v.base.table, v.carrier)
-    if degrees is not None:
-        try:
-            return _commutativity_ids(v, degrees)
-        except kernel.NotCompilable:  # a float equality or t-norm value
-            pass
-    return _commutativity(UNIT_INTERVAL, v.tnorm, v.base.table, v.equality.fn,
-                          v.carrier, "vague-commutativity", v.to_json())
+    return _on_degree_order(v.base, lambda *on: _commutativity(
+        *on, "vague-commutativity", v.to_json()))
 
 
 def _check_reading(reading: str) -> None:
@@ -468,14 +472,16 @@ def _check_reading(reading: str) -> None:
         raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
 
 
-def _degrees_match(order, da, db, reading: str) -> bool:
+def _degrees_match(order, reading: str) -> Callable:
+    """The premise test on two degrees under ``reading``."""
+    same, top = order.same, order.top
     if reading == "crisp":
-        return order.same(da, order.top) and order.same(db, order.top)
-    return order.same(da, db)
+        return lambda da, db: same(da, top) and same(db, top)
+    return same
 
 
 def _strict_monotone(order, deg, carrier, reading, rid, dom) -> PropertyReport:
-    lt = order.lt
+    lt, match = order.lt, _degrees_match(order, reading)
     witnesses = []
     instances = 0
     for x in carrier:
@@ -487,7 +493,7 @@ def _strict_monotone(order, deg, carrier, reading, rid, dom) -> PropertyReport:
                     da = deg[(x, z, a)]
                     for b in carrier:
                         db = deg[(y, z, b)]
-                        if not _degrees_match(order, da, db, reading):
+                        if not match(da, db):
                             continue
                         instances += 1
                         if not lt(a, b):
@@ -501,39 +507,12 @@ def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree") -> P
     a < b. The premise reading (any common degree, or degree 1 only) is
     configurable and recorded in the report."""
     _check_reading(reading)
-    carrier = v.carrier
-    degrees = kernel.compile_degrees(v.base.table, carrier)
-    if degrees is None:
-        return _strict_monotone(UNIT_INTERVAL, v.base.table, carrier, reading,
-                                "vague-strict-monotonicity", v.to_json())
-    # any-degree matches equal ids; crisp also needs that id to be 1
-    crisp = reading == "crisp"
-    one = degrees.ids.get(ONE, -1)
-    table, vals, pos = degrees.table, degrees.vals, degrees.pos
-    witnesses = []
-    instances = 0
-    for i, x in enumerate(carrier):
-        for j, y in enumerate(carrier):
-            if not pos[i] < pos[j]:
-                continue
-            for k, z in enumerate(carrier):
-                at_x, at_y = table[i][k], table[j][k]
-                for p, a in enumerate(carrier):
-                    da = at_x[p]
-                    if crisp and da != one:
-                        continue
-                    for q, db in enumerate(at_y):
-                        if db != da:
-                            continue
-                        instances += 1
-                        if not pos[p] < pos[q]:
-                            witnesses.append(Witness((x, y, z, a, carrier[q]),
-                                                     (vals[da], vals[db])))
-    return conclude("vague-strict-monotonicity", v.to_json(), witnesses, 0,
-                    instances=instances, details={"reading": reading})
+    return _on_degree_order(v.base, lambda order, t, deg, eq, pts: _strict_monotone(
+        order, deg, pts, reading, "vague-strict-monotonicity", v.to_json()))
 
 
 def _cancellation(order, deg, carrier, reading, rid, dom) -> PropertyReport:
+    match = _degrees_match(order, reading)
     witnesses = []
     instances = 0
     for a in carrier:
@@ -541,7 +520,7 @@ def _cancellation(order, deg, carrier, reading, rid, dom) -> PropertyReport:
             for x in carrier:
                 for c in carrier:
                     da, db = deg[(a, x, c)], deg[(b, x, c)]
-                    if not _degrees_match(order, da, db, reading):
+                    if not match(da, db):
                         continue
                     instances += 1
                     if a != b:
@@ -553,29 +532,8 @@ def _cancellation(order, deg, carrier, reading, rid, dom) -> PropertyReport:
 def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
     """Matching degrees at (a,x,c) and (b,x,c) must force a = b."""
     _check_reading(reading)
-    carrier = v.carrier
-    degrees = kernel.compile_degrees(v.base.table, carrier)
-    if degrees is None:
-        return _cancellation(UNIT_INTERVAL, v.base.table, carrier, reading,
-                             "vague-cancellation", v.to_json())
-    crisp = reading == "crisp"
-    one = degrees.ids.get(ONE, -1)
-    table, vals, pos = degrees.table, degrees.vals, degrees.pos
-    witnesses = []
-    instances = 0
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            for k, x in enumerate(carrier):
-                at_a, at_b = table[i][k], table[j][k]
-                for q, c in enumerate(carrier):
-                    da = at_a[q]
-                    if at_b[q] != da or (crisp and da != one):
-                        continue
-                    instances += 1
-                    if pos[i] != pos[j]:
-                        witnesses.append(Witness((a, b, x, c), (vals[da], vals[da])))
-    return conclude("vague-cancellation", v.to_json(), witnesses, 0,
-                    instances=instances, details={"reading": reading})
+    return _on_degree_order(v.base, lambda order, t, deg, eq, pts: _cancellation(
+        order, deg, pts, reading, "vague-cancellation", v.to_json()))
 
 
 # --- vague groups over finite carriers ---

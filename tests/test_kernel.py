@@ -21,8 +21,11 @@ from fuzznorm.reports import FinitePoints, GridDomain, dumps
 from fuzznorm.subsets import enumerate_table_subsets
 from fuzznorm.suite import SuiteConfig, _refutation_family, _vague_corpus
 from fuzznorm.tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
-from fuzznorm.vague import (READINGS, check_vague_cancellation, check_vague_commutativity,
-                            check_vague_strict_monotone)
+from fuzznorm.vague import (READINGS, VagueTNorm, check_vague_binary_op,
+                            check_vague_cancellation, check_vague_commutativity,
+                            check_vague_monoid, check_vague_strict_monotone,
+                            crisp_equality, induce_vague_tnorm, linear_equality,
+                            make_fuzzy_equality, vague_table_from_json)
 
 F = Fraction
 HALF = F(1, 2)
@@ -31,7 +34,7 @@ GRIDS = range(3, 13)
 
 def _no_kernel(monkeypatch):
     monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
-    monkeypatch.setattr(kernel, "compile_degrees", lambda degrees, carrier: None)
+    monkeypatch.setattr(kernel, "compile_degrees", lambda *args: None)
 
 
 def _both_paths(monkeypatch, render, *args):
@@ -45,8 +48,9 @@ def _both_paths(monkeypatch, render, *args):
 
 def _operators():
     """Builtins, both duals, nullnorms on product/probsum and on
-    Lukasiewicz (on and off the grids), and operators whose axioms fail
-    or whose identity and absorber are left for the check to find."""
+    Lukasiewicz (on and off the grids), operators whose axioms fail or
+    whose identity and absorber are left for the check to find, and one
+    that returns an int and a Fraction for the same value."""
     ops = list(BUILTIN_TNORMS + BUILTIN_TCONORMS)
     ops += [dualize(c) for c in BUILTIN_TNORMS + BUILTIN_TCONORMS]
     for k in (HALF, F(1, 3)):
@@ -60,6 +64,9 @@ def _operators():
         Connective("tnorm:mean", Role.TNORM, lambda x, y: (x + y) / 2, identity=F(1)),
         Connective("tnorm:square-product", Role.TNORM, lambda x, y: x * x * y,
                    identity=F(1)),
+        # the int 0 below the diagonal and Fraction(0) on it print apart
+        Connective("tnorm:lukasiewicz-int-zero", Role.TNORM,
+                   lambda x, y: max(x + y - 1, 0), identity=F(1)),
     ]
     return ops
 
@@ -129,20 +136,81 @@ def test_carrier_closure_matches_reference(monkeypatch):
     assert fast == reference
 
 
+def _vague_reports(v):
+    reports = [check_vague_binary_op(v.base), check_vague_monoid(v.base),
+               check_vague_commutativity(v)]
+    for reading in READINGS:
+        reports += [check_vague_strict_monotone(v, reading),
+                    check_vague_cancellation(v, reading)]
+    return "".join(dumps(r) for r in reports)
+
+
 @pytest.mark.parametrize("grid", [3, 4, 6])
 def test_vague_checks_match_reference(monkeypatch, grid):
-    def vague_reports(v):
-        reports = [check_vague_commutativity(v)]
-        for reading in READINGS:
-            reports += [check_vague_strict_monotone(v, reading),
-                        check_vague_cancellation(v, reading)]
-        return "".join(dumps(r) for r in reports)
-
     corpus = _vague_corpus(SuiteConfig(grid=grid))
-    fast, reference = _both_paths(monkeypatch, vague_reports,
+    fast, reference = _both_paths(monkeypatch, _vague_reports,
                                   *[(v,) for v in corpus])
     assert fast == reference
     assert any('"FAILS"' in r for r in fast)
+
+
+@pytest.mark.parametrize("reading", READINGS)
+def test_strict_on_a_descending_carrier_matches_reference(monkeypatch, reading):
+    # lt orders the points by value, so listing the carrier downwards
+    # changes neither path's verdict nor its witnesses
+    def strict(v):
+        return dumps(check_vague_strict_monotone(v, reading))
+
+    descending = [induce_vague_tnorm(make_fuzzy_equality(
+        v.equality.label, v.equality.fn, v.tnorm, v.carrier[::-1]), v.underlying)
+        for v in _vague_corpus(SuiteConfig(grid=6))]
+    fast, reference = _both_paths(monkeypatch, strict, *[(v,) for v in descending])
+    assert fast == reference
+    assert any('"FAILS"' in r for r in fast)
+
+
+def _table_json(carrier, degree):
+    return {"form": "table", "entries": [
+        [str(x), str(y), str(z), str(degree(x, y, z))]
+        for x in carrier for y in carrier for z in carrier]}
+
+
+def test_vague_tables_from_json_match_reference(monkeypatch):
+    pts = GridDomain(3).points
+    linear, crisp = linear_equality(pts, T_L), crisp_equality(pts, T_L)
+    # the Lukasiewicz degrees, flipped where x + y + z is whole: V1 and V2 fail
+    flipped = _table_json(pts, lambda x, y, z: (
+        1 - linear(T_L(x, y), z) if (x + y + z).denominator == 1
+        else linear(T_L(x, y), z)))
+    # everything is 0: a vague operation without an identity element
+    zero = _table_json(pts, lambda x, y, z: F(int(z == 0)))
+    ops = [VagueTNorm(vague_table_from_json(flipped, linear), T_L),
+           VagueTNorm(vague_table_from_json(zero, crisp), T_L)]
+    fast, reference = _both_paths(monkeypatch, _vague_reports, *[(v,) for v in ops])
+    assert fast == reference
+    assert '"V1:extensionality"' in fast[0] and '"NOT_VAGUE_OP"' in fast[0]
+    assert '"no-identity-element"' in fast[1] and '"identity": null' in fast[1]
+
+
+def test_float_in_the_vague_loops_takes_the_tolerance_path(monkeypatch):
+    # exact on the grid's degrees, so the degree order compiles; the
+    # product puts degrees like 15/16 in the table, and the loops meet a
+    # float where the conjunction first takes one
+    pts = GridDomain(4).points
+
+    def fn(x, y):
+        if all(isinstance(a, F) and a.denominator <= 4 for a in (x, y)):
+            return T_L(x, y)
+        return float(T_L(x, y))
+
+    conj = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
+    v = induce_vague_tnorm(linear_equality(pts, conj), T_P)
+    order = kernel.compile_degrees(v.base.table, v.carrier, conj, v.equality.fn)
+    off_grid = next(d for d in order.deg.values() if order.vals[d].denominator > 4)
+    with pytest.raises(kernel.NotCompilable):
+        order.t(off_grid, order.top)
+    fast, reference = _both_paths(monkeypatch, _vague_reports, (v,))
+    assert fast == reference
 
 
 def test_float_operator_takes_the_tolerance_path():

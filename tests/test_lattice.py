@@ -19,10 +19,9 @@ from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               check_lattice_vague_structures, diamond_lattice,
                               enumerate_lattice_equalities,
                               enumerate_lattice_tnorms, induce_lattice_vague_tnorm,
-                              interval_lattice, lattice_crisp_equality,
-                              lattice_from_json, lsubset_identity,
-                              lsubset_table, lsubset_top, meet_tnorm,
-                              restrict_tnorm)
+                              lattice_crisp_equality, lattice_from_json,
+                              lsubset_identity, lsubset_table, lsubset_top,
+                              meet_tnorm)
 from fuzznorm.reports import FinitePoints, Verdict
 from fuzznorm.subsets import enumerate_table_subsets, table_subset
 from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
@@ -38,7 +37,7 @@ class TestConstruction:
         d = diamond_lattice()
         assert d.meet("a", "b") == "0"
         assert d.join("a", "b") == "1"
-        assert not d.comparable("a", "b")
+        assert not d.leq("a", "b") and not d.leq("b", "a")
         assert d.bottom == "0" and d.top == "1"
 
     def test_chain_meets_are_minima(self):
@@ -99,21 +98,6 @@ class TestLatticeTNormCheck:
         table[("a", "b")] = "a"  # leave (b, a) at 0
         rep = check_lattice_tnorm(table, d)
         assert rep.child("L3:commutativity").verdict is Verdict.FAILS
-
-    def test_restriction_of_meet_passes_on_interval(self):
-        c = chain_lattice(5)
-        sub = interval_lattice(c, "m1", "1")
-        assert sub.bottom == "m1" and sub.top == "1"
-        restricted = restrict_tnorm(meet_tnorm(c), sub)
-        assert check_lattice_tnorm(restricted, sub).verdict is Verdict.HOLDS
-
-    def test_non_closed_restriction_rejected(self):
-        c3 = chain_lattice(3)
-        drop = [t for t in enumerate_lattice_tnorms(c3)
-                if t.table[("m", "m")] == "0"][0]
-        sub = interval_lattice(c3, "m", "1")
-        with pytest.raises(DomainError):
-            restrict_tnorm(drop, sub)
 
 
 def brute_force_lattice_tnorms(lat: FiniteLattice):
