@@ -5,10 +5,17 @@ are domain-qualified; a FAILS report always carries witnesses that
 re-evaluate to violations of the defining inequality. Strict
 comparisons in float mode can be undecidable within tolerance, in
 which case the affected instances are reported VACUOUS.
+
+The five fuzzified properties (strict monotonicity, plain and
+conditional cancellation, Archimedean, limit) are implemented once,
+over a degree order: the unit interval or a finite lattice. The crisp
+properties are that implementation on the unit interval at a fixed
+membership map, reported in the crisp shape.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Optional
 
 from . import kernel
@@ -16,8 +23,9 @@ from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
                       Witness, combine, conclude)
-from .scalars import (FLOAT_TOL, ONE, ZERO, eq3, eq_approx, format_scalar,
-                      le3, lt3)
+from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, _equal3, eq3,
+                      eq_approx, format_scalar, le3)
+from .subsets import MU_COMPLEMENT, MU_ID
 
 
 def _check_eq_binary(conn, pairs, property_id, domain):
@@ -273,87 +281,12 @@ def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
                    details={"operator": conn.name})
 
 
-def _require_tnorm(conn: Connective) -> None:
-    if conn.role is not Role.TNORM:
-        raise DomainError(f"expected a t-norm, got {conn.name} ({conn.role.value})")
-
-
-def check_strict_monotonicity(conn: Connective, domain) -> PropertyReport:
-    """Strict increase in the second argument for every positive first
-    argument: T(x, y) < T(x, z) whenever x > 0 and y < z."""
-    _require_tnorm(conn)
-    pts = domain.points
-    witnesses, undecided = [], 0
-    instances = 0
-    kern = kernel.compile_operator(conn, pts)
-    for a, x in enumerate(pts):
-        if x == 0:
-            continue
-        if kern is not None:
-            instances += len(pts) * (len(pts) - 1) // 2
-            row, vals, rank = kern.table[a], kern.vals, kern.rank
-            for b, y in enumerate(pts):
-                vy = rank[row[b]]
-                for c in range(b + 1, len(pts)):
-                    if not vy < rank[row[c]]:
-                        witnesses.append(Witness((x, y, pts[c]),
-                                                 (vals[row[b]], vals[row[c]])))
-            continue
-        for i, y in enumerate(pts):
-            vy = conn(x, y)
-            for z in pts[i + 1:]:
-                instances += 1
-                vz = conn(x, z)
-                r = lt3(vy, vz)
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((x, y, z), (vy, vz)))
-    return conclude("strict-monotonicity", domain.to_json(), witnesses, undecided,
-                    instances=instances, details={"operator": conn.name})
-
-
-def check_cancellation(conn: Connective, domain, conditional: bool = False) -> PropertyReport:
-    """Cancellation law, plain or conditional.
-
-    Plain: T(x, y) = T(x, z) forces x = 0 or y = z. Conditional: the
-    same equation with a positive common value forces y = z.
-    """
-    _require_tnorm(conn)
-    pts = domain.points
-    witnesses, undecided = [], 0
-    instances = 0
-    kern = kernel.compile_operator(conn, pts)
-    for a, x in enumerate(pts):
-        if not conditional and x == 0:
-            continue
-        if kern is not None:
-            instances += len(pts) * (len(pts) - 1) // 2
-            row, vals = kern.table[a], kern.vals
-            for b, y in enumerate(pts):
-                vy = row[b]
-                for c in range(b + 1, len(pts)):
-                    if row[c] == vy and (not conditional or ZERO < vals[vy]):
-                        witnesses.append(Witness((x, y, pts[c]), (vals[vy], vals[vy])))
-            continue
-        for i, y in enumerate(pts):
-            vy = conn(x, y)
-            for z in pts[i + 1:]:
-                instances += 1
-                vz = conn(x, z)
-                if not eq_approx(vy, vz):
-                    continue
-                if conditional:
-                    r = lt3(ZERO, vy)
-                    if r is None:
-                        undecided += 1
-                    elif r:
-                        witnesses.append(Witness((x, y, z), (vy, vz)))
-                else:
-                    witnesses.append(Witness((x, y, z), (vy, vz)))
-    prop = "conditional-cancellation" if conditional else "cancellation"
-    return conclude(prop, domain.to_json(), witnesses, undecided,
-                    instances=instances, details={"operator": conn.name})
+class FuzzyProp(Enum):
+    FSTRICT = "fuzzy-strict-monotonicity"
+    FCANCEL = "fuzzy-cancellation"
+    FCONDCANCEL = "fuzzy-conditional-cancellation"
+    FARCH = "fuzzy-archimedean"
+    FLIMIT = "fuzzy-limit-property"
 
 
 def _power_trajectory(conn, x, cap):
@@ -378,6 +311,211 @@ def _power_trajectory(conn, x, cap):
     return traj, stationary
 
 
+def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
+                    dom, details) -> PropertyReport:
+    """The five properties over a degree order (``scalars.UNIT_INTERVAL``
+    or a ``FiniteLattice``) that orders points and degrees alike.
+
+    ``xs`` ranges the first argument of strict monotonicity and of the
+    power searches. Strict monotonicity quantifies over the pairs y < z
+    of the order and counts the incomparable ones it excludes; it runs
+    in the reversed direction, the only direction the closure inequality
+    leaves open. Power searches stop at an exact fixpoint, which decides
+    the point. ``budget`` caps them, and a budgeted search reports how
+    far it went (``max_witness_n``, ``convergence``); without one (a
+    finite lattice) the cap is one more than the number of points, which
+    every strictly decreasing chain of powers reaches, and the report
+    carries no budget.
+    """
+    lt, leq, same = order.lt, order.leq, order.same
+    witnesses, undecided, inconclusive, incomparable = [], 0, 0, 0
+    details = dict(details)
+
+    def apart(a, b):
+        return leq(a, b) is False and leq(b, a) is False
+
+    def rows(firsts):
+        # mu(x o p) for every point p, once per x
+        return ((x, [mu(op(x, p)) for p in pts]) for x in firsts)
+
+    n = len(pts)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if prop is FuzzyProp.FSTRICT:
+        ordered = []
+        for i, j in pairs:
+            if lt(pts[i], pts[j]):
+                ordered.append((i, j))
+            elif lt(pts[j], pts[i]):
+                ordered.append((j, i))
+        for x, row in rows(xs):
+            for i, j in ordered:
+                vy, vz = row[i], row[j]
+                r = lt(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
+                if r is None:
+                    undecided += 1
+                elif not r:
+                    incomparable += apart(vy, vz)
+                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, vz)))
+        instances = len(xs) * len(ordered)
+        details["excluded_incomparable_pairs"] = len(pairs) - len(ordered)
+
+    elif prop is FuzzyProp.FCANCEL:
+        raised = [x for x in pts if x != bottom]
+        for x, row in rows(raised):
+            for i, j in pairs:
+                if same(row[i], row[j]):
+                    witnesses.append(Witness((x, pts[i], pts[j]),
+                                             (row[i], row[j])))
+        instances = len(raised) * len(pairs)
+
+    elif prop is FuzzyProp.FCONDCANCEL:
+        mu0 = mu(bottom)
+        strong_violations = 0
+        for x, row in rows(pts):
+            for i, j in pairs:
+                vy = row[i]
+                if not same(vy, row[j]):
+                    continue
+                r = lt(mu0, vy)
+                if r is None:
+                    undecided += 1
+                    continue
+                if not r:
+                    continue
+                strong_violations += 1  # stronger reading concludes y = z
+                my, mz = mu(pts[i]), mu(pts[j])
+                c = _equal3(leq, my, mz)
+                if c is None:
+                    undecided += 1
+                elif not c:
+                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, my, mz)))
+        instances = n * len(pairs)
+        details["strong_form_violations"] = strong_violations
+
+    elif prop is FuzzyProp.FARCH:
+        cap = budget.n_max if budget else n + 1
+        max_witness_n = 0
+        for x in xs:
+            traj, stationary = _power_trajectory(op, x, cap)
+            for y in xs:
+                target = mu(y)
+                for k, value in traj:
+                    r = lt(mu(value), target)
+                    if r is not False:
+                        break
+                if r is None:
+                    undecided += 1
+                elif r:
+                    max_witness_n = max(max_witness_n, k)
+                elif stationary is None:
+                    inconclusive += 1
+                else:
+                    incomparable += any(apart(mu(v), target) for _, v in traj)
+                    witnesses.append(
+                        Witness((x, y), (stationary, mu(stationary), target)))
+        instances = len(xs) ** 2
+        if budget and max_witness_n:
+            details["max_witness_n"] = max_witness_n
+        if inconclusive:
+            details["inconclusive_pairs"] = inconclusive
+
+    elif prop is FuzzyProp.FLIMIT:
+        mu0 = mu(bottom)
+        cap = budget.iter_cap if budget else n + 1
+        convergence = {}
+
+        def near(v):
+            # within epsilon of the target: a budget rule, compared
+            # plainly; a float value is compared at the float tolerance
+            diff = abs(mu(v) - mu0)
+            return diff < (FLOAT_TOL if isinstance(diff, float) else budget.epsilon)
+
+        for x in xs:
+            traj, stationary = _power_trajectory(op, x, cap)
+            if stationary is not None:
+                r = _equal3(leq, mu(stationary), mu0)
+                if r is None:
+                    undecided += 1
+                elif not r:
+                    witnesses.append(
+                        Witness((x,), (stationary, mu(stationary), mu0)))
+                if not r:
+                    continue
+            elif budget:
+                # cap reached with the trajectory still moving: accept the
+                # next power within epsilon of the target, else give up
+                traj.append((cap + 1, op(traj[-1][1], x)))
+                if not near(traj[-1][1]):
+                    inconclusive += 1
+                    continue
+            else:
+                inconclusive += 1
+                continue
+            if budget:
+                # the first walked power within epsilon; a decided point has one
+                convergence[format_scalar(x)] = next(k for k, v in traj if near(v))
+        instances = len(xs)
+        if budget:
+            details["convergence"] = convergence
+        if inconclusive:
+            details["inconclusive_points"] = inconclusive
+
+    else:  # pragma: no cover - exhaustive enum
+        raise DomainError(f"unknown fuzzy property {prop}")
+
+    if incomparable:
+        details["incomparable_outcomes"] = incomparable
+    return conclude(rid, dom, witnesses, undecided, inconclusive=inconclusive,
+                    instances=instances,
+                    budget=budget.to_json() if budget else None, details=details)
+
+
+def _crisp(conn: Connective, domain, prop: FuzzyProp, mu, rid: str,
+           budget: Optional[SearchBudget] = None) -> PropertyReport:
+    """``prop`` at the fixed map ``mu`` on the unit interval, in the crisp
+    report shape: a pair witness carries the operator's values at (x, y)
+    and (x, z), a power witness its stationary power alone."""
+    if conn.role is not Role.TNORM:
+        raise DomainError(f"expected a t-norm, got {conn.name} ({conn.role.value})")
+    # crisp strict monotonicity quantifies x = 1 too
+    xs = domain.points[1:] if prop is FuzzyProp.FSTRICT else domain.interior
+    rep = _fuzzy_property(UNIT_INTERVAL, conn, mu, domain.points, xs, ZERO,
+                          prop, budget, rid, domain.to_json(),
+                          {"operator": conn.name})
+    rep.details.pop("excluded_incomparable_pairs", None)
+    rep.details.pop("strong_form_violations", None)
+    for i, w in enumerate(rep.witnesses):
+        if budget:
+            values = w.values[:1]
+        else:
+            x, y, z = w.inputs
+            values = (conn(x, y), conn(x, z))
+        rep.witnesses[i] = Witness(w.inputs, values)
+    return rep
+
+
+def check_strict_monotonicity(conn: Connective, domain) -> PropertyReport:
+    """Strict increase in the second argument for every positive first
+    argument: T(x, y) < T(x, z) whenever x > 0 and y < z. This is fuzzy
+    strict monotonicity, stated in the reversed direction, at the
+    complement map."""
+    return _crisp(conn, domain, FuzzyProp.FSTRICT, MU_COMPLEMENT,
+                  "strict-monotonicity")
+
+
+def check_cancellation(conn: Connective, domain, conditional: bool = False) -> PropertyReport:
+    """Cancellation law, plain or conditional: the fuzzy laws at the
+    identity map.
+
+    Plain: T(x, y) = T(x, z) forces x = 0 or y = z. Conditional: the
+    same equation with a positive common value forces y = z.
+    """
+    if conditional:
+        return _crisp(conn, domain, FuzzyProp.FCONDCANCEL, MU_ID,
+                      "conditional-cancellation")
+    return _crisp(conn, domain, FuzzyProp.FCANCEL, MU_ID, "cancellation")
+
+
 def check_archimedean(conn: Connective, domain, budget: Optional[SearchBudget] = None) -> PropertyReport:
     """Existential power search: for interior x, y some power of x must
     drop strictly below y within the budget.
@@ -386,84 +524,21 @@ def check_archimedean(conn: Connective, domain, budget: Optional[SearchBudget] =
     provably fails; a pair still strictly decreasing at the cap is
     inconclusive.
     """
-    _require_tnorm(conn)
-    budget = budget or SearchBudget()
-    interior = domain.interior
-    witnesses, undecided = [], 0
-    inconclusive = 0
-    max_witness_n = 0
-    for x in interior:
-        # trajectory is independent of y; walk it once per x
-        traj, stationary_at = _power_trajectory(conn, x, budget.n_max)
-        for y in interior:
-            target = y
-            found = None
-            for n, value in traj:
-                r = lt3(value, target)
-                if r is None:
-                    undecided += 1
-                    found = "undecided"
-                    break
-                if r:
-                    found = n
-                    break
-            if found == "undecided":
-                continue
-            if found is not None:
-                max_witness_n = max(max_witness_n, found)
-                continue
-            if stationary_at is not None:
-                witnesses.append(Witness((x, y), (stationary_at,)))
-            else:
-                inconclusive += 1
-    details = {"operator": conn.name}
-    if max_witness_n:
-        details["max_witness_n"] = max_witness_n
-    if inconclusive:
-        details["inconclusive_pairs"] = inconclusive
-    return conclude("archimedean", domain.to_json(), witnesses, undecided,
-                    inconclusive=inconclusive, instances=len(interior) ** 2,
-                    budget=budget.to_json(), details=details)
+    return _crisp(conn, domain, FuzzyProp.FARCH, MU_ID, "archimedean",
+                  budget or SearchBudget())
 
 
 def check_limit_property(conn: Connective, domain, budget: Optional[SearchBudget] = None) -> PropertyReport:
     """Power trajectories of interior points must approach 0.
 
-    Convergence is declared on exact zero or on dropping strictly below
-    epsilon; an exactly stationary positive trajectory fails; a still
-    moving trajectory at the iteration cap is inconclusive.
+    An exactly stationary trajectory decides its point: it converges when
+    it is stationary at 0 and fails otherwise. One still moving at the
+    iteration cap converges when the next power drops strictly below
+    epsilon and is inconclusive otherwise. ``convergence`` records, per
+    converging point, the first exponent whose power is below epsilon.
     """
-    _require_tnorm(conn)
-    budget = budget or SearchBudget()
-    witnesses = []
-    inconclusive = 0
-    convergence = {}
-    for x in domain.interior:
-        cur = x
-        decided = False
-        prev = None
-        for n in range(1, budget.iter_cap + 1):
-            # the threshold is a budget rule, so it compares plainly;
-            # float-valued trajectories converge at the float tolerance
-            eps = FLOAT_TOL if isinstance(cur, float) else budget.epsilon
-            if cur < eps:
-                convergence[format_scalar(x)] = n
-                decided = True
-                break
-            if prev is not None and eq3(cur, prev) is True:
-                witnesses.append(Witness((x,), (cur,)))
-                decided = True
-                break
-            prev = cur
-            cur = conn(cur, x)
-        if not decided:
-            inconclusive += 1
-    details = {"operator": conn.name, "convergence": convergence}
-    if inconclusive:
-        details["inconclusive_points"] = inconclusive
-    return conclude("limit-property", domain.to_json(), witnesses,
-                    inconclusive=inconclusive, instances=len(domain.interior),
-                    budget=budget.to_json(), details=details)
+    return _crisp(conn, domain, FuzzyProp.FLIMIT, MU_ID, "limit-property",
+                  budget or SearchBudget())
 
 
 def _in_mixed_region(x, y, e) -> bool:

@@ -1,10 +1,12 @@
 """Fuzzy substructure checks over carrier monoids.
 
 Covers the min-based subgroupoid/submonoid/subgroup conditions, the
-five fuzzified operator properties, and the generalized submonoid
-conditions where the min combiner is replaced by an aggregation
-function, a uninorm, or a nullnorm. Also houses the characterization
-sweeps and the uninorm non-existence refutations.
+five fuzzified operator properties on the unit interval (gated on the
+t-subnorm check; the implementation, shared with the lattice layer and
+the crisp checks, is ``checker._fuzzy_property``), and the generalized
+submonoid conditions where the min combiner is replaced by an
+aggregation function, a uninorm, or a nullnorm. Also houses the
+characterization sweeps and the uninorm non-existence refutations.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .carriers import CarrierMonoid, FiniteGroup
-from .checker import _power_trajectory
+from .checker import FuzzyProp, _fuzzy_property, check_strict_monotonicity
 from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
-from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, eq_approx,
-                      format_scalar, le_approx)
+from .scalars import (ONE, UNIT_INTERVAL, ZERO, eq_approx, format_scalar,
+                      le_approx)
 from .subsets import FuzzySubset
-from .vague import _equal3
 
 
 class SubstructureTag(Enum):
@@ -161,14 +162,6 @@ def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
                     witnesses, 0, instances=1, details={"mu": mu.name})
 
 
-class FuzzyProp(Enum):
-    FSTRICT = "fuzzy-strict-monotonicity"
-    FCANCEL = "fuzzy-cancellation"
-    FCONDCANCEL = "fuzzy-conditional-cancellation"
-    FARCH = "fuzzy-archimedean"
-    FLIMIT = "fuzzy-limit-property"
-
-
 def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
                          domain, budget: Optional[SearchBudget] = None,
                          gate: bool = True) -> PropertyReport:
@@ -200,145 +193,6 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
                            prop, budget, prop.value, domain.to_json(), details)
 
 
-def _fuzzy_property(order, op, mu, pts, interior, bottom, prop, budget, rid,
-                    dom, details) -> PropertyReport:
-    """The five properties over a degree order (``scalars.UNIT_INTERVAL``
-    or a ``FiniteLattice``) that orders points and degrees alike.
-
-    Strict monotonicity quantifies over the pairs y < z of the order and
-    counts the incomparable ones it excludes; it runs in the reversed
-    direction over interior x, the only direction the closure inequality
-    leaves open. Power searches stop at an exact fixpoint. ``budget``
-    caps them; without one (a finite lattice) the cap is one more than
-    the number of points, which every strictly decreasing chain of
-    powers reaches, and the report carries no budget.
-    """
-    lt, leq, same = order.lt, order.leq, order.same
-    witnesses, undecided, inconclusive, incomparable = [], 0, 0, 0
-    details = dict(details)
-
-    def apart(a, b):
-        return leq(a, b) is False and leq(b, a) is False
-
-    def rows(xs):
-        # mu(x o p) for every point p, once per x
-        return ((x, [mu(op(x, p)) for p in pts]) for x in xs)
-
-    n = len(pts)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if prop is FuzzyProp.FSTRICT:
-        ordered = []
-        for i, j in pairs:
-            if lt(pts[i], pts[j]):
-                ordered.append((i, j))
-            elif lt(pts[j], pts[i]):
-                ordered.append((j, i))
-        for x, row in rows(interior):
-            for i, j in ordered:
-                vy, vz = row[i], row[j]
-                r = lt(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    incomparable += apart(vy, vz)
-                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, vz)))
-        instances = len(interior) * len(ordered)
-        details["excluded_incomparable_pairs"] = len(pairs) - len(ordered)
-
-    elif prop is FuzzyProp.FCANCEL:
-        xs = [x for x in pts if x != bottom]
-        for x, row in rows(xs):
-            for i, j in pairs:
-                if same(row[i], row[j]):
-                    witnesses.append(Witness((x, pts[i], pts[j]),
-                                             (row[i], row[j])))
-        instances = len(xs) * len(pairs)
-
-    elif prop is FuzzyProp.FCONDCANCEL:
-        mu0 = mu(bottom)
-        strong_violations = 0
-        for x, row in rows(pts):
-            for i, j in pairs:
-                vy = row[i]
-                if not same(vy, row[j]):
-                    continue
-                r = lt(mu0, vy)
-                if r is None:
-                    undecided += 1
-                    continue
-                if not r:
-                    continue
-                strong_violations += 1  # stronger reading concludes y = z
-                my, mz = mu(pts[i]), mu(pts[j])
-                c = _equal3(leq, my, mz)
-                if c is None:
-                    undecided += 1
-                elif not c:
-                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, my, mz)))
-        instances = n * len(pairs)
-        details["strong_form_violations"] = strong_violations
-
-    elif prop is FuzzyProp.FARCH:
-        cap = budget.n_max if budget else n + 1
-        for x in interior:
-            traj, stationary = _power_trajectory(op, x, cap)
-            for y in interior:
-                target = mu(y)
-                for _, value in traj:
-                    r = lt(mu(value), target)
-                    if r is not False:
-                        break
-                if r is None:
-                    undecided += 1
-                elif r:
-                    continue
-                elif stationary is None:
-                    inconclusive += 1
-                else:
-                    incomparable += any(apart(mu(v), target) for _, v in traj)
-                    witnesses.append(
-                        Witness((x, y), (stationary, mu(stationary), target)))
-        instances = len(interior) ** 2
-        if inconclusive:
-            details["inconclusive_pairs"] = inconclusive
-
-    elif prop is FuzzyProp.FLIMIT:
-        mu0 = mu(bottom)
-        cap = budget.iter_cap if budget else n + 1
-        for x in interior:
-            traj, stationary = _power_trajectory(op, x, cap)
-            if stationary is not None:
-                r = _equal3(leq, mu(stationary), mu0)
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(
-                        Witness((x,), (stationary, mu(stationary), mu0)))
-                continue
-            if budget:
-                # cap reached with the trajectory still moving: accept the
-                # next power within epsilon of the target (a budget rule,
-                # compared plainly), else give up
-                diff = mu(op(traj[-1][1], x)) - mu0
-                diff = -diff if diff < 0 else diff
-                eps = FLOAT_TOL if isinstance(diff, float) else budget.epsilon
-                if diff < eps:
-                    continue
-            inconclusive += 1
-        instances = len(interior)
-        if inconclusive:
-            details["inconclusive_points"] = inconclusive
-
-    else:  # pragma: no cover - exhaustive enum
-        raise DomainError(f"unknown fuzzy property {prop}")
-
-    if incomparable:
-        details["incomparable_outcomes"] = incomparable
-    return conclude(rid, dom, witnesses, undecided, inconclusive=inconclusive,
-                    instances=instances,
-                    budget=budget.to_json() if budget else None, details=details)
-
-
 def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
                                   domain) -> PropertyReport:
     """Strictly monotone operators admit no strictly decreasing
@@ -348,8 +202,6 @@ def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
     x < y with mu(x) <= mu(y); a strictly decreasing subnorm under a
     strictly monotone operator would be a counterexample and FAILS.
     """
-    from .checker import check_strict_monotonicity
-
     dom = domain.to_json()
     details = {"mu": mu.name, "operator": conn.name}
     strict = check_strict_monotonicity(conn, domain)

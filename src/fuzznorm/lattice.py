@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import vague
+from .checker import _fuzzy_property
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, TotalityError, UnboundedPosetError,
                      read_json_object)
-from .fuzzy import _fuzzy_property
 from .reports import PropertyReport, Verdict, Witness, combine, conclude
 
 

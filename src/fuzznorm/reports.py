@@ -209,37 +209,6 @@ class PropertyReport:
             lines.append(c.render_text(indent + 1, max_witnesses))
         return "\n".join(lines)
 
-    def merge(self, other: "PropertyReport") -> "PropertyReport":
-        """Combine two partial reports for the same property.
-
-        Associative and commutative: verdicts meet, witnesses union in
-        sorted order, so parallel partitions of a search space merge to
-        the same report regardless of arrival order.
-        """
-        if self.property_id != other.property_id:
-            raise DomainError("cannot merge reports for different properties")
-        seen = {}
-        for w in list(self.witnesses) + list(other.witnesses):
-            seen.setdefault((w.inputs, w.values), w)
-        witnesses = [seen[k] for k in sorted(seen, key=_witness_sort_key)]
-        details = dict(self.details)
-        details.update(other.details)
-        return PropertyReport(
-            property_id=self.property_id,
-            verdict=verdict_meet([self.verdict, other.verdict]),
-            domain=self.domain,
-            witnesses=witnesses,
-            budget={**self.budget, **other.budget},
-            tags=tuple(dict.fromkeys(self.tags + other.tags)),
-            details=details,
-            children=self.children + other.children,
-        )
-
-
-def _witness_sort_key(key):
-    inputs, values = key
-    return tuple(str(x) for x in inputs), tuple(str(x) for x in values)
-
 
 def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
              undecided: int = 0, *, inconclusive: int = 0,

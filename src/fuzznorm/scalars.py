@@ -46,20 +46,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def is_float_mode(*values: Scalar) -> bool:
-    return any(isinstance(v, float) for v in values)
-
-
 def eq_approx(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
     """Equality for premise matching: within-tolerance counts as equal."""
-    if is_float_mode(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return abs(float(a) - float(b)) <= tol
     return a == b
 
 
 def le_approx(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
     """Non-strict order for premise matching."""
-    if is_float_mode(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return float(a) <= float(b) + tol
     return a <= b
 
@@ -67,7 +63,7 @@ def le_approx(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
 def eq3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
     """Certifying equality: None when floats differ by at most ``tol``
     without being bit-identical."""
-    if is_float_mode(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         fa, fb = float(a), float(b)
         if fa == fb:
             return True
@@ -79,7 +75,7 @@ def eq3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
 
 def le3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
     """Certifying non-strict order; None inside the float tolerance band."""
-    if is_float_mode(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         fa, fb = float(a), float(b)
         if fa <= fb:
             return True
@@ -91,7 +87,7 @@ def le3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
 
 def lt3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
     """Certifying strict order; None inside the float tolerance band."""
-    if is_float_mode(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         fa, fb = float(a), float(b)
         if fa < fb - tol:
             return True
@@ -99,6 +95,17 @@ def lt3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
             return False
         return None
     return a < b
+
+
+def _equal3(leq, a, b):
+    """Certifying degree equality from a three-valued order: None when
+    neither order refutes it but one cannot certify it."""
+    if a == b:
+        return True
+    ab, ba = leq(a, b), leq(b, a)
+    if ab is False or ba is False:
+        return False
+    return True if ab and ba else None
 
 
 class UnitInterval:

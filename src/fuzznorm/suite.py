@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -512,6 +511,9 @@ def run_suite(config: Optional[SuiteConfig] = None,
     else:
         selected = list(ROWS)
     if jobs > 1 and len(selected) > 1:
+        # imported here: the process pool costs every serial run about
+        # 2.5 MB of resident memory and its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_row, selected,
                                     itertools.repeat(config)))

@@ -26,7 +26,7 @@ from .carriers import FiniteGroup
 from .connectives import Connective, Role
 from .errors import BudgetExceededError, DomainError
 from .reports import (PropertyReport, Verdict, Witness, combine, conclude)
-from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, eq_approx,
+from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, _equal3, eq_approx,
                       format_scalar, le3)
 
 #: Readings of the equality-of-degrees premise in the monotonicity and
@@ -66,17 +66,6 @@ class TFuzzyEquality:
     def to_json(self) -> dict:
         return {"kind": "fuzzy-equality", "label": self.label,
                 "tnorm": self.tnorm.name, "size": len(self.carrier)}
-
-
-def _equal3(leq, a, b):
-    """Certifying degree equality from a three-valued order: None when
-    neither order refutes it but one cannot certify it."""
-    if a == b:
-        return True
-    ab, ba = leq(a, b), leq(b, a)
-    if ab is False or ba is False:
-        return False
-    return True if ab and ba else None
 
 
 def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
@@ -429,16 +418,20 @@ def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> Proper
     Tables that are not vague binary operations in the first place fail
     here up front, tagged NOT_VAGUE_OP.
     """
-    gate = check_vague_binary_op(op, max_tuples)
+    _tuple_budget(len(op.carrier), 6, max_tuples, "extensionality")
     dom = op.to_json()
-    if gate.verdict is Verdict.FAILS:
-        return PropertyReport("vague-monoid", Verdict.FAILS, dom,
-                              witnesses=list(gate.children[0].witnesses)
-                              + list(gate.children[1].witnesses)
-                              + list(gate.children[2].witnesses),
-                              tags=("NOT_VAGUE_OP",))
-    _tuple_budget(len(op.carrier), 7, max_tuples, "the vague associativity loop")
-    return _on_degree_order(op, lambda *on: _monoid(*on, "vague-monoid", dom))
+
+    def gated_monoid(*on):
+        gate = _op_conditions(*on, "vague-binary-op", dom)
+        if gate.verdict is Verdict.FAILS:
+            return PropertyReport("vague-monoid", Verdict.FAILS, dom,
+                                  witnesses=[w for c in gate.children
+                                             for w in c.witnesses],
+                                  tags=("NOT_VAGUE_OP",))
+        _tuple_budget(len(op.carrier), 7, max_tuples,
+                      "the vague associativity loop")
+        return _monoid(*on, "vague-monoid", dom)
+    return _on_degree_order(op, gated_monoid)
 
 
 def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:

@@ -68,6 +68,7 @@ class TestStrictMonotonicity:
         for w in rep.witnesses:
             x, y, z = w.inputs
             assert x > 0 and y < z
+            assert w.values == (T_M(x, y), T_M(x, z))
             assert not (T_M(x, y) < T_M(x, z))
         # the documented witness is among them
         assert (F(1, 2), F(3, 5), F(7, 10)) in {w.inputs for w in rep.witnesses}
@@ -85,6 +86,7 @@ class TestCancellation:
         assert (F(1, 5), F(1, 10), F(1, 5)) in {w.inputs for w in rep.witnesses}
         for w in rep.witnesses:
             x, y, z = w.inputs
+            assert w.values == (T_L(x, y), T_L(x, z))
             assert T_L(x, y) == T_L(x, z) and x != 0 and y != z
 
     def test_conditional(self):
@@ -149,6 +151,29 @@ class TestLimitProperty:
         rep = check_limit_property(T_D, D10)
         assert rep.verdict is Verdict.HOLDS
         assert rep.details["convergence"]["9/10"] == 2
+
+    def test_stationary_below_epsilon_fails(self):
+        # min keeps 1/2048 fixed: below epsilon, but the trajectory is
+        # exactly stationary at a positive value, which decides the point
+        tiny = F(1, 2048)
+        rep = check_limit_property(T_M, FinitePoints((F(0), tiny, F(1))))
+        assert rep.verdict is Verdict.FAILS
+        assert [(w.inputs, w.values) for w in rep.witnesses] == [((tiny,), (tiny,))]
+        assert rep.details["convergence"] == {}
+
+    @pytest.mark.parametrize("conn, cap, inconclusive", [
+        (T_L, 1, 4),  # x^2 = 0 for x <= 1/2
+        (T_P, 3, 8),  # only (1/10)^4 is below 1/1024
+    ])
+    def test_cap_applies_epsilon_once_to_the_next_power(self, conn, cap,
+                                                        inconclusive):
+        rep = check_limit_property(conn, D10, SearchBudget(iter_cap=cap))
+        assert rep.verdict is Verdict.VACUOUS
+        assert "budget-exhausted" in rep.tags
+        assert rep.details["inconclusive_points"] == inconclusive
+        converged = rep.details["convergence"]
+        assert len(converged) == len(D10.interior) - inconclusive
+        assert set(converged.values()) == {cap + 1}
 
 
 class TestResolutionMonotonicity:
@@ -240,14 +265,6 @@ class TestFloatMode:
 
 
 class TestReportPlumbing:
-    def test_merge_is_commutative_and_unions_witnesses(self):
-        a = check_strict_monotonicity(T_M, GridDomain(5))
-        b = check_strict_monotonicity(T_M, GridDomain(5))
-        merged = a.merge(b)
-        assert merged.verdict is Verdict.FAILS
-        assert {w.inputs for w in merged.witnesses} == {w.inputs for w in a.witnesses}
-        assert dumps(a.merge(b)) == dumps(b.merge(a))
-
     def test_json_shape(self):
         import json
         rep = check_cancellation(T_L, GridDomain(5))

@@ -119,6 +119,33 @@ class TestVagueMonoid:
         with pytest.raises(BudgetExceededError):
             check_vague_monoid(v.base, max_tuples=1000)
 
+    def test_budgets_bracket_the_gate(self):
+        # the 6-tuple budget, then the V1-V3 gate, then the 7-tuple budget:
+        # 2^6 = 64 tuples fit in 100, 2^7 = 128 do not
+        pts = (F(0), F(1))
+        eq = crisp_equality(pts, T_M)
+        bad = vague_op_from_table("bad", pts, eq, dict.fromkeys(
+            [(x, y, z) for x in pts for y in pts for z in pts], F(1)))
+        assert "NOT_VAGUE_OP" in check_vague_monoid(bad, max_tuples=100).tags
+        with pytest.raises(BudgetExceededError, match="associativity"):
+            check_vague_monoid(induce_vague_tnorm(eq, T_M).base, max_tuples=100)
+        with pytest.raises(BudgetExceededError, match="extensionality"):
+            check_vague_monoid(bad, max_tuples=50)
+
+    @pytest.mark.parametrize("equality", [crisp_equality, linear_equality])
+    def test_gate_and_loop_share_one_compiled_order(self, monkeypatch, equality):
+        compile_degrees, calls = kernel.compile_degrees, []
+
+        def counted(*args):
+            calls.append(args)
+            return compile_degrees(*args)
+
+        monkeypatch.setattr(kernel, "compile_degrees", counted)
+        pts = GridDomain(3).points
+        rep = check_vague_monoid(induce_vague_tnorm(equality(pts, T_L), T_L).base)
+        assert rep.verdict is Verdict.HOLDS
+        assert len(calls) == 1
+
 
 class TestVagueCommutativity:
     def test_induced_always_commutes(self):
