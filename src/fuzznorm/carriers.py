@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import kernel
+from .checker import _associativity, _identity
 from .connectives import Connective
 from .errors import DomainError, InputFormatError, read_json_object
 from .scalars import parse_rational
@@ -63,15 +64,12 @@ class CarrierMonoid:
                     raise DomainError(f"operation table missing entry ({a}, {b})")
                 if table[(a, b)] not in elem_set:
                     raise DomainError(f"operation table leaves the carrier at ({a}, {b})")
-        for a in elems:
-            if table[(identity, a)] != a or table[(a, identity)] != a:
+        for _, lhs, a in _identity(op, elems, identity):
+            if lhs != a:
                 raise DomainError(f"identity law fails at {a}")
-        for a in elems:
-            for b in elems:
-                ab = table[(a, b)]
-                for c in elems:
-                    if table[(ab, c)] != table[(a, table[(b, c)])]:
-                        raise DomainError(f"associativity fails at ({a}, {b}, {c})")
+        for (a, b, c), lhs, rhs in _associativity(op, elems):
+            if lhs != rhs:
+                raise DomainError(f"associativity fails at ({a}, {b}, {c})")
         return CarrierMonoid(label or f"table-monoid(size={len(elems)})",
                              elems, op, identity)
 

@@ -6,6 +6,12 @@ re-evaluate to violations of the defining inequality. Strict
 comparisons in float mode can be undecidable within tolerance, in
 which case the affected instances are reported VACUOUS.
 
+Each operator axiom (commutativity, associativity, monotonicity in both
+arguments, the identity and absorber laws) is implemented once, as the
+cases it quantifies over a degree order and an operator: the compiled
+``kernel.Kernel`` of an exact operator, the unit interval with the
+operator itself, or a finite lattice (``lattice.check_lattice_tnorm``).
+
 The five fuzzified properties (strict monotonicity, plain and
 conditional cancellation, Archimedean, limit) are implemented once,
 over a degree order: the unit interval or a finite lattice. The crisp
@@ -28,233 +34,138 @@ from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, _equal3, eq3,
 from .subsets import MU_COMPLEMENT, MU_ID
 
 
-def _check_eq_binary(conn, pairs, property_id, domain):
-    """Equality axiom over explicit (x, y, lhs, rhs) quadruples."""
-    witnesses, undecided = [], 0
-    count = 0
-    for x, y, lhs, rhs in pairs:
+def _decide(rid, dom, holds, cases, details=None) -> PropertyReport:
+    """``holds(lhs, rhs)`` for every ``(inputs, lhs, rhs)`` case: False
+    makes a witness, None (inside the float band) an undecided instance.
+    ``holds`` is reflexive, so equal sides hold without a call."""
+    witnesses, undecided, count = [], 0, 0
+    for inputs, lhs, rhs in cases:
         count += 1
-        r = eq3(lhs, rhs)
+        if lhs == rhs:
+            continue
+        r = holds(lhs, rhs)
         if r is None:
             undecided += 1
         elif not r:
-            witnesses.append(Witness((x, y), (lhs, rhs)))
-    return conclude(property_id, domain, witnesses, undecided, instances=count)
+            witnesses.append(Witness(inputs, (lhs, rhs)))
+    return conclude(rid, dom, witnesses, undecided, instances=count,
+                    details=details)
 
 
-def _commutativity(conn, pts, property_id, domain, kern=None):
-    if kern is not None:
-        table, vals = kern.table, kern.vals
-        witnesses = []
-        for i, x in enumerate(pts):
-            row = table[i]
-            for j in range(i + 1, len(pts)):
-                if row[j] != table[j][i]:
-                    witnesses.append(Witness((x, pts[j]),
-                                             (vals[row[j]], vals[table[j][i]])))
-        return conclude(property_id, domain, witnesses, 0,
-                        instances=len(pts) * (len(pts) - 1) // 2)
-    quads = []
+def _equality(order):
+    """Certifying equality in ``order``: None inside the float band."""
+    leq = order.leq
+    return lambda a, b: _equal3(leq, a, b)
+
+
+# The axiom cores: each yields its (inputs, lhs, rhs) cases over the
+# points ``pts`` of a degree order (``scalars.UNIT_INTERVAL``, a compiled
+# ``kernel.Kernel`` or a ``FiniteLattice``) under the operator ``op``.
+
+def _commutativity(op, pts):
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            quads.append((x, y, conn(x, y), conn(y, x)))
-    return _check_eq_binary(conn, quads, property_id, domain)
+            yield (x, y), op(x, y), op(y, x)
 
 
-def _associativity(conn, pts, property_id, domain, kern=None):
-    if kern is not None:
-        n = len(pts)
-        table, vals = kern.table, kern.vals
-        witnesses = []
-        for i, x in enumerate(pts):
-            row_x = table[i]
-            for j, y in enumerate(pts):
-                lhs_row = kern.row(row_x[j])
-                row_y = table[j]
-                for k in range(n):
-                    yz = row_y[k]
-                    rhs = row_x[yz] if yz < n else kern.col(yz)[i]
-                    if lhs_row[k] != rhs:
-                        witnesses.append(Witness((x, y, pts[k]),
-                                                 (vals[lhs_row[k]], vals[rhs])))
-        return conclude(property_id, domain, witnesses, 0, instances=n ** 3)
-    witnesses, undecided = [], 0
+def _associativity(op, pts):
+    right = [[op(y, z) for z in pts] for y in pts]
     for x in pts:
-        for y in pts:
-            xy = conn(x, y)
-            for z in pts:
-                lhs = conn(xy, z)
-                rhs = conn(x, conn(y, z))
-                r = eq3(lhs, rhs)
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((x, y, z), (lhs, rhs)))
-    return conclude(property_id, domain, witnesses, undecided,
-                    instances=len(pts) ** 3)
+        for y, row in zip(pts, right):
+            xy = op(x, y)
+            for z, yz in zip(pts, row):
+                yield (x, y, z), op(xy, z), op(x, yz)
 
 
-def _monotonicity(conn, pts, property_id, domain, kern=None):
-    if kern is not None:
-        n = len(pts)
-        table, vals, rank = kern.table, kern.vals, kern.rank
-        ranked = [[rank[v] for v in row] for row in table]
-        witnesses = []
-        for a, x in enumerate(pts):
-            row_x, ranked_x = table[a], ranked[a]
-            for b, y in enumerate(pts):
-                vy, wy = ranked_x[b], ranked[b][a]
-                for c in range(b + 1, n):
-                    if vy > ranked_x[c]:
-                        witnesses.append(Witness((x, y, pts[c]),
-                                                 (vals[row_x[b]], vals[row_x[c]])))
-                    if wy > ranked[c][a]:
-                        witnesses.append(Witness((y, pts[c], x),
-                                                 (vals[table[b][a]], vals[table[c][a]])))
-        return conclude(property_id, domain, witnesses, 0, instances=1)
-    witnesses, undecided = [], 0
+def _monotonicity(order, op, pts):
+    """Both arguments, over the strict pairs y < z of the order: the
+    value at y must not exceed the value at z (decided by ``leq``)."""
+    lt = order.lt
+    pairs = [(i, j) for i, y in enumerate(pts) for j, z in enumerate(pts)
+             if lt(y, z)]
     for x in pts:
-        for i, y in enumerate(pts):
-            vy = conn(x, y)
-            wy = conn(y, x)
-            for z in pts[i + 1:]:
-                r = le3(vy, conn(x, z))
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((x, y, z), (vy, conn(x, z))))
-                r = le3(wy, conn(z, x))
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((y, z, x), (wy, conn(z, x))))
-    return conclude(property_id, domain, witnesses, undecided, instances=1)
+        right = [op(x, p) for p in pts]
+        left = [op(p, x) for p in pts]
+        for i, j in pairs:
+            yield (x, pts[i], pts[j]), right[i], right[j]
+            yield (pts[i], pts[j], x), left[i], left[j]
 
 
-def _identity_axiom(conn, pts, e, property_id, domain, kern=None):
-    if kern is not None:
-        k = kern.intern(e)
-        right, left, vals = kern.col(k), kern.row(k), kern.vals
-        witnesses = []
-        for i, x in enumerate(pts):
-            if right[i] != i:
-                witnesses.append(Witness((x, e), (vals[right[i]], x)))
-            if left[i] != i:
-                witnesses.append(Witness((e, x), (vals[left[i]], x)))
-        return conclude(property_id, domain, witnesses, 0, instances=2 * len(pts))
-    quads = []
+def _identity(op, pts, e):
     for x in pts:
-        quads.append((x, e, conn(x, e), x))
-        quads.append((e, x, conn(e, x), x))
-    return _check_eq_binary(conn, quads, property_id, domain)
+        yield (x, e), op(x, e), x
+        yield (e, x), op(e, x), x
 
 
-def _uninorm_identity(conn, pts, property_id, domain, kern=None):
-    if conn.identity is not None:
-        rep = _identity_axiom(conn, pts, conn.identity, property_id, domain, kern)
-        rep.details["identity"] = format_scalar(conn.identity)
-        return rep
+def _absorber(order, op, pts, k, zero, one):
+    """k absorbs, 0 is the identity below k and 1 above it."""
+    leq = order.leq
+    for x in pts:
+        yield (k, x), op(k, x), k
+        if leq(x, k):
+            yield (zero, x), op(zero, x), x
+        if leq(k, x):
+            yield (one, x), op(one, x), x
+
+
+def _uninorm_identity(order, op, pts, e, rid, dom):
+    if e is not None:
+        return _decide(rid, dom, _equality(order), _identity(op, pts, e),
+                       details={"identity": format_scalar(e)})
     # no declared identity: search the grid for one
-    for j, e in enumerate(pts):
-        if kern is not None:
-            found = all(row[j] == i for i, row in enumerate(kern.table))
-        else:
-            found = all(eq_approx(conn(x, e), x) for x in pts)
-        if found:
-            return PropertyReport(property_id, Verdict.HOLDS, domain,
+    same = order.same
+    for e in pts:
+        if all(same(op(x, e), x) for x in pts):
+            return PropertyReport(rid, Verdict.HOLDS, dom,
                                   details={"identity": format_scalar(e),
                                            "identity_searched": True})
-    return PropertyReport(property_id, Verdict.FAILS, domain,
+    return PropertyReport(rid, Verdict.FAILS, dom,
                           witnesses=[Witness(("no-identity-element",), ())],
                           details={"identity": None, "identity_searched": True})
-
-
-def _nullnorm_absorber(conn, pts, property_id, domain, kern=None):
-    k = conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
-    witnesses, undecided = [], 0
-    if kern is not None:
-        kid = kern.intern(k)
-        at_k, vals = kern.row(kid), kern.vals
-        at_0, at_1 = kern.row(kern.intern(ZERO)), kern.row(kern.intern(ONE))
-        for i, x in enumerate(pts):
-            if at_k[i] != kid:
-                witnesses.append(Witness((k, x), (vals[at_k[i]], k)))
-            if x <= k and at_0[i] != i:
-                witnesses.append(Witness((ZERO, x), (vals[at_0[i]], x)))
-            if x >= k and at_1[i] != i:
-                witnesses.append(Witness((ONE, x), (vals[at_1[i]], x)))
-    else:
-        for x in pts:
-            r = eq3(conn(k, x), k)
-            if r is None:
-                undecided += 1
-            elif not r:
-                witnesses.append(Witness((k, x), (conn(k, x), k)))
-            if x <= k:
-                r = eq3(conn(ZERO, x), x)
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((ZERO, x), (conn(ZERO, x), x)))
-            if x >= k:
-                r = eq3(conn(ONE, x), x)
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((ONE, x), (conn(ONE, x), x)))
-    rep = conclude(property_id, domain, witnesses, undecided, instances=1)
-    rep.details["absorber"] = format_scalar(k)
-    return rep
-
-
-def _aggregation_axioms(conn, pts, domain):
-    """Monotonicity plus the two boundary values, at arities 2 and 3."""
-    witnesses, undecided = [], 0
-    for arity in (2, 3):
-        zeros = (ZERO,) * arity
-        ones = (ONE,) * arity
-        for args, expected in ((zeros, ZERO), (ones, ONE)):
-            r = eq3(conn(*args), expected)
-            if r is None:
-                undecided += 1
-            elif not r:
-                witnesses.append(Witness(args, (conn(*args), expected)))
-    boundary = conclude("A2:boundary", domain, witnesses, undecided, instances=1)
-    witnesses, undecided = [], 0
-    for x in pts:
-        for i, y in enumerate(pts):
-            v = conn(x, y)
-            for z in pts[i + 1:]:
-                r = le3(v, conn(x, z))
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    witnesses.append(Witness((x, y, z), (v, conn(x, z))))
-    mono = conclude("A1:monotonicity", domain, witnesses, undecided, instances=1)
-    return [mono, boundary]
 
 
 _AXIOM_PREFIX = {Role.TNORM: "T", Role.TCONORM: "S",
                  Role.UNINORM: "U", Role.NULLNORM: "F"}
 
 
-def _role_axioms(conn, pts, dom, kern):
+def _role_axioms(order, op, at, conn, pts, dom) -> PropertyReport:
+    """The four axioms of ``conn``'s role; ``at`` turns a value the role
+    names (a bound, the identity, the absorber) into an order element."""
     role = conn.role
     p = _AXIOM_PREFIX[role]
+    eq = _equality(order)
     children = [
-        _commutativity(conn, pts, f"{p}1:commutativity", dom, kern),
-        _associativity(conn, pts, f"{p}2:associativity", dom, kern),
-        _monotonicity(conn, pts, f"{p}3:monotonicity", dom, kern),
+        _decide(f"{p}1:commutativity", dom, eq, _commutativity(op, pts)),
+        _decide(f"{p}2:associativity", dom, eq, _associativity(op, pts)),
+        _decide(f"{p}3:monotonicity", dom, order.leq, _monotonicity(order, op, pts)),
     ]
-    if role is Role.TNORM:
-        children.append(_identity_axiom(conn, pts, ONE, f"{p}4:boundary", dom, kern))
-    elif role is Role.TCONORM:
-        children.append(_identity_axiom(conn, pts, ZERO, f"{p}4:boundary", dom, kern))
+    if role is Role.TNORM or role is Role.TCONORM:
+        e = at(ONE if role is Role.TNORM else ZERO)
+        children.append(_decide(f"{p}4:boundary", dom, eq, _identity(op, pts, e)))
     elif role is Role.UNINORM:
-        children.append(_uninorm_identity(conn, pts, f"{p}4:identity", dom, kern))
+        e = None if conn.identity is None else at(conn.identity)
+        children.append(_uninorm_identity(order, op, pts, e, f"{p}4:identity", dom))
     else:
-        children.append(_nullnorm_absorber(conn, pts, f"{p}4:absorbing", dom, kern))
-    return children
+        zero, one = at(ZERO), at(ONE)
+        k = op(zero, one) if conn.absorber is None else at(conn.absorber)
+        children.append(_decide(f"{p}4:absorbing", dom, eq,
+                                _absorber(order, op, pts, k, zero, one),
+                                details={"absorber": format_scalar(k)}))
+    return combine(f"axioms:{role.value}", children, dom,
+                   details={"operator": conn.name})
+
+
+def _aggregation_axioms(conn, pts, dom) -> PropertyReport:
+    """Monotonicity plus the two boundary values, at arities 2 and 3."""
+    boundary = [(args, conn(*args), v) for arity in (2, 3)
+                for args, v in (((ZERO,) * arity, ZERO), ((ONE,) * arity, ONE))]
+    children = [
+        _decide("A1:monotonicity", dom, UNIT_INTERVAL.leq,
+                _monotonicity(UNIT_INTERVAL, conn, pts)),
+        _decide("A2:boundary", dom, _equality(UNIT_INTERVAL), boundary),
+    ]
+    return combine(f"axioms:{conn.role.value}", children, dom,
+                   details={"operator": conn.name})
 
 
 def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
@@ -262,23 +173,20 @@ def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
 
     Associativity runs over every triple of domain points; intermediate
     values may leave the grid, which is fine because evaluation stays
-    exact for rational-valued operators. Exact operators run on one
-    value-id table compiled up front; float-valued ones, including one
-    that turns float off the grid, run on the tolerance path.
+    exact for rational-valued operators. Exact operators run the axiom
+    cores on their compiled ``kernel.Kernel``; float-valued ones,
+    including one that turns float off the grid, run them on
+    ``UNIT_INTERVAL`` with the operator itself.
     """
     pts = domain.points
     dom = domain.to_json()
-    role = conn.role
-    if role is Role.AGGREGATION:
-        children = _aggregation_axioms(conn, pts, dom)
-    else:
-        try:
-            children = _role_axioms(conn, pts, dom,
-                                    kernel.compile_operator(conn, pts))
-        except kernel.NotCompilable:
-            children = _role_axioms(conn, pts, dom, None)
-    return combine(f"axioms:{role.value}", children, dom,
-                   details={"operator": conn.name})
+    if conn.role is Role.AGGREGATION:
+        return _aggregation_axioms(conn, pts, dom)
+    return kernel.on_ids(
+        kernel.compile_operator(conn, pts),
+        lambda kern: _role_axioms(kern, kern.op, kern.intern, conn,
+                                  range(len(pts)), dom),
+        lambda: _role_axioms(UNIT_INTERVAL, conn, lambda v: v, conn, pts, dom))
 
 
 class FuzzyProp(Enum):

@@ -9,15 +9,20 @@ of a finite point tuple and stores each result as a value id:
   the first time it appears, so two ids are equal exactly when their
   values are, and ``vals[id]`` gives the original value back for
   witnesses;
-- ``rank[id]`` orders the values compiled into the table, so order
-  checks compare ints;
 - values the operator reaches off the grid (the outer call in
   associativity) get their row or column filled lazily, keyed by id.
+
+A ``Kernel`` is also a finite order on its ids: ``op`` is the operator
+on ids, ``leq`` and ``lt`` compare the values of two ids (memoised), and
+``same`` is id equality, so the axiom cores in ``fuzznorm.checker`` run
+on it as they run on the unit interval and on a finite lattice.
 
 A ``DegreeOrder`` compiles the degree order of a vague operator the same
 way: carrier points and degrees share one id space, the conjunction is a
 table on ids filled as the loops reach new pairs, and the vague value
 cores in ``fuzznorm.vague`` run on it as they run on the unit interval.
+Either order's report goes back to values through ``values_of``, and
+``on_ids`` runs a check on an order with that translation.
 
 Only exact values (``Fraction`` or ``int``) get ids, and an id keeps the
 type it was first seen with, so ``vals[id]`` prints as the value it
@@ -36,7 +41,8 @@ import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .scalars import ONE, ZERO
+from .reports import PropertyReport, Witness
+from .scalars import ONE, ZERO, format_scalar
 
 
 _EXACT = (Fraction, int)
@@ -67,20 +73,14 @@ class Interner:
         return i
 
 
-def order_ranks(values: Sequence) -> list:
-    """The position of each value among the sorted distinct values, so
-    equal values share a rank and ``<`` on ranks is ``<`` on values."""
-    if not all(isinstance(v, _EXACT) for v in values):
-        raise NotCompilable("inexact value")
-    where = {v: r for r, v in enumerate(sorted(set(values)))}
-    return [where[v] for v in values]
-
-
 class Kernel(Interner):
-    """A binary operator tabulated over a tuple of distinct points.
+    """A binary operator tabulated over a tuple of distinct points, and
+    the order of the values it reaches.
 
     ``table[i][j]`` is the id of ``fn(points[i], points[j])``; ``row(a)``
-    and ``col(b)`` extend it to an off-grid first or second argument.
+    and ``col(b)`` extend it to an off-grid first or second argument, and
+    ``op`` reads whichever of the three holds a pair. ``leq``, ``lt`` and
+    ``same`` make it a degree order on ids, as ``DegreeOrder`` is.
     """
 
     def __init__(self, fn: Callable, points: Sequence):
@@ -89,15 +89,23 @@ class Kernel(Interner):
             raise NotCompilable("repeated point")
         self.fn = fn
         self.points = tuple(points)
+        self.n = len(self.points)
         self.table = [[self.intern(fn(x, y)) for y in points] for x in points]
-        self.rank = order_ranks(self.vals)
         self._rows = {}
         self._cols = {}
+        self.leq = _memoised(operator.le, self.vals, bool)
+        self.lt = _memoised(operator.lt, self.vals, bool)
+        self.same = operator.eq
+
+    def op(self, a: int, b: int) -> int:
+        """The id of fn(vals[a], vals[b]), where a or b is a point."""
+        n = self.n
+        if b >= n:
+            return self.col(b)[a]
+        return self.table[a][b] if a < n else self.row(a)[b]
 
     def row(self, a: int) -> list:
-        """Ids of fn(vals[a], p) for every point p."""
-        if a < len(self.points):
-            return self.table[a]
+        """Ids of fn(vals[a], p) for every point p, filled on first use."""
         row = self._rows.get(a)
         if row is None:
             x = self.vals[a]
@@ -105,15 +113,11 @@ class Kernel(Interner):
         return row
 
     def col(self, b: int) -> list:
-        """Ids of fn(p, vals[b]) for every point p."""
+        """Ids of fn(p, vals[b]) for every point p, filled on first use."""
         col = self._cols.get(b)
         if col is None:
-            if b < len(self.points):
-                col = [row[b] for row in self.table]
-            else:
-                y = self.vals[b]
-                col = [self.intern(self.fn(p, y)) for p in self.points]
-            self._cols[b] = col
+            y = self.vals[b]
+            col = self._cols[b] = [self.intern(self.fn(p, y)) for p in self.points]
         return col
 
 
@@ -179,3 +183,32 @@ def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
         return DegreeOrder(degrees, carrier, tnorm, eq)
     except NotCompilable:
         return None
+
+
+def on_ids(order, run: Callable, fallback: Callable) -> PropertyReport:
+    """``run(order)`` with its ids turned back into values, or
+    ``fallback()`` when there is no compiled order or the run meets a
+    value without an exact id."""
+    if order is not None:
+        try:
+            return values_of(run(order), order.vals)
+        except NotCompilable:  # a float the loops reached
+            pass
+    return fallback()
+
+
+def values_of(rep: PropertyReport, vals: list) -> PropertyReport:
+    """The ids in ``rep``'s witnesses and in its ``identity`` and
+    ``absorber`` details replaced by their values; a witness named by a
+    string, like ``("no-identity-element",)``, stays."""
+    witnesses = rep.witnesses
+    for i, w in enumerate(witnesses):  # in place: one copy of a long list
+        if not isinstance(w.inputs[0], str):
+            witnesses[i] = Witness(tuple([vals[x] for x in w.inputs]),
+                                   tuple([vals[x] for x in w.values]))
+    for key in ("identity", "absorber"):
+        if rep.details.get(key) is not None:
+            rep.details[key] = format_scalar(vals[int(rep.details[key])])
+    for child in rep.children:
+        values_of(child, vals)
+    return rep

@@ -5,7 +5,9 @@ transitive closure, materializes meet and join tables, and fails loudly
 on any pair without a unique meet or join, or on a missing top or
 bottom. Degrees in the lattice-valued checks are lattice elements, so
 "less than" means the lattice order and incomparable outcomes are
-counted rather than silently dropped.
+counted rather than silently dropped. The t-norm conditions, the
+fuzzified properties and the vague conditions are the ``checker`` and
+``vague`` implementations run with the lattice as the degree order.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from . import vague
-from .checker import _fuzzy_property
+from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, TotalityError, UnboundedPosetError,
                      read_json_object)
@@ -223,8 +224,9 @@ def meet_tnorm(lat: FiniteLattice) -> LatticeTNorm:
 
 
 def check_lattice_tnorm(cand, lat: FiniteLattice) -> PropertyReport:
-    """The four conditions: monotone in the second argument, associative,
-    commutative, and top-identity."""
+    """The four conditions, by the unit interval's axiom cores with the
+    lattice order: monotone in both arguments, associative, commutative,
+    and top the identity on both sides."""
     table = cand.table if isinstance(cand, LatticeTNorm) else cand
     elems = lat.elements
     dom = lat.to_json()
@@ -236,34 +238,16 @@ def check_lattice_tnorm(cand, lat: FiniteLattice) -> PropertyReport:
     def op(x, y):
         return table[(x, y)]
 
-    mono_w = []
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if lat.leq(y, z) and not lat.leq(op(x, y), op(x, z)):
-                    mono_w.append(Witness((x, y, z), (op(x, y), op(x, z))))
-    assoc_w = []
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                lhs = op(op(x, y), z)
-                rhs = op(x, op(y, z))
-                if lhs != rhs:
-                    assoc_w.append(Witness((x, y, z), (lhs, rhs)))
-    comm_w = []
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            if op(x, y) != op(y, x):
-                comm_w.append(Witness((x, y), (op(x, y), op(y, x))))
-    bound_w = []
-    for x in elems:
-        if op(x, lat.top) != x:
-            bound_w.append(Witness((x, lat.top), (op(x, lat.top), x)))
+    eq = checker._equality(lat)
     children = [
-        conclude("L1:monotonicity", dom, mono_w, 0, instances=1),
-        conclude("L2:associativity", dom, assoc_w, 0, instances=1),
-        conclude("L3:commutativity", dom, comm_w, 0, instances=1),
-        conclude("L4:boundary", dom, bound_w, 0, instances=1),
+        checker._decide("L1:monotonicity", dom, lat.leq,
+                        checker._monotonicity(lat, op, elems)),
+        checker._decide("L2:associativity", dom, eq,
+                        checker._associativity(op, elems)),
+        checker._decide("L3:commutativity", dom, eq,
+                        checker._commutativity(op, elems)),
+        checker._decide("L4:boundary", dom, eq,
+                        checker._identity(op, elems, lat.top)),
     ]
     return combine("lattice-tnorm", children, dom)
 
@@ -317,13 +301,8 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
         return table
 
     def associative(table):
-        for x in elems:
-            for y in elems:
-                xy = table[(x, y)]
-                for z in elems:
-                    if table[(xy, z)] != table[(x, table[(y, z)])]:
-                        return False
-        return True
+        cases = checker._associativity(lambda x, y: table[(x, y)], elems)
+        return all(lhs == rhs for _, lhs, rhs in cases)
 
     def walk(pos, assigned):
         if cap is not None and len(results) >= cap:
@@ -397,7 +376,8 @@ def check_lattice_fuzzy_subnorm(mu: LSubset, t: LatticeTNorm) -> PropertyReport:
     if top_val != lat.top:
         witnesses.append(Witness((lat.top,), (top_val, lat.top)))
     return conclude("lattice-fuzzy-t-subnorm", lat.to_json(), witnesses, 0,
-                    instances=1, details={"mu": mu.name, "tnorm": t.name})
+                    instances=len(lat.elements) ** 2 + 1,
+                    details={"mu": mu.name, "tnorm": t.name})
 
 
 def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
@@ -418,8 +398,9 @@ def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
             return PropertyReport(f"lattice-{prop.value}", Verdict.VACUOUS, dom,
                                   witnesses=list(subnorm.witnesses),
                                   tags=("NOT_A_SUBNORM",), details=details)
-    return _fuzzy_property(lat, t, mu, lat.elements, lat.interior, lat.bottom,
-                           prop, None, f"lattice-{prop.value}", dom, details)
+    return checker._fuzzy_property(lat, t, mu, lat.elements, lat.interior,
+                                   lat.bottom, prop, None, f"lattice-{prop.value}",
+                                   dom, details)
 
 
 # --- lattice-valued equalities and vague structure ---

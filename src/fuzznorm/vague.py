@@ -286,31 +286,10 @@ def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
     """``run(order, t, deg, eq, carrier)`` on the compiled degree order of
     ``op``, its ids turned back into values; on the unit interval, from
     the start, when a point or a degree is not exact."""
-    order = kernel.compile_degrees(op.table, op.carrier, op.tnorm, op.equality.fn)
-    if order is not None:
-        try:
-            rep = run(order, order.t, order.deg, order.eq, order.points)
-        except kernel.NotCompilable:  # a float the loops reached
-            pass
-        else:
-            return _values_of(rep, order.vals)
-    return run(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn, op.carrier)
-
-
-def _values_of(rep: PropertyReport, vals: list) -> PropertyReport:
-    """The ids in ``rep``'s witnesses and its identity detail (which
-    ``_monoid`` formats) replaced by their values; a witness named by a
-    string, like ``("no-identity-element",)``, stays."""
-    witnesses = rep.witnesses
-    for i, w in enumerate(witnesses):  # in place: one copy of a long list
-        if not isinstance(w.inputs[0], str):
-            witnesses[i] = Witness(tuple([vals[x] for x in w.inputs]),
-                                   tuple([vals[x] for x in w.values]))
-    if rep.details.get("identity") is not None:
-        rep.details["identity"] = format_scalar(vals[int(rep.details["identity"])])
-    for child in rep.children:
-        _values_of(child, vals)
-    return rep
+    return kernel.on_ids(
+        kernel.compile_degrees(op.table, op.carrier, op.tnorm, op.equality.fn),
+        lambda order: run(order, order.t, order.deg, order.eq, order.points),
+        lambda: run(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn, op.carrier))
 
 
 def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:

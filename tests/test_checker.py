@@ -56,6 +56,19 @@ class TestAxioms:
         rep = check_axioms(A_MIN, GridDomain(6))
         assert rep.verdict is Verdict.HOLDS
 
+    def test_aggregation_monotonicity_is_two_sided(self):
+        # monotone in the second argument, not in the first
+        agg = Connective("agg:zero-at-half", Role.AGGREGATION,
+                         lambda *xs: F(0) if xs[0] == F(1, 2) else xs[-1])
+        rep = check_axioms(agg, GridDomain(2))
+        mono = rep.child("A1:monotonicity")
+        assert mono.verdict is Verdict.FAILS
+        half = F(1, 2)
+        assert [(w.inputs, w.values) for w in mono.witnesses] == [
+            ((F(0), half, half), (half, F(0))),
+            ((F(0), half, F(1)), (F(1), F(0)))]
+        assert rep.child("A2:boundary").verdict is Verdict.HOLDS
+
 
 class TestStrictMonotonicity:
     def test_verdicts(self):

@@ -111,6 +111,20 @@ class TestSubgroup:
         with pytest.raises(DomainError):
             FiniteGroup.from_table(elements, table, 1)
 
+    def test_table_carrier_names_the_first_failing_law(self):
+        # subtraction mod 3: 0 is a right identity only
+        elements = (0, 1, 2)
+        minus = {(a, b): (a - b) % 3 for a in elements for b in elements}
+        with pytest.raises(DomainError, match=r"identity law fails at 1$"):
+            CarrierMonoid.from_table(elements, minus, 0)
+        # 0 an identity, every product of 1 and 2 equal to 0:
+        # (1 1) 2 = 2 but 1 (1 2) = 1
+        odd = {(a, b): a + b if 0 in (a, b) else 0
+               for a in elements for b in elements}
+        with pytest.raises(DomainError,
+                           match=r"associativity fails at \(1, 1, 2\)$"):
+            CarrierMonoid.from_table(elements, odd, 0)
+
 
 class TestIntersection:
     def test_pointwise_min(self):

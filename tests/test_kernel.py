@@ -243,7 +243,8 @@ def test_ids_follow_values():
     k = kernel.compile_operator(T_P, GridDomain(2).points)
     assert k.vals[:3] == [F(0), HALF, F(1)]
     assert k.table[1][1] == 3 and k.vals[3] == F(1, 4)
-    assert [k.rank[i] for i in range(4)] == [0, 2, 3, 1]
     assert k.row(3) == [0, 4, 3] and k.vals[4] == F(1, 8)
     assert k.col(3) == k.row(3)
+    assert k.op(3, 1) == 4 and k.op(1, 3) == 4 and k.op(1, 1) == 3
+    assert k.leq(3, 1) and not k.lt(1, 3) and k.same(3, 3)
     assert kernel.compile_operator(T_M, (F(0), F(0), F(1))) is None

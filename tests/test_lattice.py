@@ -1,10 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzznorm import lattice as lattice_module
+from fuzznorm.checker import check_axioms
+from fuzznorm.connectives import Connective, Role
 from fuzznorm.errors import (BudgetExceededError, DomainError,
                              NotALatticeError, InputFormatError,
                              TotalityError, UnboundedPosetError)
@@ -98,6 +101,22 @@ class TestLatticeTNormCheck:
         table[("a", "b")] = "a"  # leave (b, a) at 0
         rep = check_lattice_tnorm(table, d)
         assert rep.child("L3:commutativity").verdict is Verdict.FAILS
+
+    def test_monotonicity_checks_both_arguments(self):
+        # monotone in the second argument; in the first, T(m, 0) = m
+        # exceeds T(1, 0) = 0
+        c3 = chain_lattice(3)
+        table = {("0", "0"): "0", ("0", "m"): "0", ("m", "0"): "m",
+                 ("m", "m"): "m"}
+        for x in c3.elements:
+            table[(x, "1")] = table[("1", x)] = x
+        rep = check_lattice_tnorm(table, c3)
+        mono = rep.child("L1:monotonicity")
+        assert mono.verdict is Verdict.FAILS
+        assert [(w.inputs, w.values) for w in mono.witnesses] == [
+            (("m", "1", "0"), ("m", "0"))]
+        assert rep.child("L3:commutativity").verdict is Verdict.FAILS
+        assert rep.verdict is Verdict.FAILS
 
 
 def brute_force_lattice_tnorms(lat: FiniteLattice):
@@ -310,6 +329,64 @@ def _relabelled(report, point):
     """(inputs, values) of each witness, lattice labels read as points."""
     return [(tuple(point.get(x, x) for x in w.inputs),
              tuple(point.get(x, x) for x in w.values)) for w in report.witnesses]
+
+
+def _random_chain_tables(size, count, seed):
+    """Seeded label tables on chain_lattice(size), commutative and not;
+    every third one keeps the top as identity."""
+    rng = random.Random(seed)
+    elems = chain_lattice(size).elements
+    for k in range(count):
+        table = {}
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                table[(x, y)] = (table[(y, x)] if k % 2 == 0 and j < i
+                                 else rng.choice(elems))
+        if k % 3 == 0:
+            for x in elems:
+                table[(x, "1")] = table[("1", x)] = x
+        yield table
+
+
+_AXIOM_PAIRS = (("L1:monotonicity", "T3:monotonicity"),
+                ("L2:associativity", "T2:associativity"),
+                ("L3:commutativity", "T1:commutativity"),
+                ("L4:boundary", "T4:boundary"))
+
+
+def _chain_table_sets():
+    for size in (2, 3, 4, 5):
+        tables = [t.table for t in enumerate_lattice_tnorms(chain_lattice(size))]
+        yield pytest.param(size, tables, True, id=f"tnorms-chain{size}")
+    for size in (3, 4):
+        tables = list(_random_chain_tables(size, 60, seed=size))
+        yield pytest.param(size, tables, False, id=f"random-chain{size}")
+
+
+@pytest.mark.parametrize("size,tables,tnorms", _chain_table_sets())
+def test_tnorm_axioms_agree_across_layers(size, tables, tnorms):
+    """A table on chain_lattice(size) and the same table on the points
+    of uniform_chain(size) run the same axiom cores, child by child."""
+    lat, pts = chain_lattice(size), uniform_chain(size)
+    point = dict(zip(lat.elements, pts))
+    label = dict(zip(pts, lat.elements))
+    failed = set()
+    for table in tables:
+        conn = Connective("tnorm:table", Role.TNORM,
+                          lambda x, y, t=table: point[t[(label[x], label[y])]],
+                          identity=Fraction(1))
+        lrep = check_lattice_tnorm(table, lat)
+        urep = check_axioms(conn, FinitePoints(pts))
+        assert lrep.verdict is urep.verdict
+        for lid, uid in _AXIOM_PAIRS:
+            l, u = lrep.child(lid), urep.child(uid)
+            assert l.verdict is u.verdict, (table, lid)
+            assert ([(w.inputs, w.values) for w in u.witnesses]
+                    == _relabelled(l, point)), (table, lid)
+            if l.fails:
+                failed.add(lid)
+    # t-norms pass every axiom; the random tables fail each of them
+    assert failed == (set() if tnorms else {lid for lid, _ in _AXIOM_PAIRS})
 
 
 class TestGridIsAChain:
