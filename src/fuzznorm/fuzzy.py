@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .carriers import CarrierMonoid, FiniteGroup
 from .checker import FuzzyProp, _fuzzy_property, check_strict_monotonicity
@@ -24,7 +24,7 @@ from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, eq_approx, format_scalar,
                       le_approx)
-from .subsets import FuzzySubset
+from .subsets import FuzzySubset, generate_subnorm_tables, named_table
 
 
 class SubstructureTag(Enum):
@@ -90,14 +90,22 @@ def f_submonoid_kind(nullnorm: Connective) -> SubstructureKind:
     return SubstructureKind(SubstructureTag.F_SUBMONOID, nullnorm)
 
 
+def _arities(kind) -> tuple:
+    return (2,) if kind.tag is not SubstructureTag.A_SUBMONOID \
+        else tuple(range(2, kind.arity_cap + 1))
+
+
+def _closure_instances(carrier, kind) -> int:
+    n = len(carrier.elements)
+    return sum(n ** arity for arity in _arities(kind))
+
+
 def _closure_witnesses(mu, carrier, kind):
     """Violations of combiner(mu(x..)) <= mu(x o ..) over tuples."""
     elems = carrier.elements
     vals = {a: mu(a) for a in elems}
     witnesses = []
-    arities = (2,) if kind.tag is not SubstructureTag.A_SUBMONOID \
-        else tuple(range(2, kind.arity_cap + 1))
-    for arity in arities:
+    for arity in _arities(kind):
         if arity == 2 and carrier.table is not None:
             # mu at each product id, filled in loop order so a map that
             # is not total fails at the same pair as the tuple loop
@@ -130,7 +138,8 @@ def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid) -> Property
     exceeds the membership of the product."""
     witnesses = _closure_witnesses(mu, carrier, KIND_SUBGROUPOID)
     return conclude(SubstructureTag.SUBGROUPOID.value, carrier.to_json(),
-                    witnesses, 0, instances=1,
+                    witnesses, 0,
+                    instances=_closure_instances(carrier, KIND_SUBGROUPOID),
                     details={"mu": mu.name})
 
 
@@ -147,7 +156,25 @@ def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
     if kind.combiner is not None:
         details["combiner"] = kind.combiner.name
     return conclude(kind.tag.value, carrier.to_json(), witnesses, 0,
-                    instances=1, details=details)
+                    instances=_closure_instances(carrier, kind) + 1,
+                    details=details)
+
+
+def _is_one(v) -> bool:
+    return eq_approx(v, ONE)
+
+
+def enumerate_table_subnorms(carrier: CarrierMonoid,
+                             alphabet: Sequence) -> Iterator[FuzzySubset]:
+    """The t-subnorms among ``enumerate_table_subsets(carrier.elements,
+    alphabet)``: the maps, names and order that filtering it through
+    ``check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)`` gives, made by
+    backtracking with that check's comparisons instead of checking every
+    map."""
+    elems = carrier.elements
+    for values in generate_subnorm_tables(elems, carrier.op, carrier.identity,
+                                          alphabet, min, le_approx, _is_one):
+        yield named_table(elems, values)
 
 
 def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
@@ -158,8 +185,10 @@ def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
         vi = mu(group.inverse[a])
         if not le_approx(va, vi):
             witnesses.append(Witness((a, group.inverse[a]), (va, vi)))
+    instances = (_closure_instances(group.monoid, KIND_SUBGROUPOID)
+                 + len(group.elements))
     return conclude(SubstructureTag.SUBGROUP.value, group.to_json(),
-                    witnesses, 0, instances=1, details={"mu": mu.name})
+                    witnesses, 0, instances=instances, details={"mu": mu.name})
 
 
 def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
@@ -256,8 +285,8 @@ def check_discrete_subalgebra(points: Sequence, conn: Connective) -> PropertyRep
                 witnesses.append(Witness((x, y), (v,)))
     dom = {"kind": "finite", "size": len(pts),
            "points": [format_scalar(p) for p in pts]}
-    return conclude("discrete-subalgebra", dom, witnesses, 0, instances=1,
-                    details={"operator": conn.name})
+    return conclude("discrete-subalgebra", dom, witnesses, 0,
+                    instances=len(pts) ** 2, details={"operator": conn.name})
 
 
 # --- characterization sweeps ---

@@ -21,6 +21,7 @@ from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, TotalityError, UnboundedPosetError,
                      read_json_object)
 from .reports import PropertyReport, Verdict, Witness, combine, conclude
+from .subsets import generate_subnorm_tables
 
 
 @dataclass(frozen=True)
@@ -358,6 +359,18 @@ def lsubset_table(lat: FiniteLattice, mapping: Mapping, name: str = "") -> LSubs
 
 def enumerate_lsubsets(lat: FiniteLattice) -> Iterator[LSubset]:
     for values in itertools.product(lat.elements, repeat=len(lat.elements)):
+        yield lsubset_table(lat, dict(zip(lat.elements, values)))
+
+
+def enumerate_lattice_subnorms(t: LatticeTNorm) -> Iterator[LSubset]:
+    """The t-subnorms among ``enumerate_lsubsets(t.lattice)``: the maps,
+    names and order that filtering it through
+    ``check_lattice_fuzzy_subnorm(mu, t)`` gives, made by backtracking
+    with that check's comparisons instead of checking every map."""
+    lat = t.lattice
+    for values in generate_subnorm_tables(
+            lat.elements, t, lat.top, lat.elements, lat.meet, lat.leq,
+            lambda v: v == lat.top, what="lattice membership table"):
         yield lsubset_table(lat, dict(zip(lat.elements, values)))
 
 

@@ -4,11 +4,14 @@ A subset is total on its carrier: the builtin forms are closed-form
 expressions defined on all of [0, 1], while table forms raise
 ``TotalityError`` at any point they do not cover (grid carriers whose
 operation leaves the grid surface this as a totality failure, which the
-CLI maps to its own exit code).
+CLI maps to its own exit code). ``generate_subnorm_tables`` builds the
+t-subnorm tables of a finite operator by backtracking, with the order to
+compare in as a parameter, so the lattice layer uses it too.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,11 +188,70 @@ def intersect_fuzzy_subsets(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
     return FuzzySubset(name, fn)
 
 
+def named_table(elements: Sequence, values: Sequence) -> FuzzySubset:
+    """The table map sending each element to its value, named by the
+    values in element order."""
+    name = "mu(" + ",".join(format_scalar(v) for v in values) + ")"
+    return table_subset(dict(zip(elements, values)), name=name)
+
+
 def enumerate_table_subsets(elements: Sequence, alphabet: Sequence[Fraction]) -> Iterator[FuzzySubset]:
     """Every membership table over the alphabet, in product order."""
-    import itertools
-
     elems = tuple(elements)
     for values in itertools.product(tuple(alphabet), repeat=len(elems)):
-        name = "mu(" + ",".join(format_scalar(v) for v in values) + ")"
-        yield table_subset(dict(zip(elems, values)), name=name)
+        yield named_table(elems, values)
+
+
+def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
+                            alphabet: Sequence, meet: Callable, leq: Callable,
+                            is_top: Callable,
+                            what: str = "membership table") -> Iterator[tuple]:
+    """The value tuples over ``alphabet``, in ``itertools.product`` order,
+    whose map on ``elements`` is a t-subnorm of ``op``: every
+    ``leq(meet(mu x, mu y), mu(op(x, y)))`` holds and
+    ``is_top(mu(identity))``.
+
+    Values are assigned in element order; a partial tuple is dropped as
+    soon as an inequality with all three values assigned fails or the
+    identity gets a value that is not the top. A product or an identity
+    outside ``elements`` raises the ``TotalityError`` a table map (named
+    by ``what``) raises there.
+    """
+    alphabet = tuple(alphabet)
+    if not alphabet:
+        return
+    # as in a table map, an element listed twice keeps its last value
+    index = {e: i for i, e in enumerate(elements)}
+
+    def position(x):
+        try:
+            return index[x]
+        except (KeyError, TypeError):
+            raise TotalityError(
+                f"{what} has no value at {format_scalar(x)}") from None
+
+    # each inequality is decided where its last value is assigned
+    ready = [[] for _ in elements]
+    for x in elements:
+        for y in elements:
+            i, j, p = index[x], index[y], position(op(x, y))
+            ready[max(i, j, p)].append((i, j, p))
+    pinned = position(identity)
+    # the comparisons on alphabet positions, each made once
+    holds = [[[leq(meet(a, b), c) for c in alphabet] for b in alphabet]
+             for a in alphabet]
+    tops = [v for v, a in enumerate(alphabet) if is_top(a)]
+    choices = [tops if k == pinned else range(len(alphabet))
+               for k in range(len(ready))]
+    at = [0] * len(ready)
+
+    def extend(k):
+        if k == len(at):
+            yield tuple(alphabet[v] for v in at)
+            return
+        for v in choices[k]:
+            at[k] = v
+            if all(holds[at[i]][at[j]][at[p]] for i, j, p in ready[k]):
+                yield from extend(k + 1)
+
+    yield from extend(0)

@@ -27,14 +27,14 @@ from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                     characterize_special_cases, check_discrete_subalgebra,
                     check_fuzzy_property, check_fuzzy_submonoid,
                     check_fuzzy_subgroupoid, check_not_strictly_decreasing,
-                    core_is_submonoid, extract_core, f_submonoid_kind,
-                    refute_uninorm_existence, u_submonoid_kind, uninorm_family)
+                    core_is_submonoid, enumerate_table_subnorms, extract_core,
+                    f_submonoid_kind, refute_uninorm_existence,
+                    u_submonoid_kind, uninorm_family)
 from .lattice import (chain_lattice, check_lattice_fuzzy_property,
-                      check_lattice_fuzzy_subnorm,
                       check_lattice_vague_cancellation,
                       check_lattice_vague_strict_monotone, diamond_lattice,
-                      enumerate_lattice_equalities, enumerate_lattice_tnorms,
-                      enumerate_lsubsets, induce_lattice_vague_tnorm)
+                      enumerate_lattice_equalities, enumerate_lattice_subnorms,
+                      enumerate_lattice_tnorms, induce_lattice_vague_tnorm)
 from .reports import FinitePoints, GridDomain, SearchBudget
 from .scalars import ONE, ZERO
 from .subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
@@ -85,17 +85,21 @@ class RowResult:
         return obj
 
 
-def _count(row_id: str, universe: str, cases) -> RowResult:
-    """Run a row's lazy stream of (label, holds) cases: every case counts
-    as checked, and the label of every case that does not hold is a
-    counterexample."""
-    checked = 0
+def _count(row_id: str, universe: str, cases,
+           checked: Optional[int] = None) -> RowResult:
+    """Run a row's lazy stream of (label, holds) cases: the label of every
+    case that does not hold is a counterexample. Every case counts as
+    checked, unless ``checked`` gives the size of the row's universe: a
+    row whose stream leaves out the cases that hold vacuously (membership
+    maps that are not t-subnorms) counts them arithmetically."""
+    streamed = 0
     counter = []
     for label, holds in cases:
-        checked += 1
+        streamed += 1
         if not holds:
             counter.append(label)
-    return RowResult(row_id, universe, checked, counter)
+    return RowResult(row_id, universe,
+                     streamed if checked is None else checked, counter)
 
 
 def _grid3() -> FinitePoints:
@@ -113,16 +117,20 @@ def _chain_conns():
             FinitePoints(chain))
 
 
-def _subnorm_cases(conns, dom, mus, claim):
-    """One case per operator and membership map in mus: it holds unless
-    the map is a t-subnorm of the operator and claim(mu, conn, dom)
-    fails. claim runs only on t-subnorms."""
+def _subnorm_cases(conns, dom, alphabet, claim):
+    """One case per operator and membership table over the alphabet that
+    is a t-subnorm of it, generated rather than filtered: it holds when
+    claim(mu, conn, dom) does. The claims hold vacuously on the other
+    tables, which _table_count counts."""
     for conn in conns:
         carrier = CarrierMonoid.from_connective(conn, dom)
-        for mu in mus:
-            yield (f"{conn.name}|{mu.name}",
-                   not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
-                   or claim(mu, conn, dom))
+        for mu in enumerate_table_subnorms(carrier, alphabet):
+            yield f"{conn.name}|{mu.name}", claim(mu, conn, dom)
+
+
+def _table_count(cfg: SuiteConfig, dom) -> int:
+    """The number of membership tables over the alphabet on dom."""
+    return len(cfg.alphabet) ** len(dom.points)
 
 
 def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
@@ -134,10 +142,12 @@ def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
                                          gate=False).holds
                 or check_fuzzy_property(mu, conn, second, d, cfg.budget,
                                         gate=False).holds)
+    tables = _table_count(cfg, dom)
     universe = (f"{len(conns)} t-norm tables on the 4-chain x "
-                f"{len(cfg.alphabet) ** 4} membership tables")
-    return _count(row_id, universe, _subnorm_cases(
-        conns, dom, _table_sweep(cfg, dom.points), claim))
+                f"{tables} membership tables")
+    return _count(row_id, universe,
+                  _subnorm_cases(conns, dom, cfg.alphabet, claim),
+                  checked=len(conns) * tables)
 
 
 def _row_prop36(cfg):
@@ -172,15 +182,23 @@ def _row_prop39(cfg):
     def not_fstrict(mu, conn, d):
         return not check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, d,
                                         cfg.budget, gate=False).holds
-    non_strict = (conn for conn in conns
-                  if not check_strict_monotonicity(conn, dom).holds)
-    tables = _subnorm_cases(non_strict, dom, _table_sweep(cfg, dom.points),
-                            not_fstrict)
-    builtins = _subnorm_cases((T_M, T_L, T_D), grid_dom, _builtin_mu_forms(),
-                              not_fstrict)
+    non_strict = [conn for conn in conns
+                  if not check_strict_monotonicity(conn, dom).holds]
+    tables = _subnorm_cases(non_strict, dom, cfg.alphabet, not_fstrict)
+    # the builtin forms are five fixed maps, so they go through the gate
+    forms = _builtin_mu_forms()
+    carriers = [(conn, CarrierMonoid.from_connective(conn, grid_dom))
+                for conn in (T_M, T_L, T_D)]
+    builtins = ((f"{conn.name}|{mu.name}",
+                 not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
+                 or not_fstrict(mu, conn, grid_dom))
+                for conn, carrier in carriers for mu in forms)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")
-    return _count("prop3.9", universe, itertools.chain(tables, builtins))
+    checked = (len(non_strict) * _table_count(cfg, dom)
+               + len(carriers) * len(forms))
+    return _count("prop3.9", universe, itertools.chain(tables, builtins),
+                  checked)
 
 
 def _vague_corpus(cfg):
@@ -207,13 +225,15 @@ def _small_lattices():
 def _lattice_implication_row(cfg, row_id, first, second):
     tnorms = [t for lat in _small_lattices() for t in enumerate_lattice_tnorms(lat)]
     cases = ((f"{t.lattice.name}|{t.name}|{mu.name}",
-              not check_lattice_fuzzy_subnorm(mu, t).holds
-              or not check_lattice_fuzzy_property(mu, t, first, gate=False).holds
+              not check_lattice_fuzzy_property(mu, t, first, gate=False).holds
               or check_lattice_fuzzy_property(mu, t, second, gate=False).holds)
-             for t in tnorms for mu in enumerate_lsubsets(t.lattice))
+             for t in tnorms for mu in enumerate_lattice_subnorms(t))
     universe = (f"{len(tnorms)} lattice t-norms on chains 2-4 and the diamond "
                 "x all lattice-valued membership maps")
-    return _count(row_id, universe, cases)
+    # |L|^|L| maps per t-norm; the claims hold vacuously on non-subnorms
+    checked = sum(len(t.lattice.elements) ** len(t.lattice.elements)
+                  for t in tnorms)
+    return _count(row_id, universe, cases, checked)
 
 
 def _row_prop13(cfg):

@@ -16,7 +16,8 @@ from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                             check_discrete_subalgebra, check_fuzzy_property,
                             check_fuzzy_subgroup, check_fuzzy_subgroupoid,
                             check_fuzzy_submonoid, check_not_strictly_decreasing,
-                            core_is_submonoid, extract_core, f_submonoid_kind,
+                            core_is_submonoid, enumerate_table_subnorms,
+                            extract_core, f_submonoid_kind,
                             refute_uninorm_existence, uninorm_family)
 from fuzznorm.reports import FinitePoints, GridDomain, SearchBudget, Verdict
 from fuzznorm.scalars import ZERO
@@ -93,6 +94,54 @@ class TestSubmonoid:
                     for x in chain for y in chain)
                 got = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
                 assert got == expected
+
+
+def _gated_subnorms(carrier, alphabet):
+    return [mu for mu in enumerate_table_subsets(carrier.elements, alphabet)
+            if check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds]
+
+
+SUBNORM_ALPHABETS = {
+    "two": (F(0), F(1)),
+    "three": ALPHABET,
+    "five": (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+    "unsorted": (F(1), F(0), F(1, 2)),
+    "no-one": (F(0), F(1, 4), F(1, 2)),
+    "float": (0.0, 0.5, 1.0),
+}
+
+
+class TestGeneratedSubnorms:
+    """enumerate_table_subnorms against the gate it stands in for:
+    every table over the alphabet, filtered by the t-subnorm check."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    @pytest.mark.parametrize("alphabet", SUBNORM_ALPHABETS.values(),
+                             ids=SUBNORM_ALPHABETS.keys())
+    def test_same_maps_names_and_order_as_the_gate(self, size, alphabet):
+        chain = uniform_chain(size)
+        tables = enumerate_chain_tnorm_tables(chain)
+        assert len(tables) == {2: 1, 3: 2, 4: 6, 5: 22}[size]
+        generated_any = False
+        for table in tables:
+            carrier = CarrierMonoid.from_connective(table.as_connective(),
+                                                    FinitePoints(chain))
+            gated = _gated_subnorms(carrier, alphabet)
+            generated = list(enumerate_table_subnorms(carrier, alphabet))
+            assert [mu.name for mu in generated] == [mu.name for mu in gated]
+            assert ([[mu(x) for x in chain] for mu in generated]
+                    == [[mu(x) for x in chain] for mu in gated])
+            generated_any = generated_any or bool(generated)
+        # the constant-one map is a t-subnorm whenever 1 is a value
+        assert generated_any == (1 in alphabet)
+
+    def test_product_leaving_the_carrier_raises_like_the_gate(self):
+        carrier = CarrierMonoid.from_connective(T_P, GridDomain(2))
+        with pytest.raises(TotalityError) as gated:
+            _gated_subnorms(carrier, ALPHABET)
+        with pytest.raises(TotalityError) as generated:
+            list(enumerate_table_subnorms(carrier, ALPHABET))
+        assert str(generated.value) == str(gated.value)
 
 
 class TestSubgroup:
@@ -277,6 +326,27 @@ class TestDiscreteSubalgebra:
     def test_requires_bounds(self):
         with pytest.raises(DomainError):
             check_discrete_subalgebra((F(1, 4), F(1, 2)), T_M)
+
+
+def test_substructure_checks_count_their_instances(monkeypatch):
+    """Closure tuples per arity, plus the identity or the inverse
+    conditions, plus one per pair for a discrete subalgebra."""
+    import fuzznorm.fuzzy as fuzzy_mod
+    seen = []
+    original = fuzzy_mod.conclude
+
+    def recording(*args, instances=None, **kwargs):
+        seen.append(instances)
+        return original(*args, instances=instances, **kwargs)
+
+    monkeypatch.setattr(fuzzy_mod, "conclude", recording)
+    carrier = min_carrier(GridDomain(2))  # 3 points
+    check_fuzzy_subgroupoid(MU_ID, carrier)
+    check_fuzzy_submonoid(MU_ONE, carrier, KIND_T_SUBNORM)
+    check_fuzzy_submonoid(MU_ONE, carrier, a_submonoid_kind(A_MIN))
+    check_fuzzy_subgroup(MU_ONE, cyclic_group(4))
+    check_discrete_subalgebra(mixed_grid_points(F(1, 2), 2, 2), T_M)
+    assert seen == [9, 9 + 1, 9 + 27 + 1, 16 + 4, 25]
 
 
 class TestCharacterizations:

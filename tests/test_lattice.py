@@ -21,7 +21,9 @@ from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               check_lattice_vague_strict_monotone,
                               check_lattice_vague_structures, diamond_lattice,
                               enumerate_lattice_equalities,
-                              enumerate_lattice_tnorms, induce_lattice_vague_tnorm,
+                              enumerate_lattice_subnorms,
+                              enumerate_lattice_tnorms, enumerate_lsubsets,
+                              induce_lattice_vague_tnorm,
                               lattice_crisp_equality, lattice_from_json,
                               lsubset_identity, lsubset_table, lsubset_top,
                               meet_tnorm)
@@ -219,6 +221,55 @@ class TestLatticeFuzzySubnorm:
     def test_partial_table_is_not_total(self):
         with pytest.raises(TotalityError, match="no value at m"):
             lsubset_table(chain_lattice(3), {"0": "0"})
+
+
+def product_lattice_2x3() -> FiniteLattice:
+    """The 2-chain times the 3-chain, as the benchmark's lattice input."""
+    elements = [f"{i}{j}" for i in range(2) for j in range(3)]
+    covers = ([(f"0{j}", f"1{j}") for j in range(3)]
+              + [(f"{i}{j}", f"{i}{j + 1}") for i in range(2) for j in range(2)])
+    return build_lattice(elements, covers, name="chain2xchain3")
+
+
+def _subnorm_tnorm_sets():
+    for size in (2, 3, 4, 5):
+        lat = chain_lattice(size)
+        yield pytest.param(enumerate_lattice_tnorms(lat), id=f"chain{size}")
+    yield pytest.param(enumerate_lattice_tnorms(diamond_lattice()),
+                       id="diamond")
+    # 6^6 maps a t-norm: the gate takes seconds for each of the 43, so
+    # the first and the last stand for them
+    tnorms = enumerate_lattice_tnorms(product_lattice_2x3())
+    yield pytest.param([tnorms[0], tnorms[-1]], id="2x3-first-last")
+
+
+class TestGeneratedLatticeSubnorms:
+    """enumerate_lattice_subnorms against the gate it stands in for:
+    every lattice-valued map, filtered by the t-subnorm check."""
+
+    @pytest.mark.parametrize("tnorms", _subnorm_tnorm_sets())
+    def test_same_maps_names_and_order_as_the_gate(self, tnorms):
+        for t in tnorms:
+            lat = t.lattice
+            gated = [mu for mu in enumerate_lsubsets(lat)
+                     if check_lattice_fuzzy_subnorm(mu, t).holds]
+            generated = list(enumerate_lattice_subnorms(t))
+            assert [mu.name for mu in generated] == [mu.name for mu in gated]
+            assert ([[mu(x) for x in lat.elements] for mu in generated]
+                    == [[mu(x) for x in lat.elements] for mu in gated])
+            assert generated  # the constant-top map at least
+
+    def test_product_leaving_the_lattice_raises_like_the_gate(self):
+        lat = chain_lattice(3)
+        table = dict(meet_tnorm(lat).table)
+        table[("m", "m")] = "x"
+        t = LatticeTNorm(lat, table, name="leaky")
+        with pytest.raises(TotalityError) as gated:
+            [mu for mu in enumerate_lsubsets(lat)
+             if check_lattice_fuzzy_subnorm(mu, t).holds]
+        with pytest.raises(TotalityError) as generated:
+            list(enumerate_lattice_subnorms(t))
+        assert str(generated.value) == str(gated.value)
 
 
 class TestLatticeFuzzyProperties:

@@ -1,8 +1,19 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
+import fuzznorm.suite as suite_mod
+from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.errors import DomainError
-from fuzznorm.reports import dumps
+from fuzznorm.fuzzy import FuzzyProp, KIND_T_SUBNORM, check_fuzzy_submonoid
+from fuzznorm.lattice import (chain_lattice, check_lattice_fuzzy_subnorm,
+                              diamond_lattice, enumerate_lattice_tnorms,
+                              enumerate_lsubsets)
+from fuzznorm.reports import FinitePoints, dumps
+from fuzznorm.subsets import enumerate_table_subsets
 from fuzznorm.suite import ROWS, RowResult, SuiteConfig, run_suite
+from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
 
 
 def test_row_registry_covers_the_propositions():
@@ -43,7 +54,6 @@ def test_json_omits_wall_clock():
 
 def test_budget_refusal_marks_the_row_skipped(monkeypatch):
     from fuzznorm.errors import BudgetExceededError
-    import fuzznorm.suite as suite_mod
 
     def exploding_row(cfg):
         raise BudgetExceededError("too big", size_estimate=10 ** 9)
@@ -64,3 +74,59 @@ def test_note_row_records_observed_relation():
     assert notes["tnorm:min"]["archimedean"] == "FAILS"
     assert notes["tnorm:lukasiewicz"]["archimedean"] == "HOLDS_ON_DOMAIN"
     assert notes["tnorm:lukasiewicz"]["limit-property"] == "HOLDS_ON_DOMAIN"
+
+
+WIDE_ALPHABET = tuple(Fraction(k, 4) for k in range(5))
+# sum of |L|^|L| over the t-norms on chains 2-4 (1, 2, 6) and the diamond (4)
+LATTICE_MAPS = 1 * 2 ** 2 + 2 * 3 ** 3 + 6 * 4 ** 4 + 4 * 4 ** 4
+
+
+@pytest.mark.parametrize("alphabet, size", [(SuiteConfig().alphabet, 3),
+                                            (WIDE_ALPHABET, 5)],
+                         ids=["default", "wide"])
+def test_subnorm_rows_count_their_whole_universe(alphabet, size):
+    """The t-subnorm rows run their claims on generated t-subnorms only,
+    and count every map of their universe: 6 t-norm tables on the
+    4-chain x size^4 tables (prop3.9 adds 3 builtins x 5 forms), and
+    every lattice-valued map of every small lattice t-norm."""
+    rows = ["prop3.6", "prop3.7", "prop3.9", "prop13", "prop14"]
+    result = run_suite(SuiteConfig(alphabet=alphabet), only=rows)
+    tables = 6 * size ** 4
+    assert [r.checked for r in result.rows] == [
+        tables, tables, tables + 3 * 5, LATTICE_MAPS, LATTICE_MAPS]
+    assert result.total_counterexamples == 0
+
+
+def _fstrict_without_fcancel(mu, conn, prop, *args, **kwargs):
+    return SimpleNamespace(holds=prop is FuzzyProp.FSTRICT)
+
+
+def test_planted_failure_marks_every_generated_subnorm(monkeypatch):
+    """With FSTRICT made to hold and FCANCEL to fail, prop3.6 and prop13
+    report exactly the t-subnorms the gate passes, by their labels."""
+    monkeypatch.setattr(suite_mod, "check_fuzzy_property",
+                        _fstrict_without_fcancel)
+    monkeypatch.setattr(suite_mod, "check_lattice_fuzzy_property",
+                        _fstrict_without_fcancel)
+    result = run_suite(SuiteConfig(), only=["prop3.6", "prop13"])
+    chain = uniform_chain(4)
+    expected_unit = []
+    for table in enumerate_chain_tnorm_tables(chain):
+        conn = table.as_connective()
+        carrier = CarrierMonoid.from_connective(conn, FinitePoints(chain))
+        expected_unit += [
+            f"{conn.name}|{mu.name}"
+            for mu in enumerate_table_subsets(chain, SuiteConfig().alphabet)
+            if check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds]
+    expected_lattice = [
+        f"{t.lattice.name}|{t.name}|{mu.name}"
+        for lat in (chain_lattice(2), chain_lattice(3), chain_lattice(4),
+                    diamond_lattice())
+        for t in enumerate_lattice_tnorms(lat)
+        for mu in enumerate_lsubsets(lat)
+        if check_lattice_fuzzy_subnorm(mu, t).holds]
+    prop36, prop13 = result.rows
+    assert len(expected_unit) == 105
+    assert prop36.counterexamples == expected_unit
+    assert prop13.counterexamples == expected_lattice
+    assert (prop36.checked, prop13.checked) == (6 * 3 ** 4, LATTICE_MAPS)
