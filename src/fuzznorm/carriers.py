@@ -51,6 +51,8 @@ class CarrierMonoid:
     def from_table(elements: Sequence, table: Mapping, identity,
                    label: str = "") -> "CarrierMonoid":
         elems = tuple(elements)
+        if len(set(elems)) != len(elems):
+            raise DomainError("carrier elements must be distinct")
         if identity not in elems:
             raise DomainError("identity element is not a carrier element")
         elem_set = set(elems)

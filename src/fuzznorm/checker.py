@@ -378,6 +378,16 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
                     budget=budget.to_json() if budget else None, details=details)
 
 
+def _not_a_subnorm(rid, dom, subnorm, budget, details) -> PropertyReport:
+    """The report of a fuzzified property whose map fails the t-subnorm
+    check it is stated for: VACUOUS, tagged NOT_A_SUBNORM, carrying the
+    check's violations."""
+    return PropertyReport(rid, Verdict.VACUOUS, dom,
+                          witnesses=list(subnorm.witnesses),
+                          budget=budget.to_json() if budget else {},
+                          tags=("NOT_A_SUBNORM",), details=details)
+
+
 def _crisp(conn: Connective, domain, prop: FuzzyProp, mu, rid: str,
            budget: Optional[SearchBudget] = None) -> PropertyReport:
     """``prop`` at the fixed map ``mu`` on the unit interval, in the crisp

@@ -91,23 +91,35 @@ def _env_overrides() -> dict:
     return obj
 
 
+def _env_int(env: dict, key: str, fallback: int) -> int:
+    """``env[key]`` as an int: a JSON integer or a string of one."""
+    value = env.get(key, fallback)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputFormatError(f"{BUDGET_ENV} needs an integer, got {value!r}",
+                          field=key)
+
+
 def _resolve_budget(args) -> SearchBudget:
     env = _env_overrides()
-    n_max = args.nmax if args.nmax is not None else env.get("n_max", 64)
-    iter_cap = args.iter_cap if args.iter_cap is not None else env.get("iter_cap", 128)
+    n_max = args.nmax if args.nmax is not None else _env_int(env, "n_max", 64)
+    iter_cap = (args.iter_cap if args.iter_cap is not None
+                else _env_int(env, "iter_cap", 128))
     eps_text = args.epsilon if args.epsilon is not None else env.get("epsilon", "1/1024")
     try:
         epsilon = parse_rational(str(eps_text))
     except ValueError as exc:
         raise InputFormatError(str(exc), field="epsilon") from None
-    return SearchBudget(n_max=int(n_max), iter_cap=int(iter_cap), epsilon=epsilon)
+    return SearchBudget(n_max=n_max, iter_cap=iter_cap, epsilon=epsilon)
 
 
 def _resolve_grid(args, fallback: int) -> int:
     if args.grid is not None:
         return args.grid
-    env = _env_overrides()
-    return int(env.get("grid", fallback))
+    return _env_int(_env_overrides(), "grid", fallback)
 
 
 def _emit(args, payload: str) -> None:

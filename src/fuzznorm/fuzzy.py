@@ -11,20 +11,21 @@ characterization sweeps and the uninorm non-existence refutations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .carriers import CarrierMonoid, FiniteGroup
-from .checker import FuzzyProp, _fuzzy_property, check_strict_monotonicity
+from .checker import (FuzzyProp, _fuzzy_property, _not_a_subnorm,
+                      check_strict_monotonicity)
 from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, eq_approx, format_scalar,
                       le_approx)
-from .subsets import FuzzySubset, generate_subnorm_tables, named_table
+from .subsets import (FuzzySubset, _closure_witnesses, _identity_witnesses,
+                      generate_subnorm_tables, named_table)
 
 
 class SubstructureTag(Enum):
@@ -50,7 +51,8 @@ class SubstructureKind:
     """Which inequality family to check and what replaces min.
 
     ``combiner`` stays None for the min-based kinds. The n-ary
-    aggregation condition is checked for arities 2 up to ``arity_cap``.
+    aggregation condition is checked for arities 2 up to ``arity_cap``,
+    which must be at least 2.
     """
 
     tag: SubstructureTag
@@ -65,11 +67,8 @@ class SubstructureKind:
                     f"{self.tag.value} needs a combiner of role {wanted.value}")
         elif self.combiner is not None:
             raise DomainError(f"{self.tag.value} uses the min combiner")
-
-    def combine(self, values: tuple):
-        if self.combiner is None:
-            return min(values)
-        return self.combiner(*values)
+        if self.arity_cap < 2:
+            raise DomainError(f"arity cap {self.arity_cap} is below 2")
 
 
 KIND_SUBGROUPOID = SubstructureKind(SubstructureTag.SUBGROUPOID)
@@ -90,78 +89,38 @@ def f_submonoid_kind(nullnorm: Connective) -> SubstructureKind:
     return SubstructureKind(SubstructureTag.F_SUBMONOID, nullnorm)
 
 
-def _arities(kind) -> tuple:
-    return (2,) if kind.tag is not SubstructureTag.A_SUBMONOID \
-        else tuple(range(2, kind.arity_cap + 1))
-
-
-def _closure_instances(carrier, kind) -> int:
-    n = len(carrier.elements)
-    return sum(n ** arity for arity in _arities(kind))
-
-
-def _closure_witnesses(mu, carrier, kind):
-    """Violations of combiner(mu(x..)) <= mu(x o ..) over tuples."""
-    elems = carrier.elements
-    vals = {a: mu(a) for a in elems}
-    witnesses = []
-    for arity in _arities(kind):
-        if arity == 2 and carrier.table is not None:
-            # mu at each product id, filled in loop order so a map that
-            # is not total fails at the same pair as the tuple loop
-            table, products = carrier.table.table, carrier.table.vals
-            at = [vals[x] for x in elems] + [None] * (len(products) - len(elems))
-            for i, x in enumerate(elems):
-                vx, row = at[i], table[i]
-                for j, y in enumerate(elems):
-                    lhs = kind.combine((vx, at[j]))
-                    p = row[j]
-                    rhs = at[p]
-                    if rhs is None:
-                        rhs = at[p] = mu(products[p])
-                    if not le_approx(lhs, rhs):
-                        witnesses.append(Witness((x, y), (lhs, rhs)))
-        else:
-            for combo in itertools.product(elems, repeat=arity):
-                lhs = kind.combine(tuple(vals[c] for c in combo))
-                acc = combo[0]
-                for c in combo[1:]:
-                    acc = carrier.op(acc, c)
-                rhs = mu(acc)
-                if not le_approx(lhs, rhs):
-                    witnesses.append(Witness(combo, (lhs, rhs)))
-    return witnesses
+def _closure(mu, carrier, kind) -> tuple:
+    """Violations of combiner(mu(x..)) <= mu(x o ..) over the kind's
+    tuples (min combines for the min-based kinds), and the tuple count."""
+    arities = (range(2, kind.arity_cap + 1)
+               if kind.tag is SubstructureTag.A_SUBMONOID else (2,))
+    witnesses = _closure_witnesses(mu, carrier.elements, carrier.op,
+                                   kind.combiner or UNIT_INTERVAL.meet,
+                                   UNIT_INTERVAL.leq, arities, carrier.table)
+    return witnesses, sum(len(carrier.elements) ** a for a in arities)
 
 
 def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid) -> PropertyReport:
     """Closure under the carrier operation: min of the memberships never
     exceeds the membership of the product."""
-    witnesses = _closure_witnesses(mu, carrier, KIND_SUBGROUPOID)
+    witnesses, instances = _closure(mu, carrier, KIND_SUBGROUPOID)
     return conclude(SubstructureTag.SUBGROUPOID.value, carrier.to_json(),
-                    witnesses, 0,
-                    instances=_closure_instances(carrier, KIND_SUBGROUPOID),
-                    details={"mu": mu.name})
+                    witnesses, 0, instances=instances, details={"mu": mu.name})
 
 
 def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
                           kind: SubstructureKind = KIND_SUBMONOID) -> PropertyReport:
     """Closure condition for the kind's combiner plus full membership at
     the carrier identity."""
-    witnesses = _closure_witnesses(mu, carrier, kind)
-    ident_val = mu(carrier.identity)
-    identity_ok = eq_approx(ident_val, ONE)
-    if not identity_ok:
-        witnesses.append(Witness((carrier.identity,), (ident_val, ONE)))
-    details = {"mu": mu.name, "identity_condition": identity_ok}
+    witnesses, instances = _closure(mu, carrier, kind)
+    missed = _identity_witnesses(mu, carrier.identity, UNIT_INTERVAL.same, ONE)
+    witnesses += missed
+    details = {"mu": mu.name, "identity_condition": not missed}
     if kind.combiner is not None:
         details["combiner"] = kind.combiner.name
     return conclude(kind.tag.value, carrier.to_json(), witnesses, 0,
-                    instances=_closure_instances(carrier, kind) + 1,
+                    instances=instances + 1,
                     details=details)
-
-
-def _is_one(v) -> bool:
-    return eq_approx(v, ONE)
 
 
 def enumerate_table_subnorms(carrier: CarrierMonoid,
@@ -169,26 +128,24 @@ def enumerate_table_subnorms(carrier: CarrierMonoid,
     """The t-subnorms among ``enumerate_table_subsets(carrier.elements,
     alphabet)``: the maps, names and order that filtering it through
     ``check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)`` gives, made by
-    backtracking with that check's comparisons instead of checking every
-    map."""
+    backtracking in the unit interval instead of checking every map."""
     elems = carrier.elements
     for values in generate_subnorm_tables(elems, carrier.op, carrier.identity,
-                                          alphabet, min, le_approx, _is_one):
+                                          alphabet, UNIT_INTERVAL):
         yield named_table(elems, values)
 
 
 def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
     """Subgroupoid closure plus the inverse condition mu(x^-1) >= mu(x)."""
-    witnesses = _closure_witnesses(mu, group.monoid, KIND_SUBGROUPOID)
+    witnesses, instances = _closure(mu, group.monoid, KIND_SUBGROUPOID)
     for a in group.elements:
         va = mu(a)
         vi = mu(group.inverse[a])
         if not le_approx(va, vi):
             witnesses.append(Witness((a, group.inverse[a]), (va, vi)))
-    instances = (_closure_instances(group.monoid, KIND_SUBGROUPOID)
-                 + len(group.elements))
     return conclude(SubstructureTag.SUBGROUP.value, group.to_json(),
-                    witnesses, 0, instances=instances, details={"mu": mu.name})
+                    witnesses, 0, instances=instances + len(group.elements),
+                    details={"mu": mu.name})
 
 
 def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
@@ -208,10 +165,8 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
         carrier = CarrierMonoid.from_connective(conn, domain)
         subnorm = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)
         if not subnorm.holds:
-            return PropertyReport(prop.value, Verdict.VACUOUS, domain.to_json(),
-                                  witnesses=list(subnorm.witnesses),
-                                  budget=budget.to_json(),
-                                  tags=("NOT_A_SUBNORM",), details=details)
+            return _not_a_subnorm(prop.value, domain.to_json(), subnorm,
+                                  budget, details)
     pts = domain.points
     if prop is FuzzyProp.FARCH and len({mu(p) for p in pts}) == 1:
         return PropertyReport(prop.value, Verdict.VACUOUS, domain.to_json(),

@@ -5,9 +5,10 @@ transitive closure, materializes meet and join tables, and fails loudly
 on any pair without a unique meet or join, or on a missing top or
 bottom. Degrees in the lattice-valued checks are lattice elements, so
 "less than" means the lattice order and incomparable outcomes are
-counted rather than silently dropped. The t-norm conditions, the
-fuzzified properties and the vague conditions are the ``checker`` and
-``vague`` implementations run with the lattice as the degree order.
+counted rather than silently dropped. The t-norm, t-subnorm, fuzzified
+and vague conditions are the ``checker``, ``subsets`` and ``vague``
+implementations run with the lattice as the degree order, on
+``subsets.FuzzySubset`` membership maps.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
-                     InputFormatError, TotalityError, UnboundedPosetError,
-                     read_json_object)
-from .reports import PropertyReport, Verdict, Witness, combine, conclude
-from .subsets import generate_subnorm_tables
+                     InputFormatError, UnboundedPosetError, read_json_object)
+from .reports import PropertyReport, combine, conclude
+from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
+                      _identity_witnesses, _TableFn, generate_subnorm_tables)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def load_lattice(path: str) -> FiniteLattice:
 
 
 def lsubset_from_json(obj: dict, lat: FiniteLattice, *,
-                      path: Optional[str] = None) -> LSubset:
+                      path: Optional[str] = None) -> FuzzySubset:
     """Parse {"entries": [[element, value], ...]} with one entry for every
     element of the lattice."""
     entries = obj.get("entries")
@@ -200,11 +201,14 @@ def lsubset_from_json(obj: dict, lat: FiniteLattice, *,
             if label not in lat.elements:
                 raise InputFormatError(f"{label!r} is not a lattice element",
                                       path=path, field="entries")
+        if entry[0] in mapping:
+            raise InputFormatError(f"element {entry[0]!r} is listed twice",
+                                  path=path, field="entries")
         mapping[entry[0]] = entry[1]
     return lsubset_table(lat, mapping)
 
 
-def load_lsubset(path: str, lat: FiniteLattice) -> LSubset:
+def load_lsubset(path: str, lat: FiniteLattice) -> FuzzySubset:
     return lsubset_from_json(read_json_object(path), lat, path=path)
 
 
@@ -326,74 +330,50 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
 
 # --- lattice-valued membership maps ---
 
-@dataclass(frozen=True)
-class LSubset:
-    lattice: FiniteLattice
-    fn: Callable
-    name: str = "lsubset"
-
-    def __call__(self, x):
-        return self.fn(x)
+def lsubset_identity(lat: FiniteLattice) -> FuzzySubset:
+    return FuzzySubset("identity", _id_fn)
 
 
-def lsubset_identity(lat: FiniteLattice) -> LSubset:
-    return LSubset(lat, lambda x: x, name="identity")
+def lsubset_top(lat: FiniteLattice) -> FuzzySubset:
+    return FuzzySubset("one", lambda x: lat.top)
 
 
-def lsubset_top(lat: FiniteLattice) -> LSubset:
-    return LSubset(lat, lambda x: lat.top, name="one")
-
-
-def lsubset_table(lat: FiniteLattice, mapping: Mapping, name: str = "") -> LSubset:
-    entries = dict(mapping)
-
-    def fn(x):
-        try:
-            return entries[x]
-        except KeyError:
-            raise TotalityError(f"lattice membership table has no value at {x}") from None
-
+def lsubset_table(lat: FiniteLattice, mapping: Mapping,
+                  name: str = "") -> FuzzySubset:
+    fn = _TableFn(mapping)
     label = name or "mu(" + ",".join(str(fn(e)) for e in lat.elements) + ")"
-    return LSubset(lat, fn, name=label)
+    return FuzzySubset(label, fn)
 
 
-def enumerate_lsubsets(lat: FiniteLattice) -> Iterator[LSubset]:
+def enumerate_lsubsets(lat: FiniteLattice) -> Iterator[FuzzySubset]:
     for values in itertools.product(lat.elements, repeat=len(lat.elements)):
         yield lsubset_table(lat, dict(zip(lat.elements, values)))
 
 
-def enumerate_lattice_subnorms(t: LatticeTNorm) -> Iterator[LSubset]:
+def enumerate_lattice_subnorms(t: LatticeTNorm) -> Iterator[FuzzySubset]:
     """The t-subnorms among ``enumerate_lsubsets(t.lattice)``: the maps,
     names and order that filtering it through
-    ``check_lattice_fuzzy_subnorm(mu, t)`` gives, made by backtracking
-    with that check's comparisons instead of checking every map."""
+    ``check_lattice_fuzzy_subnorm(mu, t)`` gives, made by backtracking in
+    the lattice instead of checking every map."""
     lat = t.lattice
-    for values in generate_subnorm_tables(
-            lat.elements, t, lat.top, lat.elements, lat.meet, lat.leq,
-            lambda v: v == lat.top, what="lattice membership table"):
+    for values in generate_subnorm_tables(lat.elements, t, lat.top,
+                                          lat.elements, lat):
         yield lsubset_table(lat, dict(zip(lat.elements, values)))
 
 
-def check_lattice_fuzzy_subnorm(mu: LSubset, t: LatticeTNorm) -> PropertyReport:
+def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyReport:
     """Meet of memberships below the membership of the product, plus
-    full membership at the top."""
+    full membership at the top: the unit interval's t-subnorm condition
+    with the lattice as the degree order."""
     lat = t.lattice
-    witnesses = []
-    for x in lat.elements:
-        for y in lat.elements:
-            lhs = lat.meet(mu(x), mu(y))
-            rhs = mu(t(x, y))
-            if not lat.leq(lhs, rhs):
-                witnesses.append(Witness((x, y), (lhs, rhs)))
-    top_val = mu(lat.top)
-    if top_val != lat.top:
-        witnesses.append(Witness((lat.top,), (top_val, lat.top)))
+    witnesses = (_closure_witnesses(mu, lat.elements, t, lat.meet, lat.leq)
+                 + _identity_witnesses(mu, lat.top, lat.same, lat.top))
     return conclude("lattice-fuzzy-t-subnorm", lat.to_json(), witnesses, 0,
                     instances=len(lat.elements) ** 2 + 1,
                     details={"mu": mu.name, "tnorm": t.name})
 
 
-def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
+def check_lattice_fuzzy_property(mu: FuzzySubset, t: LatticeTNorm, prop,
                                  gate: bool = True) -> PropertyReport:
     """Lattice renderings of the five fuzzified properties: the unit
     layer's checks with the lattice order on points and membership
@@ -408,9 +388,8 @@ def check_lattice_fuzzy_property(mu: LSubset, t: LatticeTNorm, prop,
     if gate:
         subnorm = check_lattice_fuzzy_subnorm(mu, t)
         if not subnorm.holds:
-            return PropertyReport(f"lattice-{prop.value}", Verdict.VACUOUS, dom,
-                                  witnesses=list(subnorm.witnesses),
-                                  tags=("NOT_A_SUBNORM",), details=details)
+            return checker._not_a_subnorm(f"lattice-{prop.value}", dom,
+                                          subnorm, None, details)
     return checker._fuzzy_property(lat, t, mu, lat.elements, lat.interior,
                                    lat.bottom, prop, None, f"lattice-{prop.value}",
                                    dom, details)
@@ -452,14 +431,8 @@ def enumerate_lattice_equalities(lat: FiniteLattice, t: LatticeTNorm) -> list:
 
 def induce_lattice_vague_tnorm(equality: Mapping, t: LatticeTNorm) -> dict:
     """Ternary degree table: degree that t(x, y) equals z."""
-    lat = t.lattice
-    table = {}
-    for x in lat.elements:
-        for y in lat.elements:
-            v = t(x, y)
-            for z in lat.elements:
-                table[(x, y, z)] = equality[(v, z)]
-    return table
+    return vague._induced_degrees(t.lattice.elements, t,
+                                  lambda a, b: equality[(a, b)])
 
 
 def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,

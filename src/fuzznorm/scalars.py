@@ -109,10 +109,10 @@ def _equal3(leq, a, b):
 
 
 class UnitInterval:
-    """[0, 1] as a degree order; ``FiniteLattice`` offers the same five
+    """[0, 1] as a degree order; ``FiniteLattice`` offers the same six
     members. ``leq`` and ``lt`` certify (``None`` inside the float band)
     and order points and degrees alike; ``same`` matches premises within
-    the tolerance."""
+    the tolerance; ``meet`` is min."""
 
     # int bounds compare equal to ZERO and ONE and keep Fraction.__eq__
     # on its int fast path in the pruning tests
@@ -121,6 +121,7 @@ class UnitInterval:
     leq = staticmethod(le3)
     same = staticmethod(eq_approx)
     lt = staticmethod(lt3)
+    meet = staticmethod(min)
 
 
 UNIT_INTERVAL = UnitInterval()

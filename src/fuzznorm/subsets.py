@@ -4,9 +4,10 @@ A subset is total on its carrier: the builtin forms are closed-form
 expressions defined on all of [0, 1], while table forms raise
 ``TotalityError`` at any point they do not cover (grid carriers whose
 operation leaves the grid surface this as a totality failure, which the
-CLI maps to its own exit code). ``generate_subnorm_tables`` builds the
-t-subnorm tables of a finite operator by backtracking, with the order to
-compare in as a parameter, so the lattice layer uses it too.
+CLI maps to its own exit code); lattice-valued maps are table maps too.
+The t-subnorm condition is implemented once, over a degree order
+(``scalars.UNIT_INTERVAL`` or a ``FiniteLattice``), as a check of one
+map and as a generator of every t-subnorm table of a finite operator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
                      read_json_object)
+from .reports import Witness
 from .scalars import ONE, ZERO, Scalar, format_scalar, parse_rational, unit
 
 
@@ -64,6 +66,10 @@ class _IndicatorFn:
         return ONE if x in self.members else ZERO
 
 
+def _no_value(x) -> TotalityError:
+    return TotalityError(f"membership table has no value at {format_scalar(x)}")
+
+
 class _TableFn:
     def __init__(self, entries: Mapping):
         self.entries = dict(entries)
@@ -72,8 +78,7 @@ class _TableFn:
         try:
             return self.entries[x]
         except (KeyError, TypeError):
-            raise TotalityError(
-                f"membership table has no value at {format_scalar(x)}") from None
+            raise _no_value(x) from None
 
 
 MU_ID = FuzzySubset("builtin:identity", _id_fn)
@@ -153,9 +158,13 @@ def subset_from_json(obj: dict, *, path: Optional[str] = None) -> FuzzySubset:
                 raise InputFormatError(f"entry {i} must be a [point, value] pair",
                                       path=path, field="entries")
             try:
-                mapping[_coerce_key(str(entry[0]))] = unit(str(entry[1]))
+                point, value = _coerce_key(str(entry[0])), unit(str(entry[1]))
             except ValueError as exc:
                 raise InputFormatError(str(exc), path=path, field="entries") from None
+            if point in mapping:
+                raise InputFormatError(f"point {format_scalar(point)} is listed twice",
+                                      path=path, field="entries")
+            mapping[point] = value
         return table_subset(mapping, name=obj.get("name", ""))
     if isinstance(form, str):
         try:
@@ -202,20 +211,64 @@ def enumerate_table_subsets(elements: Sequence, alphabet: Sequence[Fraction]) ->
         yield named_table(elems, values)
 
 
+def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
+                       leq: Callable, arities: Sequence = (2,),
+                       table=None) -> list:
+    """The closure condition of a fuzzy submonoid: a witness for every
+    tuple of ``elems`` where ``leq(combine(mu x, ..), mu(x o ..))`` is
+    False. ``combine`` is the order's meet or a combiner replacing it,
+    ``leq`` the order's (None, inside the float band, is no violation).
+    ``table``, a ``kernel.Kernel`` of ``op`` over ``elems``, serves the
+    pairs when given."""
+    vals = {a: mu(a) for a in elems}
+    witnesses = []
+    for arity in arities:
+        if arity == 2 and table is not None:
+            # mu at each product id, filled in loop order so a map that
+            # is not total fails at the same pair as the tuple loop
+            products = table.vals
+            at = [vals[x] for x in elems] + [None] * (len(products) - len(elems))
+            for i, x in enumerate(elems):
+                vx, row = at[i], table.table[i]
+                for j, y in enumerate(elems):
+                    lhs = combine(vx, at[j])
+                    p = row[j]
+                    rhs = at[p]
+                    if rhs is None:
+                        rhs = at[p] = mu(products[p])
+                    if leq(lhs, rhs) is False:
+                        witnesses.append(Witness((x, y), (lhs, rhs)))
+        else:
+            for combo in itertools.product(elems, repeat=arity):
+                lhs = combine(*[vals[c] for c in combo])
+                acc = combo[0]
+                for c in combo[1:]:
+                    acc = op(acc, c)
+                rhs = mu(acc)
+                if leq(lhs, rhs) is False:
+                    witnesses.append(Witness(combo, (lhs, rhs)))
+    return witnesses
+
+
+def _identity_witnesses(mu, identity, same: Callable, top) -> list:
+    """The identity condition of a fuzzy submonoid: no witness when
+    ``mu(identity)`` is the top degree, else the one that shows it."""
+    v = mu(identity)
+    return [] if same(v, top) else [Witness((identity,), (v, top))]
+
+
 def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
-                            alphabet: Sequence, meet: Callable, leq: Callable,
-                            is_top: Callable,
-                            what: str = "membership table") -> Iterator[tuple]:
+                            alphabet: Sequence, order) -> Iterator[tuple]:
     """The value tuples over ``alphabet``, in ``itertools.product`` order,
-    whose map on ``elements`` is a t-subnorm of ``op``: every
-    ``leq(meet(mu x, mu y), mu(op(x, y)))`` holds and
-    ``is_top(mu(identity))``.
+    whose map on ``elements`` is a t-subnorm of ``op`` in ``order``: no
+    ``order.leq(order.meet(mu x, mu y), mu(op(x, y)))`` is False and
+    ``mu(identity)`` is ``order.same`` as ``order.top``, the comparisons
+    ``_closure_witnesses`` and ``_identity_witnesses`` make.
 
     Values are assigned in element order; a partial tuple is dropped as
     soon as an inequality with all three values assigned fails or the
     identity gets a value that is not the top. A product or an identity
-    outside ``elements`` raises the ``TotalityError`` a table map (named
-    by ``what``) raises there.
+    outside ``elements`` raises the ``TotalityError`` a table map raises.
     """
     alphabet = tuple(alphabet)
     if not alphabet:
@@ -227,8 +280,7 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
         try:
             return index[x]
         except (KeyError, TypeError):
-            raise TotalityError(
-                f"{what} has no value at {format_scalar(x)}") from None
+            raise _no_value(x) from None
 
     # each inequality is decided where its last value is assigned
     ready = [[] for _ in elements]
@@ -238,9 +290,10 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
             ready[max(i, j, p)].append((i, j, p))
     pinned = position(identity)
     # the comparisons on alphabet positions, each made once
-    holds = [[[leq(meet(a, b), c) for c in alphabet] for b in alphabet]
-             for a in alphabet]
-    tops = [v for v, a in enumerate(alphabet) if is_top(a)]
+    leq, meet = order.leq, order.meet
+    holds = [[[leq(meet(a, b), c) is not False for c in alphabet]
+              for b in alphabet] for a in alphabet]
+    tops = [v for v, a in enumerate(alphabet) if order.same(a, order.top)]
     choices = [tops if k == pinned else range(len(alphabet))
                for k in range(len(ready))]
     at = [0] * len(ready)

@@ -262,16 +262,21 @@ def induce_vague_tnorm(equality: TFuzzyEquality, conn: Connective) -> VagueTNorm
         raise DomainError("the fuzzy equality must be validated first")
     if conn.role is not Role.TNORM:
         raise DomainError(f"expected a t-norm, got {conn.name}")
-    carrier = equality.carrier
+    base = VagueBinaryOp(f"induced({equality.label},{conn.name})",
+                         equality.carrier, equality,
+                         _induced_degrees(equality.carrier, conn, equality))
+    return VagueTNorm(base, conn)
+
+
+def _induced_degrees(carrier: Sequence, op: Callable, eq: Callable) -> dict:
+    """The degree ``eq(op(x, y), z)`` for every carrier triple."""
     table = {}
     for x in carrier:
         for y in carrier:
-            v = conn(x, y)
+            v = op(x, y)
             for z in carrier:
-                table[(x, y, z)] = equality(v, z)
-    base = VagueBinaryOp(f"induced({equality.label},{conn.name})",
-                         carrier, equality, table)
-    return VagueTNorm(base, conn)
+                table[(x, y, z)] = eq(v, z)
+    return table
 
 
 def _tuple_budget(size: int, power: int, cap: int, what: str) -> None:

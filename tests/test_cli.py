@@ -82,6 +82,33 @@ class TestSubstructureCommand:
         assert code == 65
         assert "no value" in capsys.readouterr().err
 
+    def test_repeated_point_in_mu_file_is_a_config_error(self, tmp_path,
+                                                         capsys):
+        mu_file = tmp_path / "mu.json"
+        mu_file.write_text(json.dumps({"form": "table", "entries": [
+            ["0", "1"], ["1/2", "1"], ["0.5", "0"], ["1", "1"]]}))
+        code = run(["substructure", "--mu", str(mu_file),
+                    "--carrier", "tnorm:min", "--kind", "t-subnorm",
+                    "--grid", "2"])
+        assert code == 64
+        assert "1/2 is listed twice" in capsys.readouterr().err
+
+    def test_repeated_carrier_element_is_a_config_error(self, tmp_path,
+                                                        capsys):
+        carrier = tmp_path / "carrier.json"
+        carrier.write_text(json.dumps({"elements": ["0", "0"], "identity": "0",
+                                       "op": [["0", "0"], ["0", "0"]]}))
+        assert run(["substructure", "--mu", "builtin:one", "--carrier",
+                    str(carrier), "--kind", "submonoid"]) == 64
+        assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["1", "0"])
+    def test_arity_cap_below_two_is_a_config_error(self, capsys, cap):
+        assert run(["substructure", "--mu", "builtin:one", "--carrier",
+                    "tnorm:min", "--kind", "a-submonoid", "--grid", "2",
+                    "--arity-cap", cap]) == 64
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_mu_file_is_a_config_error(self, tmp_path, capsys):
         mu_file = tmp_path / "mu.json"
         mu_file.write_text("{not json")
@@ -211,7 +238,9 @@ class TestLatticeCommands:
         ({"entries": [["0", "0"], ["m", "m"]]}, 65),         # "1" has no entry
         ({"entries": [["0", "0"], ["m", "zz"], ["1", "1"]]}, 64),  # not an element
         ({"entries": [[["0"], "0"], ["m", "m"], ["1", "1"]]}, 64),  # list as key
-    ], ids=["list", "missing-element", "bad-value", "list-key"])
+        ({"entries": [["0", "0"], ["m", "m"], ["m", "1"], ["1", "1"]]}, 64),
+    ], ids=["list", "missing-element", "bad-value", "list-key",
+            "repeated-element"])
     def test_malformed_membership_file(self, tmp_path, capsys, payload, code):
         f = tmp_path / "mu.json"
         f.write_text(json.dumps(payload))
@@ -280,6 +309,19 @@ class TestBudgetEnv:
         obj = json.loads(out_text(capsys))
         assert obj["reports"][0]["domain"]["resolution"] == 6
 
-    def test_bad_env_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", "{broken")
+    @pytest.mark.parametrize("raw, field", [
+        ("{broken", None),
+        ('{"n_max": "abc"}', "n_max"),
+        ('{"grid": "x"}', "grid"),
+        ('{"iter_cap": null}', "iter_cap"),
+        ('{"grid": [1]}', "grid"),
+        ('{"n_max": 1.5}', "n_max"),  # not truncated to 1
+    ], ids=["broken-json", "n_max-text", "grid-text", "iter_cap-null",
+            "grid-list", "n_max-fraction"])
+    def test_bad_env_is_a_config_error(self, monkeypatch, capsys, raw, field):
+        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", raw)
         assert run(["check", "tnorm:min", "--props", "axioms"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if field is not None:
+            assert f"(field {field!r})" in err

@@ -81,6 +81,12 @@ class TestSubmonoid:
                                     a_submonoid_kind(A_MIN))
         assert rep.holds
 
+    @pytest.mark.parametrize("cap", [1, 0])
+    def test_arity_cap_below_two_is_refused(self, cap):
+        # arities 2..cap would be empty: only the identity would be checked
+        with pytest.raises(DomainError, match="below 2"):
+            a_submonoid_kind(A_MIN, cap)
+
     def test_agrees_with_independent_reference_loop(self):
         # reference loop written from the definition, no shared code
         chain = uniform_chain(4)
@@ -473,6 +479,11 @@ class TestSubsetIO:
         with pytest.raises(InputFormatError):
             subset_from_json({"entries": []})
 
+    def test_repeated_point_is_refused(self):
+        with pytest.raises(InputFormatError, match="listed twice"):
+            subset_from_json({"form": "table",
+                              "entries": [["0", "1"], ["0/3", "0"]]})
+
     def test_carrier_json(self):
         obj = {"elements": ["0", "1/2", "1"], "identity": "1",
                "op": [["0", "0", "0"], ["0", "1/2", "1/2"], ["0", "1/2", "1"]]}
@@ -481,3 +492,5 @@ class TestSubsetIO:
         bad = dict(obj, op=[["0", "0", "0"], ["0", "1/2", "1"], ["0", "1/2", "1"]])
         with pytest.raises(InputFormatError):
             carrier_from_json(bad)
+        with pytest.raises(InputFormatError, match="distinct"):
+            carrier_from_json(dict(obj, elements=["0", "1/2", "2/4"]))

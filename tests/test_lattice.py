@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzznorm import fuzzy as fuzzy_module
 from fuzznorm import lattice as lattice_module
+from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import Connective, Role
 from fuzznorm.errors import (BudgetExceededError, DomainError,
                              NotALatticeError, InputFormatError,
                              TotalityError, UnboundedPosetError)
-from fuzznorm.fuzzy import FuzzyProp, check_fuzzy_property
+from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, check_fuzzy_property,
+                            check_fuzzy_submonoid)
 from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               chain_lattice,
                               check_lattice_fuzzy_property,
@@ -376,6 +379,14 @@ def _vague_leaves(structures, strict_and_cancel):
             *strict_and_cancel]
 
 
+def _counting(conclude, instances):
+    """``conclude``, recording the instance count of every report."""
+    def recording(*args, **kwargs):
+        instances.append(kwargs.get("instances"))
+        return conclude(*args, **kwargs)
+    return recording
+
+
 def _relabelled(report, point):
     """(inputs, values) of each witness, lattice labels read as points."""
     return [(tuple(point.get(x, x) for x in w.inputs),
@@ -489,15 +500,42 @@ class TestGridIsAChain:
         assert ({tuple(sorted(t.table.items())) for t in lattice_tnorms}
                 == {tuple(sorted(t.table.items())) for t in enumerate_lattice_tnorms(lat)})
 
-    def test_fuzzy_properties_agree_across_layers(self):
+    def test_fuzzy_properties_agree_across_layers(self, monkeypatch):
         lat, pts, point, label = self.lat, self.pts, self.point, self.label
         dom = FinitePoints(pts)
         # names, and what only a budgeted power search reports
         names = ("mu", "operator", "tnorm", "max_witness_n", "convergence")
+        instances = []
+        for module in (fuzzy_module, lattice_module):
+            monkeypatch.setattr(module, "conclude",
+                                _counting(module.conclude, instances))
+        subnorms = 0
         for table, conn, t in self._tnorms():
+            carrier = CarrierMonoid.from_connective(conn, dom)
             for mu in enumerate_table_subsets(pts, pts):
                 lmu = lsubset_table(lat, {label[p]: label[mu(p)] for p in pts})
                 constant = len({mu(p) for p in pts}) == 1
+                instances.clear()
+                u = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)
+                l = check_lattice_fuzzy_subnorm(lmu, t)
+                assert u.verdict is l.verdict, (table.name, mu.name)
+                assert instances == [len(pts) ** 2 + 1] * 2
+                assert ([(w.inputs, w.values) for w in u.witnesses]
+                        == _relabelled(l, point)), (table.name, mu.name)
+                subnorms += u.holds
+                for prop in FuzzyProp:
+                    if u.holds:
+                        break
+                    gu = check_fuzzy_property(mu, conn, prop, dom)
+                    gl = check_lattice_fuzzy_property(lmu, t, prop)
+                    for g in (gu, gl):
+                        assert g.verdict is Verdict.VACUOUS
+                        assert g.tags == ("NOT_A_SUBNORM",)
+                    assert ([(w.inputs, w.values) for w in gu.witnesses]
+                            == _relabelled(gl, point)
+                            == [(w.inputs, w.values) for w in u.witnesses])
+                    assert {k: v for k, v in gu.details.items() if k not in names} \
+                        == {k: v for k, v in gl.details.items() if k not in names} == {}
                 for prop in FuzzyProp:
                     if prop is FuzzyProp.FARCH and constant:
                         continue
@@ -512,6 +550,8 @@ class TestGridIsAChain:
                                 if k not in names}), case
                     assert "max_witness_n" not in l.details
                     assert "convergence" not in l.details
+        # both verdicts occur
+        assert 0 < subnorms < 6 * len(pts) ** len(pts)
 
     def test_constant_map_archimedean_differs_by_layer(self):
         # the unit layer refuses a constant map up front; the lattice layer
