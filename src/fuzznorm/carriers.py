@@ -151,11 +151,14 @@ def carrier_from_json(obj: dict, *, path: Optional[str] = None) -> CarrierMonoid
         for j, cell in enumerate(row):
             table[(elems[i], elems[j])] = _coerce_element(str(cell))
     identity = _coerce_element(str(obj["identity"]))
+    # the refusals from_table makes before it reads the op table
+    field = ("elements" if len(set(elems)) != len(elems)
+             else "identity" if identity not in elems else "op")
     try:
         return CarrierMonoid.from_table(elems, table, identity,
                                         label=obj.get("label", ""))
     except DomainError as exc:
-        raise InputFormatError(str(exc), path=path, field="op") from None
+        raise InputFormatError(str(exc), path=path, field=field) from None
 
 
 def load_carrier(path: str) -> CarrierMonoid:

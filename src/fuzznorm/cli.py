@@ -275,7 +275,7 @@ def _cmd_vague(args) -> int:
             f"(choose from {', '.join(_VAGUE_CHECKS)})")
     pair_grid = _resolve_grid(args, 6)
     # the 7-tuple associativity loop gets its own, coarser default
-    monoid_grid = args.grid if args.grid is not None else 4
+    monoid_grid = _resolve_grid(args, 4)
     pair_pts = GridDomain(pair_grid).points
     eq = _resolve_equality(args, conn, pair_pts)
     reports = []

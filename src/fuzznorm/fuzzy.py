@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .carriers import CarrierMonoid, FiniteGroup
 from .checker import (FuzzyProp, _fuzzy_property, _not_a_subnorm,
@@ -24,8 +24,7 @@ from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, eq_approx, format_scalar,
                       le_approx)
-from .subsets import (FuzzySubset, _closure_witnesses, _identity_witnesses,
-                      generate_subnorm_tables, named_table)
+from .subsets import FuzzySubset, _closure_witnesses, _identity_witnesses
 
 
 class SubstructureTag(Enum):
@@ -121,18 +120,6 @@ def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
     return conclude(kind.tag.value, carrier.to_json(), witnesses, 0,
                     instances=instances + 1,
                     details=details)
-
-
-def enumerate_table_subnorms(carrier: CarrierMonoid,
-                             alphabet: Sequence) -> Iterator[FuzzySubset]:
-    """The t-subnorms among ``enumerate_table_subsets(carrier.elements,
-    alphabet)``: the maps, names and order that filtering it through
-    ``check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)`` gives, made by
-    backtracking in the unit interval instead of checking every map."""
-    elems = carrier.elements
-    for values in generate_subnorm_tables(elems, carrier.op, carrier.identity,
-                                          alphabet, UNIT_INTERVAL):
-        yield named_table(elems, values)
 
 
 def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:

@@ -22,7 +22,7 @@ from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, UnboundedPosetError, read_json_object)
 from .reports import PropertyReport, combine, conclude
 from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
-                      _identity_witnesses, _TableFn, generate_subnorm_tables)
+                      _identity_witnesses, _TableFn, enumerate_table_subsets)
 
 
 @dataclass(frozen=True)
@@ -258,73 +258,65 @@ def check_lattice_tnorm(cand, lat: FiniteLattice) -> PropertyReport:
 
 
 def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> list:
-    """All conjunction tables on the lattice, by backtracking.
-
-    Cell values are bounded above by the meet of their coordinates and
-    propagate monotonicity constraints against already assigned cells;
-    associativity is filtered at the leaves. Deterministic order.
+    """All conjunction tables on the lattice, by backtracking on element
+    positions: the cells (pairs of non-top elements) in row-major order,
+    each taking the values below the meet of its coordinates in element
+    order. A value is dropped when it breaks monotonicity against a set
+    cell one cover edge away, or associativity on a triple whose four
+    cells are set (the pruning of Bartusek & Navara, Kybernetika 2002).
     """
     elems = lat.elements
     check_enumeration_size(len(elems))
-    non_top = [e for e in elems if e != lat.top]
-    free = [(non_top[i], non_top[j]) for i in range(len(non_top))
-            for j in range(i, len(non_top))]
+    n, top = len(elems), elems.index(lat.top)
+    le = [[lat.leq(a, b) for b in elems] for a in elems]
+    covers = [(a, b) for a in range(n) for b in range(n) if a != b and le[a][b]
+              and not any(le[a][c] and le[c][b] for c in range(n)
+                          if c not in (a, b))]
+    at = [[i if top == j else j if top == i else None for j in range(n)]
+          for i in range(n)]
+    free = [(i, j) for i in range(n) for j in range(i, n) if top not in (i, j)]
+    choices = [[v for v in range(n)
+                if le[v][elems.index(lat.meet(elems[i], elems[j]))]]
+               for i, j in free]
+    # the cells one cover edge below and above each free cell
+    below = [[(a, y) for x, y in ((i, j), (j, i)) for a, b in covers if b == x]
+             for i, j in free]
+    above = [[(b, y) for x, y in ((i, j), (j, i)) for a, b in covers if a == x]
+             for i, j in free]
+    triples = list(itertools.product(range(n), repeat=3))
     results = []
 
-    def leq(a, b):
-        return lat.leq(a, b)
+    def monotone(pos, v):
+        return (all(at[a][y] is None or le[at[a][y]][v] for a, y in below[pos])
+                and all(at[b][y] is None or le[v][at[b][y]]
+                        for b, y in above[pos]))
 
-    def candidates(pair, assigned):
-        x, y = pair
-        cap_elem = lat.meet(x, y)
-        out = []
-        for v in elems:
-            if not leq(v, cap_elem):
-                continue
-            ok = True
-            for (px, py), pv in assigned.items():
-                # monotone against comparable assigned cells (both orders)
-                for qx, qy in ((px, py), (py, px)):
-                    if leq(qx, x) and leq(qy, y) and not leq(pv, v):
-                        ok = False
-                    if leq(x, qx) and leq(y, qy) and not leq(v, pv):
-                        ok = False
-                if not ok:
-                    break
-            if ok:
-                out.append(v)
-        return out
+    def associative(x, y, z):
+        # False only once x y, y z, (x y) z and x (y z) are set and differ
+        a, b = at[x][y], at[y][z]
+        if a is None or b is None:
+            return True
+        left, right = at[a][z], at[x][b]
+        return left is None or right is None or left == right
 
-    def full_table(assigned):
-        table = {}
-        for x in elems:
-            table[(x, lat.top)] = x
-            table[(lat.top, x)] = x
-        for (x, y), v in assigned.items():
-            table[(x, y)] = v
-            table[(y, x)] = v
-        return table
-
-    def associative(table):
-        cases = checker._associativity(lambda x, y: table[(x, y)], elems)
-        return all(lhs == rhs for _, lhs, rhs in cases)
-
-    def walk(pos, assigned):
+    def walk(pos):
         if cap is not None and len(results) >= cap:
             return
         if pos == len(free):
-            table = full_table(assigned)
-            if associative(table):
-                label = ",".join(str(assigned[p]) for p in free)
-                results.append(LatticeTNorm(lat, table, name=f"T[{label}]"))
+            table = {(elems[x], elems[y]): elems[at[x][y]]
+                     for x in range(n) for y in range(n)}
+            label = ",".join(str(elems[at[i][j]]) for i, j in free)
+            results.append(LatticeTNorm(lat, table, name=f"T[{label}]"))
             return
-        pair = free[pos]
-        for v in candidates(pair, assigned):
-            assigned[pair] = v
-            walk(pos + 1, assigned)
-            del assigned[pair]
+        i, j = free[pos]
+        for v in choices[pos]:
+            if monotone(pos, v):
+                at[i][j] = at[j][i] = v
+                if all(associative(*t) for t in triples):
+                    walk(pos + 1)
+                at[i][j] = at[j][i] = None
 
-    walk(0, {})
+    walk(0)
     return results
 
 
@@ -346,19 +338,7 @@ def lsubset_table(lat: FiniteLattice, mapping: Mapping,
 
 
 def enumerate_lsubsets(lat: FiniteLattice) -> Iterator[FuzzySubset]:
-    for values in itertools.product(lat.elements, repeat=len(lat.elements)):
-        yield lsubset_table(lat, dict(zip(lat.elements, values)))
-
-
-def enumerate_lattice_subnorms(t: LatticeTNorm) -> Iterator[FuzzySubset]:
-    """The t-subnorms among ``enumerate_lsubsets(t.lattice)``: the maps,
-    names and order that filtering it through
-    ``check_lattice_fuzzy_subnorm(mu, t)`` gives, made by backtracking in
-    the lattice instead of checking every map."""
-    lat = t.lattice
-    for values in generate_subnorm_tables(lat.elements, t, lat.top,
-                                          lat.elements, lat):
-        yield lsubset_table(lat, dict(zip(lat.elements, values)))
+    return enumerate_table_subsets(lat.elements, lat.elements)
 
 
 def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyReport:

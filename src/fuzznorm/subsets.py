@@ -198,10 +198,10 @@ def intersect_fuzzy_subsets(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
 
 
 def named_table(elements: Sequence, values: Sequence) -> FuzzySubset:
-    """The table map sending each element to its value, named by the
-    values in element order."""
+    """The table map sending each element to its value as given, named
+    by the values in element order."""
     name = "mu(" + ",".join(format_scalar(v) for v in values) + ")"
-    return table_subset(dict(zip(elements, values)), name=name)
+    return FuzzySubset(name, _TableFn(dict(zip(elements, values))))
 
 
 def enumerate_table_subsets(elements: Sequence, alphabet: Sequence[Fraction]) -> Iterator[FuzzySubset]:
@@ -258,9 +258,9 @@ def _identity_witnesses(mu, identity, same: Callable, top) -> list:
 
 
 def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
-                            alphabet: Sequence, order) -> Iterator[tuple]:
-    """The value tuples over ``alphabet``, in ``itertools.product`` order,
-    whose map on ``elements`` is a t-subnorm of ``op`` in ``order``: no
+                            alphabet: Sequence, order) -> Iterator[FuzzySubset]:
+    """The maps of ``enumerate_table_subsets(elements, alphabet)``, in its
+    order, that are t-subnorms of ``op`` in ``order``: no
     ``order.leq(order.meet(mu x, mu y), mu(op(x, y)))`` is False and
     ``mu(identity)`` is ``order.same`` as ``order.top``, the comparisons
     ``_closure_witnesses`` and ``_identity_witnesses`` make.
@@ -300,7 +300,7 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
 
     def extend(k):
         if k == len(at):
-            yield tuple(alphabet[v] for v in at)
+            yield named_table(elements, [alphabet[v] for v in at])
             return
         for v in choices[k]:
             at[k] = v

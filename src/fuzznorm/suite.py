@@ -1,11 +1,11 @@
 """The proposition sweep: every claim the checkers mechanize, one row each.
 
-Each row enumerates its universe exhaustively as a stream of labelled
-cases, and one loop counts them and the counterexamples among them; a
-clean run reports zero everywhere. Rows are pure
-functions of the configuration, so the suite can fan rows out across
-processes and still merge deterministically. Wall-clock time is
-reported in text output only, keeping the JSON byte-stable across runs.
+Each row streams its universe exhaustively as labelled cases, and one
+loop counts them and the counterexamples among them; a clean run reports
+zero everywhere. The t-subnorm rows of chains and lattices share one case
+stream over (t-norm, degree order) sweeps. Rows are pure functions of the
+configuration, so they fan out across processes and merge in order; wall
+time shows in text output only, keeping the JSON byte-stable.
 """
 
 from __future__ import annotations
@@ -27,19 +27,19 @@ from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                     characterize_special_cases, check_discrete_subalgebra,
                     check_fuzzy_property, check_fuzzy_submonoid,
                     check_fuzzy_subgroupoid, check_not_strictly_decreasing,
-                    core_is_submonoid, enumerate_table_subnorms, extract_core,
+                    core_is_submonoid, extract_core,
                     f_submonoid_kind, refute_uninorm_existence,
                     u_submonoid_kind, uninorm_family)
 from .lattice import (chain_lattice, check_lattice_fuzzy_property,
                       check_lattice_vague_cancellation,
                       check_lattice_vague_strict_monotone, diamond_lattice,
-                      enumerate_lattice_equalities, enumerate_lattice_subnorms,
-                      enumerate_lattice_tnorms, induce_lattice_vague_tnorm)
+                      enumerate_lattice_equalities, enumerate_lattice_tnorms,
+                      induce_lattice_vague_tnorm)
 from .reports import FinitePoints, GridDomain, SearchBudget
-from .scalars import ONE, ZERO
+from .scalars import ONE, UNIT_INTERVAL, ZERO
 from .subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
-                      enumerate_table_subsets, intersect_fuzzy_subsets,
-                      step_subset)
+                      enumerate_table_subsets, generate_subnorm_tables,
+                      intersect_fuzzy_subsets, step_subset)
 from .tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
 from .vague import (READINGS, check_vague_cancellation,
                     check_vague_commutativity, check_vague_group_cancellation,
@@ -110,54 +110,71 @@ def _table_sweep(cfg: SuiteConfig, points) -> list:
     return list(enumerate_table_subsets(points, cfg.alphabet))
 
 
-def _chain_conns():
-    """The t-norm tables on the 4-chain as connectives, and their domain."""
+def _chain_sweeps(cfg: SuiteConfig) -> tuple:
+    """The t-norm tables on the 4-chain with the alphabet as degrees, and
+    their universe."""
     chain = uniform_chain(4)
-    return ([t.as_connective() for t in enumerate_chain_tnorm_tables(chain)],
-            FinitePoints(chain))
+    sweeps = [(t.name, t.as_connective(), chain, UNIT_INTERVAL, cfg.alphabet)
+              for t in enumerate_chain_tnorm_tables(chain)]
+    return sweeps, (f"{len(sweeps)} t-norm tables on the 4-chain x "
+                    f"{len(cfg.alphabet) ** len(chain)} membership tables")
 
 
-def _subnorm_cases(conns, dom, alphabet, claim):
-    """One case per operator and membership table over the alphabet that
-    is a t-subnorm of it, generated rather than filtered: it holds when
-    claim(mu, conn, dom) does. The claims hold vacuously on the other
-    tables, which _table_count counts."""
-    for conn in conns:
-        carrier = CarrierMonoid.from_connective(conn, dom)
-        for mu in enumerate_table_subnorms(carrier, alphabet):
-            yield f"{conn.name}|{mu.name}", claim(mu, conn, dom)
+def _lattice_sweeps(cfg: SuiteConfig) -> tuple:
+    """The t-norms on chains 2-4 and the diamond with the elements as
+    degrees, and their universe."""
+    sweeps = [(f"{lat.name}|{t.name}", t, lat.elements, lat, lat.elements)
+              for lat in (chain_lattice(2), chain_lattice(3), chain_lattice(4),
+                          diamond_lattice())
+              for t in enumerate_lattice_tnorms(lat)]
+    return sweeps, (f"{len(sweeps)} lattice t-norms on chains 2-4 and the "
+                    "diamond x all lattice-valued membership maps")
 
 
-def _table_count(cfg: SuiteConfig, dom) -> int:
-    """The number of membership tables over the alphabet on dom."""
-    return len(cfg.alphabet) ** len(dom.points)
+def _property_check(cfg: SuiteConfig, tnorm, points, order):
+    """(mu, prop) -> whether the bare fuzzified property holds."""
+    if order is UNIT_INTERVAL:
+        dom = FinitePoints(points)
+        return lambda mu, prop: check_fuzzy_property(
+            mu, tnorm, prop, dom, cfg.budget, gate=False).holds
+    return lambda mu, prop: check_lattice_fuzzy_property(
+        mu, tnorm, prop, gate=False).holds
 
 
-def _fuzzy_implication_row(cfg: SuiteConfig, row_id: str, first: FuzzyProp,
-                           second: FuzzyProp) -> RowResult:
-    conns, dom = _chain_conns()
+def _subnorm_cases(cfg: SuiteConfig, sweeps, first: FuzzyProp,
+                   second: Optional[FuzzyProp]):
+    """One case per sweep (label, t-norm, points, degree order, degrees)
+    and t-subnorm of the t-norm from the points to the degrees, generated
+    rather than filtered: it holds when the map lacks property ``first``
+    or has ``second`` (None: never). The claims hold vacuously on the
+    other maps, which _checked counts."""
+    for label, tnorm, points, order, degrees in sweeps:
+        holds = _property_check(cfg, tnorm, points, order)
+        for mu in generate_subnorm_tables(points, tnorm, order.top, degrees,
+                                          order):
+            yield (f"{label}|{mu.name}", not holds(mu, first)
+                   or (second is not None and holds(mu, second)))
 
-    def claim(mu, conn, d):
-        return (not check_fuzzy_property(mu, conn, first, d, cfg.budget,
-                                         gate=False).holds
-                or check_fuzzy_property(mu, conn, second, d, cfg.budget,
-                                        gate=False).holds)
-    tables = _table_count(cfg, dom)
-    universe = (f"{len(conns)} t-norm tables on the 4-chain x "
-                f"{tables} membership tables")
+
+def _checked(sweeps) -> int:
+    return sum(len(degrees) ** len(points) for _, _, points, _, degrees in sweeps)
+
+
+def _implication_row(cfg: SuiteConfig, row_id: str, family, first: FuzzyProp,
+                     second: FuzzyProp) -> RowResult:
+    sweeps, universe = family(cfg)
     return _count(row_id, universe,
-                  _subnorm_cases(conns, dom, cfg.alphabet, claim),
-                  checked=len(conns) * tables)
+                  _subnorm_cases(cfg, sweeps, first, second), _checked(sweeps))
 
 
 def _row_prop36(cfg):
-    return _fuzzy_implication_row(cfg, "prop3.6", FuzzyProp.FSTRICT,
-                                  FuzzyProp.FCANCEL)
+    return _implication_row(cfg, "prop3.6", _chain_sweeps, FuzzyProp.FSTRICT,
+                            FuzzyProp.FCANCEL)
 
 
 def _row_prop37(cfg):
-    return _fuzzy_implication_row(cfg, "prop3.7", FuzzyProp.FCANCEL,
-                                  FuzzyProp.FCONDCANCEL)
+    return _implication_row(cfg, "prop3.7", _chain_sweeps, FuzzyProp.FCANCEL,
+                            FuzzyProp.FCONDCANCEL)
 
 
 def _builtin_mu_forms():
@@ -176,27 +193,19 @@ def _row_prop38(cfg):
 
 def _row_prop39(cfg):
     # non-strict operator: no fuzzy strictly monotone t-subnorm at all
-    conns, dom = _chain_conns()
-    grid_dom = GridDomain(cfg.grid)
-
-    def not_fstrict(mu, conn, d):
-        return not check_fuzzy_property(mu, conn, FuzzyProp.FSTRICT, d,
-                                        cfg.budget, gate=False).holds
-    non_strict = [conn for conn in conns
-                  if not check_strict_monotonicity(conn, dom).holds]
-    tables = _subnorm_cases(non_strict, dom, cfg.alphabet, not_fstrict)
+    sweeps, _ = _chain_sweeps(cfg)
+    non_strict = [s for s in sweeps if not check_strict_monotonicity(
+        s[1], FinitePoints(s[2])).holds]
+    tables = _subnorm_cases(cfg, non_strict, FuzzyProp.FSTRICT, None)
     # the builtin forms are five fixed maps, so they go through the gate
-    forms = _builtin_mu_forms()
-    carriers = [(conn, CarrierMonoid.from_connective(conn, grid_dom))
-                for conn in (T_M, T_L, T_D)]
-    builtins = ((f"{conn.name}|{mu.name}",
-                 not check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM).holds
-                 or not_fstrict(mu, conn, grid_dom))
-                for conn, carrier in carriers for mu in forms)
+    grid_dom = GridDomain(cfg.grid)
+    conns, forms = (T_M, T_L, T_D), _builtin_mu_forms()
+    builtins = ((f"{conn.name}|{mu.name}", not check_fuzzy_property(
+                    mu, conn, FuzzyProp.FSTRICT, grid_dom, cfg.budget).holds)
+                for conn in conns for mu in forms)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")
-    checked = (len(non_strict) * _table_count(cfg, dom)
-               + len(carriers) * len(forms))
+    checked = _checked(non_strict) + len(conns) * len(forms)
     return _count("prop3.9", universe, itertools.chain(tables, builtins),
                   checked)
 
@@ -217,33 +226,14 @@ def _row_prop12(cfg):
     return _count("prop12", universe, cases)
 
 
-def _small_lattices():
-    return [chain_lattice(2), chain_lattice(3), chain_lattice(4),
-            diamond_lattice()]
-
-
-def _lattice_implication_row(cfg, row_id, first, second):
-    tnorms = [t for lat in _small_lattices() for t in enumerate_lattice_tnorms(lat)]
-    cases = ((f"{t.lattice.name}|{t.name}|{mu.name}",
-              not check_lattice_fuzzy_property(mu, t, first, gate=False).holds
-              or check_lattice_fuzzy_property(mu, t, second, gate=False).holds)
-             for t in tnorms for mu in enumerate_lattice_subnorms(t))
-    universe = (f"{len(tnorms)} lattice t-norms on chains 2-4 and the diamond "
-                "x all lattice-valued membership maps")
-    # |L|^|L| maps per t-norm; the claims hold vacuously on non-subnorms
-    checked = sum(len(t.lattice.elements) ** len(t.lattice.elements)
-                  for t in tnorms)
-    return _count(row_id, universe, cases, checked)
-
-
 def _row_prop13(cfg):
-    return _lattice_implication_row(cfg, "prop13", FuzzyProp.FSTRICT,
-                                    FuzzyProp.FCANCEL)
+    return _implication_row(cfg, "prop13", _lattice_sweeps, FuzzyProp.FSTRICT,
+                            FuzzyProp.FCANCEL)
 
 
 def _row_prop14(cfg):
-    return _lattice_implication_row(cfg, "prop14", FuzzyProp.FCANCEL,
-                                    FuzzyProp.FCONDCANCEL)
+    return _implication_row(cfg, "prop14", _lattice_sweeps, FuzzyProp.FCANCEL,
+                            FuzzyProp.FCONDCANCEL)
 
 
 def _row_prop15(cfg):

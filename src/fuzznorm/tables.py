@@ -15,7 +15,6 @@ from typing import Sequence
 from .connectives import Connective, Role
 from .errors import DomainError
 from .lattice import chain_lattice, check_enumeration_size, enumerate_lattice_tnorms
-from .reports import FinitePoints
 from .scalars import ONE, ZERO, format_scalar
 
 
@@ -48,9 +47,6 @@ class ChainTable:
 
     def as_connective(self) -> Connective:
         return Connective(self.name, Role.TNORM, self, identity=ONE)
-
-    def domain(self) -> FinitePoints:
-        return FinitePoints(self.points)
 
 
 def enumerate_chain_tnorm_tables(points: Sequence[Fraction]) -> list[ChainTable]:

@@ -98,10 +98,11 @@ def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
                     trans_w.append(Witness((x, y, z), (lhs, fn(x, z))))
     separates = all(x == y or not order.same(fn(x, y), top)
                     for x in carrier for y in carrier)
+    n = len(carrier)
     children = [
-        conclude("E1:reflexivity", dom, refl_w, undec_r, instances=len(carrier)),
-        conclude("E2:symmetry", dom, sym_w, undec_s, instances=1),
-        conclude("E3:transitivity", dom, trans_w, undec_t, instances=1),
+        conclude("E1:reflexivity", dom, refl_w, undec_r, instances=n),
+        conclude("E2:symmetry", dom, sym_w, undec_s, instances=n ** 2),
+        conclude("E3:transitivity", dom, trans_w, undec_t, instances=n ** 3),
     ]
     return combine(rid, children, dom,
                    details={"tnorm": tnorm.name, "separates_points": separates})
@@ -324,7 +325,8 @@ def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
                                 undec_e += 1
                             elif not r:
                                 ext_w.append(Witness((x, y, z, x2, y2, z2), (lhs, rhs)))
-    ext = conclude("V1:extensionality", dom, ext_w, undec_e, instances=1)
+    n = len(carrier)  # tuples cut off at the bottom degree hold, and count
+    ext = conclude("V1:extensionality", dom, ext_w, undec_e, instances=n ** 6)
 
     fun_w, undec_f = [], 0
     for x in carrier:
@@ -340,12 +342,12 @@ def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
                         undec_f += 1
                     elif not r:
                         fun_w.append(Witness((x, y, z, z2), (lhs, eq(z, z2))))
-    fun = conclude("V2:functionality", dom, fun_w, undec_f, instances=1)
+    fun = conclude("V2:functionality", dom, fun_w, undec_f, instances=n ** 4)
 
     same = order.same
     tot_w = [Witness((x, y), ()) for x in carrier for y in carrier
              if not any(same(deg[(x, y, z)], top) for z in carrier)]
-    tot = conclude("V3:totality", dom, tot_w, 0, instances=1)
+    tot = conclude("V3:totality", dom, tot_w, 0, instances=n ** 2)
     return combine(rid, [ext, fun, tot], dom)
 
 
@@ -391,7 +393,7 @@ def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
                             for a in carrier)), None)
     if identity is None:
         witnesses.append(Witness(("no-identity-element",), ()))
-    rep = conclude(rid, dom, witnesses, undecided, instances=1)
+    rep = conclude(rid, dom, witnesses, undecided, instances=len(carrier) ** 7)
     rep.details["identity"] = None if identity is None else format_scalar(identity)
     return rep
 
@@ -434,7 +436,7 @@ def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
                         undecided += 1
                     elif not r:
                         witnesses.append(Witness((a, b, m, w), (lhs, eq(m, w))))
-    return conclude(rid, dom, witnesses, undecided, instances=1)
+    return conclude(rid, dom, witnesses, undecided, instances=len(carrier) ** 4)
 
 
 def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
@@ -577,4 +579,4 @@ def check_vague_group_cancellation(v: VagueGroup) -> PropertyReport:
                     elif not r:
                         witnesses.append(Witness(("R", a, b, c, u), (right, ebc)))
     return conclude("vague-group-cancellation", v.to_json(), witnesses,
-                    undecided, instances=1)
+                    undecided, instances=2 * len(elements) ** 4)

@@ -102,6 +102,20 @@ class TestSubstructureCommand:
                     str(carrier), "--kind", "submonoid"]) == 64
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"elements": ["0", "0"], "identity": "0",
+          "op": [["0", "0"], ["0", "0"]]}, "elements"),
+        ({"elements": ["0", "1"], "identity": "e",
+          "op": [["0", "0"], ["0", "1"]]}, "identity"),
+    ], ids=["repeated-element", "identity-not-an-element"])
+    def test_carrier_refusal_names_its_field(self, tmp_path, capsys, obj,
+                                             field):
+        carrier = tmp_path / "carrier.json"
+        carrier.write_text(json.dumps(obj))
+        assert run(["substructure", "--mu", "builtin:one", "--carrier",
+                    str(carrier), "--kind", "submonoid"]) == 64
+        assert f"field {field!r})" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["1", "0"])
     def test_arity_cap_below_two_is_a_config_error(self, capsys, cap):
         assert run(["substructure", "--mu", "builtin:one", "--carrier",
@@ -308,6 +322,21 @@ class TestBudgetEnv:
              "--format", "json"])
         obj = json.loads(out_text(capsys))
         assert obj["reports"][0]["domain"]["resolution"] == 6
+
+    def test_env_grid_sizes_the_vague_monoid_report(self, capsys,
+                                                    monkeypatch):
+        argv = ["vague", "--tnorm", "tnorm:min", "--equality", "crisp",
+                "--checks", "monoid,commutativity", "--format", "json"]
+
+        def sizes():
+            obj = json.loads(out_text(capsys))
+            return [r["domain"]["size"] for r in obj["reports"]]
+
+        run(argv + ["--grid", "3"])
+        flagged = sizes()
+        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", json.dumps({"grid": 3}))
+        run(argv)
+        assert sizes() == flagged == [4, 4]
 
     @pytest.mark.parametrize("raw, field", [
         ("{broken", None),

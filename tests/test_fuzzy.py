@@ -16,15 +16,15 @@ from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
                             check_discrete_subalgebra, check_fuzzy_property,
                             check_fuzzy_subgroup, check_fuzzy_subgroupoid,
                             check_fuzzy_submonoid, check_not_strictly_decreasing,
-                            core_is_submonoid, enumerate_table_subnorms,
-                            extract_core, f_submonoid_kind,
+                            core_is_submonoid, extract_core, f_submonoid_kind,
                             refute_uninorm_existence, uninorm_family)
 from fuzznorm.reports import FinitePoints, GridDomain, SearchBudget, Verdict
-from fuzznorm.scalars import ZERO
+from fuzznorm.scalars import UNIT_INTERVAL, ZERO
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
-                              enumerate_table_subsets, indicator_subset,
-                              intersect_fuzzy_subsets, parse_subset_spec,
-                              step_subset, subset_from_json, table_subset)
+                              enumerate_table_subsets, generate_subnorm_tables,
+                              indicator_subset, intersect_fuzzy_subsets,
+                              parse_subset_spec, step_subset, subset_from_json,
+                              table_subset)
 from fuzznorm.tables import (enumerate_chain_tnorm_tables, mixed_grid_points,
                              uniform_chain)
 
@@ -118,8 +118,9 @@ SUBNORM_ALPHABETS = {
 
 
 class TestGeneratedSubnorms:
-    """enumerate_table_subnorms against the gate it stands in for:
-    every table over the alphabet, filtered by the t-subnorm check."""
+    """generate_subnorm_tables in the unit interval against the gate it
+    stands in for: every table over the alphabet, filtered by the
+    t-subnorm check."""
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     @pytest.mark.parametrize("alphabet", SUBNORM_ALPHABETS.values(),
@@ -133,7 +134,9 @@ class TestGeneratedSubnorms:
             carrier = CarrierMonoid.from_connective(table.as_connective(),
                                                     FinitePoints(chain))
             gated = _gated_subnorms(carrier, alphabet)
-            generated = list(enumerate_table_subnorms(carrier, alphabet))
+            generated = list(generate_subnorm_tables(
+                carrier.elements, carrier.op, carrier.identity, alphabet,
+                UNIT_INTERVAL))
             assert [mu.name for mu in generated] == [mu.name for mu in gated]
             assert ([[mu(x) for x in chain] for mu in generated]
                     == [[mu(x) for x in chain] for mu in gated])
@@ -146,7 +149,9 @@ class TestGeneratedSubnorms:
         with pytest.raises(TotalityError) as gated:
             _gated_subnorms(carrier, ALPHABET)
         with pytest.raises(TotalityError) as generated:
-            list(enumerate_table_subnorms(carrier, ALPHABET))
+            list(generate_subnorm_tables(carrier.elements, carrier.op,
+                                         carrier.identity, ALPHABET,
+                                         UNIT_INTERVAL))
         assert str(generated.value) == str(gated.value)
 
 

@@ -24,14 +24,14 @@ from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               check_lattice_vague_strict_monotone,
                               check_lattice_vague_structures, diamond_lattice,
                               enumerate_lattice_equalities,
-                              enumerate_lattice_subnorms,
                               enumerate_lattice_tnorms, enumerate_lsubsets,
                               induce_lattice_vague_tnorm,
                               lattice_crisp_equality, lattice_from_json,
                               lsubset_identity, lsubset_table, lsubset_top,
                               meet_tnorm)
 from fuzznorm.reports import FinitePoints, Verdict
-from fuzznorm.subsets import enumerate_table_subsets, table_subset
+from fuzznorm.subsets import (enumerate_table_subsets, generate_subnorm_tables,
+                              table_subset)
 from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
 from fuzznorm.vague import (READINGS, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
@@ -124,14 +124,19 @@ class TestLatticeTNormCheck:
         assert rep.verdict is Verdict.FAILS
 
 
-def brute_force_lattice_tnorms(lat: FiniteLattice):
-    """Independent oracle: filter every symmetric assignment directly."""
+def brute_force_lattice_tnorms(lat: FiniteLattice) -> list:
+    """Independent oracle: every symmetric assignment of the cells (pairs
+    of non-top elements, row-major) with each value below the meet of its
+    coordinates, in itertools.product order, filtered directly for
+    monotonicity and associativity; (name, table) for each survivor."""
     elems = lat.elements
     non_top = [e for e in elems if e != lat.top]
     pairs = [(non_top[i], non_top[j]) for i in range(len(non_top))
              for j in range(i, len(non_top))]
-    count = 0
-    for values in itertools.product(elems, repeat=len(pairs)):
+    below = [[v for v in elems if lat.leq(v, lat.meet(x, y))]
+             for x, y in pairs]
+    found = []
+    for values in itertools.product(*below):
         table = {}
         for x in elems:
             table[(x, lat.top)] = x
@@ -146,8 +151,29 @@ def brute_force_lattice_tnorms(lat: FiniteLattice):
             ok = all(table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
                      for x in elems for y in elems for z in elems)
         if ok:
-            count += 1
-    return count
+            found.append((f"T[{','.join(values)}]", table))
+    return found
+
+
+def _oracle_lattices():
+    five = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+    yield from (chain_lattice(n) for n in (2, 3, 4, 5))
+    yield diamond_lattice()
+    yield build_lattice(["0", "a", "b", "c", "1"],
+                        [("0", x) for x in "abc"] + [(x, "1") for x in "abc"],
+                        name="M3")
+    yield build_lattice(["0", "a", "c", "b", "1"],
+                        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"),
+                         ("b", "1")], name="N5")
+    yield build_lattice(["0", "a", "b", "1", "t"], five + [("1", "t")],
+                        name="M2-new-top")
+    yield build_lattice(["z", "0", "a", "b", "1"], [("z", "0")] + five,
+                        name="M2-new-bottom")
+    yield product_lattice_2x3()
+    # top first, bottom in the middle: not a linear extension
+    yield build_lattice(["1", "m2", "0", "m3", "m1"],
+                        [("0", "m1"), ("m1", "m2"), ("m2", "m3"), ("m3", "1")],
+                        name="chain5-shuffled")
 
 
 class TestEnumeration:
@@ -156,9 +182,15 @@ class TestEnumeration:
         assert len(enumerate_lattice_tnorms(chain_lattice(3))) == 2
 
     def test_counts_match_brute_force_oracle(self):
-        for lat in (chain_lattice(3), chain_lattice(4), diamond_lattice()):
-            assert len(enumerate_lattice_tnorms(lat)) == \
-                brute_force_lattice_tnorms(lat)
+        """Names, tables and order, and cap=k the first k of them."""
+        for lat in _oracle_lattices():
+            expected = brute_force_lattice_tnorms(lat)
+            tnorms = enumerate_lattice_tnorms(lat)
+            assert len(tnorms) == len(expected), lat.name
+            assert [(t.name, t.table) for t in tnorms] == expected, lat.name
+            for k in (0, 1, 3):
+                assert ([t.name for t in enumerate_lattice_tnorms(lat, cap=k)]
+                        == [name for name, _ in expected[:k]]), lat.name
 
     def test_three_chain_tables_differ_at_the_middle(self):
         mids = {t.table[("m", "m")] for t in enumerate_lattice_tnorms(chain_lattice(3))}
@@ -247,8 +279,8 @@ def _subnorm_tnorm_sets():
 
 
 class TestGeneratedLatticeSubnorms:
-    """enumerate_lattice_subnorms against the gate it stands in for:
-    every lattice-valued map, filtered by the t-subnorm check."""
+    """generate_subnorm_tables in a lattice against the gate it stands in
+    for: every lattice-valued map, filtered by the t-subnorm check."""
 
     @pytest.mark.parametrize("tnorms", _subnorm_tnorm_sets())
     def test_same_maps_names_and_order_as_the_gate(self, tnorms):
@@ -256,7 +288,8 @@ class TestGeneratedLatticeSubnorms:
             lat = t.lattice
             gated = [mu for mu in enumerate_lsubsets(lat)
                      if check_lattice_fuzzy_subnorm(mu, t).holds]
-            generated = list(enumerate_lattice_subnorms(t))
+            generated = list(generate_subnorm_tables(lat.elements, t, lat.top,
+                                                     lat.elements, lat))
             assert [mu.name for mu in generated] == [mu.name for mu in gated]
             assert ([[mu(x) for x in lat.elements] for mu in generated]
                     == [[mu(x) for x in lat.elements] for mu in gated])
@@ -271,7 +304,8 @@ class TestGeneratedLatticeSubnorms:
             [mu for mu in enumerate_lsubsets(lat)
              if check_lattice_fuzzy_subnorm(mu, t).holds]
         with pytest.raises(TotalityError) as generated:
-            list(enumerate_lattice_subnorms(t))
+            list(generate_subnorm_tables(lat.elements, t, lat.top,
+                                                     lat.elements, lat))
         assert str(generated.value) == str(gated.value)
 
 

@@ -325,3 +325,32 @@ class TestVagueGroups:
         broken = VagueGroup(group, v.equality, table)
         with pytest.raises(DomainError):
             check_vague_group_cancellation(broken)
+
+
+def test_vague_checks_count_their_instances(monkeypatch):
+    """Every tuple each condition quantifies over counts, also the ones
+    cut off at the bottom degree: n^2 and n^3 for the equality, n^6, n^4
+    and n^2 for V1-V3, n^7 for the monoid, n^4 for commutativity and
+    2 n^4 for group cancellation."""
+    import fuzznorm.vague as vague_mod
+    seen = []
+    original = vague_mod.conclude
+
+    def recording(property_id, *args, instances=None, **kwargs):
+        seen.append((property_id, instances))
+        return original(property_id, *args, instances=instances, **kwargs)
+
+    monkeypatch.setattr(vague_mod, "conclude", recording)
+    pts = GridDomain(2).points  # n = 3
+    v = induce_vague_tnorm(crisp_equality(pts, T_M), T_M)
+    group = crisp_vague_group(cyclic_group(4))
+    seen.clear()  # the equalities were validated on construction
+    validate_fuzzy_equality(v.equality.fn, T_M, pts)
+    check_vague_monoid(v.base)
+    check_vague_commutativity(v)
+    check_vague_group_cancellation(group)
+    assert seen == [
+        ("E1:reflexivity", 3), ("E2:symmetry", 9), ("E3:transitivity", 27),
+        ("V1:extensionality", 3 ** 6), ("V2:functionality", 81),
+        ("V3:totality", 9), ("vague-monoid", 3 ** 7),
+        ("vague-commutativity", 81), ("vague-group-cancellation", 2 * 4 ** 4)]
