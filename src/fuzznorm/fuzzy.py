@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .carriers import CarrierMonoid, FiniteGroup
 from .checker import (FuzzyProp, _fuzzy_property, _not_a_subnorm,
                       check_strict_monotonicity)
-from .connectives import Connective, Role
+from .connectives import S_M, T_M, Connective, Role
 from .errors import DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
@@ -233,16 +233,6 @@ def check_discrete_subalgebra(points: Sequence, conn: Connective) -> PropertyRep
 
 # --- characterization sweeps ---
 
-def _min_carrier(domain) -> CarrierMonoid:
-    from .connectives import T_M
-    return CarrierMonoid.from_connective(T_M, domain)
-
-
-def _max_carrier(domain) -> CarrierMonoid:
-    from .connectives import S_M
-    return CarrierMonoid.from_connective(S_M, domain)
-
-
 def _validate_min_aggregation(conn, domain):
     if conn.role is not Role.AGGREGATION:
         raise DomainError("this case needs the min aggregation operator")
@@ -277,9 +267,13 @@ def _validate_nullnorm(conn, domain):
         raise DomainError("this case needs a nullnorm")
 
 
+def _absorber(conn):
+    return conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
+
+
 def _validate_fm_shape(conn, domain):
     _validate_nullnorm(conn, domain)
-    k = conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
+    k = _absorber(conn)
     for x in domain.points:
         for y in domain.points:
             if x >= k and y >= k:
@@ -287,8 +281,24 @@ def _validate_fm_shape(conn, domain):
                     raise DomainError("upper square must act as min")
 
 
-def _mu_values(mu, carrier):
-    return [mu(x) for x in carrier.elements]
+# closed-form right sides: (mu, operator, carrier) -> bool
+
+def _full_at(p):
+    return lambda mu, conn, carrier: eq_approx(mu(p), ONE)
+
+
+def _all_full(mu, conn, carrier):
+    return all(eq_approx(mu(x), ONE) for x in carrier.elements)
+
+
+def _above_absorber(mu, conn, carrier):
+    k = _absorber(conn)
+    return all(le_approx(k, mu(x)) for x in carrier.elements)
+
+
+def _rhs_prop25(p):
+    full = _full_at(p)
+    return lambda *on: full(*on) and _above_absorber(*on)
 
 
 def _rhs_prop20(mu, conn, carrier):
@@ -303,82 +313,34 @@ def _rhs_prop20(mu, conn, carrier):
     return True
 
 
-_CASES = {}
+def _core_closed(mu, conn, carrier):
+    return core_is_submonoid(extract_core(mu, carrier), carrier)
 
 
-def _case(case_id):
-    def reg(fn):
-        _CASES[case_id] = fn
-        return fn
-    return reg
+# case id -> (operator check, submonoid kind of the operator, carrier
+# operator, closed-form right side, relation). The core cases need no
+# operator check of their own: their kind refuses an operator of
+# another role.
+_CASES = {
+    "prop16": (None, a_submonoid_kind, T_M, _core_closed, "implies"),
+    "prop17": (_validate_min_aggregation, a_submonoid_kind, T_M, _full_at(ONE), "iff"),
+    "prop18": (_validate_min_aggregation, a_submonoid_kind, S_M, _full_at(ZERO), "iff"),
+    "prop19": (None, u_submonoid_kind, T_M, _core_closed, "implies"),
+    "disjunctive-uninorm": (_validate_disjunctive, u_submonoid_kind, T_M,
+                            _all_full, "iff"),
+    "prop20": (_validate_prop20_shape, u_submonoid_kind, T_M, _rhs_prop20, "iff"),
+    "prop23": (None, f_submonoid_kind, T_M, _core_closed, "implies"),
+    "prop24": (_validate_nullnorm, f_submonoid_kind, T_M, _above_absorber, "implies"),
+    "prop25-tnorm": (_validate_fm_shape, f_submonoid_kind, T_M,
+                     _rhs_prop25(ONE), "iff"),
+    "prop25-tconorm": (_validate_fm_shape, f_submonoid_kind, S_M,
+                       _rhs_prop25(ZERO), "iff"),
+}
 
 
-@_case("prop17")
-def _case_prop17(mu, conn, domain, carrier):
-    _validate_min_aggregation(conn, domain)
-    carrier = carrier or _min_carrier(domain)
-    lhs = check_fuzzy_submonoid(mu, carrier, a_submonoid_kind(conn)).holds
-    rhs = eq_approx(mu(ONE), ONE)
-    return lhs, rhs, "iff", carrier
-
-
-@_case("prop18")
-def _case_prop18(mu, conn, domain, carrier):
-    _validate_min_aggregation(conn, domain)
-    carrier = carrier or _max_carrier(domain)
-    lhs = check_fuzzy_submonoid(mu, carrier, a_submonoid_kind(conn)).holds
-    rhs = eq_approx(mu(ZERO), ONE)
-    return lhs, rhs, "iff", carrier
-
-
-@_case("disjunctive-uninorm")
-def _case_disjunctive(mu, conn, domain, carrier):
-    _validate_disjunctive(conn, domain)
-    carrier = carrier or _min_carrier(domain)
-    lhs = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(conn)).holds
-    rhs = all(eq_approx(v, ONE) for v in _mu_values(mu, carrier))
-    return lhs, rhs, "iff", carrier
-
-
-@_case("prop20")
-def _case_prop20(mu, conn, domain, carrier):
-    _validate_prop20_shape(conn, domain)
-    carrier = carrier or _min_carrier(domain)
-    lhs = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(conn)).holds
-    rhs = _rhs_prop20(mu, conn, carrier)
-    return lhs, rhs, "iff", carrier
-
-
-@_case("prop24")
-def _case_prop24(mu, conn, domain, carrier):
-    _validate_nullnorm(conn, domain)
-    carrier = carrier or _min_carrier(domain)
-    k = conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
-    lhs = check_fuzzy_submonoid(mu, carrier, f_submonoid_kind(conn)).holds
-    rhs = all(le_approx(k, v) for v in _mu_values(mu, carrier))
-    return lhs, rhs, "implies", carrier
-
-
-@_case("prop25-tnorm")
-def _case_prop25_tnorm(mu, conn, domain, carrier):
-    _validate_fm_shape(conn, domain)
-    carrier = carrier or _min_carrier(domain)
-    k = conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
-    lhs = check_fuzzy_submonoid(mu, carrier, f_submonoid_kind(conn)).holds
-    rhs = eq_approx(mu(ONE), ONE) and all(le_approx(k, v)
-                                          for v in _mu_values(mu, carrier))
-    return lhs, rhs, "iff", carrier
-
-
-@_case("prop25-tconorm")
-def _case_prop25_tconorm(mu, conn, domain, carrier):
-    _validate_fm_shape(conn, domain)
-    carrier = carrier or _max_carrier(domain)
-    k = conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
-    lhs = check_fuzzy_submonoid(mu, carrier, f_submonoid_kind(conn)).holds
-    rhs = eq_approx(mu(ZERO), ONE) and all(le_approx(k, v)
-                                           for v in _mu_values(mu, carrier))
-    return lhs, rhs, "iff", carrier
+def case_carrier(case_id: str, domain) -> CarrierMonoid:
+    """The carrier monoid a characterization case runs on over ``domain``."""
+    return CarrierMonoid.from_connective(_CASES[case_id][2], domain)
 
 
 def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
@@ -388,16 +350,19 @@ def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
     The left side always runs the relevant submonoid check; the right
     side is the closed-form condition. Disagreement on an iff case (or
     a broken implication) is a red-flag FAILS naming the side at fault.
+    ``carrier`` saves rebuilding the case's carrier (``case_carrier``)
+    over ``domain`` on every call.
     """
-    try:
-        case = _CASES[case_id]
-    except KeyError:
-        raise DomainError(f"unknown characterization case: {case_id!r}") from None
-    lhs, rhs, relation, carrier = case(mu, conn, domain, carrier)
-    if relation == "iff":
-        consistent = lhs == rhs
-    else:
-        consistent = (not lhs) or rhs
+    if case_id not in _CASES:
+        raise DomainError(f"unknown characterization case: {case_id!r}")
+    check, kind_of, _, closed_form, relation = _CASES[case_id]
+    if check is not None:
+        check(conn, domain)
+    kind = kind_of(conn)
+    carrier = carrier or case_carrier(case_id, domain)
+    lhs = check_fuzzy_submonoid(mu, carrier, kind).holds
+    rhs = closed_form(mu, conn, carrier)
+    consistent = lhs == rhs if relation == "iff" else not lhs or rhs
     details = {
         "case": case_id, "mu": mu.name, "operator": conn.name,
         "lhs_submonoid_check": lhs, "rhs_closed_form": rhs,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .scalars import ONE, ZERO, format_scalar, format_scalar_text
 
 
@@ -68,6 +68,10 @@ class Witness:
         return f"({ins}) -> [{vals}]"
 
 
+# finer grids are refused before a point is built
+MAX_GRID_RESOLUTION = 1000
+
+
 @lru_cache(maxsize=None)
 def _grid_points(resolution: int) -> tuple:
     return tuple(Fraction(i, resolution) for i in range(resolution + 1))
@@ -82,6 +86,10 @@ class GridDomain:
     def __post_init__(self):
         if self.resolution < 2:
             raise DomainError(f"grid resolution must be at least 2, got {self.resolution}")
+        if self.resolution > MAX_GRID_RESOLUTION:
+            raise BudgetExceededError(
+                f"grid resolution {self.resolution} exceeds the grid budget "
+                f"of {MAX_GRID_RESOLUTION}", size_estimate=self.resolution + 1)
 
     @property
     def points(self) -> tuple:

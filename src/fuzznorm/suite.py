@@ -3,9 +3,11 @@
 Each row streams its universe exhaustively as labelled cases, and one
 loop counts them and the counterexamples among them; a clean run reports
 zero everywhere. The t-subnorm rows of chains and lattices share one case
-stream over (t-norm, degree order) sweeps. Rows are pure functions of the
-configuration, so they fan out across processes and merge in order; wall
-time shows in text output only, keeping the JSON byte-stable.
+stream over (t-norm, degree order) sweeps; the aggregation, uninorm and
+nullnorm rows are one row function over a table of characterization
+cases. Rows are pure functions of the configuration, so they fan out
+across processes and merge in order; wall time shows in text output
+only, keeping the JSON byte-stable.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .carriers import CarrierMonoid, cyclic_group
@@ -23,13 +26,11 @@ from .connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D, T_L, T_M,
                           T_P, construct_nullnorm, construct_uninorm_max,
                           construct_uninorm_min)
 from .errors import BudgetExceededError, DomainError
-from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
+from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, case_carrier,
                     characterize_special_cases, check_discrete_subalgebra,
                     check_fuzzy_property, check_fuzzy_submonoid,
                     check_fuzzy_subgroupoid, check_not_strictly_decreasing,
-                    core_is_submonoid, extract_core,
-                    f_submonoid_kind, refute_uninorm_existence,
-                    u_submonoid_kind, uninorm_family)
+                    refute_uninorm_existence, uninorm_family)
 from .lattice import (chain_lattice, check_lattice_fuzzy_property,
                       check_lattice_vague_cancellation,
                       check_lattice_vague_strict_monotone, diamond_lattice,
@@ -160,21 +161,11 @@ def _checked(sweeps) -> int:
     return sum(len(degrees) ** len(points) for _, _, points, _, degrees in sweeps)
 
 
-def _implication_row(cfg: SuiteConfig, row_id: str, family, first: FuzzyProp,
-                     second: FuzzyProp) -> RowResult:
+def _implication_row(row_id: str, family, first: FuzzyProp, second: FuzzyProp,
+                     cfg: SuiteConfig) -> RowResult:
     sweeps, universe = family(cfg)
     return _count(row_id, universe,
                   _subnorm_cases(cfg, sweeps, first, second), _checked(sweeps))
-
-
-def _row_prop36(cfg):
-    return _implication_row(cfg, "prop3.6", _chain_sweeps, FuzzyProp.FSTRICT,
-                            FuzzyProp.FCANCEL)
-
-
-def _row_prop37(cfg):
-    return _implication_row(cfg, "prop3.7", _chain_sweeps, FuzzyProp.FCANCEL,
-                            FuzzyProp.FCONDCANCEL)
 
 
 def _builtin_mu_forms():
@@ -226,16 +217,6 @@ def _row_prop12(cfg):
     return _count("prop12", universe, cases)
 
 
-def _row_prop13(cfg):
-    return _implication_row(cfg, "prop13", _lattice_sweeps, FuzzyProp.FSTRICT,
-                            FuzzyProp.FCANCEL)
-
-
-def _row_prop14(cfg):
-    return _implication_row(cfg, "prop14", _lattice_sweeps, FuzzyProp.FCANCEL,
-                            FuzzyProp.FCONDCANCEL)
-
-
 def _row_prop15(cfg):
     lat = chain_lattice(3)
     pairs = [(t, eq_table) for t in enumerate_lattice_tnorms(lat)
@@ -250,77 +231,47 @@ def _row_prop15(cfg):
     return _count("prop15", universe, cases)
 
 
-def _core_row(cfg, row_id, kinds, universe_suffix):
+# row id -> (characterization case, its operators (built when the row
+# runs), the universe after "membership tables on the 3-point " with {op}
+# the first operator's name, the case label from {op} and {mu})
+_CASE_ROWS = {
+    "prop16": ("prop16", lambda: (A_MIN,),
+               "carrier, min-aggregation combiner", "{op}|{mu}"),
+    "prop17": ("prop17", lambda: (A_MIN,), "grid against {op}", "{mu}"),
+    "prop18": ("prop18", lambda: (A_MIN,), "grid against {op}", "{mu}"),
+    "prop19": ("prop19", lambda: (construct_uninorm_min(HALF, T_P, S_P),
+                                  construct_uninorm_max(HALF, T_P, S_P)),
+               "carrier, uninorm combiners", "{op}|{mu}"),
+    "prop20": ("prop20", lambda: (construct_uninorm_min(HALF, T_P, S_M),),
+               "grid against {op}", "{mu}"),
+    "prop23": ("prop23", lambda: (construct_nullnorm(S_L, HALF, T_L),),
+               "carrier, nullnorm combiner", "{op}|{mu}"),
+    "prop24": ("prop24", lambda: (construct_nullnorm(S_L, HALF, T_L),),
+               "grid against {op}", "{mu}"),
+    "prop25": ("prop25-tnorm", lambda: (construct_nullnorm(S_L, HALF, T_M),),
+               "grid against {op}", "{mu}"),
+    "prop25-tconorm": ("prop25-tconorm",
+                       lambda: (construct_nullnorm(S_L, HALF, T_M),),
+                       "grid against {op}", "{mu}"),
+    "thm-disjunctive-uninorm": ("disjunctive-uninorm",
+                                lambda: (construct_uninorm_max(HALF, T_P, S_P),),
+                                "grid against {op}", "{mu}"),
+}
+
+
+def _case_row(row_id: str, cfg: SuiteConfig) -> RowResult:
+    """The row's characterization case for each of its operators and each
+    membership table on the 3-point grid, on one carrier."""
+    case_id, operators, universe, label = _CASE_ROWS[row_id]
     dom = _grid3()
-    carrier = CarrierMonoid.from_connective(T_M, dom)
-    cases = ((f"{kind_label}|{mu.name}",
-              not check_fuzzy_submonoid(mu, carrier, kind).holds
-              or core_is_submonoid(extract_core(mu, carrier), carrier))
-             for kind_label, kind in kinds for mu in _table_sweep(cfg, dom.points))
-    universe = (f"{len(cfg.alphabet) ** 3} membership tables on the 3-point "
-                f"carrier, {universe_suffix}")
-    return _count(row_id, universe, cases)
-
-
-def _row_prop16(cfg):
-    kinds = [("agg:min", a_submonoid_kind(A_MIN))]
-    return _core_row(cfg, "prop16", kinds, "min-aggregation combiner")
-
-
-def _row_prop19(cfg):
-    kinds = [(u.name, u_submonoid_kind(u)) for u in
-             (construct_uninorm_min(HALF, T_P, S_P),
-              construct_uninorm_max(HALF, T_P, S_P))]
-    return _core_row(cfg, "prop19", kinds, "uninorm combiners")
-
-
-def _row_prop23(cfg):
-    f = construct_nullnorm(S_L, HALF, T_L)
-    return _core_row(cfg, "prop23", [(f.name, f_submonoid_kind(f))],
-                     "nullnorm combiner")
-
-
-def _characterization_row(cfg, row_id, case_id, conn):
-    dom = _grid3()
-    cases = ((mu.name, not characterize_special_cases(case_id, mu, conn, dom).fails)
-             for mu in _table_sweep(cfg, dom.points))
-    universe = (f"{len(cfg.alphabet) ** 3} membership tables on the 3-point "
-                f"grid against {conn.name}")
-    return _count(row_id, universe, cases)
-
-
-def _row_prop17(cfg):
-    return _characterization_row(cfg, "prop17", "prop17", A_MIN)
-
-
-def _row_prop18(cfg):
-    return _characterization_row(cfg, "prop18", "prop18", A_MIN)
-
-
-def _row_prop20(cfg):
-    u = construct_uninorm_min(HALF, T_P, S_M)
-    return _characterization_row(cfg, "prop20", "prop20", u)
-
-
-def _row_prop24(cfg):
-    f = construct_nullnorm(S_L, HALF, T_L)
-    return _characterization_row(cfg, "prop24", "prop24", f)
-
-
-def _row_prop25(cfg):
-    f = construct_nullnorm(S_L, HALF, T_M)
-    return _characterization_row(cfg, "prop25", "prop25-tnorm", f)
-
-
-def _row_prop25_tconorm(cfg):
-    f = construct_nullnorm(S_L, HALF, T_M)
-    return _characterization_row(cfg, "prop25-tconorm", "prop25-tconorm", f)
-
-
-def _row_disjunctive(cfg):
-    u = construct_uninorm_max(HALF, T_P, S_P)
-    return _characterization_row(cfg, "thm-disjunctive-uninorm",
-                                 "disjunctive-uninorm", u)
+    carrier = case_carrier(case_id, dom)
+    conns = operators()
+    cases = ((label.format(op=conn.name, mu=mu.name),
+              not characterize_special_cases(case_id, mu, conn, dom,
+                                             carrier).fails)
+             for conn in conns for mu in _table_sweep(cfg, dom.points))
+    return _count(row_id, f"{len(cfg.alphabet) ** 3} membership tables on the "
+                  f"3-point {universe.format(op=conns[0].name)}", cases)
 
 
 def _refutation_family():
@@ -328,22 +279,12 @@ def _refutation_family():
                           (T_P, T_L), (S_P, S_L))
 
 
-def _refutation_row(row_id, mu, carriers, what):
+def _refutation_row(row_id, mu, carriers, what, cfg):
     dom = GridDomain(8)
     family = _refutation_family()
     cases = ((c.name, refute_uninorm_existence(mu, c, family, dom).holds)
              for c in carriers)
     return _count(row_id, f"{len(family)} uninorms x {what} (grid n=8)", cases)
-
-
-def _row_prop21(cfg):
-    return _refutation_row("prop21", MU_ID, (T_P, T_L, T_M),
-                           "identity membership on t-norm carriers")
-
-
-def _row_prop22(cfg):
-    return _refutation_row("prop22", MU_COMPLEMENT, (S_P, S_L, S_M),
-                           "complement membership on t-conorm carriers")
 
 
 def _is_expected_uninorm(member, dom) -> bool:
@@ -430,26 +371,32 @@ def _row_archimedean_vs_limit(cfg):
 
 
 ROWS: dict = {
-    "prop3.6": _row_prop36,
-    "prop3.7": _row_prop37,
+    "prop3.6": partial(_implication_row, "prop3.6", _chain_sweeps,
+                       FuzzyProp.FSTRICT, FuzzyProp.FCANCEL),
+    "prop3.7": partial(_implication_row, "prop3.7", _chain_sweeps,
+                       FuzzyProp.FCANCEL, FuzzyProp.FCONDCANCEL),
     "prop3.8": _row_prop38,
     "prop3.9": _row_prop39,
     "prop12": _row_prop12,
-    "prop13": _row_prop13,
-    "prop14": _row_prop14,
+    "prop13": partial(_implication_row, "prop13", _lattice_sweeps,
+                      FuzzyProp.FSTRICT, FuzzyProp.FCANCEL),
+    "prop14": partial(_implication_row, "prop14", _lattice_sweeps,
+                      FuzzyProp.FCANCEL, FuzzyProp.FCONDCANCEL),
     "prop15": _row_prop15,
-    "prop16": _row_prop16,
-    "prop17": _row_prop17,
-    "prop18": _row_prop18,
-    "prop19": _row_prop19,
-    "prop20": _row_prop20,
-    "prop21": _row_prop21,
-    "prop22": _row_prop22,
-    "prop23": _row_prop23,
-    "prop24": _row_prop24,
-    "prop25": _row_prop25,
-    "prop25-tconorm": _row_prop25_tconorm,
-    "thm-disjunctive-uninorm": _row_disjunctive,
+    "prop16": partial(_case_row, "prop16"),
+    "prop17": partial(_case_row, "prop17"),
+    "prop18": partial(_case_row, "prop18"),
+    "prop19": partial(_case_row, "prop19"),
+    "prop20": partial(_case_row, "prop20"),
+    "prop21": partial(_refutation_row, "prop21", MU_ID, (T_P, T_L, T_M),
+                      "identity membership on t-norm carriers"),
+    "prop22": partial(_refutation_row, "prop22", MU_COMPLEMENT, (S_P, S_L, S_M),
+                      "complement membership on t-conorm carriers"),
+    "prop23": partial(_case_row, "prop23"),
+    "prop24": partial(_case_row, "prop24"),
+    "prop25": partial(_case_row, "prop25"),
+    "prop25-tconorm": partial(_case_row, "prop25-tconorm"),
+    "thm-disjunctive-uninorm": partial(_case_row, "thm-disjunctive-uninorm"),
     "thm-uninorm-structure": _row_uninorm_structure,
     "prop-vague-commutativity": _row_vague_commutativity,
     "prop-vague-group-cancellation": _row_vague_group,

@@ -19,6 +19,7 @@ float; the lattice-valued ones in ``fuzznorm.lattice`` run it on a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import kernel
@@ -157,6 +158,13 @@ class VagueBinaryOp:
     def tnorm(self) -> Connective:
         return self.equality.tnorm
 
+    @cached_property
+    def degree_order(self):
+        """The compiled ``kernel.DegreeOrder``, built on the first check
+        and shared by the later ones; None when it does not compile."""
+        return kernel.compile_degrees(self.table, self.carrier, self.tnorm,
+                                      self.equality.fn)
+
     def to_json(self) -> dict:
         return {"kind": "vague-op", "label": self.label,
                 "tnorm": self.tnorm.name, "size": len(self.carrier)}
@@ -293,7 +301,7 @@ def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
     ``op``, its ids turned back into values; on the unit interval, from
     the start, when a point or a degree is not exact."""
     return kernel.on_ids(
-        kernel.compile_degrees(op.table, op.carrier, op.tnorm, op.equality.fn),
+        op.degree_order,
         lambda order: run(order, order.t, order.deg, order.eq, order.points),
         lambda: run(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn, op.carrier))
 

@@ -309,6 +309,60 @@ class TestSuiteCommand:
         assert run(["suite", "--only", "prop16"]) == 2
 
 
+HUGE_GRID = 10 ** 12
+GRID_COMMANDS = {
+    "check": ["check", "tnorm:min", "--props", "axioms"],
+    "substructure": ["substructure", "--mu", "builtin:identity",
+                     "--carrier", "tnorm:min", "--kind", "submonoid"],
+    "vague": ["vague", "--tnorm", "tnorm:min", "--equality", "crisp"],
+    "suite": ["suite", "--only", "prop3.8,example-unique-mu-id"],
+}
+
+
+class TestGridBudget:
+    @pytest.fixture(autouse=True)
+    def refuse_huge_points(self, monkeypatch):
+        """Building the points of a grid over the cap fails the test
+        instead of filling memory."""
+        from fuzznorm import reports
+        original = reports._grid_points
+
+        def guarded(resolution):
+            if resolution > reports.MAX_GRID_RESOLUTION:
+                raise AssertionError(f"grid points built at n={resolution}")
+            return original(resolution)
+        monkeypatch.setattr(reports, "_grid_points", guarded)
+
+    def assert_skipped(self, capsys, command, code):
+        assert code == 2
+        out, err = capsys.readouterr()
+        reason = f"grid resolution {HUGE_GRID} exceeds the grid budget of 1000"
+        if command == "suite":  # the rows are skipped, and say why
+            assert out.count(f"reason: {reason}") == 2
+        else:
+            assert err == f"skipped: {reason}\n"
+
+    @pytest.mark.parametrize("command", list(GRID_COMMANDS))
+    def test_flag_grid_over_the_cap_is_skipped(self, capsys, command):
+        code = run(GRID_COMMANDS[command] + ["--grid", str(HUGE_GRID)])
+        self.assert_skipped(capsys, command, code)
+
+    @pytest.mark.parametrize("command", list(GRID_COMMANDS))
+    def test_env_grid_over_the_cap_is_skipped(self, capsys, monkeypatch,
+                                              command):
+        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE",
+                           json.dumps({"grid": HUGE_GRID}))
+        self.assert_skipped(capsys, command, run(GRID_COMMANDS[command]))
+
+    def test_grid_at_the_cap_builds(self):
+        from fuzznorm.errors import BudgetExceededError
+        from fuzznorm.reports import GridDomain
+        assert len(GridDomain(1000).points) == 1001
+        with pytest.raises(BudgetExceededError) as exc:
+            GridDomain(1001)
+        assert exc.value.size_estimate == 1002
+
+
 class TestBudgetEnv:
     def test_env_override_applies_when_flag_absent(self, capsys, monkeypatch):
         monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", json.dumps({"grid": 4}))

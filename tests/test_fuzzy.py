@@ -429,6 +429,37 @@ class TestCharacterizations:
         with pytest.raises(DomainError):
             characterize_special_cases("prop99", MU_ONE, A_MIN, self.grid3())
 
+    @pytest.mark.parametrize("case, conn", [
+        ("prop16", A_MIN),
+        ("prop19", construct_uninorm_min(F(1, 2), T_P, S_P)),
+        ("prop19", construct_uninorm_max(F(1, 2), T_P, S_P)),
+        ("prop23", construct_nullnorm(S_L, F(1, 2), T_L)),
+    ], ids=["prop16", "prop19-umin", "prop19-umax", "prop23"])
+    def test_core_cases_sweep(self, case, conn):
+        """A combiner-fuzzy submonoid has a submonoid as its core; on the
+        min carrier the core is closed exactly when it holds 1."""
+        dom = self.grid3()
+        for mu in enumerate_table_subsets(dom.points, ALPHABET):
+            rep = characterize_special_cases(case, mu, conn, dom)
+            assert rep.holds, mu.name
+            assert rep.details["relation"] == "implies"
+            assert rep.details["rhs_closed_form"] == (mu(F(1)) == 1)
+
+    @pytest.mark.parametrize("case, conn, message", [
+        ("prop24", A_MIN, "this case needs a nullnorm"),
+        # the Lukasiewicz t-norm on the upper square is below min there
+        ("prop25-tnorm", construct_nullnorm(S_L, F(1, 2), T_L),
+         "upper square must act as min"),
+        ("prop16", construct_uninorm_min(F(1, 2), T_P, S_P),
+         "a-fuzzy-submonoid needs a combiner of role aggregation"),
+        ("prop19", A_MIN, "u-fuzzy-submonoid needs a combiner of role uninorm"),
+        ("prop23", construct_uninorm_max(F(1, 2), T_P, S_P),
+         "f-fuzzy-submonoid needs a combiner of role nullnorm"),
+    ], ids=["prop24", "prop25", "prop16", "prop19", "prop23"])
+    def test_case_refuses_the_wrong_operator(self, case, conn, message):
+        with pytest.raises(DomainError, match=message):
+            characterize_special_cases(case, MU_ONE, conn, D10)
+
 
 class TestRefutations:
     def family(self):

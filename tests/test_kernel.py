@@ -21,7 +21,7 @@ from fuzznorm.reports import FinitePoints, GridDomain, dumps
 from fuzznorm.subsets import enumerate_table_subsets
 from fuzznorm.suite import SuiteConfig, _refutation_family, _vague_corpus
 from fuzznorm.tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
-from fuzznorm.vague import (READINGS, VagueTNorm, check_vague_binary_op,
+from fuzznorm.vague import (READINGS, VagueBinaryOp, VagueTNorm, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
                             crisp_equality, induce_vague_tnorm, linear_equality,
@@ -35,14 +35,32 @@ GRIDS = range(3, 13)
 def _no_kernel(monkeypatch):
     monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
     monkeypatch.setattr(kernel, "compile_degrees", lambda *args: None)
+    # a property outranks the degree order a vague operator cached on its
+    # first check, so operators checked with the kernel run on values too
+    monkeypatch.setattr(VagueBinaryOp, "degree_order", property(lambda self: None))
+
+
+def _reference_orders(monkeypatch):
+    """The order each ``kernel.on_ids`` call gets, from now on."""
+    on_ids, orders = kernel.on_ids, []
+
+    def recorded(order, run, fallback):
+        orders.append(order)
+        return on_ids(order, run, fallback)
+
+    monkeypatch.setattr(kernel, "on_ids", recorded)
+    return orders
 
 
 def _both_paths(monkeypatch, render, *args):
-    """``render`` over each argument tuple, with and without the kernel."""
+    """``render`` over each argument tuple, with and without the kernel;
+    no check of the second pass meets a compiled order."""
     fast = [render(*a) for a in args]
     with monkeypatch.context() as m:
         _no_kernel(m)
+        orders = _reference_orders(m)
         reference = [render(*a) for a in args]
+    assert all(order is None for order in orders)
     return fast, reference
 
 
@@ -167,6 +185,20 @@ def test_strict_on_a_descending_carrier_matches_reference(monkeypatch, reading):
     fast, reference = _both_paths(monkeypatch, strict, *[(v,) for v in descending])
     assert fast == reference
     assert any('"FAILS"' in r for r in fast)
+
+
+def test_reference_pass_runs_the_value_loops_of_a_checked_operator(monkeypatch):
+    # the kernel pass caches each operator's degree order; the reference
+    # pass must still send all seven checks to their value loops
+    v = _vague_corpus(SuiteConfig(grid=3))[0]
+    _vague_reports(v)
+    assert v.base.degree_order is not None
+    with monkeypatch.context() as m:
+        _no_kernel(m)
+        orders = _reference_orders(m)
+        _vague_reports(v)
+    assert orders == [None] * 7
+    assert v.base.degree_order is not None
 
 
 def _table_json(carrier, degree):

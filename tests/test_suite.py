@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import fuzznorm.fuzzy as fuzzy_mod
 import fuzznorm.suite as suite_mod
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.errors import DomainError
@@ -130,3 +131,82 @@ def test_planted_failure_marks_every_generated_subnorm(monkeypatch):
     assert prop36.counterexamples == expected_unit
     assert prop13.counterexamples == expected_lattice
     assert (prop36.checked, prop13.checked) == (6 * 3 ** 4, LATTICE_MAPS)
+
+
+HALF = Fraction(1, 2)
+UMIN_PP = "uninorm:umin(e=1/2,T=product,S=probsum)"
+UMAX_PP = "uninorm:umax(e=1/2,T=product,S=probsum)"
+NULL_LL = "nullnorm:<lukasiewicz-S,1/2,lukasiewicz-T>"
+NULL_LM = "nullnorm:<lukasiewicz-S,1/2,min-T>"
+
+
+def _prop20_rhs(v):
+    # mu(1) = 1, and mu non-increasing on the points where mu >= 1/2
+    region = [m for m in v if m >= HALF]
+    return v[2] == 1 and region == sorted(region, reverse=True)
+
+
+# row -> (universe tail, operator names in labels or None, the closed form
+# a map must meet to hold once the submonoid side always holds); maps are
+# the values at 0, 1/2, 1
+CASE_ROWS = {
+    "prop16": ("carrier, min-aggregation combiner", ["agg:min"],
+               lambda v: v[2] == 1),
+    "prop17": ("grid against agg:min", None, lambda v: v[2] == 1),
+    "prop18": ("grid against agg:min", None, lambda v: v[0] == 1),
+    "prop19": ("carrier, uninorm combiners", [UMIN_PP, UMAX_PP],
+               lambda v: v[2] == 1),
+    "prop20": ("grid against uninorm:umin(e=1/2,T=product,S=max)", None,
+               _prop20_rhs),
+    "prop23": ("carrier, nullnorm combiner", [NULL_LL], lambda v: v[2] == 1),
+    "prop24": (f"grid against {NULL_LL}", None, lambda v: min(v) >= HALF),
+    "prop25": (f"grid against {NULL_LM}", None,
+               lambda v: v[2] == 1 and min(v) >= HALF),
+    "prop25-tconorm": (f"grid against {NULL_LM}", None,
+                       lambda v: v[0] == 1 and min(v) >= HALF),
+    "thm-disjunctive-uninorm": (f"grid against {UMAX_PP}", None,
+                                lambda v: min(v) == 1),
+}
+
+
+def test_planted_failure_pins_the_case_rows(monkeypatch):
+    """With every submonoid check made to hold, each characterization
+    row reports exactly the maps whose closed form fails (for the core
+    rows: whose core misses the identity 1 of the min carrier), labelled
+    by operator and map on the core rows and by map elsewhere."""
+    always = SimpleNamespace(holds=True, fails=False)
+    for mod in (fuzzy_mod, suite_mod):
+        monkeypatch.setattr(mod, "check_fuzzy_submonoid",
+                            lambda *args, **kwargs: always)
+    result = run_suite(SuiteConfig(), only=list(CASE_ROWS))
+    assert [r.row_id for r in result.rows] == list(CASE_ROWS)
+    points = uniform_chain(3)
+    maps = list(enumerate_table_subsets(points, SuiteConfig().alphabet))
+    assert len(maps) == 27
+    for row in result.rows:
+        tail, ops, rhs = CASE_ROWS[row.row_id]
+        failing = [mu.name for mu in maps if not rhs([mu(p) for p in points])]
+        expected = (failing if ops is None else
+                    [f"{op}|{name}" for op in ops for name in failing])
+        assert row.counterexamples == expected, row.row_id
+        assert row.universe == f"27 membership tables on the 3-point {tail}"
+        assert row.checked == 27 * len(ops or [None])
+    assert [len(r.counterexamples) for r in result.rows] == [
+        18, 18, 18, 36, 23, 18, 19, 23, 23, 26]
+
+
+def test_prop12_compiles_each_operator_once(monkeypatch):
+    """prop12 runs four checks on each of its five vague operators; each
+    operator's degree order is compiled once and shared by the four."""
+    from fuzznorm import kernel
+    calls = []
+    original = kernel.compile_degrees
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "compile_degrees", counting)
+    row = ROWS["prop12"](SuiteConfig())
+    assert (row.checked, row.counterexamples) == (10, [])
+    assert len(calls) == 5

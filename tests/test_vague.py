@@ -354,3 +354,23 @@ def test_vague_checks_count_their_instances(monkeypatch):
         ("V1:extensionality", 3 ** 6), ("V2:functionality", 81),
         ("V3:totality", 9), ("vague-monoid", 3 ** 7),
         ("vague-commutativity", 81), ("vague-group-cancellation", 2 * 4 ** 4)]
+
+
+def test_checks_sharing_a_compiled_order_match_fresh_ones():
+    """The degree order compiled for an operator's first check is reused
+    by its later ones; their reports equal those on a fresh operator."""
+    pts = GridDomain(6).points
+    checks = [
+        lambda v: check_vague_strict_monotone(v, "crisp"),
+        check_vague_commutativity,
+        lambda v: check_vague_cancellation(v, "any-degree"),
+        lambda v: check_vague_strict_monotone(v, "any-degree"),
+        lambda v: check_vague_cancellation(v, "crisp"),
+    ]
+    for make_eq, conn in ((crisp_equality, T_P), (linear_equality, T_L),
+                          (linear_equality, T_D)):
+        shared = induce_vague_tnorm(make_eq(pts, conn), conn)
+        for check in checks:
+            fresh = induce_vague_tnorm(make_eq(pts, conn), conn)
+            assert check(shared).to_json() == check(fresh).to_json()
+        assert shared.base.degree_order is shared.base.degree_order
