@@ -24,6 +24,11 @@ cores in ``fuzznorm.vague`` run on it as they run on the unit interval.
 Either order's report goes back to values through ``values_of``, and
 ``on_ids`` runs a check on an order with that translation.
 
+An ``AlphabetOrder`` compiles the alphabet of a sweep of membership
+tables the same way, with functions on degrees lifted to ids; the
+closure loop of ``fuzznorm.subsets`` runs on it over a ``Kernel``
+carrier, and ``witness_values`` turns its witnesses back into values.
+
 Only exact values (``Fraction`` or ``int``) get ids, and an id keeps the
 type it was first seen with, so ``vals[id]`` prints as the value it
 stands for. A float would make id equality stricter than the tolerance
@@ -91,6 +96,8 @@ class Kernel(Interner):
         self.points = tuple(points)
         self.n = len(self.points)
         self.table = [[self.intern(fn(x, y)) for y in points] for x in points]
+        # no product left the points: each would have taken a new id
+        self.closed = len(self.vals) == self.n
         self._rows = {}
         self._cols = {}
         self.leq = _memoised(operator.le, self.vals, bool)
@@ -163,15 +170,49 @@ class DegreeOrder(Interner):
 
 
 def _memoised(fn: Callable, vals: list, result: Callable) -> Callable:
-    """fn on the values of two ids, computed once per pair of ids."""
+    """fn on the values of ids, computed once per tuple of ids."""
     memo = {}
 
-    def at(a, b):
-        r = memo.get((a, b))
+    def at(*ids):
+        r = memo.get(ids)
         if r is None:
-            r = memo[(a, b)] = result(fn(vals[a], vals[b]))
+            r = memo[ids] = result(fn(*[vals[i] for i in ids]))
         return r
     return at
+
+
+class AlphabetOrder(Interner):
+    """The degrees of the membership tables over one alphabet, on ids.
+
+    ``letters[k]`` is the id of ``alphabet[k]`` (a letter listed twice
+    has one id); any other degree gets the next free id when a lifted
+    function first returns it. ``lifted(fn)`` is ``fn`` on the values of
+    ids with its degree interned, ``lifted(fn, bool)`` a test on them,
+    each made once per function and memoised per tuple of ids; ``meet``
+    is min lifted.
+    """
+
+    def __init__(self, alphabet: Sequence):
+        super().__init__()
+        self.letters = [self.intern(a) for a in alphabet]
+        self._lifted = {}
+        self.meet = self.lifted(min)
+
+    def lifted(self, fn: Callable, result: Optional[Callable] = None) -> Callable:
+        key = (id(fn), result)  # the memo holds fn, so its id stays its own
+        at = self._lifted.get(key)
+        if at is None:
+            at = self._lifted[key] = _memoised(fn, self.vals,
+                                               result or self.intern)
+        return at
+
+
+def compile_alphabet(alphabet: Sequence) -> Optional[AlphabetOrder]:
+    """The alphabet's order on ids, or None when a letter is not exact."""
+    try:
+        return AlphabetOrder(alphabet)
+    except NotCompilable:
+        return None
 
 
 def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
@@ -201,14 +242,21 @@ def values_of(rep: PropertyReport, vals: list) -> PropertyReport:
     """The ids in ``rep``'s witnesses and in its ``identity`` and
     ``absorber`` details replaced by their values; a witness named by a
     string, like ``("no-identity-element",)``, stays."""
-    witnesses = rep.witnesses
-    for i, w in enumerate(witnesses):  # in place: one copy of a long list
-        if not isinstance(w.inputs[0], str):
-            witnesses[i] = Witness(tuple([vals[x] for x in w.inputs]),
-                                   tuple([vals[x] for x in w.values]))
+    witness_values(rep.witnesses, vals, vals)
     for key in ("identity", "absorber"):
         if rep.details.get(key) is not None:
             rep.details[key] = format_scalar(vals[int(rep.details[key])])
     for child in rep.children:
         values_of(child, vals)
     return rep
+
+
+def witness_values(witnesses: list, points: Sequence, vals: list) -> list:
+    """``witnesses`` with their input ids replaced by ``points`` and their
+    value ids by ``vals``, in place (one copy of a long list); a witness
+    named by a string stays."""
+    for i, w in enumerate(witnesses):
+        if not isinstance(w.inputs[0], str):
+            witnesses[i] = Witness(tuple([points[x] for x in w.inputs]),
+                                   tuple([vals[x] for x in w.values]))
+    return witnesses

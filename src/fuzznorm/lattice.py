@@ -264,6 +264,8 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
     order. A value is dropped when it breaks monotonicity against a set
     cell one cover edge away, or associativity on a triple whose four
     cells are set (the pruning of Bartusek & Navara, Kybernetika 2002).
+    Every other set triple passed before, so only the triples that look
+    up the new cell are checked.
     """
     elems = lat.elements
     check_enumeration_size(len(elems))
@@ -283,7 +285,6 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
              for i, j in free]
     above = [[(b, y) for x, y in ((i, j), (j, i)) for a, b in covers if a == x]
              for i, j in free]
-    triples = list(itertools.product(range(n), repeat=3))
     results = []
 
     def monotone(pos, v):
@@ -299,6 +300,21 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
         left, right = at[a][z], at[x][b]
         return left is None or right is None or left == right
 
+    def associative_through(i, j):
+        # the triples with (p, q) among their four cells: p q z, x p q,
+        # (x y) q where x y = p, and p (y z) where y z = q
+        for p, q in {(i, j), (j, i)}:
+            if not all(associative(p, q, w) and associative(w, p, q)
+                       for w in range(n)):
+                return False
+            for x in range(n):
+                for y in range(n):
+                    v = at[x][y]
+                    if ((v == p and not associative(x, y, q))
+                            or (v == q and not associative(p, x, y))):
+                        return False
+        return True
+
     def walk(pos):
         if cap is not None and len(results) >= cap:
             return
@@ -312,7 +328,7 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
         for v in choices[pos]:
             if monotone(pos, v):
                 at[i][j] = at[j][i] = v
-                if all(associative(*t) for t in triples):
+                if associative_through(i, j):
                     walk(pos + 1)
                 at[i][j] = at[j][i] = None
 
@@ -332,7 +348,7 @@ def lsubset_top(lat: FiniteLattice) -> FuzzySubset:
 
 def lsubset_table(lat: FiniteLattice, mapping: Mapping,
                   name: str = "") -> FuzzySubset:
-    fn = _TableFn(mapping)
+    fn = _TableFn(mapping, list(mapping.values()))
     label = name or "mu(" + ",".join(str(fn(e)) for e in lat.elements) + ")"
     return FuzzySubset(label, fn)
 

@@ -8,6 +8,9 @@ CLI maps to its own exit code); lattice-valued maps are table maps too.
 The t-subnorm condition is implemented once, over a degree order
 (``scalars.UNIT_INTERVAL`` or a ``FiniteLattice``), as a check of one
 map and as a generator of every t-subnorm table of a finite operator.
+The table maps a sweep enumerates or generates carry their values as
+ids of the sweep's ``kernel.AlphabetOrder`` too, and the closure loop
+and intersections run on those ids where they can.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from . import kernel
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
                      read_json_object)
 from .reports import Witness
@@ -71,12 +75,20 @@ def _no_value(x) -> TotalityError:
 
 
 class _TableFn:
-    def __init__(self, entries: Mapping):
-        self.entries = dict(entries)
+    """``values[index[x]]``, where ``index`` maps each element to its
+    position (an element listed twice to its last) and may be shared by
+    the tables of one sweep; ``ids[i]``, when given, is the id of
+    ``values[i]`` in the alphabet order ``order``."""
+
+    def __init__(self, elements, values: list, index: Optional[dict] = None,
+                 order=None, ids=None):
+        self.elements, self.values = tuple(elements), values
+        self.index = index or {e: i for i, e in enumerate(self.elements)}
+        self.order, self.ids = order, ids
 
     def __call__(self, x):
         try:
-            return self.entries[x]
+            return self.values[self.index[x]]
         except (KeyError, TypeError):
             raise _no_value(x) from None
 
@@ -108,7 +120,7 @@ def table_subset(entries: Mapping, name: str = "") -> FuzzySubset:
         body = ",".join(f"{format_scalar(k)}:{format_scalar(v)}"
                         for k, v in sorted(clean.items(), key=lambda kv: str(kv[0])))
         name = "table{" + body + "}"
-    return FuzzySubset(name, _TableFn(clean))
+    return FuzzySubset(name, _TableFn(clean, list(clean.values())))
 
 
 _BUILTINS = {
@@ -186,10 +198,22 @@ def parse_subset_spec(spec: str) -> FuzzySubset:
 
 
 def intersect_fuzzy_subsets(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
-    """Pointwise infimum; the empty intersection is the full subset."""
+    """Pointwise infimum; the empty intersection is the full subset. Table
+    maps with ids over the same elements and alphabet order meet on ids."""
     if not subsets:
         return MU_ONE
     name = "intersect(" + ",".join(s.name for s in subsets) + ")"
+    first = subsets[0].fn
+    order = getattr(first, "order", None)
+    if order is not None and all(
+            getattr(s.fn, "order", None) is order
+            and s.fn.elements == first.elements for s in subsets):
+        ids = first.ids
+        for s in subsets[1:]:
+            ids = tuple(map(order.meet, ids, s.fn.ids))
+        return FuzzySubset(name, _TableFn(
+            first.elements, [order.vals[i] for i in ids], first.index,
+            order, ids))
 
     def fn(x):
         return min(s(x) for s in subsets)
@@ -197,18 +221,32 @@ def intersect_fuzzy_subsets(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
     return FuzzySubset(name, fn)
 
 
-def named_table(elements: Sequence, values: Sequence) -> FuzzySubset:
-    """The table map sending each element to its value as given, named
-    by the values in element order."""
+def named_table(elements: tuple, index: dict, alphabet: Sequence,
+                positions: Sequence,
+                order: Optional[kernel.AlphabetOrder] = None) -> FuzzySubset:
+    """The table map sending ``elements[i]`` to ``alphabet[positions[i]]``,
+    named by the values in element order; ``index`` is its element
+    positions. With the alphabet's compiled ``order`` it carries the
+    values' ids too."""
+    values = [alphabet[k] for k in positions]
     name = "mu(" + ",".join(format_scalar(v) for v in values) + ")"
-    return FuzzySubset(name, _TableFn(dict(zip(elements, values))))
+    ids = None if order is None else tuple([order.letters[k] for k in positions])
+    return FuzzySubset(name, _TableFn(elements, values, index, order, ids))
+
+
+def _sweep(elements: Sequence, alphabet: Sequence) -> tuple:
+    """What every table map of one sweep shares: its elements, their
+    positions, the alphabet and the alphabet's compiled order."""
+    elements, alphabet = tuple(elements), tuple(alphabet)
+    index = {e: i for i, e in enumerate(elements)}
+    return elements, index, alphabet, kernel.compile_alphabet(alphabet)
 
 
 def enumerate_table_subsets(elements: Sequence, alphabet: Sequence[Fraction]) -> Iterator[FuzzySubset]:
     """Every membership table over the alphabet, in product order."""
-    elems = tuple(elements)
-    for values in itertools.product(tuple(alphabet), repeat=len(elems)):
-        yield named_table(elems, values)
+    elements, index, alphabet, order = _sweep(elements, alphabet)
+    for positions in itertools.product(range(len(alphabet)), repeat=len(elements)):
+        yield named_table(elements, index, alphabet, positions, order)
 
 
 def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
@@ -219,7 +257,26 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     False. ``combine`` is the order's meet or a combiner replacing it,
     ``leq`` the order's (None, inside the float band, is no violation).
     ``table``, a ``kernel.Kernel`` of ``op`` over ``elems``, serves the
-    pairs when given."""
+    pairs when given; when it keeps every product among ``elems`` and
+    ``mu`` is a table map with ids over ``elems``, the loop runs on ids
+    (carrier positions and the map's alphabet order), falling back to
+    values if a combiner reaches a degree without an exact id."""
+    fn = getattr(mu, "fn", None)
+    order = getattr(fn, "order", None)
+    if (order is not None and table is not None and table.closed
+            and fn.elements == elems):
+        try:
+            found = _closure_loop(fn.ids.__getitem__, range(len(elems)),
+                                  table.op, order.lifted(combine),
+                                  order.lifted(leq, bool), arities, table)
+        except kernel.NotCompilable:
+            pass
+        else:
+            return kernel.witness_values(found, elems, order.vals)
+    return _closure_loop(mu, elems, op, combine, leq, arities, table)
+
+
+def _closure_loop(mu, elems, op, combine, leq, arities, table) -> list:
     vals = {a: mu(a) for a in elems}
     witnesses = []
     for arity in arities:
@@ -270,11 +327,10 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
     identity gets a value that is not the top. A product or an identity
     outside ``elements`` raises the ``TotalityError`` a table map raises.
     """
-    alphabet = tuple(alphabet)
+    # as in a table map, an element listed twice keeps its last value
+    elements, index, alphabet, compiled = _sweep(elements, alphabet)
     if not alphabet:
         return
-    # as in a table map, an element listed twice keeps its last value
-    index = {e: i for i, e in enumerate(elements)}
 
     def position(x):
         try:
@@ -300,7 +356,7 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
 
     def extend(k):
         if k == len(at):
-            yield named_table(elements, [alphabet[v] for v in at])
+            yield named_table(elements, index, alphabet, at, compiled)
             return
         for v in choices[k]:
             at[k] = v

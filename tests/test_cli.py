@@ -123,6 +123,20 @@ class TestSubstructureCommand:
                     "--arity-cap", cap]) == 64
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_huge_arity_cap_is_skipped_before_the_loop(self, tmp_path,
+                                                      capsys):
+        # 3^2 + ... + 3^1000 tuples: refused once the sum passes the
+        # budget, at arity 14, without running any of them
+        mu_file = tmp_path / "mu.json"
+        mu_file.write_text(json.dumps({"form": "table", "entries": [
+            ["0", "1"], ["1/2", "1"], ["1", "1"]]}))
+        code = run(["substructure", "--mu", str(mu_file), "--carrier",
+                    "tnorm:min", "--kind", "a-submonoid", "--combiner",
+                    "agg:min", "--grid", "2", "--arity-cap", "1000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skipped:") and "2000000 tuples" in err
+
     def test_bad_mu_file_is_a_config_error(self, tmp_path, capsys):
         mu_file = tmp_path / "mu.json"
         mu_file.write_text("{not json")

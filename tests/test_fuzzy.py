@@ -10,8 +10,10 @@ from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D,
                                   T_L, T_M, T_P, Connective, Role,
                                   construct_nullnorm, construct_uninorm_max,
                                   construct_uninorm_min)
-from fuzznorm.errors import DomainError, InputFormatError, TotalityError
-from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
+from fuzznorm.errors import (BudgetExceededError, DomainError, InputFormatError,
+                             TotalityError)
+from fuzznorm.fuzzy import (MAX_CLOSURE_TUPLES, FuzzyProp, KIND_T_SUBNORM,
+                            a_submonoid_kind,
                             characterize_special_cases,
                             check_discrete_subalgebra, check_fuzzy_property,
                             check_fuzzy_subgroup, check_fuzzy_subgroupoid,
@@ -86,6 +88,15 @@ class TestSubmonoid:
         # arities 2..cap would be empty: only the identity would be checked
         with pytest.raises(DomainError, match="below 2"):
             a_submonoid_kind(A_MIN, cap)
+
+    @pytest.mark.parametrize("cap", [13, 10 ** 9])
+    def test_tuples_past_the_budget_are_refused(self, cap):
+        # on 3 points, arities 2..12 are 797,157 tuples and 2..13 are
+        # 2,391,480; the sum stops at the first term past the budget
+        carrier = CarrierMonoid.from_connective(T_M, GridDomain(2))
+        with pytest.raises(BudgetExceededError) as refused:
+            check_fuzzy_submonoid(MU_ONE, carrier, a_submonoid_kind(A_MIN, cap))
+        assert refused.value.size_estimate == 2_391_480 > MAX_CLOSURE_TUPLES
 
     def test_agrees_with_independent_reference_loop(self):
         # reference loop written from the definition, no shared code

@@ -7,18 +7,25 @@ bytes, witness order included.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fuzznorm import kernel
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.checker import check_axioms, check_cancellation, check_strict_monotonicity
-from fuzznorm.connectives import (BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_P, T_D, T_L,
-                                  T_M, T_P, Connective, Role, construct_nullnorm,
-                                  construct_uninorm_min, dualize)
-from fuzznorm.fuzzy import KIND_T_SUBNORM, check_fuzzy_submonoid
+from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_P,
+                                  T_D, T_L, T_M, T_P, Connective, Role,
+                                  construct_nullnorm, construct_uninorm_min, dualize)
+from fuzznorm.errors import TotalityError
+from fuzznorm.fuzzy import (KIND_SUBMONOID, KIND_T_SUBNORM, a_submonoid_kind,
+                            check_fuzzy_submonoid, check_fuzzy_subgroupoid,
+                            f_submonoid_kind, u_submonoid_kind)
 from fuzznorm.reports import FinitePoints, GridDomain, dumps
-from fuzznorm.subsets import enumerate_table_subsets
+from fuzznorm.scalars import UNIT_INTERVAL
+from fuzznorm.subsets import (enumerate_table_subsets, generate_subnorm_tables,
+                              intersect_fuzzy_subsets)
 from fuzznorm.suite import SuiteConfig, _refutation_family, _vague_corpus
 from fuzznorm.tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
 from fuzznorm.vague import (READINGS, VagueBinaryOp, VagueTNorm, check_vague_binary_op,
@@ -35,9 +42,15 @@ GRIDS = range(3, 13)
 def _no_kernel(monkeypatch):
     monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
     monkeypatch.setattr(kernel, "compile_degrees", lambda *args: None)
+    _no_alphabet_ids(monkeypatch)
     # a property outranks the degree order a vague operator cached on its
     # first check, so operators checked with the kernel run on values too
     monkeypatch.setattr(VagueBinaryOp, "degree_order", property(lambda self: None))
+
+
+def _no_alphabet_ids(monkeypatch):
+    # table maps come without ids, so every closure loop runs on values
+    monkeypatch.setattr(kernel, "compile_alphabet", lambda alphabet: None)
 
 
 def _reference_orders(monkeypatch):
@@ -152,6 +165,141 @@ def test_carrier_closure_matches_reference(monkeypatch):
                                          for c in (T_M, T_L, T_D)]
     fast, reference = _both_paths(monkeypatch, submonoid_reports, *cases)
     assert fast == reference
+
+
+# the submonoid kinds next to the subgroupoid check: min, min with the
+# identity, the aggregation kind's arities 2 and 3, a uninorm combiner
+# whose values leave any small alphabet (1/16 from 1/4), a nullnorm
+_SUBMONOID_KINDS = (KIND_SUBMONOID, KIND_T_SUBNORM, a_submonoid_kind(A_MIN),
+                    u_submonoid_kind(construct_uninorm_min(HALF, T_P, S_P)),
+                    f_submonoid_kind(construct_nullnorm(S_L, HALF, T_L)))
+
+
+def _closure_reports(carrier, maps):
+    reports = []
+    for mu in maps:
+        reports.append(check_fuzzy_subgroupoid(mu, carrier))
+        reports += [check_fuzzy_submonoid(mu, carrier, kind)
+                    for kind in _SUBMONOID_KINDS]
+    return "".join(dumps(r) for r in reports)
+
+
+def _id_runs(monkeypatch):
+    """The closure loops that ran on alphabet ids, from now on: each
+    turns its witnesses back into values once."""
+    translate, runs = kernel.witness_values, []
+
+    def counted(*args):
+        runs.append(args)
+        return translate(*args)
+
+    monkeypatch.setattr(kernel, "witness_values", counted)
+    return runs
+
+
+def _on_ids_and_values(render):
+    """``render()`` with alphabet ids, and without them; the number of
+    closure loops the first pass ran on ids, and the second pass's."""
+    with pytest.MonkeyPatch.context() as m:
+        runs = _id_runs(m)
+        fast = render()
+        fast_runs = len(runs)
+        _no_alphabet_ids(m)
+        reference = render()
+    return fast, reference, fast_runs, len(runs) - fast_runs
+
+
+LETTERS = (0, 1, F(0), F(1, 4), F(1, 3), HALF, F(2, 3), F(3, 4), F(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alphabet=st.lists(st.sampled_from(LETTERS), min_size=1, max_size=5),
+       grid=st.sampled_from((3, 4)), conn=st.sampled_from((T_M, T_L, T_D)),
+       start=st.integers(0, 300), step=st.integers(1, 41))
+@example(alphabet=[F(1)], grid=3, conn=T_M, start=0, step=1)
+@example(alphabet=[F(1), F(0), HALF], grid=3, conn=T_L, start=0, step=3)
+@example(alphabet=[F(1, 4), HALF, F(3, 4)], grid=4, conn=T_D, start=7, step=11)
+@example(alphabet=[F(0), F(1, 4), HALF, F(3, 4), F(1)], grid=4, conn=T_M,
+         start=100, step=31)
+@example(alphabet=[0, HALF, 1], grid=3, conn=T_L, start=0, step=2)
+@example(alphabet=[0, F(0), 1], grid=3, conn=T_M, start=0, step=5)
+def test_closure_on_alphabet_ids_matches_values(alphabet, grid, conn, start, step):
+    """Every kind on enumerated and generated table maps, with and without
+    alphabet ids. The int letters put an int and a Fraction of one value
+    in some runs: in the alphabet the order does not compile, from a
+    combiner the run goes back to values."""
+    def render():
+        carrier = CarrierMonoid.from_connective(conn, GridDomain(grid))
+        assert carrier.table.closed
+        maps = list(islice(enumerate_table_subsets(carrier.elements, alphabet),
+                           start, start + 10 * step, step))
+        maps += islice(generate_subnorm_tables(
+            carrier.elements, carrier.op, carrier.identity, alphabet,
+            UNIT_INTERVAL), 10)
+        return _closure_reports(carrier, maps), bool(maps)
+
+    fast, reference, fast_runs, reference_runs = _on_ids_and_values(render)
+    assert fast == reference
+    assert reference_runs == 0
+    compiled = kernel.compile_alphabet(alphabet) is not None
+    assert (fast_runs > 0) == (compiled and fast[1])
+
+
+def test_product_leaving_the_carrier_raises_like_values():
+    carrier = CarrierMonoid.from_connective(T_P, GridDomain(2))
+    assert not carrier.table.closed
+
+    def first_error():
+        with pytest.raises(TotalityError) as refused:
+            for mu in enumerate_table_subsets(carrier.elements, (F(0), HALF, F(1))):
+                check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)
+        return str(refused.value)
+
+    fast, reference, fast_runs, _ = _on_ids_and_values(first_error)
+    assert fast == reference == "membership table has no value at 1/4"
+    assert fast_runs == 0
+
+
+@pytest.mark.parametrize("alphabet, repeat", [
+    ((0.0, 0.5, 1.0), False),  # floats: no ids
+    ((0, F(0), F(1)), False),  # an int and a Fraction of one value
+    ((F(0), HALF, F(1)), True),  # maps over an element listed twice
+], ids=["float", "int-and-fraction", "repeated-element"])
+def test_value_path_cases(alphabet, repeat):
+    def render():
+        carrier = CarrierMonoid.from_connective(T_M, GridDomain(2))
+        elements = carrier.elements + carrier.elements[:1] * repeat
+        return _closure_reports(carrier, enumerate_table_subsets(elements, alphabet))
+
+    fast, reference, fast_runs, _ = _on_ids_and_values(render)
+    assert fast == reference and '"FAILS"' in fast
+    assert fast_runs == 0
+
+
+@pytest.mark.parametrize("alphabet", [(F(0), HALF, F(1)), (F(1), F(1, 4), HALF),
+                                      (0, HALF, 1)],
+                         ids=["sorted", "unsorted-no-zero", "int-ends"])
+def test_intersection_of_table_maps_meets_on_ids(alphabet):
+    pts = GridDomain(2).points
+    maps = list(enumerate_table_subsets(pts, alphabet))
+    # another sweep's maps have another alphabet order: no shared ids
+    other = list(enumerate_table_subsets(pts, alphabet))[::7]
+    for a in maps:
+        for parts in ([a, maps[5]], [maps[20], a, maps[11]], [a], [a, other[1]]):
+            inter = intersect_fuzzy_subsets(parts)
+            assert inter.name == "intersect(" + ",".join(s.name for s in parts) + ")"
+            shared = all(p is not other[1] for p in parts)
+            assert (getattr(inter.fn, "ids", None) is not None) == shared
+            expected = [min(s(x) for s in parts) for x in pts]
+            got = [inter(x) for x in pts]
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+            for off in (F(1, 7), "x", [1]):
+                with pytest.raises(TotalityError) as refused:
+                    min(s(off) for s in parts)
+                with pytest.raises(TotalityError) as got_refused:
+                    inter(off)
+                assert str(got_refused.value) == str(refused.value)
 
 
 def _vague_reports(v):
