@@ -27,7 +27,6 @@ class CarrierMonoid:
     elements: tuple
     op: Callable
     identity: object
-    grid_backed: bool = False
     # op over elements as a kernel.Kernel; None for table carriers and
     # float-valued connectives
     table: Optional[kernel.Kernel] = field(default=None, compare=False,
@@ -44,7 +43,7 @@ class CarrierMonoid:
                 f"{conn.name} declares no identity element; not a monoid carrier")
         label = f"([0,1],{conn.name})@{domain.label()}"
         points = tuple(domain.points)
-        return CarrierMonoid(label, points, conn, conn.identity, grid_backed=True,
+        return CarrierMonoid(label, points, conn, conn.identity,
                              table=kernel.compile_operator(conn, points))
 
     @staticmethod

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from . import reports
 from .carriers import CarrierMonoid, FiniteGroup
 from .checker import (FuzzyProp, _fuzzy_property, _not_a_subnorm,
                       check_strict_monotonicity)
@@ -88,26 +89,22 @@ def f_submonoid_kind(nullnorm: Connective) -> SubstructureKind:
     return SubstructureKind(SubstructureTag.F_SUBMONOID, nullnorm)
 
 
-# the tuples an aggregation kind's closure loop may visit, as many as
-# the vague checks allow
-MAX_CLOSURE_TUPLES = 2_000_000
-
-
 def _closure(mu, carrier, kind) -> tuple:
     """Violations of combiner(mu(x..)) <= mu(x o ..) over the kind's
     tuples (min combines for the min-based kinds), and the tuple count.
-    An aggregation kind whose tuples exceed MAX_CLOSURE_TUPLES is refused
-    before the loop, its count summed only until it passes the budget."""
+    An aggregation kind whose tuples exceed ``reports.MAX_TUPLES`` is
+    refused before the loop, its count summed only until it passes the
+    budget."""
     n = len(carrier.elements)
     arities, count = (2,), n ** 2
     if kind.tag is SubstructureTag.A_SUBMONOID:
         arities, count = range(2, kind.arity_cap + 1), 0
         for a in arities:
             count += n ** a
-            if count > MAX_CLOSURE_TUPLES:
+            if count > reports.MAX_TUPLES:
                 raise BudgetExceededError(
                     f"{kind.tag.value} up to arity {kind.arity_cap} needs "
-                    f"more than {MAX_CLOSURE_TUPLES} tuples on a carrier of "
+                    f"more than {reports.MAX_TUPLES} tuples on a carrier of "
                     f"size {n}", size_estimate=count)
     witnesses = _closure_witnesses(mu, carrier.elements, carrier.op,
                                    kind.combiner or UNIT_INTERVAL.meet,

@@ -1,33 +1,29 @@
-"""Integer-indexed operator tables and degree orders for the exhaustive loops.
+"""Exact values as integer ids, for the exhaustive loops.
 
-The cubic checks evaluate the same operator at the same grid pairs over
-and over, and every evaluation costs several ``Fraction`` constructions
-and comparisons. A ``Kernel`` evaluates a binary operator once per pair
-of a finite point tuple and stores each result as a value id:
+The loops that check the paper's propositions evaluate the same
+functions at the same values over and over, and every evaluation costs
+several ``Fraction`` constructions and comparisons. An ``IdOrder`` gives
+each exact value a dense int id in order of first appearance, so two ids
+are equal exactly when their values are, and ``vals[id]`` gives the
+value back for witnesses. ``lifted(fn)`` is a function on values lifted
+to ids, evaluated once per tuple of ids; every function on ids here is
+one. An ``IdOrder`` is a finite order on its ids: ``leq``, ``lt`` and
+``meet`` are the value order lifted and ``same`` is id equality, so the
+value cores of ``fuzznorm.checker``, ``fuzznorm.vague`` and
+``fuzznorm.subsets`` run on it as they run on the unit interval and on a
+finite lattice. Three compilations build one:
 
-- grid point ``i`` has id ``i``; any other value gets the next free id
-  the first time it appears, so two ids are equal exactly when their
-  values are, and ``vals[id]`` gives the original value back for
-  witnesses;
-- values the operator reaches off the grid (the outer call in
-  associativity) get their row or column filled lazily, keyed by id.
+- ``compile_operator``: a ``Kernel``, a binary operator over a tuple of
+  distinct points with its point pairs tabulated and any other pair
+  (the outer call in associativity) lifted;
+- ``compile_degrees``: the degrees of a vague operator, carrier points
+  and degrees in one id space;
+- ``compile_alphabet``: the alphabet of a sweep of membership tables,
+  whose closure loop runs on it over a closed ``Kernel`` carrier.
 
-A ``Kernel`` is also a finite order on its ids: ``op`` is the operator
-on ids, ``leq`` and ``lt`` compare the values of two ids (memoised), and
-``same`` is id equality, so the axiom cores in ``fuzznorm.checker`` run
-on it as they run on the unit interval and on a finite lattice.
-
-A ``DegreeOrder`` compiles the degree order of a vague operator the same
-way: carrier points and degrees share one id space, the conjunction is a
-table on ids filled as the loops reach new pairs, and the vague value
-cores in ``fuzznorm.vague`` run on it as they run on the unit interval.
-Either order's report goes back to values through ``values_of``, and
-``on_ids`` runs a check on an order with that translation.
-
-An ``AlphabetOrder`` compiles the alphabet of a sweep of membership
-tables the same way, with functions on degrees lifted to ids; the
-closure loop of ``fuzznorm.subsets`` runs on it over a ``Kernel``
-carrier, and ``witness_values`` turns its witnesses back into values.
+A report goes back to values through ``values_of`` (a list of witnesses
+through ``witness_values``), and ``on_ids`` runs a check on an order
+with that translation.
 
 Only exact values (``Fraction`` or ``int``) get ids, and an id keeps the
 type it was first seen with, so ``vals[id]`` prints as the value it
@@ -35,9 +31,9 @@ stands for. A float would make id equality stricter than the tolerance
 comparisons of the reference path, so compilation returns ``None`` when
 a point or a compiled value is a float (or an int where an equal
 ``Fraction`` already has the id), and callers run the tolerance path
-unchanged. Such a value met later, in a lazily filled row or pair,
-raises ``NotCompilable`` for the caller to do the same. Kernel state
-lives in the object a caller creates; there is no module-level cache.
+unchanged. Such a value met later, by a lifted function, raises
+``NotCompilable`` for the caller to do the same. State lives in the
+object a caller creates; there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -57,14 +53,26 @@ class NotCompilable(Exception):
     """A value has no exact id; the caller must use the reference path."""
 
 
-class Interner:
-    """Dense int ids for exact values, in order of first appearance."""
+class IdOrder:
+    """Dense int ids for exact values, and their order on ids.
 
-    def __init__(self, values: Sequence = ()):
-        self.vals = []
-        self.ids = {}
+    ``values`` take the first ids; with ``distinct`` a value listed twice
+    is refused, so ``values[i]`` has id ``i``. ``lifted(fn)`` is ``fn``
+    on the values of ids with its result interned, ``lifted(fn, bool)`` a
+    test on them; each is made once per function and memoised per tuple
+    of ids.
+    """
+
+    def __init__(self, values: Sequence = (), distinct: bool = False):
+        self.vals, self.ids, self._lifted = [], {}, {}
         for v in values:
             self.intern(v)
+        if distinct and len(self.vals) != len(values):
+            raise NotCompilable("repeated point")
+        self.leq = self.lifted(operator.le, bool)
+        self.lt = self.lifted(operator.lt, bool)
+        self.meet = self.lifted(min)
+        self.same = operator.eq
 
     def intern(self, v) -> int:
         if not isinstance(v, _EXACT):
@@ -77,55 +85,44 @@ class Interner:
             raise NotCompilable(f"{v!r} and {self.vals[i]!r} differ in type")
         return i
 
+    def lifted(self, fn: Callable, result: Optional[Callable] = None) -> Callable:
+        key = (id(fn), result)  # the memo holds fn, so its id stays its own
+        at = self._lifted.get(key)
+        if at is None:
+            vals, result, memo = self.vals, result or self.intern, {}
 
-class Kernel(Interner):
-    """A binary operator tabulated over a tuple of distinct points, and
-    the order of the values it reaches.
+            def at(*ids):
+                r = memo.get(ids)
+                if r is None:
+                    r = memo[ids] = result(fn(*[vals[i] for i in ids]))
+                return r
+            self._lifted[key] = at
+        return at
 
-    ``table[i][j]`` is the id of ``fn(points[i], points[j])``; ``row(a)``
-    and ``col(b)`` extend it to an off-grid first or second argument, and
-    ``op`` reads whichever of the three holds a pair. ``leq``, ``lt`` and
-    ``same`` make it a degree order on ids, as ``DegreeOrder`` is.
+
+class Kernel(IdOrder):
+    """A binary operator over a tuple of distinct points, on ids.
+
+    Point ``i`` has id ``i``; ``table[i][j]`` is the id of
+    ``fn(points[i], points[j])``, and ``closed`` says that no such value
+    left the points. ``op`` reads ``table`` for a pair of points and the
+    lifted operator for any other pair.
     """
 
     def __init__(self, fn: Callable, points: Sequence):
-        super().__init__(points)
-        if len(self.vals) != len(points):
-            raise NotCompilable("repeated point")
-        self.fn = fn
-        self.points = tuple(points)
-        self.n = len(self.points)
+        super().__init__(points, distinct=True)
+        self.n = len(points)
         self.table = [[self.intern(fn(x, y)) for y in points] for x in points]
         # no product left the points: each would have taken a new id
         self.closed = len(self.vals) == self.n
-        self._rows = {}
-        self._cols = {}
-        self.leq = _memoised(operator.le, self.vals, bool)
-        self.lt = _memoised(operator.lt, self.vals, bool)
-        self.same = operator.eq
+        self._op = self.lifted(fn)
 
     def op(self, a: int, b: int) -> int:
-        """The id of fn(vals[a], vals[b]), where a or b is a point."""
+        """The id of fn(vals[a], vals[b])."""
         n = self.n
-        if b >= n:
-            return self.col(b)[a]
-        return self.table[a][b] if a < n else self.row(a)[b]
-
-    def row(self, a: int) -> list:
-        """Ids of fn(vals[a], p) for every point p, filled on first use."""
-        row = self._rows.get(a)
-        if row is None:
-            x = self.vals[a]
-            row = self._rows[a] = [self.intern(self.fn(x, p)) for p in self.points]
-        return row
-
-    def col(self, b: int) -> list:
-        """Ids of fn(p, vals[b]) for every point p, filled on first use."""
-        col = self._cols.get(b)
-        if col is None:
-            y = self.vals[b]
-            col = self._cols[b] = [self.intern(self.fn(p, y)) for p in self.points]
-        return col
+        if a < n and b < n:
+            return self.table[a][b]
+        return self._op(a, b)
 
 
 def compile_operator(fn: Callable, points: Sequence) -> Optional[Kernel]:
@@ -137,93 +134,46 @@ def compile_operator(fn: Callable, points: Sequence) -> Optional[Kernel]:
         return None
 
 
-class DegreeOrder(Interner):
-    """A vague operator's degrees as a finite order on ids.
-
-    Carrier points and degrees share one id space: carrier point ``i``
-    has id ``i`` (``points`` is ``range(len(carrier))``), and a degree
-    gets the next free id the first time it appears, also one the
-    conjunction only reaches inside a loop. ``deg`` is the degree map
-    keyed by carrier-id triples; ``t`` and ``eq`` are the conjunction and
-    the equality on ids, memoised per pair. ``bottom``, ``top``, ``leq``,
-    ``lt`` and ``same`` are the members every degree order has, so the
-    value cores run on it unchanged: ``leq`` and ``lt`` compare values
-    (memoised), ``same`` is id equality.
-    """
-
-    def __init__(self, degrees, carrier: Sequence, tnorm: Callable, eq: Callable):
-        super().__init__(carrier)
-        if len(self.vals) != len(carrier):
-            raise NotCompilable("repeated point")
-        self.points = range(len(carrier))
-        self.deg = {(i, j, k): self.intern(degrees[(x, y, z)])
-                    for i, x in enumerate(carrier) for j, y in enumerate(carrier)
-                    for k, z in enumerate(carrier)}
-        self.bottom = self.intern(ZERO)
-        self.top = self.intern(ONE)
-        vals, intern = self.vals, self.intern
-        self.t = _memoised(tnorm, vals, intern)
-        self.eq = _memoised(eq, vals, intern)
-        self.leq = _memoised(operator.le, vals, bool)
-        self.lt = _memoised(operator.lt, vals, bool)
-        self.same = operator.eq
-
-
-def _memoised(fn: Callable, vals: list, result: Callable) -> Callable:
-    """fn on the values of ids, computed once per tuple of ids."""
-    memo = {}
-
-    def at(*ids):
-        r = memo.get(ids)
-        if r is None:
-            r = memo[ids] = result(fn(*[vals[i] for i in ids]))
-        return r
-    return at
-
-
-class AlphabetOrder(Interner):
-    """The degrees of the membership tables over one alphabet, on ids.
-
-    ``letters[k]`` is the id of ``alphabet[k]`` (a letter listed twice
-    has one id); any other degree gets the next free id when a lifted
-    function first returns it. ``lifted(fn)`` is ``fn`` on the values of
-    ids with its degree interned, ``lifted(fn, bool)`` a test on them,
-    each made once per function and memoised per tuple of ids; ``meet``
-    is min lifted.
-    """
-
-    def __init__(self, alphabet: Sequence):
-        super().__init__()
-        self.letters = [self.intern(a) for a in alphabet]
-        self._lifted = {}
-        self.meet = self.lifted(min)
-
-    def lifted(self, fn: Callable, result: Optional[Callable] = None) -> Callable:
-        key = (id(fn), result)  # the memo holds fn, so its id stays its own
-        at = self._lifted.get(key)
-        if at is None:
-            at = self._lifted[key] = _memoised(fn, self.vals,
-                                               result or self.intern)
-        return at
-
-
-def compile_alphabet(alphabet: Sequence) -> Optional[AlphabetOrder]:
-    """The alphabet's order on ids, or None when a letter is not exact."""
-    try:
-        return AlphabetOrder(alphabet)
-    except NotCompilable:
-        return None
-
-
 def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
-                    eq: Callable) -> Optional[DegreeOrder]:
+                    eq: Callable) -> Optional[IdOrder]:
     """The degree order of the mapping ``degrees`` keyed by carrier
     triples, with conjunction ``tnorm`` and equality ``eq``, or None when
-    a carrier point or a degree is not exact."""
+    a carrier point or a degree is not exact.
+
+    Carrier point ``i`` has id ``i`` (``points`` is
+    ``range(len(carrier))``) and a degree the next free id, also one the
+    conjunction only reaches inside a loop. ``deg`` is the degree map
+    keyed by carrier-id triples, ``t`` and ``eq`` are the conjunction and
+    the equality lifted, and ``bottom`` and ``top`` are the ids of 0 and 1.
+    """
     try:
-        return DegreeOrder(degrees, carrier, tnorm, eq)
+        order = IdOrder(carrier, distinct=True)
+        order.deg = {(i, j, k): order.intern(degrees[(x, y, z)])
+                     for i, x in enumerate(carrier) for j, y in enumerate(carrier)
+                     for k, z in enumerate(carrier)}
+        order.bottom, order.top = order.intern(ZERO), order.intern(ONE)
     except NotCompilable:
         return None
+    order.points = range(len(carrier))
+    order.t, order.eq = order.lifted(tnorm), order.lifted(eq)
+    return order
+
+
+def compile_alphabet(alphabet: Sequence) -> Optional[IdOrder]:
+    """The alphabet's order on ids, or None when a letter is not exact.
+
+    ``letters[k]`` is the id of ``alphabet[k]`` (a letter listed twice
+    has one id); any other degree takes the next free id when a lifted
+    function first returns it. ``clashed`` holds the lifted functions
+    that met a value without an id, for a sweep to try each once.
+    """
+    order = IdOrder()
+    try:
+        order.letters = [order.intern(a) for a in alphabet]
+    except NotCompilable:
+        return None
+    order.clashed = set()
+    return order
 
 
 def on_ids(order, run: Callable, fallback: Callable) -> PropertyReport:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from . import checker, vague
+from . import checker, reports, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, UnboundedPosetError, read_json_object)
 from .reports import PropertyReport, combine, conclude
@@ -432,12 +432,11 @@ def induce_lattice_vague_tnorm(equality: Mapping, t: LatticeTNorm) -> dict:
 
 
 def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
-                                   lat: FiniteLattice,
-                                   max_tuples: int = 2_000_000) -> PropertyReport:
+                                   lat: FiniteLattice) -> PropertyReport:
     """Composite check: equality axioms, the three vague-operation
     conditions for the induced ternary table, the monoid inequality,
     and commutativity, all with lattice-valued degrees."""
-    if len(lat.elements) ** 7 > max_tuples:
+    if len(lat.elements) ** 7 > reports.MAX_TUPLES:
         raise BudgetExceededError(
             f"lattice of size {len(lat.elements)} exceeds the 7-tuple budget",
             size_estimate=len(lat.elements) ** 7)

@@ -71,6 +71,10 @@ class Witness:
 # finer grids are refused before a point is built
 MAX_GRID_RESOLUTION = 1000
 
+# the tuples one loop may visit (the vague 6- and 7-tuple loops, an
+# aggregation kind's closure loop), refused before the loop starts
+MAX_TUPLES = 2_000_000
+
 
 @lru_cache(maxsize=None)
 def _grid_points(resolution: int) -> tuple:

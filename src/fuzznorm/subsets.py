@@ -9,8 +9,8 @@ The t-subnorm condition is implemented once, over a degree order
 (``scalars.UNIT_INTERVAL`` or a ``FiniteLattice``), as a check of one
 map and as a generator of every t-subnorm table of a finite operator.
 The table maps a sweep enumerates or generates carry their values as
-ids of the sweep's ``kernel.AlphabetOrder`` too, and the closure loop
-and intersections run on those ids where they can.
+ids of the sweep's compiled alphabet (``kernel.compile_alphabet``) too,
+and the closure loop and intersections run on those ids where they can.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def intersect_fuzzy_subsets(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
 
 def named_table(elements: tuple, index: dict, alphabet: Sequence,
                 positions: Sequence,
-                order: Optional[kernel.AlphabetOrder] = None) -> FuzzySubset:
+                order: Optional[kernel.IdOrder] = None) -> FuzzySubset:
     """The table map sending ``elements[i]`` to ``alphabet[positions[i]]``,
     named by the values in element order; ``index`` is its element
     positions. With the alphabet's compiled ``order`` it carries the
@@ -260,19 +260,23 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     pairs when given; when it keeps every product among ``elems`` and
     ``mu`` is a table map with ids over ``elems``, the loop runs on ids
     (carrier positions and the map's alphabet order), falling back to
-    values if a combiner reaches a degree without an exact id."""
+    values if a combiner reaches a degree without an exact id; the
+    alphabet order records the clash, so the later maps of the sweep go
+    straight to values."""
     fn = getattr(mu, "fn", None)
     order = getattr(fn, "order", None)
     if (order is not None and table is not None and table.closed
             and fn.elements == elems):
-        try:
-            found = _closure_loop(fn.ids.__getitem__, range(len(elems)),
-                                  table.op, order.lifted(combine),
-                                  order.lifted(leq, bool), arities, table)
-        except kernel.NotCompilable:
-            pass
-        else:
-            return kernel.witness_values(found, elems, order.vals)
+        combined = order.lifted(combine)
+        if combined not in order.clashed:
+            try:
+                found = _closure_loop(fn.ids.__getitem__, range(len(elems)),
+                                      table.op, combined,
+                                      order.lifted(leq, bool), arities, table)
+            except kernel.NotCompilable:
+                order.clashed.add(combined)
+            else:
+                return kernel.witness_values(found, elems, order.vals)
     return _closure_loop(mu, elems, op, combine, leq, arities, table)
 
 

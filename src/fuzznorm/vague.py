@@ -10,7 +10,7 @@ is budget-guarded.
 
 Each condition is implemented once, over a degree order. The checks
 here run it on the operator's compiled degree order
-(``kernel.DegreeOrder``: points and exact degrees as ids), or on the
+(``kernel.compile_degrees``: points and exact degrees as ids), or on the
 unit interval (``scalars.UNIT_INTERVAL``) when a point or a degree is a
 float; the lattice-valued ones in ``fuzznorm.lattice`` run it on a
 ``FiniteLattice``.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from . import kernel
+from . import kernel, reports
 from .carriers import FiniteGroup
 from .connectives import Connective, Role
 from .errors import BudgetExceededError, DomainError
@@ -160,7 +160,7 @@ class VagueBinaryOp:
 
     @cached_property
     def degree_order(self):
-        """The compiled ``kernel.DegreeOrder``, built on the first check
+        """The ``kernel.compile_degrees`` order, built on the first check
         and shared by the later ones; None when it does not compile."""
         return kernel.compile_degrees(self.table, self.carrier, self.tnorm,
                                       self.equality.fn)
@@ -224,9 +224,14 @@ def _table_entries_from_json(obj: dict, arity: int, *, path=None) -> dict:
                 path=path, field="entries")
         try:
             key = tuple(parse_rational(str(k)) for k in entry[:arity])
-            mapping[key] = unit(str(entry[arity]))
+            value = unit(str(entry[arity]))
         except ValueError as exc:
             raise InputFormatError(str(exc), path=path, field="entries") from None
+        if key in mapping:
+            raise InputFormatError(
+                f"key ({', '.join(format_scalar(k) for k in key)}) is listed twice",
+                path=path, field="entries")
+        mapping[key] = value
     return mapping
 
 
@@ -288,8 +293,8 @@ def _induced_degrees(carrier: Sequence, op: Callable, eq: Callable) -> dict:
     return table
 
 
-def _tuple_budget(size: int, power: int, cap: int, what: str) -> None:
-    total = size ** power
+def _tuple_budget(size: int, power: int, what: str) -> None:
+    total, cap = size ** power, reports.MAX_TUPLES
     if total > cap:
         raise BudgetExceededError(
             f"{what} needs {total} tuples on a carrier of size {size}; "
@@ -359,10 +364,10 @@ def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     return combine(rid, [ext, fun, tot], dom)
 
 
-def check_vague_binary_op(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> PropertyReport:
+def check_vague_binary_op(op: VagueBinaryOp) -> PropertyReport:
     """The three defining conditions: extensionality through the
     equality, functionality of the result degree, and totality."""
-    _tuple_budget(len(op.carrier), 6, max_tuples, "extensionality")
+    _tuple_budget(len(op.carrier), 6, "extensionality")
     return _on_degree_order(op, lambda *on: _op_conditions(
         *on, "vague-binary-op", op.to_json()))
 
@@ -406,13 +411,13 @@ def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     return rep
 
 
-def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> PropertyReport:
+def check_vague_monoid(op: VagueBinaryOp) -> PropertyReport:
     """The seven-tuple associativity inequality and an identity element.
 
     Tables that are not vague binary operations in the first place fail
     here up front, tagged NOT_VAGUE_OP.
     """
-    _tuple_budget(len(op.carrier), 6, max_tuples, "extensionality")
+    _tuple_budget(len(op.carrier), 6, "extensionality")
     dom = op.to_json()
 
     def gated_monoid(*on):
@@ -422,8 +427,7 @@ def check_vague_monoid(op: VagueBinaryOp, max_tuples: int = 2_000_000) -> Proper
                                   witnesses=[w for c in gate.children
                                              for w in c.witnesses],
                                   tags=("NOT_VAGUE_OP",))
-        _tuple_budget(len(op.carrier), 7, max_tuples,
-                      "the vague associativity loop")
+        _tuple_budget(len(op.carrier), 7, "the vague associativity loop")
         return _monoid(*on, "vague-monoid", dom)
     return _on_degree_order(op, gated_monoid)
 

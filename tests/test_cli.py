@@ -204,6 +204,33 @@ class TestVagueCommand:
                     "--grid", "2", "--mu-table", str(mu_file),
                     "--checks", "vague-op"]) == 0
 
+    def test_repeated_key_in_equality_file_is_a_config_error(self, tmp_path,
+                                                             capsys):
+        # kept, the last entry would fail symmetry, which the file never
+        # stated
+        eq_file = tmp_path / "eq.json"
+        eq_file.write_text(json.dumps({"form": "table", "entries": [
+            ["0", "0", "1"], ["1", "1", "1"], ["0", "1", "0"], ["1", "0", "0"],
+            ["0", "1", "1/2"]]}))
+        assert run(["vague", "--equality", str(eq_file),
+                    "--tnorm", "tnorm:min", "--checks", "equality"]) == 64
+        assert "key (0, 1) is listed twice" in capsys.readouterr().err
+
+    def test_repeated_key_in_mu_table_file_is_a_config_error(self, tmp_path,
+                                                             capsys):
+        from fractions import Fraction as F
+        pts = [F(0), F(1, 2), F(1)]
+        entries = [[str(x), str(y), str(z),
+                    str(F(1) if min(x, y) == z else F(0))]
+                   for x in pts for y in pts for z in pts]
+        entries.append(["0.5", "1", "1/2", "0"])  # (1/2, 1, 1/2) again
+        mu_file = tmp_path / "op.json"
+        mu_file.write_text(json.dumps({"form": "table", "entries": entries}))
+        assert run(["vague", "--equality", "crisp", "--tnorm", "tnorm:min",
+                    "--grid", "2", "--mu-table", str(mu_file),
+                    "--checks", "vague-op"]) == 64
+        assert "key (1/2, 1, 1/2) is listed twice" in capsys.readouterr().err
+
 
 class TestLatticeCommands:
     def test_chain_checks(self):

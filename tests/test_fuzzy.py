@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzznorm import reports
 from fuzznorm.carriers import (CarrierMonoid, FiniteGroup, carrier_from_json,
                                cyclic_group)
 from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D,
@@ -12,7 +13,7 @@ from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D,
                                   construct_uninorm_min)
 from fuzznorm.errors import (BudgetExceededError, DomainError, InputFormatError,
                              TotalityError)
-from fuzznorm.fuzzy import (MAX_CLOSURE_TUPLES, FuzzyProp, KIND_T_SUBNORM,
+from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM,
                             a_submonoid_kind,
                             characterize_special_cases,
                             check_discrete_subalgebra, check_fuzzy_property,
@@ -96,7 +97,7 @@ class TestSubmonoid:
         carrier = CarrierMonoid.from_connective(T_M, GridDomain(2))
         with pytest.raises(BudgetExceededError) as refused:
             check_fuzzy_submonoid(MU_ONE, carrier, a_submonoid_kind(A_MIN, cap))
-        assert refused.value.size_estimate == 2_391_480 > MAX_CLOSURE_TUPLES
+        assert refused.value.size_estimate == 2_391_480 > reports.MAX_TUPLES
 
     def test_agrees_with_independent_reference_loop(self):
         # reference loop written from the definition, no shared code

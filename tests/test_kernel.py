@@ -12,7 +12,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzznorm import kernel
+from fuzznorm import kernel, subsets
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.checker import check_axioms, check_cancellation, check_strict_monotonicity
 from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_P,
@@ -245,6 +245,40 @@ def test_closure_on_alphabet_ids_matches_values(alphabet, grid, conn, start, ste
     assert (fast_runs > 0) == (compiled and fast[1])
 
 
+def test_a_clashing_combiner_tries_ids_once_per_sweep(monkeypatch):
+    """Int letters and combiners that return Fractions: the first map
+    whose id loop meets a clash records it on the sweep's alphabet, and
+    the later maps with that combiner run on values alone."""
+    carrier = CarrierMonoid.from_connective(T_M, GridDomain(4))
+    kinds = _SUBMONOID_KINDS[3:]  # the uninorm and the nullnorm combiner
+    loop, id_runs = subsets._closure_loop, []
+
+    def recorded(mu, elems, op, combine, *rest):
+        if not isinstance(elems, range):
+            return loop(mu, elems, op, combine, *rest)
+        try:
+            found = loop(mu, elems, op, combine, *rest)
+        except kernel.NotCompilable:
+            id_runs.append((combine, "clash"))
+            raise
+        id_runs.append((combine, "ran"))
+        return found
+
+    def render():
+        maps = list(enumerate_table_subsets(carrier.elements, (0, HALF, 1)))
+        return "".join(dumps(check_fuzzy_submonoid(mu, carrier, kind))
+                       for kind in kinds for mu in maps)
+
+    monkeypatch.setattr(subsets, "_closure_loop", recorded)
+    fast, reference, _, _ = _on_ids_and_values(render)
+    assert fast == reference and '"FAILS"' in fast
+    combiners = {combine for combine, _ in id_runs}
+    assert len(combiners) == len(kinds)
+    for combiner in combiners:
+        outcomes = [outcome for combine, outcome in id_runs if combine is combiner]
+        assert outcomes[-1] == "clash" and outcomes.count("clash") == 1
+
+
 def test_product_leaving_the_carrier_raises_like_values():
     carrier = CarrierMonoid.from_connective(T_P, GridDomain(2))
     assert not carrier.table.closed
@@ -423,8 +457,8 @@ def test_ids_follow_values():
     k = kernel.compile_operator(T_P, GridDomain(2).points)
     assert k.vals[:3] == [F(0), HALF, F(1)]
     assert k.table[1][1] == 3 and k.vals[3] == F(1, 4)
-    assert k.row(3) == [0, 4, 3] and k.vals[4] == F(1, 8)
-    assert k.col(3) == k.row(3)
+    assert [k.op(3, p) for p in range(3)] == [0, 4, 3] and k.vals[4] == F(1, 8)
+    assert [k.op(p, 3) for p in range(3)] == [0, 4, 3]
     assert k.op(3, 1) == 4 and k.op(1, 3) == 4 and k.op(1, 1) == 3
     assert k.leq(3, 1) and not k.lt(1, 3) and k.same(3, 3)
     assert kernel.compile_operator(T_M, (F(0), F(0), F(1))) is None

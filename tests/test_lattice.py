@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzznorm import fuzzy as fuzzy_module
 from fuzznorm import lattice as lattice_module
+from fuzznorm import reports
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import Connective, Role
@@ -384,15 +385,15 @@ class TestLatticeVague:
                         assert check_lattice_vague_cancellation(
                             mu, c3, reading).holds
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(reports, "MAX_TUPLES", 1000)
         c = chain_lattice(6)
         extended = build_lattice(
             [str(i) for i in range(8)],
             [(str(i), str(i + 1)) for i in range(7)])
         with pytest.raises(BudgetExceededError):
             check_lattice_vague_structures(lattice_crisp_equality(extended),
-                                           meet_tnorm(extended), extended,
-                                           max_tuples=1000)
+                                           meet_tnorm(extended), extended)
         assert c is not None
 
     def test_unknown_reading_rejected(self):

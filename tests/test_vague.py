@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzznorm import kernel
+from fuzznorm import kernel, reports
 from fuzznorm.carriers import cyclic_group
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import T_D, T_L, T_M, T_P
@@ -113,24 +113,27 @@ class TestVagueMonoid:
         assert rep.verdict is Verdict.FAILS
         assert "NOT_VAGUE_OP" in rep.tags
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(reports, "MAX_TUPLES", 1000)
         pts = GridDomain(10).points
         v = induce_vague_tnorm(crisp_equality(pts, T_L), T_L)
         with pytest.raises(BudgetExceededError):
-            check_vague_monoid(v.base, max_tuples=1000)
+            check_vague_monoid(v.base)
 
-    def test_budgets_bracket_the_gate(self):
+    def test_budgets_bracket_the_gate(self, monkeypatch):
         # the 6-tuple budget, then the V1-V3 gate, then the 7-tuple budget:
         # 2^6 = 64 tuples fit in 100, 2^7 = 128 do not
+        monkeypatch.setattr(reports, "MAX_TUPLES", 100)
         pts = (F(0), F(1))
         eq = crisp_equality(pts, T_M)
         bad = vague_op_from_table("bad", pts, eq, dict.fromkeys(
             [(x, y, z) for x in pts for y in pts for z in pts], F(1)))
-        assert "NOT_VAGUE_OP" in check_vague_monoid(bad, max_tuples=100).tags
+        assert "NOT_VAGUE_OP" in check_vague_monoid(bad).tags
         with pytest.raises(BudgetExceededError, match="associativity"):
-            check_vague_monoid(induce_vague_tnorm(eq, T_M).base, max_tuples=100)
+            check_vague_monoid(induce_vague_tnorm(eq, T_M).base)
+        monkeypatch.setattr(reports, "MAX_TUPLES", 50)
         with pytest.raises(BudgetExceededError, match="extensionality"):
-            check_vague_monoid(bad, max_tuples=50)
+            check_vague_monoid(bad)
 
     @pytest.mark.parametrize("equality", [crisp_equality, linear_equality])
     def test_gate_and_loop_share_one_compiled_order(self, monkeypatch, equality):
