@@ -56,18 +56,18 @@ class NotCompilable(Exception):
 class IdOrder:
     """Dense int ids for exact values, and their order on ids.
 
-    ``values`` take the first ids; with ``distinct`` a value listed twice
-    is refused, so ``values[i]`` has id ``i``. ``lifted(fn)`` is ``fn``
+    ``values`` take the first ids and a value listed twice is refused,
+    so ``values[i]`` has id ``i``. ``lifted(fn)`` is ``fn``
     on the values of ids with its result interned, ``lifted(fn, bool)`` a
     test on them; each is made once per function and memoised per tuple
     of ids.
     """
 
-    def __init__(self, values: Sequence = (), distinct: bool = False):
+    def __init__(self, values: Sequence = ()):
         self.vals, self.ids, self._lifted = [], {}, {}
         for v in values:
             self.intern(v)
-        if distinct and len(self.vals) != len(values):
+        if len(self.vals) != len(values):
             raise NotCompilable("repeated point")
         self.leq = self.lifted(operator.le, bool)
         self.lt = self.lifted(operator.lt, bool)
@@ -110,7 +110,7 @@ class Kernel(IdOrder):
     """
 
     def __init__(self, fn: Callable, points: Sequence):
-        super().__init__(points, distinct=True)
+        super().__init__(points)
         self.n = len(points)
         self.table = [[self.intern(fn(x, y)) for y in points] for x in points]
         # no product left the points: each would have taken a new id
@@ -147,7 +147,7 @@ def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
     the equality lifted, and ``bottom`` and ``top`` are the ids of 0 and 1.
     """
     try:
-        order = IdOrder(carrier, distinct=True)
+        order = IdOrder(carrier)
         order.deg = {(i, j, k): order.intern(degrees[(x, y, z)])
                      for i, x in enumerate(carrier) for j, y in enumerate(carrier)
                      for k, z in enumerate(carrier)}
