@@ -17,8 +17,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import kernel
 from .checker import _associativity, _identity
 from .connectives import Connective
-from .errors import DomainError, InputFormatError, read_json_object
-from .scalars import parse_rational
+from .errors import DomainError, InputFormatError, read_json_object, read_name
+from .scalars import parse_label
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,16 @@ class FiniteGroup:
     @staticmethod
     def from_table(elements: Sequence, table: Mapping, identity,
                    label: str = "") -> "FiniteGroup":
-        monoid = CarrierMonoid.from_table(elements, table, identity, label)
-        inverse = {}
+        return FiniteGroup.of(
+            CarrierMonoid.from_table(elements, table, identity, label))
+
+    @staticmethod
+    def of(monoid: CarrierMonoid) -> "FiniteGroup":
+        """``monoid`` as a group: every element needs a two-sided inverse."""
+        op, e, inverse = monoid.op, monoid.identity, {}
         for a in monoid.elements:
             for b in monoid.elements:
-                if table[(a, b)] == identity and table[(b, a)] == identity:
+                if op(a, b) == e and op(b, a) == e:
                     inverse[a] = b
                     break
             else:
@@ -119,14 +124,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_table(elements, table, 0, label=f"Z{n}")
 
 
-def _coerce_element(text: str):
-    """File elements are labels; numeric ones become exact rationals."""
-    try:
-        return parse_rational(text)
-    except ValueError:
-        return text
-
-
 def carrier_from_json(obj: dict, *, path: Optional[str] = None) -> CarrierMonoid:
     """Parse the finite-carrier file format:
     {"elements": [...], "op": [[...]], "identity": "e"}."""
@@ -137,25 +134,21 @@ def carrier_from_json(obj: dict, *, path: Optional[str] = None) -> CarrierMonoid
     if not isinstance(raw_elems, list) or not raw_elems:
         raise InputFormatError("elements must be a non-empty list",
                               path=path, field="elements")
-    elems = tuple(_coerce_element(str(e)) for e in raw_elems)
+    elems = tuple(parse_label(e) for e in raw_elems)
     rows = obj["op"]
-    if not isinstance(rows, list) or len(rows) != len(elems):
+    if not (isinstance(rows, list) and len(rows) == len(elems) and all(
+            isinstance(row, list) and len(row) == len(elems) for row in rows)):
         raise InputFormatError("op must be a square matrix over elements",
                               path=path, field="op")
-    table = {}
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(elems):
-            raise InputFormatError("op must be a square matrix over elements",
-                                  path=path, field="op")
-        for j, cell in enumerate(row):
-            table[(elems[i], elems[j])] = _coerce_element(str(cell))
-    identity = _coerce_element(str(obj["identity"]))
+    table = {(a, b): parse_label(cell)
+             for a, row in zip(elems, rows) for b, cell in zip(elems, row)}
+    identity = parse_label(obj["identity"])
+    label = read_name(obj, "label", "", path=path)
     # the refusals from_table makes before it reads the op table
     field = ("elements" if len(set(elems)) != len(elems)
              else "identity" if identity not in elems else "op")
     try:
-        return CarrierMonoid.from_table(elems, table, identity,
-                                        label=obj.get("label", ""))
+        return CarrierMonoid.from_table(elems, table, identity, label=label)
     except DomainError as exc:
         raise InputFormatError(str(exc), path=path, field=field) from None
 

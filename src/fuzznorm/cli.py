@@ -6,8 +6,14 @@ output; exit codes are a pure function of the merged verdicts:
   0  every verdict HOLDS_ON_DOMAIN
   1  at least one FAILS (or suite counterexamples)
   2  no failures but at least one VACUOUS or skipped entry
-  64 unusable configuration or input file (diagnostic on stderr)
+  64 unusable configuration or input file, or a usage error such as a
+     flag the subcommand does not take (diagnostic on stderr)
   65 membership map not total on the carrier
+
+Each subcommand takes ``--format``, ``--out`` and only those of
+``--grid``, ``--nmax``, ``--iter-cap`` and ``--epsilon`` it reads. The
+dicts that map ids to checks call each check through its module-level
+name, so a wrapper put on that name sees the call.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .carriers import CarrierMonoid, FiniteGroup, load_carrier
 from .checker import (check_archimedean, check_axioms, check_cancellation,
                       check_limit_property, check_strict_monotonicity,
                       classify_uninorm)
-from .connectives import Role, parse_operator
+from .connectives import A_MIN, Role, parse_operator
 from .errors import (BudgetExceededError, DomainError, FuzznormError,
                      InputFormatError, TotalityError, UnknownOperatorError,
                      read_json_object)
@@ -35,11 +41,11 @@ from .scalars import parse_rational
 from .subsets import parse_subset_spec
 from .suite import SuiteConfig, run_suite
 from .vague import (READINGS, VagueTNorm, _crisp_fn, _linear_fn,
-                    check_vague_binary_op,
-                    check_vague_cancellation, check_vague_commutativity,
-                    check_vague_monoid, check_vague_strict_monotone,
-                    equality_from_json, induce_vague_tnorm,
-                    make_fuzzy_equality, vague_table_from_json)
+                    check_vague_binary_op, check_vague_cancellation,
+                    check_vague_commutativity, check_vague_monoid,
+                    check_vague_strict_monotone, equality_from_json,
+                    induce_vague_tnorm, make_fuzzy_equality,
+                    vague_table_from_json)
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -48,33 +54,6 @@ EXIT_CONFIG = 64
 EXIT_NOT_TOTAL = 65
 
 BUDGET_ENV = "FUZZNORM_BUDGET_OVERRIDE"
-
-# triple-nested checks default to a coarse grid, pairwise ones to a fine one
-PROP_DEFAULT_GRID = {
-    "axioms": 10,
-    "strict-monotonicity": 10,
-    "cancellation": 10,
-    "conditional-cancellation": 10,
-    "archimedean": 100,
-    "limit": 100,
-    "classify": 100,
-}
-
-CHECK_PROPS = tuple(PROP_DEFAULT_GRID)
-
-
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", type=int, default=None,
-                        help="grid resolution n (points are i/n)")
-    parser.add_argument("--nmax", type=int, default=None,
-                        help="cap for the power-exponent search")
-    parser.add_argument("--iter-cap", type=int, default=None,
-                        help="cap for limit iterations")
-    parser.add_argument("--epsilon", type=str, default=None,
-                        help="convergence threshold, as p/q")
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the report here instead of stdout")
 
 
 def _env_overrides() -> dict:
@@ -122,6 +101,17 @@ def _resolve_grid(args, fallback: int) -> int:
     return _env_int(_env_overrides(), "grid", fallback)
 
 
+def _pick(text: str, table: dict, what: str) -> list:
+    """The ids of the comma list ``text``, each a key of ``table``."""
+    ids = [p.strip() for p in text.split(",") if p.strip()]
+    unknown = [p for p in ids if p not in table]
+    if unknown:
+        raise UnknownOperatorError(
+            f"unknown {what}: {', '.join(unknown)} "
+            f"(choose from {', '.join(table)})")
+    return ids
+
+
 def _emit(args, payload: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -131,8 +121,7 @@ def _emit(args, payload: str) -> None:
 
 
 def _exit_code(reports) -> int:
-    verdicts = [r.verdict for r in reports]
-    merged = verdict_meet(verdicts)
+    merged = verdict_meet([r.verdict for r in reports])
     if merged is Verdict.FAILS:
         return EXIT_FAILS
     if merged is Verdict.VACUOUS:
@@ -153,69 +142,62 @@ def _emit_reports(args, header: dict, reports) -> int:
 
 # --- check ---
 
+# property id -> its default grid (coarse for the triple-nested checks,
+# fine for the pairwise ones) and its check on (operator, domain, budget)
+_CHECKS = {
+    "axioms": (10, lambda conn, dom, budget: check_axioms(conn, dom)),
+    "strict-monotonicity":
+        (10, lambda conn, dom, budget: check_strict_monotonicity(conn, dom)),
+    "cancellation": (10, lambda conn, dom, budget: check_cancellation(conn, dom)),
+    "conditional-cancellation": (10, lambda conn, dom, budget:
+                                 check_cancellation(conn, dom, conditional=True)),
+    "archimedean":
+        (100, lambda conn, dom, budget: check_archimedean(conn, dom, budget)),
+    "limit": (100, lambda conn, dom, budget:
+              check_limit_property(conn, dom, budget)),
+    "classify": (100, lambda conn, dom, budget: classify_uninorm(conn, dom)),
+}
+
+
 def _cmd_check(args) -> int:
     conn = parse_operator(args.operator)
-    props = [p.strip() for p in args.props.split(",") if p.strip()]
-    unknown = [p for p in props if p not in CHECK_PROPS]
-    if unknown:
-        raise UnknownOperatorError(
-            f"unknown property ids: {', '.join(unknown)} "
-            f"(choose from {', '.join(CHECK_PROPS)})")
+    props = _pick(args.props, _CHECKS, "property ids")
     budget = _resolve_budget(args)
     reports = []
     for prop in props:
-        domain = GridDomain(_resolve_grid(args, PROP_DEFAULT_GRID[prop]))
-        if prop == "axioms":
-            reports.append(check_axioms(conn, domain))
-        elif prop == "strict-monotonicity":
-            reports.append(check_strict_monotonicity(conn, domain))
-        elif prop == "cancellation":
-            reports.append(check_cancellation(conn, domain))
-        elif prop == "conditional-cancellation":
-            reports.append(check_cancellation(conn, domain, conditional=True))
-        elif prop == "archimedean":
-            reports.append(check_archimedean(conn, domain, budget))
-        elif prop == "limit":
-            reports.append(check_limit_property(conn, domain, budget))
-        elif prop == "classify":
-            reports.append(classify_uninorm(conn, domain))
+        grid, check = _CHECKS[prop]
+        reports.append(check(conn, GridDomain(_resolve_grid(args, grid)), budget))
     return _emit_reports(args, {"operator": conn.name}, reports)
 
 
 # --- substructure ---
 
-_KIND_CHOICES = ("subgroupoid", "submonoid", "subgroup", "t-subnorm",
-                 "t-subconorm", "a-submonoid", "u-submonoid", "f-submonoid")
+def _combiner(args, carrier_conn=None, role=None):
+    """``--combiner``, else the carrier's operator when it has ``role``."""
+    if args.combiner:
+        return parse_operator(args.combiner)
+    if role is None:
+        return None
+    if carrier_conn is None or carrier_conn.role is not role:
+        raise DomainError(f"{args.kind} needs --combiner (a {role.value} id)")
+    return carrier_conn
 
 
-def _resolve_kind(args, carrier_conn):
-    if args.kind == "subgroupoid":
-        return KIND_SUBGROUPOID
-    if args.kind == "submonoid":
-        return KIND_SUBMONOID
-    if args.kind == "t-subnorm":
-        return KIND_T_SUBNORM
-    if args.kind == "t-subconorm":
-        return KIND_T_SUBCONORM
-    combiner = parse_operator(args.combiner) if args.combiner else None
-    if args.kind == "a-submonoid":
-        from .connectives import A_MIN
-        return a_submonoid_kind(combiner or A_MIN, args.arity_cap)
-    if args.kind == "u-submonoid":
-        if combiner is None:
-            if carrier_conn is not None and carrier_conn.role is Role.UNINORM:
-                combiner = carrier_conn
-            else:
-                raise DomainError("u-submonoid needs --combiner (a uninorm id)")
-        return u_submonoid_kind(combiner)
-    if args.kind == "f-submonoid":
-        if combiner is None:
-            if carrier_conn is not None and carrier_conn.role is Role.NULLNORM:
-                combiner = carrier_conn
-            else:
-                raise DomainError("f-submonoid needs --combiner (a nullnorm id)")
-        return f_submonoid_kind(combiner)
-    raise DomainError(f"unknown kind {args.kind!r}")  # pragma: no cover
+# kind -> its submonoid kind, from the arguments and the carrier's
+# operator (None for a carrier file); a subgroup is checked on the group
+_KINDS = {
+    "subgroupoid": lambda args, conn: KIND_SUBGROUPOID,
+    "submonoid": lambda args, conn: KIND_SUBMONOID,
+    "subgroup": None,
+    "t-subnorm": lambda args, conn: KIND_T_SUBNORM,
+    "t-subconorm": lambda args, conn: KIND_T_SUBCONORM,
+    "a-submonoid": lambda args, conn: a_submonoid_kind(
+        _combiner(args) or A_MIN, args.arity_cap),
+    "u-submonoid": lambda args, conn: u_submonoid_kind(
+        _combiner(args, conn, Role.UNINORM)),
+    "f-submonoid": lambda args, conn: f_submonoid_kind(
+        _combiner(args, conn, Role.NULLNORM)),
+}
 
 
 def _cmd_substructure(args) -> int:
@@ -230,14 +212,9 @@ def _cmd_substructure(args) -> int:
     if args.kind == "subgroup":
         if carrier_conn is not None:
             raise DomainError("subgroup checks need a finite group carrier file")
-        group = FiniteGroup.from_table(
-            carrier_table.elements,
-            {(a, b): carrier_table.op(a, b)
-             for a in carrier_table.elements for b in carrier_table.elements},
-            carrier_table.identity, label=carrier_table.label)
-        report = check_fuzzy_subgroup(mu, group)
+        report = check_fuzzy_subgroup(mu, FiniteGroup.of(carrier_table))
     else:
-        kind = _resolve_kind(args, carrier_conn)
+        kind = _KINDS[args.kind](args, carrier_conn)
         if kind is KIND_SUBGROUPOID:
             report = check_fuzzy_subgroupoid(mu, carrier_table)
         else:
@@ -247,10 +224,6 @@ def _cmd_substructure(args) -> int:
 
 
 # --- vague ---
-
-_VAGUE_CHECKS = ("equality", "vague-op", "monoid", "commutativity",
-                 "strict-monotonicity", "cancellation")
-
 
 def _resolve_equality(args, conn, pts):
     """Build the equality for a grid: a builtin form or an arity-2 table
@@ -263,24 +236,35 @@ def _resolve_equality(args, conn, pts):
                               path=args.equality, require_valid=False)
 
 
+def _vague_monoid(v, args, conn):
+    if args.mu_table or args.equality not in ("crisp", "linear"):
+        return check_vague_monoid(v.base)
+    # the 7-tuple associativity loop gets its own, coarser default grid
+    eq = _resolve_equality(args, conn, GridDomain(_resolve_grid(args, 4)).points)
+    return check_vague_monoid(induce_vague_tnorm(eq, conn).base)
+
+
+# check id -> its check on (vague t-norm, arguments, t-norm); "equality"
+# is the equality's own validation report
+_VAGUE_CHECKS = {
+    "equality": None,
+    "vague-op": lambda v, args, conn: check_vague_binary_op(v.base),
+    "monoid": _vague_monoid,
+    "commutativity": lambda v, args, conn: check_vague_commutativity(v),
+    "strict-monotonicity": lambda v, args, conn:
+        check_vague_strict_monotone(v, args.reading),
+    "cancellation": lambda v, args, conn:
+        check_vague_cancellation(v, args.reading),
+}
+
+
 def _cmd_vague(args) -> int:
     conn = parse_operator(args.tnorm)
     if conn.role is not Role.TNORM:
         raise DomainError(f"--tnorm must name a t-norm, got {conn.name}")
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in checks if c not in _VAGUE_CHECKS]
-    if unknown:
-        raise UnknownOperatorError(
-            f"unknown vague checks: {', '.join(unknown)} "
-            f"(choose from {', '.join(_VAGUE_CHECKS)})")
-    pair_grid = _resolve_grid(args, 6)
-    # the 7-tuple associativity loop gets its own, coarser default
-    monoid_grid = _resolve_grid(args, 4)
-    pair_pts = GridDomain(pair_grid).points
-    eq = _resolve_equality(args, conn, pair_pts)
-    reports = []
-    if "equality" in checks:
-        reports.append(eq.report)
+    checks = _pick(args.checks, _VAGUE_CHECKS, "vague checks")
+    eq = _resolve_equality(args, conn, GridDomain(_resolve_grid(args, 6)).points)
+    reports = [eq.report] if "equality" in checks else []
     needs_op = [c for c in checks if c != "equality"]
     if needs_op:
         if not eq.validated:
@@ -294,23 +278,7 @@ def _cmd_vague(args) -> int:
             v = VagueTNorm(base, conn)
         else:
             v = induce_vague_tnorm(eq, conn)
-        for check in needs_op:
-            if check == "vague-op":
-                reports.append(check_vague_binary_op(v.base))
-            elif check == "monoid":
-                if args.mu_table or args.equality not in ("crisp", "linear"):
-                    reports.append(check_vague_monoid(v.base))
-                else:
-                    monoid_pts = GridDomain(monoid_grid).points
-                    vm_eq = _resolve_equality(args, conn, monoid_pts)
-                    vm = induce_vague_tnorm(vm_eq, conn)
-                    reports.append(check_vague_monoid(vm.base))
-            elif check == "commutativity":
-                reports.append(check_vague_commutativity(v))
-            elif check == "strict-monotonicity":
-                reports.append(check_vague_strict_monotone(v, args.reading))
-            elif check == "cancellation":
-                reports.append(check_vague_cancellation(v, args.reading))
+        reports += [_VAGUE_CHECKS[c](v, args, conn) for c in needs_op]
     header = {"equality": eq.label, "tnorm": conn.name,
               "reading": args.reading}
     return _emit_reports(args, header, reports)
@@ -318,21 +286,23 @@ def _cmd_vague(args) -> int:
 
 # --- lattice ---
 
-def _chain_size(spec: str):
-    """N for a chain:N spec, None for any other spec."""
-    if not spec.startswith("chain:"):
-        return None
+def _spec_int(spec: str, what: str) -> int:
+    """The integer after the colon of ``spec``."""
     try:
         return int(spec.split(":", 1)[1])
     except ValueError:
-        raise DomainError(f"bad chain size in {spec!r}") from None
+        raise DomainError(f"bad {what} in {spec!r}") from None
 
 
-def _parse_lattice_spec(spec: str):
+def _parse_lattice_spec(spec: str, enumerated: bool):
+    """A chain:N, diamond or file lattice; a chain whose t-norms are
+    ``enumerated`` is refused by size before it is built."""
     if spec == "diamond":
         return lat_mod.diamond_lattice()
-    size = _chain_size(spec)
-    if size is not None:
+    if spec.startswith("chain:"):
+        size = _spec_int(spec, "chain size")
+        if enumerated:
+            lat_mod.check_enumeration_size(size)
         return lat_mod.chain_lattice(size)
     return lat_mod.load_lattice(spec)
 
@@ -341,10 +311,7 @@ def _parse_lattice_tnorm(spec: str, lattice):
     if spec == "meet":
         return lat_mod.meet_tnorm(lattice)
     if spec.startswith("index:"):
-        try:
-            idx = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad table index in {spec!r}") from None
+        idx = _spec_int(spec, "table index")
         tables = lat_mod.enumerate_lattice_tnorms(lattice)
         if not 0 <= idx < len(tables):
             raise DomainError(
@@ -361,43 +328,24 @@ def _parse_lsubset(spec: str, lattice):
     return lat_mod.load_lsubset(spec, lattice)
 
 
-_LATTICE_PROPS = ("tnorm-axioms", "subnorm", "fstrict", "fcancel",
-                  "fcondcancel", "farch", "flimit", "vague")
-
-_LATTICE_PROP_MAP = {
-    "fstrict": FuzzyProp.FSTRICT,
-    "fcancel": FuzzyProp.FCANCEL,
-    "fcondcancel": FuzzyProp.FCONDCANCEL,
-    "farch": FuzzyProp.FARCH,
-    "flimit": FuzzyProp.FLIMIT,
+# prop id -> its check on (membership map, t-norm, lattice)
+_LATTICE_PROPS = {
+    "tnorm-axioms": lambda mu, t, lat: lat_mod.check_lattice_tnorm(t, lat),
+    "subnorm": lambda mu, t, lat: lat_mod.check_lattice_fuzzy_subnorm(mu, t),
+    **{prop.name.lower(): lambda mu, t, lat, prop=prop:
+       lat_mod.check_lattice_fuzzy_property(mu, t, prop) for prop in FuzzyProp},
+    "vague": lambda mu, t, lat: lat_mod.check_lattice_vague_structures(
+        lat_mod.lattice_crisp_equality(lat), t, lat),
 }
 
 
 def _cmd_lattice(args) -> int:
-    size = _chain_size(args.lattice)
-    if size is not None and args.tnorm.startswith("index:"):
-        lat_mod.check_enumeration_size(size)  # refuse before building it
-    lattice = _parse_lattice_spec(args.lattice)
+    lattice = _parse_lattice_spec(
+        args.lattice, enumerated=args.tnorm.startswith("index:"))
     tnorm = _parse_lattice_tnorm(args.tnorm, lattice)
-    props = [p.strip() for p in args.props.split(",") if p.strip()]
-    unknown = [p for p in props if p not in _LATTICE_PROPS]
-    if unknown:
-        raise UnknownOperatorError(
-            f"unknown lattice props: {', '.join(unknown)} "
-            f"(choose from {', '.join(_LATTICE_PROPS)})")
+    props = _pick(args.props, _LATTICE_PROPS, "lattice props")
     mu = _parse_lsubset(args.mu, lattice)
-    reports = []
-    for prop in props:
-        if prop == "tnorm-axioms":
-            reports.append(lat_mod.check_lattice_tnorm(tnorm, lattice))
-        elif prop == "subnorm":
-            reports.append(lat_mod.check_lattice_fuzzy_subnorm(mu, tnorm))
-        elif prop == "vague":
-            reports.append(lat_mod.check_lattice_vague_structures(
-                lat_mod.lattice_crisp_equality(lattice), tnorm, lattice))
-        else:
-            reports.append(lat_mod.check_lattice_fuzzy_property(
-                mu, tnorm, _LATTICE_PROP_MAP[prop]))
+    reports = [_LATTICE_PROPS[p](mu, tnorm, lattice) for p in props]
     header = {"lattice": lattice.name, "tnorm": tnorm.name, "mu": mu.name}
     return _emit_reports(args, header, reports)
 
@@ -405,10 +353,7 @@ def _cmd_lattice(args) -> int:
 # --- enumerate ---
 
 def _cmd_enumerate(args) -> int:
-    size = _chain_size(args.lattice)
-    if size is not None:  # refuse a long chain before building it
-        lat_mod.check_enumeration_size(size)
-    lattice = _parse_lattice_spec(args.lattice)
+    lattice = _parse_lattice_spec(args.lattice, enumerated=True)
     tables = lat_mod.enumerate_lattice_tnorms(lattice, cap=args.cap)
     listing = []
     for t in tables:
@@ -420,9 +365,8 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         _emit(args, dumps(payload_obj))
     else:
-        lines = [f"lattice: {lattice.name}", f"count: {len(tables)}"]
-        for t in tables:
-            lines.append(f"  {t.name}")
+        lines = ([f"lattice: {lattice.name}", f"count: {len(tables)}"]
+                 + [f"  {t.name}" for t in tables])
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -430,9 +374,7 @@ def _cmd_enumerate(args) -> int:
 # --- suite ---
 
 def _cmd_suite(args) -> int:
-    only = None
-    if args.only:
-        only = [r.strip() for r in args.only.split(",") if r.strip()]
+    only = [r.strip() for r in (args.only or "").split(",") if r.strip()]
     config = SuiteConfig(grid=_resolve_grid(args, 6), budget=_resolve_budget(args))
     result = run_suite(config, only=only, jobs=args.jobs)
     if args.format == "json":
@@ -446,33 +388,60 @@ def _cmd_suite(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def count(text):
+        value = int(text)  # argparse reports a ValueError as invalid
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzznorm",
         description="exhaustive desk-scale checks for unit-interval "
                     "connectives and their fuzzy substructures")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flag sets a subcommand takes: output, output and grid, or
+    # output, grid and the search budget
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "text"), default="text")
+    output.add_argument("--out", type=str, default=None,
+                        help="write the report here instead of stdout")
+    grid = argparse.ArgumentParser(add_help=False, parents=[output])
+    grid.add_argument("--grid", type=int, default=None,
+                      help="grid resolution n (points are i/n)")
+    budget = argparse.ArgumentParser(add_help=False, parents=[grid])
+    budget.add_argument("--nmax", type=int, default=None,
+                        help="cap for the power-exponent search")
+    budget.add_argument("--iter-cap", type=int, default=None,
+                        help="cap for limit iterations")
+    budget.add_argument("--epsilon", type=str, default=None,
+                        help="convergence threshold, as p/q")
 
-    p = sub.add_parser("check", help="axiom and property checks for one operator")
+    p = sub.add_parser("check", parents=[budget],
+                       help="axiom and property checks for one operator")
     p.add_argument("operator", help="canonical operator id, e.g. tnorm:lukasiewicz")
     p.add_argument("--props", default="axioms",
                    help="comma-separated property ids")
-    _add_shared_flags(p)
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("substructure", help="fuzzy subset conditions on a carrier")
+    p = sub.add_parser("substructure", parents=[grid],
+                       help="fuzzy subset conditions on a carrier")
     p.add_argument("--mu", required=True,
                    help="builtin:<form> or a membership JSON file")
     p.add_argument("--carrier", required=True,
                    help="operator id or finite carrier JSON file")
-    p.add_argument("--kind", required=True, choices=_KIND_CHOICES)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--combiner", default=None,
                    help="operator id replacing min (a-/u-/f-submonoid kinds)")
     p.add_argument("--arity-cap", type=int, default=3)
-    _add_shared_flags(p)
     p.set_defaults(fn=_cmd_substructure)
 
-    p = sub.add_parser("vague", help="degree-valued equality and operator checks")
+    p = sub.add_parser("vague", parents=[grid],
+                       help="degree-valued equality and operator checks")
     p.add_argument("--equality", default="linear",
                    help="crisp, linear, or an arity-2 table JSON file")
     p.add_argument("--tnorm", required=True)
@@ -480,39 +449,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reading", choices=READINGS, default="any-degree")
     p.add_argument("--mu-table", default=None,
                    help="arity-3 degree table JSON file replacing the induced operator")
-    _add_shared_flags(p)
     p.set_defaults(fn=_cmd_vague)
 
-    p = sub.add_parser("lattice", help="lattice t-norm and L-subset checks")
+    p = sub.add_parser("lattice", parents=[output],
+                       help="lattice t-norm and L-subset checks")
     p.add_argument("--lattice", required=True,
                    help="chain:N, diamond, or a lattice JSON file")
     p.add_argument("--tnorm", default="meet", help="meet or index:K")
     p.add_argument("--mu", default="one", help="identity, one, or a JSON file")
     p.add_argument("--props", default="tnorm-axioms,subnorm")
-    _add_shared_flags(p)
     p.set_defaults(fn=_cmd_lattice)
 
-    p = sub.add_parser("enumerate", help="list every t-norm table on a lattice")
+    p = sub.add_parser("enumerate", parents=[output],
+                       help="list every t-norm table on a lattice")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--cap", type=int, default=None)
-    _add_shared_flags(p)
+    p.add_argument("--cap", type=_at_least(0), default=None)
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("suite", help="run the full proposition sweep")
+    p = sub.add_parser("suite", parents=[budget],
+                       help="run the full proposition sweep")
     p.add_argument("--all", action="store_true", default=False,
                    help="run every row (the default)")
     p.add_argument("--only", default=None,
                    help="comma-separated row ids to run")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel workers, one row each")
-    _add_shared_flags(p)
     p.set_defaults(fn=_cmd_suite)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except TotalityError as exc:

@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the one reader that
-turns an unusable JSON input file into an ``InputFormatError``."""
+"""Exception types shared across the package, and the readers of JSON
+input files: one for a file's top-level object, one for the ``entries``
+list of a table file and one for a name field. Each turns whatever
+makes a file unusable into an ``InputFormatError`` that names the file
+and the field."""
 
 import json
+from typing import Callable
 
 
 class FuzznormError(Exception):
@@ -74,3 +78,42 @@ def read_json_object(path: str) -> dict:
     if not isinstance(obj, dict):
         raise InputFormatError("top-level value must be an object", path=path)
     return obj
+
+
+def read_entries(obj: dict, arity: int, parse_key: Callable,
+                 parse_value: Callable, describe: Callable, *,
+                 path: str | None = None) -> dict:
+    """The ``entries`` list of a table file as a dict from key tuples to
+    values: each entry is ``arity`` key components and a value, read by
+    ``parse_key`` and ``parse_value`` (which raise ``ValueError`` on a bad
+    one); ``describe(key)`` names a key listed twice."""
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise InputFormatError("a table needs an entries list", path=path,
+                               field="entries")
+    mapping = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise InputFormatError(
+                f"entry {i} must be [{'key, ' * arity}value]",
+                path=path, field="entries")
+        try:
+            key = tuple(parse_key(k) for k in entry[:arity])
+            value = parse_value(entry[arity])
+        except ValueError as exc:
+            raise InputFormatError(str(exc), path=path, field="entries") from None
+        if key in mapping:
+            raise InputFormatError(f"{describe(key)} is listed twice",
+                                   path=path, field="entries")
+        mapping[key] = value
+    return mapping
+
+
+def read_name(obj: dict, field: str, default: str, *,
+              path: str | None = None) -> str:
+    """``obj[field]``, which must be a string, or ``default`` when absent."""
+    name = obj.get(field, default)
+    if not isinstance(name, str):
+        raise InputFormatError(f"{field} must be a string", path=path,
+                               field=field)
+    return name

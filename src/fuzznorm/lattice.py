@@ -19,7 +19,8 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import checker, reports, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
-                     InputFormatError, UnboundedPosetError, read_json_object)
+                     InputFormatError, UnboundedPosetError, read_entries,
+                     read_json_object, read_name)
 from .reports import PropertyReport, combine, conclude
 from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
                       _identity_witnesses, _TableFn, enumerate_table_subsets)
@@ -175,7 +176,7 @@ def lattice_from_json(obj: dict, *, path: Optional[str] = None) -> FiniteLattice
                               path=path, field="covers")
     try:
         return build_lattice(elements, [tuple(c) for c in covers],
-                             name=obj.get("name", ""))
+                             name=read_name(obj, "name", "", path=path))
     except (DomainError, NotALatticeError, UnboundedPosetError) as exc:
         raise InputFormatError(str(exc), path=path, field="covers") from None
 
@@ -188,24 +189,15 @@ def lsubset_from_json(obj: dict, lat: FiniteLattice, *,
                       path: Optional[str] = None) -> FuzzySubset:
     """Parse {"entries": [[element, value], ...]} with one entry for every
     element of the lattice."""
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise InputFormatError("membership file needs an entries list",
-                              path=path, field="entries")
-    mapping = {}
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InputFormatError("entries must be [element, value] pairs",
-                                  path=path, field="entries")
-        for label in entry:  # a tuple scan: unhashable labels are just unknown
-            if label not in lat.elements:
-                raise InputFormatError(f"{label!r} is not a lattice element",
-                                      path=path, field="entries")
-        if entry[0] in mapping:
-            raise InputFormatError(f"element {entry[0]!r} is listed twice",
-                                  path=path, field="entries")
-        mapping[entry[0]] = entry[1]
-    return lsubset_table(lat, mapping)
+    def element(label):
+        # a tuple scan: unhashable labels are just unknown
+        if label not in lat.elements:
+            raise ValueError(f"{label!r} is not a lattice element")
+        return label
+
+    mapping = read_entries(obj, 1, element, element,
+                           lambda key: f"element {key[0]!r}", path=path)
+    return lsubset_table(lat, {k: v for (k,), v in mapping.items()})
 
 
 def load_lsubset(path: str, lat: FiniteLattice) -> FuzzySubset:
@@ -267,6 +259,8 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
     Every other set triple passed before, so only the triples that look
     up the new cell are checked.
     """
+    if cap is not None and cap < 0:
+        raise DomainError(f"the table cap must be non-negative, got {cap}")
     elems = lat.elements
     check_enumeration_size(len(elems))
     n, top = len(elems), elems.index(lat.top)

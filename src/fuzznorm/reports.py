@@ -75,6 +75,9 @@ MAX_GRID_RESOLUTION = 1000
 # aggregation kind's closure loop), refused before the loop starts
 MAX_TUPLES = 2_000_000
 
+# a text report prints this many witnesses and counts the rest
+MAX_WITNESSES_SHOWN = 3
+
 
 @lru_cache(maxsize=None)
 def _grid_points(resolution: int) -> tuple:
@@ -201,14 +204,14 @@ class PropertyReport:
             obj["children"] = [c.to_json() for c in self.children]
         return obj
 
-    def render_text(self, indent: int = 0, max_witnesses: int = 3) -> str:
+    def render_text(self, indent: int = 0) -> str:
         pad = "  " * indent
         line = f"{pad}[{self.verdict.value}] {self.property_id}"
         if self.tags:
             line += "  tags=" + ",".join(self.tags)
         lines = [line]
         if self.witnesses:
-            shown = self.witnesses[:max_witnesses]
+            shown = self.witnesses[:MAX_WITNESSES_SHOWN]
             extra = len(self.witnesses) - len(shown)
             for w in shown:
                 lines.append(f"{pad}  witness {w.render_text()}")
@@ -218,7 +221,7 @@ class PropertyReport:
         for key in sorted(self.details):
             lines.append(f"{pad}  {key}: {_json_value(self.details[key])}")
         for c in self.children:
-            lines.append(c.render_text(indent + 1, max_witnesses))
+            lines.append(c.render_text(indent + 1))
         return "\n".join(lines)
 
 

@@ -28,11 +28,10 @@ def unit(value: Union[Fraction, int, str, float]) -> Fraction:
 
     Strings use Fraction syntax ("1/2", "0.3"). Floats are read through
     their shortest decimal literal, not their binary expansion, so
-    ``unit(0.1)`` is exactly 1/10.
+    ``unit(0.1)`` is exactly 1/10. Anything that does not read as a
+    rational, "1/0" included, raises ``ValueError``.
     """
-    if isinstance(value, float):
-        value = str(value)
-    frac = Fraction(value)
+    frac = parse_rational(value)
     if not ZERO <= frac <= ONE:
         raise ValueError(f"expected a value in [0, 1], got {frac}")
     return frac
@@ -46,52 +45,61 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def eq_approx(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
+def parse_label(value):
+    """A label read from a file: an exact rational when it reads as one,
+    else its text."""
+    try:
+        return parse_rational(value)
+    except ValueError:
+        return str(value)
+
+
+def eq_approx(a: Scalar, b: Scalar) -> bool:
     """Equality for premise matching: within-tolerance counts as equal."""
     if isinstance(a, float) or isinstance(b, float):
-        return abs(float(a) - float(b)) <= tol
+        return abs(float(a) - float(b)) <= FLOAT_TOL
     return a == b
 
 
-def le_approx(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
+def le_approx(a: Scalar, b: Scalar) -> bool:
     """Non-strict order for premise matching."""
     if isinstance(a, float) or isinstance(b, float):
-        return float(a) <= float(b) + tol
+        return float(a) <= float(b) + FLOAT_TOL
     return a <= b
 
 
-def eq3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
-    """Certifying equality: None when floats differ by at most ``tol``
+def eq3(a: Scalar, b: Scalar) -> Optional[bool]:
+    """Certifying equality: None when floats differ by at most ``FLOAT_TOL``
     without being bit-identical."""
     if isinstance(a, float) or isinstance(b, float):
         fa, fb = float(a), float(b)
         if fa == fb:
             return True
-        if abs(fa - fb) > tol:
+        if abs(fa - fb) > FLOAT_TOL:
             return False
         return None
     return a == b
 
 
-def le3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
+def le3(a: Scalar, b: Scalar) -> Optional[bool]:
     """Certifying non-strict order; None inside the float tolerance band."""
     if isinstance(a, float) or isinstance(b, float):
         fa, fb = float(a), float(b)
         if fa <= fb:
             return True
-        if fa > fb + tol:
+        if fa > fb + FLOAT_TOL:
             return False
         return None
     return a <= b
 
 
-def lt3(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> Optional[bool]:
+def lt3(a: Scalar, b: Scalar) -> Optional[bool]:
     """Certifying strict order; None inside the float tolerance band."""
     if isinstance(a, float) or isinstance(b, float):
         fa, fb = float(a), float(b)
-        if fa < fb - tol:
+        if fa < fb - FLOAT_TOL:
             return True
-        if fa > fb + tol:
+        if fa > fb + FLOAT_TOL:
             return False
         return None
     return a < b

@@ -23,9 +23,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import kernel
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
-                     read_json_object)
+                     read_entries, read_json_object, read_name)
 from .reports import Witness
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_rational, unit
+from .scalars import (ONE, ZERO, Scalar, format_scalar, parse_label,
+                      parse_rational, unit)
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,6 @@ def parse_builtin_subset(spec: str) -> FuzzySubset:
     raise UnknownOperatorError(f"unknown builtin membership form: {spec!r}")
 
 
-def _coerce_key(text: str):
-    try:
-        return parse_rational(text)
-    except ValueError:
-        return text
-
-
 def subset_from_json(obj: dict, *, path: Optional[str] = None) -> FuzzySubset:
     """Parse the membership file format: {"form": "builtin:identity"} or
     {"form": "table", "entries": [["1/2", "3/4"], ...]}."""
@@ -160,24 +154,11 @@ def subset_from_json(obj: dict, *, path: Optional[str] = None) -> FuzzySubset:
         raise InputFormatError("missing key", path=path, field="form")
     form = obj["form"]
     if form == "table":
-        entries = obj.get("entries")
-        if not isinstance(entries, list):
-            raise InputFormatError("table form needs an entries list",
-                                  path=path, field="entries")
-        mapping = {}
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise InputFormatError(f"entry {i} must be a [point, value] pair",
-                                      path=path, field="entries")
-            try:
-                point, value = _coerce_key(str(entry[0])), unit(str(entry[1]))
-            except ValueError as exc:
-                raise InputFormatError(str(exc), path=path, field="entries") from None
-            if point in mapping:
-                raise InputFormatError(f"point {format_scalar(point)} is listed twice",
-                                      path=path, field="entries")
-            mapping[point] = value
-        return table_subset(mapping, name=obj.get("name", ""))
+        mapping = read_entries(
+            obj, 1, parse_label, unit,
+            lambda key: f"point {format_scalar(key[0])}", path=path)
+        return table_subset({k: v for (k,), v in mapping.items()},
+                            name=read_name(obj, "name", "", path=path))
     if isinstance(form, str):
         try:
             return parse_builtin_subset(form)

@@ -25,10 +25,11 @@ from typing import Callable, Mapping, Sequence
 from . import kernel, reports
 from .carriers import FiniteGroup
 from .connectives import Connective, Role
-from .errors import BudgetExceededError, DomainError
+from .errors import (BudgetExceededError, DomainError, InputFormatError,
+                     TotalityError, read_entries, read_name)
 from .reports import (PropertyReport, Verdict, Witness, combine, conclude)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, _equal3, eq_approx,
-                      format_scalar, le3)
+                      format_scalar, le3, parse_rational, unit)
 
 #: Readings of the equality-of-degrees premise in the monotonicity and
 #: cancellation laws: "any-degree" matches any common degree, "crisp"
@@ -207,41 +208,18 @@ def vague_op_from_table(label: str, carrier: Sequence, equality: TFuzzyEquality,
 
 
 def _table_entries_from_json(obj: dict, arity: int, *, path=None) -> dict:
-    from .errors import InputFormatError
-    from .scalars import parse_rational, unit
-
     if obj.get("form") != "table":
         raise InputFormatError("expected a table form", path=path, field="form")
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise InputFormatError("table form needs an entries list",
-                              path=path, field="entries")
-    mapping = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, list) or len(entry) != arity + 1:
-            raise InputFormatError(
-                f"entry {i} must have {arity} key components and a value",
-                path=path, field="entries")
-        try:
-            key = tuple(parse_rational(str(k)) for k in entry[:arity])
-            value = unit(str(entry[arity]))
-        except ValueError as exc:
-            raise InputFormatError(str(exc), path=path, field="entries") from None
-        if key in mapping:
-            raise InputFormatError(
-                f"key ({', '.join(format_scalar(k) for k in key)}) is listed twice",
-                path=path, field="entries")
-        mapping[key] = value
-    return mapping
+    return read_entries(
+        obj, arity, parse_rational, unit,
+        lambda key: f"key ({', '.join(format_scalar(k) for k in key)})",
+        path=path)
 
 
 def equality_from_json(obj: dict, tnorm: Connective, *, path=None,
                        require_valid: bool = True) -> TFuzzyEquality:
     """Arity-2 rational-table schema:
     {"form": "table", "entries": [["x", "y", "degree"], ...]}."""
-    from .errors import TotalityError
-    from .scalars import format_scalar
-
     mapping = _table_entries_from_json(obj, 2, path=path)
     carrier = tuple(sorted({k[0] for k in mapping} | {k[1] for k in mapping}))
 
@@ -253,7 +231,7 @@ def equality_from_json(obj: dict, tnorm: Connective, *, path=None,
                 f"equality table has no value at ({format_scalar(a)}, "
                 f"{format_scalar(b)})") from None
 
-    label = obj.get("name", "table-equality")
+    label = read_name(obj, "name", "table-equality", path=path)
     return make_fuzzy_equality(label, fn, tnorm, carrier,
                                require_valid=require_valid)
 
@@ -262,7 +240,7 @@ def vague_table_from_json(obj: dict, equality: TFuzzyEquality, *,
                           path=None) -> VagueBinaryOp:
     """Arity-3 rational-table schema for ternary degree maps."""
     mapping = _table_entries_from_json(obj, 3, path=path)
-    return vague_op_from_table(obj.get("name", "table-op"),
+    return vague_op_from_table(read_name(obj, "name", "table-op", path=path),
                                equality.carrier, equality, mapping)
 
 

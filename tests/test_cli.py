@@ -449,3 +449,107 @@ class TestBudgetEnv:
         assert err.startswith("error:")
         if field is not None:
             assert f"(field {field!r})" in err
+
+
+class TestZeroDenominator:
+    """A rational with a zero denominator is a bad input, not a crash."""
+
+    @pytest.mark.parametrize("flag, payload, argv", [
+        ("--mu", {"form": "table", "entries": [["0", "1/0"]]},
+         ["substructure", "--carrier", "tnorm:min", "--kind", "t-subnorm",
+          "--grid", "2"]),
+        ("--equality", {"form": "table", "entries": [["0", "0", "1/0"]]},
+         ["vague", "--tnorm", "tnorm:min"]),
+        ("--mu-table", {"form": "table", "entries": [["0", "0", "0", "1/0"]]},
+         ["vague", "--equality", "crisp", "--tnorm", "tnorm:min", "--grid",
+          "2", "--checks", "vague-op"]),
+    ], ids=["membership", "equality", "mu-table"])
+    def test_in_a_table_file(self, tmp_path, capsys, flag, payload, argv):
+        f = tmp_path / "table.json"
+        f.write_text(json.dumps(payload))
+        assert run(argv + [flag, str(f)]) == 64
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("operator", [
+        "uninorm:umin(e=1/0,T=min,S=max)", "nullnorm:<max,1/0,min>"],
+        ids=["uninorm", "nullnorm"])
+    def test_in_an_operator_id(self, capsys, operator):
+        assert run(["check", operator]) == 64
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestRefusedValues:
+    def test_negative_enumeration_cap(self, capsys):
+        assert run(["enumerate", "--lattice", "diamond", "--cap", "-1"]) == 64
+        assert "--cap" in capsys.readouterr().err
+
+    def test_negative_cap_in_the_library(self):
+        from fuzznorm.errors import DomainError
+        from fuzznorm.lattice import diamond_lattice, enumerate_lattice_tnorms
+        with pytest.raises(DomainError, match="cap"):
+            enumerate_lattice_tnorms(diamond_lattice(), cap=-1)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, capsys, jobs):
+        assert run(["suite", "--only", "prop16", "--jobs", jobs]) == 64
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [["x"], 7, 0, []],
+                             ids=["list", "number", "zero", "empty-list"])
+    @pytest.mark.parametrize("field, obj, argv", [
+        ("name", {"elements": ["0", "1"], "covers": [["0", "1"]]},
+         ["lattice", "--lattice", "{file}"]),
+        ("name", {"form": "table", "entries": [["0", "1"], ["1", "1"]]},
+         ["substructure", "--mu", "{file}", "--carrier", "tnorm:min",
+          "--kind", "t-subnorm", "--grid", "2"]),
+        ("name", {"form": "table", "entries": [["0", "0", "1"]]},
+         ["vague", "--equality", "{file}", "--tnorm", "tnorm:min"]),
+        ("name", {"form": "table", "entries": [["0", "0", "0", "1"]]},
+         ["vague", "--equality", "crisp", "--tnorm", "tnorm:min", "--grid",
+          "2", "--checks", "vague-op", "--mu-table", "{file}"]),
+        ("label", {"elements": ["0"], "op": [["0"]], "identity": "0"},
+         ["substructure", "--mu", "builtin:one", "--carrier", "{file}",
+          "--kind", "submonoid"]),
+    ], ids=["lattice", "membership", "equality", "vague-table", "carrier"])
+    def test_name_that_is_not_a_string(self, tmp_path, capsys, name, field,
+                                       obj, argv):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps({**obj, field: name}))
+        assert run([a.format(file=f) for a in argv]) == 64
+        assert f"field {field!r})" in capsys.readouterr().err
+
+
+class TestFlagsWhereRead:
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--lattice", "chain:3", "--grid", "4"],
+        ["enumerate", "--lattice", "chain:3", "--nmax", "1"],
+        ["vague", "--tnorm", "tnorm:min", "--epsilon", "1/2"],
+        ["substructure", "--mu", "builtin:one", "--carrier", "tnorm:min",
+         "--kind", "submonoid", "--iter-cap", "3"],
+    ], ids=["lattice-grid", "enumerate-nmax", "vague-epsilon",
+            "substructure-iter-cap"])
+    def test_a_flag_the_subcommand_does_not_read_exits_64(self, capsys, argv):
+        assert run(argv) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "tnorm:min"],
+        ["suite", "--only", "example-L22-uninorm"],
+    ], ids=["check", "suite"])
+    def test_check_and_suite_take_the_budget_flags(self, argv):
+        assert run(argv + ["--grid", "4", "--nmax", "8", "--iter-cap", "16",
+                           "--epsilon", "1/8"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "tnorm:min", "--format", "xml"],
+        ["check", "tnorm:min", "--grid", "abc"],
+        ["frobnicate"],
+        [],
+    ], ids=["bad-choice", "bad-int", "unknown-subcommand", "no-subcommand"])
+    def test_usage_errors_exit_64(self, capsys, argv):
+        assert run(argv) == 64
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert run(["check", "--help"]) == 0
+        assert "--nmax" in out_text(capsys)
