@@ -108,20 +108,24 @@ def _absorber(order, op, pts, k, zero, one):
             yield (one, x), op(one, x), x
 
 
+def _search_identity(op, pts, same):
+    """The first point e with ``same(op(x, e), x)`` at every point x, or None."""
+    for e in pts:
+        if all(same(op(x, e), x) for x in pts):
+            return e
+    return None
+
+
 def _uninorm_identity(order, op, pts, e, rid, dom):
     if e is not None:
         return _decide(rid, dom, _equality(order), _identity(op, pts, e),
                        details={"identity": format_scalar(e)})
     # no declared identity: search the grid for one
-    same = order.same
-    for e in pts:
-        if all(same(op(x, e), x) for x in pts):
-            return PropertyReport(rid, Verdict.HOLDS, dom,
-                                  details={"identity": format_scalar(e),
-                                           "identity_searched": True})
-    return PropertyReport(rid, Verdict.FAILS, dom,
-                          witnesses=[Witness(("no-identity-element",), ())],
-                          details={"identity": None, "identity_searched": True})
+    e = _search_identity(op, pts, order.same)
+    missing = [] if e is not None else [Witness(("no-identity-element",), ())]
+    return conclude(rid, dom, missing,
+                    details={"identity": None if e is None else format_scalar(e),
+                             "identity_searched": True})
 
 
 _AXIOM_PREFIX = {Role.TNORM: "T", Role.TCONORM: "S",
@@ -459,11 +463,6 @@ def check_limit_property(conn: Connective, domain, budget: Optional[SearchBudget
                   budget or SearchBudget())
 
 
-def _in_mixed_region(x, y, e) -> bool:
-    lo, hi = (x, y) if x <= y else (y, x)
-    return lo < e < hi
-
-
 def classify_uninorm(conn: Connective, domain) -> PropertyReport:
     """Boundary flags plus min/max behavior on the mixed region.
 
@@ -477,33 +476,27 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
     v10 = conn(ONE, ZERO)
     conjunctive = eq_approx(v10, ZERO)
     disjunctive = eq_approx(v10, ONE)
-    if conjunctive:
-        locally_internal = all(eq_approx(conn(ONE, x), ONE) or eq_approx(conn(ONE, x), x)
+    locally_internal = None
+    if conjunctive or disjunctive:  # locally internal: U(a, x) is a or x
+        a = ONE if conjunctive else ZERO
+        locally_internal = all(eq_approx(conn(a, x), a) or eq_approx(conn(a, x), x)
                                for x in pts)
-    elif disjunctive:
-        locally_internal = all(eq_approx(conn(ZERO, x), ZERO) or eq_approx(conn(ZERO, x), x)
-                               for x in pts)
-    else:
-        locally_internal = None
     idempotent = all(eq_approx(conn(x, x), x) for x in pts)
 
     e = conn.identity
     if e is None:
-        for cand in pts:
-            if all(eq_approx(conn(x, cand), x) for x in pts):
-                e = cand
-                break
+        e = _search_identity(conn, pts, eq_approx)
     witnesses = []
     behavior_min = behavior_max = True
     mixed_pairs = 0
     if e is not None:
         for x in pts:
             for y in pts:
-                if not _in_mixed_region(x, y, e):
+                lo, hi = (x, y) if x <= y else (y, x)
+                if not lo < e < hi:  # outside the mixed region
                     continue
                 mixed_pairs += 1
                 v = conn(x, y)
-                lo, hi = (x, y) if x <= y else (y, x)
                 if not (le3(lo, v) is True and le3(v, hi) is True):
                     witnesses.append(Witness((x, y), (v,)))
                 if not eq_approx(v, lo):

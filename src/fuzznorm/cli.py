@@ -113,11 +113,14 @@ def _pick(text: str, table: dict, what: str) -> list:
 
 
 def _emit(args, payload: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _exit_code(reports) -> int:

@@ -131,22 +131,21 @@ _TCONORM_ALIASES = {
 _AGG_ALIASES = {"min": A_MIN, "A_min": A_MIN}
 
 
+def _lookup(aliases: dict, key: str, what: str) -> Connective:
+    try:
+        return aliases[key]
+    except KeyError:
+        raise UnknownOperatorError(f"unknown {what}: {key!r}") from None
+
+
 def eval_tnorm(family: str, x: Scalar, y: Scalar) -> Scalar:
     """Evaluate a builtin conjunction family at (x, y)."""
-    try:
-        conn = _TNORM_ALIASES[family]
-    except KeyError:
-        raise UnknownOperatorError(f"unknown t-norm family: {family!r}") from None
-    return conn(x, y)
+    return _lookup(_TNORM_ALIASES, family, "t-norm family")(x, y)
 
 
 def eval_tconorm(family: str, x: Scalar, y: Scalar) -> Scalar:
     """Evaluate a builtin disjunction family at (x, y)."""
-    try:
-        conn = _TCONORM_ALIASES[family]
-    except KeyError:
-        raise UnknownOperatorError(f"unknown t-conorm family: {family!r}") from None
-    return conn(x, y)
+    return _lookup(_TCONORM_ALIASES, family, "t-conorm family")(x, y)
 
 
 def power_iterate(conn: Connective, x: Scalar, n: int) -> Scalar:
@@ -170,25 +169,17 @@ def power_iterate(conn: Connective, x: Scalar, n: int) -> Scalar:
 
 # --- parametric constructions ---
 
-def _uninorm_min_eval(e, t_fn, s_fn, x, y):
+def _uninorm_eval(e, t_fn, s_fn, mixed, x, y):
     if x <= e and y <= e:
         return e * t_fn(x / e, y / e)
     if x >= e and y >= e:
         c = 1 - e
         return e + c * s_fn((x - e) / c, (y - e) / c)
-    return x if x <= y else y
-
-
-def _uninorm_max_eval(e, t_fn, s_fn, x, y):
-    if x <= e and y <= e:
-        return e * t_fn(x / e, y / e)
-    if x >= e and y >= e:
-        c = 1 - e
-        return e + c * s_fn((x - e) / c, (y - e) / c)
-    return x if x >= y else y
+    return mixed(x, y)
 
 
 def _nullnorm_eval(k, s_fn, t_fn, x, y):
+    # the upper square is strict: at x = k < y the value is k, not y
     if x <= k and y <= k:
         return k * s_fn(x / k, y / k)
     if x > k and y > k:
@@ -197,49 +188,44 @@ def _nullnorm_eval(k, s_fn, t_fn, x, y):
     return k
 
 
-def _check_construction_roles(t_conn: Connective, s_conn: Connective) -> None:
+def _splice_point(p, what: str, t_conn: Connective, s_conn: Connective):
+    """The interior point of a splice of ``t_conn`` and ``s_conn``;
+    ``what`` names it (``identity e`` or ``absorber k``) when it is 0 or 1."""
+    p = unit(p)
+    if p == 0 or p == 1:
+        raise DegenerateParameterError(
+            f"{what}={p} is degenerate; use a plain t-norm or t-conorm instead")
     if t_conn.role is not Role.TNORM:
         raise DomainError(f"expected a t-norm, got {t_conn.name}")
     if s_conn.role is not Role.TCONORM:
         raise DomainError(f"expected a t-conorm, got {s_conn.name}")
+    return p
+
+
+def _uninorm(kind: str, mixed, e, t_conn: Connective, s_conn: Connective) -> Connective:
+    e = _splice_point(e, "identity e", t_conn, s_conn)
+    name = f"uninorm:{kind}(e={e},T={t_conn.short_name},S={s_conn.short_name})"
+    return Connective(name, Role.UNINORM,
+                      partial(_uninorm_eval, e, t_conn.fn, s_conn.fn, mixed),
+                      identity=e)
 
 
 def construct_uninorm_min(e, t_conn: Connective, s_conn: Connective) -> Connective:
     """Uninorm acting as ``t_conn`` below e, ``s_conn`` above e, and
     minimum on the mixed region; its value at (0, 1) is 0."""
-    e = unit(e)
-    if e == 0 or e == 1:
-        raise DegenerateParameterError(
-            f"identity e={e} is degenerate; use a plain t-norm or t-conorm instead")
-    _check_construction_roles(t_conn, s_conn)
-    name = f"uninorm:umin(e={e},T={t_conn.short_name},S={s_conn.short_name})"
-    return Connective(name, Role.UNINORM,
-                      partial(_uninorm_min_eval, e, t_conn.fn, s_conn.fn),
-                      identity=e)
+    return _uninorm("umin", _t_min, e, t_conn, s_conn)
 
 
 def construct_uninorm_max(e, t_conn: Connective, s_conn: Connective) -> Connective:
     """As ``construct_uninorm_min`` but with maximum on the mixed
     region; its value at (0, 1) is 1."""
-    e = unit(e)
-    if e == 0 or e == 1:
-        raise DegenerateParameterError(
-            f"identity e={e} is degenerate; use a plain t-norm or t-conorm instead")
-    _check_construction_roles(t_conn, s_conn)
-    name = f"uninorm:umax(e={e},T={t_conn.short_name},S={s_conn.short_name})"
-    return Connective(name, Role.UNINORM,
-                      partial(_uninorm_max_eval, e, t_conn.fn, s_conn.fn),
-                      identity=e)
+    return _uninorm("umax", _s_max, e, t_conn, s_conn)
 
 
 def construct_nullnorm(s_conn: Connective, k, t_conn: Connective) -> Connective:
     """Nullnorm acting as ``s_conn`` below k, ``t_conn`` above k, and
     constantly k on the mixed region."""
-    k = unit(k)
-    if k == 0 or k == 1:
-        raise DegenerateParameterError(
-            f"absorber k={k} is degenerate; use a plain t-norm or t-conorm instead")
-    _check_construction_roles(t_conn, s_conn)
+    k = _splice_point(k, "absorber k", t_conn, s_conn)
     name = f"nullnorm:<{s_conn.short_name}-S,{k},{t_conn.short_name}-T>"
     return Connective(name, Role.NULLNORM,
                       partial(_nullnorm_eval, k, s_conn.fn, t_conn.fn),
@@ -268,13 +254,6 @@ def dualize(conn: Connective) -> Connective:
 
 _UNINORM_RE = re.compile(r"^uninorm:(umin|umax)\((.*)\)$")
 _NULLNORM_RE = re.compile(r"^nullnorm:<(.*)>$")
-
-
-def _lookup(aliases: dict, key: str, what: str) -> Connective:
-    try:
-        return aliases[key]
-    except KeyError:
-        raise UnknownOperatorError(f"unknown {what}: {key!r}") from None
 
 
 def _parse_uninorm_args(body: str):

@@ -225,6 +225,29 @@ class TestClassifyUninorm:
         assert rep.details["mixed_region"] == "empty"
 
 
+class TestIdentitySearch:
+    """A uninorm that declares no identity: the grid is searched for one,
+    by the U4 axiom and by the classification alike."""
+
+    @pytest.mark.parametrize("fn, found", [
+        (lambda x, y: min(x, y), "1"),
+        (lambda x, y: max(x, y), "0"),
+        (lambda x, y: (x + y) / 2, None),
+    ], ids=["min", "max", "mean"])
+    def test_search(self, fn, found):
+        d4 = GridDomain(4)
+        conn = Connective("test:undeclared", Role.UNINORM, fn)
+        rep = check_axioms(conn, d4).child("U4:identity")
+        assert rep.details == {"identity": found, "identity_searched": True}
+        if found is None:
+            assert rep.verdict is Verdict.FAILS
+            assert [w.inputs for w in rep.witnesses] == [("no-identity-element",)]
+        else:
+            assert rep.verdict is Verdict.HOLDS
+            assert rep.witnesses == []
+        assert classify_uninorm(conn, d4).details["identity"] == found
+
+
 class TestVerifyImplication:
     """Implications between the classical properties, checked directly."""
 

@@ -315,6 +315,21 @@ class TestLatticeCommands:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestOutPath:
+    """A report path that cannot be opened is a configuration error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "tnorm:min", "--grid", "4"],
+        ["suite", "--only", "prop16"],
+    ], ids=["check", "suite"])
+    def test_unopenable_out_exits_64(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "x.json")
+        assert run(argv + ["--out", out]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--out" in err
+
+
 class TestSuiteCommand:
     def test_selected_rows_deterministic(self, capsys):
         code = run(["suite", "--only", "prop16,prop17", "--grid", "6",

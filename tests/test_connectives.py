@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS,
                                   parse_operator, power_iterate)
 from fuzznorm.errors import (DegenerateParameterError, DomainError,
                              UnknownOperatorError)
+from fuzznorm.reports import GridDomain
 
 F = Fraction
 
@@ -32,10 +34,12 @@ def test_eval_tconorm_closed_forms():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(UnknownOperatorError):
+    with pytest.raises(UnknownOperatorError) as err:
         eval_tnorm("T_X", F(0), F(0))
-    with pytest.raises(UnknownOperatorError):
+    assert str(err.value) == "unknown t-norm family: 'T_X'"
+    with pytest.raises(UnknownOperatorError) as err:
         eval_tconorm("nope", F(0), F(0))
+    assert str(err.value) == "unknown t-conorm family: 'nope'"
 
 
 def test_power_iterate():
@@ -175,3 +179,73 @@ class TestParseOperator:
                     "garbage", "uninorm:umin(e=1/2,T=product)"):
             with pytest.raises(UnknownOperatorError):
                 parse_operator(bad)
+
+
+class TestSpliceContract:
+    """The three splice constructions: they pickle, and their names and
+    refusal messages are exact."""
+
+    PAIRS = [(T_P, S_P), (T_L, S_L)]
+    POINTS = [F(1, 4), F(1, 2), F(3, 4)]
+    GRID = GridDomain(8).points
+
+    def _built(self):
+        for t_conn, s_conn in self.PAIRS:
+            for p in self.POINTS:
+                yield construct_uninorm_min(p, t_conn, s_conn)
+                yield construct_uninorm_max(p, t_conn, s_conn)
+                yield construct_nullnorm(s_conn, p, t_conn)
+
+    def test_pickle_round_trip(self):
+        for conn in self._built():
+            again = pickle.loads(pickle.dumps(conn))
+            assert again.name == conn.name
+            assert (again.role, again.identity, again.absorber) == (
+                conn.role, conn.identity, conn.absorber)
+            assert [again(x, y) for x in self.GRID for y in self.GRID] == [
+                conn(x, y) for x in self.GRID for y in self.GRID], conn.name
+
+    def test_names(self):
+        assert [c.name for c in self._built()] == [
+            name for t, s in (("product", "probsum"),
+                              ("lukasiewicz", "lukasiewicz"))
+            for p in ("1/4", "1/2", "3/4")
+            for name in (f"uninorm:umin(e={p},T={t},S={s})",
+                         f"uninorm:umax(e={p},T={t},S={s})",
+                         f"nullnorm:<{s}-S,{p},{t}-T>")]
+
+    @pytest.mark.parametrize("build", [construct_uninorm_min,
+                                       construct_uninorm_max])
+    def test_uninorm_refusals(self, build):
+        for e in (0, 1):
+            with pytest.raises(DegenerateParameterError) as err:
+                build(e, T_P, S_P)
+            assert str(err.value) == (f"identity e={e} is degenerate; "
+                                      "use a plain t-norm or t-conorm instead")
+        # the parameter is checked before the roles, the t-norm before
+        # the t-conorm
+        with pytest.raises(DegenerateParameterError):
+            build(0, S_P, T_P)
+        for t_conn, s_conn, message in (
+                (S_P, S_P, "expected a t-norm, got tconorm:probsum"),
+                (S_P, T_P, "expected a t-norm, got tconorm:probsum"),
+                (T_P, T_P, "expected a t-conorm, got tnorm:product")):
+            with pytest.raises(DomainError) as err:
+                build(F(1, 2), t_conn, s_conn)
+            assert str(err.value) == message
+
+    def test_nullnorm_refusals(self):
+        for k in (0, 1):
+            with pytest.raises(DegenerateParameterError) as err:
+                construct_nullnorm(S_P, k, T_P)
+            assert str(err.value) == (f"absorber k={k} is degenerate; "
+                                      "use a plain t-norm or t-conorm instead")
+        with pytest.raises(DegenerateParameterError):
+            construct_nullnorm(T_P, 0, S_P)
+        for s_conn, t_conn, message in (
+                (T_P, S_P, "expected a t-norm, got tconorm:probsum"),
+                (S_P, S_P, "expected a t-norm, got tconorm:probsum"),
+                (T_P, T_P, "expected a t-conorm, got tnorm:product")):
+            with pytest.raises(DomainError) as err:
+                construct_nullnorm(s_conn, F(1, 2), t_conn)
+            assert str(err.value) == message
