@@ -10,6 +10,7 @@ dominated by failures of the premise).
 
 import argparse
 
+from fuzznorm import lattice
 from fuzznorm.checker import (check_archimedean, check_cancellation,
                               check_limit_property, check_strict_monotonicity)
 from fuzznorm.reports import FinitePoints, SearchBudget
@@ -18,9 +19,11 @@ from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--size", type=int, default=4,
-                        help="number of chain points (2..6)")
+    parser.add_argument("--size", type=int, default=4, choices=range(2, 8),
+                        help="number of chain points (2..7)")
     args = parser.parse_args()
+    # the library refuses chains above 6 points; this run takes 7 (451 tables)
+    lattice.MAX_ENUMERATION_SIZE = max(lattice.MAX_ENUMERATION_SIZE, args.size)
     chain = uniform_chain(args.size)
     dom = FinitePoints(chain)
     budget = SearchBudget(n_max=16)

@@ -83,11 +83,15 @@ def _env_int(env: dict, key: str, fallback: int) -> int:
 
 
 def _resolve_budget(args) -> SearchBudget:
+    """Each cap from its flag, else the override variable, else the
+    ``SearchBudget`` default."""
     env = _env_overrides()
-    n_max = args.nmax if args.nmax is not None else _env_int(env, "n_max", 64)
+    n_max = (args.nmax if args.nmax is not None
+             else _env_int(env, "n_max", SearchBudget.n_max))
     iter_cap = (args.iter_cap if args.iter_cap is not None
-                else _env_int(env, "iter_cap", 128))
-    eps_text = args.epsilon if args.epsilon is not None else env.get("epsilon", "1/1024")
+                else _env_int(env, "iter_cap", SearchBudget.iter_cap))
+    eps_text = (args.epsilon if args.epsilon is not None
+                else env.get("epsilon", SearchBudget.epsilon))
     try:
         epsilon = parse_rational(str(eps_text))
     except ValueError as exc:
@@ -105,14 +109,16 @@ def _pick(text: str, table: dict, what: str) -> list:
     """The ids of the comma list ``text``, each a key of ``table``."""
     ids = [p.strip() for p in text.split(",") if p.strip()]
     unknown = [p for p in ids if p not in table]
-    if unknown:
-        raise UnknownOperatorError(
-            f"unknown {what}: {', '.join(unknown)} "
-            f"(choose from {', '.join(table)})")
+    if unknown or not ids:  # an empty list would check nothing and exit 0
+        named = f"unknown {what}: {', '.join(unknown)}" if unknown else f"no {what}"
+        raise UnknownOperatorError(f"{named} (choose from {', '.join(table)})")
     return ids
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, obj, text) -> None:
+    """Write the JSON of ``obj()`` or the text ``text()``, as ``--format``
+    asks; only that form is built."""
+    payload = dumps(obj()) if args.format == "json" else text() + "\n"
     if not args.out:
         sys.stdout.write(payload)
         return
@@ -133,13 +139,9 @@ def _exit_code(reports) -> int:
 
 
 def _emit_reports(args, header: dict, reports) -> int:
-    if args.format == "json":
-        payload = dumps({**header, "reports": [r.to_json() for r in reports]})
-    else:
-        lines = [f"{k}: {v}" for k, v in header.items()]
-        lines += [r.render_text() for r in reports]
-        payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
+    _emit(args, lambda: {**header, "reports": [r.to_json() for r in reports]},
+          lambda: "\n".join([f"{k}: {v}" for k, v in header.items()]
+                            + [r.render_text() for r in reports]))
     return _exit_code(reports)
 
 
@@ -358,19 +360,14 @@ def _cmd_lattice(args) -> int:
 def _cmd_enumerate(args) -> int:
     lattice = _parse_lattice_spec(args.lattice, enumerated=True)
     tables = lat_mod.enumerate_lattice_tnorms(lattice, cap=args.cap)
-    listing = []
-    for t in tables:
-        entries = [[x, y, t(x, y)] for x in lattice.elements
-                   for y in lattice.elements]
-        listing.append({"name": t.name, "entries": entries})
-    payload_obj = {"lattice": lattice.to_json(), "count": len(tables),
-                   "tables": listing}
-    if args.format == "json":
-        _emit(args, dumps(payload_obj))
-    else:
-        lines = ([f"lattice: {lattice.name}", f"count: {len(tables)}"]
-                 + [f"  {t.name}" for t in tables])
-        _emit(args, "\n".join(lines) + "\n")
+    elems = lattice.elements
+    _emit(args, lambda: {
+        "lattice": lattice.to_json(), "count": len(tables),
+        "tables": [{"name": t.name,
+                    "entries": [[x, y, t(x, y)] for x in elems for y in elems]}
+                   for t in tables]},
+        lambda: "\n".join([f"lattice: {lattice.name}", f"count: {len(tables)}"]
+                          + [f"  {t.name}" for t in tables]))
     return EXIT_OK
 
 
@@ -378,12 +375,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_suite(args) -> int:
     only = [r.strip() for r in (args.only or "").split(",") if r.strip()]
-    config = SuiteConfig(grid=_resolve_grid(args, 6), budget=_resolve_budget(args))
+    config = SuiteConfig(grid=_resolve_grid(args, SuiteConfig.grid),
+                         budget=_resolve_budget(args))
     result = run_suite(config, only=only, jobs=args.jobs)
-    if args.format == "json":
-        _emit(args, dumps(result.to_json()))
-    else:
-        _emit(args, result.render_text() + "\n")
+    _emit(args, result.to_json, result.render_text)
     if result.total_counterexamples > 0:
         return EXIT_FAILS
     if result.any_skipped:

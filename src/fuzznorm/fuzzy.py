@@ -19,7 +19,8 @@ from . import reports
 from .carriers import CarrierMonoid, FiniteGroup
 from .checker import (FuzzyProp, _fuzzy_property, _not_a_subnorm,
                       check_strict_monotonicity)
-from .connectives import S_M, T_M, Connective, Role
+from .connectives import (S_M, T_M, Connective, Role, construct_uninorm_max,
+                          construct_uninorm_min)
 from .errors import BudgetExceededError, DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
@@ -396,8 +397,6 @@ def uninorm_family(es: Sequence, tnorms: Sequence[Connective],
                    scnorms: Sequence[Connective]) -> list:
     """Both parametric families over the given parameter grids, in a
     deterministic order."""
-    from .connectives import construct_uninorm_max, construct_uninorm_min
-
     members = []
     for build in (construct_uninorm_min, construct_uninorm_max):
         for e in es:

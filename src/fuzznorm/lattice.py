@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from . import checker, reports, vague
+from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, UnboundedPosetError, read_entries,
                      read_json_object, read_name)
@@ -84,25 +84,15 @@ def build_lattice(elements: Sequence, covers: Sequence, name: str = "") -> Finit
     elems = tuple(elements)
     if len(set(elems)) != len(elems) or not elems:
         raise DomainError("lattice elements must be non-empty and distinct")
-    index = {e: i for i, e in enumerate(elems)}
-    succ = {e: set() for e in elems}
-    for pair in covers:
-        lo, hi = pair
-        if lo not in index or hi not in index:
+    reach = {e: {e} for e in elems}  # e -> the elements e reaches
+    for lo, hi in covers:
+        if lo not in reach or hi not in reach:
             raise DomainError(f"cover ({lo}, {hi}) mentions unknown elements")
-        succ[lo].add(hi)
-    # reachability closure
-    reach = {e: {e} for e in elems}
-    changed = True
-    while changed:
-        changed = False
+        reach[lo].add(hi)
+    for k in elems:  # Warshall: whatever reaches k reaches all k reaches
         for e in elems:
-            grow = set()
-            for f in reach[e]:
-                grow |= succ[f]
-            if not grow <= reach[e]:
-                reach[e] |= grow
-                changed = True
+            if k in reach[e]:
+                reach[e] |= reach[k]
     for a in elems:
         for b in elems:
             if a != b and b in reach[a] and a in reach[b]:
@@ -340,11 +330,9 @@ def lsubset_top(lat: FiniteLattice) -> FuzzySubset:
     return FuzzySubset("one", lambda x: lat.top)
 
 
-def lsubset_table(lat: FiniteLattice, mapping: Mapping,
-                  name: str = "") -> FuzzySubset:
+def lsubset_table(lat: FiniteLattice, mapping: Mapping) -> FuzzySubset:
     fn = _TableFn(mapping, list(mapping.values()))
-    label = name or "mu(" + ",".join(str(fn(e)) for e in lat.elements) + ")"
-    return FuzzySubset(label, fn)
+    return FuzzySubset("mu(" + ",".join(str(fn(e)) for e in lat.elements) + ")", fn)
 
 
 def enumerate_lsubsets(lat: FiniteLattice) -> Iterator[FuzzySubset]:
@@ -430,17 +418,13 @@ def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
     """Composite check: equality axioms, the three vague-operation
     conditions for the induced ternary table, the monoid inequality,
     and commutativity, all with lattice-valued degrees."""
-    if len(lat.elements) ** 7 > reports.MAX_TUPLES:
-        raise BudgetExceededError(
-            f"lattice of size {len(lat.elements)} exceeds the 7-tuple budget",
-            size_estimate=len(lat.elements) ** 7)
+    elems = lat.elements
+    vague._tuple_budget(len(elems), 7, "the vague associativity loop")
     dom = lat.to_json()
     eq_report = validate_lattice_fuzzy_equality(equality_fn, t, lat)
     children = [eq_report]
     if eq_report.holds:
-        elems = lat.elements
-        eq_table = {(a, b): equality_fn(a, b) for a in elems for b in elems}
-        mu = induce_lattice_vague_tnorm(eq_table, t)
+        mu = vague._induced_degrees(elems, t, equality_fn)
         for core, rid in ((vague._op_conditions, "lattice-vague-op"),
                           (vague._monoid, "lattice-vague-monoid"),
                           (vague._commutativity, "lattice-vague-commutativity")):
@@ -452,13 +436,11 @@ def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
 def check_lattice_vague_strict_monotone(mu, lat: FiniteLattice,
                                         reading: str = "any-degree") -> PropertyReport:
     """Lattice-degree analog of the monotonicity law on induced tables."""
-    vague._check_reading(reading)
     return vague._strict_monotone(lat, mu, lat.elements, reading,
                                   "lattice-vague-strict-monotonicity", lat.to_json())
 
 
 def check_lattice_vague_cancellation(mu, lat: FiniteLattice,
                                      reading: str = "any-degree") -> PropertyReport:
-    vague._check_reading(reading)
     return vague._cancellation(lat, mu, lat.elements, reading,
                                "lattice-vague-cancellation", lat.to_json())

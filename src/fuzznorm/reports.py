@@ -228,7 +228,7 @@ class PropertyReport:
 def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
              undecided: int = 0, *, inconclusive: int = 0,
              instances: Optional[int] = None, budget: Optional[dict] = None,
-             tags: tuple = (), details: Optional[dict] = None) -> PropertyReport:
+             details: Optional[dict] = None) -> PropertyReport:
     """Standard verdict assembly.
 
     Witnesses mean FAILS. Otherwise the verdict is VACUOUS when float
@@ -253,23 +253,15 @@ def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
     else:
         verdict = Verdict.HOLDS
     return PropertyReport(property_id, verdict, domain, list(witnesses),
-                          dict(budget or {}), tags + tuple(extra_tags), details)
+                          dict(budget or {}), tuple(extra_tags), details)
 
 
 def combine(property_id: str, children: Sequence[PropertyReport], domain: dict,
-            budget: Optional[dict] = None, details: Optional[dict] = None,
-            tags: tuple = ()) -> PropertyReport:
+            details: Optional[dict] = None) -> PropertyReport:
     """Parent report whose verdict is the meet of its children."""
-    return PropertyReport(
-        property_id=property_id,
-        verdict=verdict_meet(c.verdict for c in children),
-        domain=domain,
-        witnesses=[],
-        budget=dict(budget or {}),
-        tags=tags,
-        details=dict(details or {}),
-        children=tuple(children),
-    )
+    return PropertyReport(property_id, verdict_meet(c.verdict for c in children),
+                          domain, details=dict(details or {}),
+                          children=tuple(children))
 
 
 def dumps(obj) -> str:

@@ -105,10 +105,9 @@ def step_subset(e) -> FuzzySubset:
     return FuzzySubset(f"builtin:step({e})", _StepFn(e))
 
 
-def indicator_subset(members: Iterable, name: str = "") -> FuzzySubset:
+def indicator_subset(members: Iterable) -> FuzzySubset:
     members = frozenset(members)
-    if not name:
-        name = "indicator{" + ",".join(sorted(format_scalar(m) for m in members)) + "}"
+    name = "indicator{" + ",".join(sorted(format_scalar(m) for m in members)) + "}"
     return FuzzySubset(name, _IndicatorFn(members))
 
 

@@ -342,18 +342,11 @@ def _row_unique_mu_id(cfg):
     return _count("example-unique-mu-id", universe, cases)
 
 
-def _l22_row(row_id, op):
+def _l22_row(row_id, build, cfg):
+    op = build()  # built when the row runs
     rep = check_discrete_subalgebra(mixed_grid_points(HALF, 2, 2), op)
     return _count(row_id, f"closure of the 5 mixed grid points under {op.name}",
                   [(op.name, rep.holds)])
-
-
-def _row_l22_uninorm(cfg):
-    return _l22_row("example-L22-uninorm", construct_uninorm_min(HALF, T_L, S_L))
-
-
-def _row_l22_nullnorm(cfg):
-    return _l22_row("example-L22-nullnorm", construct_nullnorm(S_L, HALF, T_L))
 
 
 def _row_archimedean_vs_limit(cfg):
@@ -402,8 +395,10 @@ ROWS: dict = {
     "prop-vague-group-cancellation": _row_vague_group,
     "prop-intersection": _row_intersection,
     "example-unique-mu-id": _row_unique_mu_id,
-    "example-L22-uninorm": _row_l22_uninorm,
-    "example-L22-nullnorm": _row_l22_nullnorm,
+    "example-L22-uninorm": partial(_l22_row, "example-L22-uninorm", partial(
+        construct_uninorm_min, HALF, T_L, S_L)),
+    "example-L22-nullnorm": partial(_l22_row, "example-L22-nullnorm", partial(
+        construct_nullnorm, S_L, HALF, T_L)),
     "note-archimedean-vs-limit": _row_archimedean_vs_limit,
 }
 

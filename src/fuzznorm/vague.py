@@ -65,12 +65,9 @@ class TFuzzyEquality:
     def separates_points(self) -> bool:
         return bool(self.report.details.get("separates_points"))
 
-    def to_json(self) -> dict:
-        return {"kind": "fuzzy-equality", "label": self.label,
-                "tnorm": self.tnorm.name, "size": len(self.carrier)}
-
 
 def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
+    _tuple_budget(len(carrier), 3, "transitivity")
     leq, top = order.leq, order.top
     refl_w, undec_r = [], 0
     for x in carrier:
@@ -151,9 +148,6 @@ class VagueBinaryOp:
     carrier: tuple
     equality: TFuzzyEquality
     table: Mapping  # (x, y, z) -> degree
-
-    def __call__(self, x, y, z) -> Scalar:
-        return self.table[(x, y, z)]
 
     @property
     def tnorm(self) -> Connective:
@@ -436,17 +430,14 @@ def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
         *on, "vague-commutativity", v.to_json()))
 
 
-def _check_reading(reading: str) -> None:
-    if reading not in READINGS:
-        raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
-
-
 def _degrees_match(order, reading: str) -> Callable:
     """The premise test on two degrees under ``reading``."""
     same, top = order.same, order.top
     if reading == "crisp":
         return lambda da, db: same(da, top) and same(db, top)
-    return same
+    if reading == "any-degree":
+        return same
+    raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
 
 
 def _strict_monotone(order, deg, carrier, reading, rid, dom) -> PropertyReport:
@@ -475,7 +466,6 @@ def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree") -> P
     """x < y with matching degrees at (x,z,a) and (y,z,b) must force
     a < b. The premise reading (any common degree, or degree 1 only) is
     configurable and recorded in the report."""
-    _check_reading(reading)
     return _on_degree_order(v.base, lambda order, t, deg, eq, pts: _strict_monotone(
         order, deg, pts, reading, "vague-strict-monotonicity", v.to_json()))
 
@@ -500,7 +490,6 @@ def _cancellation(order, deg, carrier, reading, rid, dom) -> PropertyReport:
 
 def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
     """Matching degrees at (a,x,c) and (b,x,c) must force a = b."""
-    _check_reading(reading)
     return _on_degree_order(v.base, lambda order, t, deg, eq, pts: _cancellation(
         order, deg, pts, reading, "vague-cancellation", v.to_json()))
 

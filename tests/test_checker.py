@@ -224,6 +224,20 @@ class TestClassifyUninorm:
         assert rep.details["idempotent_diagonal"] is True
         assert rep.details["mixed_region"] == "empty"
 
+    def test_averaging_mixed_region(self):
+        e = F(1, 2)
+
+        def fn(x, y):
+            if x <= e and y <= e:
+                return min(x, y)
+            if x >= e and y >= e:
+                return max(x, y)
+            return (x + y) / 2  # between min and max, equal to neither
+        rep = classify_uninorm(Connective("uninorm:avg", Role.UNINORM, fn,
+                                          identity=e), D10)
+        assert rep.verdict is Verdict.HOLDS
+        assert rep.details["mixed_region"] == "mixed"
+
 
 class TestIdentitySearch:
     """A uninorm that declares no identity: the grid is searched for one,

@@ -231,6 +231,15 @@ class TestVagueCommand:
                     "--checks", "vague-op"]) == 64
         assert "key (1/2, 1, 1/2) is listed twice" in capsys.readouterr().err
 
+    def test_equality_over_the_tuple_budget_is_skipped_before_its_loop(
+            self, capsys):
+        # 126 points: 126^3 = 2,000,376 transitivity triples
+        assert run(["vague", "--tnorm", "tnorm:min", "--equality", "linear",
+                    "--grid", "125", "--checks", "equality,vague-op"]) == 2
+        assert capsys.readouterr().err == (
+            "skipped: transitivity needs 2000376 tuples on a carrier of size "
+            "126; budget allows 2000000\n")
+
 
 class TestLatticeCommands:
     def test_chain_checks(self):
@@ -313,6 +322,20 @@ class TestLatticeCommands:
         missing = str(tmp_path / "none.json")
         assert run([a.format(missing=missing) for a in argv]) == 64
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["check", "tnorm:min", "--props", ""], "axioms"),
+    (["vague", "--tnorm", "tnorm:min", "--checks", ""], "equality"),
+    (["lattice", "--lattice", "diamond", "--props", ","], "tnorm-axioms"),
+], ids=["check", "vague", "lattice"])
+def test_empty_selection_exits_64(capsys, argv, choices):
+    # a run that checks nothing must not exit 0, the code for "all hold"
+    assert run(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no ") and "(choose from " in err
+    assert choices in err
 
 
 class TestOutPath:

@@ -346,6 +346,21 @@ class TestLatticeFuzzyProperties:
         rep = check_lattice_fuzzy_property(mu, meet_tnorm(d), FuzzyProp.FSTRICT)
         assert rep.details["excluded_incomparable_pairs"] == 1
 
+    def test_fstrict_pairs_points_listed_top_first(self):
+        # the strict pairs come from the order, not the listing
+        up = chain_lattice(3)
+        down = build_lattice(["1", "m", "0"], [("0", "m"), ("m", "1")])
+        for t in enumerate_lattice_tnorms(up):
+            t_down = LatticeTNorm(down, t.table, t.name)
+            for mu in enumerate_lsubsets(up):
+                reps = [check_lattice_fuzzy_property(mu, tn, FuzzyProp.FSTRICT,
+                                                     gate=False)
+                        for tn in (t, t_down)]
+                assert reps[0].verdict is reps[1].verdict
+                assert reps[0].details == reps[1].details
+                assert ({(w.inputs, w.values) for w in reps[0].witnesses}
+                        == {(w.inputs, w.values) for w in reps[1].witnesses})
+
     def test_prop13_sweep_small(self):
         for lat in (chain_lattice(2), chain_lattice(3), diamond_lattice()):
             for t in enumerate_lattice_tnorms(lat):

@@ -5,7 +5,7 @@ import pytest
 from fuzznorm import kernel, reports
 from fuzznorm.carriers import cyclic_group
 from fuzznorm.checker import check_axioms
-from fuzznorm.connectives import T_D, T_L, T_M, T_P
+from fuzznorm.connectives import T_D, T_L, T_M, T_P, Connective, Role
 from fuzznorm.errors import BudgetExceededError, DomainError
 from fuzznorm.reports import GridDomain, Verdict
 from fuzznorm.vague import (READINGS, VagueGroup,
@@ -114,9 +114,9 @@ class TestVagueMonoid:
         assert "NOT_VAGUE_OP" in rep.tags
 
     def test_budget_refusal(self, monkeypatch):
-        monkeypatch.setattr(reports, "MAX_TUPLES", 1000)
         pts = GridDomain(10).points
         v = induce_vague_tnorm(crisp_equality(pts, T_L), T_L)
+        monkeypatch.setattr(reports, "MAX_TUPLES", 1000)
         with pytest.raises(BudgetExceededError):
             check_vague_monoid(v.base)
 
@@ -134,6 +134,23 @@ class TestVagueMonoid:
         monkeypatch.setattr(reports, "MAX_TUPLES", 50)
         with pytest.raises(BudgetExceededError, match="extensionality"):
             check_vague_monoid(bad)
+
+    def test_associativity_witnesses_re_evaluate(self):
+        # |x - y| is closed on {0, 1/2, 1} with identity 0, but not
+        # associative: (1 - 1/2) - 1/2 = 0 while 1 - (1/2 - 1/2) = 1
+        absdiff = Connective("absdiff", Role.TNORM, lambda x, y: abs(x - y),
+                             identity=F(0))
+        eq = crisp_equality((F(0), F(1, 2), F(1)), T_M)
+        v = induce_vague_tnorm(eq, absdiff)
+        assert check_vague_binary_op(v.base).holds
+        rep = check_vague_monoid(v.base)
+        assert rep.verdict is Verdict.FAILS
+        assert rep.details["identity"] == "0"
+        assert len(rep.witnesses) == 2
+        for w in rep.witnesses:
+            x, y, z, d, m, q, r = w.inputs
+            lhs = min(v(y, z, d), v(x, d, m), v(x, y, q), v(q, z, r))
+            assert w.values == (lhs, eq(m, r)) and lhs > eq(m, r)
 
     @pytest.mark.parametrize("equality", [crisp_equality, linear_equality])
     def test_gate_and_loop_share_one_compiled_order(self, monkeypatch, equality):
@@ -328,6 +345,23 @@ class TestVagueGroups:
         broken = VagueGroup(group, v.equality, table)
         with pytest.raises(DomainError):
             check_vague_group_cancellation(broken)
+
+    def test_extra_product_degree_breaks_cancellation(self):
+        # degree 1 at both 0 + 1 = 1 and "0 + 2 = 1"
+        group = cyclic_group(3)
+        crisp = crisp_vague_group(group)
+        v = VagueGroup(group, crisp.equality, {**crisp.table, (0, 2, 1): F(1)})
+        rep = check_vague_group_cancellation(v)
+        assert rep.verdict is Verdict.FAILS
+        assert len(rep.witnesses) == 4
+        assert ("L", 0, 1, 2, 1) in {w.inputs for w in rep.witnesses}
+        for w in rep.witnesses:
+            side, a, b, c, u = w.inputs
+            if side == "L":
+                lhs = min(v(a, b, u), v(a, c, u))
+            else:
+                lhs = min(v(b, a, u), v(c, a, u))
+            assert w.values == (lhs, v.equality(b, c)) and lhs > v.equality(b, c)
 
 
 def test_vague_checks_count_their_instances(monkeypatch):
