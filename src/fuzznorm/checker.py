@@ -28,34 +28,10 @@ from . import kernel
 from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
-                      Witness, combine, conclude)
+                      Witness, certifying_eq, combine, conclude, decide)
 from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, _equal3, eq3,
                       eq_approx, format_scalar, le3)
 from .subsets import MU_COMPLEMENT, MU_ID
-
-
-def _decide(rid, dom, holds, cases, details=None) -> PropertyReport:
-    """``holds(lhs, rhs)`` for every ``(inputs, lhs, rhs)`` case: False
-    makes a witness, None (inside the float band) an undecided instance.
-    ``holds`` is reflexive, so equal sides hold without a call."""
-    witnesses, undecided, count = [], 0, 0
-    for inputs, lhs, rhs in cases:
-        count += 1
-        if lhs == rhs:
-            continue
-        r = holds(lhs, rhs)
-        if r is None:
-            undecided += 1
-        elif not r:
-            witnesses.append(Witness(inputs, (lhs, rhs)))
-    return conclude(rid, dom, witnesses, undecided, instances=count,
-                    details=details)
-
-
-def _equality(order):
-    """Certifying equality in ``order``: None inside the float band."""
-    leq = order.leq
-    return lambda a, b: _equal3(leq, a, b)
 
 
 # The axiom cores: each yields its (inputs, lhs, rhs) cases over the
@@ -118,8 +94,8 @@ def _search_identity(op, pts, same):
 
 def _uninorm_identity(order, op, pts, e, rid, dom):
     if e is not None:
-        return _decide(rid, dom, _equality(order), _identity(op, pts, e),
-                       details={"identity": format_scalar(e)})
+        return decide(rid, dom, certifying_eq(order), _identity(op, pts, e),
+                      details={"identity": format_scalar(e)})
     # no declared identity: search the grid for one
     e = _search_identity(op, pts, order.same)
     missing = [] if e is not None else [Witness(("no-identity-element",), ())]
@@ -137,22 +113,22 @@ def _role_axioms(order, op, at, conn, pts, dom) -> PropertyReport:
     names (a bound, the identity, the absorber) into an order element."""
     role = conn.role
     p = _AXIOM_PREFIX[role]
-    eq = _equality(order)
+    eq = certifying_eq(order)
     children = [
-        _decide(f"{p}1:commutativity", dom, eq, _commutativity(op, pts)),
-        _decide(f"{p}2:associativity", dom, eq, _associativity(op, pts)),
-        _decide(f"{p}3:monotonicity", dom, order.leq, _monotonicity(order, op, pts)),
+        decide(f"{p}1:commutativity", dom, eq, _commutativity(op, pts)),
+        decide(f"{p}2:associativity", dom, eq, _associativity(op, pts)),
+        decide(f"{p}3:monotonicity", dom, order.leq, _monotonicity(order, op, pts)),
     ]
     if role is Role.TNORM or role is Role.TCONORM:
         e = at(ONE if role is Role.TNORM else ZERO)
-        children.append(_decide(f"{p}4:boundary", dom, eq, _identity(op, pts, e)))
+        children.append(decide(f"{p}4:boundary", dom, eq, _identity(op, pts, e)))
     elif role is Role.UNINORM:
         e = None if conn.identity is None else at(conn.identity)
         children.append(_uninorm_identity(order, op, pts, e, f"{p}4:identity", dom))
     else:
         zero, one = at(ZERO), at(ONE)
         k = op(zero, one) if conn.absorber is None else at(conn.absorber)
-        children.append(_decide(f"{p}4:absorbing", dom, eq,
+        children.append(decide(f"{p}4:absorbing", dom, eq,
                                 _absorber(order, op, pts, k, zero, one),
                                 details={"absorber": format_scalar(k)}))
     return combine(f"axioms:{role.value}", children, dom,
@@ -164,9 +140,9 @@ def _aggregation_axioms(conn, pts, dom) -> PropertyReport:
     boundary = [(args, conn(*args), v) for arity in (2, 3)
                 for args, v in (((ZERO,) * arity, ZERO), ((ONE,) * arity, ONE))]
     children = [
-        _decide("A1:monotonicity", dom, UNIT_INTERVAL.leq,
+        decide("A1:monotonicity", dom, UNIT_INTERVAL.leq,
                 _monotonicity(UNIT_INTERVAL, conn, pts)),
-        _decide("A2:boundary", dom, _equality(UNIT_INTERVAL), boundary),
+        decide("A2:boundary", dom, certifying_eq(UNIT_INTERVAL), boundary),
     ]
     return combine(f"axioms:{conn.role.value}", children, dom,
                    details={"operator": conn.name})

@@ -39,7 +39,7 @@ from .fuzzy import (FuzzyProp, KIND_SUBGROUPOID, KIND_SUBMONOID,
 from .reports import GridDomain, SearchBudget, Verdict, dumps, verdict_meet
 from .scalars import parse_rational
 from .subsets import parse_subset_spec
-from .suite import SuiteConfig, run_suite
+from .suite import ROWS, SuiteConfig, run_suite
 from .vague import (READINGS, VagueTNorm, _crisp_fn, _linear_fn,
                     check_vague_binary_op, check_vague_cancellation,
                     check_vague_commutativity, check_vague_monoid,
@@ -374,7 +374,7 @@ def _cmd_enumerate(args) -> int:
 # --- suite ---
 
 def _cmd_suite(args) -> int:
-    only = [r.strip() for r in (args.only or "").split(",") if r.strip()]
+    only = None if args.only is None else _pick(args.only, ROWS, "suite rows")
     config = SuiteConfig(grid=_resolve_grid(args, SuiteConfig.grid),
                          budget=_resolve_budget(args))
     result = run_suite(config, only=only, jobs=args.jobs)

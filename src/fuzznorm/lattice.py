@@ -21,7 +21,8 @@ from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, UnboundedPosetError, read_entries,
                      read_json_object, read_name)
-from .reports import PropertyReport, combine, conclude
+from .reports import (PropertyReport, certifying_eq, combine, conclude,
+                      decide)
 from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
                       _identity_witnesses, _TableFn, enumerate_table_subsets)
 
@@ -161,8 +162,9 @@ def lattice_from_json(obj: dict, *, path: Optional[str] = None) -> FiniteLattice
         raise InputFormatError("elements must be a list of labels",
                               path=path, field="elements")
     if not isinstance(covers, list) or not all(
-            isinstance(c, list) and len(c) == 2 for c in covers):
-        raise InputFormatError("covers must be a list of [lower, upper] pairs",
+            isinstance(c, list) and len(c) == 2 and all(isinstance(e, str) for e in c)
+            for c in covers):
+        raise InputFormatError("covers must be a list of [lower, upper] label pairs",
                               path=path, field="covers")
     try:
         return build_lattice(elements, [tuple(c) for c in covers],
@@ -225,16 +227,13 @@ def check_lattice_tnorm(cand, lat: FiniteLattice) -> PropertyReport:
     def op(x, y):
         return table[(x, y)]
 
-    eq = checker._equality(lat)
+    eq = certifying_eq(lat)
     children = [
-        checker._decide("L1:monotonicity", dom, lat.leq,
-                        checker._monotonicity(lat, op, elems)),
-        checker._decide("L2:associativity", dom, eq,
-                        checker._associativity(op, elems)),
-        checker._decide("L3:commutativity", dom, eq,
-                        checker._commutativity(op, elems)),
-        checker._decide("L4:boundary", dom, eq,
-                        checker._identity(op, elems, lat.top)),
+        decide("L1:monotonicity", dom, lat.leq,
+               checker._monotonicity(lat, op, elems)),
+        decide("L2:associativity", dom, eq, checker._associativity(op, elems)),
+        decide("L3:commutativity", dom, eq, checker._commutativity(op, elems)),
+        decide("L4:boundary", dom, eq, checker._identity(op, elems, lat.top)),
     ]
     return combine("lattice-tnorm", children, dom)
 

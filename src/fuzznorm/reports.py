@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
-from .scalars import ONE, ZERO, format_scalar, format_scalar_text
+from .scalars import ONE, ZERO, _equal3, format_scalar, format_scalar_text
 
 
 class Verdict(Enum):
@@ -254,6 +254,37 @@ def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
         verdict = Verdict.HOLDS
     return PropertyReport(property_id, verdict, domain, list(witnesses),
                           dict(budget or {}), tuple(extra_tags), details)
+
+
+def witnesses_of(holds, cases):
+    """The witnesses, undecided count and case count of ``(inputs, lhs, rhs)``
+    cases under ``holds(lhs, rhs)``: False makes a witness, None (inside the
+    float band) an undecided case; ``holds`` is reflexive, so equal sides hold."""
+    witnesses, undecided, count = [], 0, 0
+    for count, (inputs, lhs, rhs) in enumerate(cases, 1):
+        if lhs == rhs:
+            continue
+        r = holds(lhs, rhs)
+        if r is None:
+            undecided += 1
+        elif not r:
+            witnesses.append(Witness(inputs, (lhs, rhs)))
+    return witnesses, undecided, count
+
+
+def decide(property_id: str, domain: dict, holds, cases, instances=None,
+           details=None) -> PropertyReport:
+    """``conclude`` on ``witnesses_of(holds, cases)``; a stream that leaves out
+    tuples holding at the bottom degree passes the full count as ``instances``."""
+    witnesses, undecided, count = witnesses_of(holds, cases)
+    return conclude(property_id, domain, witnesses, undecided,
+                    instances=count if instances is None else instances,
+                    details=details)
+
+
+def certifying_eq(order):
+    """Certifying equality in ``order``: None inside the float band."""
+    return partial(_equal3, order.leq)
 
 
 def combine(property_id: str, children: Sequence[PropertyReport], domain: dict,

@@ -27,7 +27,8 @@ from .carriers import FiniteGroup
 from .connectives import Connective, Role
 from .errors import (BudgetExceededError, DomainError, InputFormatError,
                      TotalityError, read_entries, read_name)
-from .reports import (PropertyReport, Verdict, Witness, combine, conclude)
+from .reports import (PropertyReport, Verdict, Witness, certifying_eq, combine,
+                      conclude, decide, witnesses_of)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, _equal3, eq_approx,
                       format_scalar, le3, parse_rational, unit)
 
@@ -76,33 +77,24 @@ def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
             undec_r += 1
         elif not r:
             refl_w.append(Witness((x, x), (fn(x, x),)))
-    sym_w, undec_s = [], 0
-    for i, x in enumerate(carrier):
-        for y in carrier[i + 1:]:
-            r = _equal3(leq, fn(x, y), fn(y, x))
-            if r is None:
-                undec_s += 1
-            elif not r:
-                sym_w.append(Witness((x, y), (fn(x, y), fn(y, x))))
-    trans_w, undec_t = [], 0
-    for x in carrier:
-        for y in carrier:
-            exy = fn(x, y)
-            for z in carrier:
-                lhs = tnorm(exy, fn(y, z))
-                r = leq(lhs, fn(x, z))
-                if r is None:
-                    undec_t += 1
-                elif not r:
-                    trans_w.append(Witness((x, y, z), (lhs, fn(x, z))))
-    separates = all(x == y or not order.same(fn(x, y), top)
-                    for x in carrier for y in carrier)
+
+    def transitivity():
+        for x in carrier:
+            for y in carrier:
+                exy = fn(x, y)
+                for z in carrier:
+                    yield (x, y, z), tnorm(exy, fn(y, z)), fn(x, z)
+
+    symmetry = (((x, y), fn(x, y), fn(y, x))
+                for i, x in enumerate(carrier) for y in carrier[i + 1:])
     n = len(carrier)
     children = [
         conclude("E1:reflexivity", dom, refl_w, undec_r, instances=n),
-        conclude("E2:symmetry", dom, sym_w, undec_s, instances=n ** 2),
-        conclude("E3:transitivity", dom, trans_w, undec_t, instances=n ** 3),
+        decide("E2:symmetry", dom, certifying_eq(order), symmetry, instances=n ** 2),
+        decide("E3:transitivity", dom, leq, transitivity()),
     ]
+    separates = all(x == y or not order.same(fn(x, y), top)
+                    for x in carrier for y in carrier)
     return combine(rid, children, dom,
                    details={"tnorm": tnorm.name, "separates_points": separates})
 
@@ -285,50 +277,42 @@ def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
 
 def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     """V1-V3 for the degree map ``deg`` keyed by carrier triples, with
-    equality ``eq`` and conjunction ``t`` on the degrees of ``order``."""
+    equality ``eq`` and conjunction ``t`` on the degrees of ``order``.
+    Tuples whose conjunction bottoms out at the bottom degree hold."""
     bottom, top, leq = order.bottom, order.top, order.leq
-    ext_w, undec_e = [], 0
-    for x in carrier:
-        for y in carrier:
-            for z in carrier:
-                m = deg[(x, y, z)]
-                if m == bottom:
-                    continue  # the conjunction bottoms out at the bottom degree
-                for x2 in carrier:
-                    f1 = t(m, eq(x, x2))
-                    if f1 == bottom:
+
+    def extensionality():
+        for x in carrier:
+            for y in carrier:
+                for z in carrier:
+                    m = deg[(x, y, z)]
+                    if m == bottom:
                         continue
-                    for y2 in carrier:
-                        f2 = t(f1, eq(y, y2))
-                        if f2 == bottom:
+                    for x2 in carrier:
+                        f1 = t(m, eq(x, x2))
+                        if f1 == bottom:
                             continue
-                        for z2 in carrier:
-                            lhs = t(f2, eq(z, z2))
-                            rhs = deg[(x2, y2, z2)]
-                            r = leq(lhs, rhs)
-                            if r is None:
-                                undec_e += 1
-                            elif not r:
-                                ext_w.append(Witness((x, y, z, x2, y2, z2), (lhs, rhs)))
-    n = len(carrier)  # tuples cut off at the bottom degree hold, and count
-    ext = conclude("V1:extensionality", dom, ext_w, undec_e, instances=n ** 6)
+                        for y2 in carrier:
+                            f2 = t(f1, eq(y, y2))
+                            if f2 == bottom:
+                                continue
+                            for z2 in carrier:
+                                yield ((x, y, z, x2, y2, z2), t(f2, eq(z, z2)),
+                                       deg[(x2, y2, z2)])
 
-    fun_w, undec_f = [], 0
-    for x in carrier:
-        for y in carrier:
-            for z in carrier:
-                m = deg[(x, y, z)]
-                if m == bottom:
-                    continue
-                for z2 in carrier:
-                    lhs = t(m, deg[(x, y, z2)])
-                    r = leq(lhs, eq(z, z2))
-                    if r is None:
-                        undec_f += 1
-                    elif not r:
-                        fun_w.append(Witness((x, y, z, z2), (lhs, eq(z, z2))))
-    fun = conclude("V2:functionality", dom, fun_w, undec_f, instances=n ** 4)
+    def functionality():
+        for x in carrier:
+            for y in carrier:
+                for z in carrier:
+                    m = deg[(x, y, z)]
+                    if m == bottom:
+                        continue
+                    for z2 in carrier:
+                        yield (x, y, z, z2), t(m, deg[(x, y, z2)]), eq(z, z2)
 
+    n = len(carrier)
+    ext = decide("V1:extensionality", dom, leq, extensionality(), instances=n ** 6)
+    fun = decide("V2:functionality", dom, leq, functionality(), instances=n ** 4)
     same = order.same
     tot_w = [Witness((x, y), ()) for x in carrier for y in carrier
              if not any(same(deg[(x, y, z)], top) for z in carrier)]
@@ -347,40 +331,37 @@ def check_vague_binary_op(op: VagueBinaryOp) -> PropertyReport:
 def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     """The associativity inequality over all seven-tuples plus an
     identity element search."""
-    bottom, top, leq = order.bottom, order.top, order.leq
-    witnesses, undecided = [], 0
-    for y in carrier:
-        for z in carrier:
-            for d in carrier:
-                f1 = deg[(y, z, d)]
-                if f1 == bottom:
-                    continue
-                for x in carrier:
-                    for m in carrier:
-                        f2 = t(f1, deg[(x, d, m)])
-                        if f2 == bottom:
-                            continue
-                        for q in carrier:
-                            f3 = t(f2, deg[(x, y, q)])
-                            if f3 == bottom:
+    bottom, top = order.bottom, order.top
+
+    def associativity():
+        for y in carrier:
+            for z in carrier:
+                for d in carrier:
+                    f1 = deg[(y, z, d)]
+                    if f1 == bottom:
+                        continue
+                    for x in carrier:
+                        for m in carrier:
+                            f2 = t(f1, deg[(x, d, m)])
+                            if f2 == bottom:
                                 continue
-                            for w in carrier:
-                                lhs = t(f3, deg[(q, z, w)])
-                                r = leq(lhs, eq(m, w))
-                                if r is None:
-                                    undecided += 1
-                                elif not r:
-                                    witnesses.append(
-                                        Witness((x, y, z, d, m, q, w),
-                                                (lhs, eq(m, w))))
+                            for q in carrier:
+                                f3 = t(f2, deg[(x, y, q)])
+                                if f3 == bottom:
+                                    continue
+                                for w in carrier:
+                                    yield ((x, y, z, d, m, q, w),
+                                           t(f3, deg[(q, z, w)]), eq(m, w))
+
+    witnesses, undecided, _ = witnesses_of(order.leq, associativity())
     identity = next((e for e in carrier
                      if all(order.same(t(deg[(e, a, a)], deg[(a, e, a)]), top)
                             for a in carrier)), None)
     if identity is None:
         witnesses.append(Witness(("no-identity-element",), ()))
-    rep = conclude(rid, dom, witnesses, undecided, instances=len(carrier) ** 7)
-    rep.details["identity"] = None if identity is None else format_scalar(identity)
-    return rep
+    return conclude(rid, dom, witnesses, undecided, instances=len(carrier) ** 7,
+                    details={"identity": None if identity is None
+                             else format_scalar(identity)})
 
 
 def check_vague_monoid(op: VagueBinaryOp) -> PropertyReport:
@@ -405,22 +386,19 @@ def check_vague_monoid(op: VagueBinaryOp) -> PropertyReport:
 
 
 def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
-    bottom, leq = order.bottom, order.leq
-    witnesses, undecided = [], 0
-    for a in carrier:
-        for b in carrier:
-            for m in carrier:
-                f1 = deg[(a, b, m)]
-                if f1 == bottom:
-                    continue
-                for w in carrier:
-                    lhs = t(f1, deg[(b, a, w)])
-                    r = leq(lhs, eq(m, w))
-                    if r is None:
-                        undecided += 1
-                    elif not r:
-                        witnesses.append(Witness((a, b, m, w), (lhs, eq(m, w))))
-    return conclude(rid, dom, witnesses, undecided, instances=len(carrier) ** 4)
+    bottom = order.bottom
+
+    def cases():
+        for a in carrier:
+            for b in carrier:
+                for m in carrier:
+                    f1 = deg[(a, b, m)]
+                    if f1 == bottom:
+                        continue
+                    for w in carrier:
+                        yield (a, b, m, w), t(f1, deg[(b, a, w)]), eq(m, w)
+
+    return decide(rid, dom, order.leq, cases(), instances=len(carrier) ** 4)
 
 
 def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
@@ -539,23 +517,14 @@ def check_vague_group_cancellation(v: VagueGroup) -> PropertyReport:
             raise DomainError(
                 f"identity degree below 1 at element {a}; not a vague group")
     eq = v.equality
-    witnesses, undecided = [], 0
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                ebc = eq(b, c)
-                for u in elements:
-                    left = min(v(a, b, u), v(a, c, u))
-                    r = le3(left, ebc)
-                    if r is None:
-                        undecided += 1
-                    elif not r:
-                        witnesses.append(Witness(("L", a, b, c, u), (left, ebc)))
-                    right = min(v(b, a, u), v(c, a, u))
-                    r = le3(right, ebc)
-                    if r is None:
-                        undecided += 1
-                    elif not r:
-                        witnesses.append(Witness(("R", a, b, c, u), (right, ebc)))
-    return conclude("vague-group-cancellation", v.to_json(), witnesses,
-                    undecided, instances=2 * len(elements) ** 4)
+
+    def cases():
+        for a in elements:
+            for b in elements:
+                for c in elements:
+                    ebc = eq(b, c)
+                    for u in elements:
+                        yield ("L", a, b, c, u), min(v(a, b, u), v(a, c, u)), ebc
+                        yield ("R", a, b, c, u), min(v(b, a, u), v(c, a, u)), ebc
+
+    return decide("vague-group-cancellation", v.to_json(), le3, cases())

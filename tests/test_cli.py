@@ -254,6 +254,14 @@ class TestLatticeCommands:
         assert run(["lattice", "--lattice", str(f), "--props", "subnorm",
                     "--mu", "one"]) == 0
 
+    @pytest.mark.parametrize("end", [["0"], 0, None],
+                             ids=["list", "number", "null"])
+    def test_cover_end_that_is_not_a_label(self, tmp_path, capsys, end):
+        f = tmp_path / "lattice.json"
+        f.write_text(json.dumps({"elements": ["0", "1"], "covers": [[end, "1"]]}))
+        assert run(["lattice", "--lattice", str(f)]) == 64
+        assert "field 'covers')" in capsys.readouterr().err
+
     def test_vague_prop(self):
         assert run(["lattice", "--lattice", "chain:3", "--props", "vague"]) == 0
 
@@ -328,7 +336,9 @@ class TestLatticeCommands:
     (["check", "tnorm:min", "--props", ""], "axioms"),
     (["vague", "--tnorm", "tnorm:min", "--checks", ""], "equality"),
     (["lattice", "--lattice", "diamond", "--props", ","], "tnorm-axioms"),
-], ids=["check", "vague", "lattice"])
+    (["suite", "--only", ","], "prop3.6"),
+    (["suite", "--only", ""], "prop3.6"),
+], ids=["check", "vague", "lattice", "suite-comma", "suite-empty"])
 def test_empty_selection_exits_64(capsys, argv, choices):
     # a run that checks nothing must not exit 0, the code for "all hold"
     assert run(argv) == 64
@@ -368,6 +378,8 @@ class TestSuiteCommand:
 
     def test_unknown_row(self, capsys):
         assert run(["suite", "--only", "prop99"]) == 64
+        err = capsys.readouterr().err
+        assert "unknown suite rows: prop99" in err and "(choose from prop3.6" in err
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "rows.json"

@@ -40,11 +40,22 @@ def table(arity):
                                  optional={"name": atoms})
 
 
+def lattice_file(elements):
+    """A lattice file on ``elements``, its cover ends drawn from the
+    elements, nested lists and atoms."""
+    end = st.sampled_from(elements or [None]) | st.lists(atoms, max_size=2) | atoms
+    return st.fixed_dictionaries(
+        {"elements": st.just(elements),
+         "covers": st.lists(st.lists(end, min_size=2, max_size=2),
+                            min_size=1, max_size=5)},
+        optional={"name": atoms})
+
+
 SHAPES = {
     "membership": table(1),
-    "lattice": st.fixed_dictionaries(
-        {"elements": st.lists(atoms, max_size=4), "covers": rows(2)},
-        optional={"name": atoms}),
+    "lattice": (st.lists(atoms, max_size=4)
+                | st.lists(st.text(max_size=2), min_size=1, max_size=4,
+                           unique=True)).flatmap(lattice_file),
     "lattice-membership": st.fixed_dictionaries({"entries": rows(2)}),
     "carrier": st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
         {"elements": st.lists(atoms, min_size=n, max_size=n),

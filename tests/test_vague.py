@@ -371,12 +371,14 @@ def test_vague_checks_count_their_instances(monkeypatch):
     2 n^4 for group cancellation."""
     import fuzznorm.vague as vague_mod
     seen = []
-    original = vague_mod.conclude
+    original = reports.conclude
 
     def recording(property_id, *args, instances=None, **kwargs):
         seen.append((property_id, instances))
         return original(property_id, *args, instances=instances, **kwargs)
 
+    # the decided conditions conclude in reports.decide
+    monkeypatch.setattr(reports, "conclude", recording)
     monkeypatch.setattr(vague_mod, "conclude", recording)
     pts = GridDomain(2).points  # n = 3
     v = induce_vague_tnorm(crisp_equality(pts, T_M), T_M)
@@ -391,6 +393,42 @@ def test_vague_checks_count_their_instances(monkeypatch):
         ("V1:extensionality", 3 ** 6), ("V2:functionality", 81),
         ("V3:totality", 9), ("vague-monoid", 3 ** 7),
         ("vague-commutativity", 81), ("vague-group-cancellation", 2 * 4 ** 4)]
+
+
+def test_all_bottom_degrees_hold_on_every_tuple(monkeypatch):
+    """A table whose degrees are all bottom streams no case to decide: the
+    tuples hold at the bottom degree and still count, so V1, V2,
+    commutativity and the monoid loop hold on n^6, n^4, n^4 and n^7
+    tuples rather than turning VACUOUS on none."""
+    import itertools
+
+    import fuzznorm.vague as vague_mod
+    from fuzznorm.vague import VagueTNorm
+    seen = {}
+    original = reports.conclude
+
+    def recording(property_id, *args, instances=None, **kwargs):
+        rep = original(property_id, *args, instances=instances, **kwargs)
+        seen[property_id] = (rep.verdict, instances)
+        return rep
+
+    monkeypatch.setattr(reports, "conclude", recording)
+    monkeypatch.setattr(vague_mod, "conclude", recording)
+    pts = GridDomain(2).points  # n = 3
+    op = vague_op_from_table("bottom", pts, crisp_equality(pts, T_M),
+                             dict.fromkeys(itertools.product(pts, repeat=3), F(0)))
+    check_vague_binary_op(op)
+    check_vague_commutativity(VagueTNorm(op, T_M))
+    # the monoid check itself stops at V3 (no degree 1): run its core
+    monoid = vague_mod._on_degree_order(op, lambda *on: vague_mod._monoid(
+        *on, "vague-monoid", op.to_json()))
+    assert seen["V1:extensionality"] == (Verdict.HOLDS, 3 ** 6)
+    assert seen["V2:functionality"] == (Verdict.HOLDS, 3 ** 4)
+    assert seen["vague-commutativity"] == (Verdict.HOLDS, 3 ** 4)
+    # the loop finds nothing; the missing identity alone makes it fail
+    assert seen["vague-monoid"] == (Verdict.FAILS, 3 ** 7)
+    assert [w.inputs for w in monoid.witnesses] == [("no-identity-element",)]
+    assert monoid.tags == ()
 
 
 def test_checks_sharing_a_compiled_order_match_fresh_ones():
