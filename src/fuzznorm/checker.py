@@ -28,7 +28,8 @@ from . import kernel
 from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
-                      Witness, certifying_eq, combine, conclude, decide)
+                      Witness, certifying_eq, collect, combine, conclude,
+                      decide)
 from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, _equal3, eq3,
                       eq_approx, format_scalar, le3)
 from .subsets import MU_COMPLEMENT, MU_ID
@@ -200,7 +201,7 @@ def _power_trajectory(conn, x, cap):
 
 
 def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
-                    dom, details) -> PropertyReport:
+                    dom, details, first=False) -> PropertyReport:
     """The five properties over a degree order (``scalars.UNIT_INTERVAL``
     or a ``FiniteLattice``) that orders points and degrees alike.
 
@@ -213,7 +214,8 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
     far it went (``max_witness_n``, ``convergence``); without one (a
     finite lattice) the cap is one more than the number of points, which
     every strictly decreasing chain of powers reaches, and the report
-    carries no budget.
+    carries no budget. ``first`` stops the three pair properties at their
+    first witness (``reports.collect``), their counts then partial.
     """
     lt, leq, same = order.lt, order.leq, order.same
     witnesses, undecided, inconclusive, incomparable = [], 0, 0, 0
@@ -235,48 +237,54 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
                 ordered.append((i, j))
             elif lt(pts[j], pts[i]):
                 ordered.append((j, i))
-        for x, row in rows(xs):
-            for i, j in ordered:
-                vy, vz = row[i], row[j]
-                r = lt(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
-                if r is None:
-                    undecided += 1
-                elif not r:
-                    incomparable += apart(vy, vz)
-                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, vz)))
+
+        def found():
+            nonlocal undecided, incomparable
+            for x, row in rows(xs):
+                for i, j in ordered:
+                    vy, vz = row[i], row[j]
+                    r = lt(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
+                    if r is None:
+                        undecided += 1
+                    elif not r:
+                        incomparable += apart(vy, vz)
+                        yield Witness((x, pts[i], pts[j]), (vy, vz))
+        witnesses = collect(found(), first)
         instances = len(xs) * len(ordered)
         details["excluded_incomparable_pairs"] = len(pairs) - len(ordered)
 
     elif prop is FuzzyProp.FCANCEL:
         raised = [x for x in pts if x != bottom]
-        for x, row in rows(raised):
-            for i, j in pairs:
-                if same(row[i], row[j]):
-                    witnesses.append(Witness((x, pts[i], pts[j]),
-                                             (row[i], row[j])))
+        witnesses = collect((Witness((x, pts[i], pts[j]), (row[i], row[j]))
+                             for x, row in rows(raised) for i, j in pairs
+                             if same(row[i], row[j])), first)
         instances = len(raised) * len(pairs)
 
     elif prop is FuzzyProp.FCONDCANCEL:
         mu0 = mu(bottom)
         strong_violations = 0
-        for x, row in rows(pts):
-            for i, j in pairs:
-                vy = row[i]
-                if not same(vy, row[j]):
-                    continue
-                r = lt(mu0, vy)
-                if r is None:
-                    undecided += 1
-                    continue
-                if not r:
-                    continue
-                strong_violations += 1  # stronger reading concludes y = z
-                my, mz = mu(pts[i]), mu(pts[j])
-                c = _equal3(leq, my, mz)
-                if c is None:
-                    undecided += 1
-                elif not c:
-                    witnesses.append(Witness((x, pts[i], pts[j]), (vy, my, mz)))
+
+        def found():
+            nonlocal undecided, strong_violations
+            for x, row in rows(pts):
+                for i, j in pairs:
+                    vy = row[i]
+                    if not same(vy, row[j]):
+                        continue
+                    r = lt(mu0, vy)
+                    if r is None:
+                        undecided += 1
+                        continue
+                    if not r:
+                        continue
+                    strong_violations += 1  # stronger reading concludes y = z
+                    my, mz = mu(pts[i]), mu(pts[j])
+                    c = _equal3(leq, my, mz)
+                    if c is None:
+                        undecided += 1
+                    elif not c:
+                        yield Witness((x, pts[i], pts[j]), (vy, my, mz))
+        witnesses = collect(found(), first)
         instances = n * len(pairs)
         details["strong_form_violations"] = strong_violations
 

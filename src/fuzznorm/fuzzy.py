@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import reports
 from .carriers import CarrierMonoid, FiniteGroup
@@ -90,9 +90,10 @@ def f_submonoid_kind(nullnorm: Connective) -> SubstructureKind:
     return SubstructureKind(SubstructureTag.F_SUBMONOID, nullnorm)
 
 
-def _closure(mu, carrier, kind) -> tuple:
+def _closure(mu, carrier, kind, first=False) -> tuple:
     """Violations of combiner(mu(x..)) <= mu(x o ..) over the kind's
-    tuples (min combines for the min-based kinds), and the tuple count.
+    tuples (min combines for the min-based kinds), only the first with
+    ``first``, and the tuple count.
     An aggregation kind whose tuples exceed ``reports.MAX_TUPLES`` is
     refused before the loop, its count summed only until it passes the
     budget."""
@@ -109,25 +110,31 @@ def _closure(mu, carrier, kind) -> tuple:
                     f"size {n}", size_estimate=count)
     witnesses = _closure_witnesses(mu, carrier.elements, carrier.op,
                                    kind.combiner or UNIT_INTERVAL.meet,
-                                   UNIT_INTERVAL.leq, arities, carrier.table)
+                                   UNIT_INTERVAL.leq, arities, carrier.table,
+                                   first)
     return witnesses, count
 
 
-def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid) -> PropertyReport:
+def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid, *,
+                            first: bool = False) -> PropertyReport:
     """Closure under the carrier operation: min of the memberships never
-    exceeds the membership of the product."""
-    witnesses, instances = _closure(mu, carrier, KIND_SUBGROUPOID)
+    exceeds the membership of the product. ``first`` is the verdict-only
+    mode: the report keeps only the first witness."""
+    witnesses, instances = _closure(mu, carrier, KIND_SUBGROUPOID, first)
     return conclude(SubstructureTag.SUBGROUPOID.value, carrier.to_json(),
                     witnesses, 0, instances=instances, details={"mu": mu.name})
 
 
 def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
-                          kind: SubstructureKind = KIND_SUBMONOID) -> PropertyReport:
+                          kind: SubstructureKind = KIND_SUBMONOID, *,
+                          first: bool = False) -> PropertyReport:
     """Closure condition for the kind's combiner plus full membership at
-    the carrier identity."""
-    witnesses, instances = _closure(mu, carrier, kind)
+    the carrier identity. ``first`` is the verdict-only mode: the report
+    keeps only the first witness."""
+    witnesses, instances = _closure(mu, carrier, kind, first)
     missed = _identity_witnesses(mu, carrier.identity, UNIT_INTERVAL.same, ONE)
-    witnesses += missed
+    if not (first and witnesses):
+        witnesses += missed
     details = {"mu": mu.name, "identity_condition": not missed}
     if kind.combiner is not None:
         details["combiner"] = kind.combiner.name
@@ -151,7 +158,7 @@ def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
 
 def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
                          domain, budget: Optional[SearchBudget] = None,
-                         gate: bool = True) -> PropertyReport:
+                         gate: bool = True, *, first: bool = False) -> PropertyReport:
     """One of the five fuzzified operator properties.
 
     The properties are stated for subsets that pass the t-subnorm check
@@ -159,12 +166,16 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
     carrying the subnorm violations (``gate=False`` evaluates the bare
     quantified statement instead). A constant map has no value strictly
     below another, so its Archimedean report is VACUOUS-BY-CONSTANCY.
+    ``first``, the verdict-only mode, stops the gate and the pair
+    properties (strict monotonicity, both cancellations) at their first
+    witness.
     """
     budget = budget or SearchBudget()
     details = {"mu": mu.name, "operator": conn.name}
     if gate:
         carrier = CarrierMonoid.from_connective(conn, domain)
-        subnorm = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)
+        subnorm = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM,
+                                        first=first)
         if not subnorm.holds:
             return _not_a_subnorm(prop.value, domain.to_json(), subnorm,
                                   budget, details)
@@ -175,7 +186,8 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
                               tags=("VACUOUS-BY-CONSTANCY",), details=details)
     # ZERO, not UNIT_INTERVAL's int bottom: mu(ZERO) is a limit witness value
     return _fuzzy_property(UNIT_INTERVAL, conn, mu, pts, domain.interior, ZERO,
-                           prop, budget, prop.value, domain.to_json(), details)
+                           prop, budget, prop.value, domain.to_json(), details,
+                           first)
 
 
 def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
@@ -357,15 +369,15 @@ def case_carrier(case_id: str, domain) -> CarrierMonoid:
     return CarrierMonoid.from_connective(_CASES[case_id][2], domain)
 
 
-def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
-                               domain, carrier: Optional[CarrierMonoid] = None) -> PropertyReport:
-    """Evaluate both sides of a named characterization independently.
-
-    The left side always runs the relevant submonoid check; the right
-    side is the closed-form condition. Disagreement on an iff case (or
-    a broken implication) is a red-flag FAILS naming the side at fault.
-    ``carrier`` saves rebuilding the case's carrier (``case_carrier``)
-    over ``domain`` on every call.
+def case_checker(case_id: str, conn: Connective, domain,
+                 carrier: Optional[CarrierMonoid] = None) -> Callable:
+    """The named characterization for the operator ``conn`` as a function
+    of the membership map. ``conn`` is validated for the case once, here;
+    each call evaluates both sides independently: the left side runs the
+    relevant submonoid check, the right side is the closed-form condition.
+    Disagreement on an iff case (or a broken implication) is a red-flag
+    FAILS naming the side at fault. ``carrier`` saves rebuilding the
+    case's carrier (``case_carrier``) over ``domain``.
     """
     if case_id not in _CASES:
         raise DomainError(f"unknown characterization case: {case_id!r}")
@@ -374,21 +386,31 @@ def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
         check(conn, domain)
     kind = kind_of(conn)
     carrier = carrier or case_carrier(case_id, domain)
-    lhs = check_fuzzy_submonoid(mu, carrier, kind).holds
-    rhs = closed_form(mu, conn, carrier)
-    consistent = lhs == rhs if relation == "iff" else not lhs or rhs
-    details = {
-        "case": case_id, "mu": mu.name, "operator": conn.name,
-        "lhs_submonoid_check": lhs, "rhs_closed_form": rhs,
-        "relation": relation,
-    }
-    if consistent:
-        return PropertyReport(f"characterization:{case_id}", Verdict.HOLDS,
-                              carrier.to_json(), details=details)
-    details["failed_side"] = "rhs" if lhs else "lhs"
-    return PropertyReport(f"characterization:{case_id}", Verdict.FAILS,
-                          carrier.to_json(),
-                          witnesses=[Witness((mu.name,), ())], details=details)
+
+    def characterize(mu: FuzzySubset) -> PropertyReport:
+        lhs = check_fuzzy_submonoid(mu, carrier, kind, first=True).holds
+        rhs = closed_form(mu, conn, carrier)
+        consistent = lhs == rhs if relation == "iff" else not lhs or rhs
+        details = {
+            "case": case_id, "mu": mu.name, "operator": conn.name,
+            "lhs_submonoid_check": lhs, "rhs_closed_form": rhs,
+            "relation": relation,
+        }
+        if consistent:
+            return PropertyReport(f"characterization:{case_id}", Verdict.HOLDS,
+                                  carrier.to_json(), details=details)
+        details["failed_side"] = "rhs" if lhs else "lhs"
+        return PropertyReport(f"characterization:{case_id}", Verdict.FAILS,
+                              carrier.to_json(),
+                              witnesses=[Witness((mu.name,), ())],
+                              details=details)
+    return characterize
+
+
+def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
+                               domain, carrier: Optional[CarrierMonoid] = None) -> PropertyReport:
+    """``case_checker(case_id, conn, domain, carrier)`` on one map."""
+    return case_checker(case_id, conn, domain, carrier)(mu)
 
 
 # --- uninorm non-existence refutations ---
@@ -420,7 +442,8 @@ def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,
     witnesses = []
     member_verdicts = {}
     for member in family:
-        rep = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(member))
+        rep = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(member),
+                                    first=True)
         member_verdicts[member.name] = rep.verdict.value
         if rep.holds:
             continue

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .reports import PropertyReport, Witness
@@ -51,6 +52,19 @@ _EXACT = (Fraction, int)
 
 class NotCompilable(Exception):
     """A value has no exact id; the caller must use the reference path."""
+
+
+def _intern(vals: list, ids: dict, v) -> int:
+    """``IdOrder.intern``: the id of ``v``, a fresh one for a new value."""
+    if not isinstance(v, _EXACT):
+        raise NotCompilable(f"{v!r} is not an exact rational")
+    fresh = len(vals)
+    i = ids.setdefault(v, fresh)
+    if i == fresh:
+        vals.append(v)
+    elif type(vals[i]) is not type(v):  # 0 and Fraction(0) print apart
+        raise NotCompilable(f"{v!r} and {vals[i]!r} differ in type")
+    return i
 
 
 class IdOrder:
@@ -65,6 +79,9 @@ class IdOrder:
 
     def __init__(self, values: Sequence = ()):
         self.vals, self.ids, self._lifted = [], {}, {}
+        # not a method: the lifted functions that hold it hold no reference
+        # to the order, which is then freed when dropped, not when collected
+        self.intern = partial(_intern, self.vals, self.ids)
         for v in values:
             self.intern(v)
         if len(self.vals) != len(values):
@@ -73,17 +90,6 @@ class IdOrder:
         self.lt = self.lifted(operator.lt, bool)
         self.meet = self.lifted(min)
         self.same = operator.eq
-
-    def intern(self, v) -> int:
-        if not isinstance(v, _EXACT):
-            raise NotCompilable(f"{v!r} is not an exact rational")
-        fresh = len(self.vals)
-        i = self.ids.setdefault(v, fresh)
-        if i == fresh:
-            self.vals.append(v)
-        elif type(self.vals[i]) is not type(v):  # 0 and Fraction(0) print apart
-            raise NotCompilable(f"{v!r} and {self.vals[i]!r} differ in type")
-        return i
 
     def lifted(self, fn: Callable, result: Optional[Callable] = None) -> Callable:
         key = (id(fn), result)  # the memo holds fn, so its id stays its own

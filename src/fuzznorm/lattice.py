@@ -316,6 +316,7 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
                 at[i][j] = at[j][i] = None
 
     walk(0)
+    del walk  # it refers to itself: free it now, not at a collection
     return results
 
 
@@ -351,13 +352,15 @@ def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyRep
 
 
 def check_lattice_fuzzy_property(mu: FuzzySubset, t: LatticeTNorm, prop,
-                                 gate: bool = True) -> PropertyReport:
+                                 gate: bool = True, *,
+                                 first: bool = False) -> PropertyReport:
     """Lattice renderings of the five fuzzified properties: the unit
     layer's checks with the lattice order on points and membership
     values. Incomparable pairs and outcomes are counted in the report;
     power sequences are decided by exact stationarity. ``gate=False``
     skips the t-subnorm precondition and evaluates the bare quantified
-    statement.
+    statement. ``first``, the verdict-only mode, stops the pair
+    properties at their first witness.
     """
     lat = t.lattice
     dom = lat.to_json()
@@ -369,7 +372,7 @@ def check_lattice_fuzzy_property(mu: FuzzySubset, t: LatticeTNorm, prop,
                                           subnorm, None, details)
     return checker._fuzzy_property(lat, t, mu, lat.elements, lat.interior,
                                    lat.bottom, prop, None, f"lattice-{prop.value}",
-                                   dom, details)
+                                   dom, details, first)
 
 
 # --- lattice-valued equalities and vague structure ---
@@ -433,13 +436,18 @@ def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
 
 
 def check_lattice_vague_strict_monotone(mu, lat: FiniteLattice,
-                                        reading: str = "any-degree") -> PropertyReport:
-    """Lattice-degree analog of the monotonicity law on induced tables."""
-    return vague._strict_monotone(lat, mu, lat.elements, reading,
-                                  "lattice-vague-strict-monotonicity", lat.to_json())
+                                        reading: str = "any-degree", *,
+                                        first: bool = False) -> PropertyReport:
+    """Lattice-degree analog of the monotonicity law on induced tables;
+    ``first`` is the verdict-only mode."""
+    return vague._strict_monotone(lat, None, mu, None, lat.elements, reading,
+                                  "lattice-vague-strict-monotonicity",
+                                  lat.to_json(), first)
 
 
 def check_lattice_vague_cancellation(mu, lat: FiniteLattice,
-                                     reading: str = "any-degree") -> PropertyReport:
-    return vague._cancellation(lat, mu, lat.elements, reading,
-                               "lattice-vague-cancellation", lat.to_json())
+                                     reading: str = "any-degree", *,
+                                     first: bool = False) -> PropertyReport:
+    return vague._cancellation(lat, None, mu, None, lat.elements, reading,
+                               "lattice-vague-cancellation", lat.to_json(),
+                               first)

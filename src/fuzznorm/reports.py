@@ -10,6 +10,7 @@ stable JSON shape and a human-readable text form.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -254,6 +255,13 @@ def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
         verdict = Verdict.HOLDS
     return PropertyReport(property_id, verdict, domain, list(witnesses),
                           dict(budget or {}), tuple(extra_tags), details)
+
+
+def collect(witnesses: Iterable[Witness], first: bool = False) -> list:
+    """The witnesses a loop yields, or with ``first`` (the verdict-only
+    mode) its first one alone: one witness is enough for ``conclude`` to
+    make a FAILS, and a loop without one still runs to its end."""
+    return list(itertools.islice(witnesses, 1 if first else None))
 
 
 def witnesses_of(holds, cases):

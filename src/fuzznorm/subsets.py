@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import kernel
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
                      read_entries, read_json_object, read_name)
-from .reports import Witness
+from .reports import Witness, collect
 from .scalars import (ONE, ZERO, Scalar, format_scalar, parse_label,
                       parse_rational, unit)
 
@@ -231,7 +231,7 @@ def enumerate_table_subsets(elements: Sequence, alphabet: Sequence[Fraction]) ->
 
 def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
                        leq: Callable, arities: Sequence = (2,),
-                       table=None) -> list:
+                       table=None, first: bool = False) -> list:
     """The closure condition of a fuzzy submonoid: a witness for every
     tuple of ``elems`` where ``leq(combine(mu x, ..), mu(x o ..))`` is
     False. ``combine`` is the order's meet or a combiner replacing it,
@@ -242,7 +242,12 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     (carrier positions and the map's alphabet order), falling back to
     values if a combiner reaches a degree without an exact id; the
     alphabet order records the clash, so the later maps of the sweep go
-    straight to values."""
+    straight to values. ``first`` keeps only the first witness
+    (``reports.collect``); a witness found on ids is exact, so stopping
+    there, before a clash is recorded, leaves the verdict as it is. A
+    map with no value at a product raises ``TotalityError`` when the
+    loop reaches that product, so with ``first`` a witness met earlier
+    makes a FAILS instead."""
     fn = getattr(mu, "fn", None)
     order = getattr(fn, "order", None)
     if (order is not None and table is not None and table.closed
@@ -252,43 +257,47 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
             try:
                 found = _closure_loop(fn.ids.__getitem__, range(len(elems)),
                                       table.op, combined,
-                                      order.lifted(leq, bool), arities, table)
+                                      order.lifted(leq, bool), arities, table,
+                                      first)
             except kernel.NotCompilable:
                 order.clashed.add(combined)
             else:
                 return kernel.witness_values(found, elems, order.vals)
-    return _closure_loop(mu, elems, op, combine, leq, arities, table)
+    return _closure_loop(mu, elems, op, combine, leq, arities, table, first)
 
 
-def _closure_loop(mu, elems, op, combine, leq, arities, table) -> list:
+def _closure_loop(mu, elems, op, combine, leq, arities, table,
+                  first=False) -> list:
     vals = {a: mu(a) for a in elems}
-    witnesses = []
-    for arity in arities:
-        if arity == 2 and table is not None:
-            # mu at each product id, filled in loop order so a map that
-            # is not total fails at the same pair as the tuple loop
-            products = table.vals
-            at = [vals[x] for x in elems] + [None] * (len(products) - len(elems))
-            for i, x in enumerate(elems):
-                vx, row = at[i], table.table[i]
-                for j, y in enumerate(elems):
-                    lhs = combine(vx, at[j])
-                    p = row[j]
-                    rhs = at[p]
-                    if rhs is None:
-                        rhs = at[p] = mu(products[p])
+
+    def found():
+        for arity in arities:
+            if arity == 2 and table is not None:
+                # mu at each product id, filled in loop order so a map that
+                # is not total fails at the same pair as the tuple loop
+                products = table.vals
+                at = ([vals[x] for x in elems]
+                      + [None] * (len(products) - len(elems)))
+                for i, x in enumerate(elems):
+                    vx, row = at[i], table.table[i]
+                    for j, y in enumerate(elems):
+                        lhs = combine(vx, at[j])
+                        p = row[j]
+                        rhs = at[p]
+                        if rhs is None:
+                            rhs = at[p] = mu(products[p])
+                        if leq(lhs, rhs) is False:
+                            yield Witness((x, y), (lhs, rhs))
+            else:
+                for combo in itertools.product(elems, repeat=arity):
+                    lhs = combine(*[vals[c] for c in combo])
+                    acc = combo[0]
+                    for c in combo[1:]:
+                        acc = op(acc, c)
+                    rhs = mu(acc)
                     if leq(lhs, rhs) is False:
-                        witnesses.append(Witness((x, y), (lhs, rhs)))
-        else:
-            for combo in itertools.product(elems, repeat=arity):
-                lhs = combine(*[vals[c] for c in combo])
-                acc = combo[0]
-                for c in combo[1:]:
-                    acc = op(acc, c)
-                rhs = mu(acc)
-                if leq(lhs, rhs) is False:
-                    witnesses.append(Witness(combo, (lhs, rhs)))
-    return witnesses
+                        yield Witness(combo, (lhs, rhs))
+    return collect(found(), first)
 
 
 def _identity_witnesses(mu, identity, same: Callable, top) -> list:
@@ -347,4 +356,7 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
             if all(holds[at[i]][at[j]][at[p]] for i, j, p in ready[k]):
                 yield from extend(k + 1)
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        del extend  # it refers to itself: free it now, not at a collection

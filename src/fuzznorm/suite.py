@@ -5,9 +5,11 @@ loop counts them and the counterexamples among them; a clean run reports
 zero everywhere. The t-subnorm rows of chains and lattices share one case
 stream over (t-norm, degree order) sweeps; the aggregation, uninorm and
 nullnorm rows are one row function over a table of characterization
-cases. Rows are pure functions of the configuration, so they fan out
-across processes and merge in order; wall time shows in text output
-only, keeping the JSON byte-stable.
+cases. A row reads only the verdicts of the checks it runs, so it runs
+them in their verdict-only mode (``first=True``), which stops a loop at
+its first witness. Rows are pure functions of the configuration, so they
+fan out across processes and merge in order; wall time shows in text
+output only, keeping the JSON byte-stable.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .carriers import CarrierMonoid, cyclic_group
@@ -26,8 +28,8 @@ from .connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D, T_L, T_M,
                           T_P, construct_nullnorm, construct_uninorm_max,
                           construct_uninorm_min)
 from .errors import BudgetExceededError, DomainError
-from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, case_carrier,
-                    characterize_special_cases, check_discrete_subalgebra,
+from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, case_carrier, case_checker,
+                    check_discrete_subalgebra,
                     check_fuzzy_property, check_fuzzy_submonoid,
                     check_fuzzy_subgroupoid, check_not_strictly_decreasing,
                     refute_uninorm_existence, uninorm_family)
@@ -137,35 +139,36 @@ def _property_check(cfg: SuiteConfig, tnorm, points, order):
     if order is UNIT_INTERVAL:
         dom = FinitePoints(points)
         return lambda mu, prop: check_fuzzy_property(
-            mu, tnorm, prop, dom, cfg.budget, gate=False).holds
+            mu, tnorm, prop, dom, cfg.budget, gate=False, first=True).holds
     return lambda mu, prop: check_lattice_fuzzy_property(
-        mu, tnorm, prop, gate=False).holds
+        mu, tnorm, prop, gate=False, first=True).holds
 
 
-def _subnorm_cases(cfg: SuiteConfig, sweeps, first: FuzzyProp,
-                   second: Optional[FuzzyProp]):
+def _subnorm_cases(cfg: SuiteConfig, sweeps, premise: FuzzyProp,
+                   conclusion: Optional[FuzzyProp]):
     """One case per sweep (label, t-norm, points, degree order, degrees)
     and t-subnorm of the t-norm from the points to the degrees, generated
-    rather than filtered: it holds when the map lacks property ``first``
-    or has ``second`` (None: never). The claims hold vacuously on the
+    rather than filtered: it holds when the map lacks property ``premise``
+    or has ``conclusion`` (None: never). The claims hold vacuously on the
     other maps, which _checked counts."""
     for label, tnorm, points, order, degrees in sweeps:
         holds = _property_check(cfg, tnorm, points, order)
         for mu in generate_subnorm_tables(points, tnorm, order.top, degrees,
                                           order):
-            yield (f"{label}|{mu.name}", not holds(mu, first)
-                   or (second is not None and holds(mu, second)))
+            yield (f"{label}|{mu.name}", not holds(mu, premise)
+                   or (conclusion is not None and holds(mu, conclusion)))
 
 
 def _checked(sweeps) -> int:
     return sum(len(degrees) ** len(points) for _, _, points, _, degrees in sweeps)
 
 
-def _implication_row(row_id: str, family, first: FuzzyProp, second: FuzzyProp,
-                     cfg: SuiteConfig) -> RowResult:
+def _implication_row(row_id: str, family, premise: FuzzyProp,
+                     conclusion: FuzzyProp, cfg: SuiteConfig) -> RowResult:
     sweeps, universe = family(cfg)
     return _count(row_id, universe,
-                  _subnorm_cases(cfg, sweeps, first, second), _checked(sweeps))
+                  _subnorm_cases(cfg, sweeps, premise, conclusion),
+                  _checked(sweeps))
 
 
 def _builtin_mu_forms():
@@ -192,7 +195,8 @@ def _row_prop39(cfg):
     grid_dom = GridDomain(cfg.grid)
     conns, forms = (T_M, T_L, T_D), _builtin_mu_forms()
     builtins = ((f"{conn.name}|{mu.name}", not check_fuzzy_property(
-                    mu, conn, FuzzyProp.FSTRICT, grid_dom, cfg.budget).holds)
+                    mu, conn, FuzzyProp.FSTRICT, grid_dom, cfg.budget,
+                    first=True).holds)
                 for conn in conns for mu in forms)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")
@@ -202,16 +206,22 @@ def _row_prop39(cfg):
 
 
 def _vague_corpus(cfg):
-    pts = GridDomain(min(cfg.grid, 6)).points
-    return [induce_vague_tnorm(make_eq(pts, conn), conn) for make_eq, conn in (
+    return _vague_corpus_at(min(cfg.grid, 6))
+
+
+@lru_cache(maxsize=None)
+def _vague_corpus_at(resolution: int) -> tuple:
+    # once a process: its rows share the validation and the degree orders
+    pts = GridDomain(resolution).points
+    return tuple(induce_vague_tnorm(make_eq(pts, conn), conn) for make_eq, conn in (
         (crisp_equality, T_M), (crisp_equality, T_P), (crisp_equality, T_L),
-        (linear_equality, T_L), (linear_equality, T_D))]
+        (linear_equality, T_L), (linear_equality, T_D)))
 
 
 def _row_prop12(cfg):
     cases = ((f"{v.base.label}|{reading}",
-              not check_vague_strict_monotone(v, reading).holds
-              or not check_vague_cancellation(v, reading).fails)
+              not check_vague_strict_monotone(v, reading, first=True).holds
+              or not check_vague_cancellation(v, reading, first=True).fails)
              for v in _vague_corpus(cfg) for reading in READINGS)
     universe = "induced vague operators over the grid corpus, both premise readings"
     return _count("prop12", universe, cases)
@@ -224,8 +234,10 @@ def _row_prop15(cfg):
     induced = ((t, induce_lattice_vague_tnorm(eq_table, t))
                for t, eq_table in pairs)
     cases = ((f"{t.name}|{reading}",
-              not check_lattice_vague_strict_monotone(mu, lat, reading).holds
-              or not check_lattice_vague_cancellation(mu, lat, reading).fails)
+              not check_lattice_vague_strict_monotone(
+                  mu, lat, reading, first=True).holds
+              or not check_lattice_vague_cancellation(
+                  mu, lat, reading, first=True).fails)
              for t, mu in induced for reading in READINGS)
     universe = f"{len(pairs)} valid lattice equalities x 3-chain t-norms, both readings"
     return _count("prop15", universe, cases)
@@ -261,15 +273,17 @@ _CASE_ROWS = {
 
 def _case_row(row_id: str, cfg: SuiteConfig) -> RowResult:
     """The row's characterization case for each of its operators and each
-    membership table on the 3-point grid, on one carrier."""
+    membership table on the 3-point grid, on one carrier; each operator
+    is validated for the case once."""
     case_id, operators, universe, label = _CASE_ROWS[row_id]
     dom = _grid3()
     carrier = case_carrier(case_id, dom)
     conns = operators()
-    cases = ((label.format(op=conn.name, mu=mu.name),
-              not characterize_special_cases(case_id, mu, conn, dom,
-                                             carrier).fails)
-             for conn in conns for mu in _table_sweep(cfg, dom.points))
+    checkers = [(conn, case_checker(case_id, conn, dom, carrier))
+                for conn in conns]
+    cases = ((label.format(op=conn.name, mu=mu.name), not characterize(mu).fails)
+             for conn, characterize in checkers
+             for mu in _table_sweep(cfg, dom.points))
     return _count(row_id, f"{len(cfg.alphabet) ** 3} membership tables on the "
                   f"3-point {universe.format(op=conns[0].name)}", cases)
 
@@ -322,7 +336,7 @@ def _row_intersection(cfg):
     dom = _grid3()
     carrier = CarrierMonoid.from_connective(T_M, dom)
     groupoids = [mu for mu in _table_sweep(cfg, dom.points)
-                 if check_fuzzy_subgroupoid(mu, carrier).holds]
+                 if check_fuzzy_subgroupoid(mu, carrier, first=True).holds]
     cases = ((f"{a.name}&{b.name}",
               check_fuzzy_subgroupoid(intersect_fuzzy_subsets([a, b]),
                                       carrier).holds)
@@ -335,7 +349,7 @@ def _row_unique_mu_id(cfg):
     dom = GridDomain(cfg.grid)
     cases = ((conn.name, check_fuzzy_submonoid(
                  MU_ID, CarrierMonoid.from_connective(conn, dom),
-                 KIND_T_SUBNORM).holds == expect)
+                 KIND_T_SUBNORM, first=True).holds == expect)
              for conn, expect in ((T_M, True), (T_P, False), (T_L, False),
                                   (T_D, False)))
     universe = f"identity membership against the four builtins (grid n={cfg.grid})"
@@ -455,10 +469,12 @@ class SuiteResult:
 def run_suite(config: Optional[SuiteConfig] = None,
               only: Optional[Sequence[str]] = None, jobs: int = 1) -> SuiteResult:
     config = config or SuiteConfig()
-    if only:
+    if only is not None:
         unknown = [r for r in only if r not in ROWS]
         if unknown:
             raise DomainError(f"unknown suite rows: {', '.join(unknown)}")
+        if not only:  # an empty list would check nothing
+            raise DomainError("no suite rows selected")
         selected = [r for r in ROWS if r in set(only)]
     else:
         selected = list(ROWS)

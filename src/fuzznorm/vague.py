@@ -24,11 +24,11 @@ from typing import Callable, Mapping, Sequence
 
 from . import kernel, reports
 from .carriers import FiniteGroup
-from .connectives import Connective, Role
+from .connectives import T_M, Connective, Role
 from .errors import (BudgetExceededError, DomainError, InputFormatError,
                      TotalityError, read_entries, read_name)
-from .reports import (PropertyReport, Verdict, Witness, certifying_eq, combine,
-                      conclude, decide, witnesses_of)
+from .reports import (PropertyReport, Verdict, Witness, certifying_eq, collect,
+                      combine, conclude, decide, witnesses_of)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, _equal3, eq_approx,
                       format_scalar, le3, parse_rational, unit)
 
@@ -418,58 +418,70 @@ def _degrees_match(order, reading: str) -> Callable:
     raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
 
 
-def _strict_monotone(order, deg, carrier, reading, rid, dom) -> PropertyReport:
+def _strict_monotone(order, t, deg, eq, carrier, reading, rid, dom,
+                     first) -> PropertyReport:
     lt, match = order.lt, _degrees_match(order, reading)
-    witnesses = []
     instances = 0
-    for x in carrier:
-        for y in carrier:
-            if not lt(x, y):
-                continue
-            for z in carrier:
-                for a in carrier:
-                    da = deg[(x, z, a)]
-                    for b in carrier:
-                        db = deg[(y, z, b)]
+
+    def found():
+        nonlocal instances
+        for x in carrier:
+            for y in carrier:
+                if not lt(x, y):
+                    continue
+                for z in carrier:
+                    for a in carrier:
+                        da = deg[(x, z, a)]
+                        for b in carrier:
+                            db = deg[(y, z, b)]
+                            if not match(da, db):
+                                continue
+                            instances += 1
+                            if not lt(a, b):
+                                yield Witness((x, y, z, a, b), (da, db))
+    witnesses = collect(found(), first)
+    return conclude(rid, dom, witnesses, 0, instances=instances,
+                    details={"reading": reading})
+
+
+def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree", *,
+                                first: bool = False) -> PropertyReport:
+    """x < y with matching degrees at (x,z,a) and (y,z,b) must force
+    a < b. The premise reading (any common degree, or degree 1 only) is
+    configurable and recorded in the report. ``first`` is the
+    verdict-only mode: the report keeps only the first witness."""
+    return _on_degree_order(v.base, lambda *on: _strict_monotone(
+        *on, reading, "vague-strict-monotonicity", v.to_json(), first))
+
+
+def _cancellation(order, t, deg, eq, carrier, reading, rid, dom,
+                  first) -> PropertyReport:
+    match = _degrees_match(order, reading)
+    instances = 0
+
+    def found():
+        nonlocal instances
+        for a in carrier:
+            for b in carrier:
+                for x in carrier:
+                    for c in carrier:
+                        da, db = deg[(a, x, c)], deg[(b, x, c)]
                         if not match(da, db):
                             continue
                         instances += 1
-                        if not lt(a, b):
-                            witnesses.append(Witness((x, y, z, a, b), (da, db)))
+                        if a != b:
+                            yield Witness((a, b, x, c), (da, db))
+    witnesses = collect(found(), first)
     return conclude(rid, dom, witnesses, 0, instances=instances,
                     details={"reading": reading})
 
 
-def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
-    """x < y with matching degrees at (x,z,a) and (y,z,b) must force
-    a < b. The premise reading (any common degree, or degree 1 only) is
-    configurable and recorded in the report."""
-    return _on_degree_order(v.base, lambda order, t, deg, eq, pts: _strict_monotone(
-        order, deg, pts, reading, "vague-strict-monotonicity", v.to_json()))
-
-
-def _cancellation(order, deg, carrier, reading, rid, dom) -> PropertyReport:
-    match = _degrees_match(order, reading)
-    witnesses = []
-    instances = 0
-    for a in carrier:
-        for b in carrier:
-            for x in carrier:
-                for c in carrier:
-                    da, db = deg[(a, x, c)], deg[(b, x, c)]
-                    if not match(da, db):
-                        continue
-                    instances += 1
-                    if a != b:
-                        witnesses.append(Witness((a, b, x, c), (da, db)))
-    return conclude(rid, dom, witnesses, 0, instances=instances,
-                    details={"reading": reading})
-
-
-def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
-    """Matching degrees at (a,x,c) and (b,x,c) must force a = b."""
-    return _on_degree_order(v.base, lambda order, t, deg, eq, pts: _cancellation(
-        order, deg, pts, reading, "vague-cancellation", v.to_json()))
+def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree", *,
+                             first: bool = False) -> PropertyReport:
+    """Matching degrees at (a,x,c) and (b,x,c) must force a = b;
+    ``first`` as in ``check_vague_strict_monotone``."""
+    return _on_degree_order(v.base, lambda *on: _cancellation(
+        *on, reading, "vague-cancellation", v.to_json(), first))
 
 
 # --- vague groups over finite carriers ---
@@ -490,8 +502,6 @@ class VagueGroup:
 
 def crisp_vague_group(group: FiniteGroup) -> VagueGroup:
     """Degree-1 on exact products, 0 elsewhere, with crisp equality."""
-    from .connectives import T_M
-
     elements = group.elements
     eq = crisp_equality(elements, T_M)
     table = {(a, b, c): (ONE if group.op(a, b) == c else ZERO)

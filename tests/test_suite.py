@@ -6,6 +6,7 @@ import pytest
 import fuzznorm.fuzzy as fuzzy_mod
 import fuzznorm.suite as suite_mod
 from fuzznorm.carriers import CarrierMonoid
+from fuzznorm.connectives import A_MIN
 from fuzznorm.errors import DomainError
 from fuzznorm.fuzzy import FuzzyProp, KIND_T_SUBNORM, check_fuzzy_submonoid
 from fuzznorm.lattice import (chain_lattice, check_lattice_fuzzy_subnorm,
@@ -39,6 +40,23 @@ def test_selected_rows_run_clean():
 def test_unknown_row_rejected():
     with pytest.raises(DomainError):
         run_suite(only=["prop99"])
+
+
+def test_empty_row_list_rejected_before_any_row_runs(monkeypatch):
+    """``only=[]`` would check nothing, so it is refused, as the CLI
+    refuses an empty ``--only``; ``only=None`` runs every row."""
+    ran = []
+
+    def stub(row_id, cfg):
+        ran.append(row_id)
+        return RowResult(row_id, "", 0, [])
+
+    monkeypatch.setattr(suite_mod, "_run_row", stub)
+    with pytest.raises(DomainError, match="no suite rows"):
+        run_suite(only=[])
+    assert ran == []
+    assert len(run_suite(only=None).rows) == len(ROWS) == 28
+    assert ran == list(ROWS)
 
 
 def test_parallel_rows_match_serial():
@@ -195,9 +213,32 @@ def test_planted_failure_pins_the_case_rows(monkeypatch):
         18, 18, 18, 36, 23, 18, 19, 23, 23, 26]
 
 
+def test_case_rows_validate_each_operator_once(monkeypatch):
+    """A case row checks its operator for the case once, not once per
+    membership map; the public function still checks on every call."""
+    calls = []
+    cases = {}
+    for case_id, (check, *rest) in fuzzy_mod._CASES.items():
+        def counted(conn, domain, _check=check, _case=case_id):
+            calls.append(_case)
+            if _check is not None:
+                _check(conn, domain)
+        cases[case_id] = (counted, *rest)
+    monkeypatch.setattr(fuzzy_mod, "_CASES", cases)
+    result = run_suite(SuiteConfig(), only=["prop17", "prop19", "prop20"])
+    assert [r.checked for r in result.rows] == [27, 54, 27]
+    assert calls == ["prop17", "prop19", "prop19", "prop20"]
+    calls.clear()
+    dom = FinitePoints(uniform_chain(3))
+    for mu in list(enumerate_table_subsets(dom.points, (0, 1)))[:3]:
+        fuzzy_mod.characterize_special_cases("prop17", mu, A_MIN, dom)
+    assert calls == ["prop17"] * 3
+
+
 def test_prop12_compiles_each_operator_once(monkeypatch):
     """prop12 runs four checks on each of its five vague operators; each
-    operator's degree order is compiled once and shared by the four."""
+    operator's degree order is compiled once and shared by the four, and
+    by prop-vague-commutativity, which reuses the process's corpus."""
     from fuzznorm import kernel
     calls = []
     original = kernel.compile_degrees
@@ -207,6 +248,28 @@ def test_prop12_compiles_each_operator_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "compile_degrees", counting)
+    suite_mod._vague_corpus_at.cache_clear()  # as in a fresh process
     row = ROWS["prop12"](SuiteConfig())
     assert (row.checked, row.counterexamples) == (10, [])
     assert len(calls) == 5
+    row = ROWS["prop-vague-commutativity"](SuiteConfig())
+    assert (row.checked, row.counterexamples) == (5, [])
+    assert len(calls) == 5
+
+
+def test_rows_leave_no_reference_cycles():
+    """Compiled orders, the t-subnorm generator and the t-norm enumerator
+    free what they built when it is dropped, without waiting for the
+    cycle collector (which a short sweep may never run)."""
+    import gc
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_suite(SuiteConfig(), only=["prop3.6", "prop13", "prop19",
+                                       "prop-intersection", "prop12",
+                                       "thm-uninorm-structure"])
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
