@@ -369,6 +369,24 @@ def case_carrier(case_id: str, domain) -> CarrierMonoid:
     return CarrierMonoid.from_connective(_CASES[case_id][2], domain)
 
 
+def _submonoid_verdict(mu, carrier, kind) -> PropertyReport:
+    """``check_fuzzy_submonoid`` in the verdict-only mode where it raises
+    as the full check does, for the builders below, which read only its
+    verdict. A table map with no value at a product is refused with
+    ``TotalityError``, not failed at a witness met first: on a closed
+    kernel every product is an element, valued before the loop; on an
+    open one ``mu`` is valued at each product of two elements first, and
+    an aggregation kind, whose products of three may leave those, or a
+    carrier without a kernel runs the full check."""
+    table = carrier.table
+    first = table is not None and (
+        table.closed or kind.tag is not SubstructureTag.A_SUBMONOID)
+    if first:
+        for p in table.vals[table.n:]:
+            mu(p)
+    return check_fuzzy_submonoid(mu, carrier, kind, first=first)
+
+
 def case_checker(case_id: str, conn: Connective, domain,
                  carrier: Optional[CarrierMonoid] = None) -> Callable:
     """The named characterization for the operator ``conn`` as a function
@@ -388,7 +406,7 @@ def case_checker(case_id: str, conn: Connective, domain,
     carrier = carrier or case_carrier(case_id, domain)
 
     def characterize(mu: FuzzySubset) -> PropertyReport:
-        lhs = check_fuzzy_submonoid(mu, carrier, kind, first=True).holds
+        lhs = _submonoid_verdict(mu, carrier, kind).holds
         rhs = closed_form(mu, conn, carrier)
         consistent = lhs == rhs if relation == "iff" else not lhs or rhs
         details = {
@@ -442,8 +460,7 @@ def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,
     witnesses = []
     member_verdicts = {}
     for member in family:
-        rep = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(member),
-                                    first=True)
+        rep = _submonoid_verdict(mu, carrier, u_submonoid_kind(member))
         member_verdicts[member.name] = rep.verdict.value
         if rep.holds:
             continue

@@ -446,8 +446,6 @@ def check_lattice_vague_strict_monotone(mu, lat: FiniteLattice,
 
 
 def check_lattice_vague_cancellation(mu, lat: FiniteLattice,
-                                     reading: str = "any-degree", *,
-                                     first: bool = False) -> PropertyReport:
+                                     reading: str = "any-degree") -> PropertyReport:
     return vague._cancellation(lat, None, mu, None, lat.elements, reading,
-                               "lattice-vague-cancellation", lat.to_json(),
-                               first)
+                               "lattice-vague-cancellation", lat.to_json())

@@ -221,7 +221,7 @@ def _vague_corpus_at(resolution: int) -> tuple:
 def _row_prop12(cfg):
     cases = ((f"{v.base.label}|{reading}",
               not check_vague_strict_monotone(v, reading, first=True).holds
-              or not check_vague_cancellation(v, reading, first=True).fails)
+              or not check_vague_cancellation(v, reading).fails)
              for v in _vague_corpus(cfg) for reading in READINGS)
     universe = "induced vague operators over the grid corpus, both premise readings"
     return _count("prop12", universe, cases)
@@ -236,8 +236,7 @@ def _row_prop15(cfg):
     cases = ((f"{t.name}|{reading}",
               not check_lattice_vague_strict_monotone(
                   mu, lat, reading, first=True).holds
-              or not check_lattice_vague_cancellation(
-                  mu, lat, reading, first=True).fails)
+              or not check_lattice_vague_cancellation(mu, lat, reading).fails)
              for t, mu in induced for reading in READINGS)
     universe = f"{len(pairs)} valid lattice equalities x 3-chain t-norms, both readings"
     return _count("prop15", universe, cases)

@@ -454,34 +454,29 @@ def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree", *,
         *on, reading, "vague-strict-monotonicity", v.to_json(), first))
 
 
-def _cancellation(order, t, deg, eq, carrier, reading, rid, dom,
-                  first) -> PropertyReport:
+def _cancellation(order, t, deg, eq, carrier, reading, rid,
+                  dom) -> PropertyReport:
     match = _degrees_match(order, reading)
+    witnesses = []
     instances = 0
-
-    def found():
-        nonlocal instances
-        for a in carrier:
-            for b in carrier:
-                for x in carrier:
-                    for c in carrier:
-                        da, db = deg[(a, x, c)], deg[(b, x, c)]
-                        if not match(da, db):
-                            continue
-                        instances += 1
-                        if a != b:
-                            yield Witness((a, b, x, c), (da, db))
-    witnesses = collect(found(), first)
+    for a in carrier:
+        for b in carrier:
+            for x in carrier:
+                for c in carrier:
+                    da, db = deg[(a, x, c)], deg[(b, x, c)]
+                    if not match(da, db):
+                        continue
+                    instances += 1
+                    if a != b:
+                        witnesses.append(Witness((a, b, x, c), (da, db)))
     return conclude(rid, dom, witnesses, 0, instances=instances,
                     details={"reading": reading})
 
 
-def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree", *,
-                             first: bool = False) -> PropertyReport:
-    """Matching degrees at (a,x,c) and (b,x,c) must force a = b;
-    ``first`` as in ``check_vague_strict_monotone``."""
+def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
+    """Matching degrees at (a,x,c) and (b,x,c) must force a = b."""
     return _on_degree_order(v.base, lambda *on: _cancellation(
-        *on, reading, "vague-cancellation", v.to_json(), first))
+        *on, reading, "vague-cancellation", v.to_json()))
 
 
 # --- vague groups over finite carriers ---

@@ -17,19 +17,18 @@ from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_P, T_L, T_M, T_P,
                                   construct_uninorm_max, construct_uninorm_min)
 from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
-                            check_fuzzy_property, check_fuzzy_subgroupoid,
-                            check_fuzzy_submonoid, u_submonoid_kind)
+                            characterize_special_cases, check_fuzzy_property,
+                            check_fuzzy_subgroupoid, check_fuzzy_submonoid,
+                            refute_uninorm_existence, u_submonoid_kind)
 from fuzznorm.errors import TotalityError
-from fuzznorm.lattice import (chain_lattice, check_lattice_vague_cancellation,
-                              check_lattice_vague_strict_monotone,
+from fuzznorm.lattice import (chain_lattice, check_lattice_vague_strict_monotone,
                               enumerate_lattice_equalities,
                               enumerate_lattice_tnorms,
                               induce_lattice_vague_tnorm)
-from fuzznorm.reports import FinitePoints
+from fuzznorm.reports import FinitePoints, GridDomain
 from fuzznorm.subsets import enumerate_table_subsets
 from fuzznorm.suite import ROWS, SuiteConfig
-from fuzznorm.vague import (READINGS, check_vague_cancellation,
-                            check_vague_strict_monotone)
+from fuzznorm.vague import READINGS, check_vague_strict_monotone
 
 HALF = Fraction(1, 2)
 
@@ -37,9 +36,8 @@ HALF = Fraction(1, 2)
 CHECKS = {
     suite_mod: ("check_fuzzy_property", "check_lattice_fuzzy_property",
                 "check_fuzzy_subgroupoid", "check_fuzzy_submonoid",
-                "check_vague_strict_monotone", "check_vague_cancellation",
-                "check_lattice_vague_strict_monotone",
-                "check_lattice_vague_cancellation"),
+                "check_vague_strict_monotone",
+                "check_lattice_vague_strict_monotone"),
     fuzzy_mod: ("check_fuzzy_submonoid",),
 }
 
@@ -82,12 +80,9 @@ def test_every_verdict_only_call_of_the_suite_matches_the_full_report(monkeypatc
         if sum(calls.values()) > before:
             used.append(row_id)
     assert tuple(used) == VERDICT_ONLY_ROWS
-    # every check was reached in the mode, on reports that fail and hold,
-    # but the vague cancellations: they are the conclusions of prop12 and
-    # prop15, whose premise holds on no case
+    # every check was reached in the mode, on reports that fail and hold
     reached = {name for name, _ in calls}
-    assert reached == {name for names in CHECKS.values() for name in names
-                       if not name.endswith("vague_cancellation")}
+    assert reached == {name for names in CHECKS.values() for name in names}
     assert calls["check_fuzzy_submonoid", True] > 0
     assert calls["check_fuzzy_submonoid", False] > 0
     assert calls["check_fuzzy_property", True] > 0
@@ -161,17 +156,32 @@ def test_verdict_only_matches_the_full_report_on_table_maps(tnorm, alphabet, pic
                             gate=gate)
 
 
+def test_the_report_builders_refuse_a_map_without_a_value_at_a_product():
+    """A table map with no value at a product of the carrier is refused
+    by the uninorm refutation and by a characterization case, as their
+    full submonoid checks refuse it, though the verdict-only check alone
+    meets a witness first."""
+    dom = GridDomain(2)
+    mu, = (m for m in enumerate_table_subsets(dom.points, (Fraction(0), Fraction(1)))
+           if [m(p) for p in dom.points] == [0, 1, 1])
+    umax = UNINORMS[1]
+    carrier = CarrierMonoid.from_connective(T_P, dom)  # 1/2 * 1/2 is off the grid
+    assert check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(umax),
+                                 first=True).fails
+    with pytest.raises(TotalityError):
+        refute_uninorm_existence(mu, T_P, [umax], dom)
+    with pytest.raises(TotalityError):
+        characterize_special_cases("prop19", mu, umax, dom, carrier)
+
+
 @pytest.mark.parametrize("reading", READINGS)
 def test_verdict_only_vague_reports(reading):
     """The vague corpus at grid 3 and the induced lattice operators of
-    prop15: both laws in both modes."""
+    prop15: strict monotonicity in both modes."""
     for v in suite_mod._vague_corpus(SuiteConfig(grid=3)):
-        for check in (check_vague_strict_monotone, check_vague_cancellation):
-            _both_modes(check, v, reading)
+        _both_modes(check_vague_strict_monotone, v, reading)
     lat = chain_lattice(3)
     for t in enumerate_lattice_tnorms(lat):
         for equality in enumerate_lattice_equalities(lat, t):
             mu = induce_lattice_vague_tnorm(equality, t)
-            for check in (check_lattice_vague_strict_monotone,
-                          check_lattice_vague_cancellation):
-                _both_modes(check, mu, lat, reading)
+            _both_modes(check_lattice_vague_strict_monotone, mu, lat, reading)
