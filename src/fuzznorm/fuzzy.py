@@ -381,9 +381,6 @@ def _submonoid_verdict(mu, carrier, kind) -> PropertyReport:
     table = carrier.table
     first = table is not None and (
         table.closed or kind.tag is not SubstructureTag.A_SUBMONOID)
-    if first:
-        for p in table.vals[table.n:]:
-            mu(p)
     return check_fuzzy_submonoid(mu, carrier, kind, first=first)
 
 

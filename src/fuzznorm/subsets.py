@@ -245,9 +245,9 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     straight to values. ``first`` keeps only the first witness
     (``reports.collect``); a witness found on ids is exact, so stopping
     there, before a clash is recorded, leaves the verdict as it is. A
-    map with no value at a product raises ``TotalityError`` when the
-    loop reaches that product, so with ``first`` a witness met earlier
-    makes a FAILS instead."""
+    map with no value at a product raises ``TotalityError``: before any
+    witness at a product of two served by ``table``, else when the loop
+    reaches it, so with ``first`` a witness met earlier makes a FAILS."""
     fn = getattr(mu, "fn", None)
     order = getattr(fn, "order", None)
     if (order is not None and table is not None and table.closed
@@ -273,19 +273,16 @@ def _closure_loop(mu, elems, op, combine, leq, arities, table,
     def found():
         for arity in arities:
             if arity == 2 and table is not None:
-                # mu at each product id, filled in loop order so a map that
-                # is not total fails at the same pair as the tuple loop
-                products = table.vals
+                # mu at each product id, up front: products take their ids
+                # in the pairs' row-major order, so a map that is not total
+                # is refused at the first product a pair reaches
                 at = ([vals[x] for x in elems]
-                      + [None] * (len(products) - len(elems)))
+                      + [mu(p) for p in table.vals[len(elems):]])
                 for i, x in enumerate(elems):
                     vx, row = at[i], table.table[i]
                     for j, y in enumerate(elems):
                         lhs = combine(vx, at[j])
-                        p = row[j]
-                        rhs = at[p]
-                        if rhs is None:
-                            rhs = at[p] = mu(products[p])
+                        rhs = at[row[j]]
                         if leq(lhs, rhs) is False:
                             yield Witness((x, y), (lhs, rhs))
             else:

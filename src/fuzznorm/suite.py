@@ -481,7 +481,7 @@ def run_suite(config: Optional[SuiteConfig] = None,
         # imported here: the process pool costs every serial run about
         # 2.5 MB of resident memory and its import time
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(selected))) as pool:
             results = list(pool.map(_run_row, selected,
                                     itertools.repeat(config)))
     else:

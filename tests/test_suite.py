@@ -66,6 +66,36 @@ def test_parallel_rows_match_serial():
     assert dumps(serial.to_json()) == dumps(parallel.to_json())
 
 
+def test_jobs_above_the_row_count_start_one_worker_a_row(monkeypatch):
+    """A pool asked for more workers than rows would start every one of
+    them up front; run_suite asks for at most one a selected row. The
+    stand-in pool maps in this process and starts none."""
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    only = ["prop-vague-group-cancellation", "example-L22-uninorm",
+            "example-L22-nullnorm"]
+    for jobs, workers in ((5000, 3), (3, 3), (2, 2)):
+        result = run_suite(SuiteConfig(), only=only, jobs=jobs)
+        assert asked.pop() == workers
+        assert [r.row_id for r in result.rows] == only
+    assert asked == []
+
+
 def test_json_omits_wall_clock():
     row = RowResult("x", "u", 1, [], elapsed=1.25)
     assert "elapsed" not in row.to_json()

@@ -16,7 +16,8 @@ import fuzznorm.suite as suite_mod
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_P, T_L, T_M, T_P,
                                   construct_uninorm_max, construct_uninorm_min)
-from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, a_submonoid_kind,
+from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, SubstructureTag,
+                            a_submonoid_kind,
                             characterize_special_cases, check_fuzzy_property,
                             check_fuzzy_subgroupoid, check_fuzzy_submonoid,
                             refute_uninorm_existence, u_submonoid_kind)
@@ -117,15 +118,21 @@ def _outcome(check, *args, **kwargs):
 
 
 def _both_modes(check, *args, **kwargs):
-    """``check`` in the verdict-only mode, then in full. A map with no
-    value at a product the loop reaches is refused in full; the
-    verdict-only mode refuses it too, unless a witness comes first."""
+    """``check`` in the verdict-only mode, then in full, both outcomes
+    returned. A map with no value at a product the loop reaches is
+    refused in full; the verdict-only mode refuses it too, unless a
+    witness comes first."""
     fast = _outcome(check, *args, first=True, **kwargs)
     full = _outcome(check, *args, **kwargs)
     if isinstance(full, TotalityError):
         assert isinstance(fast, TotalityError) or fast.fails
     else:
         _same_verdict_and_first_witness(fast, full)
+    return fast, full
+
+
+def _refused_alike(fast, full):
+    assert isinstance(fast, TotalityError) == isinstance(full, TotalityError)
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,33 +148,42 @@ def test_verdict_only_matches_the_full_report_on_table_maps(tnorm, alphabet, pic
     the min aggregation (arities 2 and 3) and the prop19 uninorm
     combiners, whose values leave the alphabet, and the three pair
     properties with and without their gate. The product leaves the
-    carrier, so its table maps are not total."""
+    carrier, so its table maps are not total: the pair closure loops and
+    the gate refuse them before any witness, in either mode."""
     dom = FinitePoints(POINTS)
     carrier = CarrierMonoid.from_connective(tnorm, dom)
     maps = list(enumerate_table_subsets(POINTS, alphabet))
     for mu in (maps[k % len(maps)] for k in picks):
         for kind in KINDS:
-            _both_modes(check_fuzzy_submonoid, mu, carrier, kind)
-        _both_modes(check_fuzzy_subgroupoid, mu, carrier)
+            outcomes = _both_modes(check_fuzzy_submonoid, mu, carrier, kind)
+            if kind.tag is not SubstructureTag.A_SUBMONOID:
+                _refused_alike(*outcomes)
+        _refused_alike(*_both_modes(check_fuzzy_subgroupoid, mu, carrier))
         for prop in (FuzzyProp.FSTRICT, FuzzyProp.FCANCEL,
                      FuzzyProp.FCONDCANCEL):
             for gate in (True, False):
-                _both_modes(check_fuzzy_property, mu, tnorm, prop, dom,
-                            gate=gate)
+                outcomes = _both_modes(check_fuzzy_property, mu, tnorm, prop,
+                                       dom, gate=gate)
+                if gate:
+                    _refused_alike(*outcomes)
 
 
 def test_the_report_builders_refuse_a_map_without_a_value_at_a_product():
     """A table map with no value at a product of the carrier is refused
     by the uninorm refutation and by a characterization case, as their
-    full submonoid checks refuse it, though the verdict-only check alone
-    meets a witness first."""
+    full submonoid checks refuse it: the closure loop values the map at
+    every product before the witness it meets first, so the verdict-only
+    check refuses it too."""
     dom = GridDomain(2)
     mu, = (m for m in enumerate_table_subsets(dom.points, (Fraction(0), Fraction(1)))
            if [m(p) for p in dom.points] == [0, 1, 1])
     umax = UNINORMS[1]
     carrier = CarrierMonoid.from_connective(T_P, dom)  # 1/2 * 1/2 is off the grid
-    assert check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(umax),
-                                 first=True).fails
+    assert umax(mu(0), mu(HALF)) > mu(T_P(0, HALF))  # the pair before 1/2 * 1/2
+    for first in (True, False):
+        with pytest.raises(TotalityError):
+            check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(umax),
+                                  first=first)
     with pytest.raises(TotalityError):
         refute_uninorm_existence(mu, T_P, [umax], dom)
     with pytest.raises(TotalityError):
