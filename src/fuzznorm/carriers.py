@@ -28,7 +28,7 @@ class CarrierMonoid:
     op: Callable
     identity: object
     # op over elements as a kernel.Kernel; None for table carriers and
-    # float-valued connectives
+    # connectives with a value that has no id
     table: Optional[kernel.Kernel] = field(default=None, compare=False,
                                            repr=False)
 

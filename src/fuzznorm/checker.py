@@ -2,9 +2,7 @@
 
 All quantifiers run exhaustively over the supplied domain. Verdicts
 are domain-qualified; a FAILS report always carries witnesses that
-re-evaluate to violations of the defining inequality. Strict
-comparisons in float mode can be undecidable within tolerance, in
-which case the affected instances are reported VACUOUS.
+re-evaluate to violations of the defining inequality.
 
 Each operator axiom (commutativity, associativity, monotonicity in both
 arguments, the identity and absorber laws) is implemented once, as the
@@ -28,10 +26,8 @@ from . import kernel
 from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
-                      Witness, certifying_eq, collect, combine, conclude,
-                      decide)
-from .scalars import (FLOAT_TOL, ONE, UNIT_INTERVAL, ZERO, _equal3, eq3,
-                      eq_approx, format_scalar, le3)
+                      Witness, collect, combine, conclude, decide)
+from .scalars import ONE, UNIT_INTERVAL, ZERO, format_scalar
 from .subsets import MU_COMPLEMENT, MU_ID
 
 
@@ -95,7 +91,7 @@ def _search_identity(op, pts, same):
 
 def _uninorm_identity(order, op, pts, e, rid, dom):
     if e is not None:
-        return decide(rid, dom, certifying_eq(order), _identity(op, pts, e),
+        return decide(rid, dom, order.same, _identity(op, pts, e),
                       details={"identity": format_scalar(e)})
     # no declared identity: search the grid for one
     e = _search_identity(op, pts, order.same)
@@ -114,7 +110,7 @@ def _role_axioms(order, op, at, conn, pts, dom) -> PropertyReport:
     names (a bound, the identity, the absorber) into an order element."""
     role = conn.role
     p = _AXIOM_PREFIX[role]
-    eq = certifying_eq(order)
+    eq = order.same
     children = [
         decide(f"{p}1:commutativity", dom, eq, _commutativity(op, pts)),
         decide(f"{p}2:associativity", dom, eq, _associativity(op, pts)),
@@ -143,7 +139,7 @@ def _aggregation_axioms(conn, pts, dom) -> PropertyReport:
     children = [
         decide("A1:monotonicity", dom, UNIT_INTERVAL.leq,
                 _monotonicity(UNIT_INTERVAL, conn, pts)),
-        decide("A2:boundary", dom, certifying_eq(UNIT_INTERVAL), boundary),
+        decide("A2:boundary", dom, UNIT_INTERVAL.same, boundary),
     ]
     return combine(f"axioms:{conn.role.value}", children, dom,
                    details={"operator": conn.name})
@@ -154,10 +150,9 @@ def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
 
     Associativity runs over every triple of domain points; intermediate
     values may leave the grid, which is fine because evaluation stays
-    exact for rational-valued operators. Exact operators run the axiom
-    cores on their compiled ``kernel.Kernel``; float-valued ones,
-    including one that turns float off the grid, run them on
-    ``UNIT_INTERVAL`` with the operator itself.
+    exact. The axiom cores run on the operator's compiled
+    ``kernel.Kernel``, or on ``UNIT_INTERVAL`` with the operator itself
+    when a value has no id (an int where an equal ``Fraction`` has one).
     """
     pts = domain.points
     dom = domain.to_json()
@@ -193,7 +188,7 @@ def _power_trajectory(conn, x, cap):
         if n == cap:
             break
         nxt = conn(cur, x)
-        if eq3(nxt, cur) is True:
+        if nxt == cur:
             stationary = cur
             break
         cur = nxt
@@ -218,11 +213,11 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
     first witness (``reports.collect``), their counts then partial.
     """
     lt, leq, same = order.lt, order.leq, order.same
-    witnesses, undecided, inconclusive, incomparable = [], 0, 0, 0
+    witnesses, inconclusive, incomparable = [], 0, 0
     details = dict(details)
 
     def apart(a, b):
-        return leq(a, b) is False and leq(b, a) is False
+        return not leq(a, b) and not leq(b, a)
 
     def rows(firsts):
         # mu(x o p) for every point p, once per x
@@ -239,14 +234,11 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
                 ordered.append((j, i))
 
         def found():
-            nonlocal undecided, incomparable
+            nonlocal incomparable
             for x, row in rows(xs):
                 for i, j in ordered:
                     vy, vz = row[i], row[j]
-                    r = lt(vz, vy)  # reversed: mu(T(x,y)) > mu(T(x,z))
-                    if r is None:
-                        undecided += 1
-                    elif not r:
+                    if not lt(vz, vy):  # reversed: mu(T(x,y)) > mu(T(x,z))
                         incomparable += apart(vy, vz)
                         yield Witness((x, pts[i], pts[j]), (vy, vz))
         witnesses = collect(found(), first)
@@ -265,24 +257,15 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
         strong_violations = 0
 
         def found():
-            nonlocal undecided, strong_violations
+            nonlocal strong_violations
             for x, row in rows(pts):
                 for i, j in pairs:
                     vy = row[i]
-                    if not same(vy, row[j]):
-                        continue
-                    r = lt(mu0, vy)
-                    if r is None:
-                        undecided += 1
-                        continue
-                    if not r:
+                    if not (same(vy, row[j]) and lt(mu0, vy)):
                         continue
                     strong_violations += 1  # stronger reading concludes y = z
                     my, mz = mu(pts[i]), mu(pts[j])
-                    c = _equal3(leq, my, mz)
-                    if c is None:
-                        undecided += 1
-                    elif not c:
+                    if not same(my, mz):
                         yield Witness((x, pts[i], pts[j]), (vy, my, mz))
         witnesses = collect(found(), first)
         instances = n * len(pairs)
@@ -295,13 +278,9 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
             traj, stationary = _power_trajectory(op, x, cap)
             for y in xs:
                 target = mu(y)
-                for k, value in traj:
-                    r = lt(mu(value), target)
-                    if r is not False:
-                        break
-                if r is None:
-                    undecided += 1
-                elif r:
+                # the first power below the target; powers start at 1
+                k = next((k for k, v in traj if lt(mu(v), target)), 0)
+                if k:
                     max_witness_n = max(max_witness_n, k)
                 elif stationary is None:
                     inconclusive += 1
@@ -321,21 +300,15 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
         convergence = {}
 
         def near(v):
-            # within epsilon of the target: a budget rule, compared
-            # plainly; a float value is compared at the float tolerance
-            diff = abs(mu(v) - mu0)
-            return diff < (FLOAT_TOL if isinstance(diff, float) else budget.epsilon)
+            # within epsilon of the target: a budget rule
+            return abs(mu(v) - mu0) < budget.epsilon
 
         for x in xs:
             traj, stationary = _power_trajectory(op, x, cap)
             if stationary is not None:
-                r = _equal3(leq, mu(stationary), mu0)
-                if r is None:
-                    undecided += 1
-                elif not r:
+                if not same(mu(stationary), mu0):
                     witnesses.append(
                         Witness((x,), (stationary, mu(stationary), mu0)))
-                if not r:
                     continue
             elif budget:
                 # cap reached with the trajectory still moving: accept the
@@ -361,7 +334,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
 
     if incomparable:
         details["incomparable_outcomes"] = incomparable
-    return conclude(rid, dom, witnesses, undecided, inconclusive=inconclusive,
+    return conclude(rid, dom, witnesses, inconclusive=inconclusive,
                     instances=instances,
                     budget=budget.to_json() if budget else None, details=details)
 
@@ -458,18 +431,17 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
         raise DomainError(f"classify expects a uninorm-like operator, got {conn.name}")
     pts = domain.points
     v10 = conn(ONE, ZERO)
-    conjunctive = eq_approx(v10, ZERO)
-    disjunctive = eq_approx(v10, ONE)
+    conjunctive = v10 == ZERO
+    disjunctive = v10 == ONE
     locally_internal = None
     if conjunctive or disjunctive:  # locally internal: U(a, x) is a or x
         a = ONE if conjunctive else ZERO
-        locally_internal = all(eq_approx(conn(a, x), a) or eq_approx(conn(a, x), x)
-                               for x in pts)
-    idempotent = all(eq_approx(conn(x, x), x) for x in pts)
+        locally_internal = all(conn(a, x) in (a, x) for x in pts)
+    idempotent = all(conn(x, x) == x for x in pts)
 
     e = conn.identity
     if e is None:
-        e = _search_identity(conn, pts, eq_approx)
+        e = _search_identity(conn, pts, UNIT_INTERVAL.same)
     witnesses = []
     behavior_min = behavior_max = True
     mixed_pairs = 0
@@ -481,12 +453,10 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
                     continue
                 mixed_pairs += 1
                 v = conn(x, y)
-                if not (le3(lo, v) is True and le3(v, hi) is True):
+                if not lo <= v <= hi:
                     witnesses.append(Witness((x, y), (v,)))
-                if not eq_approx(v, lo):
-                    behavior_min = False
-                if not eq_approx(v, hi):
-                    behavior_max = False
+                behavior_min &= v == lo
+                behavior_max &= v == hi
     if mixed_pairs == 0:
         mixed = "empty"
     elif behavior_min and not behavior_max:
@@ -506,5 +476,5 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
         "mixed_region": mixed,
         "identity": None if e is None else format_scalar(e),
     }
-    return conclude("uninorm-classification", domain.to_json(), witnesses, 0,
+    return conclude("uninorm-classification", domain.to_json(), witnesses,
                     instances=max(mixed_pairs, 1), details=details)

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .errors import DegenerateParameterError, DomainError, UnknownOperatorError
-from .scalars import ONE, ZERO, Scalar, unit
+from .scalars import ONE, ZERO, Scalar, exact, unit
 
 
 class Role(Enum):
@@ -40,7 +40,8 @@ class Connective:
 
     ``identity`` and ``absorber`` are claims; the checker engine
     validates them rather than assuming them. ``fn`` is binary for all
-    roles except AGGREGATION, which is variadic.
+    roles except AGGREGATION, which is variadic; a float it returns is
+    read as the rational it is (``scalars.exact``).
     """
 
     name: str
@@ -50,7 +51,7 @@ class Connective:
     absorber: Optional[Fraction] = None
 
     def __call__(self, *args: Scalar) -> Scalar:
-        return self.fn(*args)
+        return exact(self.fn(*args))
 
     @property
     def short_name(self) -> str:

@@ -24,8 +24,7 @@ from .connectives import (S_M, T_M, Connective, Role, construct_uninorm_max,
 from .errors import BudgetExceededError, DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       conclude)
-from .scalars import (ONE, UNIT_INTERVAL, ZERO, eq_approx, format_scalar,
-                      le_approx)
+from .scalars import ONE, UNIT_INTERVAL, ZERO, format_scalar
 from .subsets import FuzzySubset, _closure_witnesses, _identity_witnesses
 
 
@@ -122,7 +121,7 @@ def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid, *,
     mode: the report keeps only the first witness."""
     witnesses, instances = _closure(mu, carrier, KIND_SUBGROUPOID, first)
     return conclude(SubstructureTag.SUBGROUPOID.value, carrier.to_json(),
-                    witnesses, 0, instances=instances, details={"mu": mu.name})
+                    witnesses, instances=instances, details={"mu": mu.name})
 
 
 def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
@@ -138,9 +137,8 @@ def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
     details = {"mu": mu.name, "identity_condition": not missed}
     if kind.combiner is not None:
         details["combiner"] = kind.combiner.name
-    return conclude(kind.tag.value, carrier.to_json(), witnesses, 0,
-                    instances=instances + 1,
-                    details=details)
+    return conclude(kind.tag.value, carrier.to_json(), witnesses,
+                    instances=instances + 1, details=details)
 
 
 def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
@@ -149,10 +147,10 @@ def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
     for a in group.elements:
         va = mu(a)
         vi = mu(group.inverse[a])
-        if not le_approx(va, vi):
+        if not va <= vi:
             witnesses.append(Witness((a, group.inverse[a]), (va, vi)))
     return conclude(SubstructureTag.SUBGROUP.value, group.to_json(),
-                    witnesses, 0, instances=instances + len(group.elements),
+                    witnesses, instances=instances + len(group.elements),
                     details={"mu": mu.name})
 
 
@@ -216,7 +214,7 @@ def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
     pts = domain.points
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            if le_approx(mu(x), mu(y)):
+            if mu(x) <= mu(y):
                 return PropertyReport(
                     "not-strictly-decreasing", Verdict.HOLDS, dom,
                     witnesses=[Witness((x, y), (mu(x), mu(y)))],
@@ -229,7 +227,7 @@ def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
 
 def extract_core(mu: FuzzySubset, carrier: CarrierMonoid) -> tuple:
     """Elements with full membership, in carrier order."""
-    return tuple(x for x in carrier.elements if eq_approx(mu(x), ONE))
+    return tuple(x for x in carrier.elements if mu(x) == ONE)
 
 
 def core_is_submonoid(core: tuple, carrier: CarrierMonoid) -> bool:
@@ -253,7 +251,7 @@ def check_discrete_subalgebra(points: Sequence, conn: Connective) -> PropertyRep
                 witnesses.append(Witness((x, y), (v,)))
     dom = {"kind": "finite", "size": len(pts),
            "points": [format_scalar(p) for p in pts]}
-    return conclude("discrete-subalgebra", dom, witnesses, 0,
+    return conclude("discrete-subalgebra", dom, witnesses,
                     instances=len(pts) ** 2, details={"operator": conn.name})
 
 
@@ -270,7 +268,7 @@ def _validate_min_aggregation(conn, domain):
 
 
 def _validate_disjunctive(conn, domain):
-    if conn.role is not Role.UNINORM or not eq_approx(conn(ZERO, ONE), ONE):
+    if conn.role is not Role.UNINORM or conn(ZERO, ONE) != ONE:
         raise DomainError("this case needs a disjunctive uninorm")
 
 
@@ -310,16 +308,16 @@ def _validate_fm_shape(conn, domain):
 # closed-form right sides: (mu, operator, carrier) -> bool
 
 def _full_at(p):
-    return lambda mu, conn, carrier: eq_approx(mu(p), ONE)
+    return lambda mu, conn, carrier: mu(p) == ONE
 
 
 def _all_full(mu, conn, carrier):
-    return all(eq_approx(mu(x), ONE) for x in carrier.elements)
+    return all(mu(x) == ONE for x in carrier.elements)
 
 
 def _above_absorber(mu, conn, carrier):
     k = _absorber(conn)
-    return all(le_approx(k, mu(x)) for x in carrier.elements)
+    return all(k <= mu(x) for x in carrier.elements)
 
 
 def _rhs_prop25(p):
@@ -329,12 +327,12 @@ def _rhs_prop25(p):
 
 def _rhs_prop20(mu, conn, carrier):
     e = conn.identity
-    if not eq_approx(mu(ONE), ONE):
+    if mu(ONE) != ONE:
         return False
-    region = [x for x in carrier.elements if le_approx(e, mu(x))]
+    region = [x for x in carrier.elements if e <= mu(x)]
     for i, x in enumerate(region):
         for y in region[i + 1:]:
-            if not le_approx(mu(y), mu(x)):  # non-increasing on the region
+            if not mu(y) <= mu(x):  # non-increasing on the region
                 return False
     return True
 
@@ -469,7 +467,7 @@ def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,
         for x, y in candidates:
             lhs = member(mu(x), mu(y))
             rhs = mu(carrier_conn(x, y))
-            if not le_approx(lhs, rhs):
+            if not lhs <= rhs:
                 witnesses.append(Witness((member.name, x, y), (lhs, rhs)))
                 break
     passing = [name for name, v in member_verdicts.items()

@@ -25,15 +25,14 @@ A report goes back to values through ``values_of`` (a list of witnesses
 through ``witness_values``), and ``on_ids`` runs a check on an order
 with that translation.
 
-Only exact values (``Fraction`` or ``int``) get ids, and an id keeps the
-type it was first seen with, so ``vals[id]`` prints as the value it
-stands for. A float would make id equality stricter than the tolerance
-comparisons of the reference path, so compilation returns ``None`` when
-a point or a compiled value is a float (or an int where an equal
-``Fraction`` already has the id), and callers run the tolerance path
-unchanged. Such a value met later, by a lifted function, raises
-``NotCompilable`` for the caller to do the same. State lives in the
-object a caller creates; there is no module-level cache.
+Only ``Fraction`` and ``int`` values get ids, and an id keeps the type
+it was first seen with, so ``vals[id]`` prints as the value it stands
+for. Compilation returns ``None`` when a point is listed twice or a
+point or a compiled value has no id (a float letter of an alphabet, or
+an int where an equal ``Fraction`` already has the id), and callers run
+the same cores on values instead. Such a value met later, by a lifted
+function, raises ``NotCompilable`` for the caller to do the same. State
+lives in the object a caller creates; there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ _EXACT = (Fraction, int)
 
 
 class NotCompilable(Exception):
-    """A value has no exact id; the caller must use the reference path."""
+    """A value has no id; the caller must use the reference path."""
 
 
 def _intern(vals: list, ids: dict, v) -> int:
@@ -133,7 +132,7 @@ class Kernel(IdOrder):
 
 def compile_operator(fn: Callable, points: Sequence) -> Optional[Kernel]:
     """The operator's value-id table over ``points``, or None when a
-    point or a value is not exact."""
+    point or a value has no id."""
     try:
         return Kernel(fn, points)
     except NotCompilable:
@@ -144,7 +143,7 @@ def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
                     eq: Callable) -> Optional[IdOrder]:
     """The degree order of the mapping ``degrees`` keyed by carrier
     triples, with conjunction ``tnorm`` and equality ``eq``, or None when
-    a carrier point or a degree is not exact.
+    a carrier point or a degree has no id.
 
     Carrier point ``i`` has id ``i`` (``points`` is
     ``range(len(carrier))``) and a degree the next free id, also one the
@@ -166,7 +165,7 @@ def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
 
 
 def compile_alphabet(alphabet: Sequence) -> Optional[IdOrder]:
-    """The alphabet's order on ids, or None when a letter is not exact.
+    """The alphabet's order on ids, or None when a letter has no id.
 
     ``letters[k]`` is the id of ``alphabet[k]`` (a letter listed twice
     has one id); any other degree takes the next free id when a lifted
@@ -185,11 +184,11 @@ def compile_alphabet(alphabet: Sequence) -> Optional[IdOrder]:
 def on_ids(order, run: Callable, fallback: Callable) -> PropertyReport:
     """``run(order)`` with its ids turned back into values, or
     ``fallback()`` when there is no compiled order or the run meets a
-    value without an exact id."""
+    value without an id."""
     if order is not None:
         try:
             return values_of(run(order), order.vals)
-        except NotCompilable:  # a float the loops reached
+        except NotCompilable:  # a value the loops reached
             pass
     return fallback()
 

@@ -21,8 +21,7 @@ from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      InputFormatError, UnboundedPosetError, read_entries,
                      read_json_object, read_name)
-from .reports import (PropertyReport, certifying_eq, combine, conclude,
-                      decide)
+from .reports import PropertyReport, combine, conclude, decide
 from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
                       _identity_witnesses, _TableFn, enumerate_table_subsets)
 
@@ -227,7 +226,7 @@ def check_lattice_tnorm(cand, lat: FiniteLattice) -> PropertyReport:
     def op(x, y):
         return table[(x, y)]
 
-    eq = certifying_eq(lat)
+    eq = lat.same
     children = [
         decide("L1:monotonicity", dom, lat.leq,
                checker._monotonicity(lat, op, elems)),
@@ -346,7 +345,7 @@ def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyRep
     lat = t.lattice
     witnesses = (_closure_witnesses(mu, lat.elements, t, lat.meet, lat.leq)
                  + _identity_witnesses(mu, lat.top, lat.same, lat.top))
-    return conclude("lattice-fuzzy-t-subnorm", lat.to_json(), witnesses, 0,
+    return conclude("lattice-fuzzy-t-subnorm", lat.to_json(), witnesses,
                     instances=len(lat.elements) ** 2 + 1,
                     details={"mu": mu.name, "tnorm": t.name})
 

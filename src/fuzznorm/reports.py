@@ -4,8 +4,8 @@ Every check in the package returns a ``PropertyReport``. A HOLDS
 verdict is always domain-qualified: it asserts the property on the
 exact finite domain recorded in the report, never on the continuum.
 FAILS verdicts carry witnesses that re-evaluate to violations; VACUOUS
-covers budget-limited or undecidable outcomes. Reports serialize to a
-stable JSON shape and a human-readable text form.
+covers budget-limited outcomes and empty quantifications. Reports
+serialize to a stable JSON shape and a human-readable text form.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
-from .scalars import ONE, ZERO, _equal3, format_scalar, format_scalar_text
+from .scalars import ONE, ZERO, format_scalar, format_scalar_text
 
 
 class Verdict(Enum):
@@ -226,27 +226,23 @@ class PropertyReport:
         return "\n".join(lines)
 
 
-def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
-             undecided: int = 0, *, inconclusive: int = 0,
-             instances: Optional[int] = None, budget: Optional[dict] = None,
+def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness], *,
+             inconclusive: int = 0, instances: Optional[int] = None,
+             budget: Optional[dict] = None,
              details: Optional[dict] = None) -> PropertyReport:
     """Standard verdict assembly.
 
-    Witnesses mean FAILS. Otherwise the verdict is VACUOUS when float
-    comparisons were undecidable within tolerance, when a search budget
-    ran out before a decision, or when the quantification was empty;
-    each source carries its own tag. Anything else HOLDS on the domain.
+    Witnesses mean FAILS. Otherwise the verdict is VACUOUS when a search
+    budget ran out before a decision or when the quantification was
+    empty; each source carries its own tag. Anything else HOLDS on the
+    domain.
     """
-    details = dict(details or {})
     extra_tags = []
-    if undecided > 0:
-        extra_tags.append("float-tolerance-undecidable")
-        details["undecided_instances"] = undecided
     if inconclusive > 0:
         extra_tags.append("budget-exhausted")
     if witnesses:
         verdict = Verdict.FAILS
-    elif undecided > 0 or inconclusive > 0:
+    elif inconclusive > 0:
         verdict = Verdict.VACUOUS
     elif instances == 0:
         verdict = Verdict.VACUOUS
@@ -254,7 +250,8 @@ def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness],
     else:
         verdict = Verdict.HOLDS
     return PropertyReport(property_id, verdict, domain, list(witnesses),
-                          dict(budget or {}), tuple(extra_tags), details)
+                          dict(budget or {}), tuple(extra_tags),
+                          dict(details or {}))
 
 
 def collect(witnesses: Iterable[Witness], first: bool = False) -> list:
@@ -265,34 +262,24 @@ def collect(witnesses: Iterable[Witness], first: bool = False) -> list:
 
 
 def witnesses_of(holds, cases):
-    """The witnesses, undecided count and case count of ``(inputs, lhs, rhs)``
-    cases under ``holds(lhs, rhs)``: False makes a witness, None (inside the
-    float band) an undecided case; ``holds`` is reflexive, so equal sides hold."""
-    witnesses, undecided, count = [], 0, 0
+    """The witnesses and case count of ``(inputs, lhs, rhs)`` cases under
+    ``holds(lhs, rhs)``: a case where it is False makes a witness; ``holds``
+    is reflexive, so equal sides hold without a call."""
+    witnesses, count = [], 0
     for count, (inputs, lhs, rhs) in enumerate(cases, 1):
-        if lhs == rhs:
-            continue
-        r = holds(lhs, rhs)
-        if r is None:
-            undecided += 1
-        elif not r:
+        if lhs != rhs and not holds(lhs, rhs):
             witnesses.append(Witness(inputs, (lhs, rhs)))
-    return witnesses, undecided, count
+    return witnesses, count
 
 
 def decide(property_id: str, domain: dict, holds, cases, instances=None,
            details=None) -> PropertyReport:
     """``conclude`` on ``witnesses_of(holds, cases)``; a stream that leaves out
     tuples holding at the bottom degree passes the full count as ``instances``."""
-    witnesses, undecided, count = witnesses_of(holds, cases)
-    return conclude(property_id, domain, witnesses, undecided,
+    witnesses, count = witnesses_of(holds, cases)
+    return conclude(property_id, domain, witnesses,
                     instances=count if instances is None else instances,
                     details=details)
-
-
-def certifying_eq(order):
-    """Certifying equality in ``order``: None inside the float band."""
-    return partial(_equal3, order.leq)
 
 
 def combine(property_id: str, children: Sequence[PropertyReport], domain: dict,

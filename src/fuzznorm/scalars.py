@@ -1,26 +1,23 @@
-"""Exact unit-interval scalars and tolerance-aware comparisons.
+"""Exact unit-interval scalars.
 
-Grid evaluation runs on ``fractions.Fraction`` end to end, so order and
-equality checks on the builtin operators are bit-exact and need no
-tolerance tuning. User-supplied closed-form operators may return
-floats; every comparison that touches a float falls back to an absolute
-tolerance, and certifying comparisons that land inside the tolerance
-band return ``None`` (undecidable) so callers can report the instance
-as VACUOUS instead of guessing.
+Every value a check compares is an exact ``fractions.Fraction`` (or an
+int), so order and equality are two-valued and need no tolerance. A
+float is read as a rational in one of two ways, each at the place it
+enters: ``unit`` reads a typed value (a parameter, a table entry) by its
+shortest decimal, and ``exact`` reads a value a user callable computed
+by its binary value, which ``Fraction`` of a float is exactly.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-#: Absolute tolerance used whenever a float enters a comparison.
-FLOAT_TOL = 1e-9
 
 
 def unit(value: Union[Fraction, int, str, float]) -> Fraction:
@@ -45,6 +42,12 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+def exact(v):
+    """A value a user callable returned, as the check compares it: a
+    float as the rational it is, anything else unchanged."""
+    return Fraction(v) if isinstance(v, float) else v
+
+
 def parse_label(value):
     """A label read from a file: an exact rational when it reads as one,
     else its text."""
@@ -54,81 +57,18 @@ def parse_label(value):
         return str(value)
 
 
-def eq_approx(a: Scalar, b: Scalar) -> bool:
-    """Equality for premise matching: within-tolerance counts as equal."""
-    if isinstance(a, float) or isinstance(b, float):
-        return abs(float(a) - float(b)) <= FLOAT_TOL
-    return a == b
-
-
-def le_approx(a: Scalar, b: Scalar) -> bool:
-    """Non-strict order for premise matching."""
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) <= float(b) + FLOAT_TOL
-    return a <= b
-
-
-def eq3(a: Scalar, b: Scalar) -> Optional[bool]:
-    """Certifying equality: None when floats differ by at most ``FLOAT_TOL``
-    without being bit-identical."""
-    if isinstance(a, float) or isinstance(b, float):
-        fa, fb = float(a), float(b)
-        if fa == fb:
-            return True
-        if abs(fa - fb) > FLOAT_TOL:
-            return False
-        return None
-    return a == b
-
-
-def le3(a: Scalar, b: Scalar) -> Optional[bool]:
-    """Certifying non-strict order; None inside the float tolerance band."""
-    if isinstance(a, float) or isinstance(b, float):
-        fa, fb = float(a), float(b)
-        if fa <= fb:
-            return True
-        if fa > fb + FLOAT_TOL:
-            return False
-        return None
-    return a <= b
-
-
-def lt3(a: Scalar, b: Scalar) -> Optional[bool]:
-    """Certifying strict order; None inside the float tolerance band."""
-    if isinstance(a, float) or isinstance(b, float):
-        fa, fb = float(a), float(b)
-        if fa < fb - FLOAT_TOL:
-            return True
-        if fa > fb + FLOAT_TOL:
-            return False
-        return None
-    return a < b
-
-
-def _equal3(leq, a, b):
-    """Certifying degree equality from a three-valued order: None when
-    neither order refutes it but one cannot certify it."""
-    if a == b:
-        return True
-    ab, ba = leq(a, b), leq(b, a)
-    if ab is False or ba is False:
-        return False
-    return True if ab and ba else None
-
-
 class UnitInterval:
     """[0, 1] as a degree order; ``FiniteLattice`` offers the same six
-    members. ``leq`` and ``lt`` certify (``None`` inside the float band)
-    and order points and degrees alike; ``same`` matches premises within
-    the tolerance; ``meet`` is min."""
+    members. ``leq``, ``lt`` and ``same`` are the exact comparisons and
+    order points and degrees alike; ``meet`` is min."""
 
     # int bounds compare equal to ZERO and ONE and keep Fraction.__eq__
     # on its int fast path in the pruning tests
     bottom = 0
     top = 1
-    leq = staticmethod(le3)
-    same = staticmethod(eq_approx)
-    lt = staticmethod(lt3)
+    leq = staticmethod(operator.le)
+    same = staticmethod(operator.eq)
+    lt = staticmethod(operator.lt)
     meet = staticmethod(min)
 
 
@@ -136,16 +76,12 @@ UNIT_INTERVAL = UnitInterval()
 
 
 def format_scalar(v: Scalar) -> str:
-    """Canonical report form: 'p/q' for rationals, repr for floats."""
-    if isinstance(v, float):
-        return repr(v)
+    """Canonical report form: 'p/q' for rationals."""
     return str(v)
 
 
 def format_scalar_text(v) -> str:
     """Decimal form when it terminates, else 'p/q' (text reports only)."""
-    if isinstance(v, float):
-        return repr(v)
     if not isinstance(v, Fraction):
         return str(v)
     den = v.denominator

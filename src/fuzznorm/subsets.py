@@ -25,7 +25,7 @@ from . import kernel
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
                      read_entries, read_json_object, read_name)
 from .reports import Witness, collect
-from .scalars import (ONE, ZERO, Scalar, format_scalar, parse_label,
+from .scalars import (ONE, ZERO, Scalar, exact, format_scalar, parse_label,
                       parse_rational, unit)
 
 
@@ -35,7 +35,7 @@ class FuzzySubset:
     fn: Callable[[object], Scalar]
 
     def __call__(self, x) -> Scalar:
-        return self.fn(x)
+        return exact(self.fn(x))
 
 
 def _id_fn(x):
@@ -112,10 +112,9 @@ def indicator_subset(members: Iterable) -> FuzzySubset:
 
 
 def table_subset(entries: Mapping, name: str = "") -> FuzzySubset:
-    clean = {}
-    for key, value in entries.items():
-        v = value if isinstance(value, (Fraction, float)) else unit(value)
-        clean[key] = v
+    """The table map of ``entries``, each value read by ``unit``, which
+    refuses one outside [0, 1]."""
+    clean = {key: unit(value) for key, value in entries.items()}
     if not name:
         body = ",".join(f"{format_scalar(k)}:{format_scalar(v)}"
                         for k, v in sorted(clean.items(), key=lambda kv: str(kv[0])))
@@ -235,12 +234,12 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     """The closure condition of a fuzzy submonoid: a witness for every
     tuple of ``elems`` where ``leq(combine(mu x, ..), mu(x o ..))`` is
     False. ``combine`` is the order's meet or a combiner replacing it,
-    ``leq`` the order's (None, inside the float band, is no violation).
+    ``leq`` the order's.
     ``table``, a ``kernel.Kernel`` of ``op`` over ``elems``, serves the
     pairs when given; when it keeps every product among ``elems`` and
     ``mu`` is a table map with ids over ``elems``, the loop runs on ids
     (carrier positions and the map's alphabet order), falling back to
-    values if a combiner reaches a degree without an exact id; the
+    values if a combiner reaches a degree without an id; the
     alphabet order records the clash, so the later maps of the sweep go
     straight to values. ``first`` keeps only the first witness
     (``reports.collect``); a witness found on ids is exact, so stopping
@@ -283,7 +282,7 @@ def _closure_loop(mu, elems, op, combine, leq, arities, table,
                     for j, y in enumerate(elems):
                         lhs = combine(vx, at[j])
                         rhs = at[row[j]]
-                        if leq(lhs, rhs) is False:
+                        if not leq(lhs, rhs):
                             yield Witness((x, y), (lhs, rhs))
             else:
                 for combo in itertools.product(elems, repeat=arity):
@@ -292,7 +291,7 @@ def _closure_loop(mu, elems, op, combine, leq, arities, table,
                     for c in combo[1:]:
                         acc = op(acc, c)
                     rhs = mu(acc)
-                    if leq(lhs, rhs) is False:
+                    if not leq(lhs, rhs):
                         yield Witness(combo, (lhs, rhs))
     return collect(found(), first)
 
@@ -307,8 +306,8 @@ def _identity_witnesses(mu, identity, same: Callable, top) -> list:
 def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
                             alphabet: Sequence, order) -> Iterator[FuzzySubset]:
     """The maps of ``enumerate_table_subsets(elements, alphabet)``, in its
-    order, that are t-subnorms of ``op`` in ``order``: no
-    ``order.leq(order.meet(mu x, mu y), mu(op(x, y)))`` is False and
+    order, that are t-subnorms of ``op`` in ``order``: every
+    ``order.leq(order.meet(mu x, mu y), mu(op(x, y)))`` holds and
     ``mu(identity)`` is ``order.same`` as ``order.top``, the comparisons
     ``_closure_witnesses`` and ``_identity_witnesses`` make.
 
@@ -337,7 +336,7 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
     pinned = position(identity)
     # the comparisons on alphabet positions, each made once
     leq, meet = order.leq, order.meet
-    holds = [[[leq(meet(a, b), c) is not False for c in alphabet]
+    holds = [[[leq(meet(a, b), c) for c in alphabet]
               for b in alphabet] for a in alphabet]
     tops = [v for v, a in enumerate(alphabet) if order.same(a, order.top)]
     choices = [tops if k == pinned else range(len(alphabet))

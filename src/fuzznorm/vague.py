@@ -10,9 +10,9 @@ is budget-guarded.
 
 Each condition is implemented once, over a degree order. The checks
 here run it on the operator's compiled degree order
-(``kernel.compile_degrees``: points and exact degrees as ids), or on the
-unit interval (``scalars.UNIT_INTERVAL``) when a point or a degree is a
-float; the lattice-valued ones in ``fuzznorm.lattice`` run it on a
+(``kernel.compile_degrees``: points and degrees as ids), or on the unit
+interval (``scalars.UNIT_INTERVAL``) when a point or a degree has no id;
+the lattice-valued ones in ``fuzznorm.lattice`` run it on a
 ``FiniteLattice``.
 """
 
@@ -27,10 +27,10 @@ from .carriers import FiniteGroup
 from .connectives import T_M, Connective, Role
 from .errors import (BudgetExceededError, DomainError, InputFormatError,
                      TotalityError, read_entries, read_name)
-from .reports import (PropertyReport, Verdict, Witness, certifying_eq, collect,
-                      combine, conclude, decide, witnesses_of)
-from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, _equal3, eq_approx,
-                      format_scalar, le3, parse_rational, unit)
+from .reports import (PropertyReport, Verdict, Witness, collect, combine,
+                      conclude, decide, witnesses_of)
+from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, exact, format_scalar,
+                      parse_rational, unit)
 
 #: Readings of the equality-of-degrees premise in the monotonicity and
 #: cancellation laws: "any-degree" matches any common degree, "crisp"
@@ -46,7 +46,8 @@ def _carrier_label(carrier) -> str:
 class TFuzzyEquality:
     """A degree-valued equality, kept callable rather than tabulated so
     induced operators can ask about values the carrier grid does not
-    contain (products under non-grid-closed operators). ``report`` is its
+    contain (products under non-grid-closed operators); a float ``fn``
+    returns is read as the rational it is. ``report`` is its
     ``validate_fuzzy_equality`` report."""
 
     label: str
@@ -56,7 +57,7 @@ class TFuzzyEquality:
     report: PropertyReport = field(compare=False)
 
     def __call__(self, a, b) -> Scalar:
-        return self.fn(a, b)
+        return exact(self.fn(a, b))
 
     @property
     def validated(self) -> bool:
@@ -69,14 +70,9 @@ class TFuzzyEquality:
 
 def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
     _tuple_budget(len(carrier), 3, "transitivity")
-    leq, top = order.leq, order.top
-    refl_w, undec_r = [], 0
-    for x in carrier:
-        r = _equal3(leq, fn(x, x), top)
-        if r is None:
-            undec_r += 1
-        elif not r:
-            refl_w.append(Witness((x, x), (fn(x, x),)))
+    leq, same, top = order.leq, order.same, order.top
+    refl_w = [Witness((x, x), (fn(x, x),)) for x in carrier
+              if not same(fn(x, x), top)]
 
     def transitivity():
         for x in carrier:
@@ -89,11 +85,11 @@ def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
                 for i, x in enumerate(carrier) for y in carrier[i + 1:])
     n = len(carrier)
     children = [
-        conclude("E1:reflexivity", dom, refl_w, undec_r, instances=n),
-        decide("E2:symmetry", dom, certifying_eq(order), symmetry, instances=n ** 2),
+        conclude("E1:reflexivity", dom, refl_w, instances=n),
+        decide("E2:symmetry", dom, same, symmetry, instances=n ** 2),
         decide("E3:transitivity", dom, leq, transitivity()),
     ]
-    separates = all(x == y or not order.same(fn(x, y), top)
+    separates = all(x == y or not same(fn(x, y), top)
                     for x in carrier for y in carrier)
     return combine(rid, children, dom,
                    details={"tnorm": tnorm.name, "separates_points": separates})
@@ -101,11 +97,12 @@ def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
 
 def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) -> PropertyReport:
     """Reflexivity, symmetry, and transitivity through the conjunction,
-    each as a child verdict; point separation is reported as a detail."""
+    each as a child verdict; point separation is reported as a detail. A
+    float ``fn`` returns is read as the rational it is."""
     carrier = tuple(carrier)
     dom = {"kind": "carrier", "label": _carrier_label(carrier), "size": len(carrier)}
-    return _validate_equality(UNIT_INTERVAL, fn, tnorm, carrier,
-                              "fuzzy-equality", dom)
+    return _validate_equality(UNIT_INTERVAL, lambda a, b: exact(fn(a, b)),
+                              tnorm, carrier, "fuzzy-equality", dom)
 
 
 def make_fuzzy_equality(label: str, fn: Callable, tnorm: Connective,
@@ -150,7 +147,7 @@ class VagueBinaryOp:
         """The ``kernel.compile_degrees`` order, built on the first check
         and shared by the later ones; None when it does not compile."""
         return kernel.compile_degrees(self.table, self.carrier, self.tnorm,
-                                      self.equality.fn)
+                                      self.equality)
 
     def to_json(self) -> dict:
         return {"kind": "vague-op", "label": self.label,
@@ -184,13 +181,17 @@ class VagueTNorm:
 
 def vague_op_from_table(label: str, carrier: Sequence, equality: TFuzzyEquality,
                         table: Mapping) -> VagueBinaryOp:
+    """The vague operation of ``table``: a float degree read as the
+    rational it is, and every degree by ``unit``, which refuses one
+    outside [0, 1]."""
     carrier = tuple(carrier)
     for x in carrier:
         for y in carrier:
             for z in carrier:
                 if (x, y, z) not in table:
                     raise DomainError(f"vague table missing entry ({x}, {y}, {z})")
-    return VagueBinaryOp(label, carrier, equality, dict(table))
+    return VagueBinaryOp(label, carrier, equality,
+                         {k: unit(exact(v)) for k, v in table.items()})
 
 
 def _table_entries_from_json(obj: dict, arity: int, *, path=None) -> dict:
@@ -268,11 +269,11 @@ def _tuple_budget(size: int, power: int, what: str) -> None:
 def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
     """``run(order, t, deg, eq, carrier)`` on the compiled degree order of
     ``op``, its ids turned back into values; on the unit interval, from
-    the start, when a point or a degree is not exact."""
+    the start, when a point or a degree has no id."""
     return kernel.on_ids(
         op.degree_order,
         lambda order: run(order, order.t, order.deg, order.eq, order.points),
-        lambda: run(UNIT_INTERVAL, op.tnorm, op.table, op.equality.fn, op.carrier))
+        lambda: run(UNIT_INTERVAL, op.tnorm, op.table, op.equality, op.carrier))
 
 
 def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
@@ -316,7 +317,7 @@ def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     same = order.same
     tot_w = [Witness((x, y), ()) for x in carrier for y in carrier
              if not any(same(deg[(x, y, z)], top) for z in carrier)]
-    tot = conclude("V3:totality", dom, tot_w, 0, instances=n ** 2)
+    tot = conclude("V3:totality", dom, tot_w, instances=n ** 2)
     return combine(rid, [ext, fun, tot], dom)
 
 
@@ -353,13 +354,13 @@ def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
                                     yield ((x, y, z, d, m, q, w),
                                            t(f3, deg[(q, z, w)]), eq(m, w))
 
-    witnesses, undecided, _ = witnesses_of(order.leq, associativity())
+    witnesses, _ = witnesses_of(order.leq, associativity())
     identity = next((e for e in carrier
                      if all(order.same(t(deg[(e, a, a)], deg[(a, e, a)]), top)
                             for a in carrier)), None)
     if identity is None:
         witnesses.append(Witness(("no-identity-element",), ()))
-    return conclude(rid, dom, witnesses, undecided, instances=len(carrier) ** 7,
+    return conclude(rid, dom, witnesses, instances=len(carrier) ** 7,
                     details={"identity": None if identity is None
                              else format_scalar(identity)})
 
@@ -440,7 +441,7 @@ def _strict_monotone(order, t, deg, eq, carrier, reading, rid, dom,
                             if not lt(a, b):
                                 yield Witness((x, y, z, a, b), (da, db))
     witnesses = collect(found(), first)
-    return conclude(rid, dom, witnesses, 0, instances=instances,
+    return conclude(rid, dom, witnesses, instances=instances,
                     details={"reading": reading})
 
 
@@ -469,7 +470,7 @@ def _cancellation(order, t, deg, eq, carrier, reading, rid,
                     instances += 1
                     if a != b:
                         witnesses.append(Witness((a, b, x, c), (da, db)))
-    return conclude(rid, dom, witnesses, 0, instances=instances,
+    return conclude(rid, dom, witnesses, instances=instances,
                     details={"reading": reading})
 
 
@@ -515,10 +516,10 @@ def check_vague_group_cancellation(v: VagueGroup) -> PropertyReport:
     e = group.identity
     for a in elements:
         inv = group.inverse[a]
-        if not (eq_approx(v(inv, a, e), ONE) and eq_approx(v(a, inv, e), ONE)):
+        if not v(inv, a, e) == v(a, inv, e) == ONE:
             raise DomainError(
                 f"inverse degree below 1 at element {a}; not a vague group")
-        if not (eq_approx(v(e, a, a), ONE) and eq_approx(v(a, e, a), ONE)):
+        if not v(e, a, a) == v(a, e, a) == ONE:
             raise DomainError(
                 f"identity degree below 1 at element {a}; not a vague group")
     eq = v.equality
@@ -532,4 +533,5 @@ def check_vague_group_cancellation(v: VagueGroup) -> PropertyReport:
                         yield ("L", a, b, c, u), min(v(a, b, u), v(a, c, u)), ebc
                         yield ("R", a, b, c, u), min(v(b, a, u), v(c, a, u)), ebc
 
-    return decide("vague-group-cancellation", v.to_json(), le3, cases())
+    return decide("vague-group-cancellation", v.to_json(), UNIT_INTERVAL.leq,
+                  cases())

@@ -291,16 +291,19 @@ class TestFloatMode:
         rep = check_axioms(floaty, GridDomain(4))
         assert rep.verdict is Verdict.HOLDS
 
-    def test_float_limit_uses_float_tolerance(self):
+    def test_float_limit_is_judged_at_epsilon(self):
         floaty = Connective("float-product", Role.TNORM,
                             lambda x, y: float(x) * float(y), identity=F(1))
         rep = check_limit_property(floaty, GridDomain(4),
                                    SearchBudget(iter_cap=128))
-        assert rep.verdict is Verdict.HOLDS
-        # 0.75^n needs to pass below 1e-9, far beyond the rational default
-        assert rep.details["convergence"]["3/4"] > 64
+        assert rep.verdict is Verdict.HOLDS and rep.tags == ()
+        # each power is the rational its float is, and the first below the
+        # budget's epsilon (1/1024) is the same exponent as for T_P
+        assert rep.details["convergence"]["3/4"] == 25
+        assert rep.details["convergence"] == check_limit_property(
+            T_P, GridDomain(4), SearchBudget(iter_cap=128)).details["convergence"]
 
-    def test_near_tie_is_undecidable(self):
+    def test_near_tie_is_decided_exactly(self):
         bump = {(F(1, 2), F(3, 4)), (F(3, 4), F(1, 2))}
 
         def noisy(x, y):
@@ -309,9 +312,11 @@ class TestFloatMode:
             return float(x) * float(y)
 
         conn = Connective("noisy", Role.TNORM, noisy, identity=F(1))
+        # the bumped value is read as the rational it is, just above 1/4
+        assert conn(F(1, 2), F(3, 4)) == F(0.25 + 5e-10) > F(1, 4)
         rep = check_strict_monotonicity(conn, GridDomain(4))
-        assert rep.verdict is Verdict.VACUOUS
-        assert "float-tolerance-undecidable" in rep.tags
+        assert rep.verdict is Verdict.HOLDS and rep.tags == ()
+        assert rep.witnesses == [] and "undecided_instances" not in rep.details
 
 
 class TestReportPlumbing:

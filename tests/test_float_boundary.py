@@ -1,0 +1,138 @@
+"""Floats stop at the boundary where a user callable's value enters.
+
+A connective, a membership map, an equality or a vague table may hand
+back a float. It is read as the rational it is (``scalars.exact``), so a
+callable that returns ``float(v)`` and one that returns
+``Fraction(float(v))`` are the same input: every check must give the
+same bytes for both, and no report may hold a float.
+
+The callables here are small rational tables on the grid ``k/n``. The
+float of a non-dyadic point is a nearby binary rational, so each table
+reads its arguments back to the grid with ``limit_denominator(n)``. Each
+twin runs on the compiled orders, where every value it returns must get
+an id, and again on values alone.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fuzznorm import kernel
+from fuzznorm.checker import FuzzyProp, check_axioms
+from fuzznorm.connectives import Connective, Role
+from fuzznorm.fuzzy import check_fuzzy_property
+from fuzznorm.reports import GridDomain, SearchBudget, dumps
+from fuzznorm.subsets import FuzzySubset
+from fuzznorm.vague import (READINGS, VagueBinaryOp, VagueTNorm, check_vague_binary_op,
+                            check_vague_cancellation, check_vague_commutativity,
+                            check_vague_monoid, check_vague_strict_monotone,
+                            make_fuzzy_equality, validate_fuzzy_equality,
+                            vague_op_from_table)
+
+F = Fraction
+TWINS = (float, lambda v: F(float(v)))  # what the twin callables return
+
+
+def _floats_in(report) -> list:
+    """The floats anywhere in ``report``: witnesses, details, children."""
+    found = []
+
+    def walk(v):
+        if isinstance(v, float):
+            found.append(v)
+        elif isinstance(v, (list, tuple)):
+            for x in v:
+                walk(x)
+        elif isinstance(v, dict):
+            for x in v.values():
+                walk(x)
+
+    walk([(w.inputs, w.values) for w in report.witnesses])
+    walk(report.details)
+    for child in report.children:
+        found += _floats_in(child)
+    return found
+
+
+@st.composite
+def tables(draw):
+    """A grid resolution and rational tables on its points: a binary
+    operator, a membership map, an equality and a ternary degree map."""
+    n = draw(st.sampled_from((2, 3)))
+    pts = GridDomain(n).points
+    value = st.sampled_from(pts)
+    op = {(x, y): draw(value) for x in pts for y in pts}
+    mu = {x: draw(value) for x in pts}
+    eq = {(x, y): draw(value) for x in pts for y in pts}
+    deg = {(x, y, z): draw(value) for x in pts for y in pts for z in pts}
+    return n, op, mu, eq, deg
+
+
+def _inputs(n, op, mu, eq, deg, out):
+    """The operator, map, equality and vague operator of the tables, each
+    callable returning ``out`` of its rational value."""
+    def grid(x):
+        return F(x).limit_denominator(n)
+
+    conn = Connective("table-op", Role.TNORM,
+                      lambda x, y: out(op[(grid(x), grid(y))]), identity=F(1))
+    subset = FuzzySubset("table-mu", lambda x: out(mu[grid(x)]))
+    equality = make_fuzzy_equality(
+        "table-eq", lambda a, b: out(eq[(grid(a), grid(b))]), conn,
+        GridDomain(n).points, require_valid=False)
+    vop = vague_op_from_table("table-vague", equality.carrier, equality,
+                              {k: out(v) for k, v in deg.items()})
+    return conn, subset, equality, VagueTNorm(vop, conn)
+
+
+def _on_ids_only(order, run, fallback):
+    # every value is a Fraction, so no check may fall back to values
+    assert order is not None
+    return kernel.values_of(run(order), order.vals)
+
+
+def _on_values(m):
+    for name in ("compile_operator", "compile_degrees", "compile_alphabet"):
+        m.setattr(kernel, name, lambda *args: None)
+    m.setattr(VagueBinaryOp, "degree_order", property(lambda self: None))
+
+
+def _reports(n, conn, subset, equality, vague) -> list:
+    domain = GridDomain(n)
+    budget = SearchBudget(n_max=8, iter_cap=8)
+    reports = [check_axioms(conn, domain),
+               validate_fuzzy_equality(equality.fn, conn, domain.points)]
+    for prop in FuzzyProp:
+        for gate in (True, False):
+            reports.append(check_fuzzy_property(subset, conn, prop, domain,
+                                                budget, gate))
+    reports += [check_vague_binary_op(vague.base), check_vague_monoid(vague.base),
+                check_vague_commutativity(vague)]
+    for reading in READINGS:
+        reports += [check_vague_strict_monotone(vague, reading),
+                    check_vague_cancellation(vague, reading)]
+    return reports
+
+
+_THIRDS = GridDomain(3).points
+
+
+@settings(max_examples=10, deadline=None)
+@given(tables())
+@example((3, {(x, y): min(x, y) for x in _THIRDS for y in _THIRDS},
+          {x: 1 - x for x in _THIRDS},
+          {(a, b): 1 - abs(a - b) for a in _THIRDS for b in _THIRDS},
+          {(x, y, z): F(int(min(x, y) == z)) for x in _THIRDS for y in _THIRDS
+           for z in _THIRDS}))
+def test_float_and_fraction_twins_report_alike(drawn):
+    runs = []
+    for on in (lambda m: m.setattr(kernel, "on_ids", _on_ids_only), _on_values):
+        with pytest.MonkeyPatch.context() as m:
+            on(m)
+            runs += [_reports(drawn[0], *_inputs(*drawn, out)) for out in TWINS]
+    as_float = [dumps(r) for r in runs[0]]
+    for run in runs:
+        assert [dumps(r) for r in run] == as_float
+        for report in run:
+            assert _floats_in(report) == [], report.property_id

@@ -527,6 +527,16 @@ class TestSubsetIO:
         with pytest.raises(InputFormatError):
             subset_from_json({"entries": []})
 
+    def test_table_values_outside_the_unit_interval_are_refused(self):
+        # as the file reader and step_subset refuse them
+        with pytest.raises(ValueError, match="got 3/2"):
+            table_subset({F(0): F(3, 2), F(1): F(1)})
+        with pytest.raises(ValueError, match="got -1/2"):
+            table_subset({F(0): F(1), F(1): -0.5})
+        # a typed float is read by its shortest decimal, as unit() reads it
+        mu = table_subset({F(0): 0.1, F(1): "1/2"})
+        assert mu.name == "table{0:1/10,1:1/2}" and mu(F(0)) == F(1, 10)
+
     def test_repeated_point_is_refused(self):
         with pytest.raises(InputFormatError, match="listed twice"):
             subset_from_json({"form": "table",

@@ -406,10 +406,10 @@ def test_vague_tables_from_json_match_reference(monkeypatch):
     assert '"no-identity-element"' in fast[1] and '"identity": null' in fast[1]
 
 
-def test_float_in_the_vague_loops_takes_the_tolerance_path(monkeypatch):
-    # exact on the grid's degrees, so the degree order compiles; the
-    # product puts degrees like 15/16 in the table, and the loops meet a
-    # float where the conjunction first takes one
+def test_float_in_the_vague_loops_compiles(monkeypatch):
+    # exact on the grid's degrees, a float elsewhere: the product puts
+    # degrees like 15/16 in the table, and a float the conjunction returns
+    # for one is read as the rational it is, so the loops stay on ids
     pts = GridDomain(4).points
 
     def fn(x, y):
@@ -419,21 +419,34 @@ def test_float_in_the_vague_loops_takes_the_tolerance_path(monkeypatch):
 
     conj = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
     v = induce_vague_tnorm(linear_equality(pts, conj), T_P)
-    order = kernel.compile_degrees(v.base.table, v.carrier, conj, v.equality.fn)
+    order = v.base.degree_order
+    assert order is not None
     off_grid = next(d for d in order.deg.values() if order.vals[d].denominator > 4)
-    with pytest.raises(kernel.NotCompilable):
-        order.t(off_grid, order.top)
+    met = order.vals[order.t(off_grid, order.top)]
+    assert type(met) is F and met == F(fn(order.vals[off_grid], F(1)))
     fast, reference = _both_paths(monkeypatch, _vague_reports, (v,))
     assert fast == reference
 
 
-def test_float_operator_takes_the_tolerance_path():
+def test_float_operator_compiles_to_exact_values(monkeypatch):
     floaty = Connective("float-product", Role.TNORM,
                         lambda x, y: float(x) * float(y), identity=F(1))
     domain = GridDomain(10)
-    assert kernel.compile_operator(floaty, domain.points) is None
-    rep = check_axioms(floaty, domain)
-    assert "float-tolerance-undecidable" in rep.child("T2:associativity").tags
+    assert kernel.compile_operator(floaty, domain.points) is not None
+    t2 = check_axioms(floaty, domain).child("T2:associativity")
+    # float products round, so 202 triples are not associative as read
+    assert t2.fails and len(t2.witnesses) == 202 and t2.tags == ()
+    for w in t2.witnesses:
+        (x, y, z), (lhs, rhs) = w.inputs, w.values
+        assert set(w.inputs) <= set(domain.points)
+        # each value is the binary rational a float is
+        assert all(type(v) is F and v.denominator & (v.denominator - 1) == 0
+                   for v in w.values)
+        assert (lhs, rhs) == (floaty(floaty(x, y), z), floaty(x, floaty(y, z)))
+        assert lhs != rhs
+    fast, reference = _both_paths(monkeypatch, lambda c, d: dumps(check_axioms(c, d)),
+                                  (floaty, domain))
+    assert fast == reference
 
 
 def test_float_off_the_grid_takes_the_tolerance_path(monkeypatch):

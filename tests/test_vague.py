@@ -324,6 +324,18 @@ class TestTableIO:
         op = vague_table_from_json({"form": "table", "entries": entries}, eq)
         assert check_vague_binary_op(op).verdict is Verdict.HOLDS
 
+    def test_table_degrees_outside_the_unit_interval_are_refused(self):
+        pts = (F(0), F(1))
+        eq = crisp_equality(pts, T_M)
+        table = {(x, y, z): F(int(min(x, y) == z))
+                 for x in pts for y in pts for z in pts}
+        for bad, shown in ((F(3, 2), "3/2"), (-0.5, "-1/2")):
+            with pytest.raises(ValueError, match=f"got {shown}"):
+                vague_op_from_table("bad", pts, eq, {**table, (F(0), F(0), F(0)): bad})
+        # a float degree is read as the rational it is
+        op = vague_op_from_table("float", pts, eq, {**table, (F(0), F(1), F(1)): 0.1})
+        assert op.table[(F(0), F(1), F(1))] == F(0.1) != F(1, 10)
+
     def test_bad_entry_arity(self):
         from fuzznorm.errors import InputFormatError
         from fuzznorm.vague import equality_from_json
