@@ -27,7 +27,7 @@ from .connectives import Connective, Role
 from .errors import DomainError
 from .reports import (GridDomain, PropertyReport, SearchBudget, Verdict,
                       Witness, collect, combine, conclude, decide)
-from .scalars import ONE, UNIT_INTERVAL, ZERO, format_scalar
+from .scalars import ONE, UNIT_INTERVAL, ZERO, exact, format_scalar
 from .subsets import MU_COMPLEMENT, MU_ID
 
 
@@ -120,11 +120,11 @@ def _role_axioms(order, op, at, conn, pts, dom) -> PropertyReport:
         e = at(ONE if role is Role.TNORM else ZERO)
         children.append(decide(f"{p}4:boundary", dom, eq, _identity(op, pts, e)))
     elif role is Role.UNINORM:
-        e = None if conn.identity is None else at(conn.identity)
+        e = None if conn.identity is None else at(exact(conn.identity))
         children.append(_uninorm_identity(order, op, pts, e, f"{p}4:identity", dom))
     else:
         zero, one = at(ZERO), at(ONE)
-        k = op(zero, one) if conn.absorber is None else at(conn.absorber)
+        k = op(zero, one) if conn.absorber is None else at(exact(conn.absorber))
         children.append(decide(f"{p}4:absorbing", dom, eq,
                                 _absorber(order, op, pts, k, zero, one),
                                 details={"absorber": format_scalar(k)}))
@@ -152,7 +152,8 @@ def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
     values may leave the grid, which is fine because evaluation stays
     exact. The axiom cores run on the operator's compiled
     ``kernel.Kernel``, or on ``UNIT_INTERVAL`` with the operator itself
-    when a value has no id (an int where an equal ``Fraction`` has one).
+    when a point or a grid value is not a ``Fraction``; on both, a
+    declared identity or absorber is read through ``scalars.exact``.
     """
     pts = domain.points
     dom = domain.to_json()

@@ -40,8 +40,9 @@ class Connective:
 
     ``identity`` and ``absorber`` are claims; the checker engine
     validates them rather than assuming them. ``fn`` is binary for all
-    roles except AGGREGATION, which is variadic; a float it returns is
-    read as the rational it is (``scalars.exact``).
+    roles except AGGREGATION, which is variadic; a number it returns is
+    read as the ``Fraction`` it is (``scalars.exact``), also where a
+    splice or a dual calls it as a part.
     """
 
     name: str
@@ -170,22 +171,22 @@ def power_iterate(conn: Connective, x: Scalar, n: int) -> Scalar:
 
 # --- parametric constructions ---
 
-def _uninorm_eval(e, t_fn, s_fn, mixed, x, y):
+def _uninorm_eval(e, t_conn, s_conn, mixed, x, y):
     if x <= e and y <= e:
-        return e * t_fn(x / e, y / e)
+        return e * t_conn(x / e, y / e)
     if x >= e and y >= e:
         c = 1 - e
-        return e + c * s_fn((x - e) / c, (y - e) / c)
+        return e + c * s_conn((x - e) / c, (y - e) / c)
     return mixed(x, y)
 
 
-def _nullnorm_eval(k, s_fn, t_fn, x, y):
+def _nullnorm_eval(k, s_conn, t_conn, x, y):
     # the upper square is strict: at x = k < y the value is k, not y
     if x <= k and y <= k:
-        return k * s_fn(x / k, y / k)
+        return k * s_conn(x / k, y / k)
     if x > k and y > k:
         c = 1 - k
-        return c * t_fn((x - k) / c, (y - k) / c) + k
+        return c * t_conn((x - k) / c, (y - k) / c) + k
     return k
 
 
@@ -207,7 +208,7 @@ def _uninorm(kind: str, mixed, e, t_conn: Connective, s_conn: Connective) -> Con
     e = _splice_point(e, "identity e", t_conn, s_conn)
     name = f"uninorm:{kind}(e={e},T={t_conn.short_name},S={s_conn.short_name})"
     return Connective(name, Role.UNINORM,
-                      partial(_uninorm_eval, e, t_conn.fn, s_conn.fn, mixed),
+                      partial(_uninorm_eval, e, t_conn, s_conn, mixed),
                       identity=e)
 
 
@@ -229,12 +230,12 @@ def construct_nullnorm(s_conn: Connective, k, t_conn: Connective) -> Connective:
     k = _splice_point(k, "absorber k", t_conn, s_conn)
     name = f"nullnorm:<{s_conn.short_name}-S,{k},{t_conn.short_name}-T>"
     return Connective(name, Role.NULLNORM,
-                      partial(_nullnorm_eval, k, s_conn.fn, t_conn.fn),
+                      partial(_nullnorm_eval, k, s_conn, t_conn),
                       absorber=k)
 
 
-def _dual_eval(fn, x, y):
-    return 1 - fn(1 - x, 1 - y)
+def _dual_eval(conn, x, y):
+    return 1 - conn(1 - x, 1 - y)
 
 
 def dualize(conn: Connective) -> Connective:
@@ -248,7 +249,7 @@ def dualize(conn: Connective) -> Connective:
         raise DomainError(f"dualize expects a t-norm or t-conorm, got {conn.name}")
     ident = None if conn.identity is None else ONE - conn.identity
     return Connective(f"dual({conn.name})", role,
-                      partial(_dual_eval, conn.fn), identity=ident)
+                      partial(_dual_eval, conn), identity=ident)
 
 
 # --- canonical id parsing ---

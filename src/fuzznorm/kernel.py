@@ -25,14 +25,14 @@ A report goes back to values through ``values_of`` (a list of witnesses
 through ``witness_values``), and ``on_ids`` runs a check on an order
 with that translation.
 
-Only ``Fraction`` and ``int`` values get ids, and an id keeps the type
-it was first seen with, so ``vals[id]`` prints as the value it stands
-for. Compilation returns ``None`` when a point is listed twice or a
-point or a compiled value has no id (a float letter of an alphabet, or
-an int where an equal ``Fraction`` already has the id), and callers run
-the same cores on values instead. Such a value met later, by a lifted
-function, raises ``NotCompilable`` for the caller to do the same. State
-lives in the object a caller creates; there is no module-level cache.
+Only ``Fraction`` values get ids. Every callable a check lifts reads
+its value through ``scalars.exact``, which gives a number as the
+``Fraction`` it is, and ``compile_alphabet`` reads each letter the same
+way, so a loop that has compiled meets only values with ids.
+Compilation returns ``None`` when a point is listed twice or a point or
+a compiled value is not a ``Fraction`` (a lattice label, a carrier of
+ints), and callers run the same cores on values instead. State lives in
+the object a caller creates; there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .reports import PropertyReport, Witness
-from .scalars import ONE, ZERO, format_scalar
-
-
-_EXACT = (Fraction, int)
+from .scalars import ONE, ZERO, exact, format_scalar
 
 
 class NotCompilable(Exception):
@@ -55,14 +52,12 @@ class NotCompilable(Exception):
 
 def _intern(vals: list, ids: dict, v) -> int:
     """``IdOrder.intern``: the id of ``v``, a fresh one for a new value."""
-    if not isinstance(v, _EXACT):
-        raise NotCompilable(f"{v!r} is not an exact rational")
+    if not isinstance(v, Fraction):
+        raise NotCompilable(f"{v!r} is not a Fraction")
     fresh = len(vals)
     i = ids.setdefault(v, fresh)
     if i == fresh:
         vals.append(v)
-    elif type(vals[i]) is not type(v):  # 0 and Fraction(0) print apart
-        raise NotCompilable(f"{v!r} and {vals[i]!r} differ in type")
     return i
 
 
@@ -165,32 +160,27 @@ def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
 
 
 def compile_alphabet(alphabet: Sequence) -> Optional[IdOrder]:
-    """The alphabet's order on ids, or None when a letter has no id.
+    """The alphabet's order on ids, or None when a letter is not a
+    number (a lattice label).
 
-    ``letters[k]`` is the id of ``alphabet[k]`` (a letter listed twice
-    has one id); any other degree takes the next free id when a lifted
-    function first returns it. ``clashed`` holds the lifted functions
-    that met a value without an id, for a sweep to try each once.
+    ``letters[k]`` is the id of ``exact(alphabet[k])`` (a letter listed
+    twice, or as an int and a ``Fraction``, has one id); any other degree
+    takes the next free id when a lifted function first returns it.
     """
     order = IdOrder()
     try:
-        order.letters = [order.intern(a) for a in alphabet]
+        order.letters = [order.intern(exact(a)) for a in alphabet]
     except NotCompilable:
         return None
-    order.clashed = set()
     return order
 
 
 def on_ids(order, run: Callable, fallback: Callable) -> PropertyReport:
     """``run(order)`` with its ids turned back into values, or
-    ``fallback()`` when there is no compiled order or the run meets a
-    value without an id."""
-    if order is not None:
-        try:
-            return values_of(run(order), order.vals)
-        except NotCompilable:  # a value the loops reached
-            pass
-    return fallback()
+    ``fallback()`` when there is no compiled order."""
+    if order is None:
+        return fallback()
+    return values_of(run(order), order.vals)
 
 
 def values_of(rep: PropertyReport, vals: list) -> PropertyReport:

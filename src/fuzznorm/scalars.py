@@ -1,17 +1,18 @@
 """Exact unit-interval scalars.
 
-Every value a check compares is an exact ``fractions.Fraction`` (or an
-int), so order and equality are two-valued and need no tolerance. A
-float is read as a rational in one of two ways, each at the place it
-enters: ``unit`` reads a typed value (a parameter, a table entry) by its
-shortest decimal, and ``exact`` reads a value a user callable computed
-by its binary value, which ``Fraction`` of a float is exactly.
+Every value a check compares is an exact ``fractions.Fraction``, so
+order and equality are two-valued and need no tolerance. A number is
+read as a rational in one of two ways, each at the place it enters:
+``unit`` reads a typed value (a parameter, a table entry) by its
+shortest decimal, and ``exact`` reads a number a user callable computed
+as the ``Fraction`` it is (a float by its binary value).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from numbers import Number
 from typing import Union
 
 Scalar = Fraction
@@ -26,9 +27,10 @@ def unit(value: Union[Fraction, int, str, float]) -> Fraction:
     Strings use Fraction syntax ("1/2", "0.3"). Floats are read through
     their shortest decimal literal, not their binary expansion, so
     ``unit(0.1)`` is exactly 1/10. Anything that does not read as a
-    rational, "1/0" included, raises ``ValueError``.
+    rational, "1/0" included, raises ``ValueError``. A ``Fraction`` is
+    returned as it is.
     """
-    frac = parse_rational(value)
+    frac = value if isinstance(value, Fraction) else parse_rational(value)
     if not ZERO <= frac <= ONE:
         raise ValueError(f"expected a value in [0, 1], got {frac}")
     return frac
@@ -44,8 +46,10 @@ def parse_rational(text: str) -> Fraction:
 
 def exact(v):
     """A value a user callable returned, as the check compares it: a
-    float as the rational it is, anything else unchanged."""
-    return Fraction(v) if isinstance(v, float) else v
+    number as the ``Fraction`` it is (a float by its binary value), a
+    ``Fraction`` or a value that is not a number (a label) unchanged."""
+    plain = isinstance(v, (Fraction, str)) or not isinstance(v, Number)
+    return v if plain else Fraction(v)
 
 
 def parse_label(value):

@@ -238,30 +238,19 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     ``table``, a ``kernel.Kernel`` of ``op`` over ``elems``, serves the
     pairs when given; when it keeps every product among ``elems`` and
     ``mu`` is a table map with ids over ``elems``, the loop runs on ids
-    (carrier positions and the map's alphabet order), falling back to
-    values if a combiner reaches a degree without an id; the
-    alphabet order records the clash, so the later maps of the sweep go
-    straight to values. ``first`` keeps only the first witness
-    (``reports.collect``); a witness found on ids is exact, so stopping
-    there, before a clash is recorded, leaves the verdict as it is. A
-    map with no value at a product raises ``TotalityError``: before any
-    witness at a product of two served by ``table``, else when the loop
-    reaches it, so with ``first`` a witness met earlier makes a FAILS."""
+    (carrier positions and the map's alphabet order). ``first`` keeps
+    only the first witness (``reports.collect``). A map with no value at
+    a product raises ``TotalityError``: before any witness at a product
+    of two served by ``table``, else when the loop reaches it, so with
+    ``first`` a witness met earlier makes a FAILS."""
     fn = getattr(mu, "fn", None)
     order = getattr(fn, "order", None)
     if (order is not None and table is not None and table.closed
             and fn.elements == elems):
-        combined = order.lifted(combine)
-        if combined not in order.clashed:
-            try:
-                found = _closure_loop(fn.ids.__getitem__, range(len(elems)),
-                                      table.op, combined,
-                                      order.lifted(leq, bool), arities, table,
-                                      first)
-            except kernel.NotCompilable:
-                order.clashed.add(combined)
-            else:
-                return kernel.witness_values(found, elems, order.vals)
+        found = _closure_loop(fn.ids.__getitem__, range(len(elems)), table.op,
+                              order.lifted(combine), order.lifted(leq, bool),
+                              arities, table, first)
+        return kernel.witness_values(found, elems, order.vals)
     return _closure_loop(mu, elems, op, combine, leq, arities, table, first)
 
 

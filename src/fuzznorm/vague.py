@@ -11,9 +11,9 @@ is budget-guarded.
 Each condition is implemented once, over a degree order. The checks
 here run it on the operator's compiled degree order
 (``kernel.compile_degrees``: points and degrees as ids), or on the unit
-interval (``scalars.UNIT_INTERVAL``) when a point or a degree has no id;
-the lattice-valued ones in ``fuzznorm.lattice`` run it on a
-``FiniteLattice``.
+interval (``scalars.UNIT_INTERVAL``) when a carrier point or a degree
+is not a ``Fraction``; the lattice-valued ones in ``fuzznorm.lattice``
+run it on a ``FiniteLattice``.
 """
 
 from __future__ import annotations
@@ -268,8 +268,8 @@ def _tuple_budget(size: int, power: int, what: str) -> None:
 
 def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
     """``run(order, t, deg, eq, carrier)`` on the compiled degree order of
-    ``op``, its ids turned back into values; on the unit interval, from
-    the start, when a point or a degree has no id."""
+    ``op``, its ids turned back into values; on the unit interval when
+    the order does not compile."""
     return kernel.on_ids(
         op.degree_order,
         lambda order: run(order, order.t, order.deg, order.eq, order.points),

@@ -18,17 +18,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzznorm import kernel
+from fuzznorm import kernel, scalars
 from fuzznorm.checker import FuzzyProp, check_axioms
-from fuzznorm.connectives import Connective, Role
+from fuzznorm.connectives import (S_P, T_L, Connective, Role, construct_nullnorm,
+                                  construct_uninorm_min, dualize)
 from fuzznorm.fuzzy import check_fuzzy_property
 from fuzznorm.reports import GridDomain, SearchBudget, dumps
 from fuzznorm.subsets import FuzzySubset
+from fuzznorm.scalars import unit
 from fuzznorm.vague import (READINGS, VagueBinaryOp, VagueTNorm, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
-                            make_fuzzy_equality, validate_fuzzy_equality,
-                            vague_op_from_table)
+                            induce_vague_tnorm, linear_equality, make_fuzzy_equality,
+                            validate_fuzzy_equality, vague_op_from_table,
+                            vague_table_from_json)
 
 F = Fraction
 TWINS = (float, lambda v: F(float(v)))  # what the twin callables return
@@ -136,3 +139,48 @@ def test_float_and_fraction_twins_report_alike(drawn):
         assert [dumps(r) for r in run] == as_float
         for report in run:
             assert _floats_in(report) == [], report.property_id
+
+
+FLOAT_PRODUCT = Connective("float-product", Role.TNORM,
+                           lambda x, y: float(x) * float(y), identity=F(1))
+
+
+def test_splices_read_each_part_at_its_own_boundary():
+    # the part's float is read as the rational it is before the splice
+    # combines it with an exact parameter
+    dual = dualize(FLOAT_PRODUCT)(F(9, 10), F(9, 10))
+    assert dual == 1 - FLOAT_PRODUCT(F(1, 10), F(1, 10))
+    assert dual == F(142674036195097313, 144115188075855872)
+    third = F(1, 3)
+    uninorm = construct_uninorm_min(third, FLOAT_PRODUCT, S_P)
+    assert uninorm(F(1, 5), F(1, 4)) == third * FLOAT_PRODUCT(F(3, 5), F(3, 4))
+    nullnorm = construct_nullnorm(S_P, third, FLOAT_PRODUCT)
+    assert nullnorm(F(3, 5), F(4, 5)) == (
+        2 * third * FLOAT_PRODUCT(F(2, 5), F(7, 10)) + third)
+
+
+def test_unit_returns_an_in_range_fraction_as_it_is():
+    x = F(3, 7)
+    assert unit(x) is x
+    for outside in (F(-1, 7), F(8, 7)):
+        with pytest.raises(ValueError):
+            unit(outside)
+
+
+def test_a_vague_table_file_parses_each_degree_once(monkeypatch):
+    pts = GridDomain(6).points
+    equality = linear_equality(pts, T_L)
+    induced = induce_vague_tnorm(equality, T_L).base.table
+    obj = {"form": "table", "entries": [[str(x), str(y), str(z), str(d)]
+                                        for (x, y, z), d in induced.items()]}
+    parse, parsed = scalars.parse_rational, []
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    # the keys are read by the vague module's own name for it
+    monkeypatch.setattr(scalars, "parse_rational", counted)
+    op = vague_table_from_json(obj, equality)
+    assert len(parsed) == len(obj["entries"]) == 343
+    assert op.table == induced

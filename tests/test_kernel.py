@@ -6,17 +6,18 @@ down its reference loop. The two reports must serialize to the same
 bytes, witness order included.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzznorm import kernel, subsets
+from fuzznorm import kernel
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.checker import check_axioms, check_cancellation, check_strict_monotonicity
-from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_P,
-                                  T_D, T_L, T_M, T_P, Connective, Role,
+from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_M,
+                                  S_P, T_D, T_L, T_M, T_P, Connective, Role,
                                   construct_nullnorm, construct_uninorm_min, dualize)
 from fuzznorm.errors import TotalityError
 from fuzznorm.fuzzy import (KIND_SUBMONOID, KIND_T_SUBNORM, a_submonoid_kind,
@@ -80,8 +81,9 @@ def _both_paths(monkeypatch, render, *args):
 def _operators():
     """Builtins, both duals, nullnorms on product/probsum and on
     Lukasiewicz (on and off the grids), operators whose axioms fail or
-    whose identity and absorber are left for the check to find, and one
-    that returns an int and a Fraction for the same value."""
+    whose identity and absorber are left for the check to find, one that
+    returns an int and a Fraction for the same value, one that returns
+    Decimals, and ones that declare an int identity or absorber."""
     ops = list(BUILTIN_TNORMS + BUILTIN_TCONORMS)
     ops += [dualize(c) for c in BUILTIN_TNORMS + BUILTIN_TCONORMS]
     for k in (HALF, F(1, 3)):
@@ -95,11 +97,32 @@ def _operators():
         Connective("tnorm:mean", Role.TNORM, lambda x, y: (x + y) / 2, identity=F(1)),
         Connective("tnorm:square-product", Role.TNORM, lambda x, y: x * x * y,
                    identity=F(1)),
-        # the int 0 below the diagonal and Fraction(0) on it print apart
-        Connective("tnorm:lukasiewicz-int-zero", Role.TNORM,
-                   lambda x, y: max(x + y - 1, 0), identity=F(1)),
+        LUKASIEWICZ_INT_ZERO,
+        DECIMAL_PRODUCT,
+        *INT_ELEMENTS,
     ]
     return ops
+
+
+# the int 0 below the diagonal is read as the Fraction(0) on it
+LUKASIEWICZ_INT_ZERO = Connective("tnorm:lukasiewicz-int-zero", Role.TNORM,
+                                  lambda x, y: max(x + y - 1, 0), identity=F(1))
+# a Decimal quotient, rounded to 28 digits where it does not terminate
+DECIMAL_PRODUCT = Connective(
+    "tnorm:decimal-product", Role.TNORM,
+    lambda x, y: Decimal(x.numerator * y.numerator) / Decimal(x.denominator * y.denominator),
+    identity=F(1))
+# declared special elements as ints: identities 1 and 0 of min and max,
+# absorbers 0 and 1 of min and max, and an identity and an absorber that
+# are not one
+INT_ELEMENTS = (
+    Connective("uninorm:min-int-identity", Role.UNINORM, T_M.fn, identity=1),
+    Connective("uninorm:max-int-identity", Role.UNINORM, S_M.fn, identity=0),
+    Connective("uninorm:product-int-identity", Role.UNINORM, T_P.fn, identity=0),
+    Connective("nullnorm:min-int-absorber", Role.NULLNORM, T_M.fn, absorber=0),
+    Connective("nullnorm:max-int-absorber", Role.NULLNORM, S_M.fn, absorber=1),
+    Connective("nullnorm:product-int-absorber", Role.NULLNORM, T_P.fn, absorber=1),
+)
 
 
 def _domains():
@@ -150,6 +173,21 @@ def test_chain_tables_match_reference(monkeypatch):
     fast, reference = _both_paths(monkeypatch, _all_checks, *_chain_tables())
     assert len(fast) == 6 + 22
     assert fast == reference
+
+
+def test_ints_and_decimals_take_the_compiled_path(monkeypatch):
+    """Operators that return ints or Decimals, and declared int identities
+    and absorbers, compile, and their axioms run on ids to the end."""
+    for domain in _domains():
+        kerns = [kernel.compile_operator(c, domain.points)
+                 for c in (LUKASIEWICZ_INT_ZERO, DECIMAL_PRODUCT)]
+        assert all(type(v) is F for kern in kerns for v in kern.vals)
+        assert kerns[0].table[0][1] == 0  # T(0, 1/n) = 0, the id of Fraction(0)
+    orders = _reference_orders(monkeypatch)
+    reports = [check_axioms(c, GridDomain(6))
+               for c in (LUKASIEWICZ_INT_ZERO, DECIMAL_PRODUCT) + INT_ELEMENTS]
+    assert len(orders) == len(reports) and None not in orders
+    assert [r.holds for r in reports] == [True, False] + [True, True, False] * 2
 
 
 def test_carrier_closure_matches_reference(monkeypatch):
@@ -225,9 +263,9 @@ LETTERS = (0, 1, F(0), F(1, 4), F(1, 3), HALF, F(2, 3), F(3, 4), F(1))
 @example(alphabet=[0, F(0), 1], grid=3, conn=T_M, start=0, step=5)
 def test_closure_on_alphabet_ids_matches_values(alphabet, grid, conn, start, step):
     """Every kind on enumerated and generated table maps, with and without
-    alphabet ids. The int letters put an int and a Fraction of one value
-    in some runs: in the alphabet the order does not compile, from a
-    combiner the run goes back to values."""
+    alphabet ids. An int letter is read as the Fraction it is, so an
+    int and a Fraction of one value share an id and every alphabet
+    compiles."""
     def render():
         carrier = CarrierMonoid.from_connective(conn, GridDomain(grid))
         assert carrier.table.closed
@@ -241,42 +279,7 @@ def test_closure_on_alphabet_ids_matches_values(alphabet, grid, conn, start, ste
     fast, reference, fast_runs, reference_runs = _on_ids_and_values(render)
     assert fast == reference
     assert reference_runs == 0
-    compiled = kernel.compile_alphabet(alphabet) is not None
-    assert (fast_runs > 0) == (compiled and fast[1])
-
-
-def test_a_clashing_combiner_tries_ids_once_per_sweep(monkeypatch):
-    """Int letters and combiners that return Fractions: the first map
-    whose id loop meets a clash records it on the sweep's alphabet, and
-    the later maps with that combiner run on values alone."""
-    carrier = CarrierMonoid.from_connective(T_M, GridDomain(4))
-    kinds = _SUBMONOID_KINDS[3:]  # the uninorm and the nullnorm combiner
-    loop, id_runs = subsets._closure_loop, []
-
-    def recorded(mu, elems, op, combine, *rest):
-        if not isinstance(elems, range):
-            return loop(mu, elems, op, combine, *rest)
-        try:
-            found = loop(mu, elems, op, combine, *rest)
-        except kernel.NotCompilable:
-            id_runs.append((combine, "clash"))
-            raise
-        id_runs.append((combine, "ran"))
-        return found
-
-    def render():
-        maps = list(enumerate_table_subsets(carrier.elements, (0, HALF, 1)))
-        return "".join(dumps(check_fuzzy_submonoid(mu, carrier, kind))
-                       for kind in kinds for mu in maps)
-
-    monkeypatch.setattr(subsets, "_closure_loop", recorded)
-    fast, reference, _, _ = _on_ids_and_values(render)
-    assert fast == reference and '"FAILS"' in fast
-    combiners = {combine for combine, _ in id_runs}
-    assert len(combiners) == len(kinds)
-    for combiner in combiners:
-        outcomes = [outcome for combine, outcome in id_runs if combine is combiner]
-        assert outcomes[-1] == "clash" and outcomes.count("clash") == 1
+    assert (fast_runs > 0) == fast[1]
 
 
 def test_product_leaving_the_carrier_raises_like_values():
@@ -294,11 +297,28 @@ def test_product_leaving_the_carrier_raises_like_values():
     assert fast_runs == 0
 
 
+@pytest.mark.parametrize("alphabet, names", [
+    ((0.0, 0.5, 1.0), ("mu(0.0,0.0,0.0)", "mu(0.5,1.0,0.0)")),
+    ((0, F(0), F(1)), ("mu(0,0,0)", "mu(0,1,0)")),  # an int and a Fraction of one value
+], ids=["float", "int-and-fraction"])
+def test_number_alphabets_compile(alphabet, names):
+    """The letters are read as the Fractions they are, so the closure
+    loops run on ids; the maps keep the names of the letters as given."""
+    carrier = CarrierMonoid.from_connective(T_M, GridDomain(2))
+
+    def render():
+        maps = list(enumerate_table_subsets(carrier.elements, alphabet))
+        return _closure_reports(carrier, maps), [mu.name for mu in maps]
+
+    fast, reference, fast_runs, _ = _on_ids_and_values(render)
+    assert fast == reference and '"FAILS"' in fast[0]
+    assert fast_runs > 0
+    assert fast[1][0] == names[0] and names[1] in fast[1]
+
+
 @pytest.mark.parametrize("alphabet, repeat", [
-    ((0.0, 0.5, 1.0), False),  # floats: no ids
-    ((0, F(0), F(1)), False),  # an int and a Fraction of one value
     ((F(0), HALF, F(1)), True),  # maps over an element listed twice
-], ids=["float", "int-and-fraction", "repeated-element"])
+], ids=["repeated-element"])
 def test_value_path_cases(alphabet, repeat):
     def render():
         carrier = CarrierMonoid.from_connective(T_M, GridDomain(2))

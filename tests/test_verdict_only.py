@@ -105,7 +105,7 @@ UNINORMS = (construct_uninorm_min(HALF, T_P, S_P),
             construct_uninorm_max(HALF, T_P, S_P))
 KINDS = (KIND_T_SUBNORM, a_submonoid_kind(A_MIN),
          *(u_submonoid_kind(u) for u in UNINORMS))
-# int letters make a combiner that returns Fractions clash with the ids
+# int letters are read as the Fractions they are and take ids like them
 ALPHABETS = ((Fraction(0), HALF, Fraction(1)), (0, HALF, 1),
              (Fraction(0), Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)))
 
