@@ -197,7 +197,7 @@ def _power_trajectory(conn, x, cap):
 
 
 def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
-                    dom, details, first=False) -> PropertyReport:
+                    dom, details) -> PropertyReport:
     """The five properties over a degree order (``scalars.UNIT_INTERVAL``
     or a ``FiniteLattice``) that orders points and degrees alike.
 
@@ -210,8 +210,9 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
     far it went (``max_witness_n``, ``convergence``); without one (a
     finite lattice) the cap is one more than the number of points, which
     every strictly decreasing chain of powers reaches, and the report
-    carries no budget. ``first`` stops the three pair properties at their
-    first witness (``reports.collect``), their counts then partial.
+    carries no budget. The verdict-only mode (``reports.collect``) stops
+    the three pair properties at their first witness, their counts then
+    partial.
     """
     lt, leq, same = order.lt, order.leq, order.same
     witnesses, inconclusive, incomparable = [], 0, 0
@@ -242,7 +243,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
                     if not lt(vz, vy):  # reversed: mu(T(x,y)) > mu(T(x,z))
                         incomparable += apart(vy, vz)
                         yield Witness((x, pts[i], pts[j]), (vy, vz))
-        witnesses = collect(found(), first)
+        witnesses = collect(found())
         instances = len(xs) * len(ordered)
         details["excluded_incomparable_pairs"] = len(pairs) - len(ordered)
 
@@ -250,7 +251,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
         raised = [x for x in pts if x != bottom]
         witnesses = collect((Witness((x, pts[i], pts[j]), (row[i], row[j]))
                              for x, row in rows(raised) for i, j in pairs
-                             if same(row[i], row[j])), first)
+                             if same(row[i], row[j])))
         instances = len(raised) * len(pairs)
 
     elif prop is FuzzyProp.FCONDCANCEL:
@@ -268,7 +269,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
                     my, mz = mu(pts[i]), mu(pts[j])
                     if not same(my, mz):
                         yield Witness((x, pts[i], pts[j]), (vy, my, mz))
-        witnesses = collect(found(), first)
+        witnesses = collect(found())
         instances = n * len(pairs)
         details["strong_form_violations"] = strong_violations
 

@@ -52,7 +52,10 @@ class Connective:
     absorber: Optional[Fraction] = None
 
     def __call__(self, *args: Scalar) -> Scalar:
-        return exact(self.fn(*args))
+        v = exact(self.fn(*args))
+        if not isinstance(v, Fraction):
+            raise DomainError(f"{self.name} returned {v!r}, not a number")
+        return v
 
     @property
     def short_name(self) -> str:

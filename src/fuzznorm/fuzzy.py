@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from . import reports
@@ -23,7 +24,7 @@ from .connectives import (S_M, T_M, Connective, Role, construct_uninorm_max,
                           construct_uninorm_min)
 from .errors import BudgetExceededError, DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
-                      conclude)
+                      collect, conclude)
 from .scalars import ONE, UNIT_INTERVAL, ZERO, format_scalar
 from .subsets import FuzzySubset, _closure_witnesses, _identity_witnesses
 
@@ -89,10 +90,9 @@ def f_submonoid_kind(nullnorm: Connective) -> SubstructureKind:
     return SubstructureKind(SubstructureTag.F_SUBMONOID, nullnorm)
 
 
-def _closure(mu, carrier, kind, first=False) -> tuple:
+def _closure(mu, carrier, kind) -> tuple:
     """Violations of combiner(mu(x..)) <= mu(x o ..) over the kind's
-    tuples (min combines for the min-based kinds), only the first with
-    ``first``, and the tuple count.
+    tuples (min combines for the min-based kinds), and the tuple count.
     An aggregation kind whose tuples exceed ``reports.MAX_TUPLES`` is
     refused before the loop, its count summed only until it passes the
     budget."""
@@ -109,31 +109,25 @@ def _closure(mu, carrier, kind, first=False) -> tuple:
                     f"size {n}", size_estimate=count)
     witnesses = _closure_witnesses(mu, carrier.elements, carrier.op,
                                    kind.combiner or UNIT_INTERVAL.meet,
-                                   UNIT_INTERVAL.leq, arities, carrier.table,
-                                   first)
+                                   UNIT_INTERVAL.leq, arities, carrier.table)
     return witnesses, count
 
 
-def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid, *,
-                            first: bool = False) -> PropertyReport:
+def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid) -> PropertyReport:
     """Closure under the carrier operation: min of the memberships never
-    exceeds the membership of the product. ``first`` is the verdict-only
-    mode: the report keeps only the first witness."""
-    witnesses, instances = _closure(mu, carrier, KIND_SUBGROUPOID, first)
+    exceeds the membership of the product."""
+    witnesses, instances = _closure(mu, carrier, KIND_SUBGROUPOID)
     return conclude(SubstructureTag.SUBGROUPOID.value, carrier.to_json(),
                     witnesses, instances=instances, details={"mu": mu.name})
 
 
 def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
-                          kind: SubstructureKind = KIND_SUBMONOID, *,
-                          first: bool = False) -> PropertyReport:
+                          kind: SubstructureKind = KIND_SUBMONOID) -> PropertyReport:
     """Closure condition for the kind's combiner plus full membership at
-    the carrier identity. ``first`` is the verdict-only mode: the report
-    keeps only the first witness."""
-    witnesses, instances = _closure(mu, carrier, kind, first)
+    the carrier identity."""
+    closure, instances = _closure(mu, carrier, kind)
     missed = _identity_witnesses(mu, carrier.identity, UNIT_INTERVAL.same, ONE)
-    if not (first and witnesses):
-        witnesses += missed
+    witnesses = collect(chain(closure, missed))
     details = {"mu": mu.name, "identity_condition": not missed}
     if kind.combiner is not None:
         details["combiner"] = kind.combiner.name
@@ -156,7 +150,7 @@ def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
 
 def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
                          domain, budget: Optional[SearchBudget] = None,
-                         gate: bool = True, *, first: bool = False) -> PropertyReport:
+                         gate: bool = True) -> PropertyReport:
     """One of the five fuzzified operator properties.
 
     The properties are stated for subsets that pass the t-subnorm check
@@ -164,16 +158,12 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
     carrying the subnorm violations (``gate=False`` evaluates the bare
     quantified statement instead). A constant map has no value strictly
     below another, so its Archimedean report is VACUOUS-BY-CONSTANCY.
-    ``first``, the verdict-only mode, stops the gate and the pair
-    properties (strict monotonicity, both cancellations) at their first
-    witness.
     """
     budget = budget or SearchBudget()
     details = {"mu": mu.name, "operator": conn.name}
     if gate:
         carrier = CarrierMonoid.from_connective(conn, domain)
-        subnorm = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM,
-                                        first=first)
+        subnorm = check_fuzzy_submonoid(mu, carrier, KIND_T_SUBNORM)
         if not subnorm.holds:
             return _not_a_subnorm(prop.value, domain.to_json(), subnorm,
                                   budget, details)
@@ -184,8 +174,7 @@ def check_fuzzy_property(mu: FuzzySubset, conn: Connective, prop: FuzzyProp,
                               tags=("VACUOUS-BY-CONSTANCY",), details=details)
     # ZERO, not UNIT_INTERVAL's int bottom: mu(ZERO) is a limit witness value
     return _fuzzy_property(UNIT_INTERVAL, conn, mu, pts, domain.interior, ZERO,
-                           prop, budget, prop.value, domain.to_json(), details,
-                           first)
+                           prop, budget, prop.value, domain.to_json(), details)
 
 
 def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
@@ -367,21 +356,6 @@ def case_carrier(case_id: str, domain) -> CarrierMonoid:
     return CarrierMonoid.from_connective(_CASES[case_id][2], domain)
 
 
-def _submonoid_verdict(mu, carrier, kind) -> PropertyReport:
-    """``check_fuzzy_submonoid`` in the verdict-only mode where it raises
-    as the full check does, for the builders below, which read only its
-    verdict. A table map with no value at a product is refused with
-    ``TotalityError``, not failed at a witness met first: on a closed
-    kernel every product is an element, valued before the loop; on an
-    open one ``mu`` is valued at each product of two elements first, and
-    an aggregation kind, whose products of three may leave those, or a
-    carrier without a kernel runs the full check."""
-    table = carrier.table
-    first = table is not None and (
-        table.closed or kind.tag is not SubstructureTag.A_SUBMONOID)
-    return check_fuzzy_submonoid(mu, carrier, kind, first=first)
-
-
 def case_checker(case_id: str, conn: Connective, domain,
                  carrier: Optional[CarrierMonoid] = None) -> Callable:
     """The named characterization for the operator ``conn`` as a function
@@ -401,7 +375,7 @@ def case_checker(case_id: str, conn: Connective, domain,
     carrier = carrier or case_carrier(case_id, domain)
 
     def characterize(mu: FuzzySubset) -> PropertyReport:
-        lhs = _submonoid_verdict(mu, carrier, kind).holds
+        lhs = check_fuzzy_submonoid(mu, carrier, kind).holds
         rhs = closed_form(mu, conn, carrier)
         consistent = lhs == rhs if relation == "iff" else not lhs or rhs
         details = {
@@ -455,7 +429,7 @@ def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,
     witnesses = []
     member_verdicts = {}
     for member in family:
-        rep = _submonoid_verdict(mu, carrier, u_submonoid_kind(member))
+        rep = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(member))
         member_verdicts[member.name] = rep.verdict.value
         if rep.holds:
             continue

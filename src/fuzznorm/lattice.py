@@ -351,15 +351,13 @@ def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyRep
 
 
 def check_lattice_fuzzy_property(mu: FuzzySubset, t: LatticeTNorm, prop,
-                                 gate: bool = True, *,
-                                 first: bool = False) -> PropertyReport:
+                                 gate: bool = True) -> PropertyReport:
     """Lattice renderings of the five fuzzified properties: the unit
     layer's checks with the lattice order on points and membership
     values. Incomparable pairs and outcomes are counted in the report;
     power sequences are decided by exact stationarity. ``gate=False``
     skips the t-subnorm precondition and evaluates the bare quantified
-    statement. ``first``, the verdict-only mode, stops the pair
-    properties at their first witness.
+    statement.
     """
     lat = t.lattice
     dom = lat.to_json()
@@ -371,7 +369,7 @@ def check_lattice_fuzzy_property(mu: FuzzySubset, t: LatticeTNorm, prop,
                                           subnorm, None, details)
     return checker._fuzzy_property(lat, t, mu, lat.elements, lat.interior,
                                    lat.bottom, prop, None, f"lattice-{prop.value}",
-                                   dom, details, first)
+                                   dom, details)
 
 
 # --- lattice-valued equalities and vague structure ---
@@ -435,13 +433,11 @@ def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
 
 
 def check_lattice_vague_strict_monotone(mu, lat: FiniteLattice,
-                                        reading: str = "any-degree", *,
-                                        first: bool = False) -> PropertyReport:
-    """Lattice-degree analog of the monotonicity law on induced tables;
-    ``first`` is the verdict-only mode."""
+                                        reading: str = "any-degree") -> PropertyReport:
+    """Lattice-degree analog of the monotonicity law on induced tables."""
     return vague._strict_monotone(lat, None, mu, None, lat.elements, reading,
                                   "lattice-vague-strict-monotonicity",
-                                  lat.to_json(), first)
+                                  lat.to_json())
 
 
 def check_lattice_vague_cancellation(mu, lat: FiniteLattice,

@@ -254,11 +254,15 @@ def conclude(property_id: str, domain: dict, witnesses: Sequence[Witness], *,
                           dict(details or {}))
 
 
-def collect(witnesses: Iterable[Witness], first: bool = False) -> list:
-    """The witnesses a loop yields, or with ``first`` (the verdict-only
-    mode) its first one alone: one witness is enough for ``conclude`` to
-    make a FAILS, and a loop without one still runs to its end."""
-    return list(itertools.islice(witnesses, 1 if first else None))
+# the verdict-only mode: set only by ``suite._run_row``, around one row
+verdict_only = False
+
+
+def collect(witnesses: Iterable[Witness]) -> list:
+    """The witnesses a loop yields, or in the verdict-only mode its first
+    one alone: one witness is enough for ``conclude`` to make a FAILS,
+    and a loop without one still runs to its end."""
+    return list(itertools.islice(witnesses, 1 if verdict_only else None))
 
 
 def witnesses_of(holds, cases):

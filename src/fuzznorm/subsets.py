@@ -230,7 +230,7 @@ def enumerate_table_subsets(elements: Sequence, alphabet: Sequence[Fraction]) ->
 
 def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
                        leq: Callable, arities: Sequence = (2,),
-                       table=None, first: bool = False) -> list:
+                       table=None) -> list:
     """The closure condition of a fuzzy submonoid: a witness for every
     tuple of ``elems`` where ``leq(combine(mu x, ..), mu(x o ..))`` is
     False. ``combine`` is the order's meet or a combiner replacing it,
@@ -238,24 +238,23 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     ``table``, a ``kernel.Kernel`` of ``op`` over ``elems``, serves the
     pairs when given; when it keeps every product among ``elems`` and
     ``mu`` is a table map with ids over ``elems``, the loop runs on ids
-    (carrier positions and the map's alphabet order). ``first`` keeps
-    only the first witness (``reports.collect``). A map with no value at
-    a product raises ``TotalityError``: before any witness at a product
-    of two served by ``table``, else when the loop reaches it, so with
-    ``first`` a witness met earlier makes a FAILS."""
+    (carrier positions and the map's alphabet order). A map with no value
+    at a product raises ``TotalityError``: before any witness at a product
+    of two served by ``table``, else when the loop reaches it, so in the
+    verdict-only mode (``reports.collect``) a witness met earlier makes a
+    FAILS."""
     fn = getattr(mu, "fn", None)
     order = getattr(fn, "order", None)
     if (order is not None and table is not None and table.closed
             and fn.elements == elems):
         found = _closure_loop(fn.ids.__getitem__, range(len(elems)), table.op,
                               order.lifted(combine), order.lifted(leq, bool),
-                              arities, table, first)
+                              arities, table)
         return kernel.witness_values(found, elems, order.vals)
-    return _closure_loop(mu, elems, op, combine, leq, arities, table, first)
+    return _closure_loop(mu, elems, op, combine, leq, arities, table)
 
 
-def _closure_loop(mu, elems, op, combine, leq, arities, table,
-                  first=False) -> list:
+def _closure_loop(mu, elems, op, combine, leq, arities, table) -> list:
     vals = {a: mu(a) for a in elems}
 
     def found():
@@ -282,7 +281,7 @@ def _closure_loop(mu, elems, op, combine, leq, arities, table,
                     rhs = mu(acc)
                     if not leq(lhs, rhs):
                         yield Witness(combo, (lhs, rhs))
-    return collect(found(), first)
+    return collect(found())
 
 
 def _identity_witnesses(mu, identity, same: Callable, top) -> list:

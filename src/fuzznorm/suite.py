@@ -5,11 +5,11 @@ loop counts them and the counterexamples among them; a clean run reports
 zero everywhere. The t-subnorm rows of chains and lattices share one case
 stream over (t-norm, degree order) sweeps; the aggregation, uninorm and
 nullnorm rows are one row function over a table of characterization
-cases. A row reads only the verdicts of the checks it runs, so it runs
-them in their verdict-only mode (``first=True``), which stops a loop at
-its first witness. Rows are pure functions of the configuration, so they
-fan out across processes and merge in order; wall time shows in text
-output only, keeping the JSON byte-stable.
+cases. A row reads only the verdicts of its checks, so ``_run_row`` runs
+it in the verdict-only mode (``reports.verdict_only``): a witness loop
+stops at its first witness. Rows are pure functions of the configuration,
+so they fan out across processes and merge in order; wall time shows in
+text output only, keeping the JSON byte-stable.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
+from . import reports
 from .carriers import CarrierMonoid, cyclic_group
 from .checker import (check_archimedean, check_axioms, check_limit_property,
                       check_strict_monotonicity, classify_uninorm)
@@ -139,9 +140,9 @@ def _property_check(cfg: SuiteConfig, tnorm, points, order):
     if order is UNIT_INTERVAL:
         dom = FinitePoints(points)
         return lambda mu, prop: check_fuzzy_property(
-            mu, tnorm, prop, dom, cfg.budget, gate=False, first=True).holds
+            mu, tnorm, prop, dom, cfg.budget, gate=False).holds
     return lambda mu, prop: check_lattice_fuzzy_property(
-        mu, tnorm, prop, gate=False, first=True).holds
+        mu, tnorm, prop, gate=False).holds
 
 
 def _subnorm_cases(cfg: SuiteConfig, sweeps, premise: FuzzyProp,
@@ -195,8 +196,7 @@ def _row_prop39(cfg):
     grid_dom = GridDomain(cfg.grid)
     conns, forms = (T_M, T_L, T_D), _builtin_mu_forms()
     builtins = ((f"{conn.name}|{mu.name}", not check_fuzzy_property(
-                    mu, conn, FuzzyProp.FSTRICT, grid_dom, cfg.budget,
-                    first=True).holds)
+                    mu, conn, FuzzyProp.FSTRICT, grid_dom, cfg.budget).holds)
                 for conn in conns for mu in forms)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
                 f"plus non-strict builtins at grid n={cfg.grid}")
@@ -220,7 +220,7 @@ def _vague_corpus_at(resolution: int) -> tuple:
 
 def _row_prop12(cfg):
     cases = ((f"{v.base.label}|{reading}",
-              not check_vague_strict_monotone(v, reading, first=True).holds
+              not check_vague_strict_monotone(v, reading).holds
               or not check_vague_cancellation(v, reading).fails)
              for v in _vague_corpus(cfg) for reading in READINGS)
     universe = "induced vague operators over the grid corpus, both premise readings"
@@ -234,8 +234,7 @@ def _row_prop15(cfg):
     induced = ((t, induce_lattice_vague_tnorm(eq_table, t))
                for t, eq_table in pairs)
     cases = ((f"{t.name}|{reading}",
-              not check_lattice_vague_strict_monotone(
-                  mu, lat, reading, first=True).holds
+              not check_lattice_vague_strict_monotone(mu, lat, reading).holds
               or not check_lattice_vague_cancellation(mu, lat, reading).fails)
              for t, mu in induced for reading in READINGS)
     universe = f"{len(pairs)} valid lattice equalities x 3-chain t-norms, both readings"
@@ -335,7 +334,7 @@ def _row_intersection(cfg):
     dom = _grid3()
     carrier = CarrierMonoid.from_connective(T_M, dom)
     groupoids = [mu for mu in _table_sweep(cfg, dom.points)
-                 if check_fuzzy_subgroupoid(mu, carrier, first=True).holds]
+                 if check_fuzzy_subgroupoid(mu, carrier).holds]
     cases = ((f"{a.name}&{b.name}",
               check_fuzzy_subgroupoid(intersect_fuzzy_subsets([a, b]),
                                       carrier).holds)
@@ -348,7 +347,7 @@ def _row_unique_mu_id(cfg):
     dom = GridDomain(cfg.grid)
     cases = ((conn.name, check_fuzzy_submonoid(
                  MU_ID, CarrierMonoid.from_connective(conn, dom),
-                 KIND_T_SUBNORM, first=True).holds == expect)
+                 KIND_T_SUBNORM).holds == expect)
              for conn, expect in ((T_M, True), (T_P, False), (T_L, False),
                                   (T_D, False)))
     universe = f"identity membership against the four builtins (grid n={cfg.grid})"
@@ -419,10 +418,13 @@ ROWS: dict = {
 def _run_row(row_id: str, cfg: SuiteConfig) -> RowResult:
     fn = ROWS[row_id]
     start = time.monotonic()
+    reports.verdict_only = True
     try:
         result = fn(cfg)
     except BudgetExceededError as exc:
         result = RowResult(row_id, "", 0, [], skipped=True, skip_reason=str(exc))
+    finally:
+        reports.verdict_only = False
     result.elapsed = time.monotonic() - start
     return result
 

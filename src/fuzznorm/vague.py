@@ -419,8 +419,8 @@ def _degrees_match(order, reading: str) -> Callable:
     raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
 
 
-def _strict_monotone(order, t, deg, eq, carrier, reading, rid, dom,
-                     first) -> PropertyReport:
+def _strict_monotone(order, t, deg, eq, carrier, reading, rid,
+                     dom) -> PropertyReport:
     lt, match = order.lt, _degrees_match(order, reading)
     instances = 0
 
@@ -440,19 +440,18 @@ def _strict_monotone(order, t, deg, eq, carrier, reading, rid, dom,
                             instances += 1
                             if not lt(a, b):
                                 yield Witness((x, y, z, a, b), (da, db))
-    witnesses = collect(found(), first)
+    witnesses = collect(found())
     return conclude(rid, dom, witnesses, instances=instances,
                     details={"reading": reading})
 
 
-def check_vague_strict_monotone(v: VagueTNorm, reading: str = "any-degree", *,
-                                first: bool = False) -> PropertyReport:
+def check_vague_strict_monotone(v: VagueTNorm,
+                                reading: str = "any-degree") -> PropertyReport:
     """x < y with matching degrees at (x,z,a) and (y,z,b) must force
     a < b. The premise reading (any common degree, or degree 1 only) is
-    configurable and recorded in the report. ``first`` is the
-    verdict-only mode: the report keeps only the first witness."""
+    configurable and recorded in the report."""
     return _on_degree_order(v.base, lambda *on: _strict_monotone(
-        *on, reading, "vague-strict-monotonicity", v.to_json(), first))
+        *on, reading, "vague-strict-monotonicity", v.to_json()))
 
 
 def _cancellation(order, t, deg, eq, carrier, reading, rid,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS,
                                   Connective, Role, S_D, S_L, S_M, S_P, T_D,
                                   T_L, T_M, T_P, construct_nullnorm,
@@ -40,6 +41,20 @@ def test_unknown_family_rejected():
     with pytest.raises(UnknownOperatorError) as err:
         eval_tconorm("nope", F(0), F(0))
     assert str(err.value) == "unknown t-conorm family: 'nope'"
+
+
+def test_a_value_that_is_not_a_number_is_refused_at_the_boundary():
+    """An operator that returns None off grid 4 is refused where its value
+    is read, with a ``DomainError``, before a compiled check interns it."""
+    pts = set(GridDomain(4).points)
+    partial_product = Connective(
+        "tnorm:none-off-grid", Role.TNORM,
+        lambda x, y: x * y if x in pts and y in pts else None, identity=F(1))
+    assert partial_product(F(1, 2), F(1, 2)) == F(1, 4)
+    with pytest.raises(DomainError, match="returned None, not a number"):
+        partial_product(F(1, 4), F(1, 16))
+    with pytest.raises(DomainError, match="tnorm:none-off-grid returned None"):
+        check_axioms(partial_product, GridDomain(4))
 
 
 def test_power_iterate():
