@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 from .reports import PropertyReport, Witness
@@ -89,13 +89,11 @@ class IdOrder:
         key = (id(fn), result)  # the memo holds fn, so its id stays its own
         at = self._lifted.get(key)
         if at is None:
-            vals, result, memo = self.vals, result or self.intern, {}
+            vals, result = self.vals, result or self.intern
 
+            @cache
             def at(*ids):
-                r = memo.get(ids)
-                if r is None:
-                    r = memo[ids] = result(fn(*[vals[i] for i in ids]))
-                return r
+                return result(fn(*[vals[i] for i in ids]))
             self._lifted[key] = at
         return at
 

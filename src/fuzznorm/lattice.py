@@ -242,76 +242,50 @@ def enumerate_lattice_tnorms(lat: FiniteLattice, cap: Optional[int] = None) -> l
     positions: the cells (pairs of non-top elements) in row-major order,
     each taking the values below the meet of its coordinates in element
     order. A value is dropped when it breaks monotonicity against a set
-    cell one cover edge away, or associativity on a triple whose four
-    cells are set (the pruning of Bartusek & Navara, Kybernetika 2002).
-    Every other set triple passed before, so only the triples that look
-    up the new cell are checked.
+    cell of its row or column, and a complete table is kept when the
+    associativity core that ``check_lattice_tnorm`` runs (L2) finds no
+    triple with unequal sides.
     """
     if cap is not None and cap < 0:
         raise DomainError(f"the table cap must be non-negative, got {cap}")
     elems = lat.elements
     check_enumeration_size(len(elems))
     n, top = len(elems), elems.index(lat.top)
+    pts = range(n)
     le = [[lat.leq(a, b) for b in elems] for a in elems]
-    covers = [(a, b) for a in range(n) for b in range(n) if a != b and le[a][b]
-              and not any(le[a][c] and le[c][b] for c in range(n)
-                          if c not in (a, b))]
-    at = [[i if top == j else j if top == i else None for j in range(n)]
-          for i in range(n)]
-    free = [(i, j) for i in range(n) for j in range(i, n) if top not in (i, j)]
-    choices = [[v for v in range(n)
-                if le[v][elems.index(lat.meet(elems[i], elems[j]))]]
+    at = [[i if top == j else j if top == i else None for j in pts] for i in pts]
+    free = [(i, j) for i in pts for j in range(i, n) if top not in (i, j)]
+    choices = [[v for v in pts if le[v][elems.index(lat.meet(elems[i], elems[j]))]]
                for i, j in free]
-    # the cells one cover edge below and above each free cell
-    below = [[(a, y) for x, y in ((i, j), (j, i)) for a, b in covers if b == x]
-             for i, j in free]
-    above = [[(b, y) for x, y in ((i, j), (j, i)) for a, b in covers if a == x]
-             for i, j in free]
     results = []
 
-    def monotone(pos, v):
-        return (all(at[a][y] is None or le[at[a][y]][v] for a, y in below[pos])
-                and all(at[b][y] is None or le[v][at[b][y]]
-                        for b, y in above[pos]))
+    def op(x, y):
+        return at[x][y]
 
-    def associative(x, y, z):
-        # False only once x y, y z, (x y) z and x (y z) are set and differ
-        a, b = at[x][y], at[y][z]
-        if a is None or b is None:
-            return True
-        left, right = at[a][z], at[x][b]
-        return left is None or right is None or left == right
-
-    def associative_through(i, j):
-        # the triples with (p, q) among their four cells: p q z, x p q,
-        # (x y) q where x y = p, and p (y z) where y z = q
-        for p, q in {(i, j), (j, i)}:
-            if not all(associative(p, q, w) and associative(w, p, q)
-                       for w in range(n)):
-                return False
-            for x in range(n):
-                for y in range(n):
-                    v = at[x][y]
-                    if ((v == p and not associative(x, y, q))
-                            or (v == q and not associative(p, x, y))):
-                        return False
-        return True
+    def monotone(i, j, v):
+        # the set cells (x, k) of rows i and j, which the table mirrors
+        # into columns, against v at (x, y)
+        return all(w is None or ((not le[y][k] or le[v][w])
+                                 and (not le[k][y] or le[w][v]))
+                   for x, y in ((i, j), (j, i)) for k, w in enumerate(at[x]))
 
     def walk(pos):
         if cap is not None and len(results) >= cap:
             return
         if pos == len(free):
+            for _, lhs, rhs in checker._associativity(op, pts):
+                if lhs != rhs:
+                    return
             table = {(elems[x], elems[y]): elems[at[x][y]]
-                     for x in range(n) for y in range(n)}
+                     for x in pts for y in pts}
             label = ",".join(str(elems[at[i][j]]) for i, j in free)
             results.append(LatticeTNorm(lat, table, name=f"T[{label}]"))
             return
         i, j = free[pos]
         for v in choices[pos]:
-            if monotone(pos, v):
+            if monotone(i, j, v):
                 at[i][j] = at[j][i] = v
-                if associative_through(i, j):
-                    walk(pos + 1)
+                walk(pos + 1)
                 at[i][j] = at[j][i] = None
 
     walk(0)

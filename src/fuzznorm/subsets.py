@@ -35,7 +35,10 @@ class FuzzySubset:
     fn: Callable[[object], Scalar]
 
     def __call__(self, x) -> Scalar:
-        return exact(self.fn(x))
+        v = self.fn(x)
+        if v is None:  # a number or a lattice label passes
+            raise _no_value(x, f"membership map {self.name}")
+        return exact(v)
 
 
 def _id_fn(x):
@@ -71,8 +74,8 @@ class _IndicatorFn:
         return ONE if x in self.members else ZERO
 
 
-def _no_value(x) -> TotalityError:
-    return TotalityError(f"membership table has no value at {format_scalar(x)}")
+def _no_value(x, what: str = "membership table") -> TotalityError:
+    return TotalityError(f"{what} has no value at {format_scalar(x)}")
 
 
 class _TableFn:

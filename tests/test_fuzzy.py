@@ -24,8 +24,8 @@ from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM,
 from fuzznorm.reports import FinitePoints, GridDomain, SearchBudget, Verdict
 from fuzznorm.scalars import UNIT_INTERVAL, ZERO
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
-                              enumerate_table_subsets, generate_subnorm_tables,
-                              indicator_subset, intersect_fuzzy_subsets,
+                              FuzzySubset, enumerate_table_subsets,
+                              generate_subnorm_tables, indicator_subset, intersect_fuzzy_subsets,
                               parse_subset_spec, step_subset, subset_from_json,
                               table_subset)
 from fuzznorm.tables import (enumerate_chain_tnorm_tables, mixed_grid_points,
@@ -536,6 +536,16 @@ class TestSubsetIO:
         # a typed float is read by its shortest decimal, as unit() reads it
         mu = table_subset({F(0): 0.1, F(1): "1/2"})
         assert mu.name == "table{0:1/10,1:1/2}" and mu(F(0)) == F(1, 10)
+
+    def test_map_without_a_value_raises_totality_error(self):
+        # a callable map, not a table: the error names the map and the point
+        mu = FuzzySubset("probe", lambda x: None if x == F(1, 2) else x)
+        grid = GridDomain(4)
+        message = "membership map probe has no value at 1/2"
+        with pytest.raises(TotalityError, match=message):
+            check_fuzzy_submonoid(mu, CarrierMonoid.from_connective(T_M, grid))
+        with pytest.raises(TotalityError, match=message):
+            check_fuzzy_property(mu, T_P, FuzzyProp.FSTRICT, grid)
 
     def test_repeated_point_is_refused(self):
         with pytest.raises(InputFormatError, match="listed twice"):

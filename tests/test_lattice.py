@@ -163,6 +163,10 @@ def _oracle_lattices():
     yield build_lattice(["0", "a", "b", "c", "1"],
                         [("0", x) for x in "abc"] + [(x, "1") for x in "abc"],
                         name="M3")
+    # the widest 6-element lattice: row monotonicity prunes least here
+    yield build_lattice(["0", "a", "b", "c", "d", "1"],
+                        [("0", x) for x in "abcd"] + [(x, "1") for x in "abcd"],
+                        name="M4")
     yield build_lattice(["0", "a", "c", "b", "1"],
                         [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"),
                          ("b", "1")], name="N5")
