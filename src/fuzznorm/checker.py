@@ -19,6 +19,7 @@ membership map, reported in the crisp shape.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Optional
 
@@ -81,20 +82,20 @@ def _absorber(order, op, pts, k, zero, one):
             yield (one, x), op(one, x), x
 
 
-def _search_identity(op, pts, same):
-    """The first point e with ``same(op(x, e), x)`` at every point x, or None."""
+def _search_identity(op, pts):
+    """The first point e with ``op(x, e) == x`` at every point x, or None."""
     for e in pts:
-        if all(same(op(x, e), x) for x in pts):
+        if all(op(x, e) == x for x in pts):
             return e
     return None
 
 
 def _uninorm_identity(order, op, pts, e, rid, dom):
     if e is not None:
-        return decide(rid, dom, order.same, _identity(op, pts, e),
+        return decide(rid, dom, operator.eq, _identity(op, pts, e),
                       details={"identity": format_scalar(e)})
     # no declared identity: search the grid for one
-    e = _search_identity(op, pts, order.same)
+    e = _search_identity(op, pts)
     missing = [] if e is not None else [Witness(("no-identity-element",), ())]
     return conclude(rid, dom, missing,
                     details={"identity": None if e is None else format_scalar(e),
@@ -110,7 +111,7 @@ def _role_axioms(order, op, at, conn, pts, dom) -> PropertyReport:
     names (a bound, the identity, the absorber) into an order element."""
     role = conn.role
     p = _AXIOM_PREFIX[role]
-    eq = order.same
+    eq = operator.eq
     children = [
         decide(f"{p}1:commutativity", dom, eq, _commutativity(op, pts)),
         decide(f"{p}2:associativity", dom, eq, _associativity(op, pts)),
@@ -139,7 +140,7 @@ def _aggregation_axioms(conn, pts, dom) -> PropertyReport:
     children = [
         decide("A1:monotonicity", dom, UNIT_INTERVAL.leq,
                 _monotonicity(UNIT_INTERVAL, conn, pts)),
-        decide("A2:boundary", dom, UNIT_INTERVAL.same, boundary),
+        decide("A2:boundary", dom, operator.eq, boundary),
     ]
     return combine(f"axioms:{conn.role.value}", children, dom,
                    details={"operator": conn.name})
@@ -214,7 +215,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
     the three pair properties at their first witness, their counts then
     partial.
     """
-    lt, leq, same = order.lt, order.leq, order.same
+    lt, leq = order.lt, order.leq
     witnesses, inconclusive, incomparable = [], 0, 0
     details = dict(details)
 
@@ -251,7 +252,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
         raised = [x for x in pts if x != bottom]
         witnesses = collect((Witness((x, pts[i], pts[j]), (row[i], row[j]))
                              for x, row in rows(raised) for i, j in pairs
-                             if same(row[i], row[j])))
+                             if row[i] == row[j]))
         instances = len(raised) * len(pairs)
 
     elif prop is FuzzyProp.FCONDCANCEL:
@@ -263,11 +264,11 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
             for x, row in rows(pts):
                 for i, j in pairs:
                     vy = row[i]
-                    if not (same(vy, row[j]) and lt(mu0, vy)):
+                    if not (vy == row[j] and lt(mu0, vy)):
                         continue
                     strong_violations += 1  # stronger reading concludes y = z
                     my, mz = mu(pts[i]), mu(pts[j])
-                    if not same(my, mz):
+                    if my != mz:
                         yield Witness((x, pts[i], pts[j]), (vy, my, mz))
         witnesses = collect(found())
         instances = n * len(pairs)
@@ -308,7 +309,7 @@ def _fuzzy_property(order, op, mu, pts, xs, bottom, prop, budget, rid,
         for x in xs:
             traj, stationary = _power_trajectory(op, x, cap)
             if stationary is not None:
-                if not same(mu(stationary), mu0):
+                if mu(stationary) != mu0:
                     witnesses.append(
                         Witness((x,), (stationary, mu(stationary), mu0)))
                     continue
@@ -443,7 +444,7 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
 
     e = conn.identity
     if e is None:
-        e = _search_identity(conn, pts, UNIT_INTERVAL.same)
+        e = _search_identity(conn, pts)
     witnesses = []
     behavior_min = behavior_max = True
     mixed_pairs = 0

@@ -126,7 +126,7 @@ def check_fuzzy_submonoid(mu: FuzzySubset, carrier: CarrierMonoid,
     """Closure condition for the kind's combiner plus full membership at
     the carrier identity."""
     closure, instances = _closure(mu, carrier, kind)
-    missed = _identity_witnesses(mu, carrier.identity, UNIT_INTERVAL.same, ONE)
+    missed = _identity_witnesses(mu, carrier.identity, ONE)
     witnesses = collect(chain(closure, missed))
     details = {"mu": mu.name, "identity_condition": not missed}
     if kind.combiner is not None:

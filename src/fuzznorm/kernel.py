@@ -8,8 +8,8 @@ are equal exactly when their values are, and ``vals[id]`` gives the
 value back for witnesses. ``lifted(fn)`` is a function on values lifted
 to ids, evaluated once per tuple of ids; every function on ids here is
 one. An ``IdOrder`` is a finite order on its ids: ``leq``, ``lt`` and
-``meet`` are the value order lifted and ``same`` is id equality, so the
-value cores of ``fuzznorm.checker``, ``fuzznorm.vague`` and
+``meet`` are the value order lifted and ids are equal when their values
+are, so the value cores of ``fuzznorm.checker``, ``fuzznorm.vague`` and
 ``fuzznorm.subsets`` run on it as they run on the unit interval and on a
 finite lattice. Three compilations build one:
 
@@ -83,7 +83,6 @@ class IdOrder:
         self.leq = self.lifted(operator.le, bool)
         self.lt = self.lifted(operator.lt, bool)
         self.meet = self.lifted(min)
-        self.same = operator.eq
 
     def lifted(self, fn: Callable, result: Optional[Callable] = None) -> Callable:
         key = (id(fn), result)  # the memo holds fn, so its id stays its own

@@ -14,6 +14,7 @@ implementations run with the lattice as the degree order, on
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -41,9 +42,6 @@ class FiniteLattice:
 
     def lt(self, a, b) -> bool:
         return a != b and (a, b) in self.leq_pairs
-
-    def same(self, a, b) -> bool:
-        return a == b
 
     def meet(self, a, b):
         return self.meet_table[(a, b)]
@@ -226,7 +224,7 @@ def check_lattice_tnorm(cand, lat: FiniteLattice) -> PropertyReport:
     def op(x, y):
         return table[(x, y)]
 
-    eq = lat.same
+    eq = operator.eq
     children = [
         decide("L1:monotonicity", dom, lat.leq,
                checker._monotonicity(lat, op, elems)),
@@ -318,7 +316,7 @@ def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyRep
     with the lattice as the degree order."""
     lat = t.lattice
     witnesses = (_closure_witnesses(mu, lat.elements, t, lat.meet, lat.leq)
-                 + _identity_witnesses(mu, lat.top, lat.same, lat.top))
+                 + _identity_witnesses(mu, lat.top, lat.top))
     return conclude("lattice-fuzzy-t-subnorm", lat.to_json(), witnesses,
                     instances=len(lat.elements) ** 2 + 1,
                     details={"mu": mu.name, "tnorm": t.name})

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
-from .scalars import ONE, ZERO, format_scalar, format_scalar_text
+from .scalars import ONE, ZERO, format_scalar, format_scalar_text, unit
 
 
 class Verdict(Enum):
@@ -116,12 +116,16 @@ class GridDomain:
 
 @dataclass(frozen=True)
 class FinitePoints:
-    """An explicit finite set of rationals in [0, 1], sorted, with 0 and 1."""
+    """An explicit finite set of rationals in [0, 1], sorted, with 0 and 1,
+    each point read by ``scalars.unit``."""
 
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(self.points)
+        try:
+            pts = tuple(map(unit, self.points))
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
         if len(pts) < 2 or sorted(set(pts)) != list(pts):
             raise DomainError("finite domain points must be sorted and distinct")
         if pts[0] != ZERO or pts[-1] != ONE:

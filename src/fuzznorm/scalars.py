@@ -62,16 +62,16 @@ def parse_label(value):
 
 
 class UnitInterval:
-    """[0, 1] as a degree order; ``FiniteLattice`` offers the same six
-    members. ``leq``, ``lt`` and ``same`` are the exact comparisons and
-    order points and degrees alike; ``meet`` is min."""
+    """[0, 1] as a degree order; ``FiniteLattice`` offers the same five
+    members. ``leq`` and ``lt`` are the exact comparisons and order
+    points and degrees alike, which compare with ``==``; ``meet`` is
+    min."""
 
     # int bounds compare equal to ZERO and ONE and keep Fraction.__eq__
     # on its int fast path in the pruning tests
     bottom = 0
     top = 1
     leq = staticmethod(operator.le)
-    same = staticmethod(operator.eq)
     lt = staticmethod(operator.lt)
     meet = staticmethod(min)
 

@@ -287,11 +287,11 @@ def _closure_loop(mu, elems, op, combine, leq, arities, table) -> list:
     return collect(found())
 
 
-def _identity_witnesses(mu, identity, same: Callable, top) -> list:
+def _identity_witnesses(mu, identity, top) -> list:
     """The identity condition of a fuzzy submonoid: no witness when
     ``mu(identity)`` is the top degree, else the one that shows it."""
     v = mu(identity)
-    return [] if same(v, top) else [Witness((identity,), (v, top))]
+    return [] if v == top else [Witness((identity,), (v, top))]
 
 
 def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
@@ -299,13 +299,13 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
     """The maps of ``enumerate_table_subsets(elements, alphabet)``, in its
     order, that are t-subnorms of ``op`` in ``order``: every
     ``order.leq(order.meet(mu x, mu y), mu(op(x, y)))`` holds and
-    ``mu(identity)`` is ``order.same`` as ``order.top``, the comparisons
+    ``mu(identity)`` is ``order.top``, the comparisons
     ``_closure_witnesses`` and ``_identity_witnesses`` make.
 
-    Values are assigned in element order; a partial tuple is dropped as
-    soon as an inequality with all three values assigned fails or the
-    identity gets a value that is not the top. A product or an identity
-    outside ``elements`` raises the ``TotalityError`` a table map raises.
+    The product of the alphabet positions, with the identity's limited
+    to the top, is filtered through the inequalities on positions. A
+    product or an identity outside ``elements`` raises the
+    ``TotalityError`` a table map raises.
     """
     # as in a table map, an element listed twice keeps its last value
     elements, index, alphabet, compiled = _sweep(elements, alphabet)
@@ -318,32 +318,16 @@ def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
         except (KeyError, TypeError):
             raise _no_value(x) from None
 
-    # each inequality is decided where its last value is assigned
-    ready = [[] for _ in elements]
-    for x in elements:
-        for y in elements:
-            i, j, p = index[x], index[y], position(op(x, y))
-            ready[max(i, j, p)].append((i, j, p))
+    triples = [(index[x], index[y], position(op(x, y)))
+               for x in elements for y in elements]
     pinned = position(identity)
     # the comparisons on alphabet positions, each made once
     leq, meet = order.leq, order.meet
     holds = [[[leq(meet(a, b), c) for c in alphabet]
               for b in alphabet] for a in alphabet]
-    tops = [v for v, a in enumerate(alphabet) if order.same(a, order.top)]
+    tops = [v for v, a in enumerate(alphabet) if a == order.top]
     choices = [tops if k == pinned else range(len(alphabet))
-               for k in range(len(ready))]
-    at = [0] * len(ready)
-
-    def extend(k):
-        if k == len(at):
+               for k in range(len(elements))]
+    for at in itertools.product(*choices):
+        if all(holds[at[i]][at[j]][at[p]] for i, j, p in triples):
             yield named_table(elements, index, alphabet, at, compiled)
-            return
-        for v in choices[k]:
-            at[k] = v
-            if all(holds[at[i]][at[j]][at[p]] for i, j, p in ready[k]):
-                yield from extend(k + 1)
-
-    try:
-        yield from extend(0)
-    finally:
-        del extend  # it refers to itself: free it now, not at a collection

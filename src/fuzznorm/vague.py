@@ -18,6 +18,7 @@ run it on a ``FiniteLattice``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -70,9 +71,9 @@ class TFuzzyEquality:
 
 def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
     _tuple_budget(len(carrier), 3, "transitivity")
-    leq, same, top = order.leq, order.same, order.top
+    leq, top = order.leq, order.top
     refl_w = [Witness((x, x), (fn(x, x),)) for x in carrier
-              if not same(fn(x, x), top)]
+              if fn(x, x) != top]
 
     def transitivity():
         for x in carrier:
@@ -86,10 +87,10 @@ def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
     n = len(carrier)
     children = [
         conclude("E1:reflexivity", dom, refl_w, instances=n),
-        decide("E2:symmetry", dom, same, symmetry, instances=n ** 2),
+        decide("E2:symmetry", dom, operator.eq, symmetry, instances=n ** 2),
         decide("E3:transitivity", dom, leq, transitivity()),
     ]
-    separates = all(x == y or not same(fn(x, y), top)
+    separates = all(x == y or fn(x, y) != top
                     for x in carrier for y in carrier)
     return combine(rid, children, dom,
                    details={"tnorm": tnorm.name, "separates_points": separates})
@@ -314,9 +315,8 @@ def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     n = len(carrier)
     ext = decide("V1:extensionality", dom, leq, extensionality(), instances=n ** 6)
     fun = decide("V2:functionality", dom, leq, functionality(), instances=n ** 4)
-    same = order.same
     tot_w = [Witness((x, y), ()) for x in carrier for y in carrier
-             if not any(same(deg[(x, y, z)], top) for z in carrier)]
+             if not any(deg[(x, y, z)] == top for z in carrier)]
     tot = conclude("V3:totality", dom, tot_w, instances=n ** 2)
     return combine(rid, [ext, fun, tot], dom)
 
@@ -356,7 +356,7 @@ def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
 
     witnesses, _ = witnesses_of(order.leq, associativity())
     identity = next((e for e in carrier
-                     if all(order.same(t(deg[(e, a, a)], deg[(a, e, a)]), top)
+                     if all(t(deg[(e, a, a)], deg[(a, e, a)]) == top
                             for a in carrier)), None)
     if identity is None:
         witnesses.append(Witness(("no-identity-element",), ()))
@@ -411,11 +411,11 @@ def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
 
 def _degrees_match(order, reading: str) -> Callable:
     """The premise test on two degrees under ``reading``."""
-    same, top = order.same, order.top
+    top = order.top
     if reading == "crisp":
-        return lambda da, db: same(da, top) and same(db, top)
+        return lambda da, db: da == top and db == top
     if reading == "any-degree":
-        return same
+        return operator.eq
     raise DomainError(f"unknown premise reading {reading!r}; use one of {READINGS}")
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzznorm import kernel
 from fuzznorm.checker import (check_archimedean, check_axioms,
                               check_cancellation, check_limit_property,
                               check_strict_monotonicity, classify_uninorm)
@@ -338,6 +339,23 @@ class TestReportPlumbing:
             SearchBudget(n_max=0)
         with pytest.raises(DomainError):
             SearchBudget(epsilon=F(0))
+
+    @pytest.mark.parametrize("points", [(0, F(1, 2), 1), (0.0, 0.5, 1.0)],
+                             ids=["int", "float"])
+    def test_finite_points_read_like_fractions(self, points):
+        exact = (F(0), F(1, 2), F(1))
+        dom = FinitePoints(points)
+        assert dom.points == exact
+        assert all(type(p) is Fraction for p in dom.points)
+        assert kernel.compile_operator(T_M, dom.points) is not None
+        # a witness input is "1", as for the Fraction chain, not a number
+        assert (dumps(check_strict_monotonicity(T_M, dom))
+                == dumps(check_strict_monotonicity(T_M, FinitePoints(exact))))
+
+    @pytest.mark.parametrize("points", [(0, 2, 1), (0, "x", 1), (0, "1/0", 1)])
+    def test_finite_points_that_are_not_unit_values_are_refused(self, points):
+        with pytest.raises(DomainError):
+            FinitePoints(points)
 
 
 @settings(max_examples=30, deadline=None)

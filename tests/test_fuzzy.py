@@ -24,7 +24,8 @@ from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM,
 from fuzznorm.reports import FinitePoints, GridDomain, SearchBudget, Verdict
 from fuzznorm.scalars import UNIT_INTERVAL, ZERO
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
-                              FuzzySubset, enumerate_table_subsets,
+                              FuzzySubset, _closure_witnesses,
+                              _identity_witnesses, enumerate_table_subsets,
                               generate_subnorm_tables, indicator_subset, intersect_fuzzy_subsets,
                               parse_subset_spec, step_subset, subset_from_json,
                               table_subset)
@@ -156,6 +157,19 @@ class TestGeneratedSubnorms:
         # the constant-one map is a t-subnorm whenever 1 is a value
         assert generated_any == (1 in alphabet)
 
+    def test_element_listed_twice_keeps_the_gate_order(self):
+        # as in a table map, the first 1/2 is never read: its value is free
+        elements = (F(0), F(1, 2), F(1), F(1, 2))
+        meet, leq = UNIT_INTERVAL.meet, UNIT_INTERVAL.leq
+        gated = [mu for mu in enumerate_table_subsets(elements, ALPHABET)
+                 if not _closure_witnesses(mu, elements, T_L, meet, leq)
+                 and not _identity_witnesses(mu, F(1), UNIT_INTERVAL.top)]
+        generated = list(generate_subnorm_tables(elements, T_L, F(1), ALPHABET,
+                                                 UNIT_INTERVAL))
+        assert [mu.name for mu in generated] == [mu.name for mu in gated]
+        # mu(1) = 1, mu(1/2) <= mu(0) from T_L(1/2, 1/2) = 0, any first 1/2
+        assert len(gated) == 6 * 3
+
     def test_product_leaving_the_carrier_raises_like_the_gate(self):
         carrier = CarrierMonoid.from_connective(T_P, GridDomain(2))
         with pytest.raises(TotalityError) as gated:
@@ -254,6 +268,27 @@ class TestFuzzyProperties:
         rep = check_fuzzy_property(MU_ONE, T_L, FuzzyProp.FARCH, D10)
         assert rep.verdict is Verdict.VACUOUS
         assert "VACUOUS-BY-CONSTANCY" in rep.tags
+
+    # two t-subnorms of T_P on the grid where the premises of prop3.6 hold;
+    # FSTRICT takes x over the interior, FCANCEL every x but the bottom
+    MU2 = FuzzySubset("mu2", lambda x: 1 if x == 1 else F(1, 2) - x / 4)
+    MU1 = FuzzySubset("mu1", lambda x: 1 if x == 1 else 1 - x)
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_mu2_meets_every_cancellation_premise(self, n):
+        for prop in (FuzzyProp.FSTRICT, FuzzyProp.FCANCEL, FuzzyProp.FCONDCANCEL):
+            rep = check_fuzzy_property(self.MU2, T_P, prop, GridDomain(n))
+            assert rep.verdict is Verdict.HOLDS, prop
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_mu1_is_fuzzy_strict_and_fails_cancellation_at_the_top(self, n):
+        dom = GridDomain(n)
+        strict = check_fuzzy_property(self.MU1, T_P, FuzzyProp.FSTRICT, dom)
+        assert strict.verdict is Verdict.HOLDS
+        cancel = check_fuzzy_property(self.MU1, T_P, FuzzyProp.FCANCEL, dom)
+        assert cancel.verdict is Verdict.FAILS
+        assert [(w.inputs, w.values) for w in cancel.witnesses] == [
+            ((1, 0, 1), (1, 1))]
 
     def test_flimit_constant_map_holds(self):
         for conn in BUILTIN_TNORMS:
