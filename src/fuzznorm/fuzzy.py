@@ -200,17 +200,14 @@ def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
         return PropertyReport("not-strictly-decreasing", Verdict.VACUOUS, dom,
                               witnesses=list(gate.witnesses),
                               tags=("premise-not-subnorm",), details=details)
+    # the first pair x < y with mu(x) <= mu(y), else the end points
     pts = domain.points
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if mu(x) <= mu(y):
-                return PropertyReport(
-                    "not-strictly-decreasing", Verdict.HOLDS, dom,
-                    witnesses=[Witness((x, y), (mu(x), mu(y)))],
-                    details=details)
-    return PropertyReport("not-strictly-decreasing", Verdict.FAILS, dom,
-                          witnesses=[Witness((pts[0], pts[-1]),
-                                             (mu(pts[0]), mu(pts[-1])))],
+    pair = next(((x, y) for i, x in enumerate(pts) for y in pts[i + 1:]
+                 if mu(x) <= mu(y)), None)
+    x, y = pair or (pts[0], pts[-1])
+    return PropertyReport("not-strictly-decreasing",
+                          Verdict.HOLDS if pair else Verdict.FAILS, dom,
+                          witnesses=[Witness((x, y), (mu(x), mu(y)))],
                           details=details)
 
 
@@ -232,12 +229,8 @@ def check_discrete_subalgebra(points: Sequence, conn: Connective) -> PropertyRep
     if ZERO not in pts or ONE not in pts:
         raise DomainError("a discrete subalgebra must contain 0 and 1")
     members = set(pts)
-    witnesses = []
-    for x in pts:
-        for y in pts:
-            v = conn(x, y)
-            if v not in members:
-                witnesses.append(Witness((x, y), (v,)))
+    witnesses = [Witness((x, y), (v,)) for x in pts for y in pts
+                 if (v := conn(x, y)) not in members]
     dom = {"kind": "finite", "size": len(pts),
            "points": [format_scalar(p) for p in pts]}
     return conclude("discrete-subalgebra", dom, witnesses,
@@ -250,10 +243,8 @@ def _validate_min_aggregation(conn, domain):
     if conn.role is not Role.AGGREGATION:
         raise DomainError("this case needs the min aggregation operator")
     pts = domain.points
-    for x in pts:
-        for y in pts:
-            if conn(x, y) != min(x, y):
-                raise DomainError("aggregation operator is not min")
+    if any(conn(x, y) != min(x, y) for x in pts for y in pts):
+        raise DomainError("aggregation operator is not min")
 
 
 def _validate_disjunctive(conn, domain):
@@ -286,12 +277,10 @@ def _absorber(conn):
 
 def _validate_fm_shape(conn, domain):
     _validate_nullnorm(conn, domain)
-    k = _absorber(conn)
-    for x in domain.points:
-        for y in domain.points:
-            if x >= k and y >= k:
-                if conn(x, y) != min(x, y):
-                    raise DomainError("upper square must act as min")
+    k, pts = _absorber(conn), domain.points
+    if any(conn(x, y) != min(x, y) for x in pts for y in pts
+           if x >= k and y >= k):
+        raise DomainError("upper square must act as min")
 
 
 # closed-form right sides: (mu, operator, carrier) -> bool
@@ -319,11 +308,8 @@ def _rhs_prop20(mu, conn, carrier):
     if mu(ONE) != ONE:
         return False
     region = [x for x in carrier.elements if e <= mu(x)]
-    for i, x in enumerate(region):
-        for y in region[i + 1:]:
-            if not mu(y) <= mu(x):  # non-increasing on the region
-                return False
-    return True
+    return all(mu(y) <= mu(x)  # non-increasing on the region
+               for i, x in enumerate(region) for y in region[i + 1:])
 
 
 def _core_closed(mu, conn, carrier):
@@ -406,13 +392,9 @@ def uninorm_family(es: Sequence, tnorms: Sequence[Connective],
                    scnorms: Sequence[Connective]) -> list:
     """Both parametric families over the given parameter grids, in a
     deterministic order."""
-    members = []
-    for build in (construct_uninorm_min, construct_uninorm_max):
-        for e in es:
-            for t in tnorms:
-                for s in scnorms:
-                    members.append(build(e, t, s))
-    return members
+    return [build(e, t, s)
+            for build in (construct_uninorm_min, construct_uninorm_max)
+            for e in es for t in tnorms for s in scnorms]
 
 
 def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .reports import PropertyReport, Witness
@@ -103,7 +103,9 @@ class Kernel(IdOrder):
     Point ``i`` has id ``i``; ``table[i][j]`` is the id of
     ``fn(points[i], points[j])``, and ``closed`` says that no such value
     left the points. ``op`` reads ``table`` for a pair of points and the
-    lifted operator for any other pair.
+    lifted operator for any other pair. ``triples``, built when the
+    closure loop first asks, lists ``(i, j, table[i][j])`` for every pair
+    of points in row-major order.
     """
 
     def __init__(self, fn: Callable, points: Sequence):
@@ -113,6 +115,11 @@ class Kernel(IdOrder):
         # no product left the points: each would have taken a new id
         self.closed = len(self.vals) == self.n
         self._op = self.lifted(fn)
+
+    @cached_property
+    def triples(self) -> list:
+        return [(i, j, k) for i, row in enumerate(self.table)
+                for j, k in enumerate(row)]
 
     def op(self, a: int, b: int) -> int:
         """The id of fn(vals[a], vals[b])."""

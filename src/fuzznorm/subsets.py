@@ -239,13 +239,13 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
     False. ``combine`` is the order's meet or a combiner replacing it,
     ``leq`` the order's.
     ``table``, a ``kernel.Kernel`` of ``op`` over ``elems``, serves the
-    pairs when given; when it keeps every product among ``elems`` and
-    ``mu`` is a table map with ids over ``elems``, the loop runs on ids
-    (carrier positions and the map's alphabet order). A map with no value
-    at a product raises ``TotalityError``: before any witness at a product
-    of two served by ``table``, else when the loop reaches it, so in the
-    verdict-only mode (``reports.collect``) a witness met earlier makes a
-    FAILS."""
+    pairs when given, as one scan over its ``triples``; when it keeps
+    every product among ``elems`` and ``mu`` is a table map with ids over
+    ``elems``, the scan runs on ids (carrier positions and the map's
+    alphabet order). A map with no value at a product raises
+    ``TotalityError``: before any witness at a product of two served by
+    ``table``, else when the loop reaches it, so in the verdict-only mode
+    (``reports.collect``) a witness met earlier makes a FAILS."""
     fn = getattr(mu, "fn", None)
     order = getattr(fn, "order", None)
     if (order is not None and table is not None and table.closed
@@ -253,38 +253,47 @@ def _closure_witnesses(mu, elems: Sequence, op: Callable, combine: Callable,
         found = _closure_loop(fn.ids.__getitem__, range(len(elems)), table.op,
                               order.lifted(combine), order.lifted(leq, bool),
                               arities, table)
-        return kernel.witness_values(found, elems, order.vals)
-    return _closure_loop(mu, elems, op, combine, leq, arities, table)
+        return kernel.witness_values(collect(found), elems, order.vals)
+    return collect(_closure_loop(mu, elems, op, combine, leq, arities, table))
 
 
-def _closure_loop(mu, elems, op, combine, leq, arities, table) -> list:
+def _closure_loop(mu, elems, op, combine, leq, arities,
+                  table) -> Iterator[Witness]:
     vals = {a: mu(a) for a in elems}
+    for arity in arities:
+        if arity == 2 and table is not None:
+            # mu at each product id, up front: products take their ids in
+            # the pairs' row-major order, so a map that is not total is
+            # refused at the first product a pair reaches
+            at = ([vals[x] for x in elems]
+                  + [mu(p) for p in table.vals[len(elems):]])
+            yield from _scan(at, elems, table.triples, combine, leq)
+        else:
+            for combo in itertools.product(elems, repeat=arity):
+                lhs = combine(*[vals[c] for c in combo])
+                acc = combo[0]
+                for c in combo[1:]:
+                    acc = op(acc, c)
+                rhs = mu(acc)
+                if not leq(lhs, rhs):
+                    yield Witness(combo, (lhs, rhs))
 
-    def found():
-        for arity in arities:
-            if arity == 2 and table is not None:
-                # mu at each product id, up front: products take their ids
-                # in the pairs' row-major order, so a map that is not total
-                # is refused at the first product a pair reaches
-                at = ([vals[x] for x in elems]
-                      + [mu(p) for p in table.vals[len(elems):]])
-                for i, x in enumerate(elems):
-                    vx, row = at[i], table.table[i]
-                    for j, y in enumerate(elems):
-                        lhs = combine(vx, at[j])
-                        rhs = at[row[j]]
-                        if not leq(lhs, rhs):
-                            yield Witness((x, y), (lhs, rhs))
-            else:
-                for combo in itertools.product(elems, repeat=arity):
-                    lhs = combine(*[vals[c] for c in combo])
-                    acc = combo[0]
-                    for c in combo[1:]:
-                        acc = op(acc, c)
-                    rhs = mu(acc)
-                    if not leq(lhs, rhs):
-                        yield Witness(combo, (lhs, rhs))
-    return collect(found())
+
+def _scan(at, elems, triples, combine, leq) -> Iterator[Witness]:
+    """A witness at each ``(i, j, k)`` of ``triples`` where
+    ``leq(combine(at[i], at[j]), at[k])`` is False."""
+    for i, j, k in triples:
+        lhs = combine(at[i], at[j])
+        if not leq(lhs, at[k]):
+            yield Witness((elems[i], elems[j]), (lhs, at[k]))
+
+
+def closure_holds(ids: Sequence, table: kernel.Kernel, order) -> bool:
+    """Whether the ids ``ids`` of ``order`` at the points of the closed
+    kernel ``table`` make a fuzzy subgroupoid: the closure scan on ids,
+    stopped at its first witness."""
+    found = _scan(ids, table.vals, table.triples, order.meet, order.leq)
+    return next(found, None) is None
 
 
 def _identity_witnesses(mu, identity, top) -> list:

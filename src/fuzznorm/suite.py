@@ -41,9 +41,9 @@ from .lattice import (chain_lattice, check_lattice_fuzzy_property,
                       induce_lattice_vague_tnorm)
 from .reports import FinitePoints, GridDomain, SearchBudget
 from .scalars import ONE, UNIT_INTERVAL, ZERO
-from .subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
+from .subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO, closure_holds,
                       enumerate_table_subsets, generate_subnorm_tables,
-                      intersect_fuzzy_subsets, step_subset)
+                      step_subset)
 from .tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
 from .vague import (READINGS, check_vague_cancellation,
                     check_vague_commutativity, check_vague_group_cancellation,
@@ -335,9 +335,11 @@ def _row_intersection(cfg):
     carrier = CarrierMonoid.from_connective(T_M, dom)
     groupoids = [mu for mu in _table_sweep(cfg, dom.points)
                  if check_fuzzy_subgroupoid(mu, carrier).holds]
-    cases = ((f"{a.name}&{b.name}",
-              check_fuzzy_subgroupoid(intersect_fuzzy_subsets([a, b]),
-                                      carrier).holds)
+    # a pair is decided on the meet of its alphabet ids, each meet once
+    holds = lru_cache(maxsize=None)(lambda ids, order: closure_holds(
+        ids, carrier.table, order))
+    cases = ((f"{a.name}&{b.name}", holds(
+                 tuple(map(a.fn.order.meet, a.fn.ids, b.fn.ids)), a.fn.order))
              for i, a in enumerate(groupoids) for b in groupoids[i:])
     universe = f"pairwise intersections of {len(groupoids)} fuzzy subgroupoids on the 3-point carrier"
     return _count("prop-intersection", universe, cases)
