@@ -152,19 +152,17 @@ def check_axioms(conn: Connective, domain: GridDomain) -> PropertyReport:
     Associativity runs over every triple of domain points; intermediate
     values may leave the grid, which is fine because evaluation stays
     exact. The axiom cores run on the operator's compiled
-    ``kernel.Kernel``, or on ``UNIT_INTERVAL`` with the operator itself
-    when a point or a grid value is not a ``Fraction``; on both, a
-    declared identity or absorber is read through ``scalars.exact``.
+    ``kernel.Kernel`` (the domain's points are distinct ``Fraction``s and
+    the operator returns one), and a declared identity or absorber is
+    read through ``scalars.exact``.
     """
     pts = domain.points
     dom = domain.to_json()
     if conn.role is Role.AGGREGATION:
         return _aggregation_axioms(conn, pts, dom)
-    return kernel.on_ids(
-        kernel.compile_operator(conn, pts),
-        lambda kern: _role_axioms(kern, kern.op, kern.intern, conn,
-                                  range(len(pts)), dom),
-        lambda: _role_axioms(UNIT_INTERVAL, conn, lambda v: v, conn, pts, dom))
+    kern = kernel.Kernel(conn, pts)
+    return kernel.values_of(_role_axioms(kern, kern.op, kern.intern, conn,
+                                         range(len(pts)), dom), kern.vals)
 
 
 class FuzzyProp(Enum):

@@ -22,17 +22,18 @@ finite lattice. Three compilations build one:
   whose closure loop runs on it over a closed ``Kernel`` carrier.
 
 A report goes back to values through ``values_of`` (a list of witnesses
-through ``witness_values``), and ``on_ids`` runs a check on an order
-with that translation.
+through ``witness_values``).
 
 Only ``Fraction`` values get ids. Every callable a check lifts reads
 its value through ``scalars.exact``, which gives a number as the
 ``Fraction`` it is, and ``compile_alphabet`` reads each letter the same
 way, so a loop that has compiled meets only values with ids.
-Compilation returns ``None`` when a point is listed twice or a point or
-a compiled value is not a ``Fraction`` (a lattice label, a carrier of
-ints), and callers run the same cores on values instead. State lives in
-the object a caller creates; there is no module-level cache.
+``compile_operator`` and ``compile_alphabet`` return ``None`` when a
+point is listed twice or a point or a compiled value is not a
+``Fraction`` (the labels of a finite carrier or a lattice), and their
+callers run the same cores on values instead; ``compile_degrees``
+refuses such a carrier with ``DomainError``. State lives in the object
+a caller creates; there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
+from .errors import DomainError
 from .reports import PropertyReport, Witness
 from .scalars import ONE, ZERO, exact, format_scalar
 
 
 class NotCompilable(Exception):
-    """A value has no id; the caller must use the reference path."""
+    """A value has no id: the compilation returns None or refuses."""
 
 
 def _intern(vals: list, ids: dict, v) -> int:
@@ -138,26 +140,30 @@ def compile_operator(fn: Callable, points: Sequence) -> Optional[Kernel]:
         return None
 
 
-def compile_degrees(degrees, carrier: Sequence, tnorm: Callable,
-                    eq: Callable) -> Optional[IdOrder]:
-    """The degree order of the mapping ``degrees`` keyed by carrier
-    triples, with conjunction ``tnorm`` and equality ``eq``, or None when
-    a carrier point or a degree has no id.
+def compile_degrees(carrier: Sequence, rows: Callable, tnorm: Callable,
+                    eq: Callable) -> IdOrder:
+    """The degree order of a vague operator on ``carrier``, with
+    conjunction ``tnorm`` and equality ``eq``; ``rows(x, y)`` lists the
+    degrees at ``(x, y, z)`` for ``z`` over the carrier.
 
     Carrier point ``i`` has id ``i`` (``points`` is
     ``range(len(carrier))``) and a degree the next free id, also one the
     conjunction only reaches inside a loop. ``deg`` is the degree map
     keyed by carrier-id triples, ``t`` and ``eq`` are the conjunction and
-    the equality lifted, and ``bottom`` and ``top`` are the ids of 0 and 1.
+    the equality lifted, and ``bottom`` and ``top`` are the ids of 0 and
+    1. A carrier point listed twice, or a point or a degree that is not a
+    ``Fraction``, is refused with ``DomainError``.
     """
     try:
         order = IdOrder(carrier)
-        order.deg = {(i, j, k): order.intern(degrees[(x, y, z)])
+        intern = order.intern
+        order.deg = {(i, j, k): intern(d)
                      for i, x in enumerate(carrier) for j, y in enumerate(carrier)
-                     for k, z in enumerate(carrier)}
-        order.bottom, order.top = order.intern(ZERO), order.intern(ONE)
-    except NotCompilable:
-        return None
+                     for k, d in enumerate(rows(x, y))}
+        order.bottom, order.top = intern(ZERO), intern(ONE)
+    except NotCompilable as exc:
+        raise DomainError(f"a vague operator needs distinct numbers as its "
+                          f"points and degrees: {exc}") from None
     order.points = range(len(carrier))
     order.t, order.eq = order.lifted(tnorm), order.lifted(eq)
     return order
@@ -177,14 +183,6 @@ def compile_alphabet(alphabet: Sequence) -> Optional[IdOrder]:
     except NotCompilable:
         return None
     return order
-
-
-def on_ids(order, run: Callable, fallback: Callable) -> PropertyReport:
-    """``run(order)`` with its ids turned back into values, or
-    ``fallback()`` when there is no compiled order."""
-    if order is None:
-        return fallback()
-    return values_of(run(order), order.vals)
 
 
 def values_of(rep: PropertyReport, vals: list) -> PropertyReport:

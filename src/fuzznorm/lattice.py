@@ -378,10 +378,21 @@ def enumerate_lattice_equalities(lat: FiniteLattice, t: LatticeTNorm) -> list:
     return out
 
 
+def _induced_degrees(carrier: Sequence, op: Callable, eq: Callable) -> dict:
+    """The degree ``eq(op(x, y), z)`` for every carrier triple."""
+    table = {}
+    for x in carrier:
+        for y in carrier:
+            v = op(x, y)
+            for z in carrier:
+                table[(x, y, z)] = eq(v, z)
+    return table
+
+
 def induce_lattice_vague_tnorm(equality: Mapping, t: LatticeTNorm) -> dict:
     """Ternary degree table: degree that t(x, y) equals z."""
-    return vague._induced_degrees(t.lattice.elements, t,
-                                  lambda a, b: equality[(a, b)])
+    return _induced_degrees(t.lattice.elements, t,
+                            lambda a, b: equality[(a, b)])
 
 
 def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
@@ -395,7 +406,7 @@ def check_lattice_vague_structures(equality_fn, t: LatticeTNorm,
     eq_report = validate_lattice_fuzzy_equality(equality_fn, t, lat)
     children = [eq_report]
     if eq_report.holds:
-        mu = vague._induced_degrees(elems, t, equality_fn)
+        mu = _induced_degrees(elems, t, equality_fn)
         for core, rid in ((vague._op_conditions, "lattice-vague-op"),
                           (vague._monoid, "lattice-vague-monoid"),
                           (vague._commutativity, "lattice-vague-commutativity")):

@@ -10,7 +10,7 @@ The t-subnorm condition is implemented once, over a degree order
 map and as a generator of every t-subnorm table of a finite operator.
 The table maps a sweep enumerates or generates carry their values as
 ids of the sweep's compiled alphabet (``kernel.compile_alphabet``) too,
-and the closure loop and intersections run on those ids where they can.
+and the closure loop runs on those ids where it can.
 """
 
 from __future__ import annotations
@@ -180,22 +180,10 @@ def parse_subset_spec(spec: str) -> FuzzySubset:
 
 
 def intersect_fuzzy_subsets(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
-    """Pointwise infimum; the empty intersection is the full subset. Table
-    maps with ids over the same elements and alphabet order meet on ids."""
+    """Pointwise infimum; the empty intersection is the full subset."""
     if not subsets:
         return MU_ONE
     name = "intersect(" + ",".join(s.name for s in subsets) + ")"
-    first = subsets[0].fn
-    order = getattr(first, "order", None)
-    if order is not None and all(
-            getattr(s.fn, "order", None) is order
-            and s.fn.elements == first.elements for s in subsets):
-        ids = first.ids
-        for s in subsets[1:]:
-            ids = tuple(map(order.meet, ids, s.fn.ids))
-        return FuzzySubset(name, _TableFn(
-            first.elements, [order.vals[i] for i in ids], first.index,
-            order, ids))
 
     def fn(x):
         return min(s(x) for s in subsets)

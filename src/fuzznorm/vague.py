@@ -9,18 +9,17 @@ powers of the carrier, so carriers are kept small and the tuple count
 is budget-guarded.
 
 Each condition is implemented once, over a degree order. The checks
-here run it on the operator's compiled degree order
-(``kernel.compile_degrees``: points and degrees as ids), or on the unit
-interval (``scalars.UNIT_INTERVAL``) when a carrier point or a degree
-is not a ``Fraction``; the lattice-valued ones in ``fuzznorm.lattice``
-run it on a ``FiniteLattice``.
+here run it on the degree order a vague operator compiles when it is
+built (``kernel.compile_degrees``: points and degrees as ids), its only
+degree table; the lattice-valued ones in ``fuzznorm.lattice`` run it on
+a ``FiniteLattice``, and the same cores on the unit interval
+(``scalars.UNIT_INTERVAL``) are the tests' reference.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import kernel, reports
@@ -99,8 +98,9 @@ def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
 def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) -> PropertyReport:
     """Reflexivity, symmetry, and transitivity through the conjunction,
     each as a child verdict; point separation is reported as a detail. A
-    float ``fn`` returns is read as the rational it is."""
-    carrier = tuple(carrier)
+    float ``fn`` returns is read as the rational it is, and so is a
+    carrier point that is a number (a label stays)."""
+    carrier = tuple(map(exact, carrier))
     dom = {"kind": "carrier", "label": _carrier_label(carrier), "size": len(carrier)}
     return _validate_equality(UNIT_INTERVAL, lambda a, b: exact(fn(a, b)),
                               tnorm, carrier, "fuzzy-equality", dom)
@@ -108,7 +108,9 @@ def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) 
 
 def make_fuzzy_equality(label: str, fn: Callable, tnorm: Connective,
                         carrier: Sequence, require_valid: bool = True) -> TFuzzyEquality:
-    carrier = tuple(carrier)
+    """The equality ``fn`` on ``carrier``, each point a number read as the
+    ``Fraction`` it is (a label stays)."""
+    carrier = tuple(map(exact, carrier))
     report = validate_fuzzy_equality(fn, tnorm, carrier)
     if require_valid and not report.holds:
         raise DomainError(f"{label} is not a fuzzy equality for {tnorm.name}")
@@ -134,21 +136,17 @@ def linear_equality(carrier: Sequence, tnorm: Connective) -> TFuzzyEquality:
 
 @dataclass(frozen=True)
 class VagueBinaryOp:
+    """``order`` is the ``kernel.compile_degrees`` order, the one table of
+    the degrees: ``order.deg`` keyed by carrier-id triples."""
+
     label: str
     carrier: tuple
     equality: TFuzzyEquality
-    table: Mapping  # (x, y, z) -> degree
+    order: kernel.IdOrder = field(compare=False, repr=False)
 
     @property
     def tnorm(self) -> Connective:
         return self.equality.tnorm
-
-    @cached_property
-    def degree_order(self):
-        """The ``kernel.compile_degrees`` order, built on the first check
-        and shared by the later ones; None when it does not compile."""
-        return kernel.compile_degrees(self.table, self.carrier, self.tnorm,
-                                      self.equality)
 
     def to_json(self) -> dict:
         return {"kind": "vague-op", "label": self.label,
@@ -161,7 +159,10 @@ class VagueTNorm:
     underlying: Connective
 
     def __call__(self, x, y, z) -> Scalar:
-        return self.base.table[(x, y, z)]
+        # carrier points are interned first: a point's id is its position
+        order = self.base.order
+        ids = order.ids
+        return order.vals[order.deg[(ids[x], ids[y], ids[z])]]
 
     @property
     def carrier(self) -> tuple:
@@ -184,15 +185,18 @@ def vague_op_from_table(label: str, carrier: Sequence, equality: TFuzzyEquality,
                         table: Mapping) -> VagueBinaryOp:
     """The vague operation of ``table``: a float degree read as the
     rational it is, and every degree by ``unit``, which refuses one
-    outside [0, 1]."""
-    carrier = tuple(carrier)
+    outside [0, 1]; carrier points are read as ``make_fuzzy_equality``
+    reads them."""
+    carrier = tuple(map(exact, carrier))
     for x in carrier:
         for y in carrier:
             for z in carrier:
                 if (x, y, z) not in table:
                     raise DomainError(f"vague table missing entry ({x}, {y}, {z})")
-    return VagueBinaryOp(label, carrier, equality,
-                         {k: unit(exact(v)) for k, v in table.items()})
+    degrees = {k: unit(exact(v)) for k, v in table.items()}
+    return VagueBinaryOp(label, carrier, equality, kernel.compile_degrees(
+        carrier, lambda x, y: [degrees[(x, y, z)] for z in carrier],
+        equality.tnorm, equality))
 
 
 def _table_entries_from_json(obj: dict, arity: int, *, path=None) -> dict:
@@ -242,21 +246,14 @@ def induce_vague_tnorm(equality: TFuzzyEquality, conn: Connective) -> VagueTNorm
         raise DomainError("the fuzzy equality must be validated first")
     if conn.role is not Role.TNORM:
         raise DomainError(f"expected a t-norm, got {conn.name}")
-    base = VagueBinaryOp(f"induced({equality.label},{conn.name})",
-                         equality.carrier, equality,
-                         _induced_degrees(equality.carrier, conn, equality))
-    return VagueTNorm(base, conn)
+    carrier = equality.carrier
 
-
-def _induced_degrees(carrier: Sequence, op: Callable, eq: Callable) -> dict:
-    """The degree ``eq(op(x, y), z)`` for every carrier triple."""
-    table = {}
-    for x in carrier:
-        for y in carrier:
-            v = op(x, y)
-            for z in carrier:
-                table[(x, y, z)] = eq(v, z)
-    return table
+    def rows(x, y):
+        v = conn(x, y)
+        return [equality(v, z) for z in carrier]
+    return VagueTNorm(VagueBinaryOp(
+        f"induced({equality.label},{conn.name})", carrier, equality,
+        kernel.compile_degrees(carrier, rows, equality.tnorm, equality)), conn)
 
 
 def _tuple_budget(size: int, power: int, what: str) -> None:
@@ -268,13 +265,11 @@ def _tuple_budget(size: int, power: int, what: str) -> None:
 
 
 def _on_degree_order(op: VagueBinaryOp, run: Callable) -> PropertyReport:
-    """``run(order, t, deg, eq, carrier)`` on the compiled degree order of
-    ``op``, its ids turned back into values; on the unit interval when
-    the order does not compile."""
-    return kernel.on_ids(
-        op.degree_order,
-        lambda order: run(order, order.t, order.deg, order.eq, order.points),
-        lambda: run(UNIT_INTERVAL, op.tnorm, op.table, op.equality, op.carrier))
+    """``run(order, t, deg, eq, carrier)`` on the degree order of ``op``,
+    its ids turned back into values."""
+    order = op.order
+    return kernel.values_of(
+        run(order, order.t, order.deg, order.eq, order.points), order.vals)
 
 
 def _op_conditions(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:

@@ -10,7 +10,7 @@ The callables here are small rational tables on the grid ``k/n``. The
 float of a non-dyadic point is a nearby binary rational, so each table
 reads its arguments back to the grid with ``limit_denominator(n)``. Each
 twin runs on the compiled orders, where every value it returns must get
-an id, and again on values alone.
+an id, and again on the value reference (``value_reference.on_values``).
 """
 
 from fractions import Fraction
@@ -18,20 +18,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzznorm import kernel, scalars
-from fuzznorm.checker import FuzzyProp, check_axioms
+from fuzznorm import checker, scalars
+from fuzznorm.checker import FuzzyProp
 from fuzznorm.connectives import (S_P, T_L, Connective, Role, construct_nullnorm,
                                   construct_uninorm_min, dualize)
 from fuzznorm.fuzzy import check_fuzzy_property
 from fuzznorm.reports import GridDomain, SearchBudget, dumps
 from fuzznorm.subsets import FuzzySubset
 from fuzznorm.scalars import unit
-from fuzznorm.vague import (READINGS, VagueBinaryOp, VagueTNorm, check_vague_binary_op,
+from fuzznorm.vague import (READINGS, VagueTNorm, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
                             induce_vague_tnorm, linear_equality, make_fuzzy_equality,
                             validate_fuzzy_equality, vague_op_from_table,
                             vague_table_from_json)
+from value_reference import degree_values, on_values
 
 F = Fraction
 TWINS = (float, lambda v: F(float(v)))  # what the twin callables return
@@ -89,22 +90,10 @@ def _inputs(n, op, mu, eq, deg, out):
     return conn, subset, equality, VagueTNorm(vop, conn)
 
 
-def _on_ids_only(order, run, fallback):
-    # every value is a Fraction, so no check may fall back to values
-    assert order is not None
-    return kernel.values_of(run(order), order.vals)
-
-
-def _on_values(m):
-    for name in ("compile_operator", "compile_degrees", "compile_alphabet"):
-        m.setattr(kernel, name, lambda *args: None)
-    m.setattr(VagueBinaryOp, "degree_order", property(lambda self: None))
-
-
 def _reports(n, conn, subset, equality, vague) -> list:
     domain = GridDomain(n)
     budget = SearchBudget(n_max=8, iter_cap=8)
-    reports = [check_axioms(conn, domain),
+    reports = [checker.check_axioms(conn, domain),
                validate_fuzzy_equality(equality.fn, conn, domain.points)]
     for prop in FuzzyProp:
         for gate in (True, False):
@@ -129,11 +118,10 @@ _THIRDS = GridDomain(3).points
           {(x, y, z): F(int(min(x, y) == z)) for x in _THIRDS for y in _THIRDS
            for z in _THIRDS}))
 def test_float_and_fraction_twins_report_alike(drawn):
-    runs = []
-    for on in (lambda m: m.setattr(kernel, "on_ids", _on_ids_only), _on_values):
-        with pytest.MonkeyPatch.context() as m:
-            on(m)
-            runs += [_reports(drawn[0], *_inputs(*drawn, out)) for out in TWINS]
+    runs = [_reports(drawn[0], *_inputs(*drawn, out)) for out in TWINS]
+    with pytest.MonkeyPatch.context() as m:
+        on_values(m)
+        runs += [_reports(drawn[0], *_inputs(*drawn, out)) for out in TWINS]
     as_float = [dumps(r) for r in runs[0]]
     for run in runs:
         assert [dumps(r) for r in run] == as_float
@@ -170,7 +158,7 @@ def test_unit_returns_an_in_range_fraction_as_it_is():
 def test_a_vague_table_file_parses_each_degree_once(monkeypatch):
     pts = GridDomain(6).points
     equality = linear_equality(pts, T_L)
-    induced = induce_vague_tnorm(equality, T_L).base.table
+    induced = degree_values(induce_vague_tnorm(equality, T_L).base)
     obj = {"form": "table", "entries": [[str(x), str(y), str(z), str(d)]
                                         for (x, y, z), d in induced.items()]}
     parse, parsed = scalars.parse_rational, []
@@ -183,4 +171,4 @@ def test_a_vague_table_file_parses_each_degree_once(monkeypatch):
     monkeypatch.setattr(scalars, "parse_rational", counted)
     op = vague_table_from_json(obj, equality)
     assert len(parsed) == len(obj["entries"]) == 343
-    assert op.table == induced
+    assert degree_values(op) == induced

@@ -1,9 +1,9 @@
 """Differential tests: the value-id kernel against the plain Fraction path.
 
-Each test runs a check twice, once as shipped and once with the kernel's
-compile entry points patched to return None, which sends every check
-down its reference loop. The two reports must serialize to the same
-bytes, witness order included.
+Each test runs a check twice, once as shipped and once on the value
+reference (``value_reference.on_values``), which runs the same cores on
+values. The two reports must serialize to the same bytes, witness order
+included.
 """
 
 from decimal import Decimal
@@ -13,7 +13,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzznorm import kernel
+from fuzznorm import checker, kernel, vague
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.checker import check_axioms, check_cancellation, check_strict_monotonicity
 from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS, S_L, S_M,
@@ -29,24 +29,16 @@ from fuzznorm.subsets import (enumerate_table_subsets, generate_subnorm_tables,
                               intersect_fuzzy_subsets)
 from fuzznorm.suite import SuiteConfig, _refutation_family, _vague_corpus
 from fuzznorm.tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
-from fuzznorm.vague import (READINGS, VagueBinaryOp, VagueTNorm, check_vague_binary_op,
+from fuzznorm.vague import (READINGS, VagueTNorm, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
                             crisp_equality, induce_vague_tnorm, linear_equality,
                             make_fuzzy_equality, vague_table_from_json)
+from value_reference import on_values
 
 F = Fraction
 HALF = F(1, 2)
 GRIDS = range(3, 13)
-
-
-def _no_kernel(monkeypatch):
-    monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
-    monkeypatch.setattr(kernel, "compile_degrees", lambda *args: None)
-    _no_alphabet_ids(monkeypatch)
-    # a property outranks the degree order a vague operator cached on its
-    # first check, so operators checked with the kernel run on values too
-    monkeypatch.setattr(VagueBinaryOp, "degree_order", property(lambda self: None))
 
 
 def _no_alphabet_ids(monkeypatch):
@@ -54,27 +46,15 @@ def _no_alphabet_ids(monkeypatch):
     monkeypatch.setattr(kernel, "compile_alphabet", lambda alphabet: None)
 
 
-def _reference_orders(monkeypatch):
-    """The order each ``kernel.on_ids`` call gets, from now on."""
-    on_ids, orders = kernel.on_ids, []
-
-    def recorded(order, run, fallback):
-        orders.append(order)
-        return on_ids(order, run, fallback)
-
-    monkeypatch.setattr(kernel, "on_ids", recorded)
-    return orders
-
-
 def _both_paths(monkeypatch, render, *args):
-    """``render`` over each argument tuple, with and without the kernel;
-    no check of the second pass meets a compiled order."""
+    """``render`` over each argument tuple, compiled and on values; no
+    loop of the second pass runs on ids."""
     fast = [render(*a) for a in args]
     with monkeypatch.context() as m:
-        _no_kernel(m)
-        orders = _reference_orders(m)
+        on_values(m)
+        runs = _id_runs(m)
         reference = [render(*a) for a in args]
-    assert all(order is None for order in orders)
+    assert runs == []
     return fast, reference
 
 
@@ -145,7 +125,7 @@ def _tnorm_checks(conn, domain):
 
 
 def _all_checks(conn, domain):
-    reports = [check_axioms(conn, domain)]
+    reports = [checker.check_axioms(conn, domain)]
     if conn.role is Role.TNORM:
         reports += _tnorm_checks(conn, domain)
     return "".join(dumps(r) for r in reports)
@@ -175,7 +155,7 @@ def test_chain_tables_match_reference(monkeypatch):
     assert fast == reference
 
 
-def test_ints_and_decimals_take_the_compiled_path(monkeypatch):
+def test_ints_and_decimals_take_the_compiled_path():
     """Operators that return ints or Decimals, and declared int identities
     and absorbers, compile, and their axioms run on ids to the end."""
     for domain in _domains():
@@ -183,10 +163,8 @@ def test_ints_and_decimals_take_the_compiled_path(monkeypatch):
                  for c in (LUKASIEWICZ_INT_ZERO, DECIMAL_PRODUCT)]
         assert all(type(v) is F for kern in kerns for v in kern.vals)
         assert kerns[0].table[0][1] == 0  # T(0, 1/n) = 0, the id of Fraction(0)
-    orders = _reference_orders(monkeypatch)
     reports = [check_axioms(c, GridDomain(6))
                for c in (LUKASIEWICZ_INT_ZERO, DECIMAL_PRODUCT) + INT_ELEMENTS]
-    assert len(orders) == len(reports) and None not in orders
     assert [r.holds for r in reports] == [True, False] + [True, True, False] * 2
 
 
@@ -333,17 +311,13 @@ def test_value_path_cases(alphabet, repeat):
 @pytest.mark.parametrize("alphabet", [(F(0), HALF, F(1)), (F(1), F(1, 4), HALF),
                                       (0, HALF, 1)],
                          ids=["sorted", "unsorted-no-zero", "int-ends"])
-def test_intersection_of_table_maps_meets_on_ids(alphabet):
+def test_intersection_of_table_maps_meets_pointwise(alphabet):
     pts = GridDomain(2).points
     maps = list(enumerate_table_subsets(pts, alphabet))
-    # another sweep's maps have another alphabet order: no shared ids
-    other = list(enumerate_table_subsets(pts, alphabet))[::7]
     for a in maps:
-        for parts in ([a, maps[5]], [maps[20], a, maps[11]], [a], [a, other[1]]):
+        for parts in ([a, maps[5]], [maps[20], a, maps[11]], [a]):
             inter = intersect_fuzzy_subsets(parts)
             assert inter.name == "intersect(" + ",".join(s.name for s in parts) + ")"
-            shared = all(p is not other[1] for p in parts)
-            assert (getattr(inter.fn, "ids", None) is not None) == shared
             expected = [min(s(x) for s in parts) for x in pts]
             got = [inter(x) for x in pts]
             assert got == expected
@@ -390,17 +364,23 @@ def test_strict_on_a_descending_carrier_matches_reference(monkeypatch, reading):
 
 
 def test_reference_pass_runs_the_value_loops_of_a_checked_operator(monkeypatch):
-    # the kernel pass caches each operator's degree order; the reference
-    # pass must still send all seven checks to their value loops
+    # the operator carries its compiled degree order from construction;
+    # the reference pass must still send all seven checks to their value
+    # loops, on a dict of the same degrees
     v = _vague_corpus(SuiteConfig(grid=3))[0]
-    _vague_reports(v)
-    assert v.base.degree_order is not None
+    fast = _vague_reports(v)
     with monkeypatch.context() as m:
-        _no_kernel(m)
-        orders = _reference_orders(m)
-        _vague_reports(v)
-    assert orders == [None] * 7
-    assert v.base.degree_order is not None
+        on_values(m)
+        runs, on_degree_values, seen = _id_runs(m), vague._on_degree_order, []
+
+        def recorded(op, run):
+            seen.append(op)
+            return on_degree_values(op, run)
+
+        m.setattr(vague, "_on_degree_order", recorded)
+        reference = _vague_reports(v)
+    assert seen == [v.base] * 7 and runs == []
+    assert reference == fast
 
 
 def _table_json(carrier, degree):
@@ -439,13 +419,16 @@ def test_float_in_the_vague_loops_compiles(monkeypatch):
 
     conj = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
     v = induce_vague_tnorm(linear_equality(pts, conj), T_P)
-    order = v.base.degree_order
-    assert order is not None
+    order = v.base.order
     off_grid = next(d for d in order.deg.values() if order.vals[d].denominator > 4)
     met = order.vals[order.t(off_grid, order.top)]
     assert type(met) is F and met == F(fn(order.vals[off_grid], F(1)))
     fast, reference = _both_paths(monkeypatch, _vague_reports, (v,))
     assert fast == reference
+
+
+def _axioms_json(conn, domain):
+    return dumps(checker.check_axioms(conn, domain))
 
 
 def test_float_operator_compiles_to_exact_values(monkeypatch):
@@ -464,8 +447,7 @@ def test_float_operator_compiles_to_exact_values(monkeypatch):
                    for v in w.values)
         assert (lhs, rhs) == (floaty(floaty(x, y), z), floaty(x, floaty(y, z)))
         assert lhs != rhs
-    fast, reference = _both_paths(monkeypatch, lambda c, d: dumps(check_axioms(c, d)),
-                                  (floaty, domain))
+    fast, reference = _both_paths(monkeypatch, _axioms_json, (floaty, domain))
     assert fast == reference
 
 
@@ -481,8 +463,7 @@ def test_float_off_the_grid_takes_the_tolerance_path(monkeypatch):
 
     conn = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
     assert kernel.compile_operator(conn, domain.points) is not None
-    fast, reference = _both_paths(monkeypatch, lambda c, d: dumps(check_axioms(c, d)),
-                                  (conn, domain))
+    fast, reference = _both_paths(monkeypatch, _axioms_json, (conn, domain))
     assert fast == reference
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from fuzznorm.carriers import cyclic_group
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import T_D, T_L, T_M, T_P, Connective, Role
 from fuzznorm.errors import BudgetExceededError, DomainError
-from fuzznorm.reports import GridDomain, Verdict
+from fuzznorm.reports import GridDomain, Verdict, dumps
+from fuzznorm.suite import SuiteConfig, _vague_corpus
 from fuzznorm.vague import (READINGS, VagueGroup,
                             check_vague_binary_op, check_vague_cancellation,
                             check_vague_commutativity, check_vague_group_cancellation,
@@ -16,6 +18,7 @@ from fuzznorm.vague import (READINGS, VagueGroup,
                             induce_vague_tnorm, linear_equality,
                             make_fuzzy_equality, validate_fuzzy_equality,
                             vague_op_from_table)
+from value_reference import degree_values, on_values
 
 F = Fraction
 
@@ -220,7 +223,7 @@ class TestMonotonicityAndCancellation:
     @pytest.mark.parametrize("reference", [False, True], ids=["ids", "values"])
     def test_strict_pairs_points_by_order_not_position(self, monkeypatch, reference):
         if reference:
-            monkeypatch.setattr(kernel, "compile_degrees", lambda *args: None)
+            on_values(monkeypatch)
         pts = GridDomain(4).points
         for reading in READINGS:
             ascending, descending = (
@@ -334,7 +337,7 @@ class TestTableIO:
                 vague_op_from_table("bad", pts, eq, {**table, (F(0), F(0), F(0)): bad})
         # a float degree is read as the rational it is
         op = vague_op_from_table("float", pts, eq, {**table, (F(0), F(1), F(1)): 0.1})
-        assert op.table[(F(0), F(1), F(1))] == F(0.1) != F(1, 10)
+        assert degree_values(op)[(F(0), F(1), F(1))] == F(0.1) != F(1, 10)
 
     def test_bad_entry_arity(self):
         from fuzznorm.errors import InputFormatError
@@ -444,8 +447,8 @@ def test_all_bottom_degrees_hold_on_every_tuple(monkeypatch):
 
 
 def test_checks_sharing_a_compiled_order_match_fresh_ones():
-    """The degree order compiled for an operator's first check is reused
-    by its later ones; their reports equal those on a fresh operator."""
+    """The degree order an operator compiles when it is built serves all
+    its checks; their reports equal those on a fresh operator."""
     pts = GridDomain(6).points
     checks = [
         lambda v: check_vague_strict_monotone(v, "crisp"),
@@ -460,4 +463,54 @@ def test_checks_sharing_a_compiled_order_match_fresh_ones():
         for check in checks:
             fresh = induce_vague_tnorm(make_eq(pts, conn), conn)
             assert check(shared).to_json() == check(fresh).to_json()
-        assert shared.base.degree_order is shared.base.degree_order
+
+
+def test_compiled_degrees_are_the_induced_ones():
+    """The one degree table holds E(T(x, y), z) at each carrier triple as a
+    Fraction, and the operator reads it by carrier value."""
+    for v in _vague_corpus(SuiteConfig(grid=6)):
+        pts = v.carrier
+        induced = {(x, y, z): v.equality(v.underlying(x, y), z)
+                   for x in pts for y in pts for z in pts}
+        degrees = degree_values(v.base)
+        assert degrees == induced
+        assert {type(d) for d in degrees.values()} == {F}
+        assert all(v(*key) == d for key, d in induced.items())
+
+
+def _half_apart(a, b):
+    # 1 on the diagonal, 0 between 0 and 1, 1/2 elsewhere
+    return 1 if a == b else 0 if {a, b} == {0, 1} else F(1, 2)
+
+
+def test_an_int_carrier_reports_as_the_fraction_carrier():
+    ints, fractions = (0, F(1, 2), 1), (F(0), F(1, 2), F(1))
+    reports = []
+    for carrier in (ints, fractions):
+        eq = make_fuzzy_equality("half-apart", _half_apart, T_M, carrier,
+                                 require_valid=False)
+        degrees = {(x, y, z): eq(T_M(x, y), z)
+                   for x in carrier for y in carrier for z in carrier}
+        op = vague_op_from_table("half-apart", carrier, eq, degrees)
+        v = induce_vague_tnorm(crisp_equality(carrier, T_M), T_M)
+        assert {type(p) for p in op.carrier + v.carrier} == {F}
+        reports.append([dumps(r) for r in (
+            eq.report, check_vague_binary_op(op), check_vague_monoid(v.base),
+            check_vague_strict_monotone(v), check_vague_cancellation(v))])
+    assert reports[0] == reports[1]
+    transitivity = json.loads(reports[0][0])["children"][2]
+    assert [w["inputs"] for w in transitivity["witnesses"]] == [
+        ["0", "1/2", "1"], ["1", "1/2", "0"]]
+
+
+@pytest.mark.parametrize("carrier", [(F(0), F(0), F(1)), ("a", "b")],
+                         ids=["repeated-point", "label"])
+def test_a_carrier_that_does_not_compile_is_refused(carrier):
+    eq = crisp_equality(carrier, T_M)
+    table = dict.fromkeys([(x, y, z) for x in carrier for y in carrier
+                           for z in carrier], F(0))
+    with pytest.raises(DomainError, match="distinct numbers"):
+        vague_op_from_table("refused", carrier, eq, table)
+    if carrier[0] == 0:
+        with pytest.raises(DomainError, match="repeated point"):
+            induce_vague_tnorm(eq, T_M)
