@@ -12,8 +12,10 @@ output; exit codes are a pure function of the merged verdicts:
 
 Each subcommand takes ``--format``, ``--out`` and only those of
 ``--grid``, ``--nmax``, ``--iter-cap`` and ``--epsilon`` it reads. The
-dicts that map ids to checks call each check through its module-level
-name, so a wrapper put on that name sees the call.
+dicts that map ids to checks call each check through its defining
+module, so a wrapper put on the name there sees the call. A handler
+imports the modules it runs and hands them to its helpers and dicts,
+so a ``check`` loads ``checker`` and what it imports, and no other layer.
 """
 
 from __future__ import annotations
@@ -23,29 +25,15 @@ import json
 import os
 import sys
 
-from . import lattice as lat_mod
-from .carriers import CarrierMonoid, FiniteGroup, load_carrier
-from .checker import (check_archimedean, check_axioms, check_cancellation,
-                      check_limit_property, check_strict_monotonicity,
-                      classify_uninorm)
+from . import checker
 from .connectives import A_MIN, Role, parse_operator
 from .errors import (BudgetExceededError, DomainError, FuzznormError,
                      InputFormatError, TotalityError, UnknownOperatorError,
                      read_json_object)
-from .fuzzy import (FuzzyProp, KIND_SUBGROUPOID, KIND_SUBMONOID,
-                    KIND_T_SUBCONORM, KIND_T_SUBNORM, a_submonoid_kind,
-                    check_fuzzy_subgroup, check_fuzzy_subgroupoid,
-                    check_fuzzy_submonoid, f_submonoid_kind, u_submonoid_kind)
-from .reports import GridDomain, SearchBudget, Verdict, dumps, verdict_meet
+from .reports import (READINGS, GridDomain, SearchBudget, Verdict, dumps,
+                      verdict_meet)
 from .scalars import parse_rational
 from .subsets import parse_subset_spec
-from .suite import ROWS, SuiteConfig, run_suite
-from .vague import (READINGS, VagueTNorm, _crisp_fn, _linear_fn,
-                    check_vague_binary_op, check_vague_cancellation,
-                    check_vague_commutativity, check_vague_monoid,
-                    check_vague_strict_monotone, equality_from_json,
-                    induce_vague_tnorm, make_fuzzy_equality,
-                    vague_table_from_json)
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -150,17 +138,20 @@ def _emit_reports(args, header: dict, reports) -> int:
 # property id -> its default grid (coarse for the triple-nested checks,
 # fine for the pairwise ones) and its check on (operator, domain, budget)
 _CHECKS = {
-    "axioms": (10, lambda conn, dom, budget: check_axioms(conn, dom)),
-    "strict-monotonicity":
-        (10, lambda conn, dom, budget: check_strict_monotonicity(conn, dom)),
-    "cancellation": (10, lambda conn, dom, budget: check_cancellation(conn, dom)),
+    "axioms": (10, lambda conn, dom, budget: checker.check_axioms(conn, dom)),
+    "strict-monotonicity": (10, lambda conn, dom, budget:
+                            checker.check_strict_monotonicity(conn, dom)),
+    "cancellation": (10, lambda conn, dom, budget:
+                     checker.check_cancellation(conn, dom)),
     "conditional-cancellation": (10, lambda conn, dom, budget:
-                                 check_cancellation(conn, dom, conditional=True)),
-    "archimedean":
-        (100, lambda conn, dom, budget: check_archimedean(conn, dom, budget)),
+                                 checker.check_cancellation(
+                                     conn, dom, conditional=True)),
+    "archimedean": (100, lambda conn, dom, budget:
+                    checker.check_archimedean(conn, dom, budget)),
     "limit": (100, lambda conn, dom, budget:
-              check_limit_property(conn, dom, budget)),
-    "classify": (100, lambda conn, dom, budget: classify_uninorm(conn, dom)),
+              checker.check_limit_property(conn, dom, budget)),
+    "classify": (100, lambda conn, dom, budget:
+                 checker.classify_uninorm(conn, dom)),
 }
 
 
@@ -188,87 +179,94 @@ def _combiner(args, carrier_conn=None, role=None):
     return carrier_conn
 
 
-# kind -> its submonoid kind, from the arguments and the carrier's
-# operator (None for a carrier file); a subgroup is checked on the group
+# kind -> its submonoid kind, from the fuzzy module, the arguments and
+# the carrier's operator (None for a carrier file); a subgroup is
+# checked on the group
 _KINDS = {
-    "subgroupoid": lambda args, conn: KIND_SUBGROUPOID,
-    "submonoid": lambda args, conn: KIND_SUBMONOID,
+    "subgroupoid": lambda fuzzy, args, conn: fuzzy.KIND_SUBGROUPOID,
+    "submonoid": lambda fuzzy, args, conn: fuzzy.KIND_SUBMONOID,
     "subgroup": None,
-    "t-subnorm": lambda args, conn: KIND_T_SUBNORM,
-    "t-subconorm": lambda args, conn: KIND_T_SUBCONORM,
-    "a-submonoid": lambda args, conn: a_submonoid_kind(
+    "t-subnorm": lambda fuzzy, args, conn: fuzzy.KIND_T_SUBNORM,
+    "t-subconorm": lambda fuzzy, args, conn: fuzzy.KIND_T_SUBCONORM,
+    "a-submonoid": lambda fuzzy, args, conn: fuzzy.a_submonoid_kind(
         _combiner(args) or A_MIN, args.arity_cap),
-    "u-submonoid": lambda args, conn: u_submonoid_kind(
+    "u-submonoid": lambda fuzzy, args, conn: fuzzy.u_submonoid_kind(
         _combiner(args, conn, Role.UNINORM)),
-    "f-submonoid": lambda args, conn: f_submonoid_kind(
+    "f-submonoid": lambda fuzzy, args, conn: fuzzy.f_submonoid_kind(
         _combiner(args, conn, Role.NULLNORM)),
 }
 
 
 def _cmd_substructure(args) -> int:
+    from . import carriers, fuzzy
     mu = parse_subset_spec(args.mu)
     carrier_conn = None
     if os.path.exists(args.carrier):
-        carrier_table = load_carrier(args.carrier)
+        carrier_table = carriers.load_carrier(args.carrier)
     else:
         carrier_conn = parse_operator(args.carrier)
         domain = GridDomain(_resolve_grid(args, 100))
-        carrier_table = CarrierMonoid.from_connective(carrier_conn, domain)
+        carrier_table = carriers.CarrierMonoid.from_connective(carrier_conn, domain)
     if args.kind == "subgroup":
         if carrier_conn is not None:
             raise DomainError("subgroup checks need a finite group carrier file")
-        report = check_fuzzy_subgroup(mu, FiniteGroup.of(carrier_table))
+        report = fuzzy.check_fuzzy_subgroup(mu, carriers.FiniteGroup.of(carrier_table))
     else:
-        kind = _KINDS[args.kind](args, carrier_conn)
-        if kind is KIND_SUBGROUPOID:
-            report = check_fuzzy_subgroupoid(mu, carrier_table)
+        kind = _KINDS[args.kind](fuzzy, args, carrier_conn)
+        if kind is fuzzy.KIND_SUBGROUPOID:
+            report = fuzzy.check_fuzzy_subgroupoid(mu, carrier_table)
         else:
-            report = check_fuzzy_submonoid(mu, carrier_table, kind)
+            report = fuzzy.check_fuzzy_submonoid(mu, carrier_table, kind)
     header = {"mu": mu.name, "carrier": carrier_table.label, "kind": args.kind}
     return _emit_reports(args, header, [report])
 
 
 # --- vague ---
 
-def _resolve_equality(args, conn, pts):
+def _resolve_equality(vague, args, conn, pts):
     """Build the equality for a grid: a builtin form or an arity-2 table
     file, with its validation report as ``report``."""
-    builtin = {"crisp": _crisp_fn, "linear": _linear_fn}.get(args.equality)
+    builtin = {"crisp": vague._crisp_fn, "linear": vague._linear_fn}.get(
+        args.equality)
     if builtin is not None:
-        return make_fuzzy_equality(args.equality, builtin, conn, pts,
-                                   require_valid=False)
-    return equality_from_json(read_json_object(args.equality), conn,
-                              path=args.equality, require_valid=False)
+        return vague.make_fuzzy_equality(args.equality, builtin, conn, pts,
+                                         require_valid=False)
+    return vague.equality_from_json(read_json_object(args.equality), conn,
+                                    path=args.equality, require_valid=False)
 
 
-def _vague_monoid(v, args, conn):
+def _vague_monoid(vague, v, args, conn):
     if args.mu_table or args.equality not in ("crisp", "linear"):
-        return check_vague_monoid(v.base)
+        return vague.check_vague_monoid(v.base)
     # the 7-tuple associativity loop gets its own, coarser default grid
-    eq = _resolve_equality(args, conn, GridDomain(_resolve_grid(args, 4)).points)
-    return check_vague_monoid(induce_vague_tnorm(eq, conn).base)
+    eq = _resolve_equality(vague, args, conn,
+                           GridDomain(_resolve_grid(args, 4)).points)
+    return vague.check_vague_monoid(vague.induce_vague_tnorm(eq, conn).base)
 
 
-# check id -> its check on (vague t-norm, arguments, t-norm); "equality"
-# is the equality's own validation report
+# check id -> its check on (the vague module, vague t-norm, arguments,
+# t-norm); "equality" is the equality's own validation report
 _VAGUE_CHECKS = {
     "equality": None,
-    "vague-op": lambda v, args, conn: check_vague_binary_op(v.base),
+    "vague-op": lambda vague, v, args, conn: vague.check_vague_binary_op(v.base),
     "monoid": _vague_monoid,
-    "commutativity": lambda v, args, conn: check_vague_commutativity(v),
-    "strict-monotonicity": lambda v, args, conn:
-        check_vague_strict_monotone(v, args.reading),
-    "cancellation": lambda v, args, conn:
-        check_vague_cancellation(v, args.reading),
+    "commutativity": lambda vague, v, args, conn:
+        vague.check_vague_commutativity(v),
+    "strict-monotonicity": lambda vague, v, args, conn:
+        vague.check_vague_strict_monotone(v, args.reading),
+    "cancellation": lambda vague, v, args, conn:
+        vague.check_vague_cancellation(v, args.reading),
 }
 
 
 def _cmd_vague(args) -> int:
+    from . import vague
     conn = parse_operator(args.tnorm)
     if conn.role is not Role.TNORM:
         raise DomainError(f"--tnorm must name a t-norm, got {conn.name}")
     checks = _pick(args.checks, _VAGUE_CHECKS, "vague checks")
-    eq = _resolve_equality(args, conn, GridDomain(_resolve_grid(args, 6)).points)
+    eq = _resolve_equality(vague, args, conn,
+                           GridDomain(_resolve_grid(args, 6)).points)
     reports = [eq.report] if "equality" in checks else []
     needs_op = [c for c in checks if c != "equality"]
     if needs_op:
@@ -278,12 +276,12 @@ def _cmd_vague(args) -> int:
             return _emit_reports(args, {"equality": eq.label,
                                         "tnorm": conn.name}, reports)
         if args.mu_table:
-            base = vague_table_from_json(read_json_object(args.mu_table), eq,
-                                         path=args.mu_table)
-            v = VagueTNorm(base, conn)
+            base = vague.vague_table_from_json(
+                read_json_object(args.mu_table), eq, path=args.mu_table)
+            v = vague.VagueTNorm(base, conn)
         else:
-            v = induce_vague_tnorm(eq, conn)
-        reports += [_VAGUE_CHECKS[c](v, args, conn) for c in needs_op]
+            v = vague.induce_vague_tnorm(eq, conn)
+        reports += [_VAGUE_CHECKS[c](vague, v, args, conn) for c in needs_op]
     header = {"equality": eq.label, "tnorm": conn.name,
               "reading": args.reading}
     return _emit_reports(args, header, reports)
@@ -299,7 +297,7 @@ def _spec_int(spec: str, what: str) -> int:
         raise DomainError(f"bad {what} in {spec!r}") from None
 
 
-def _parse_lattice_spec(spec: str, enumerated: bool):
+def _parse_lattice_spec(lat_mod, spec: str, enumerated: bool):
     """A chain:N, diamond or file lattice; a chain whose t-norms are
     ``enumerated`` is refused by size before it is built."""
     if spec == "diamond":
@@ -312,7 +310,7 @@ def _parse_lattice_spec(spec: str, enumerated: bool):
     return lat_mod.load_lattice(spec)
 
 
-def _parse_lattice_tnorm(spec: str, lattice):
+def _parse_lattice_tnorm(lat_mod, spec: str, lattice):
     if spec == "meet":
         return lat_mod.meet_tnorm(lattice)
     if spec.startswith("index:"):
@@ -325,7 +323,7 @@ def _parse_lattice_tnorm(spec: str, lattice):
     raise DomainError(f"unknown lattice t-norm spec {spec!r} (use meet or index:K)")
 
 
-def _parse_lsubset(spec: str, lattice):
+def _parse_lsubset(lat_mod, spec: str, lattice):
     if spec == "identity":
         return lat_mod.lsubset_identity(lattice)
     if spec == "one":
@@ -333,24 +331,29 @@ def _parse_lsubset(spec: str, lattice):
     return lat_mod.load_lsubset(spec, lattice)
 
 
-# prop id -> its check on (membership map, t-norm, lattice)
+# prop id -> its check on (the lattice module, membership map, t-norm,
+# lattice)
 _LATTICE_PROPS = {
-    "tnorm-axioms": lambda mu, t, lat: lat_mod.check_lattice_tnorm(t, lat),
-    "subnorm": lambda mu, t, lat: lat_mod.check_lattice_fuzzy_subnorm(mu, t),
-    **{prop.name.lower(): lambda mu, t, lat, prop=prop:
-       lat_mod.check_lattice_fuzzy_property(mu, t, prop) for prop in FuzzyProp},
-    "vague": lambda mu, t, lat: lat_mod.check_lattice_vague_structures(
+    "tnorm-axioms": lambda lat_mod, mu, t, lat:
+        lat_mod.check_lattice_tnorm(t, lat),
+    "subnorm": lambda lat_mod, mu, t, lat:
+        lat_mod.check_lattice_fuzzy_subnorm(mu, t),
+    **{prop.name.lower(): lambda lat_mod, mu, t, lat, prop=prop:
+       lat_mod.check_lattice_fuzzy_property(mu, t, prop)
+       for prop in checker.FuzzyProp},
+    "vague": lambda lat_mod, mu, t, lat: lat_mod.check_lattice_vague_structures(
         lat_mod.lattice_crisp_equality(lat), t, lat),
 }
 
 
 def _cmd_lattice(args) -> int:
+    from . import lattice as lat_mod
     lattice = _parse_lattice_spec(
-        args.lattice, enumerated=args.tnorm.startswith("index:"))
-    tnorm = _parse_lattice_tnorm(args.tnorm, lattice)
+        lat_mod, args.lattice, enumerated=args.tnorm.startswith("index:"))
+    tnorm = _parse_lattice_tnorm(lat_mod, args.tnorm, lattice)
     props = _pick(args.props, _LATTICE_PROPS, "lattice props")
-    mu = _parse_lsubset(args.mu, lattice)
-    reports = [_LATTICE_PROPS[p](mu, tnorm, lattice) for p in props]
+    mu = _parse_lsubset(lat_mod, args.mu, lattice)
+    reports = [_LATTICE_PROPS[p](lat_mod, mu, tnorm, lattice) for p in props]
     header = {"lattice": lattice.name, "tnorm": tnorm.name, "mu": mu.name}
     return _emit_reports(args, header, reports)
 
@@ -358,7 +361,8 @@ def _cmd_lattice(args) -> int:
 # --- enumerate ---
 
 def _cmd_enumerate(args) -> int:
-    lattice = _parse_lattice_spec(args.lattice, enumerated=True)
+    from . import lattice as lat_mod
+    lattice = _parse_lattice_spec(lat_mod, args.lattice, enumerated=True)
     tables = lat_mod.enumerate_lattice_tnorms(lattice, cap=args.cap)
     elems = lattice.elements
     _emit(args, lambda: {
@@ -374,10 +378,12 @@ def _cmd_enumerate(args) -> int:
 # --- suite ---
 
 def _cmd_suite(args) -> int:
-    only = None if args.only is None else _pick(args.only, ROWS, "suite rows")
-    config = SuiteConfig(grid=_resolve_grid(args, SuiteConfig.grid),
-                         budget=_resolve_budget(args))
-    result = run_suite(config, only=only, jobs=args.jobs)
+    from . import suite
+    only = (None if args.only is None
+            else _pick(args.only, suite.ROWS, "suite rows"))
+    config = suite.SuiteConfig(grid=_resolve_grid(args, suite.SuiteConfig.grid),
+                               budget=_resolve_budget(args))
+    result = suite.run_suite(config, only=only, jobs=args.jobs)
     _emit(args, result.to_json, result.render_text)
     if result.total_counterexamples > 0:
         return EXIT_FAILS

@@ -144,6 +144,12 @@ class FinitePoints:
         return "chain{" + ",".join(format_scalar(p) for p in self.points) + "}"
 
 
+#: Readings of the equality-of-degrees premise in the vague monotonicity
+#: and cancellation laws: "any-degree" matches any common degree, "crisp"
+#: demands the common degree be 1.
+READINGS = ("any-degree", "crisp")
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Caps for the existential searches.

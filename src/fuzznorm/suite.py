@@ -9,7 +9,8 @@ cases. A row reads only the verdicts of its checks, so ``_run_row`` runs
 it in the verdict-only mode (``reports.verdict_only``): a witness loop
 stops at its first witness. Rows are pure functions of the configuration,
 so they fan out across processes and merge in order; wall time shows in
-text output only, keeping the JSON byte-stable.
+text output only, keeping the JSON byte-stable. A row imports the layers
+it runs when it runs, so importing the suite loads only the checker layer.
 """
 
 from __future__ import annotations
@@ -21,34 +22,17 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
-from . import reports
-from .carriers import CarrierMonoid, cyclic_group
-from .checker import (check_archimedean, check_axioms, check_limit_property,
-                      check_strict_monotonicity, classify_uninorm)
+from . import checker, reports
+from .checker import FuzzyProp
 from .connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D, T_L, T_M,
                           T_P, construct_nullnorm, construct_uninorm_max,
                           construct_uninorm_min)
 from .errors import BudgetExceededError, DomainError
-from .fuzzy import (FuzzyProp, KIND_T_SUBNORM, case_carrier, case_checker,
-                    check_discrete_subalgebra,
-                    check_fuzzy_property, check_fuzzy_submonoid,
-                    check_fuzzy_subgroupoid, check_not_strictly_decreasing,
-                    refute_uninorm_existence, uninorm_family)
-from .lattice import (chain_lattice, check_lattice_fuzzy_property,
-                      check_lattice_vague_cancellation,
-                      check_lattice_vague_strict_monotone, diamond_lattice,
-                      enumerate_lattice_equalities, enumerate_lattice_tnorms,
-                      induce_lattice_vague_tnorm)
-from .reports import FinitePoints, GridDomain, SearchBudget
+from .reports import READINGS, FinitePoints, GridDomain, SearchBudget
 from .scalars import ONE, UNIT_INTERVAL, ZERO
 from .subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO, closure_holds,
                       enumerate_table_subsets, generate_subnorm_tables,
                       step_subset)
-from .tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
-from .vague import (READINGS, check_vague_cancellation,
-                    check_vague_commutativity, check_vague_group_cancellation,
-                    check_vague_strict_monotone, crisp_equality,
-                    crisp_vague_group, induce_vague_tnorm, linear_equality)
 
 HALF = Fraction(1, 2)
 DEFAULT_ALPHABET = (ZERO, HALF, ONE)
@@ -107,7 +91,8 @@ def _count(row_id: str, universe: str, cases,
 
 
 def _grid3() -> FinitePoints:
-    return FinitePoints(uniform_chain(3))
+    from . import tables
+    return FinitePoints(tables.uniform_chain(3))
 
 
 def _table_sweep(cfg: SuiteConfig, points) -> list:
@@ -117,9 +102,10 @@ def _table_sweep(cfg: SuiteConfig, points) -> list:
 def _chain_sweeps(cfg: SuiteConfig) -> tuple:
     """The t-norm tables on the 4-chain with the alphabet as degrees, and
     their universe."""
-    chain = uniform_chain(4)
+    from . import tables
+    chain = tables.uniform_chain(4)
     sweeps = [(t.name, t.as_connective(), chain, UNIT_INTERVAL, cfg.alphabet)
-              for t in enumerate_chain_tnorm_tables(chain)]
+              for t in tables.enumerate_chain_tnorm_tables(chain)]
     return sweeps, (f"{len(sweeps)} t-norm tables on the 4-chain x "
                     f"{len(cfg.alphabet) ** len(chain)} membership tables")
 
@@ -127,21 +113,23 @@ def _chain_sweeps(cfg: SuiteConfig) -> tuple:
 def _lattice_sweeps(cfg: SuiteConfig) -> tuple:
     """The t-norms on chains 2-4 and the diamond with the elements as
     degrees, and their universe."""
+    from . import lattice
     sweeps = [(f"{lat.name}|{t.name}", t, lat.elements, lat, lat.elements)
-              for lat in (chain_lattice(2), chain_lattice(3), chain_lattice(4),
-                          diamond_lattice())
-              for t in enumerate_lattice_tnorms(lat)]
+              for lat in (lattice.chain_lattice(2), lattice.chain_lattice(3),
+                          lattice.chain_lattice(4), lattice.diamond_lattice())
+              for t in lattice.enumerate_lattice_tnorms(lat)]
     return sweeps, (f"{len(sweeps)} lattice t-norms on chains 2-4 and the "
                     "diamond x all lattice-valued membership maps")
 
 
 def _property_check(cfg: SuiteConfig, tnorm, points, order):
     """(mu, prop) -> whether the bare fuzzified property holds."""
+    from . import fuzzy, lattice
     if order is UNIT_INTERVAL:
         dom = FinitePoints(points)
-        return lambda mu, prop: check_fuzzy_property(
+        return lambda mu, prop: fuzzy.check_fuzzy_property(
             mu, tnorm, prop, dom, cfg.budget, gate=False).holds
-    return lambda mu, prop: check_lattice_fuzzy_property(
+    return lambda mu, prop: lattice.check_lattice_fuzzy_property(
         mu, tnorm, prop, gate=False).holds
 
 
@@ -178,9 +166,10 @@ def _builtin_mu_forms():
 
 def _row_prop38(cfg):
     # strictly monotone operator: no strictly decreasing t-subnorm
+    from . import fuzzy
     dom = GridDomain(cfg.grid)
     cases = ((f"{T_P.name}|{mu.name}",
-              not check_not_strictly_decreasing(mu, T_P, dom).fails)
+              not fuzzy.check_not_strictly_decreasing(mu, T_P, dom).fails)
              for mu in _builtin_mu_forms())
     universe = f"strictly monotone builtins x builtin membership forms (grid n={cfg.grid})"
     return _count("prop3.8", universe, cases)
@@ -188,14 +177,15 @@ def _row_prop38(cfg):
 
 def _row_prop39(cfg):
     # non-strict operator: no fuzzy strictly monotone t-subnorm at all
+    from . import fuzzy
     sweeps, _ = _chain_sweeps(cfg)
-    non_strict = [s for s in sweeps if not check_strict_monotonicity(
+    non_strict = [s for s in sweeps if not checker.check_strict_monotonicity(
         s[1], FinitePoints(s[2])).holds]
     tables = _subnorm_cases(cfg, non_strict, FuzzyProp.FSTRICT, None)
     # the builtin forms are five fixed maps, so they go through the gate
     grid_dom = GridDomain(cfg.grid)
     conns, forms = (T_M, T_L, T_D), _builtin_mu_forms()
-    builtins = ((f"{conn.name}|{mu.name}", not check_fuzzy_property(
+    builtins = ((f"{conn.name}|{mu.name}", not fuzzy.check_fuzzy_property(
                     mu, conn, FuzzyProp.FSTRICT, grid_dom, cfg.budget).holds)
                 for conn in conns for mu in forms)
     universe = ("non-strict t-norm tables on the 4-chain x membership tables, "
@@ -212,30 +202,34 @@ def _vague_corpus(cfg):
 @lru_cache(maxsize=None)
 def _vague_corpus_at(resolution: int) -> tuple:
     # once a process: its rows share the validation and the degree orders
+    from . import vague
     pts = GridDomain(resolution).points
-    return tuple(induce_vague_tnorm(make_eq(pts, conn), conn) for make_eq, conn in (
-        (crisp_equality, T_M), (crisp_equality, T_P), (crisp_equality, T_L),
-        (linear_equality, T_L), (linear_equality, T_D)))
+    crisp, linear = vague.crisp_equality, vague.linear_equality
+    return tuple(vague.induce_vague_tnorm(make_eq(pts, conn), conn)
+                 for make_eq, conn in ((crisp, T_M), (crisp, T_P), (crisp, T_L),
+                                       (linear, T_L), (linear, T_D)))
 
 
 def _row_prop12(cfg):
+    from . import vague
     cases = ((f"{v.base.label}|{reading}",
-              not check_vague_strict_monotone(v, reading).holds
-              or not check_vague_cancellation(v, reading).fails)
+              not vague.check_vague_strict_monotone(v, reading).holds
+              or not vague.check_vague_cancellation(v, reading).fails)
              for v in _vague_corpus(cfg) for reading in READINGS)
     universe = "induced vague operators over the grid corpus, both premise readings"
     return _count("prop12", universe, cases)
 
 
 def _row_prop15(cfg):
-    lat = chain_lattice(3)
-    pairs = [(t, eq_table) for t in enumerate_lattice_tnorms(lat)
-             for eq_table in enumerate_lattice_equalities(lat, t)]
-    induced = ((t, induce_lattice_vague_tnorm(eq_table, t))
+    from . import lattice
+    lat = lattice.chain_lattice(3)
+    pairs = [(t, eq_table) for t in lattice.enumerate_lattice_tnorms(lat)
+             for eq_table in lattice.enumerate_lattice_equalities(lat, t)]
+    induced = ((t, lattice.induce_lattice_vague_tnorm(eq_table, t))
                for t, eq_table in pairs)
     cases = ((f"{t.name}|{reading}",
-              not check_lattice_vague_strict_monotone(mu, lat, reading).holds
-              or not check_lattice_vague_cancellation(mu, lat, reading).fails)
+              not lattice.check_lattice_vague_strict_monotone(mu, lat, reading).holds
+              or not lattice.check_lattice_vague_cancellation(mu, lat, reading).fails)
              for t, mu in induced for reading in READINGS)
     universe = f"{len(pairs)} valid lattice equalities x 3-chain t-norms, both readings"
     return _count("prop15", universe, cases)
@@ -273,11 +267,12 @@ def _case_row(row_id: str, cfg: SuiteConfig) -> RowResult:
     """The row's characterization case for each of its operators and each
     membership table on the 3-point grid, on one carrier; each operator
     is validated for the case once."""
+    from . import fuzzy
     case_id, operators, universe, label = _CASE_ROWS[row_id]
     dom = _grid3()
-    carrier = case_carrier(case_id, dom)
+    carrier = fuzzy.case_carrier(case_id, dom)
     conns = operators()
-    checkers = [(conn, case_checker(case_id, conn, dom, carrier))
+    checkers = [(conn, fuzzy.case_checker(case_id, conn, dom, carrier))
                 for conn in conns]
     cases = ((label.format(op=conn.name, mu=mu.name), not characterize(mu).fails)
              for conn, characterize in checkers
@@ -287,22 +282,24 @@ def _case_row(row_id: str, cfg: SuiteConfig) -> RowResult:
 
 
 def _refutation_family():
-    return uninorm_family((Fraction(1, 4), HALF, Fraction(3, 4)),
-                          (T_P, T_L), (S_P, S_L))
+    from . import fuzzy
+    return fuzzy.uninorm_family((Fraction(1, 4), HALF, Fraction(3, 4)),
+                                (T_P, T_L), (S_P, S_L))
 
 
 def _refutation_row(row_id, mu, carriers, what, cfg):
+    from . import fuzzy
     dom = GridDomain(8)
     family = _refutation_family()
-    cases = ((c.name, refute_uninorm_existence(mu, c, family, dom).holds)
+    cases = ((c.name, fuzzy.refute_uninorm_existence(mu, c, family, dom).holds)
              for c in carriers)
     return _count(row_id, f"{len(family)} uninorms x {what} (grid n=8)", cases)
 
 
 def _is_expected_uninorm(member, dom) -> bool:
     # both checks run for every member
-    ax = check_axioms(member, dom)
-    cls = classify_uninorm(member, dom)
+    ax = checker.check_axioms(member, dom)
+    cls = checker.classify_uninorm(member, dom)
     want = "conjunctive" if ":umin(" in member.name else "disjunctive"
     return ax.holds and cls.holds and cls.details.get(want) is True
 
@@ -316,25 +313,28 @@ def _row_uninorm_structure(cfg):
 
 
 def _row_vague_commutativity(cfg):
-    cases = ((v.base.label, check_vague_commutativity(v).holds)
+    from . import vague
+    cases = ((v.base.label, vague.check_vague_commutativity(v).holds)
              for v in _vague_corpus(cfg))
     universe = "induced vague operators over the grid corpus"
     return _count("prop-vague-commutativity", universe, cases)
 
 
 def _row_vague_group(cfg):
-    cases = ((f"Z{n}", check_vague_group_cancellation(
-                 crisp_vague_group(cyclic_group(n))).holds)
+    from . import carriers, vague
+    cases = ((f"Z{n}", vague.check_vague_group_cancellation(
+                 vague.crisp_vague_group(carriers.cyclic_group(n))).holds)
              for n in (3, 4))
     return _count("prop-vague-group-cancellation",
                   "crisp vague groups over Z3 and Z4", cases)
 
 
 def _row_intersection(cfg):
+    from . import carriers, fuzzy
     dom = _grid3()
-    carrier = CarrierMonoid.from_connective(T_M, dom)
+    carrier = carriers.CarrierMonoid.from_connective(T_M, dom)
     groupoids = [mu for mu in _table_sweep(cfg, dom.points)
-                 if check_fuzzy_subgroupoid(mu, carrier).holds]
+                 if fuzzy.check_fuzzy_subgroupoid(mu, carrier).holds]
     # a pair is decided on the meet of its alphabet ids, each meet once
     holds = lru_cache(maxsize=None)(lambda ids, order: closure_holds(
         ids, carrier.table, order))
@@ -346,10 +346,11 @@ def _row_intersection(cfg):
 
 
 def _row_unique_mu_id(cfg):
+    from . import carriers, fuzzy
     dom = GridDomain(cfg.grid)
-    cases = ((conn.name, check_fuzzy_submonoid(
-                 MU_ID, CarrierMonoid.from_connective(conn, dom),
-                 KIND_T_SUBNORM).holds == expect)
+    cases = ((conn.name, fuzzy.check_fuzzy_submonoid(
+                 MU_ID, carriers.CarrierMonoid.from_connective(conn, dom),
+                 fuzzy.KIND_T_SUBNORM).holds == expect)
              for conn, expect in ((T_M, True), (T_P, False), (T_L, False),
                                   (T_D, False)))
     universe = f"identity membership against the four builtins (grid n={cfg.grid})"
@@ -357,8 +358,9 @@ def _row_unique_mu_id(cfg):
 
 
 def _l22_row(row_id, build, cfg):
+    from . import fuzzy, tables
     op = build()  # built when the row runs
-    rep = check_discrete_subalgebra(mixed_grid_points(HALF, 2, 2), op)
+    rep = fuzzy.check_discrete_subalgebra(tables.mixed_grid_points(HALF, 2, 2), op)
     return _count(row_id, f"closure of the 5 mixed grid points under {op.name}",
                   [(op.name, rep.holds)])
 
@@ -368,8 +370,8 @@ def _row_archimedean_vs_limit(cfg):
     dom = GridDomain(cfg.grid)
     notes = {}
     for conn in BUILTIN_TNORMS:
-        a = check_archimedean(conn, dom, cfg.budget)
-        l = check_limit_property(conn, dom, cfg.budget)
+        a = checker.check_archimedean(conn, dom, cfg.budget)
+        l = checker.check_limit_property(conn, dom, cfg.budget)
         notes[conn.name] = {"archimedean": a.verdict.value,
                             "limit-property": l.verdict.value}
     return RowResult("note-archimedean-vs-limit",

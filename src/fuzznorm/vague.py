@@ -27,15 +27,10 @@ from .carriers import FiniteGroup
 from .connectives import T_M, Connective, Role
 from .errors import (BudgetExceededError, DomainError, InputFormatError,
                      TotalityError, read_entries, read_name)
-from .reports import (PropertyReport, Verdict, Witness, collect, combine,
-                      conclude, decide, witnesses_of)
+from .reports import (READINGS, PropertyReport, Verdict, Witness, collect,
+                      combine, conclude, decide, witnesses_of)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, exact, format_scalar,
                       parse_rational, unit)
-
-#: Readings of the equality-of-degrees premise in the monotonicity and
-#: cancellation laws: "any-degree" matches any common degree, "crisp"
-#: demands the common degree be 1.
-READINGS = ("any-degree", "crisp")
 
 
 def _carrier_label(carrier) -> str:

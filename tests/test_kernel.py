@@ -451,9 +451,10 @@ def test_float_operator_compiles_to_exact_values(monkeypatch):
     assert fast == reference
 
 
-def test_float_off_the_grid_takes_the_tolerance_path(monkeypatch):
+def test_float_off_the_grid_matches_the_value_reference(monkeypatch):
     # exact on the grid, so the table compiles; associativity's outer
-    # call leaves the grid and meets a float there
+    # call leaves the grid and meets a float there, and the compiled
+    # axioms report as the value reference does
     domain = GridDomain(4)
 
     def fn(x, y):

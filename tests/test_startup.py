@@ -1,0 +1,85 @@
+"""What a fresh process loads, and what the late imports leave unchanged.
+
+``from fuzznorm import cli, reports, suite`` loads the checker layer and
+nothing more, and a ``check`` runs to the end inside it. The handlers
+and suite rows that import their layers when they run give, from a
+fresh process, the bytes and exit code they give in this one, where
+every layer is loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+# the in-process side runs with every layer loaded
+import fuzznorm.carriers
+import fuzznorm.fuzzy
+import fuzznorm.lattice
+import fuzznorm.tables
+import fuzznorm.vague
+from fuzznorm.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+STARTUP = ["fuzznorm", "fuzznorm.checker", "fuzznorm.cli",
+           "fuzznorm.connectives", "fuzznorm.errors", "fuzznorm.kernel",
+           "fuzznorm.reports", "fuzznorm.scalars", "fuzznorm.subsets",
+           "fuzznorm.suite"]
+
+CHECKS = [
+    ["check", "tnorm:product", "--props",
+     "axioms,strict-monotonicity,cancellation,conditional-cancellation,"
+     "archimedean,limit,classify", "--grid", "6"],
+    ["check", "uninorm:umin(e=1/2,T=product,S=probsum)", "--props", "axioms"],
+    ["check", "nullnorm:<lukasiewicz-S,1/2,lukasiewicz-T>", "--props", "axioms"],
+]
+
+LATE_IMPORTS = [
+    ["substructure", "--mu", "builtin:identity", "--carrier", "tnorm:min",
+     "--kind", "t-subnorm", "--grid", "6"],
+    ["vague", "--tnorm", "tnorm:product", "--equality", "crisp", "--grid", "3"],
+    ["lattice", "--lattice", "diamond", "--props", "tnorm-axioms,subnorm,fstrict,vague"],
+    ["enumerate", "--lattice", "chain:3"],
+    ["suite", "--only", "prop16", "--format", "json"],
+]
+
+
+def _fresh(*args) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=300)
+
+
+_LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
+           "if m.split('.')[0] == 'fuzznorm')))")
+
+
+def test_startup_loads_only_the_checker_layer():
+    proc = _fresh("-c", "import json, sys\n"
+                        "from fuzznorm import cli, reports, suite\n" + _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == STARTUP
+
+
+def test_a_check_loads_no_further_module():
+    code = ("import contextlib, io, json, sys\n"
+            "from fuzznorm import cli, reports, suite\n"
+            f"for argv in {CHECKS!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = cli.main(argv)\n"
+            "    assert rc in (0, 1, 2), (argv, rc)\n" + _LOADED)
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == STARTUP
+
+
+@pytest.mark.parametrize("argv", LATE_IMPORTS, ids=lambda argv: argv[0])
+def test_fresh_process_output_matches_in_process(argv, capsys):
+    rc = main(argv)
+    out = capsys.readouterr().out.encode("utf-8")
+    proc = _fresh("-m", "fuzznorm", *argv)
+    assert (proc.stdout, proc.returncode) == (out, rc), proc.stderr

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fuzznorm.checker as checker_mod
 import fuzznorm.fuzzy as fuzzy_mod
+import fuzznorm.lattice as lattice_mod
 import fuzznorm.subsets as subsets_mod
 import fuzznorm.suite as suite_mod
 import fuzznorm.vague as vague_mod
@@ -39,14 +40,16 @@ from fuzznorm.vague import READINGS, check_vague_strict_monotone
 
 HALF = Fraction(1, 2)
 
-# module -> the checks that reach the stop from a suite row there
+# module -> the checks that reach the stop from a suite row, each patched
+# where it is defined (the rows call through the module) and where
+# ``fuzzy`` imported it by name
 CHECKS = {
-    suite_mod: ("check_fuzzy_property", "check_lattice_fuzzy_property",
-                "check_fuzzy_subgroupoid", "check_fuzzy_submonoid",
-                "check_vague_strict_monotone",
-                "check_lattice_vague_strict_monotone",
-                "check_strict_monotonicity"),
-    fuzzy_mod: ("check_fuzzy_submonoid", "check_strict_monotonicity"),
+    fuzzy_mod: ("check_fuzzy_property", "check_fuzzy_subgroupoid",
+                "check_fuzzy_submonoid", "check_strict_monotonicity"),
+    lattice_mod: ("check_lattice_fuzzy_property",
+                  "check_lattice_vague_strict_monotone"),
+    vague_mod: ("check_vague_strict_monotone",),
+    checker_mod: ("check_strict_monotonicity",),
 }
 
 # the modules whose witness loops end in ``collect``
