@@ -27,8 +27,8 @@ class CarrierMonoid:
     elements: tuple
     op: Callable
     identity: object
-    # op over elements as a kernel.Kernel; None for table carriers and
-    # connectives with a value that has no id
+    # op over elements as a kernel.Kernel, built by from_connective; None
+    # for table carriers
     table: Optional[kernel.Kernel] = field(default=None, compare=False,
                                            repr=False)
 

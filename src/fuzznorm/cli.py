@@ -11,7 +11,8 @@ output; exit codes are a pure function of the merged verdicts:
   65 membership map not total on the carrier
 
 Each subcommand takes ``--format``, ``--out`` and only those of
-``--grid``, ``--nmax``, ``--iter-cap`` and ``--epsilon`` it reads. The
+``--grid``, ``--nmax``, ``--iter-cap`` and ``--epsilon`` it reads; the
+flags are the only configuration, and no environment variable is read. The
 dicts that map ids to checks call each check through its defining
 module, so a wrapper put on the name there sees the call. A handler
 imports the modules it runs and hands them to its helpers and dicts,
@@ -21,7 +22,6 @@ so a ``check`` loads ``checker`` and what it imports, and no other layer.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -41,56 +41,20 @@ EXIT_VACUOUS = 2
 EXIT_CONFIG = 64
 EXIT_NOT_TOTAL = 65
 
-BUDGET_ENV = "FUZZNORM_BUDGET_OVERRIDE"
-
-
-def _env_overrides() -> dict:
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return {}
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON in {BUDGET_ENV}: {exc.msg}",
-                              line=exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise InputFormatError(f"{BUDGET_ENV} must hold a JSON object")
-    return obj
-
-
-def _env_int(env: dict, key: str, fallback: int) -> int:
-    """``env[key]`` as an int: a JSON integer or a string of one."""
-    value = env.get(key, fallback)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InputFormatError(f"{BUDGET_ENV} needs an integer, got {value!r}",
-                          field=key)
-
 
 def _resolve_budget(args) -> SearchBudget:
-    """Each cap from its flag, else the override variable, else the
-    ``SearchBudget`` default."""
-    env = _env_overrides()
-    n_max = (args.nmax if args.nmax is not None
-             else _env_int(env, "n_max", SearchBudget.n_max))
-    iter_cap = (args.iter_cap if args.iter_cap is not None
-                else _env_int(env, "iter_cap", SearchBudget.iter_cap))
-    eps_text = (args.epsilon if args.epsilon is not None
-                else env.get("epsilon", SearchBudget.epsilon))
+    """The search caps of ``--nmax``, ``--iter-cap`` and ``--epsilon``,
+    whose parser defaults are the ``SearchBudget`` ones."""
     try:
-        epsilon = parse_rational(str(eps_text))
+        epsilon = parse_rational(args.epsilon)
     except ValueError as exc:
         raise InputFormatError(str(exc), field="epsilon") from None
-    return SearchBudget(n_max=n_max, iter_cap=iter_cap, epsilon=epsilon)
+    return SearchBudget(n_max=args.nmax, iter_cap=args.iter_cap, epsilon=epsilon)
 
 
 def _resolve_grid(args, fallback: int) -> int:
-    if args.grid is not None:
-        return args.grid
-    return _env_int(_env_overrides(), "grid", fallback)
+    """``--grid``, else the command's default grid ``fallback``."""
+    return fallback if args.grid is None else args.grid
 
 
 def _pick(text: str, table: dict, what: str) -> list:
@@ -236,11 +200,11 @@ def _resolve_equality(vague, args, conn, pts):
 
 
 def _vague_monoid(vague, v, args, conn):
-    if args.mu_table or args.equality not in ("crisp", "linear"):
+    if (args.mu_table or args.equality not in ("crisp", "linear")
+            or args.grid is not None):
         return vague.check_vague_monoid(v.base)
     # the 7-tuple associativity loop gets its own, coarser default grid
-    eq = _resolve_equality(vague, args, conn,
-                           GridDomain(_resolve_grid(args, 4)).points)
+    eq = _resolve_equality(vague, args, conn, GridDomain(4).points)
     return vague.check_vague_monoid(vague.induce_vague_tnorm(eq, conn).base)
 
 
@@ -418,11 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid", type=int, default=None,
                       help="grid resolution n (points are i/n)")
     budget = argparse.ArgumentParser(add_help=False, parents=[grid])
-    budget.add_argument("--nmax", type=int, default=None,
+    budget.add_argument("--nmax", type=int, default=SearchBudget.n_max,
                         help="cap for the power-exponent search")
-    budget.add_argument("--iter-cap", type=int, default=None,
+    budget.add_argument("--iter-cap", type=int, default=SearchBudget.iter_cap,
                         help="cap for limit iterations")
-    budget.add_argument("--epsilon", type=str, default=None,
+    # argparse passes a default that is not a string through untyped, and
+    # parse_rational reads the Fraction as it reads p/q text
+    budget.add_argument("--epsilon", type=str, default=SearchBudget.epsilon,
                         help="convergence threshold, as p/q")
 
     p = sub.add_parser("check", parents=[budget],

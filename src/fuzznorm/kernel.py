@@ -28,12 +28,16 @@ Only ``Fraction`` values get ids. Every callable a check lifts reads
 its value through ``scalars.exact``, which gives a number as the
 ``Fraction`` it is, and ``compile_alphabet`` reads each letter the same
 way, so a loop that has compiled meets only values with ids.
-``compile_operator`` and ``compile_alphabet`` return ``None`` when a
-point is listed twice or a point or a compiled value is not a
-``Fraction`` (the labels of a finite carrier or a lattice), and their
-callers run the same cores on values instead; ``compile_degrees``
-refuses such a carrier with ``DomainError``. State lives in the object
-a caller creates; there is no module-level cache.
+``compile_operator`` returns ``None`` when a point is listed twice or a
+point or a value is not a ``Fraction``. Its one caller,
+``CarrierMonoid.from_connective``, compiles every grid it is given
+(table carriers never call it), and the tests' value reference patches
+it to return ``None`` to run the same cores on values.
+``compile_alphabet`` returns ``None`` for a letter that is not a number
+(a lattice label), and its caller runs on values instead;
+``compile_degrees`` refuses a repeated point or a label with
+``DomainError``. State lives in the object a caller creates; there is
+no module-level cache.
 """
 
 from __future__ import annotations

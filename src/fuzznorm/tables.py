@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .connectives import Connective, Role
 from .errors import DomainError
-from .lattice import chain_lattice, check_enumeration_size, enumerate_lattice_tnorms
 from .scalars import ONE, ZERO, format_scalar
 
 
@@ -56,15 +55,16 @@ def enumerate_chain_tnorm_tables(points: Sequence[Fraction]) -> list[ChainTable]
     These are the t-norms of the chain lattice with as many elements,
     relabelled onto the points, in the lattice enumeration's order.
     """
+    from . import lattice
     pts = tuple(points)
     if pts[0] != ZERO or pts[-1] != ONE or list(pts) != sorted(set(pts)):
         raise DomainError("chain must be sorted, distinct, and span 0..1")
-    check_enumeration_size(len(pts), "chain")
-    lat = chain_lattice(len(pts))
+    lattice.check_enumeration_size(len(pts), "chain")
+    lat = lattice.chain_lattice(len(pts))
     point = dict(zip(lat.elements, pts))
     return [ChainTable(pts, tuple(tuple(point[t(x, y)] for y in lat.elements)
                                   for x in lat.elements))
-            for t in enumerate_lattice_tnorms(lat)]
+            for t in lattice.enumerate_lattice_tnorms(lat)]
 
 
 def uniform_chain(size: int) -> tuple:

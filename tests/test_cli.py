@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +169,28 @@ class TestVagueCommand:
                     "--tnorm", "tnorm:lukasiewicz",
                     "--checks", "equality,commutativity,monoid",
                     "--grid", "4"]) == 0
+
+    MONOID = ["vague", "--tnorm", "tnorm:min", "--equality", "crisp",
+              "--checks", "monoid,commutativity", "--format", "json"]
+
+    def report_sizes(self, capsys):
+        obj = json.loads(out_text(capsys))
+        return [r["domain"]["size"] for r in obj["reports"]]
+
+    def test_flag_grid_sizes_the_vague_monoid_report(self, capsys,
+                                                     monkeypatch):
+        from fuzznorm import vague
+        built = []
+        induce = vague.induce_vague_tnorm
+        monkeypatch.setattr(vague, "induce_vague_tnorm",
+                            lambda *a: built.append(a) or induce(*a))
+        run(self.MONOID + ["--grid", "3"])
+        assert self.report_sizes(capsys) == [4, 4]
+        assert len(built) == 1  # the monoid check reuses the operator
+
+    def test_monoid_default_grid_is_coarser(self, capsys):
+        run(self.MONOID)
+        assert self.report_sizes(capsys) == [5, 7]
 
     def test_crisp_product_cancellation_fails(self):
         assert run(["vague", "--equality", "crisp", "--tnorm", "tnorm:product",
@@ -438,13 +465,6 @@ class TestGridBudget:
         code = run(GRID_COMMANDS[command] + ["--grid", str(HUGE_GRID)])
         self.assert_skipped(capsys, command, code)
 
-    @pytest.mark.parametrize("command", list(GRID_COMMANDS))
-    def test_env_grid_over_the_cap_is_skipped(self, capsys, monkeypatch,
-                                              command):
-        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE",
-                           json.dumps({"grid": HUGE_GRID}))
-        self.assert_skipped(capsys, command, run(GRID_COMMANDS[command]))
-
     def test_grid_at_the_cap_builds(self):
         from fuzznorm.errors import BudgetExceededError
         from fuzznorm.reports import GridDomain
@@ -454,51 +474,22 @@ class TestGridBudget:
         assert exc.value.size_estimate == 1002
 
 
-class TestBudgetEnv:
-    def test_env_override_applies_when_flag_absent(self, capsys, monkeypatch):
-        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", json.dumps({"grid": 4}))
-        run(["check", "tnorm:min", "--props", "axioms", "--format", "json"])
-        obj = json.loads(out_text(capsys))
-        assert obj["reports"][0]["domain"]["resolution"] == 4
+ARCHIMEDEAN_MIN = ["check", "tnorm:min", "--props", "archimedean"]
 
-    def test_flag_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", json.dumps({"grid": 4}))
-        run(["check", "tnorm:min", "--props", "axioms", "--grid", "6",
-             "--format", "json"])
-        obj = json.loads(out_text(capsys))
-        assert obj["reports"][0]["domain"]["resolution"] == 6
 
-    def test_env_grid_sizes_the_vague_monoid_report(self, capsys,
-                                                    monkeypatch):
-        argv = ["vague", "--tnorm", "tnorm:min", "--equality", "crisp",
-                "--checks", "monoid,commutativity", "--format", "json"]
+class TestBudgetFlags:
+    """A budget flag's bad value is refused with exit 64; a zero cap
+    reaches ``SearchBudget`` and is refused there."""
 
-        def sizes():
-            obj = json.loads(out_text(capsys))
-            return [r["domain"]["size"] for r in obj["reports"]]
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_bad_epsilon_names_its_field(self, capsys, value):
+        assert run(ARCHIMEDEAN_MIN + ["--epsilon", value]) == 64
+        assert "(field 'epsilon')" in capsys.readouterr().err
 
-        run(argv + ["--grid", "3"])
-        flagged = sizes()
-        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", json.dumps({"grid": 3}))
-        run(argv)
-        assert sizes() == flagged == [4, 4]
-
-    @pytest.mark.parametrize("raw, field", [
-        ("{broken", None),
-        ('{"n_max": "abc"}', "n_max"),
-        ('{"grid": "x"}', "grid"),
-        ('{"iter_cap": null}', "iter_cap"),
-        ('{"grid": [1]}', "grid"),
-        ('{"n_max": 1.5}', "n_max"),  # not truncated to 1
-    ], ids=["broken-json", "n_max-text", "grid-text", "iter_cap-null",
-            "grid-list", "n_max-fraction"])
-    def test_bad_env_is_a_config_error(self, monkeypatch, capsys, raw, field):
-        monkeypatch.setenv("FUZZNORM_BUDGET_OVERRIDE", raw)
-        assert run(["check", "tnorm:min", "--props", "axioms"]) == 64
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        if field is not None:
-            assert f"(field {field!r})" in err
+    @pytest.mark.parametrize("flag", ["--epsilon", "--nmax", "--iter-cap"])
+    def test_zero_is_a_config_error(self, capsys, flag):
+        assert run(ARCHIMEDEAN_MIN + [flag, "0"]) == 64
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestZeroDenominator:
@@ -603,3 +594,33 @@ class TestFlagsWhereRead:
     def test_help_exits_0(self, capsys):
         assert run(["check", "--help"]) == 0
         assert "--nmax" in out_text(capsys)
+
+
+class TestNoEnvironment:
+    """Flags are the only configuration: a run prints the same bytes
+    whatever its environment holds, here the variable that once replaced
+    the grid and budget defaults."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    OVERRIDE = {"FUZZNORM_BUDGET_OVERRIDE": json.dumps({"grid": 4, "n_max": 2})}
+
+    def fresh(self, argv, extra=None) -> bytes:
+        env = {k: v for k, v in os.environ.items()
+               if k != "FUZZNORM_BUDGET_OVERRIDE"}
+        env.update(extra or {}, PYTHONPATH=str(self.ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "fuzznorm", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        return proc.stdout
+
+    def test_suite_prints_the_benchmark_golden(self):
+        golden = json.loads((self.ROOT / "perfbench" / "goldens.json")
+                            .read_text())["suite"]["stdout"]
+        out = self.fresh(["suite", "--all", "--grid", "6", "--format", "json"],
+                         self.OVERRIDE)
+        assert hashlib.sha256(out).hexdigest() == golden["sha256"]
+
+    def test_check_defaults_ignore_the_variable(self):
+        argv = ["check", "tnorm:product", "--props",
+                "archimedean,limit,classify", "--format", "json"]
+        assert self.fresh(argv, self.OVERRIDE) == self.fresh(argv)

@@ -4,7 +4,7 @@
 nothing more, and a ``check`` runs to the end inside it. The handlers
 and suite rows that import their layers when they run give, from a
 fresh process, the bytes and exit code they give in this one, where
-every layer is loaded.
+every layer is loaded. A suite row loads only the layers it runs.
 """
 
 import json
@@ -75,6 +75,22 @@ def test_a_check_loads_no_further_module():
     proc = _fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == STARTUP
+
+
+@pytest.mark.parametrize("row", ["prop16", "prop-intersection"])
+def test_a_membership_row_loads_neither_lattice_nor_vague(row):
+    """Rows that need only a chain's points import ``tables`` without the
+    lattice enumeration behind it."""
+    code = ("import contextlib, io, json, sys\n"
+            "from fuzznorm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['suite', '--only', {row!r}]) == 0\n"
+            + _LOADED)
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "fuzznorm.tables" in loaded
+    assert not {"fuzznorm.lattice", "fuzznorm.vague"} & set(loaded)
 
 
 @pytest.mark.parametrize("argv", LATE_IMPORTS, ids=lambda argv: argv[0])
