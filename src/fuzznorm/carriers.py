@@ -11,8 +11,7 @@ that sweep many membership maps evaluate the operation once per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import kernel
 from .checker import _associativity, _identity
@@ -21,16 +20,14 @@ from .errors import DomainError, InputFormatError, read_json_object, read_name
 from .scalars import parse_label
 
 
-@dataclass(frozen=True)
 class CarrierMonoid:
-    label: str
-    elements: tuple
-    op: Callable
-    identity: object
-    # op over elements as a kernel.Kernel, built by from_connective; None
-    # for table carriers
-    table: Optional[kernel.Kernel] = field(default=None, compare=False,
-                                           repr=False)
+    def __init__(self, label: str, elements: tuple, op: Callable, identity,
+                 table: Optional[kernel.Kernel] = None):
+        self.label, self.elements, self.op = label, elements, op
+        self.identity = identity
+        # op over elements as a kernel.Kernel, built by from_connective;
+        # None for table carriers
+        self.table = table
 
     def to_json(self) -> dict:
         return {"kind": "carrier", "label": self.label, "size": len(self.elements)}
@@ -75,8 +72,7 @@ class CarrierMonoid:
                              elems, op, identity)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     monoid: CarrierMonoid
     inverse: Mapping
 

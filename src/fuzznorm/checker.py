@@ -19,7 +19,9 @@ membership map, reported in the crisp shape.
 
 from __future__ import annotations
 
+import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Optional
 
@@ -447,17 +449,18 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
     behavior_min = behavior_max = True
     mixed_pairs = 0
     if e is not None:
-        for x in pts:
-            for y in pts:
-                lo, hi = (x, y) if x <= y else (y, x)
-                if not lo < e < hi:  # outside the mixed region
-                    continue
-                mixed_pairs += 1
-                v = conn(x, y)
-                if not lo <= v <= hi:
-                    witnesses.append(Witness((x, y), (v,)))
-                behavior_min &= v == lo
-                behavior_max &= v == hi
+        # the points are sorted and distinct: the mixed region pairs the
+        # points below e with those above it, in both orders
+        below, above = pts[:bisect_left(pts, e)], pts[bisect_right(pts, e):]
+        mixed_pairs = 2 * len(below) * len(above)
+        for x, y in itertools.chain(itertools.product(below, above),
+                                    itertools.product(above, below)):
+            lo, hi = (x, y) if x <= y else (y, x)
+            v = conn(x, y)
+            if not lo <= v <= hi:
+                witnesses.append(Witness((x, y), (v,)))
+            behavior_min &= v == lo
+            behavior_max &= v == hi
     if mixed_pairs == 0:
         mixed = "empty"
     elif behavior_min and not behavior_max:

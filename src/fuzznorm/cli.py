@@ -345,8 +345,8 @@ def _cmd_suite(args) -> int:
     from . import suite
     only = (None if args.only is None
             else _pick(args.only, suite.ROWS, "suite rows"))
-    config = suite.SuiteConfig(grid=_resolve_grid(args, suite.SuiteConfig.grid),
-                               budget=_resolve_budget(args))
+    grid = _resolve_grid(args, suite.SuiteConfig._field_defaults["grid"])
+    config = suite.SuiteConfig(grid=grid, budget=_resolve_budget(args))
     result = suite.run_suite(config, only=only, jobs=args.jobs)
     _emit(args, result.to_json, result.render_text)
     if result.total_counterexamples > 0:

@@ -16,11 +16,10 @@ turns such ids back into operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DegenerateParameterError, DomainError, UnknownOperatorError
 from .scalars import ONE, ZERO, Scalar, exact, unit
@@ -34,8 +33,7 @@ class Role(Enum):
     AGGREGATION = "aggregation"
 
 
-@dataclass(frozen=True)
-class Connective:
+class Connective(NamedTuple):
     """A named operation on [0, 1] with its declared special elements.
 
     ``identity`` and ``absorber`` are claims; the checker engine
@@ -60,9 +58,6 @@ class Connective:
     @property
     def short_name(self) -> str:
         return self.name.split(":", 1)[-1]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Connective({self.name})"
 
 
 # --- builtin evaluators (module level so partial application pickles) ---

@@ -11,7 +11,6 @@ characterization sweeps and the uninorm non-existence refutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -47,7 +46,6 @@ _COMBINER_ROLE = {
 }
 
 
-@dataclass(frozen=True)
 class SubstructureKind:
     """Which inequality family to check and what replaces min.
 
@@ -56,20 +54,18 @@ class SubstructureKind:
     which must be at least 2.
     """
 
-    tag: SubstructureTag
-    combiner: Optional[Connective] = None
-    arity_cap: int = 3
-
-    def __post_init__(self):
-        wanted = _COMBINER_ROLE.get(self.tag)
+    def __init__(self, tag: SubstructureTag, combiner: Optional[Connective] = None,
+                 arity_cap: int = 3):
+        wanted = _COMBINER_ROLE.get(tag)
         if wanted is not None:
-            if self.combiner is None or self.combiner.role is not wanted:
+            if combiner is None or combiner.role is not wanted:
                 raise DomainError(
-                    f"{self.tag.value} needs a combiner of role {wanted.value}")
-        elif self.combiner is not None:
-            raise DomainError(f"{self.tag.value} uses the min combiner")
-        if self.arity_cap < 2:
-            raise DomainError(f"arity cap {self.arity_cap} is below 2")
+                    f"{tag.value} needs a combiner of role {wanted.value}")
+        elif combiner is not None:
+            raise DomainError(f"{tag.value} uses the min combiner")
+        if arity_cap < 2:
+            raise DomainError(f"arity cap {arity_cap} is below 2")
+        self.tag, self.combiner, self.arity_cap = tag, combiner, arity_cap
 
 
 KIND_SUBGROUPOID = SubstructureKind(SubstructureTag.SUBGROUPOID)

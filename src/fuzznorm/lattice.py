@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
@@ -27,8 +26,7 @@ from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
                       _identity_witnesses, _TableFn, enumerate_table_subsets)
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(NamedTuple):
     elements: tuple
     leq_pairs: frozenset
     meet_table: Mapping
@@ -195,8 +193,7 @@ def load_lsubset(path: str, lat: FiniteLattice) -> FuzzySubset:
 
 # --- lattice conjunction tables ---
 
-@dataclass(frozen=True)
-class LatticeTNorm:
+class LatticeTNorm(NamedTuple):
     lattice: FiniteLattice
     table: Mapping
     name: str = "lattice-tnorm"

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
 from .scalars import ONE, ZERO, format_scalar, format_scalar_text, unit
@@ -51,8 +50,7 @@ def _json_value(v):
     return str(v)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One input tuple plus the evaluated values that expose a violation."""
 
     inputs: tuple
@@ -85,19 +83,17 @@ def _grid_points(resolution: int) -> tuple:
     return tuple(Fraction(i, resolution) for i in range(resolution + 1))
 
 
-@dataclass(frozen=True)
 class GridDomain:
     """The rationals 0, 1/n, ..., 1 as a desk-scale stand-in for [0, 1]."""
 
-    resolution: int
-
-    def __post_init__(self):
-        if self.resolution < 2:
-            raise DomainError(f"grid resolution must be at least 2, got {self.resolution}")
-        if self.resolution > MAX_GRID_RESOLUTION:
+    def __init__(self, resolution: int):
+        if resolution < 2:
+            raise DomainError(f"grid resolution must be at least 2, got {resolution}")
+        if resolution > MAX_GRID_RESOLUTION:
             raise BudgetExceededError(
-                f"grid resolution {self.resolution} exceeds the grid budget "
-                f"of {MAX_GRID_RESOLUTION}", size_estimate=self.resolution + 1)
+                f"grid resolution {resolution} exceeds the grid budget "
+                f"of {MAX_GRID_RESOLUTION}", size_estimate=resolution + 1)
+        self.resolution = resolution
 
     @property
     def points(self) -> tuple:
@@ -114,23 +110,20 @@ class GridDomain:
         return f"grid(n={self.resolution})"
 
 
-@dataclass(frozen=True)
 class FinitePoints:
     """An explicit finite set of rationals in [0, 1], sorted, with 0 and 1,
     each point read by ``scalars.unit``."""
 
-    points: tuple
-
-    def __post_init__(self):
+    def __init__(self, points: Sequence):
         try:
-            pts = tuple(map(unit, self.points))
+            pts = tuple(map(unit, points))
         except ValueError as exc:
             raise DomainError(str(exc)) from None
         if len(pts) < 2 or sorted(set(pts)) != list(pts):
             raise DomainError("finite domain points must be sorted and distinct")
         if pts[0] != ZERO or pts[-1] != ONE:
             raise DomainError("finite domain must contain 0 and 1")
-        object.__setattr__(self, "points", pts)
+        self.points = pts
 
     @property
     def interior(self) -> tuple:
@@ -150,40 +143,48 @@ class FinitePoints:
 READINGS = ("any-degree", "crisp")
 
 
-@dataclass(frozen=True)
 class SearchBudget:
     """Caps for the existential searches.
 
     ``n_max`` bounds the power exponent search, ``iter_cap`` bounds
     limit iterations, and ``epsilon`` is the threshold below which a
-    decreasing trajectory counts as converged on exact grids.
+    decreasing trajectory counts as converged on exact grids. The class
+    attributes are the defaults, which the CLI's parser reads too.
     """
 
-    n_max: int = 64
-    iter_cap: int = 128
-    epsilon: Fraction = Fraction(1, 1024)
+    n_max = 64
+    iter_cap = 128
+    epsilon = Fraction(1, 1024)
 
-    def __post_init__(self):
-        if self.n_max < 1 or self.iter_cap < 1:
+    def __init__(self, n_max: int = n_max, iter_cap: int = iter_cap,
+                 epsilon: Fraction = epsilon):
+        if n_max < 1 or iter_cap < 1:
             raise DomainError("budget caps must be at least 1")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise DomainError("epsilon must be positive")
+        self.n_max, self.iter_cap, self.epsilon = n_max, iter_cap, epsilon
 
     def to_json(self) -> dict:
         return {"n_max": self.n_max, "iter_cap": self.iter_cap,
                 "epsilon": format_scalar(self.epsilon)}
 
 
-@dataclass
 class PropertyReport:
-    property_id: str
-    verdict: Verdict
-    domain: dict
-    witnesses: list = field(default_factory=list)
-    budget: dict = field(default_factory=dict)
-    tags: tuple = ()
-    details: dict = field(default_factory=dict)
-    children: tuple = ()
+    def __init__(self, property_id: str, verdict: Verdict, domain: dict,
+                 witnesses: Optional[list] = None, budget: Optional[dict] = None,
+                 tags: tuple = (), details: Optional[dict] = None,
+                 children: tuple = ()):
+        self.property_id, self.verdict, self.domain = property_id, verdict, domain
+        self.witnesses = [] if witnesses is None else witnesses
+        self.budget = {} if budget is None else budget
+        self.tags = tags
+        self.details = {} if details is None else details
+        self.children = children
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def holds(self) -> bool:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from . import kernel
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
@@ -29,8 +29,7 @@ from .scalars import (ONE, ZERO, Scalar, exact, format_scalar, parse_label,
                       parse_rational, unit)
 
 
-@dataclass(frozen=True)
-class FuzzySubset:
+class FuzzySubset(NamedTuple):
     name: str
     fn: Callable[[object], Scalar]
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import checker, reports
 from .checker import FuzzyProp
@@ -38,23 +37,22 @@ HALF = Fraction(1, 2)
 DEFAULT_ALPHABET = (ZERO, HALF, ONE)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     grid: int = 6
-    budget: SearchBudget = field(default_factory=SearchBudget)
+    budget: SearchBudget = SearchBudget()
     alphabet: tuple = DEFAULT_ALPHABET
 
 
-@dataclass
 class RowResult:
-    row_id: str
-    universe: str
-    checked: int
-    counterexamples: list
-    skipped: bool = False
-    skip_reason: str = ""
-    notes: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    def __init__(self, row_id: str, universe: str, checked: int,
+                 counterexamples: list, skipped: bool = False,
+                 skip_reason: str = "", notes: Optional[dict] = None,
+                 elapsed: float = 0.0):
+        self.row_id, self.universe, self.checked = row_id, universe, checked
+        self.counterexamples = counterexamples
+        self.skipped, self.skip_reason = skipped, skip_reason
+        self.notes = {} if notes is None else notes
+        self.elapsed = elapsed
 
     def to_json(self) -> dict:
         # elapsed stays out of the JSON so identical configs give
@@ -433,10 +431,9 @@ def _run_row(row_id: str, cfg: SuiteConfig) -> RowResult:
     return result
 
 
-@dataclass
 class SuiteResult:
-    config: SuiteConfig
-    rows: list
+    def __init__(self, config: SuiteConfig, rows: list):
+        self.config, self.rows = config, rows
 
     @property
     def total_counterexamples(self) -> int:

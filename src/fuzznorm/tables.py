@@ -8,7 +8,6 @@ chain order) so reports and counts are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,22 +16,21 @@ from .errors import DomainError
 from .scalars import ONE, ZERO, format_scalar
 
 
-@dataclass(frozen=True)
 class ChainTable:
     """A commutative table on a sorted rational chain, identity at 1."""
 
-    points: tuple
-    matrix: tuple  # row-major, matrix[i][j] = value at (points[i], points[j])
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-        if not self.name:
+    def __init__(self, points: tuple, matrix: tuple, name: str = ""):
+        self.points = points
+        # row-major, matrix[i][j] = value at (points[i], points[j])
+        self.matrix = matrix
+        self._index = {p: i for i, p in enumerate(points)}
+        if not name:
             cells = []
-            for i in range(len(self.points)):
-                for j in range(i, len(self.points)):
-                    cells.append(format_scalar(self.matrix[i][j]))
-            object.__setattr__(self, "name", "table[" + ",".join(cells) + "]")
+            for i in range(len(points)):
+                for j in range(i, len(points)):
+                    cells.append(format_scalar(matrix[i][j]))
+            name = "table[" + ",".join(cells) + "]"
+        self.name = name
 
     def index(self, x) -> int:
         # Fraction, int and float keys that are equal hash alike

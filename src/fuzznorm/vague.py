@@ -19,8 +19,7 @@ a ``FiniteLattice``, and the same cores on the unit interval
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import kernel, reports
 from .carriers import FiniteGroup
@@ -37,7 +36,6 @@ def _carrier_label(carrier) -> str:
     return "{" + ",".join(format_scalar(x) for x in carrier) + "}"
 
 
-@dataclass(frozen=True)
 class TFuzzyEquality:
     """A degree-valued equality, kept callable rather than tabulated so
     induced operators can ask about values the carrier grid does not
@@ -45,11 +43,10 @@ class TFuzzyEquality:
     returns is read as the rational it is. ``report`` is its
     ``validate_fuzzy_equality`` report."""
 
-    label: str
-    carrier: tuple
-    tnorm: Connective
-    fn: Callable
-    report: PropertyReport = field(compare=False)
+    def __init__(self, label: str, carrier: tuple, tnorm: Connective,
+                 fn: Callable, report: PropertyReport):
+        self.label, self.carrier, self.tnorm, self.fn = label, carrier, tnorm, fn
+        self.report = report
 
     def __call__(self, a, b) -> Scalar:
         return exact(self.fn(a, b))
@@ -129,15 +126,14 @@ def linear_equality(carrier: Sequence, tnorm: Connective) -> TFuzzyEquality:
     return make_fuzzy_equality("linear", _linear_fn, tnorm, carrier)
 
 
-@dataclass(frozen=True)
 class VagueBinaryOp:
     """``order`` is the ``kernel.compile_degrees`` order, the one table of
     the degrees: ``order.deg`` keyed by carrier-id triples."""
 
-    label: str
-    carrier: tuple
-    equality: TFuzzyEquality
-    order: kernel.IdOrder = field(compare=False, repr=False)
+    def __init__(self, label: str, carrier: tuple, equality: TFuzzyEquality,
+                 order: kernel.IdOrder):
+        self.label, self.carrier, self.equality = label, carrier, equality
+        self.order = order
 
     @property
     def tnorm(self) -> Connective:
@@ -148,8 +144,7 @@ class VagueBinaryOp:
                 "tnorm": self.tnorm.name, "size": len(self.carrier)}
 
 
-@dataclass(frozen=True)
-class VagueTNorm:
+class VagueTNorm(NamedTuple):
     base: VagueBinaryOp
     underlying: Connective
 
@@ -471,8 +466,7 @@ def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> Prop
 
 # --- vague groups over finite carriers ---
 
-@dataclass(frozen=True)
-class VagueGroup:
+class VagueGroup(NamedTuple):
     group: FiniteGroup
     equality: TFuzzyEquality
     table: Mapping  # (a, b, c) -> degree

@@ -3,17 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzznorm import kernel
+from fuzznorm import checker, kernel
 from fuzznorm.checker import (check_archimedean, check_axioms,
                               check_cancellation, check_limit_property,
                               check_strict_monotonicity, classify_uninorm)
-from fuzznorm.connectives import (BUILTIN_TNORMS, Connective, Role, S_L, S_P,
+from fuzznorm.connectives import (BUILTIN_TCONORMS, BUILTIN_TNORMS,
+                                  Connective, Role, S_L, S_P,
                                   T_D, T_L, T_M, T_P, construct_nullnorm,
                                   construct_uninorm_max,
                                   construct_uninorm_min, power_iterate)
 from fuzznorm.errors import DomainError
 from fuzznorm.reports import (FinitePoints, GridDomain, SearchBudget, Verdict,
-                              dumps)
+                              Witness, dumps)
+from fuzznorm.suite import _refutation_family
 from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
 
 F = Fraction
@@ -240,6 +242,97 @@ class TestClassifyUninorm:
         assert rep.details["mixed_region"] == "mixed"
 
 
+def _classify_full_loop(conn, domain):
+    """``classify_uninorm`` as it was when its mixed-region loop visited
+    every pair of points and skipped those outside the region."""
+    pts = domain.points
+    v10 = conn(F(1), F(0))
+    conjunctive, disjunctive = v10 == 0, v10 == 1
+    locally_internal = None
+    if conjunctive or disjunctive:
+        a = F(1) if conjunctive else F(0)
+        locally_internal = all(conn(a, x) in (a, x) for x in pts)
+    idempotent = all(conn(x, x) == x for x in pts)
+    e = conn.identity
+    if e is None:
+        e = checker._search_identity(conn, pts)
+    witnesses = []
+    behavior_min = behavior_max = True
+    mixed_pairs = 0
+    if e is not None:
+        for x in pts:
+            for y in pts:
+                lo, hi = (x, y) if x <= y else (y, x)
+                if not lo < e < hi:
+                    continue
+                mixed_pairs += 1
+                v = conn(x, y)
+                if not lo <= v <= hi:
+                    witnesses.append(Witness((x, y), (v,)))
+                behavior_min &= v == lo
+                behavior_max &= v == hi
+    if mixed_pairs == 0:
+        mixed = "empty"
+    elif behavior_min and not behavior_max:
+        mixed = "min"
+    elif behavior_max and not behavior_min:
+        mixed = "max"
+    elif behavior_min and behavior_max:
+        mixed = "degenerate"
+    else:
+        mixed = "mixed"
+    details = {
+        "operator": conn.name, "conjunctive": conjunctive,
+        "disjunctive": disjunctive,
+        "locally_internal_on_boundary": locally_internal,
+        "idempotent_diagonal": idempotent, "mixed_region": mixed,
+        "identity": None if e is None else str(e),
+    }
+    return checker.conclude("uninorm-classification", domain.to_json(),
+                            witnesses, instances=max(mixed_pairs, 1),
+                            details=details)
+
+
+def _not_a_grid_point():
+    # e = 1/3 falls between the grid-4 points 1/4 and 1/2; a witness-free
+    # splice and one whose mixed values leave [min, max]
+    e = F(1, 3)
+    return [construct_uninorm_min(e, T_P, S_P), construct_uninorm_max(e, T_L, S_L),
+            Connective("uninorm:outside", Role.UNINORM,
+                       lambda x, y: 1 if x > e and y > e else 0, identity=e)]
+
+
+_MIXED_CASES = (
+    [(c, GridDomain(100)) for c in BUILTIN_TNORMS + BUILTIN_TCONORMS]
+    + [(u, GridDomain(n)) for n in (8, 100) for u in _refutation_family()]
+    + [(u, GridDomain(4)) for u in _not_a_grid_point()])
+
+
+@pytest.mark.parametrize("conn, domain", _MIXED_CASES,
+                         ids=[f"{c.name}@{d.resolution}" for c, d in _MIXED_CASES])
+def test_mixed_region_walk_matches_the_full_loop(conn, domain, monkeypatch):
+    """The walk over the points below and above the identity gives the
+    report, the instance count and the operator calls, in order, that the
+    loop over every pair gave."""
+    runs = []
+    for classify in (classify_uninorm, _classify_full_loop):
+        calls, instances = [], []
+
+        def fn(*args):
+            calls.append(args)
+            return conn.fn(*args)
+
+        def conclude(*args, _conclude=checker.conclude, **kwargs):
+            instances.append(kwargs["instances"])
+            return _conclude(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(checker, "conclude", conclude)
+            rep = classify(conn._replace(fn=fn), domain)
+        runs.append((dumps(rep), instances, calls))
+    assert runs[0] == runs[1]
+
+
 class TestIdentitySearch:
     """A uninorm that declares no identity: the grid is searched for one,
     by the U4 axiom and by the classification alike."""
@@ -333,12 +426,18 @@ class TestReportPlumbing:
         assert all("/" in s or s in ("0", "1") for s in first["inputs"])
 
     def test_domain_and_budget_validation(self):
-        with pytest.raises(DomainError):
-            GridDomain(1)
-        with pytest.raises(DomainError):
-            SearchBudget(n_max=0)
-        with pytest.raises(DomainError):
-            SearchBudget(epsilon=F(0))
+        for build in (lambda: GridDomain(1),
+                      lambda: SearchBudget(n_max=0),
+                      lambda: SearchBudget(iter_cap=0),
+                      lambda: SearchBudget(epsilon=F(0)),
+                      lambda: SearchBudget(epsilon=F(-1, 1024)),
+                      lambda: FinitePoints((0, F(3, 4), F(1, 4), 1)),
+                      lambda: FinitePoints((0, F(1, 2), F(1, 2), 1)),
+                      lambda: FinitePoints((1,)),
+                      lambda: FinitePoints((F(1, 4), F(1, 2), 1)),
+                      lambda: FinitePoints((0, F(1, 2), F(3, 4)))):
+            with pytest.raises(DomainError):
+                build()
 
     @pytest.mark.parametrize("points", [(0, F(1, 2), 1), (0.0, 0.5, 1.0)],
                              ids=["int", "float"])

@@ -13,8 +13,8 @@ from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_L, S_M, S_P, T_D,
                                   construct_uninorm_min)
 from fuzznorm.errors import (BudgetExceededError, DomainError, InputFormatError,
                              TotalityError)
-from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM,
-                            a_submonoid_kind,
+from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, SubstructureKind,
+                            SubstructureTag, a_submonoid_kind,
                             characterize_special_cases,
                             check_discrete_subalgebra, check_fuzzy_property,
                             check_fuzzy_subgroup, check_fuzzy_subgroupoid,
@@ -506,6 +506,12 @@ class TestCharacterizations:
     def test_case_refuses_the_wrong_operator(self, case, conn, message):
         with pytest.raises(DomainError, match=message):
             characterize_special_cases(case, MU_ONE, conn, D10)
+
+    @pytest.mark.parametrize("tag", [SubstructureTag.SUBMONOID,
+                                     SubstructureTag.T_SUBNORM])
+    def test_a_min_kind_refuses_a_combiner(self, tag):
+        with pytest.raises(DomainError, match="uses the min combiner"):
+            SubstructureKind(tag, A_MIN)
 
 
 class TestRefutations:

@@ -33,7 +33,8 @@ from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
 from fuzznorm.reports import FinitePoints, Verdict
 from fuzznorm.subsets import (enumerate_table_subsets, generate_subnorm_tables,
                               table_subset)
-from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
+from fuzznorm.tables import (ChainTable, enumerate_chain_tnorm_tables,
+                             uniform_chain)
 from fuzznorm.vague import (READINGS, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
@@ -228,6 +229,16 @@ class TestEnumeration:
             "table[0,0,0,0,1/3,1/3,1/3,1/3,2/3,1]",
             "table[0,0,0,0,1/3,1/3,1/3,2/3,2/3,1]",
         ]
+
+    def test_chain_table_reads_its_points(self):
+        pts = uniform_chain(3)
+        t = enumerate_chain_tnorm_tables(pts)[0]
+        # an int or float point equal to a chain point hashes alike
+        assert ([t.index(p) for p in pts] == [t.index(p) for p in (0, 0.5, 1)]
+                == [0, 1, 2])
+        with pytest.raises(DomainError, match="1/3 is not a chain point"):
+            t(Fraction(1, 3), 1)
+        assert ChainTable(t.points, t.matrix, name="given").name == "given"
 
     def test_bad_chain_rejected(self):
         with pytest.raises(DomainError):

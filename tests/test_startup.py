@@ -4,7 +4,9 @@
 nothing more, and a ``check`` runs to the end inside it. The handlers
 and suite rows that import their layers when they run give, from a
 fresh process, the bytes and exit code they give in this one, where
-every layer is loaded. A suite row loads only the layers it runs.
+every layer is loaded. A suite row loads only the layers it runs. No
+import, command or suite row loads ``dataclasses`` or the ``inspect``
+it imports.
 """
 
 import json
@@ -54,8 +56,12 @@ def _fresh(*args) -> subprocess.CompletedProcess:
                           env=env, timeout=300)
 
 
+# stdlib modules that no fuzznorm process loads: importing dataclasses
+# pulls in inspect, ast, dis and tokenize
+NEVER = ("dataclasses", "inspect")
+
 _LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
-           "if m.split('.')[0] == 'fuzznorm')))")
+           f"if m.split('.')[0] == 'fuzznorm' or m in {NEVER!r})))")
 
 
 def test_startup_loads_only_the_checker_layer():
@@ -90,7 +96,20 @@ def test_a_membership_row_loads_neither_lattice_nor_vague(row):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "fuzznorm.tables" in loaded
-    assert not {"fuzznorm.lattice", "fuzznorm.vague"} & set(loaded)
+    assert not {"fuzznorm.lattice", "fuzznorm.vague", *NEVER} & set(loaded)
+
+
+@pytest.mark.parametrize("argv", LATE_IMPORTS + [["suite", "--all", "--grid", "6"]],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_no_command_loads_dataclasses(argv):
+    code = ("import contextlib, io, json, sys\n"
+            "from fuzznorm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main({argv!r})\n"
+            "assert rc in (0, 1, 2), rc\n" + _LOADED)
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert not set(NEVER) & set(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("argv", LATE_IMPORTS, ids=lambda argv: argv[0])
