@@ -5,8 +5,8 @@ sampled at grid points) or a finite table. Table carriers are validated
 on construction: identity law always, associativity and closure for
 finite tables. Grid carriers inherit the connective's own axiom report
 instead of re-proving associativity here, and carry the connective's
-value-id table over their points when its values are exact, so checks
-that sweep many membership maps evaluate the operation once per pair.
+value-id table over their points, so checks that sweep many membership
+maps evaluate the operation once per pair.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class CarrierMonoid:
         label = f"([0,1],{conn.name})@{domain.label()}"
         points = tuple(domain.points)
         return CarrierMonoid(label, points, conn, conn.identity,
-                             table=kernel.compile_operator(conn, points))
+                             table=kernel.Kernel(conn, points))
 
     @staticmethod
     def from_table(elements: Sequence, table: Mapping, identity,

@@ -132,33 +132,23 @@ def _cmd_check(args) -> int:
 
 # --- substructure ---
 
-def _combiner(args, carrier_conn=None, role=None):
-    """``--combiner``, else the carrier's operator when it has ``role``."""
+# --kind -> the name of its fuzzy.SubstructureTag
+_KINDS = {"subgroupoid": "SUBGROUPOID", "submonoid": "SUBMONOID",
+          "subgroup": "SUBGROUP", "t-subnorm": "T_SUBNORM",
+          "t-subconorm": "T_SUBCONORM", "a-submonoid": "A_SUBMONOID",
+          "u-submonoid": "U_SUBMONOID", "f-submonoid": "F_SUBMONOID"}
+
+
+def _kind_combiner(args, role, carrier_conn):
+    """The combiner of a kind whose combiner role is ``role`` (None for a
+    min-based kind): ``--combiner``, else min for an aggregation kind,
+    else the carrier's operator ``carrier_conn`` (None for a carrier
+    file) when it has ``role``."""
     if args.combiner:
         return parse_operator(args.combiner)
-    if role is None:
-        return None
-    if carrier_conn is None or carrier_conn.role is not role:
-        raise DomainError(f"{args.kind} needs --combiner (a {role.value} id)")
-    return carrier_conn
-
-
-# kind -> its submonoid kind, from the fuzzy module, the arguments and
-# the carrier's operator (None for a carrier file); a subgroup is
-# checked on the group
-_KINDS = {
-    "subgroupoid": lambda fuzzy, args, conn: fuzzy.KIND_SUBGROUPOID,
-    "submonoid": lambda fuzzy, args, conn: fuzzy.KIND_SUBMONOID,
-    "subgroup": None,
-    "t-subnorm": lambda fuzzy, args, conn: fuzzy.KIND_T_SUBNORM,
-    "t-subconorm": lambda fuzzy, args, conn: fuzzy.KIND_T_SUBCONORM,
-    "a-submonoid": lambda fuzzy, args, conn: fuzzy.a_submonoid_kind(
-        _combiner(args) or A_MIN, args.arity_cap),
-    "u-submonoid": lambda fuzzy, args, conn: fuzzy.u_submonoid_kind(
-        _combiner(args, conn, Role.UNINORM)),
-    "f-submonoid": lambda fuzzy, args, conn: fuzzy.f_submonoid_kind(
-        _combiner(args, conn, Role.NULLNORM)),
-}
+    if role is Role.AGGREGATION:
+        return A_MIN
+    return carrier_conn if getattr(carrier_conn, "role", None) is role else None
 
 
 def _cmd_substructure(args) -> int:
@@ -171,16 +161,18 @@ def _cmd_substructure(args) -> int:
         carrier_conn = parse_operator(args.carrier)
         domain = GridDomain(_resolve_grid(args, 100))
         carrier_table = carriers.CarrierMonoid.from_connective(carrier_conn, domain)
-    if args.kind == "subgroup":
+    # the kind refuses a combiner of another role and a cap below 2
+    tag = fuzzy.SubstructureTag[_KINDS[args.kind]]
+    kind = fuzzy.SubstructureKind(tag, _kind_combiner(
+        args, fuzzy._COMBINER_ROLE.get(tag), carrier_conn), args.arity_cap)
+    if kind.tag is fuzzy.SubstructureTag.SUBGROUP:
         if carrier_conn is not None:
             raise DomainError("subgroup checks need a finite group carrier file")
         report = fuzzy.check_fuzzy_subgroup(mu, carriers.FiniteGroup.of(carrier_table))
+    elif kind.tag is fuzzy.SubstructureTag.SUBGROUPOID:
+        report = fuzzy.check_fuzzy_subgroupoid(mu, carrier_table)
     else:
-        kind = _KINDS[args.kind](fuzzy, args, carrier_conn)
-        if kind is fuzzy.KIND_SUBGROUPOID:
-            report = fuzzy.check_fuzzy_subgroupoid(mu, carrier_table)
-        else:
-            report = fuzzy.check_fuzzy_submonoid(mu, carrier_table, kind)
+        report = fuzzy.check_fuzzy_submonoid(mu, carrier_table, kind)
     header = {"mu": mu.name, "carrier": carrier_table.label, "kind": args.kind}
     return _emit_reports(args, header, [report])
 

@@ -236,21 +236,19 @@ def check_discrete_subalgebra(points: Sequence, conn: Connective) -> PropertyRep
 # --- characterization sweeps ---
 
 def _validate_min_aggregation(conn, domain):
-    if conn.role is not Role.AGGREGATION:
-        raise DomainError("this case needs the min aggregation operator")
     pts = domain.points
     if any(conn(x, y) != min(x, y) for x in pts for y in pts):
         raise DomainError("aggregation operator is not min")
 
 
 def _validate_disjunctive(conn, domain):
-    if conn.role is not Role.UNINORM or conn(ZERO, ONE) != ONE:
+    if conn(ZERO, ONE) != ONE:
         raise DomainError("this case needs a disjunctive uninorm")
 
 
 def _validate_prop20_shape(conn, domain):
     e = conn.identity
-    if conn.role is not Role.UNINORM or e is None or not (0 < e < 1):
+    if e is None or not (0 < e < 1):
         raise DomainError("this case needs a uninorm with interior identity")
     for x in domain.points:
         for y in domain.points:
@@ -262,17 +260,11 @@ def _validate_prop20_shape(conn, domain):
                     raise DomainError("mixed region must act as min")
 
 
-def _validate_nullnorm(conn, domain):
-    if conn.role is not Role.NULLNORM:
-        raise DomainError("this case needs a nullnorm")
-
-
 def _absorber(conn):
     return conn.absorber if conn.absorber is not None else conn(ZERO, ONE)
 
 
 def _validate_fm_shape(conn, domain):
-    _validate_nullnorm(conn, domain)
     k, pts = _absorber(conn), domain.points
     if any(conn(x, y) != min(x, y) for x in pts for y in pts
            if x >= k and y >= k):
@@ -312,10 +304,10 @@ def _core_closed(mu, conn, carrier):
     return core_is_submonoid(extract_core(mu, carrier), carrier)
 
 
-# case id -> (operator check, submonoid kind of the operator, carrier
-# operator, closed-form right side, relation). The core cases need no
-# operator check of their own: their kind refuses an operator of
-# another role.
+# case id -> (shape check, submonoid kind of the operator, carrier
+# operator, closed-form right side, relation). The kind refuses an
+# operator of another role, so a shape check sees only the kind's role,
+# and the core cases and prop24 need none.
 _CASES = {
     "prop16": (None, a_submonoid_kind, T_M, _core_closed, "implies"),
     "prop17": (_validate_min_aggregation, a_submonoid_kind, T_M, _full_at(ONE), "iff"),
@@ -325,7 +317,7 @@ _CASES = {
                             _all_full, "iff"),
     "prop20": (_validate_prop20_shape, u_submonoid_kind, T_M, _rhs_prop20, "iff"),
     "prop23": (None, f_submonoid_kind, T_M, _core_closed, "implies"),
-    "prop24": (_validate_nullnorm, f_submonoid_kind, T_M, _above_absorber, "implies"),
+    "prop24": (None, f_submonoid_kind, T_M, _above_absorber, "implies"),
     "prop25-tnorm": (_validate_fm_shape, f_submonoid_kind, T_M,
                      _rhs_prop25(ONE), "iff"),
     "prop25-tconorm": (_validate_fm_shape, f_submonoid_kind, S_M,
@@ -333,53 +325,44 @@ _CASES = {
 }
 
 
-def case_carrier(case_id: str, domain) -> CarrierMonoid:
-    """The carrier monoid a characterization case runs on over ``domain``."""
-    return CarrierMonoid.from_connective(_CASES[case_id][2], domain)
-
-
-def case_checker(case_id: str, conn: Connective, domain,
-                 carrier: Optional[CarrierMonoid] = None) -> Callable:
+def case_checker(case_id: str, conn: Connective, domain) -> Callable:
     """The named characterization for the operator ``conn`` as a function
-    of the membership map. ``conn`` is validated for the case once, here;
-    each call evaluates both sides independently: the left side runs the
-    relevant submonoid check, the right side is the closed-form condition.
-    Disagreement on an iff case (or a broken implication) is a red-flag
-    FAILS naming the side at fault. ``carrier`` saves rebuilding the
-    case's carrier (``case_carrier``) over ``domain``.
+    of the membership map, on the case's carrier over ``domain``. ``conn``
+    is validated for the case once, here: its submonoid kind, then the
+    case's shape check. Each call evaluates both sides independently: the
+    left side runs the relevant submonoid check, the right side is the
+    closed-form condition. Disagreement on an iff case (or a broken
+    implication) is a red-flag FAILS naming the side at fault.
     """
     if case_id not in _CASES:
         raise DomainError(f"unknown characterization case: {case_id!r}")
-    check, kind_of, _, closed_form, relation = _CASES[case_id]
+    check, kind_of, carrier_conn, closed_form, relation = _CASES[case_id]
+    kind = kind_of(conn)
     if check is not None:
         check(conn, domain)
-    kind = kind_of(conn)
-    carrier = carrier or case_carrier(case_id, domain)
+    carrier = CarrierMonoid.from_connective(carrier_conn, domain)
 
     def characterize(mu: FuzzySubset) -> PropertyReport:
         lhs = check_fuzzy_submonoid(mu, carrier, kind).holds
         rhs = closed_form(mu, conn, carrier)
-        consistent = lhs == rhs if relation == "iff" else not lhs or rhs
         details = {
             "case": case_id, "mu": mu.name, "operator": conn.name,
             "lhs_submonoid_check": lhs, "rhs_closed_form": rhs,
             "relation": relation,
         }
-        if consistent:
-            return PropertyReport(f"characterization:{case_id}", Verdict.HOLDS,
-                                  carrier.to_json(), details=details)
-        details["failed_side"] = "rhs" if lhs else "lhs"
-        return PropertyReport(f"characterization:{case_id}", Verdict.FAILS,
-                              carrier.to_json(),
-                              witnesses=[Witness((mu.name,), ())],
-                              details=details)
+        witnesses = []
+        if not (lhs == rhs if relation == "iff" else not lhs or rhs):
+            details["failed_side"] = "rhs" if lhs else "lhs"
+            witnesses.append(Witness((mu.name,), ()))
+        return conclude(f"characterization:{case_id}", carrier.to_json(),
+                        witnesses, details=details)
     return characterize
 
 
 def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
-                               domain, carrier: Optional[CarrierMonoid] = None) -> PropertyReport:
-    """``case_checker(case_id, conn, domain, carrier)`` on one map."""
-    return case_checker(case_id, conn, domain, carrier)(mu)
+                               domain) -> PropertyReport:
+    """``case_checker(case_id, conn, domain)`` on one map."""
+    return case_checker(case_id, conn, domain)(mu)
 
 
 # --- uninorm non-existence refutations ---

@@ -13,9 +13,9 @@ are, so the value cores of ``fuzznorm.checker``, ``fuzznorm.vague`` and
 ``fuzznorm.subsets`` run on it as they run on the unit interval and on a
 finite lattice. Three compilations build one:
 
-- ``compile_operator``: a ``Kernel``, a binary operator over a tuple of
-  distinct points with its point pairs tabulated and any other pair
-  (the outer call in associativity) lifted;
+- ``Kernel``: a binary operator over a tuple of distinct points with its
+  point pairs tabulated and any other pair (the outer call in
+  associativity) lifted;
 - ``compile_degrees``: the degrees of a vague operator, carrier points
   and degrees in one id space;
 - ``compile_alphabet``: the alphabet of a sweep of membership tables,
@@ -28,11 +28,9 @@ Only ``Fraction`` values get ids. Every callable a check lifts reads
 its value through ``scalars.exact``, which gives a number as the
 ``Fraction`` it is, and ``compile_alphabet`` reads each letter the same
 way, so a loop that has compiled meets only values with ids.
-``compile_operator`` returns ``None`` when a point is listed twice or a
-point or a value is not a ``Fraction``. Its one caller,
-``CarrierMonoid.from_connective``, compiles every grid it is given
-(table carriers never call it), and the tests' value reference patches
-it to return ``None`` to run the same cores on values.
+``checker.check_axioms`` and ``CarrierMonoid.from_connective`` build a
+``Kernel`` over a domain's points, which are distinct ``Fraction``s
+(table carriers build none).
 ``compile_alphabet`` returns ``None`` for a letter that is not a number
 (a lattice label), and its caller runs on values instead;
 ``compile_degrees`` refuses a repeated point or a label with
@@ -133,15 +131,6 @@ class Kernel(IdOrder):
         if a < n and b < n:
             return self.table[a][b]
         return self._op(a, b)
-
-
-def compile_operator(fn: Callable, points: Sequence) -> Optional[Kernel]:
-    """The operator's value-id table over ``points``, or None when a
-    point or a value has no id."""
-    try:
-        return Kernel(fn, points)
-    except NotCompilable:
-        return None
 
 
 def compile_degrees(carrier: Sequence, rows: Callable, tnorm: Callable,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import checker, vague
 from .errors import (BudgetExceededError, DomainError, NotALatticeError,
@@ -23,7 +23,7 @@ from .errors import (BudgetExceededError, DomainError, NotALatticeError,
                      read_json_object, read_name)
 from .reports import PropertyReport, combine, conclude, decide
 from .subsets import (FuzzySubset, _closure_witnesses, _id_fn,
-                      _identity_witnesses, _TableFn, enumerate_table_subsets)
+                      _identity_witnesses, _TableFn)
 
 
 class FiniteLattice(NamedTuple):
@@ -301,10 +301,6 @@ def lsubset_top(lat: FiniteLattice) -> FuzzySubset:
 def lsubset_table(lat: FiniteLattice, mapping: Mapping) -> FuzzySubset:
     fn = _TableFn(mapping, list(mapping.values()))
     return FuzzySubset("mu(" + ",".join(str(fn(e)) for e in lat.elements) + ")", fn)
-
-
-def enumerate_lsubsets(lat: FiniteLattice) -> Iterator[FuzzySubset]:
-    return enumerate_table_subsets(lat.elements, lat.elements)
 
 
 def check_lattice_fuzzy_subnorm(mu: FuzzySubset, t: LatticeTNorm) -> PropertyReport:

@@ -70,7 +70,7 @@ class Witness(NamedTuple):
 # finer grids are refused before a point is built
 MAX_GRID_RESOLUTION = 1000
 
-# the tuples one loop may visit (the vague 6- and 7-tuple loops, an
+# the tuples one loop may visit (the vague 4- to 7-tuple loops, an
 # aggregation kind's closure loop), refused before the loop starts
 MAX_TUPLES = 2_000_000
 

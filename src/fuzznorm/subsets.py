@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import kernel
 from .errors import (InputFormatError, TotalityError, UnknownOperatorError,
@@ -65,14 +64,6 @@ class _StepFn:
         return x if x < self.e else ONE
 
 
-class _IndicatorFn:
-    def __init__(self, members: frozenset):
-        self.members = members
-
-    def __call__(self, x):
-        return ONE if x in self.members else ZERO
-
-
 def _no_value(x, what: str = "membership table") -> TotalityError:
     return TotalityError(f"{what} has no value at {format_scalar(x)}")
 
@@ -105,12 +96,6 @@ MU_COMPLEMENT = FuzzySubset("builtin:complement", _complement_fn)
 def step_subset(e) -> FuzzySubset:
     e = unit(e)
     return FuzzySubset(f"builtin:step({e})", _StepFn(e))
-
-
-def indicator_subset(members: Iterable) -> FuzzySubset:
-    members = frozenset(members)
-    name = "indicator{" + ",".join(sorted(format_scalar(m) for m in members)) + "}"
-    return FuzzySubset(name, _IndicatorFn(members))
 
 
 def table_subset(entries: Mapping, name: str = "") -> FuzzySubset:

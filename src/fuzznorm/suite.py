@@ -263,15 +263,13 @@ _CASE_ROWS = {
 
 def _case_row(row_id: str, cfg: SuiteConfig) -> RowResult:
     """The row's characterization case for each of its operators and each
-    membership table on the 3-point grid, on one carrier; each operator
-    is validated for the case once."""
+    membership table on the 3-point grid; each operator is validated for
+    the case once."""
     from . import fuzzy
     case_id, operators, universe, label = _CASE_ROWS[row_id]
     dom = _grid3()
-    carrier = fuzzy.case_carrier(case_id, dom)
     conns = operators()
-    checkers = [(conn, fuzzy.case_checker(case_id, conn, dom, carrier))
-                for conn in conns]
+    checkers = [(conn, fuzzy.case_checker(case_id, conn, dom)) for conn in conns]
     cases = ((label.format(op=conn.name, mu=mu.name), not characterize(mu).fails)
              for conn, characterize in checkers
              for mu in _table_sweep(cfg, dom.points))

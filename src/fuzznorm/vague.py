@@ -372,6 +372,7 @@ def check_vague_monoid(op: VagueBinaryOp) -> PropertyReport:
 
 
 def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
+    _tuple_budget(len(carrier), 4, "commutativity")
     bottom = order.bottom
 
     def cases():
@@ -406,6 +407,7 @@ def _degrees_match(order, reading: str) -> Callable:
 
 def _strict_monotone(order, t, deg, eq, carrier, reading, rid,
                      dom) -> PropertyReport:
+    _tuple_budget(len(carrier), 5, "strict monotonicity")
     lt, match = order.lt, _degrees_match(order, reading)
     instances = 0
 
@@ -441,6 +443,7 @@ def check_vague_strict_monotone(v: VagueTNorm,
 
 def _cancellation(order, t, deg, eq, carrier, reading, rid,
                   dom) -> PropertyReport:
+    _tuple_budget(len(carrier), 4, "cancellation")
     match = _degrees_match(order, reading)
     witnesses = []
     instances = 0

@@ -29,7 +29,7 @@ from fuzznorm.lattice import (chain_lattice, check_lattice_fuzzy_property,
                               check_lattice_vague_cancellation,
                               check_lattice_vague_strict_monotone,
                               diamond_lattice, enumerate_lattice_equalities,
-                              enumerate_lattice_tnorms, enumerate_lsubsets,
+                              enumerate_lattice_tnorms,
                               induce_lattice_vague_tnorm)
 from fuzznorm.reports import FinitePoints, GridDomain, SearchBudget, Verdict
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE,
@@ -41,6 +41,8 @@ from fuzznorm.vague import (check_vague_binary_op, check_vague_cancellation,
                             check_vague_strict_monotone, crisp_equality,
                             induce_vague_tnorm, linear_equality,
                             validate_fuzzy_equality)
+
+from subset_maps import enumerate_lsubsets
 
 F = Fraction
 HALF = F(1, 2)

@@ -446,7 +446,7 @@ class TestReportPlumbing:
         dom = FinitePoints(points)
         assert dom.points == exact
         assert all(type(p) is Fraction for p in dom.points)
-        assert kernel.compile_operator(T_M, dom.points) is not None
+        assert kernel.Kernel(T_M, dom.points).closed
         # a witness input is "1", as for the Fraction chain, not a number
         assert (dumps(check_strict_monotonicity(T_M, dom))
                 == dumps(check_strict_monotonicity(T_M, FinitePoints(exact))))

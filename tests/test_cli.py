@@ -163,6 +163,73 @@ class TestSubstructureCommand:
                     str(carrier), "--kind", "subgroup"]) == 0
 
 
+_UNINORM = "uninorm:umin(e=1/2,T=product,S=probsum)"
+_NULLNORM = "nullnorm:<probsum,1/2,product>"
+
+
+def _kind_argv(kind, way, tmp_path):
+    """``substructure --kind kind`` on tnorm:min at grid 4 (a Z4 carrier
+    file for a subgroup), four ways: with no combiner, with one of the
+    kind's role, with one of another role, and with an arity cap of 1."""
+    if kind == "subgroup":
+        z4 = ["0", "1", "2", "3"]
+        (tmp_path / "z4.json").write_text(json.dumps({
+            "label": "Z4", "identity": "0", "elements": z4,
+            "op": [[str((int(a) + int(b)) % 4) for b in z4] for a in z4]}))
+        (tmp_path / "mu.json").write_text(json.dumps({
+            "name": "even", "form": "table", "entries": [
+                ["0", "1"], ["1", "0"], ["2", "1"], ["3", "0"]]}))
+        on = ["--mu", str(tmp_path / "mu.json"),
+              "--carrier", str(tmp_path / "z4.json")]
+    else:
+        on = ["--mu", "builtin:identity", "--carrier", "tnorm:min",
+              "--grid", "4"]
+    # a min-based kind has no combiner role: agg:min stands for its own
+    role, other = {"u-submonoid": (_UNINORM, "agg:min"),
+                   "f-submonoid": (_NULLNORM, _UNINORM)}.get(
+                       kind, ("agg:min", _UNINORM))
+    extra = {"none": [], "role": ["--combiner", role],
+             "other-role": ["--combiner", other],
+             "arity-cap-1": ["--arity-cap", "1"]}[way]
+    return ["substructure", *on, "--kind", kind, *extra, "--format", "json"]
+
+
+_KIND_NAMES = ("subgroupoid", "submonoid", "subgroup", "t-subnorm",
+               "t-subconorm", "a-submonoid", "u-submonoid", "f-submonoid")
+
+# (kind, way) -> the exit code and the sha256 of the JSON these lines
+# printed when the CLI picked each kind's check and combiner itself;
+# every other line is refused by its kind, with exit 64
+_KIND_PRINTS = {
+    ("subgroupoid", "none"): (0, "d746f090ffbe18fbdd771c0d48f6651c9da1a0f8d7a2b82f09a3eb41869ffea2"),
+    ("submonoid", "none"): (0, "ca57fa1d201563928d893d8e38b92de21616ebd6b0d717d472236e297c7e291b"),
+    ("subgroup", "none"): (0, "9dd572c29f33d84dae245503365cfcf2265fa8cf7a8679cb93d76b6dc98643be"),
+    ("t-subnorm", "none"): (0, "4d3f20fa1aca82300cee9c068eb3bfb66d5df90b174111d4917ab682e0a51e28"),
+    ("t-subconorm", "none"): (0, "0e7ea403cc76220eebca4671b995873754ceb6d3c63eacb8e43d1a7b9b6f9479"),
+    ("a-submonoid", "none"): (0, "ec2e57df2cfc7bc7ec33dfcc55907718a7a34b219c51d231110deb07592be23e"),
+    ("a-submonoid", "role"): (0, "ec2e57df2cfc7bc7ec33dfcc55907718a7a34b219c51d231110deb07592be23e"),
+    ("u-submonoid", "role"): (1, "76a72270531476964bab5f464ad6a65b386ef9bb571fe8db58853fe85ff8a86e"),
+    ("f-submonoid", "role"): (1, "9d5a7f7232f8445df4ca1b74e13123200fb2f304c392df75ce9b44b6444a6266"),
+}
+
+
+@pytest.mark.parametrize("way", ["none", "role", "other-role", "arity-cap-1"])
+@pytest.mark.parametrize("kind", _KIND_NAMES)
+def test_each_kind_validates_its_combiner_and_arity_cap(tmp_path, capsys,
+                                                        kind, way):
+    """Every --kind is built as a fuzzy.SubstructureKind: a combiner of
+    another role, any --combiner on a min-based kind and an arity cap
+    below 2 exit 64; the lines it accepts print the bytes they printed
+    before."""
+    code = run(_kind_argv(kind, way, tmp_path))
+    out, err = capsys.readouterr()
+    if (kind, way) in _KIND_PRINTS:
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+            _KIND_PRINTS[kind, way]
+    else:
+        assert (code, out) == (64, "") and err.startswith("error:")
+
+
 class TestVagueCommand:
     def test_linear_lukasiewicz(self):
         assert run(["vague", "--equality", "linear",
@@ -266,6 +333,19 @@ class TestVagueCommand:
         assert capsys.readouterr().err == (
             "skipped: transitivity needs 2000376 tuples on a carrier of size "
             "126; budget allows 2000000\n")
+
+    @pytest.mark.parametrize("check, power", [
+        ("commutativity", 4), ("cancellation", 4), ("strict-monotonicity", 5)])
+    def test_four_and_five_tuple_checks_are_skipped_before_their_loops(
+            self, monkeypatch, capsys, check, power):
+        from fuzznorm import reports
+        # 5 points: the check's 5^power tuples are one over the budget
+        monkeypatch.setattr(reports, "MAX_TUPLES", 5 ** power - 1)
+        assert run(["vague", "--tnorm", "tnorm:lukasiewicz", "--grid", "4",
+                    "--checks", check, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"skipped: {check.replace('-', ' ')} needs {5 ** power} tuples")
 
 
 class TestLatticeCommands:

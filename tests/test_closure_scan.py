@@ -132,7 +132,7 @@ def test_value_scan_on_an_open_kernel_matches_the_pair_loop(monkeypatch, conn):
                                for r in _reports(mu, carrier)]
 
     table, scanned = render()
-    monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
+    monkeypatch.setattr(kernel, "Kernel", lambda fn, points: None)
     no_table, looped = render()
     assert table is not None and no_table is None
     assert scanned == looped and any('"FAILS"' in r for r in scanned)

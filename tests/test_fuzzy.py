@@ -26,11 +26,13 @@ from fuzznorm.scalars import UNIT_INTERVAL, ZERO
 from fuzznorm.subsets import (MU_COMPLEMENT, MU_ID, MU_ONE, MU_ZERO,
                               FuzzySubset, _closure_witnesses,
                               _identity_witnesses, enumerate_table_subsets,
-                              generate_subnorm_tables, indicator_subset, intersect_fuzzy_subsets,
+                              generate_subnorm_tables, intersect_fuzzy_subsets,
                               parse_subset_spec, step_subset, subset_from_json,
                               table_subset)
 from fuzznorm.tables import (enumerate_chain_tnorm_tables, mixed_grid_points,
                              uniform_chain)
+
+from subset_maps import indicator_subset
 
 F = Fraction
 D10 = GridDomain(10)
@@ -407,6 +409,37 @@ def test_substructure_checks_count_their_instances(monkeypatch):
     assert seen == [9, 9 + 1, 9 + 27 + 1, 16 + 4, 25]
 
 
+_UMIN = construct_uninorm_min(F(1, 2), T_P, S_P)
+_UMAX = construct_uninorm_max(F(1, 2), T_P, S_P)
+_A_MAX = Connective("agg:max", Role.AGGREGATION, max)
+_ROLE_MESSAGE = "{}-fuzzy-submonoid needs a combiner of role {}"
+# (case, operator, message) for each case id and an operator of another
+# role, then for each case with a shape check and an operator of its
+# kind's role but not of the case's shape
+_CASE_REFUSALS = [
+    *[pytest.param(case, _UMIN, _ROLE_MESSAGE.format("a", "aggregation"),
+                   id=f"{case}-role")
+      for case in ("prop16", "prop17", "prop18")],
+    *[pytest.param(case, A_MIN, _ROLE_MESSAGE.format("u", "uninorm"),
+                   id=f"{case}-role")
+      for case in ("prop19", "disjunctive-uninorm", "prop20")],
+    *[pytest.param(case, _UMAX, _ROLE_MESSAGE.format("f", "nullnorm"),
+                   id=f"{case}-role")
+      for case in ("prop23", "prop24", "prop25-tnorm", "prop25-tconorm")],
+    *[pytest.param(case, _A_MAX, "aggregation operator is not min",
+                   id=f"{case}-shape") for case in ("prop17", "prop18")],
+    pytest.param("disjunctive-uninorm", _UMIN,
+                 "this case needs a disjunctive uninorm",
+                 id="disjunctive-uninorm-shape"),
+    pytest.param("prop20", _UMIN, "upper square must act as max",
+                 id="prop20-shape"),
+    # the Lukasiewicz t-norm on the upper square is below min there
+    *[pytest.param(case, construct_nullnorm(S_L, F(1, 2), T_L),
+                   "upper square must act as min", id=f"{case}-shape")
+      for case in ("prop25-tnorm", "prop25-tconorm")],
+]
+
+
 class TestCharacterizations:
     def grid3(self):
         return FinitePoints(uniform_chain(3))
@@ -492,18 +525,11 @@ class TestCharacterizations:
             assert rep.details["relation"] == "implies"
             assert rep.details["rhs_closed_form"] == (mu(F(1)) == 1)
 
-    @pytest.mark.parametrize("case, conn, message", [
-        ("prop24", A_MIN, "this case needs a nullnorm"),
-        # the Lukasiewicz t-norm on the upper square is below min there
-        ("prop25-tnorm", construct_nullnorm(S_L, F(1, 2), T_L),
-         "upper square must act as min"),
-        ("prop16", construct_uninorm_min(F(1, 2), T_P, S_P),
-         "a-fuzzy-submonoid needs a combiner of role aggregation"),
-        ("prop19", A_MIN, "u-fuzzy-submonoid needs a combiner of role uninorm"),
-        ("prop23", construct_uninorm_max(F(1, 2), T_P, S_P),
-         "f-fuzzy-submonoid needs a combiner of role nullnorm"),
-    ], ids=["prop24", "prop25", "prop16", "prop19", "prop23"])
+    @pytest.mark.parametrize("case, conn, message", _CASE_REFUSALS)
     def test_case_refuses_the_wrong_operator(self, case, conn, message):
+        """The case's submonoid kind refuses an operator of another role
+        before the case's shape check runs; an operator of the kind's
+        role gets the shape check's message."""
         with pytest.raises(DomainError, match=message):
             characterize_special_cases(case, MU_ONE, conn, D10)
 

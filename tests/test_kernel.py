@@ -159,7 +159,7 @@ def test_ints_and_decimals_take_the_compiled_path():
     """Operators that return ints or Decimals, and declared int identities
     and absorbers, compile, and their axioms run on ids to the end."""
     for domain in _domains():
-        kerns = [kernel.compile_operator(c, domain.points)
+        kerns = [kernel.Kernel(c, domain.points)
                  for c in (LUKASIEWICZ_INT_ZERO, DECIMAL_PRODUCT)]
         assert all(type(v) is F for kern in kerns for v in kern.vals)
         assert kerns[0].table[0][1] == 0  # T(0, 1/n) = 0, the id of Fraction(0)
@@ -435,7 +435,7 @@ def test_float_operator_compiles_to_exact_values(monkeypatch):
     floaty = Connective("float-product", Role.TNORM,
                         lambda x, y: float(x) * float(y), identity=F(1))
     domain = GridDomain(10)
-    assert kernel.compile_operator(floaty, domain.points) is not None
+    assert kernel.Kernel(floaty, domain.points).n == 11
     t2 = check_axioms(floaty, domain).child("T2:associativity")
     # float products round, so 202 triples are not associative as read
     assert t2.fails and len(t2.witnesses) == 202 and t2.tags == ()
@@ -463,17 +463,18 @@ def test_float_off_the_grid_matches_the_value_reference(monkeypatch):
         return float(x) * float(y)
 
     conn = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
-    assert kernel.compile_operator(conn, domain.points) is not None
+    assert kernel.Kernel(conn, domain.points).n == 5
     fast, reference = _both_paths(monkeypatch, _axioms_json, (conn, domain))
     assert fast == reference
 
 
 def test_ids_follow_values():
-    k = kernel.compile_operator(T_P, GridDomain(2).points)
+    k = kernel.Kernel(T_P, GridDomain(2).points)
     assert k.vals[:3] == [F(0), HALF, F(1)]
     assert k.table[1][1] == 3 and k.vals[3] == F(1, 4)
     assert [k.op(3, p) for p in range(3)] == [0, 4, 3] and k.vals[4] == F(1, 8)
     assert [k.op(p, 3) for p in range(3)] == [0, 4, 3]
     assert k.op(3, 1) == 4 and k.op(1, 3) == 4 and k.op(1, 1) == 3
     assert k.leq(3, 1) and not k.lt(1, 3)
-    assert kernel.compile_operator(T_M, (F(0), F(0), F(1))) is None
+    with pytest.raises(kernel.NotCompilable):
+        kernel.Kernel(T_M, (F(0), F(0), F(1)))

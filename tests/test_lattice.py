@@ -25,7 +25,7 @@ from fuzznorm.lattice import (FiniteLattice, LatticeTNorm, build_lattice,
                               check_lattice_vague_strict_monotone,
                               check_lattice_vague_structures, diamond_lattice,
                               enumerate_lattice_equalities,
-                              enumerate_lattice_tnorms, enumerate_lsubsets,
+                              enumerate_lattice_tnorms,
                               induce_lattice_vague_tnorm,
                               lattice_crisp_equality, lattice_from_json,
                               lsubset_identity, lsubset_table, lsubset_top,
@@ -40,6 +40,8 @@ from fuzznorm.vague import (READINGS, check_vague_binary_op,
                             check_vague_monoid, check_vague_strict_monotone,
                             crisp_equality, induce_vague_tnorm,
                             validate_fuzzy_equality)
+
+from subset_maps import enumerate_lsubsets
 
 
 class TestConstruction:
@@ -427,6 +429,21 @@ class TestLatticeVague:
             check_lattice_vague_structures(lattice_crisp_equality(extended),
                                            meet_tnorm(extended), extended)
         assert c is not None
+
+    def test_four_and_five_tuple_loops_are_budgeted(self, monkeypatch):
+        # the unit interval's cores: 3^4 = 81 tuples fit in 100, 3^5 = 243
+        # and 4^4 = 256 do not
+        monkeypatch.setattr(reports, "MAX_TUPLES", 100)
+        c3, c4 = chain_lattice(3), chain_lattice(4)
+        mu3, mu4 = (induce_lattice_vague_tnorm(
+            {(x, y): c.top if x == y else c.bottom
+             for x in c.elements for y in c.elements}, meet_tnorm(c))
+            for c in (c3, c4))
+        assert check_lattice_vague_cancellation(mu3, c3).fails
+        with pytest.raises(BudgetExceededError, match="strict monotonicity"):
+            check_lattice_vague_strict_monotone(mu3, c3)
+        with pytest.raises(BudgetExceededError, match="cancellation"):
+            check_lattice_vague_cancellation(mu4, c4)
 
     def test_unknown_reading_rejected(self):
         c3 = chain_lattice(3)

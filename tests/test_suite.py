@@ -11,12 +11,13 @@ from fuzznorm.connectives import A_MIN
 from fuzznorm.errors import DomainError
 from fuzznorm.fuzzy import FuzzyProp, KIND_T_SUBNORM, check_fuzzy_submonoid
 from fuzznorm.lattice import (chain_lattice, check_lattice_fuzzy_subnorm,
-                              diamond_lattice, enumerate_lattice_tnorms,
-                              enumerate_lsubsets)
+                              diamond_lattice, enumerate_lattice_tnorms)
 from fuzznorm.reports import FinitePoints, dumps
 from fuzznorm.subsets import enumerate_table_subsets
 from fuzznorm.suite import ROWS, RowResult, SuiteConfig, run_suite
 from fuzznorm.tables import enumerate_chain_tnorm_tables, uniform_chain
+
+from subset_maps import enumerate_lsubsets
 
 
 def test_row_registry_covers_the_propositions():
@@ -310,7 +311,7 @@ def test_orders_and_enumerators_leave_no_reference_cycles():
     points = uniform_chain(4)
 
     def compile_order():
-        kernel.compile_operator(min, points).lifted(max)
+        kernel.Kernel(min, points).lifted(max)
 
     def generate():
         list(generate_subnorm_tables(points, min, points[-1], points, order))

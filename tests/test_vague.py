@@ -123,6 +123,22 @@ class TestVagueMonoid:
         with pytest.raises(BudgetExceededError):
             check_vague_monoid(v.base)
 
+    def test_four_and_five_tuple_loops_are_budgeted(self, monkeypatch):
+        # 3 points: 3^4 = 81 tuples fit in 100, 3^5 = 243 do not; 4 points:
+        # 4^4 = 256 do not
+        monkeypatch.setattr(reports, "MAX_TUPLES", 100)
+        three, four = (induce_vague_tnorm(crisp_equality(GridDomain(n).points,
+                                                         T_M), T_M)
+                       for n in (2, 3))
+        assert check_vague_commutativity(three).holds
+        assert check_vague_cancellation(three).fails  # min is not cancellative
+        with pytest.raises(BudgetExceededError, match="strict monotonicity"):
+            check_vague_strict_monotone(three)
+        for check, what in ((check_vague_commutativity, "commutativity"),
+                            (check_vague_cancellation, "cancellation")):
+            with pytest.raises(BudgetExceededError, match=what):
+                check(four)
+
     def test_budgets_bracket_the_gate(self, monkeypatch):
         # the 6-tuple budget, then the V1-V3 gate, then the 7-tuple budget:
         # 2^6 = 64 tuples fit in 100, 2^7 = 128 do not

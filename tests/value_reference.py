@@ -35,5 +35,5 @@ def _on_degree_values(op, run):
 def on_values(monkeypatch):
     monkeypatch.setattr(checker, "check_axioms", value_axioms)
     monkeypatch.setattr(vague, "_on_degree_order", _on_degree_values)
-    monkeypatch.setattr(kernel, "compile_operator", lambda fn, points: None)
+    monkeypatch.setattr(kernel, "Kernel", lambda fn, points: None)
     monkeypatch.setattr(kernel, "compile_alphabet", lambda alphabet: None)
