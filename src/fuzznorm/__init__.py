@@ -5,8 +5,8 @@ exhaustive desk-scale checkers that emit witnesses and counterexamples."""
 from .connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS, Connective,
                           Role, S_D, S_L, S_M, S_P, T_D, T_L, T_M, T_P,
                           construct_nullnorm, construct_uninorm_max,
-                          construct_uninorm_min, dualize, eval_tconorm,
-                          eval_tnorm, parse_operator, power_iterate)
+                          construct_uninorm_min, dualize, parse_operator,
+                          power_iterate)
 from .errors import (BudgetExceededError, DegenerateParameterError,
                      DomainError, FuzznormError, NotALatticeError,
                      InputFormatError, TotalityError, UnboundedPosetError,
@@ -21,7 +21,7 @@ __all__ = [
     "A_MIN", "BUILTIN_TCONORMS", "BUILTIN_TNORMS", "Connective", "Role",
     "S_D", "S_L", "S_M", "S_P", "T_D", "T_L", "T_M", "T_P",
     "construct_nullnorm", "construct_uninorm_max", "construct_uninorm_min",
-    "dualize", "eval_tconorm", "eval_tnorm", "parse_operator", "power_iterate",
+    "dualize", "parse_operator", "power_iterate",
     "BudgetExceededError", "DegenerateParameterError", "DomainError",
     "FuzznormError", "NotALatticeError", "InputFormatError", "TotalityError",
     "UnboundedPosetError", "UnknownOperatorError",

@@ -92,7 +92,7 @@ def _search_identity(op, pts):
     return None
 
 
-def _uninorm_identity(order, op, pts, e, rid, dom):
+def _uninorm_identity(op, pts, e, rid, dom):
     if e is not None:
         return decide(rid, dom, operator.eq, _identity(op, pts, e),
                       details={"identity": format_scalar(e)})
@@ -124,7 +124,7 @@ def _role_axioms(order, op, at, conn, pts, dom) -> PropertyReport:
         children.append(decide(f"{p}4:boundary", dom, eq, _identity(op, pts, e)))
     elif role is Role.UNINORM:
         e = None if conn.identity is None else at(exact(conn.identity))
-        children.append(_uninorm_identity(order, op, pts, e, f"{p}4:identity", dom))
+        children.append(_uninorm_identity(op, pts, e, f"{p}4:identity", dom))
     else:
         zero, one = at(ZERO), at(ONE)
         k = op(zero, one) if conn.absorber is None else at(exact(conn.absorber))

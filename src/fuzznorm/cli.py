@@ -160,14 +160,16 @@ def _cmd_substructure(args) -> int:
     else:
         carrier_conn = parse_operator(args.carrier)
         domain = GridDomain(_resolve_grid(args, 100))
-        carrier_table = carriers.CarrierMonoid.from_connective(carrier_conn, domain)
-    # the kind refuses a combiner of another role and a cap below 2
+    # the kind refuses a combiner of another role and a cap below 2, and
+    # a refused kind builds no grid carrier
     tag = fuzzy.SubstructureTag[_KINDS[args.kind]]
     kind = fuzzy.SubstructureKind(tag, _kind_combiner(
         args, fuzzy._COMBINER_ROLE.get(tag), carrier_conn), args.arity_cap)
-    if kind.tag is fuzzy.SubstructureTag.SUBGROUP:
-        if carrier_conn is not None:
+    if carrier_conn is not None:
+        if kind.tag is fuzzy.SubstructureTag.SUBGROUP:
             raise DomainError("subgroup checks need a finite group carrier file")
+        carrier_table = carriers.CarrierMonoid.from_connective(carrier_conn, domain)
+    if kind.tag is fuzzy.SubstructureTag.SUBGROUP:
         report = fuzzy.check_fuzzy_subgroup(mu, carriers.FiniteGroup.of(carrier_table))
     elif kind.tag is fuzzy.SubstructureTag.SUBGROUPOID:
         report = fuzzy.check_fuzzy_subgroupoid(mu, carrier_table)
@@ -182,29 +184,28 @@ def _cmd_substructure(args) -> int:
 def _resolve_equality(vague, args, conn, pts):
     """Build the equality for a grid: a builtin form or an arity-2 table
     file, with its validation report as ``report``."""
-    builtin = {"crisp": vague._crisp_fn, "linear": vague._linear_fn}.get(
-        args.equality)
+    builtin = {"crisp": vague.crisp_equality,
+               "linear": vague.linear_equality}.get(args.equality)
     if builtin is not None:
-        return vague.make_fuzzy_equality(args.equality, builtin, conn, pts,
-                                         require_valid=False)
+        return builtin(pts, conn)
     return vague.equality_from_json(read_json_object(args.equality), conn,
-                                    path=args.equality, require_valid=False)
+                                    path=args.equality)
 
 
 def _vague_monoid(vague, v, args, conn):
     if (args.mu_table or args.equality not in ("crisp", "linear")
             or args.grid is not None):
-        return vague.check_vague_monoid(v.base)
+        return vague.check_vague_monoid(v)
     # the 7-tuple associativity loop gets its own, coarser default grid
     eq = _resolve_equality(vague, args, conn, GridDomain(4).points)
-    return vague.check_vague_monoid(vague.induce_vague_tnorm(eq, conn).base)
+    return vague.check_vague_monoid(vague.induce_vague_tnorm(eq, conn))
 
 
-# check id -> its check on (the vague module, vague t-norm, arguments,
+# check id -> its check on (the vague module, vague operator, arguments,
 # t-norm); "equality" is the equality's own validation report
 _VAGUE_CHECKS = {
     "equality": None,
-    "vague-op": lambda vague, v, args, conn: vague.check_vague_binary_op(v.base),
+    "vague-op": lambda vague, v, args, conn: vague.check_vague_binary_op(v),
     "monoid": _vague_monoid,
     "commutativity": lambda vague, v, args, conn:
         vague.check_vague_commutativity(v),
@@ -232,9 +233,9 @@ def _cmd_vague(args) -> int:
             return _emit_reports(args, {"equality": eq.label,
                                         "tnorm": conn.name}, reports)
         if args.mu_table:
-            base = vague.vague_table_from_json(
+            v = vague.vague_table_from_json(
                 read_json_object(args.mu_table), eq, path=args.mu_table)
-            v = vague.VagueTNorm(base, conn)
+            v.underlying = conn
         else:
             v = vague.induce_vague_tnorm(eq, conn)
         reports += [_VAGUE_CHECKS[c](vague, v, args, conn) for c in needs_op]
@@ -430,10 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[budget],
                        help="run the full proposition sweep")
-    p.add_argument("--all", action="store_true", default=False,
-                   help="run every row (the default)")
-    p.add_argument("--only", default=None,
-                   help="comma-separated row ids to run")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--all", action="store_true", default=False,
+                      help="run every row (the default)")
+    rows.add_argument("--only", default=None,
+                      help="comma-separated row ids to run")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel workers, one row each")
     p.set_defaults(fn=_cmd_suite)

@@ -138,16 +138,6 @@ def _lookup(aliases: dict, key: str, what: str) -> Connective:
         raise UnknownOperatorError(f"unknown {what}: {key!r}") from None
 
 
-def eval_tnorm(family: str, x: Scalar, y: Scalar) -> Scalar:
-    """Evaluate a builtin conjunction family at (x, y)."""
-    return _lookup(_TNORM_ALIASES, family, "t-norm family")(x, y)
-
-
-def eval_tconorm(family: str, x: Scalar, y: Scalar) -> Scalar:
-    """Evaluate a builtin disjunction family at (x, y)."""
-    return _lookup(_TCONORM_ALIASES, family, "t-conorm family")(x, y)
-
-
 def power_iterate(conn: Connective, x: Scalar, n: int) -> Scalar:
     """n-th power of ``x`` under ``conn``, folding on the left.
 

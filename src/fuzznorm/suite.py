@@ -210,7 +210,7 @@ def _vague_corpus_at(resolution: int) -> tuple:
 
 def _row_prop12(cfg):
     from . import vague
-    cases = ((f"{v.base.label}|{reading}",
+    cases = ((f"{v.label}|{reading}",
               not vague.check_vague_strict_monotone(v, reading).holds
               or not vague.check_vague_cancellation(v, reading).fails)
              for v in _vague_corpus(cfg) for reading in READINGS)
@@ -310,7 +310,7 @@ def _row_uninorm_structure(cfg):
 
 def _row_vague_commutativity(cfg):
     from . import vague
-    cases = ((v.base.label, vague.check_vague_commutativity(v).holds)
+    cases = ((v.label, vague.check_vague_commutativity(v).holds)
              for v in _vague_corpus(cfg))
     universe = "induced vague operators over the grid corpus"
     return _count("prop-vague-commutativity", universe, cases)

@@ -55,10 +55,6 @@ class TFuzzyEquality:
     def validated(self) -> bool:
         return self.report.holds
 
-    @property
-    def separates_points(self) -> bool:
-        return bool(self.report.details.get("separates_points"))
-
 
 def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
     _tuple_budget(len(carrier), 3, "transitivity")
@@ -99,14 +95,12 @@ def validate_fuzzy_equality(fn: Callable, tnorm: Connective, carrier: Sequence) 
 
 
 def make_fuzzy_equality(label: str, fn: Callable, tnorm: Connective,
-                        carrier: Sequence, require_valid: bool = True) -> TFuzzyEquality:
+                        carrier: Sequence) -> TFuzzyEquality:
     """The equality ``fn`` on ``carrier``, each point a number read as the
-    ``Fraction`` it is (a label stays)."""
+    ``Fraction`` it is (a label stays), with its validation report."""
     carrier = tuple(map(exact, carrier))
-    report = validate_fuzzy_equality(fn, tnorm, carrier)
-    if require_valid and not report.holds:
-        raise DomainError(f"{label} is not a fuzzy equality for {tnorm.name}")
-    return TFuzzyEquality(label, carrier, tnorm, fn, report)
+    return TFuzzyEquality(label, carrier, tnorm, fn,
+                          validate_fuzzy_equality(fn, tnorm, carrier))
 
 
 def _crisp_fn(a, b):
@@ -128,12 +122,20 @@ def linear_equality(carrier: Sequence, tnorm: Connective) -> TFuzzyEquality:
 
 class VagueBinaryOp:
     """``order`` is the ``kernel.compile_degrees`` order, the one table of
-    the degrees: ``order.deg`` keyed by carrier-id triples."""
+    the degrees: ``order.deg`` keyed by carrier-id triples. ``underlying``
+    is the t-norm the operator is induced from or stands for (None for a
+    bare table), which the vague t-norm checks name."""
 
     def __init__(self, label: str, carrier: tuple, equality: TFuzzyEquality,
-                 order: kernel.IdOrder):
+                 order: kernel.IdOrder, underlying: Connective | None = None):
         self.label, self.carrier, self.equality = label, carrier, equality
-        self.order = order
+        self.order, self.underlying = order, underlying
+
+    def __call__(self, x, y, z) -> Scalar:
+        # carrier points are interned first: a point's id is its position
+        order = self.order
+        ids = order.ids
+        return order.vals[order.deg[(ids[x], ids[y], ids[z])]]
 
     @property
     def tnorm(self) -> Connective:
@@ -144,31 +146,12 @@ class VagueBinaryOp:
                 "tnorm": self.tnorm.name, "size": len(self.carrier)}
 
 
-class VagueTNorm(NamedTuple):
-    base: VagueBinaryOp
-    underlying: Connective
-
-    def __call__(self, x, y, z) -> Scalar:
-        # carrier points are interned first: a point's id is its position
-        order = self.base.order
-        ids = order.ids
-        return order.vals[order.deg[(ids[x], ids[y], ids[z])]]
-
-    @property
-    def carrier(self) -> tuple:
-        return self.base.carrier
-
-    @property
-    def equality(self) -> TFuzzyEquality:
-        return self.base.equality
-
-    @property
-    def tnorm(self) -> Connective:
-        return self.base.equality.tnorm
-
-    def to_json(self) -> dict:
-        return {"kind": "vague-tnorm", "label": self.base.label,
-                "underlying": self.underlying.name, "size": len(self.carrier)}
+def _tnorm_dom(op: VagueBinaryOp) -> dict:
+    """The domain of a vague t-norm check; a bare table names no t-norm."""
+    if op.underlying is None:
+        raise DomainError(f"{op.label} stands for no t-norm")
+    return {"kind": "vague-tnorm", "label": op.label,
+            "underlying": op.underlying.name, "size": len(op.carrier)}
 
 
 def vague_op_from_table(label: str, carrier: Sequence, equality: TFuzzyEquality,
@@ -198,8 +181,8 @@ def _table_entries_from_json(obj: dict, arity: int, *, path=None) -> dict:
         path=path)
 
 
-def equality_from_json(obj: dict, tnorm: Connective, *, path=None,
-                       require_valid: bool = True) -> TFuzzyEquality:
+def equality_from_json(obj: dict, tnorm: Connective, *,
+                       path=None) -> TFuzzyEquality:
     """Arity-2 rational-table schema:
     {"form": "table", "entries": [["x", "y", "degree"], ...]}."""
     mapping = _table_entries_from_json(obj, 2, path=path)
@@ -214,8 +197,7 @@ def equality_from_json(obj: dict, tnorm: Connective, *, path=None,
                 f"{format_scalar(b)})") from None
 
     label = read_name(obj, "name", "table-equality", path=path)
-    return make_fuzzy_equality(label, fn, tnorm, carrier,
-                               require_valid=require_valid)
+    return make_fuzzy_equality(label, fn, tnorm, carrier)
 
 
 def vague_table_from_json(obj: dict, equality: TFuzzyEquality, *,
@@ -226,7 +208,7 @@ def vague_table_from_json(obj: dict, equality: TFuzzyEquality, *,
                                equality.carrier, equality, mapping)
 
 
-def induce_vague_tnorm(equality: TFuzzyEquality, conn: Connective) -> VagueTNorm:
+def induce_vague_tnorm(equality: TFuzzyEquality, conn: Connective) -> VagueBinaryOp:
     """Canonical vague operator: the degree that conn(x, y) equals z.
 
     Totality is witnessed by z = conn(x, y) itself, where the degree is
@@ -241,9 +223,9 @@ def induce_vague_tnorm(equality: TFuzzyEquality, conn: Connective) -> VagueTNorm
     def rows(x, y):
         v = conn(x, y)
         return [equality(v, z) for z in carrier]
-    return VagueTNorm(VagueBinaryOp(
+    return VagueBinaryOp(
         f"induced({equality.label},{conn.name})", carrier, equality,
-        kernel.compile_degrees(carrier, rows, equality.tnorm, equality)), conn)
+        kernel.compile_degrees(carrier, rows, equality.tnorm, equality), conn)
 
 
 def _tuple_budget(size: int, power: int, what: str) -> None:
@@ -388,11 +370,12 @@ def _commutativity(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
     return decide(rid, dom, order.leq, cases(), instances=len(carrier) ** 4)
 
 
-def check_vague_commutativity(v: VagueTNorm) -> PropertyReport:
+def check_vague_commutativity(op: VagueBinaryOp) -> PropertyReport:
     """T(degree(a,b,m), degree(b,a,w)) never exceeds the equality of m
     and w."""
-    return _on_degree_order(v.base, lambda *on: _commutativity(
-        *on, "vague-commutativity", v.to_json()))
+    dom = _tnorm_dom(op)
+    return _on_degree_order(op, lambda *on: _commutativity(
+        *on, "vague-commutativity", dom))
 
 
 def _degrees_match(order, reading: str) -> Callable:
@@ -432,13 +415,14 @@ def _strict_monotone(order, t, deg, eq, carrier, reading, rid,
                     details={"reading": reading})
 
 
-def check_vague_strict_monotone(v: VagueTNorm,
+def check_vague_strict_monotone(op: VagueBinaryOp,
                                 reading: str = "any-degree") -> PropertyReport:
     """x < y with matching degrees at (x,z,a) and (y,z,b) must force
     a < b. The premise reading (any common degree, or degree 1 only) is
     configurable and recorded in the report."""
-    return _on_degree_order(v.base, lambda *on: _strict_monotone(
-        *on, reading, "vague-strict-monotonicity", v.to_json()))
+    dom = _tnorm_dom(op)
+    return _on_degree_order(op, lambda *on: _strict_monotone(
+        *on, reading, "vague-strict-monotonicity", dom))
 
 
 def _cancellation(order, t, deg, eq, carrier, reading, rid,
@@ -461,10 +445,11 @@ def _cancellation(order, t, deg, eq, carrier, reading, rid,
                     details={"reading": reading})
 
 
-def check_vague_cancellation(v: VagueTNorm, reading: str = "any-degree") -> PropertyReport:
+def check_vague_cancellation(op: VagueBinaryOp, reading: str = "any-degree") -> PropertyReport:
     """Matching degrees at (a,x,c) and (b,x,c) must force a = b."""
-    return _on_degree_order(v.base, lambda *on: _cancellation(
-        *on, reading, "vague-cancellation", v.to_json()))
+    dom = _tnorm_dom(op)
+    return _on_degree_order(op, lambda *on: _cancellation(
+        *on, reading, "vague-cancellation", dom))
 
 
 # --- vague groups over finite carriers ---

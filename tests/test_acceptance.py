@@ -224,11 +224,11 @@ def test_c09_vague_layer():
     assert eq_rep.verdict is Verdict.HOLDS
     linear = linear_equality(pts7, T_L)
     v = induce_vague_tnorm(linear, T_L)
-    assert check_vague_binary_op(v.base).verdict is Verdict.HOLDS
+    assert check_vague_binary_op(v).verdict is Verdict.HOLDS
     assert check_vague_commutativity(v).verdict is Verdict.HOLDS
     pts5 = GridDomain(4).points
     v4 = induce_vague_tnorm(linear_equality(pts5, T_L), T_L)
-    assert check_vague_monoid(v4.base).verdict is Verdict.HOLDS
+    assert check_vague_monoid(v4).verdict is Verdict.HOLDS
 
     # degeneration: crisp equality reduces each vague verdict to a crisp
     # statement about the operator, recomputed here independently
@@ -236,7 +236,7 @@ def test_c09_vague_layer():
     for conn in (T_M, T_L):  # grid-closed, so the totality gate is faithful
         vc = induce_vague_tnorm(crisp_equality(dom4.points, conn), conn)
         axioms = check_axioms(conn, dom4)
-        assert check_vague_monoid(vc.base).holds == (
+        assert check_vague_monoid(vc).holds == (
             axioms.child("T2:associativity").holds
             and axioms.child("T4:boundary").holds)
         assert check_vague_commutativity(vc).holds == \

@@ -230,6 +230,34 @@ def test_each_kind_validates_its_combiner_and_arity_cap(tmp_path, capsys,
         assert (code, out) == (64, "") and err.startswith("error:")
 
 
+# a refused kind exits 64 with these messages before any grid carrier
+# is built: --kind subgroup on an operator, a combiner of another role,
+# a combiner on a min-based kind, and an arity cap below 2
+_REFUSED_KINDS = [
+    (["--kind", "subgroup"],
+     "error: subgroup checks need a finite group carrier file\n"),
+    (["--kind", "u-submonoid", "--combiner", "agg:min"],
+     "error: u-fuzzy-submonoid needs a combiner of role uninorm\n"),
+    (["--kind", "submonoid", "--combiner", "agg:min"],
+     "error: fuzzy-submonoid uses the min combiner\n"),
+    (["--kind", "a-submonoid", "--arity-cap", "1"],
+     "error: arity cap 1 is below 2\n"),
+]
+
+
+@pytest.mark.parametrize("kind_argv, err", _REFUSED_KINDS,
+                         ids=["subgroup", "other-role", "min-kind", "arity-cap"])
+def test_a_refused_kind_builds_no_carrier(monkeypatch, capsys, kind_argv, err):
+    from fuzznorm import carriers
+    built = []
+    monkeypatch.setattr(carriers.CarrierMonoid, "from_connective",
+                        staticmethod(lambda *a: built.append(a)))
+    assert run(["substructure", "--mu", "builtin:identity",
+                "--carrier", "tnorm:min", *kind_argv]) == 64
+    assert capsys.readouterr() == ("", err)
+    assert built == []
+
+
 class TestVagueCommand:
     def test_linear_lukasiewicz(self):
         assert run(["vague", "--equality", "linear",
@@ -297,6 +325,34 @@ class TestVagueCommand:
         assert run(["vague", "--equality", "crisp", "--tnorm", "tnorm:min",
                     "--grid", "2", "--mu-table", str(mu_file),
                     "--checks", "vague-op"]) == 0
+
+    # the exit code and sha256 of the JSON each line printed while a
+    # table operator and a vague t-norm were two types
+    PINNED = {
+        "mu-table": (1, "b88d1740de9d2cfc3b074790e03b7320"
+                        "b8a9d7984db4d16ee158f187b87ec17c"),
+        "linear-product": (1, "fd11701ee4f05ec4b30aadd3128531af"
+                              "d68ba0021b64d406f1b75b40bdbac374"),
+    }
+
+    @pytest.mark.parametrize("line", PINNED)
+    def test_every_check_prints_the_pinned_bytes(self, tmp_path, capsys, line):
+        if line == "mu-table":
+            from fractions import Fraction as F
+            pts = [F(0), F(1, 2), F(1)]  # the grid-2 carrier
+            mu_file = tmp_path / "op.json"
+            mu_file.write_text(json.dumps({
+                "name": "product-linear", "form": "table", "entries": [
+                    [str(x), str(y), str(z), str(1 - abs(x * y - z))]
+                    for x in pts for y in pts for z in pts]}))
+            argv = ["--tnorm", "tnorm:lukasiewicz", "--grid", "2",
+                    "--mu-table", str(mu_file)]
+        else:
+            argv = ["--tnorm", "tnorm:product", "--grid", "4"]
+        code = run(["vague", "--equality", "linear", *argv, "--format", "json"])
+        out = out_text(capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+            self.PINNED[line]
 
     def test_repeated_key_in_equality_file_is_a_config_error(self, tmp_path,
                                                              capsys):
@@ -487,6 +543,11 @@ class TestSuiteCommand:
         assert run(["suite", "--only", "prop99"]) == 64
         err = capsys.readouterr().err
         assert "unknown suite rows: prop99" in err and "(choose from prop3.6" in err
+
+    def test_all_and_only_together_are_a_usage_error(self, capsys):
+        assert run(["suite", "--all", "--only", "prop12"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument --all" in err
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "rows.json"

@@ -9,8 +9,7 @@ from fuzznorm.connectives import (A_MIN, BUILTIN_TCONORMS, BUILTIN_TNORMS,
                                   Connective, Role, S_D, S_L, S_M, S_P, T_D,
                                   T_L, T_M, T_P, construct_nullnorm,
                                   construct_uninorm_max, construct_uninorm_min,
-                                  dualize, eval_tconorm, eval_tnorm,
-                                  parse_operator, power_iterate)
+                                  dualize, parse_operator, power_iterate)
 from fuzznorm.errors import (DegenerateParameterError, DomainError,
                              UnknownOperatorError)
 from fuzznorm.reports import GridDomain
@@ -20,27 +19,27 @@ F = Fraction
 grid_points = st.integers(min_value=0, max_value=12).map(lambda i: F(i, 12))
 
 
-def test_eval_tnorm_closed_forms():
-    assert eval_tnorm("T_L", F(7, 10), F(1, 2)) == F(1, 5)
-    assert eval_tnorm("T_M", F(3, 10), F(1)) == F(3, 10)
-    assert eval_tnorm("T_D", F(3, 10), F(9, 10)) == 0
-    assert eval_tnorm("product", F(1, 2), F(1, 2)) == F(1, 4)
+def test_tnorm_closed_forms():
+    assert T_L(F(7, 10), F(1, 2)) == F(1, 5)
+    assert T_M(F(3, 10), F(1)) == F(3, 10)
+    assert T_D(F(3, 10), F(9, 10)) == 0
+    assert T_P(F(1, 2), F(1, 2)) == F(1, 4)
 
 
-def test_eval_tconorm_closed_forms():
-    assert eval_tconorm("S_P", F(1, 2), F(1, 2)) == F(3, 4)
-    assert eval_tconorm("S_M", F(2, 5), F(0)) == F(2, 5)
-    assert eval_tconorm("S_L", F(7, 10), F(1, 2)) == 1
-    assert eval_tconorm("S_D", F(1, 10), F(1, 10)) == 1
+def test_tconorm_closed_forms():
+    assert S_P(F(1, 2), F(1, 2)) == F(3, 4)
+    assert S_M(F(2, 5), F(0)) == F(2, 5)
+    assert S_L(F(7, 10), F(1, 2)) == 1
+    assert S_D(F(1, 10), F(1, 10)) == 1
 
 
 def test_unknown_family_rejected():
     with pytest.raises(UnknownOperatorError) as err:
-        eval_tnorm("T_X", F(0), F(0))
-    assert str(err.value) == "unknown t-norm family: 'T_X'"
+        parse_operator("tnorm:T_X")
+    assert str(err.value) == "unknown t-norm: 'T_X'"
     with pytest.raises(UnknownOperatorError) as err:
-        eval_tconorm("nope", F(0), F(0))
-    assert str(err.value) == "unknown t-conorm family: 'nope'"
+        parse_operator("tconorm:nope")
+    assert str(err.value) == "unknown t-conorm: 'nope'"
 
 
 def test_a_value_that_is_not_a_number_is_refused_at_the_boundary():

@@ -26,7 +26,7 @@ from fuzznorm.fuzzy import check_fuzzy_property
 from fuzznorm.reports import GridDomain, SearchBudget, dumps
 from fuzznorm.subsets import FuzzySubset
 from fuzznorm.scalars import unit
-from fuzznorm.vague import (READINGS, VagueTNorm, check_vague_binary_op,
+from fuzznorm.vague import (READINGS, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
                             induce_vague_tnorm, linear_equality, make_fuzzy_equality,
@@ -84,10 +84,11 @@ def _inputs(n, op, mu, eq, deg, out):
     subset = FuzzySubset("table-mu", lambda x: out(mu[grid(x)]))
     equality = make_fuzzy_equality(
         "table-eq", lambda a, b: out(eq[(grid(a), grid(b))]), conn,
-        GridDomain(n).points, require_valid=False)
+        GridDomain(n).points)
     vop = vague_op_from_table("table-vague", equality.carrier, equality,
                               {k: out(v) for k, v in deg.items()})
-    return conn, subset, equality, VagueTNorm(vop, conn)
+    vop.underlying = conn
+    return conn, subset, equality, vop
 
 
 def _reports(n, conn, subset, equality, vague) -> list:
@@ -99,7 +100,7 @@ def _reports(n, conn, subset, equality, vague) -> list:
         for gate in (True, False):
             reports.append(check_fuzzy_property(subset, conn, prop, domain,
                                                 budget, gate))
-    reports += [check_vague_binary_op(vague.base), check_vague_monoid(vague.base),
+    reports += [check_vague_binary_op(vague), check_vague_monoid(vague),
                 check_vague_commutativity(vague)]
     for reading in READINGS:
         reports += [check_vague_strict_monotone(vague, reading),
@@ -158,7 +159,7 @@ def test_unit_returns_an_in_range_fraction_as_it_is():
 def test_a_vague_table_file_parses_each_degree_once(monkeypatch):
     pts = GridDomain(6).points
     equality = linear_equality(pts, T_L)
-    induced = degree_values(induce_vague_tnorm(equality, T_L).base)
+    induced = degree_values(induce_vague_tnorm(equality, T_L))
     obj = {"form": "table", "entries": [[str(x), str(y), str(z), str(d)]
                                         for (x, y, z), d in induced.items()]}
     parse, parsed = scalars.parse_rational, []

@@ -29,7 +29,7 @@ from fuzznorm.subsets import (enumerate_table_subsets, generate_subnorm_tables,
                               intersect_fuzzy_subsets)
 from fuzznorm.suite import SuiteConfig, _refutation_family, _vague_corpus
 from fuzznorm.tables import enumerate_chain_tnorm_tables, mixed_grid_points, uniform_chain
-from fuzznorm.vague import (READINGS, VagueTNorm, check_vague_binary_op,
+from fuzznorm.vague import (READINGS, check_vague_binary_op,
                             check_vague_cancellation, check_vague_commutativity,
                             check_vague_monoid, check_vague_strict_monotone,
                             crisp_equality, induce_vague_tnorm, linear_equality,
@@ -331,7 +331,7 @@ def test_intersection_of_table_maps_meets_pointwise(alphabet):
 
 
 def _vague_reports(v):
-    reports = [check_vague_binary_op(v.base), check_vague_monoid(v.base),
+    reports = [check_vague_binary_op(v), check_vague_monoid(v),
                check_vague_commutativity(v)]
     for reading in READINGS:
         reports += [check_vague_strict_monotone(v, reading),
@@ -379,7 +379,7 @@ def test_reference_pass_runs_the_value_loops_of_a_checked_operator(monkeypatch):
 
         m.setattr(vague, "_on_degree_order", recorded)
         reference = _vague_reports(v)
-    assert seen == [v.base] * 7 and runs == []
+    assert seen == [v] * 7 and runs == []
     assert reference == fast
 
 
@@ -398,8 +398,10 @@ def test_vague_tables_from_json_match_reference(monkeypatch):
         else linear(T_L(x, y), z)))
     # everything is 0: a vague operation without an identity element
     zero = _table_json(pts, lambda x, y, z: F(int(z == 0)))
-    ops = [VagueTNorm(vague_table_from_json(flipped, linear), T_L),
-           VagueTNorm(vague_table_from_json(zero, crisp), T_L)]
+    ops = [vague_table_from_json(flipped, linear),
+           vague_table_from_json(zero, crisp)]
+    for op in ops:
+        op.underlying = T_L
     fast, reference = _both_paths(monkeypatch, _vague_reports, *[(v,) for v in ops])
     assert fast == reference
     assert '"V1:extensionality"' in fast[0] and '"NOT_VAGUE_OP"' in fast[0]
@@ -419,7 +421,7 @@ def test_float_in_the_vague_loops_compiles(monkeypatch):
 
     conj = Connective("float-off-grid", Role.TNORM, fn, identity=F(1))
     v = induce_vague_tnorm(linear_equality(pts, conj), T_P)
-    order = v.base.order
+    order = v.order
     off_grid = next(d for d in order.deg.values() if order.vals[d].denominator > 4)
     met = order.vals[order.t(off_grid, order.top)]
     assert type(met) is F and met == F(fn(order.vals[off_grid], F(1)))

@@ -565,7 +565,7 @@ class TestGridIsAChain:
             for reading in READINGS:
                 unit = _vague_leaves(
                     [validate_fuzzy_equality(eq.fn, conn, pts),
-                     check_vague_binary_op(v.base), check_vague_monoid(v.base),
+                     check_vague_binary_op(v), check_vague_monoid(v),
                      check_vague_commutativity(v)],
                     [check_vague_strict_monotone(v, reading),
                      check_vague_cancellation(v, reading)])

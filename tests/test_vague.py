@@ -38,7 +38,7 @@ class TestFuzzyEquality:
         pts = GridDomain(6).points
         for conn in (T_M, T_P, T_L, T_D):
             eq = crisp_equality(pts, conn)
-            assert eq.validated and eq.separates_points
+            assert eq.validated and eq.report.details["separates_points"]
 
     def test_linear_fails_min_transitivity(self):
         rep = validate_fuzzy_equality(linear_fn, T_M, GridDomain(10).points)
@@ -49,9 +49,11 @@ class TestFuzzyEquality:
             assert min(linear_fn(x, y), linear_fn(y, z)) > linear_fn(x, z)
         assert (F(0), F(1, 2), F(1)) in {w.inputs for w in trans.witnesses}
 
-    def test_invalid_equality_rejected_by_constructor(self):
+    def test_invalid_equality_is_refused_where_it_is_induced(self):
+        eq = linear_equality(GridDomain(6).points, T_M)
+        assert eq.validated is False
         with pytest.raises(DomainError):
-            linear_equality(GridDomain(6).points, T_M)
+            induce_vague_tnorm(eq, T_M)
 
 
 class TestInducedOperator:
@@ -66,8 +68,7 @@ class TestInducedOperator:
 
     def test_requires_validated_equality(self):
         pts = GridDomain(4).points
-        broken = make_fuzzy_equality("broken", linear_fn, T_M, pts,
-                                     require_valid=False)
+        broken = make_fuzzy_equality("broken", linear_fn, T_M, pts)
         assert not broken.validated
         with pytest.raises(DomainError):
             induce_vague_tnorm(broken, T_M)
@@ -79,12 +80,12 @@ class TestInducedOperator:
         for eq_maker, conn in ((linear_equality, T_L), (crisp_equality, T_M),
                                (crisp_equality, T_L), (crisp_equality, T_D)):
             v = induce_vague_tnorm(eq_maker(pts, conn), conn)
-            assert check_vague_binary_op(v.base).verdict is Verdict.HOLDS
+            assert check_vague_binary_op(v).verdict is Verdict.HOLDS
 
     def test_non_grid_closed_operator_loses_totality_only(self):
         pts = GridDomain(4).points
         v = induce_vague_tnorm(crisp_equality(pts, T_P), T_P)
-        rep = check_vague_binary_op(v.base)
+        rep = check_vague_binary_op(v)
         assert rep.child("V1:extensionality").holds
         assert rep.child("V2:functionality").holds
         tot = rep.child("V3:totality")
@@ -98,14 +99,14 @@ class TestVagueMonoid:
     def test_crisp_five_point_chain(self):
         pts = GridDomain(4).points
         v = induce_vague_tnorm(crisp_equality(pts, T_L), T_L)
-        rep = check_vague_monoid(v.base)
+        rep = check_vague_monoid(v)
         assert rep.verdict is Verdict.HOLDS
         assert rep.details["identity"] == "1"
 
     def test_linear_equality_grid(self):
         pts = GridDomain(4).points
         v = induce_vague_tnorm(linear_equality(pts, T_L), T_L)
-        assert check_vague_monoid(v.base).verdict is Verdict.HOLDS
+        assert check_vague_monoid(v).verdict is Verdict.HOLDS
 
     def test_functionality_violation_tagged(self):
         pts = (F(0), F(1))
@@ -121,7 +122,7 @@ class TestVagueMonoid:
         v = induce_vague_tnorm(crisp_equality(pts, T_L), T_L)
         monkeypatch.setattr(reports, "MAX_TUPLES", 1000)
         with pytest.raises(BudgetExceededError):
-            check_vague_monoid(v.base)
+            check_vague_monoid(v)
 
     def test_four_and_five_tuple_loops_are_budgeted(self, monkeypatch):
         # 3 points: 3^4 = 81 tuples fit in 100, 3^5 = 243 do not; 4 points:
@@ -149,7 +150,7 @@ class TestVagueMonoid:
             [(x, y, z) for x in pts for y in pts for z in pts], F(1)))
         assert "NOT_VAGUE_OP" in check_vague_monoid(bad).tags
         with pytest.raises(BudgetExceededError, match="associativity"):
-            check_vague_monoid(induce_vague_tnorm(eq, T_M).base)
+            check_vague_monoid(induce_vague_tnorm(eq, T_M))
         monkeypatch.setattr(reports, "MAX_TUPLES", 50)
         with pytest.raises(BudgetExceededError, match="extensionality"):
             check_vague_monoid(bad)
@@ -161,8 +162,8 @@ class TestVagueMonoid:
                              identity=F(0))
         eq = crisp_equality((F(0), F(1, 2), F(1)), T_M)
         v = induce_vague_tnorm(eq, absdiff)
-        assert check_vague_binary_op(v.base).holds
-        rep = check_vague_monoid(v.base)
+        assert check_vague_binary_op(v).holds
+        rep = check_vague_monoid(v)
         assert rep.verdict is Verdict.FAILS
         assert rep.details["identity"] == "0"
         assert len(rep.witnesses) == 2
@@ -181,7 +182,7 @@ class TestVagueMonoid:
 
         monkeypatch.setattr(kernel, "compile_degrees", counted)
         pts = GridDomain(3).points
-        rep = check_vague_monoid(induce_vague_tnorm(equality(pts, T_L), T_L).base)
+        rep = check_vague_monoid(induce_vague_tnorm(equality(pts, T_L), T_L))
         assert rep.verdict is Verdict.HOLDS
         assert len(calls) == 1
 
@@ -203,9 +204,24 @@ class TestVagueCommutativity:
         for x, y in ((F(0), F(0)), (F(1), F(1)), (F(1, 2), F(1, 2))):
             table[(x, y, x)] = F(1)
         bad = vague_op_from_table("bad", pts, eq, table)
-        from fuzznorm.vague import VagueTNorm
-        rep = check_vague_commutativity(VagueTNorm(bad, T_M))
+        bad.underlying = T_M
+        rep = check_vague_commutativity(bad)
         assert rep.verdict is Verdict.FAILS
+
+
+@pytest.mark.parametrize("check", [
+    check_vague_commutativity, check_vague_strict_monotone,
+    check_vague_cancellation])
+def test_a_table_that_stands_for_no_tnorm_is_refused(check):
+    pts = (F(0), F(1))
+    eq = crisp_equality(pts, T_M)
+    bare = vague_op_from_table("bare", pts, eq, {
+        (x, y, z): F(int(min(x, y) == z)) for x in pts for y in pts for z in pts})
+    assert bare.underlying is None
+    with pytest.raises(DomainError, match="bare stands for no t-norm"):
+        check(bare)
+    bare.underlying = T_M
+    assert check(bare).to_json()["domain"]["underlying"] == T_M.name
 
 
 class TestMonotonicityAndCancellation:
@@ -304,7 +320,7 @@ class TestDegeneration:
             axioms = check_axioms(conn, dom)
             if all(conn(x, y) in pts for x in pts for y in pts):
                 # monoid gates on totality, which needs grid closure
-                assert check_vague_monoid(v.base).holds == (
+                assert check_vague_monoid(v).holds == (
                     axioms.child("T2:associativity").holds
                     and axioms.child("T4:boundary").holds)
             assert check_vague_commutativity(v).holds == \
@@ -330,8 +346,7 @@ class TestTableIO:
         from fuzznorm.vague import equality_from_json
         entries = [["0", "0", "1"], ["1", "1", "1"],
                    ["0", "1", "1"], ["1", "0", "1/2"]]  # asymmetric
-        eq = equality_from_json({"form": "table", "entries": entries}, T_M,
-                                require_valid=False)
+        eq = equality_from_json({"form": "table", "entries": entries}, T_M)
         assert not eq.validated
 
     def test_vague_table_schema(self):
@@ -416,7 +431,7 @@ def test_vague_checks_count_their_instances(monkeypatch):
     group = crisp_vague_group(cyclic_group(4))
     seen.clear()  # the equalities were validated on construction
     validate_fuzzy_equality(v.equality.fn, T_M, pts)
-    check_vague_monoid(v.base)
+    check_vague_monoid(v)
     check_vague_commutativity(v)
     check_vague_group_cancellation(group)
     assert seen == [
@@ -434,7 +449,6 @@ def test_all_bottom_degrees_hold_on_every_tuple(monkeypatch):
     import itertools
 
     import fuzznorm.vague as vague_mod
-    from fuzznorm.vague import VagueTNorm
     seen = {}
     original = reports.conclude
 
@@ -449,7 +463,8 @@ def test_all_bottom_degrees_hold_on_every_tuple(monkeypatch):
     op = vague_op_from_table("bottom", pts, crisp_equality(pts, T_M),
                              dict.fromkeys(itertools.product(pts, repeat=3), F(0)))
     check_vague_binary_op(op)
-    check_vague_commutativity(VagueTNorm(op, T_M))
+    op.underlying = T_M
+    check_vague_commutativity(op)
     # the monoid check itself stops at V3 (no degree 1): run its core
     monoid = vague_mod._on_degree_order(op, lambda *on: vague_mod._monoid(
         *on, "vague-monoid", op.to_json()))
@@ -488,7 +503,7 @@ def test_compiled_degrees_are_the_induced_ones():
         pts = v.carrier
         induced = {(x, y, z): v.equality(v.underlying(x, y), z)
                    for x in pts for y in pts for z in pts}
-        degrees = degree_values(v.base)
+        degrees = degree_values(v)
         assert degrees == induced
         assert {type(d) for d in degrees.values()} == {F}
         assert all(v(*key) == d for key, d in induced.items())
@@ -503,15 +518,14 @@ def test_an_int_carrier_reports_as_the_fraction_carrier():
     ints, fractions = (0, F(1, 2), 1), (F(0), F(1, 2), F(1))
     reports = []
     for carrier in (ints, fractions):
-        eq = make_fuzzy_equality("half-apart", _half_apart, T_M, carrier,
-                                 require_valid=False)
+        eq = make_fuzzy_equality("half-apart", _half_apart, T_M, carrier)
         degrees = {(x, y, z): eq(T_M(x, y), z)
                    for x in carrier for y in carrier for z in carrier}
         op = vague_op_from_table("half-apart", carrier, eq, degrees)
         v = induce_vague_tnorm(crisp_equality(carrier, T_M), T_M)
         assert {type(p) for p in op.carrier + v.carrier} == {F}
         reports.append([dumps(r) for r in (
-            eq.report, check_vague_binary_op(op), check_vague_monoid(v.base),
+            eq.report, check_vague_binary_op(op), check_vague_monoid(v),
             check_vague_strict_monotone(v), check_vague_cancellation(v))])
     assert reports[0] == reports[1]
     transitivity = json.loads(reports[0][0])["children"][2]

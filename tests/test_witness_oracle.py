@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fuzznorm.carriers import cyclic_group
 from fuzznorm.connectives import T_D, T_L, T_M, T_P
 from fuzznorm.reports import Verdict
-from fuzznorm.vague import (VagueGroup, VagueTNorm, check_vague_binary_op,
+from fuzznorm.vague import (VagueGroup, check_vague_binary_op,
                             check_vague_commutativity,
                             check_vague_group_cancellation, check_vague_monoid,
                             make_fuzzy_equality, vague_op_from_table)
@@ -85,8 +85,8 @@ def assert_witnesses(report, expected):
 @given(vague_cases())
 def test_equality_witnesses_are_violations(case):
     t, carrier, e, _ = case
-    rep = make_fuzzy_equality("drawn", lambda a, b: e[(a, b)], t, carrier,
-                              require_valid=False).report
+    rep = make_fuzzy_equality("drawn", lambda a, b: e[(a, b)], t,
+                              carrier).report
     n = len(carrier)
     upper = [(carrier[i], carrier[j]) for i in range(n) for j in range(i + 1, n)]
     # symmetry: the two degrees differ, whichever is larger
@@ -102,8 +102,7 @@ def test_equality_witnesses_are_violations(case):
 @given(vague_cases())
 def test_vague_operation_witnesses_are_violations(case):
     t, carrier, e, mu = case
-    eq = make_fuzzy_equality("drawn", lambda a, b: e[(a, b)], t, carrier,
-                             require_valid=False)
+    eq = make_fuzzy_equality("drawn", lambda a, b: e[(a, b)], t, carrier)
     op = vague_op_from_table("drawn", carrier, eq, mu)
 
     ext = violations(product(carrier, repeat=6), lambda x, y, z, x2, y2, z2: (
@@ -117,7 +116,8 @@ def test_vague_operation_witnesses_are_violations(case):
     assert_witnesses(rep.child("V1:extensionality"), ext)
     assert_witnesses(rep.child("V2:functionality"), fun)
 
-    assert_witnesses(check_vague_commutativity(VagueTNorm(op, t)), violations(
+    op.underlying = t
+    assert_witnesses(check_vague_commutativity(op), violations(
         product(carrier, repeat=4), lambda a, b, m, w: (
             t(mu[(a, b, m)], mu[(b, a, w)]), e[(m, w)])))
 
@@ -149,7 +149,7 @@ def vague_groups(draw):
         for k in ((inv, a, unit), (a, inv, unit), (unit, a, a), (a, unit, a)):
             table[k] = ONE
     eq = make_fuzzy_equality("drawn", lambda a, b: e[(a, b)], draw(TNORMS),
-                             elems, require_valid=False)
+                             elems)
     return VagueGroup(group, eq, table), e
 
 
