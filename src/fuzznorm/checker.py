@@ -467,8 +467,6 @@ def classify_uninorm(conn: Connective, domain) -> PropertyReport:
         mixed = "min"
     elif behavior_max and not behavior_min:
         mixed = "max"
-    elif behavior_min and behavior_max:
-        mixed = "degenerate"
     else:
         mixed = "mixed"
     details = {

@@ -180,8 +180,8 @@ def compile_alphabet(alphabet: Sequence) -> Optional[IdOrder]:
 
 def values_of(rep: PropertyReport, vals: list) -> PropertyReport:
     """The ids in ``rep``'s witnesses and in its ``identity`` and
-    ``absorber`` details replaced by their values; a witness named by a
-    string, like ``("no-identity-element",)``, stays."""
+    ``absorber`` details replaced by their values, as
+    ``witness_values`` replaces them."""
     witness_values(rep.witnesses, vals, vals)
     for key in ("identity", "absorber"):
         if rep.details.get(key) is not None:
@@ -193,10 +193,14 @@ def values_of(rep: PropertyReport, vals: list) -> PropertyReport:
 
 def witness_values(witnesses: list, points: Sequence, vals: list) -> list:
     """``witnesses`` with their input ids replaced by ``points`` and their
-    value ids by ``vals``, in place (one copy of a long list); a witness
-    named by a string stays."""
-    for i, w in enumerate(witnesses):
-        if not isinstance(w.inputs[0], str):
-            witnesses[i] = Witness(tuple([points[x] for x in w.inputs]),
-                                   tuple([vals[x] for x in w.values]))
+    value ids by ``vals``, in place (one copy of a long list); a leading
+    string, like the side of ``("L", a, b, c, u)``, stays, and so does a
+    witness named by a string alone, like ``("no-identity-element",)``."""
+    for i, (ins, values) in enumerate(witnesses):
+        if not isinstance(ins[0], str):
+            witnesses[i] = Witness(tuple([points[x] for x in ins]),
+                                   tuple([vals[x] for x in values]))
+        elif len(ins) > 1:
+            witnesses[i] = Witness((ins[0], *[points[x] for x in ins[1:]]),
+                                   tuple([vals[x] for x in values]))
     return witnesses

@@ -276,23 +276,22 @@ def collect(witnesses: Iterable[Witness]) -> list:
     return list(itertools.islice(witnesses, 1 if verdict_only else None))
 
 
-def witnesses_of(holds, cases):
-    """The witnesses and case count of ``(inputs, lhs, rhs)`` cases under
-    ``holds(lhs, rhs)``: a case where it is False makes a witness; ``holds``
-    is reflexive, so equal sides hold without a call."""
-    witnesses, count = [], 0
-    for count, (inputs, lhs, rhs) in enumerate(cases, 1):
-        if lhs != rhs and not holds(lhs, rhs):
-            witnesses.append(Witness(inputs, (lhs, rhs)))
-    return witnesses, count
-
-
 def decide(property_id: str, domain: dict, holds, cases, instances=None,
-           details=None) -> PropertyReport:
-    """``conclude`` on ``witnesses_of(holds, cases)``; a stream that leaves out
-    tuples holding at the bottom degree passes the full count as ``instances``."""
-    witnesses, count = witnesses_of(holds, cases)
-    return conclude(property_id, domain, witnesses,
+           details=None, then=()) -> PropertyReport:
+    """``conclude`` on the witnesses ``collect`` gathers from the
+    ``(inputs, lhs, rhs)`` cases, one for each case where ``holds(lhs,
+    rhs)`` is False (it is reflexive: equal sides hold without a call),
+    then the witnesses ``then``. A stream that leaves out tuples holding
+    at the bottom degree passes the full count as ``instances``."""
+    count = 0
+
+    def found():
+        nonlocal count
+        for count, (inputs, lhs, rhs) in enumerate(cases, 1):
+            if lhs != rhs and not holds(lhs, rhs):
+                yield Witness(inputs, (lhs, rhs))
+        yield from then
+    return conclude(property_id, domain, collect(found()),
                     instances=count if instances is None else instances,
                     details=details)
 

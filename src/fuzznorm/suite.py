@@ -318,9 +318,9 @@ def _row_vague_commutativity(cfg):
 
 def _row_vague_group(cfg):
     from . import carriers, vague
-    cases = ((f"Z{n}", vague.check_vague_group_cancellation(
-                 vague.crisp_vague_group(carriers.cyclic_group(n))).holds)
-             for n in (3, 4))
+    groups = (carriers.cyclic_group(n) for n in (3, 4))
+    cases = ((g.monoid.label, vague.check_vague_group_cancellation(
+                 vague.crisp_vague_group(g), g).holds) for g in groups)
     return _count("prop-vague-group-cancellation",
                   "crisp vague groups over Z3 and Z4", cases)
 

@@ -19,15 +19,14 @@ a ``FiniteLattice``, and the same cores on the unit interval
 from __future__ import annotations
 
 import operator
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import kernel, reports
-from .carriers import FiniteGroup
 from .connectives import T_M, Connective, Role
 from .errors import (BudgetExceededError, DomainError, InputFormatError,
                      TotalityError, read_entries, read_name)
 from .reports import (READINGS, PropertyReport, Verdict, Witness, collect,
-                      combine, conclude, decide, witnesses_of)
+                      combine, conclude, decide)
 from .scalars import (ONE, UNIT_INTERVAL, ZERO, Scalar, exact, format_scalar,
                       parse_rational, unit)
 
@@ -218,14 +217,20 @@ def induce_vague_tnorm(equality: TFuzzyEquality, conn: Connective) -> VagueBinar
         raise DomainError("the fuzzy equality must be validated first")
     if conn.role is not Role.TNORM:
         raise DomainError(f"expected a t-norm, got {conn.name}")
+    return _induced(f"induced({equality.label},{conn.name})", equality, conn, conn)
+
+
+def _induced(label: str, equality: TFuzzyEquality, op: Callable,
+             underlying: Connective | None) -> VagueBinaryOp:
+    """The vague operation ``op`` induces through ``equality``: the degree
+    at (x, y, z) is the equality of op(x, y) and z."""
     carrier = equality.carrier
 
     def rows(x, y):
-        v = conn(x, y)
+        v = op(x, y)
         return [equality(v, z) for z in carrier]
-    return VagueBinaryOp(
-        f"induced({equality.label},{conn.name})", carrier, equality,
-        kernel.compile_degrees(carrier, rows, equality.tnorm, equality), conn)
+    return VagueBinaryOp(label, carrier, equality, kernel.compile_degrees(
+        carrier, rows, equality.tnorm, equality), underlying)
 
 
 def _tuple_budget(size: int, power: int, what: str) -> None:
@@ -321,15 +326,14 @@ def _monoid(order, t, deg, eq, carrier, rid, dom) -> PropertyReport:
                                     yield ((x, y, z, d, m, q, w),
                                            t(f3, deg[(q, z, w)]), eq(m, w))
 
-    witnesses, _ = witnesses_of(order.leq, associativity())
     identity = next((e for e in carrier
                      if all(t(deg[(e, a, a)], deg[(a, e, a)]) == top
                             for a in carrier)), None)
-    if identity is None:
-        witnesses.append(Witness(("no-identity-element",), ()))
-    return conclude(rid, dom, witnesses, instances=len(carrier) ** 7,
-                    details={"identity": None if identity is None
-                             else format_scalar(identity)})
+    missing = [] if identity is not None else [Witness(("no-identity-element",), ())]
+    return decide(rid, dom, order.leq, associativity(),
+                  instances=len(carrier) ** 7, then=missing,
+                  details={"identity": None if identity is None
+                           else format_scalar(identity)})
 
 
 def check_vague_monoid(op: VagueBinaryOp) -> PropertyReport:
@@ -454,55 +458,43 @@ def check_vague_cancellation(op: VagueBinaryOp, reading: str = "any-degree") -> 
 
 # --- vague groups over finite carriers ---
 
-class VagueGroup(NamedTuple):
-    group: FiniteGroup
-    equality: TFuzzyEquality
-    table: Mapping  # (a, b, c) -> degree
-
-    def __call__(self, a, b, c) -> Scalar:
-        return self.table[(a, b, c)]
-
-    def to_json(self) -> dict:
-        return {"kind": "vague-group", "label": self.group.monoid.label,
-                "size": len(self.group.elements)}
+def crisp_vague_group(group) -> VagueBinaryOp:
+    """The vague operation a ``carriers.FiniteGroup``'s product induces
+    under the crisp equality: degree 1 on exact products, 0 elsewhere."""
+    return _induced(group.monoid.label, crisp_equality(group.elements, T_M),
+                    group.op, None)
 
 
-def crisp_vague_group(group: FiniteGroup) -> VagueGroup:
-    """Degree-1 on exact products, 0 elsewhere, with crisp equality."""
-    elements = group.elements
-    eq = crisp_equality(elements, T_M)
-    table = {(a, b, c): (ONE if group.op(a, b) == c else ZERO)
-             for a in elements for b in elements for c in elements}
-    return VagueGroup(group, eq, table)
+def check_vague_group_cancellation(op: VagueBinaryOp, group) -> PropertyReport:
+    """Both one-sided generalized cancellation inequalities of ``op`` on
+    the elements of the ``carriers.FiniteGroup`` ``group``.
 
-
-def check_vague_group_cancellation(v: VagueGroup) -> PropertyReport:
-    """Both one-sided generalized cancellation inequalities.
-
-    The carrier must be a genuine vague group: identity and inverse
-    degrees of 1 are preconditions, not check outcomes.
+    ``op`` must be a genuine vague group: identity and inverse degrees
+    of 1 are preconditions, not check outcomes.
     """
-    group = v.group
     elements = group.elements
+    if op.carrier != elements:
+        raise DomainError(f"{op.label} is not on the elements of {group.monoid.label}")
     e = group.identity
     for a in elements:
         inv = group.inverse[a]
-        if not v(inv, a, e) == v(a, inv, e) == ONE:
+        if not op(inv, a, e) == op(a, inv, e) == ONE:
             raise DomainError(
                 f"inverse degree below 1 at element {a}; not a vague group")
-        if not v(e, a, a) == v(a, e, a) == ONE:
+        if not op(e, a, a) == op(a, e, a) == ONE:
             raise DomainError(
                 f"identity degree below 1 at element {a}; not a vague group")
-    eq = v.equality
+    dom = {"kind": "vague-group", "label": group.monoid.label,
+           "size": len(elements)}
 
-    def cases():
-        for a in elements:
-            for b in elements:
-                for c in elements:
+    def cases(order, t, deg, eq, carrier):
+        meet = order.meet
+        for a in carrier:
+            for b in carrier:
+                for c in carrier:
                     ebc = eq(b, c)
-                    for u in elements:
-                        yield ("L", a, b, c, u), min(v(a, b, u), v(a, c, u)), ebc
-                        yield ("R", a, b, c, u), min(v(b, a, u), v(c, a, u)), ebc
-
-    return decide("vague-group-cancellation", v.to_json(), UNIT_INTERVAL.leq,
-                  cases())
+                    for u in carrier:
+                        yield ("L", a, b, c, u), meet(deg[(a, b, u)], deg[(a, c, u)]), ebc
+                        yield ("R", a, b, c, u), meet(deg[(b, a, u)], deg[(c, a, u)]), ebc
+    return _on_degree_order(op, lambda order, *on: decide(
+        "vague-group-cancellation", dom, order.leq, cases(order, *on)))

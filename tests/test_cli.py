@@ -660,6 +660,77 @@ class TestZeroDenominator:
         assert capsys.readouterr().err.startswith("error:")
 
 
+_SUBSET = ["substructure", "--carrier", "tnorm:min", "--kind", "t-subnorm",
+           "--grid", "2", "--mu"]
+_CARRIER = ["substructure", "--mu", "builtin:one", "--kind", "submonoid",
+            "--carrier"]
+_DIAMOND_UPSIDE_DOWN = ["0", "a", "b", "c", "d", "1"], [
+    ["0", "c"], ["0", "d"], ["c", "a"], ["c", "b"], ["d", "a"], ["d", "b"],
+    ["a", "1"], ["b", "1"]]
+
+
+class TestRefusedInputs:
+    """Each refusal ends in exit 64 with its message on stderr; ``{file}``
+    is a file holding ``obj``."""
+
+    @pytest.mark.parametrize("argv, obj, message", [
+        (_SUBSET + ["{file}"], {"form": "builtin:nope"},
+         "unknown builtin membership form: 'builtin:nope' (file: {file}, field 'form')"),
+        (_SUBSET + ["{file}"], {"form": 3},
+         "form must be a string (file: {file}, field 'form')"),
+        (_SUBSET + ["builtin:nope"], None,
+         "unknown builtin membership form: 'builtin:nope'"),
+        (_SUBSET + ["builtin:step(1/0)"], None, "not a rational: '1/0'"),
+        (_CARRIER + ["{file}"], {"elements": [], "op": [], "identity": "0"},
+         "elements must be a non-empty list (file: {file}, field 'elements')"),
+        (_CARRIER + ["{file}"], {"elements": "01", "op": [], "identity": "0"},
+         "elements must be a non-empty list (file: {file}, field 'elements')"),
+        (_CARRIER + ["{file}"], {"elements": ["0", "1"], "op": [["0", "1"]],
+                                 "identity": "0"},
+         "op must be a square matrix over elements (file: {file}, field 'op')"),
+        (["lattice", "--lattice", "{file}"],
+         {"elements": ["0", "0", "1"], "covers": [["0", "1"]]},
+         "lattice elements must be non-empty and distinct (file: {file}, "
+         "field 'covers')"),
+        (["lattice", "--lattice", "{file}"],
+         {"elements": ["0", "1"], "covers": [["0", "x"]]},
+         "cover (0, x) mentions unknown elements (file: {file}, field 'covers')"),
+        (["lattice", "--lattice", "{file}"],
+         dict(zip(("elements", "covers"), _DIAMOND_UPSIDE_DOWN)),
+         "pair (a, b) has no unique meet (file: {file}, field 'covers')"),
+        (["check", "uninorm:umin(e=1/2,product,probsum)"], None,
+         "mixed named and positional uninorm arguments: 'e=1/2,product,probsum'"),
+        (["check", "uninorm:umin(e=1/2,T=product,X=probsum)"], None,
+         "uninorm id missing arguments ['S']: 'e=1/2,T=product,X=probsum'"),
+        (["check", _NULLNORM, "--props", "classify", "--grid", "2"], None,
+         "classify expects a uninorm-like operator, got "
+         "nullnorm:<probsum-S,1/2,product-T>"),
+        (["lattice", "--lattice", "chain:x"], None, "bad chain size in 'chain:x'"),
+        (["lattice", "--lattice", "chain:3", "--tnorm", "nope"], None,
+         "unknown lattice t-norm spec 'nope' (use meet or index:K)"),
+    ], ids=["membership-unknown-builtin", "membership-form-not-a-string",
+            "mu-unknown-builtin", "mu-step-zero-denominator",
+            "carrier-empty-elements", "carrier-elements-not-a-list",
+            "carrier-op-not-square", "lattice-repeated-element",
+            "lattice-unknown-cover", "lattice-no-unique-meet",
+            "uninorm-mixed-arguments", "uninorm-missing-argument",
+            "classify-nullnorm", "lattice-bad-chain", "lattice-unknown-tnorm"])
+    def test_refusal_exits_64_with_its_message(self, tmp_path, capsys, argv,
+                                               obj, message):
+        f = tmp_path / "input.json"
+        if obj is not None:
+            f.write_text(json.dumps(obj))
+        assert run([a.format(file=f) for a in argv]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message.format(file=f)}\n"
+
+    def test_a_builtin_form_in_a_membership_file_is_read(self, tmp_path):
+        f = tmp_path / "mu.json"
+        f.write_text(json.dumps({"form": "builtin:one"}))
+        assert run(_SUBSET + [str(f)]) == 0
+
+
 class TestRefusedValues:
     def test_negative_enumeration_cap(self, capsys):
         assert run(["enumerate", "--lattice", "diamond", "--cap", "-1"]) == 64

@@ -433,6 +433,15 @@ _CASE_REFUSALS = [
                  id="disjunctive-uninorm-shape"),
     pytest.param("prop20", _UMIN, "upper square must act as max",
                  id="prop20-shape"),
+    pytest.param("prop20", Connective("uninorm:undeclared", Role.UNINORM, max),
+                 "this case needs a uninorm with interior identity",
+                 id="prop20-no-identity"),
+    pytest.param("prop20", Connective("uninorm:top", Role.UNINORM, min,
+                                      identity=F(1)),
+                 "this case needs a uninorm with interior identity",
+                 id="prop20-identity-at-one"),
+    pytest.param("prop20", construct_uninorm_max(F(1, 2), T_P, S_M),
+                 "mixed region must act as min", id="prop20-mixed-region"),
     # the Lukasiewicz t-norm on the upper square is below min there
     *[pytest.param(case, construct_nullnorm(S_L, F(1, 2), T_L),
                    "upper square must act as min", id=f"{case}-shape")
@@ -567,6 +576,10 @@ class TestRefutations:
                 member_name, x, y = w.inputs
                 e = next(m for m in family if m.name == member_name).identity
                 assert x == 1 - e and y < 1 - e
+
+    def test_a_uninorm_carrier_is_refused(self):
+        with pytest.raises(DomainError, match="must be a t-norm or t-conorm"):
+            refute_uninorm_existence(MU_ID, _UMAX, self.family(), GridDomain(8))
 
     def test_full_subset_always_admitted(self):
         rep = refute_uninorm_existence(MU_ONE, T_P, self.family(), GridDomain(8))

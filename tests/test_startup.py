@@ -4,7 +4,8 @@
 nothing more, and a ``check`` runs to the end inside it. The handlers
 and suite rows that import their layers when they run give, from a
 fresh process, the bytes and exit code they give in this one, where
-every layer is loaded. A suite row loads only the layers it runs. No
+every layer is loaded. A suite row loads only the layers it runs, and
+the ``vague`` command leaves the carrier layer unloaded. No
 import, command or suite row loads ``dataclasses`` or the ``inspect``
 it imports.
 """
@@ -97,6 +98,20 @@ def test_a_membership_row_loads_neither_lattice_nor_vague(row):
     loaded = json.loads(proc.stdout)
     assert "fuzznorm.tables" in loaded
     assert not {"fuzznorm.lattice", "fuzznorm.vague", *NEVER} & set(loaded)
+
+
+def test_the_vague_command_loads_no_carrier_layer():
+    """A vague group is the vague operation its product induces, so the
+    vague layer imports no group type."""
+    code = ("import contextlib, io, json, sys\n"
+            "from fuzznorm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({LATE_IMPORTS[1]!r}) in (0, 1)\n" + _LOADED)
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "fuzznorm.vague" in loaded
+    assert "fuzznorm.carriers" not in loaded
 
 
 @pytest.mark.parametrize("argv", LATE_IMPORTS + [["suite", "--all", "--grid", "6"]],

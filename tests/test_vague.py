@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from fuzznorm import kernel, reports
-from fuzznorm.carriers import cyclic_group
+from fuzznorm.carriers import FiniteGroup, cyclic_group
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import T_D, T_L, T_M, T_P, Connective, Role
 from fuzznorm.errors import BudgetExceededError, DomainError
 from fuzznorm.reports import GridDomain, Verdict, dumps
 from fuzznorm.suite import SuiteConfig, _vague_corpus
-from fuzznorm.vague import (READINGS, VagueGroup,
+from fuzznorm.vague import (READINGS, VagueBinaryOp,
                             check_vague_binary_op, check_vague_cancellation,
                             check_vague_commutativity, check_vague_group_cancellation,
                             check_vague_monoid, check_vague_strict_monotone,
@@ -377,27 +377,59 @@ class TestTableIO:
             equality_from_json({"form": "table", "entries": [["0", "1"]]}, T_M)
 
 
+def _group_op(group, edits):
+    """The crisp vague group of ``group`` with the degrees of ``edits``."""
+    crisp = crisp_vague_group(group)
+    return vague_op_from_table("edited", group.elements, crisp.equality,
+                               {**degree_values(crisp), **edits})
+
+
 class TestVagueGroups:
     def test_cyclic_groups_cancel(self):
         for n in (3, 4):
-            v = crisp_vague_group(cyclic_group(n))
-            assert check_vague_group_cancellation(v).verdict is Verdict.HOLDS
+            group = cyclic_group(n)
+            v = crisp_vague_group(group)
+            assert check_vague_group_cancellation(v, group).verdict is Verdict.HOLDS
+
+    def test_a_crisp_group_is_the_operation_its_product_induces(self):
+        group = cyclic_group(4)
+        v = crisp_vague_group(group)
+        assert isinstance(v, VagueBinaryOp) and v.underlying is None
+        assert v.label == "Z4" and v.tnorm is T_M
+        assert degree_values(v) == {
+            (F(a), F(b), F(c)): F(int((a + b) % 4 == c))
+            for a in range(4) for b in range(4) for c in range(4)}
 
     def test_broken_inverse_is_a_domain_error(self):
         group = cyclic_group(3)
-        v = crisp_vague_group(group)
-        table = dict(v.table)
-        table[(2, 1, 0)] = F(1, 2)  # inverse degree below 1
-        broken = VagueGroup(group, v.equality, table)
-        with pytest.raises(DomainError):
-            check_vague_group_cancellation(broken)
+        broken = _group_op(group, {(2, 1, 0): F(1, 2)})  # inverse degree below 1
+        with pytest.raises(DomainError, match="inverse degree below 1 at element 1"):
+            check_vague_group_cancellation(broken, group)
+
+    def test_broken_identity_is_a_domain_error(self):
+        group = cyclic_group(3)
+        broken = _group_op(group, {(0, 2, 2): F(1, 2)})  # identity degree below 1
+        with pytest.raises(DomainError, match="identity degree below 1 at element 2"):
+            check_vague_group_cancellation(broken, group)
+
+    def test_an_operation_on_other_points_is_a_domain_error(self):
+        v = crisp_vague_group(cyclic_group(3))
+        for group in (cyclic_group(4), cyclic_group(2)):
+            with pytest.raises(DomainError, match="Z3 is not on the elements of Z"):
+                check_vague_group_cancellation(v, group)
+
+    def test_a_group_of_labels_is_refused(self):
+        group = FiniteGroup.from_table(
+            ("e", "a"), {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",
+                         ("a", "a"): "e"}, "e", label="Z2")
+        with pytest.raises(DomainError, match="distinct numbers"):
+            crisp_vague_group(group)
 
     def test_extra_product_degree_breaks_cancellation(self):
         # degree 1 at both 0 + 1 = 1 and "0 + 2 = 1"
         group = cyclic_group(3)
-        crisp = crisp_vague_group(group)
-        v = VagueGroup(group, crisp.equality, {**crisp.table, (0, 2, 1): F(1)})
-        rep = check_vague_group_cancellation(v)
+        v = _group_op(group, {(0, 2, 1): F(1)})
+        rep = check_vague_group_cancellation(v, group)
         assert rep.verdict is Verdict.FAILS
         assert len(rep.witnesses) == 4
         assert ("L", 0, 1, 2, 1) in {w.inputs for w in rep.witnesses}
@@ -408,6 +440,23 @@ class TestVagueGroups:
             else:
                 lhs = min(v(b, a, u), v(c, a, u))
             assert w.values == (lhs, v.equality(b, c)) and lhs > v.equality(b, c)
+        assert rep.to_json()["witnesses"][0]["inputs"] == ["L", "0", "1", "2", "1"]
+
+    def test_ids_and_values_report_alike(self, monkeypatch):
+        """Z3 and Z4 hold and an extra product degree fails, with the
+        same report bytes on the compiled order and on the value
+        reference."""
+        cases = [(cyclic_group(n), {}) for n in (3, 4)]
+        cases.append((cyclic_group(3), {(0, 2, 1): F(1), (1, 1, 0): F(1, 2)}))
+
+        def run():
+            return [dumps(check_vague_group_cancellation(_group_op(g, d), g))
+                    for g, d in cases]
+        on_ids = run()
+        on_values(monkeypatch)
+        assert run() == on_ids
+        assert [json.loads(r)["verdict"] for r in on_ids] == [
+            "HOLDS_ON_DOMAIN", "HOLDS_ON_DOMAIN", "FAILS"]
 
 
 def test_vague_checks_count_their_instances(monkeypatch):
@@ -428,12 +477,13 @@ def test_vague_checks_count_their_instances(monkeypatch):
     monkeypatch.setattr(vague_mod, "conclude", recording)
     pts = GridDomain(2).points  # n = 3
     v = induce_vague_tnorm(crisp_equality(pts, T_M), T_M)
-    group = crisp_vague_group(cyclic_group(4))
+    group = cyclic_group(4)
+    vgroup = crisp_vague_group(group)
     seen.clear()  # the equalities were validated on construction
     validate_fuzzy_equality(v.equality.fn, T_M, pts)
     check_vague_monoid(v)
     check_vague_commutativity(v)
-    check_vague_group_cancellation(group)
+    check_vague_group_cancellation(vgroup, group)
     assert seen == [
         ("E1:reflexivity", 3), ("E2:symmetry", 9), ("E3:transitivity", 27),
         ("V1:extensionality", 3 ** 6), ("V2:functionality", 81),

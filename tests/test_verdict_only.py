@@ -7,6 +7,7 @@ element of the full list (empty when that is empty). Outside a row
 every check runs in full.
 """
 
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ import fuzznorm.vague as vague_mod
 from fuzznorm import reports
 from fuzznorm.carriers import CarrierMonoid
 from fuzznorm.connectives import (A_MIN, BUILTIN_TNORMS, S_P, T_L, T_M, T_P,
+                                  Connective, Role,
                                   construct_uninorm_max, construct_uninorm_min)
 from fuzznorm.fuzzy import (FuzzyProp, KIND_T_SUBNORM, SubstructureTag,
                             a_submonoid_kind, check_fuzzy_property,
@@ -32,7 +34,7 @@ from fuzznorm.lattice import (chain_lattice, check_lattice_vague_strict_monotone
                               enumerate_lattice_equalities,
                               enumerate_lattice_tnorms,
                               induce_lattice_vague_tnorm)
-from fuzznorm.reports import FinitePoints, GridDomain
+from fuzznorm.reports import FinitePoints, GridDomain, Witness, decide
 from fuzznorm.subsets import MU_ID, enumerate_table_subsets
 from fuzznorm.suite import ROWS, RowResult, SuiteConfig, run_suite
 from fuzznorm.vague import READINGS, check_vague_strict_monotone
@@ -46,25 +48,32 @@ CHECKS = {
     fuzzy_mod: ("check_fuzzy_property", "check_fuzzy_subgroupoid",
                 "check_fuzzy_submonoid", "check_strict_monotonicity"),
     lattice_mod: ("check_lattice_fuzzy_property",
-                  "check_lattice_vague_strict_monotone"),
-    vague_mod: ("check_vague_strict_monotone",),
-    checker_mod: ("check_strict_monotonicity",),
+                  "check_lattice_vague_strict_monotone",
+                  "validate_lattice_fuzzy_equality"),
+    vague_mod: ("check_vague_strict_monotone", "validate_fuzzy_equality",
+                "check_vague_commutativity", "check_vague_group_cancellation"),
+    checker_mod: ("check_strict_monotonicity", "check_axioms"),
 }
 
-# the modules whose witness loops end in ``collect``
-COLLECTORS = (subsets_mod, checker_mod, vague_mod, fuzzy_mod)
+# the modules whose witness loops end in ``collect``, ``reports`` for the
+# case streams that ``reports.decide`` decides
+COLLECTORS = (subsets_mod, checker_mod, vague_mod, fuzzy_mod, reports)
 
 # the rows that reach the stop
 VERDICT_ONLY_ROWS = (
     "prop3.6", "prop3.7", "prop3.8", "prop3.9", "prop12", "prop13", "prop14",
     "prop15", "prop16", "prop17", "prop18", "prop19", "prop20", "prop21",
     "prop22", "prop23", "prop24", "prop25", "prop25-tconorm",
-    "thm-disjunctive-uninorm", "prop-intersection", "example-unique-mu-id")
+    "thm-disjunctive-uninorm", "thm-uninorm-structure",
+    "prop-vague-commutativity", "prop-vague-group-cancellation",
+    "prop-intersection", "example-unique-mu-id")
 
 
 def _same_verdict_and_first_witness(fast, full):
     assert fast.verdict is full.verdict
     assert fast.witnesses == full.witnesses[:1]
+    for fast_child, full_child in zip(fast.children, full.children, strict=True):
+        _same_verdict_and_first_witness(fast_child, full_child)
 
 
 def _in_full(check, *args, **kwargs):
@@ -109,6 +118,7 @@ def test_every_verdict_only_call_of_the_suite_matches_the_full_report(monkeypatc
             monkeypatch.setattr(mod, name, differential(name, getattr(mod, name)))
     for mod in COLLECTORS:
         monkeypatch.setattr(mod, "collect", stop(mod.collect))
+    suite_mod._vague_corpus_at.cache_clear()  # its equalities validate in a row
     cfg = SuiteConfig()
     used = []
     for row_id in ROWS:
@@ -149,6 +159,34 @@ def test_run_row_turns_the_mode_off_however_the_row_ends(monkeypatch, outcome):
         result = suite_mod._run_row("probe", SuiteConfig())
         assert result.skipped == isinstance(outcome, BudgetExceededError)
     assert reports.verdict_only is False
+
+
+def test_the_axioms_stop_at_their_first_witness(monkeypatch):
+    """The axioms are case streams that ``reports.decide`` decides: in
+    the mode, a non-associative operator gets the full report's verdicts
+    and the first witness of each axiom."""
+    skewed = Connective("test:skewed-product", Role.TNORM,
+                        lambda x, y: x * y * (1 + x) / 2, identity=Fraction(1))
+    dom = GridDomain(4)
+    full = checker_mod.check_axioms(skewed, dom)
+    assert len(full.child("T2:associativity").witnesses) > 1
+    monkeypatch.setattr(reports, "verdict_only", True)
+    fast = checker_mod.check_axioms(skewed, dom)
+    assert fast.fails
+    _same_verdict_and_first_witness(fast, full)
+    assert len(fast.child("T2:associativity").witnesses) == 1
+
+
+@pytest.mark.parametrize("stream", [[((0,), 2, 1)], []], ids=["fails", "holds"])
+def test_the_witnesses_after_a_decided_stream_come_last(monkeypatch, stream):
+    """``then`` follows the stream's witnesses, so in the mode it is the
+    one witness only when the stream has none."""
+    missing = Witness(("no-identity-element",), ())
+    full = decide("p", {}, operator.le, list(stream), then=[missing])
+    monkeypatch.setattr(reports, "verdict_only", True)
+    fast = decide("p", {}, operator.le, list(stream), then=[missing])
+    assert full.witnesses[-1] == missing and fast.fails
+    _same_verdict_and_first_witness(fast, full)
 
 
 def test_a_check_after_run_suite_keeps_every_witness():
