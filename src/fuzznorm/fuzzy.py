@@ -12,8 +12,8 @@ characterization sweeps and the uninorm non-existence refutations.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
-from typing import Callable, Optional, Sequence
+from itertools import chain, product
+from typing import Iterator, Optional, Sequence
 
 from . import reports
 from .carriers import CarrierMonoid, FiniteGroup
@@ -25,7 +25,8 @@ from .errors import BudgetExceededError, DomainError
 from .reports import (PropertyReport, SearchBudget, Verdict, Witness,
                       collect, conclude)
 from .scalars import ONE, UNIT_INTERVAL, ZERO, format_scalar
-from .subsets import FuzzySubset, _closure_witnesses, _identity_witnesses
+from .subsets import (FuzzySubset, _closure_witnesses, _identity_witnesses,
+                      enumerate_table_subsets, generate_subnorm_tables)
 
 
 class SubstructureTag(Enum):
@@ -86,27 +87,29 @@ def f_submonoid_kind(nullnorm: Connective) -> SubstructureKind:
     return SubstructureKind(SubstructureTag.F_SUBMONOID, nullnorm)
 
 
+def _arities(kind, carrier) -> tuple:
+    """The kind's closure arities on the carrier and their tuple count; an
+    aggregation kind past ``reports.MAX_TUPLES`` tuples is refused."""
+    n = len(carrier.elements)
+    if kind.tag is not SubstructureTag.A_SUBMONOID:
+        return (2,), n ** 2
+    arities, count = range(2, kind.arity_cap + 1), 0
+    for a in arities:
+        if (count := count + n ** a) > reports.MAX_TUPLES:
+            raise BudgetExceededError(
+                f"{kind.tag.value} up to arity {kind.arity_cap} needs "
+                f"more than {reports.MAX_TUPLES} tuples on a carrier of "
+                f"size {n}", size_estimate=count)
+    return arities, count
+
+
 def _closure(mu, carrier, kind) -> tuple:
     """Violations of combiner(mu(x..)) <= mu(x o ..) over the kind's
-    tuples (min combines for the min-based kinds), and the tuple count.
-    An aggregation kind whose tuples exceed ``reports.MAX_TUPLES`` is
-    refused before the loop, its count summed only until it passes the
-    budget."""
-    n = len(carrier.elements)
-    arities, count = (2,), n ** 2
-    if kind.tag is SubstructureTag.A_SUBMONOID:
-        arities, count = range(2, kind.arity_cap + 1), 0
-        for a in arities:
-            count += n ** a
-            if count > reports.MAX_TUPLES:
-                raise BudgetExceededError(
-                    f"{kind.tag.value} up to arity {kind.arity_cap} needs "
-                    f"more than {reports.MAX_TUPLES} tuples on a carrier of "
-                    f"size {n}", size_estimate=count)
-    witnesses = _closure_witnesses(mu, carrier.elements, carrier.op,
-                                   kind.combiner or UNIT_INTERVAL.meet,
-                                   UNIT_INTERVAL.leq, arities, carrier.table)
-    return witnesses, count
+    tuples (min combines for the min-based kinds), and their count."""
+    arities, count = _arities(kind, carrier)
+    return _closure_witnesses(mu, carrier.elements, carrier.op,
+                              kind.combiner or UNIT_INTERVAL.meet,
+                              UNIT_INTERVAL.leq, arities, carrier.table), count
 
 
 def check_fuzzy_subgroupoid(mu: FuzzySubset, carrier: CarrierMonoid) -> PropertyReport:
@@ -135,9 +138,7 @@ def check_fuzzy_subgroup(mu: FuzzySubset, group: FiniteGroup) -> PropertyReport:
     """Subgroupoid closure plus the inverse condition mu(x^-1) >= mu(x)."""
     witnesses, instances = _closure(mu, group.monoid, KIND_SUBGROUPOID)
     for a in group.elements:
-        va = mu(a)
-        vi = mu(group.inverse[a])
-        if not va <= vi:
+        if not (va := mu(a)) <= (vi := mu(group.inverse[a])):
             witnesses.append(Witness((a, group.inverse[a]), (va, vi)))
     return conclude(SubstructureTag.SUBGROUP.value, group.to_json(),
                     witnesses, instances=instances + len(group.elements),
@@ -183,9 +184,9 @@ def check_not_strictly_decreasing(mu: FuzzySubset, conn: Connective,
     strictly monotone operator would be a counterexample and FAILS.
     """
     dom = domain.to_json()
-    details = {"mu": mu.name, "operator": conn.name}
     strict = check_strict_monotonicity(conn, domain)
-    details["operator_strictly_monotone"] = strict.holds
+    details = {"mu": mu.name, "operator": conn.name,
+               "operator_strictly_monotone": strict.holds}
     if not strict.holds:
         return PropertyReport("not-strictly-decreasing", Verdict.VACUOUS, dom,
                               tags=("premise-not-strict",), details=details)
@@ -214,9 +215,8 @@ def extract_core(mu: FuzzySubset, carrier: CarrierMonoid) -> tuple:
 
 def core_is_submonoid(core: tuple, carrier: CarrierMonoid) -> bool:
     members = set(core)
-    if carrier.identity not in members:
-        return False
-    return all(carrier.op(x, y) in members for x in core for y in core)
+    return carrier.identity in members and all(
+        carrier.op(x, y) in members for x in core for y in core)
 
 
 def check_discrete_subalgebra(points: Sequence, conn: Connective) -> PropertyReport:
@@ -250,14 +250,11 @@ def _validate_prop20_shape(conn, domain):
     e = conn.identity
     if e is None or not (0 < e < 1):
         raise DomainError("this case needs a uninorm with interior identity")
-    for x in domain.points:
-        for y in domain.points:
-            if x >= e and y >= e:
-                if conn(x, y) != max(x, y):
-                    raise DomainError("upper square must act as max")
-            elif min(x, y) < e < max(x, y):
-                if conn(x, y) != min(x, y):
-                    raise DomainError("mixed region must act as min")
+    for x, y in product(domain.points, repeat=2):
+        if x >= e and y >= e and conn(x, y) != max(x, y):
+            raise DomainError("upper square must act as max")
+        if min(x, y) < e < max(x, y) and conn(x, y) != min(x, y):
+            raise DomainError("mixed region must act as min")
 
 
 def _absorber(conn):
@@ -325,15 +322,10 @@ _CASES = {
 }
 
 
-def case_checker(case_id: str, conn: Connective, domain) -> Callable:
-    """The named characterization for the operator ``conn`` as a function
-    of the membership map, on the case's carrier over ``domain``. ``conn``
-    is validated for the case once, here: its submonoid kind, then the
-    case's shape check. Each call evaluates both sides independently: the
-    left side runs the relevant submonoid check, the right side is the
-    closed-form condition. Disagreement on an iff case (or a broken
-    implication) is a red-flag FAILS naming the side at fault.
-    """
+def _case(case_id: str, conn: Connective, domain) -> tuple:
+    """The named characterization for ``conn``, validated for the case:
+    its submonoid kind, then the case's shape check; the case's carrier
+    over ``domain``, closed-form right side and relation."""
     if case_id not in _CASES:
         raise DomainError(f"unknown characterization case: {case_id!r}")
     check, kind_of, carrier_conn, closed_form, relation = _CASES[case_id]
@@ -341,28 +333,40 @@ def case_checker(case_id: str, conn: Connective, domain) -> Callable:
     if check is not None:
         check(conn, domain)
     carrier = CarrierMonoid.from_connective(carrier_conn, domain)
-
-    def characterize(mu: FuzzySubset) -> PropertyReport:
-        lhs = check_fuzzy_submonoid(mu, carrier, kind).holds
-        rhs = closed_form(mu, conn, carrier)
-        details = {
-            "case": case_id, "mu": mu.name, "operator": conn.name,
-            "lhs_submonoid_check": lhs, "rhs_closed_form": rhs,
-            "relation": relation,
-        }
-        witnesses = []
-        if not (lhs == rhs if relation == "iff" else not lhs or rhs):
-            details["failed_side"] = "rhs" if lhs else "lhs"
-            witnesses.append(Witness((mu.name,), ()))
-        return conclude(f"characterization:{case_id}", carrier.to_json(),
-                        witnesses, details=details)
-    return characterize
+    return kind, carrier, closed_form, relation
 
 
 def characterize_special_cases(case_id: str, mu: FuzzySubset, conn: Connective,
                                domain) -> PropertyReport:
-    """``case_checker(case_id, conn, domain)`` on one map."""
-    return case_checker(case_id, conn, domain)(mu)
+    """Both sides of the named characterization on one map, independently:
+    the left side runs the relevant submonoid check, the right side is the
+    closed-form condition. Disagreement on an iff case (or a broken
+    implication) is a red-flag FAILS naming the side at fault."""
+    kind, carrier, closed_form, relation = _case(case_id, conn, domain)
+    lhs = check_fuzzy_submonoid(mu, carrier, kind).holds
+    rhs = closed_form(mu, conn, carrier)
+    details = {"case": case_id, "mu": mu.name, "operator": conn.name,
+               "lhs_submonoid_check": lhs, "rhs_closed_form": rhs,
+               "relation": relation}
+    if failed := not (lhs == rhs if relation == "iff" else not lhs or rhs):
+        details["failed_side"] = "rhs" if lhs else "lhs"
+    return conclude(f"characterization:{case_id}", carrier.to_json(),
+                    [Witness((mu.name,), ())] if failed else [], details=details)
+
+
+def case_sweep(case_id: str, conn: Connective, domain, alphabet) -> Iterator:
+    """(map, whether ``characterize_special_cases`` holds) over the tables
+    from the case's carrier to ``alphabet``, ``conn`` validated once. The
+    left side is generated: an implication yields only the maps it holds on."""
+    kind, carrier, closed_form, relation = _case(case_id, conn, domain)
+    lhs = generate_subnorm_tables(
+        carrier.elements, carrier.op, carrier.identity, alphabet,
+        UNIT_INTERVAL, kind.combiner, _arities(kind, carrier)[0])
+    if relation == "implies":
+        return ((mu, closed_form(mu, conn, carrier)) for mu in lhs)
+    holding = {mu.name for mu in lhs}
+    return ((mu, (mu.name in holding) == closed_form(mu, conn, carrier))
+            for mu in enumerate_table_subsets(carrier.elements, alphabet))
 
 
 # --- uninorm non-existence refutations ---
@@ -387,8 +391,7 @@ def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,
         raise DomainError("the carrier must be a t-norm or t-conorm")
     carrier = CarrierMonoid.from_connective(carrier_conn, domain)
     pts = domain.points
-    witnesses = []
-    member_verdicts = {}
+    witnesses, member_verdicts = [], {}
     for member in family:
         rep = check_fuzzy_submonoid(mu, carrier, u_submonoid_kind(member))
         member_verdicts[member.name] = rep.verdict.value
@@ -409,10 +412,8 @@ def refute_uninorm_existence(mu: FuzzySubset, carrier_conn: Connective,
                if v == Verdict.HOLDS.value]
     details = {"mu": mu.name, "carrier": carrier_conn.name,
                "members": member_verdicts}
-    if passing:
-        return PropertyReport("uninorm-refutation", Verdict.FAILS,
-                              domain.to_json(),
-                              witnesses=[Witness((name,), ()) for name in passing],
-                              details=details)
-    return PropertyReport("uninorm-refutation", Verdict.HOLDS, domain.to_json(),
-                          witnesses=witnesses, details=details)
+    # a member that admits mu is a counterexample
+    return PropertyReport(
+        "uninorm-refutation", Verdict.FAILS if passing else Verdict.HOLDS,
+        domain.to_json(), details=details,
+        witnesses=[Witness((name,), ()) for name in passing] or witnesses)

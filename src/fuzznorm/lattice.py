@@ -151,8 +151,7 @@ def lattice_from_json(obj: dict, *, path: Optional[str] = None) -> FiniteLattice
     for key in ("elements", "covers"):
         if key not in obj:
             raise InputFormatError("missing key", path=path, field=key)
-    elements = obj["elements"]
-    covers = obj["covers"]
+    elements, covers = obj["elements"], obj["covers"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputFormatError("elements must be a list of labels",
                               path=path, field="elements")
@@ -165,7 +164,9 @@ def lattice_from_json(obj: dict, *, path: Optional[str] = None) -> FiniteLattice
         return build_lattice(elements, [tuple(c) for c in covers],
                              name=read_name(obj, "name", "", path=path))
     except (DomainError, NotALatticeError, UnboundedPosetError) as exc:
-        raise InputFormatError(str(exc), path=path, field="covers") from None
+        # build_lattice refuses no or repeated elements before the covers
+        field = "covers" if 0 < len(set(elements)) == len(elements) else "elements"
+        raise InputFormatError(str(exc), path=path, field=field) from None
 
 
 def load_lattice(path: str) -> FiniteLattice:

@@ -15,6 +15,7 @@ and the closure loop runs on those ids where it can.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -243,10 +244,7 @@ def _closure_loop(mu, elems, op, combine, leq, arities,
         else:
             for combo in itertools.product(elems, repeat=arity):
                 lhs = combine(*[vals[c] for c in combo])
-                acc = combo[0]
-                for c in combo[1:]:
-                    acc = op(acc, c)
-                rhs = mu(acc)
+                rhs = mu(functools.reduce(op, combo))
                 if not leq(lhs, rhs):
                     yield Witness(combo, (lhs, rhs))
 
@@ -276,39 +274,48 @@ def _identity_witnesses(mu, identity, top) -> list:
 
 
 def generate_subnorm_tables(elements: Sequence, op: Callable, identity,
-                            alphabet: Sequence, order) -> Iterator[FuzzySubset]:
+                            alphabet: Sequence, order, combine=None,
+                            arities: Sequence = (2,)) -> Iterator[FuzzySubset]:
     """The maps of ``enumerate_table_subsets(elements, alphabet)``, in its
-    order, that are t-subnorms of ``op`` in ``order``: every
-    ``order.leq(order.meet(mu x, mu y), mu(op(x, y)))`` holds and
-    ``mu(identity)`` is ``order.top``, the comparisons
-    ``_closure_witnesses`` and ``_identity_witnesses`` make.
+    order, that are t-subnorms of ``op`` in ``order``: ``mu(identity)`` is
+    ``order.top`` and ``order.leq(combine(mu x, ..), mu(x o ..))`` holds on
+    the tuples of each of ``arities`` (2 first), the comparisons
+    ``_identity_witnesses`` and ``_closure_witnesses`` make. ``combine``
+    is ``order.meet`` unless given; a given one, over a numeric alphabet,
+    compares on the alphabet's ids, as the closure loop does.
 
     The product of the alphabet positions, with the identity's limited
-    to the top, is filtered through the inequalities on positions. A
-    product or an identity outside ``elements`` raises the
+    to the top, is filtered through the inequalities on positions, the
+    pairs first. A product or an identity outside ``elements`` raises the
     ``TotalityError`` a table map raises.
     """
     # as in a table map, an element listed twice keeps its last value
     elements, index, alphabet, compiled = _sweep(elements, alphabet)
     if not alphabet:
         return
-
-    def position(x):
-        try:
-            return index[x]
-        except (KeyError, TypeError):
-            raise _no_value(x) from None
-
-    triples = [(index[x], index[y], position(op(x, y)))
-               for x in elements for y in elements]
+    position = _TableFn(elements, list(range(len(elements))), index)
+    letters, combine, leq = ((alphabet, order.meet, order.leq) if combine is None
+                             else (compiled.letters, compiled.lifted(combine),
+                                   compiled.lifted(order.leq, bool)))
+    (cube, triples), *rest = [(_holds(combine, leq, letters, arity), [
+        (*map(index.__getitem__, xs), position(functools.reduce(op, xs)))
+        for xs in itertools.product(elements, repeat=arity)])
+        for arity in arities]
     pinned = position(identity)
-    # the comparisons on alphabet positions, each made once
-    leq, meet = order.leq, order.meet
-    holds = [[[leq(meet(a, b), c) for c in alphabet]
-              for b in alphabet] for a in alphabet]
     tops = [v for v, a in enumerate(alphabet) if a == order.top]
     choices = [tops if k == pinned else range(len(alphabet))
                for k in range(len(elements))]
     for at in itertools.product(*choices):
-        if all(holds[at[i]][at[j]][at[p]] for i, j, p in triples):
+        if all(cube[at[i]][at[j]][at[p]] for i, j, p in triples) and all(
+                functools.reduce(list.__getitem__, map(at.__getitem__, tup), table)
+                for table, tuples in rest for tup in tuples):
             yield named_table(elements, index, alphabet, at, compiled)
+
+
+def _holds(combine, leq, letters, arity, prefix=()) -> list:
+    """``leq(combine(a, ..), c)`` nested by the positions of a, .. and c."""
+    if len(prefix) < arity:
+        return [_holds(combine, leq, letters, arity, prefix + (a,))
+                for a in letters]
+    lhs = combine(*prefix)
+    return [leq(lhs, c) for c in letters]

@@ -78,8 +78,7 @@ def _count(row_id: str, universe: str, cases,
     checked, unless ``checked`` gives the size of the row's universe: a
     row whose stream leaves out the cases that hold vacuously (membership
     maps that are not t-subnorms) counts them arithmetically."""
-    streamed = 0
-    counter = []
+    streamed, counter = 0, []
     for label, holds in cases:
         streamed += 1
         if not holds:
@@ -91,10 +90,6 @@ def _count(row_id: str, universe: str, cases,
 def _grid3() -> FinitePoints:
     from . import tables
     return FinitePoints(tables.uniform_chain(3))
-
-
-def _table_sweep(cfg: SuiteConfig, points) -> list:
-    return list(enumerate_table_subsets(points, cfg.alphabet))
 
 
 def _chain_sweeps(cfg: SuiteConfig) -> tuple:
@@ -262,19 +257,18 @@ _CASE_ROWS = {
 
 
 def _case_row(row_id: str, cfg: SuiteConfig) -> RowResult:
-    """The row's characterization case for each of its operators and each
-    membership table on the 3-point grid; each operator is validated for
-    the case once."""
+    """The row's characterization case for each of its operators over the
+    membership tables on the 3-point grid (``fuzzy.case_sweep``); an
+    implication row streams only the maps whose left side holds, and
+    counts the others arithmetically."""
     from . import fuzzy
     case_id, operators, universe, label = _CASE_ROWS[row_id]
-    dom = _grid3()
-    conns = operators()
-    checkers = [(conn, fuzzy.case_checker(case_id, conn, dom)) for conn in conns]
-    cases = ((label.format(op=conn.name, mu=mu.name), not characterize(mu).fails)
-             for conn, characterize in checkers
-             for mu in _table_sweep(cfg, dom.points))
-    return _count(row_id, f"{len(cfg.alphabet) ** 3} membership tables on the "
-                  f"3-point {universe.format(op=conns[0].name)}", cases)
+    dom, conns = _grid3(), operators()
+    cases = ((label.format(op=conn.name, mu=mu.name), holds) for conn in conns
+             for mu, holds in fuzzy.case_sweep(case_id, conn, dom, cfg.alphabet))
+    n = len(cfg.alphabet) ** len(dom.points)
+    return _count(row_id, f"{n} membership tables on the 3-point "
+                  f"{universe.format(op=conns[0].name)}", cases, n * len(conns))
 
 
 def _refutation_family():
@@ -329,7 +323,7 @@ def _row_intersection(cfg):
     from . import carriers, fuzzy
     dom = _grid3()
     carrier = carriers.CarrierMonoid.from_connective(T_M, dom)
-    groupoids = [mu for mu in _table_sweep(cfg, dom.points)
+    groupoids = [mu for mu in enumerate_table_subsets(dom.points, cfg.alphabet)
                  if fuzzy.check_fuzzy_subgroupoid(mu, carrier).holds]
     # a pair is decided on the meet of its alphabet ids, each meet once
     holds = lru_cache(maxsize=None)(lambda ids, order: closure_holds(
@@ -416,11 +410,10 @@ ROWS: dict = {
 
 
 def _run_row(row_id: str, cfg: SuiteConfig) -> RowResult:
-    fn = ROWS[row_id]
     start = time.monotonic()
     reports.verdict_only = True
     try:
-        result = fn(cfg)
+        result = ROWS[row_id](cfg)
     except BudgetExceededError as exc:
         result = RowResult(row_id, "", 0, [], skipped=True, skip_reason=str(exc))
     finally:
@@ -459,8 +452,7 @@ class SuiteResult:
                 continue
             lines.append(f"{r.row_id:<32} {r.checked:>8} "
                          f"{len(r.counterexamples):>16} {r.elapsed:>7.2f}s")
-            for c in sorted(r.counterexamples):
-                lines.append(f"  counterexample: {c}")
+            lines += [f"  counterexample: {c}" for c in sorted(r.counterexamples)]
         lines.append("-" * len(header))
         lines.append(f"total counterexamples: {self.total_counterexamples}")
         return "\n".join(lines)
@@ -470,8 +462,7 @@ def run_suite(config: Optional[SuiteConfig] = None,
               only: Optional[Sequence[str]] = None, jobs: int = 1) -> SuiteResult:
     config = config or SuiteConfig()
     if only is not None:
-        unknown = [r for r in only if r not in ROWS]
-        if unknown:
+        if unknown := [r for r in only if r not in ROWS]:
             raise DomainError(f"unknown suite rows: {', '.join(unknown)}")
         if not only:  # an empty list would check nothing
             raise DomainError("no suite rows selected")

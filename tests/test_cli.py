@@ -691,7 +691,10 @@ class TestRefusedInputs:
         (["lattice", "--lattice", "{file}"],
          {"elements": ["0", "0", "1"], "covers": [["0", "1"]]},
          "lattice elements must be non-empty and distinct (file: {file}, "
-         "field 'covers')"),
+         "field 'elements')"),
+        (["lattice", "--lattice", "{file}"], {"elements": [], "covers": []},
+         "lattice elements must be non-empty and distinct (file: {file}, "
+         "field 'elements')"),
         (["lattice", "--lattice", "{file}"],
          {"elements": ["0", "1"], "covers": [["0", "x"]]},
          "cover (0, x) mentions unknown elements (file: {file}, field 'covers')"),
@@ -712,7 +715,7 @@ class TestRefusedInputs:
             "mu-unknown-builtin", "mu-step-zero-denominator",
             "carrier-empty-elements", "carrier-elements-not-a-list",
             "carrier-op-not-square", "lattice-repeated-element",
-            "lattice-unknown-cover", "lattice-no-unique-meet",
+            "lattice-empty-elements", "lattice-unknown-cover", "lattice-no-unique-meet",
             "uninorm-mixed-arguments", "uninorm-missing-argument",
             "classify-nullnorm", "lattice-bad-chain", "lattice-unknown-tnorm"])
     def test_refusal_exits_64_with_its_message(self, tmp_path, capsys, argv,

@@ -220,13 +220,14 @@ CASE_ROWS = {
 
 
 def test_planted_failure_pins_the_case_rows(monkeypatch):
-    """With every submonoid check made to hold, each characterization
-    row reports exactly the maps whose closed form fails (for the core
-    rows: whose core misses the identity 1 of the min carrier), labelled
-    by operator and map on the core rows and by map elsewhere."""
-    always = SimpleNamespace(holds=True, fails=False)
-    monkeypatch.setattr(fuzzy_mod, "check_fuzzy_submonoid",
-                        lambda *args, **kwargs: always)
+    """With every map generated as a submonoid (every left side made to
+    hold), each characterization row reports exactly the maps whose
+    closed form fails (for the core rows: whose core misses the identity
+    1 of the min carrier), labelled by operator and map on the core rows
+    and by map elsewhere."""
+    monkeypatch.setattr(fuzzy_mod, "generate_subnorm_tables",
+                        lambda elements, op, identity, alphabet, *rest:
+                        enumerate_table_subsets(elements, alphabet))
     result = run_suite(SuiteConfig(), only=list(CASE_ROWS))
     assert [r.row_id for r in result.rows] == list(CASE_ROWS)
     points = uniform_chain(3)

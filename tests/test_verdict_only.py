@@ -59,12 +59,11 @@ CHECKS = {
 # case streams that ``reports.decide`` decides
 COLLECTORS = (subsets_mod, checker_mod, vague_mod, fuzzy_mod, reports)
 
-# the rows that reach the stop
+# the rows that reach the stop; the characterization rows generate their
+# left side and run no witness loop
 VERDICT_ONLY_ROWS = (
     "prop3.6", "prop3.7", "prop3.8", "prop3.9", "prop12", "prop13", "prop14",
-    "prop15", "prop16", "prop17", "prop18", "prop19", "prop20", "prop21",
-    "prop22", "prop23", "prop24", "prop25", "prop25-tconorm",
-    "thm-disjunctive-uninorm", "thm-uninorm-structure",
+    "prop15", "prop21", "prop22", "thm-uninorm-structure",
     "prop-vague-commutativity", "prop-vague-group-cancellation",
     "prop-intersection", "example-unique-mu-id")
 
