@@ -53,6 +53,14 @@ def _associativity(op, pts):
                 yield (x, y, z), op(xy, z), op(x, yz)
 
 
+def _light_associative(op, pts) -> bool:
+    """Light's test: a commutative ``op`` closed on the sequence ``pts`` is
+    associative iff ``op(op(x, y), z)`` is one value on the three
+    arrangements of each triple x <= y <= z of ``pts`` (by position)."""
+    return all(op(op(x, y), z) == op(op(x, z), y) == op(op(y, z), x)
+               for i, x in enumerate(pts) for j, y in enumerate(pts[i:], i) for z in pts[j:])
+
+
 def _monotonicity(order, op, pts):
     """Both arguments, over the strict pairs y < z of the order: the
     value at y must not exceed the value at z (decided by ``leq``)."""

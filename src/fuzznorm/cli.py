@@ -22,6 +22,7 @@ so a ``check`` loads ``checker`` and what it imports, and no other layer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -30,7 +31,7 @@ from .connectives import A_MIN, Role, parse_operator
 from .errors import (BudgetExceededError, DomainError, FuzznormError,
                      InputFormatError, TotalityError, UnknownOperatorError,
                      read_json_object)
-from .reports import (READINGS, GridDomain, SearchBudget, Verdict, dumps,
+from .reports import (READINGS, GridDomain, SearchBudget, Verdict, dump,
                       verdict_meet)
 from .scalars import parse_rational
 from .subsets import parse_subset_spec
@@ -67,18 +68,26 @@ def _pick(text: str, table: dict, what: str) -> list:
     return ids
 
 
-def _emit(args, obj, text) -> None:
-    """Write the JSON of ``obj()`` or the text ``text()``, as ``--format``
-    asks; only that form is built."""
-    payload = dumps(obj()) if args.format == "json" else text() + "\n"
+def _open_out(args):
+    """``--out`` opened for writing, before any check runs, or stdout."""
     if not args.out:
-        sys.stdout.write(payload)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        return open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot write --out {args.out}: {exc.strerror}") from None
+
+
+def _emit(args, obj, text) -> None:
+    """Write the JSON of ``obj()`` or the text ``text()`` to ``args.stream``."""
+    try:
+        if args.format == "json":
+            dump(obj(), args.stream)
+        else:
+            args.stream.write(text() + "\n")
+        args.stream.flush()
+    except OSError as exc:  # a full disk, or a closed pipe on stdout
+        raise DomainError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from None
 
 
 def _exit_code(reports) -> int:
@@ -448,7 +457,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        with _open_out(args) as args.stream:
+            return args.fn(args)
     except TotalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_TOTAL

@@ -305,7 +305,16 @@ def combine(property_id: str, children: Sequence[PropertyReport], domain: dict,
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON rendering used by the CLI and report files."""
+    """Deterministic JSON rendering, as one string, for library callers."""
     if isinstance(obj, PropertyReport):
         obj = obj.to_json()
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
+def dump(obj, fh) -> None:
+    """``dumps(obj)`` of the JSON value ``obj``, written to the text stream
+    ``fh`` in batches of 8,192 chunks of the same encoder, never whole."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=True).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        fh.write(batch)
+    fh.write("\n")

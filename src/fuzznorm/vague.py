@@ -57,27 +57,22 @@ class TFuzzyEquality:
 
 def _validate_equality(order, fn, tnorm, carrier, rid, dom) -> PropertyReport:
     _tuple_budget(len(carrier), 3, "transitivity")
-    leq, top = order.leq, order.top
-    refl_w = [Witness((x, x), (fn(x, x),)) for x in carrier
-              if fn(x, x) != top]
-
-    def transitivity():
-        for x in carrier:
-            for y in carrier:
-                exy = fn(x, y)
-                for z in carrier:
-                    yield (x, y, z), tnorm(exy, fn(y, z)), fn(x, z)
-
-    symmetry = (((x, y), fn(x, y), fn(y, x))
-                for i, x in enumerate(carrier) for y in carrier[i + 1:])
-    n = len(carrier)
+    leq, top, n = order.leq, order.top, len(carrier)
+    e = [[fn(x, y) for y in carrier] for x in carrier]  # one call a pair
+    refl_w = [Witness((x, x), (e[i][i],)) for i, x in enumerate(carrier)
+              if e[i][i] != top]
+    transitivity = (((x, y, z), tnorm(exy, eyz), exz)
+                    for x, ex in zip(carrier, e) for y, ey, exy in zip(carrier, e, ex)
+                    for z, eyz, exz in zip(carrier, ey, ex))
+    symmetry = (((x, carrier[j]), e[i][j], e[j][i])
+                for i, x in enumerate(carrier) for j in range(i + 1, n))
     children = [
         conclude("E1:reflexivity", dom, refl_w, instances=n),
         decide("E2:symmetry", dom, operator.eq, symmetry, instances=n ** 2),
-        decide("E3:transitivity", dom, leq, transitivity()),
+        decide("E3:transitivity", dom, leq, transitivity),
     ]
-    separates = all(x == y or fn(x, y) != top
-                    for x in carrier for y in carrier)
+    separates = all(x == y or v != top
+                    for x, ex in zip(carrier, e) for y, v in zip(carrier, ex))
     return combine(rid, children, dom,
                    details={"tnorm": tnorm.name, "separates_points": separates})
 

@@ -3,7 +3,9 @@
 Commutativity, associativity, monotonicity in each argument and the
 boundary law (the neutral element on both sides) are written out again
 in plain loops over ``itertools``, and no axiom core of
-``fuzznorm.checker`` is imported. Each child of ``check_axioms`` (T1-T4,
+``fuzznorm.checker`` is imported (only ``_light_associative``, the
+associativity test of lattice enumeration, which is tested against the
+same oracle on every commutative table of three points). Each child of ``check_axioms`` (T1-T4,
 S1-S4) and of ``check_lattice_tnorm`` (L1-L4) must then FAIL exactly
 when its axiom has a violation here, with those violations as its
 witnesses, each carrying the two sides it violates with.
@@ -20,7 +22,7 @@ from itertools import combinations, product
 
 import pytest
 
-from fuzznorm.checker import check_axioms
+from fuzznorm.checker import _light_associative, check_axioms
 from fuzznorm.connectives import BUILTIN_TCONORMS, BUILTIN_TNORMS, Role
 from fuzznorm.lattice import (check_lattice_tnorm, diamond_lattice,
                               enumerate_lattice_tnorms)
@@ -132,3 +134,53 @@ def test_every_diamond_tnorm_and_its_one_cell_changes():
         assert_children_match(report, "L", LATTICE_AXIOMS, expected)
         seen.update(name for name, found in expected.items() if found)
     assert set(seen) == set(LATTICE_AXIOMS)
+
+
+def test_lights_test_on_every_commutative_table_of_three_points():
+    """``enumerate_lattice_tnorms`` keeps a table, symmetric and closed by
+    construction, when ``checker._light_associative`` passes; on each of
+    the 3^6 such tables on three points it must pass exactly when the
+    oracle finds no associativity violation."""
+    pts = (F(0), F(1, 2), F(1))
+    pairs = list(combinations(pts, 2)) + [(x, x) for x in pts]
+    kept = Counter()
+    for values in product(pts, repeat=len(pairs)):
+        cells = {}
+        for (x, y), v in zip(pairs, values):
+            cells[(x, y)] = cells[(y, x)] = v
+
+        def op(x, y):
+            return cells[(x, y)]
+        expected = not oracle(op, pts, chain_leq, F(1))["associativity"]
+        assert _light_associative(op, pts) is expected, cells
+        # the enumerator's form: positions in a range
+        assert _light_associative(
+            lambda i, j: pts.index(op(pts[i], pts[j])), range(3)) is expected
+        kept[expected] += 1
+    assert kept[True] and kept[False]
+
+
+def symmetric_neighbours(cells: dict, values) -> list:
+    """Every table that differs from the symmetric ``cells`` in one cell
+    of the diagonal or in two mirrored cells, so it still commutes."""
+    return [{**cells, (x, y): v, (y, x): v} for (x, y) in cells
+            if (x, y) <= (y, x) for v in values if v != cells[(x, y)]]
+
+
+def test_lights_test_on_commutative_neighbours_of_tnorms():
+    """Light's test against the oracle on every 4-chain and diamond t-norm
+    and its commutative neighbours; a test that compares only two of the
+    three arrangements passes some of these non-associative tables."""
+    tables = [({(x, y): t(x, y) for x in CHAIN for y in CHAIN}, CHAIN)
+              for t in enumerate_chain_tnorm_tables(CHAIN)]
+    tables += [(dict(t.table), DIAMOND.elements)
+               for t in enumerate_lattice_tnorms(DIAMOND)]
+    kept = Counter()
+    for cells, pts in tables:
+        for table in [cells] + symmetric_neighbours(cells, pts):
+            def op(x, y):
+                return table[(x, y)]
+            expected = not oracle(op, pts, chain_leq, pts[-1])["associativity"]
+            assert _light_associative(op, pts) is expected, table
+            kept[expected] += 1
+    assert kept[True] > len(tables) and kept[False]

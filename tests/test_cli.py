@@ -518,12 +518,49 @@ class TestOutPath:
         ["check", "tnorm:min", "--grid", "4"],
         ["suite", "--only", "prop16"],
     ], ids=["check", "suite"])
-    def test_unopenable_out_exits_64(self, tmp_path, capsys, argv):
+    def test_unopenable_out_exits_64(self, tmp_path, capsys, monkeypatch, argv):
+        import fuzznorm.checker as checker_mod
+        import fuzznorm.suite as suite_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a check ran before --out was opened")
+        monkeypatch.setattr(checker_mod, "check_axioms", unreachable)
+        monkeypatch.setattr(suite_mod, "run_suite", unreachable)
         out = str(tmp_path / "missing" / "x.json")
         assert run(argv + ["--out", out]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "--out" in err
+        assert err.startswith("error: cannot write --out ")
+        assert out in err
+
+    def test_refused_input_leaves_the_opened_out_empty(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("an earlier report\n")
+        assert run(["check", "tnorm:nope", "--out", str(path)]) == 64
+        assert "unknown" in capsys.readouterr().err
+        assert path.read_text() == ""
+
+    def test_out_holds_the_bytes_of_stdout(self, tmp_path, capsys):
+        argv = ["vague", "--equality", "crisp", "--tnorm", "tnorm:product",
+                "--format", "json"]
+        assert run(argv) == 1
+        printed = out_text(capsys)
+        path = tmp_path / "vague.json"
+        assert run(argv + ["--out", str(path)]) == 1
+        assert out_text(capsys) == ""
+        assert path.read_bytes() == printed.encode("utf-8")
+        assert len(json.loads(printed)["reports"][-1]["witnesses"]) > 0
+
+    def test_a_failed_write_exits_64(self, monkeypatch, capsys):
+        class FullDisk:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert run(["check", "tnorm:min", "--grid", "4", "--format", "json"]) == 64
+        assert capsys.readouterr().err == (
+            "error: cannot write stdout: No space left on device\n")
 
 
 class TestSuiteCommand:

@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from fuzznorm.carriers import FiniteGroup, cyclic_group
 from fuzznorm.checker import check_axioms
 from fuzznorm.connectives import T_D, T_L, T_M, T_P, Connective, Role
 from fuzznorm.errors import BudgetExceededError, DomainError
-from fuzznorm.reports import GridDomain, Verdict, dumps
+from fuzznorm.reports import (GridDomain, Verdict, Witness, combine, conclude,
+                              decide, dumps)
+from fuzznorm.scalars import exact, format_scalar
 from fuzznorm.suite import SuiteConfig, _vague_corpus
 from fuzznorm.vague import (READINGS, VagueBinaryOp,
                             check_vague_binary_op, check_vague_cancellation,
@@ -54,6 +57,65 @@ class TestFuzzyEquality:
         assert eq.validated is False
         with pytest.raises(DomainError):
             induce_vague_tnorm(eq, T_M)
+
+
+def _parent_validation(raw, tnorm, carrier):
+    """The equality validation in its earlier form, which called ``fn``
+    at each visit of a pair, about 3n^3 times, as the witness reference."""
+    carrier = tuple(map(exact, carrier))
+
+    def fn(a, b):
+        return exact(raw(a, b))
+    dom = {"kind": "carrier", "size": len(carrier),
+           "label": "{" + ",".join(format_scalar(x) for x in carrier) + "}"}
+    refl_w = [Witness((x, x), (fn(x, x),)) for x in carrier if fn(x, x) != 1]
+    symmetry = (((x, y), fn(x, y), fn(y, x))
+                for i, x in enumerate(carrier) for y in carrier[i + 1:])
+    transitivity = (((x, y, z), tnorm(fn(x, y), fn(y, z)), fn(x, z))
+                    for x in carrier for y in carrier for z in carrier)
+    n = len(carrier)
+    return combine("fuzzy-equality", [
+        conclude("E1:reflexivity", dom, refl_w, instances=n),
+        decide("E2:symmetry", dom, operator.eq, symmetry, instances=n ** 2),
+        decide("E3:transitivity", dom, operator.le, transitivity),
+    ], dom, details={"tnorm": tnorm.name, "separates_points": all(
+        x == y or fn(x, y) != 1 for x in carrier for y in carrier)})
+
+
+def _lopsided(a, b):
+    # neither reflexive nor symmetric
+    return F(1) if a < b else a * b
+
+
+def _assert_one_call_a_pair(fn, conn, pts):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return fn(a, b)
+    report = validate_fuzzy_equality(counting, conn, pts)
+    assert sorted(calls) == sorted((x, y) for x in pts for y in pts)
+    assert dumps(report) == dumps(_parent_validation(fn, conn, pts))
+    return report
+
+
+@pytest.mark.parametrize("grid", [3, 4, 5, 6])
+@pytest.mark.parametrize("conn", [T_M, T_P, T_L, T_D], ids=lambda c: c.name)
+@pytest.mark.parametrize("form", ["crisp", "linear"])
+def test_validation_calls_the_equality_once_a_pair(form, conn, grid):
+    pts = GridDomain(grid).points
+    fn = crisp_equality(pts, conn).fn if form == "crisp" else linear_fn
+    _assert_one_call_a_pair(fn, conn, pts)
+
+
+@pytest.mark.parametrize("form, failing", [
+    ("half-apart", ["E3:transitivity"]),
+    ("lopsided", ["E1:reflexivity", "E2:symmetry", "E3:transitivity"]),
+])
+def test_a_failed_validation_calls_the_equality_once_a_pair(form, failing):
+    fn = _half_apart if form == "half-apart" else _lopsided
+    report = _assert_one_call_a_pair(fn, T_M, GridDomain(4).points)
+    assert [c.property_id for c in report.children if c.fails] == failing
 
 
 class TestInducedOperator:
